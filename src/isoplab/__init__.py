@@ -29,7 +29,7 @@ from .layers import (DeviationReport, LayerKernelPair, asymptotic_kernels,
 from .measures import (CompetitorSet, CylinderExtended, MeasureResult,
                        PlainBall, RotationSwept, ball_deficit_measures,
                        mean_density, profile_upper_bound, set_measures,
-                       weighted_ball_measures)
+                       weighted_ball_measures, weighted_ball_measures_at)
 from .quadrature import unit_ball_volume, unit_sphere_area
 from .sliding import (AdmissibilityReport, SignSearchOutcome, SlidingKernel,
                       averaging_identity_residual, check_admissibility,

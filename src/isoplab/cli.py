@@ -168,9 +168,8 @@ def cmd_measure(args) -> int:
 def cmd_kernel_search(args) -> int:
     cfg = _load_config(args)
     d = _density_from(cfg)
-    dd = d
     kernel = excess_kernel(d.dim)
-    g = deficit_profile(dd)
+    g = deficit_profile(d)
     outcome = sliding_sign_search(kernel, g, args.rmin, args.rmax)
     out = _outdir(args)
     write_json(out / "kernel_search.json", {
@@ -266,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="weighted perimeter/volume laboratory for densities "
                     "leveling off at infinity")
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--format", choices=("json", "csv"), default="json",
-                   help="primary output format (both are always written)")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, config=True):

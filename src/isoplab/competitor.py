@@ -28,7 +28,7 @@ remains observable even for exponentially small deficits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .measures import (CylinderExtended, MeasureResult, PlainBall,
                        RotationSwept, annulus_patch, ball_cap_patch,
                        cylinder_wall_patch, mean_density, set_measures,
                        sphere_cap_patch, swept_band_patch, swept_wedge_patch,
-                       weighted_ball_measures)
+                       weighted_ball_measures, weighted_ball_measures_at)
 from .quadrature import (frame_from_axis, sphere_grid, unit_ball_volume,
                          unit_sphere_area)
 
@@ -69,6 +69,9 @@ class SweepAdvanceMap:
 
     ``mapped`` is theta + advance(theta); measured difference quotients of the
     map must stay within [1 - eps, 1/(1 - eps)] for large enough offsets.
+    ``ball_deficit`` is |B^theta|_g of the base ball at each angle, recorded
+    for the direction selection; it is left out of the repr, which shows the
+    map itself.
     """
 
     theta: tuple[float, ...]
@@ -78,6 +81,7 @@ class SweepAdvanceMap:
     lipschitz_hi: float
     eps: float
     offset: float
+    ball_deficit: tuple[float, ...] = field(repr=False)
 
     def quotients(self) -> np.ndarray:
         th = np.asarray(self.theta)
@@ -106,10 +110,6 @@ class CompetitorCertificate:
     mc_check: dict = field(default_factory=dict)
 
 
-def _g_weight(d: Density):
-    return deficit_weight(d)
-
-
 def _circle_dir(plane: np.ndarray, phi: float) -> np.ndarray:
     return math.cos(phi) * plane[:, 0] + math.sin(phi) * plane[:, 1]
 
@@ -134,7 +134,7 @@ class _SweptPieces:
         self.d, self.R, self.frame = d, R, frame
         self.n = d.dim
         self.nodes, self.radial_nodes = nodes, radial_nodes
-        self.g = _g_weight(d)
+        self.g = deficit_weight(d)
         self.omega = unit_ball_volume(self.n)
         self.omega1 = unit_ball_volume(self.n - 1)
 
@@ -179,6 +179,13 @@ class _SweptPieces:
     def ball_g(self, phi: float) -> float:
         _, V = weighted_ball_measures(self.g, self.n, self._center(phi), 1.0,
                                       self.nodes, self.radial_nodes)
+        return V
+
+    def balls_g(self, phis) -> np.ndarray:
+        """|B|_g of the balls at each angle of ``phis``, in one batched scan."""
+        centers = np.array([self._center(float(phi)) for phi in phis])
+        _, V = weighted_ball_measures_at(self.g, self.n, centers, 1.0,
+                                         self.nodes, self.radial_nodes)
         return V
 
     def gap_function(self, phi: float):
@@ -326,7 +333,7 @@ class _CylinderPieces:
         self.d, self.R, self.frame = d, R, frame
         self.n = d.dim
         self.nodes, self.radial_nodes = nodes, radial_nodes
-        self.g = _g_weight(d)
+        self.g = deficit_weight(d)
         self.omega = unit_ball_volume(self.n)
         self.omega1 = unit_ball_volume(self.n - 1)
         self.e1 = frame[:, 0]
@@ -518,33 +525,36 @@ def select_working_circle(d: Density, R: float, eps: float = EPS,
     At each level the axis grid is scanned and the subsphere orthogonal to
     the best axis (largest grid-averaged margin of P_g - (N - eps) V_g over
     the subsphere) is kept; the surviving 2-plane is returned as an (N, 2)
-    orthonormal basis.  Radial weights short-circuit to the first coordinate
-    plane.
+    orthonormal basis.  The balls of one candidate subsphere are measured in
+    one batched scan.  An axis whose antipode was already scanned is
+    skipped: both are orthogonal to the same subsphere, whose average then
+    differs only by rounding, and the first of the pair is kept.  Radial
+    weights short-circuit to the first coordinate plane.
     """
     n = d.dim
     if d.radial or n == 2:
         return np.eye(n)[:, :2]
-    g = _g_weight(d)
+    g = deficit_weight(d)
     basis = np.eye(n)            # columns span the current subspace
     m = n
     while m > 2:
         cand, _ = sphere_grid(m, axis_nodes, 2 * axis_nodes)
-        best_axis, best_avg = None, -math.inf
+        dirs_sub, w_sub = sphere_grid(m - 1, max(8, circle_nodes // 4),
+                                      circle_nodes)
+        scanned = np.empty((0, m))
+        best_sub, best_avg = None, -math.inf
         for axis_sub in cand:
-            axis = basis @ axis_sub
+            if np.any(np.max(np.abs(scanned + axis_sub), axis=1) <= 1e-9):
+                continue
+            scanned = np.vstack([scanned, axis_sub])
             sub = basis @ _complement_in(axis_sub)
-            dirs_sub, w_sub = sphere_grid(m - 1, max(8, circle_nodes // 4),
-                                          circle_nodes)
-            margins = np.empty(len(dirs_sub))
-            for i, v in enumerate(dirs_sub):
-                u = sub @ v
-                P, V = weighted_ball_measures(g, n, R * u, 1.0, quad_nodes,
-                                              max(16, quad_nodes // 2))
-                margins[i] = P - (n - eps) * V
-            avg = float(margins @ w_sub / w_sub.sum())
+            centers = np.array([R * (sub @ v) for v in dirs_sub])
+            P, V = weighted_ball_measures_at(g, n, centers, 1.0, quad_nodes,
+                                             max(16, quad_nodes // 2))
+            avg = float((P - (n - eps) * V) @ w_sub / w_sub.sum())
             if avg > best_avg:
-                best_avg, best_axis = avg, (axis, sub)
-        basis = best_axis[1]
+                best_avg, best_sub = avg, sub
+        basis = best_sub
         m -= 1
     return basis
 
@@ -574,20 +584,20 @@ def sweep_advance_map(d: Density, R: float, plane: np.ndarray,
     frame = frame_from_axis(plane[:, 0], plane[:, 1])
     pieces = _SweptPieces(d, R, frame, nodes)
     theta = 2.0 * math.pi * np.arange(grid) / grid
+    ball_gs = pieces.balls_g(theta)
     advance = np.zeros(grid)
     for i, phi in enumerate(theta):
-        ball_g = pieces.ball_g(float(phi))
-        if ball_g <= DEGENERACY_TOL:
+        if ball_gs[i] <= DEGENERACY_TOL:
             continue
         match = volume_match("rotation", pieces.gap_function(float(phi)),
-                             ball_g, n, R, eps)
+                             float(ball_gs[i]), n, R, eps)
         advance[i] = match.delta_bar
     mapped = theta + advance
     sam = SweepAdvanceMap(tuple(theta), tuple(advance), tuple(mapped),
-                          0.0, 0.0, eps, R)
+                          0.0, 0.0, eps, R, tuple(ball_gs))
     q = sam.quotients()
-    return SweepAdvanceMap(tuple(theta), tuple(advance), tuple(mapped),
-                           float(q.min()), float(q.max()), eps, R)
+    return replace(sam, lipschitz_lo=float(q.min()),
+                   lipschitz_hi=float(q.max()))
 
 
 def select_sweep_direction(d: Density, R: float, plane: np.ndarray,
@@ -607,10 +617,9 @@ def select_sweep_direction(d: Density, R: float, plane: np.ndarray,
     theta = np.asarray(advance.theta)
     adv = np.asarray(advance.advance)
     omega = unit_ball_volume(n)
+    ball_gs = np.asarray(advance.ball_deficit)
     scores = np.empty(theta.size)
-    ball_gs = np.empty(theta.size)
     for i, phi in enumerate(theta):
-        ball_gs[i] = pieces.ball_g(float(phi))
         lhs = (pieces.hemisphere_g(float(phi), upper=False)
                + pieces.hemisphere_g(float(phi + adv[i]), upper=True))
         scores[i] = lhs - (1.0 - eps) * (n - eps) * ball_gs[i]
@@ -650,6 +659,30 @@ def select_sweep_direction(d: Density, R: float, plane: np.ndarray,
 # end-to-end driver
 # ---------------------------------------------------------------------------
 
+def monte_carlo_check(E: PlainBall | CylinderExtended | RotationSwept,
+                      d: Density, P_f: MeasureResult, V_f: MeasureResult,
+                      samples: int, seed: int) -> dict:
+    """Re-measure E by Monte Carlo and compare with the quadrature P_f, V_f.
+
+    A measure is consistent when the two values differ by at most four
+    Monte-Carlo standard errors plus the quadrature's own error estimate,
+    which carries a rounding floor: far out the weight rounds to a constant
+    on the whole boundary, the standard error vanishes, and the two values
+    still differ by rounding.
+    """
+    P_mc, V_mc = set_measures(E, d, method="monte_carlo", budget=samples,
+                              seed=seed)
+    return {
+        "volume_consistent": abs(V_mc.value - V_f.value)
+        <= 4.0 * V_mc.error_estimate + V_f.error_estimate,
+        "perimeter_consistent": abs(P_mc.value - P_f.value)
+        <= 4.0 * P_mc.error_estimate + P_f.error_estimate,
+        "P_mc": P_mc.value, "P_mc_stderr": P_mc.error_estimate,
+        "V_mc": V_mc.value, "V_mc_stderr": V_mc.error_estimate,
+        "seed": seed, "samples": samples,
+    }
+
+
 def build_competitor(d: Density, eps: float = EPS, R_min: float = 50.0,
                      R_max: float = 400.0, circle_grid: int = CIRCLE_GRID,
                      nodes: int = SPHERE_NODES, mc_samples: int = 100_000,
@@ -676,15 +709,7 @@ def build_competitor(d: Density, eps: float = EPS, R_min: float = 50.0,
         advance_map = sweep_advance_map(dd, far.R, plane, circle_grid, eps, nodes)
         _, ext = select_sweep_direction(dd, far.R, plane, advance_map, eps, nodes)
     P_f, V_f = set_measures(ext.E, dd, nodes=nodes)
-    P_mc, V_mc = set_measures(ext.E, dd, method="monte_carlo",
-                              budget=mc_samples, seed=mc_seed)
-    mc_check = {
-        "volume_consistent": abs(V_mc.value - V_f.value) <= 4.0 * max(V_mc.error_estimate, 1e-300),
-        "perimeter_consistent": abs(P_mc.value - P_f.value) <= 4.0 * max(P_mc.error_estimate, 1e-300),
-        "P_mc": P_mc.value, "P_mc_stderr": P_mc.error_estimate,
-        "V_mc": V_mc.value, "V_mc_stderr": V_mc.error_estimate,
-        "seed": mc_seed, "samples": mc_samples,
-    }
+    mc_check = monte_carlo_check(ext.E, dd, P_f, V_f, mc_samples, mc_seed)
     deficit_scale = float(np.max(np.asarray(
         g.profile(np.linspace(far.R - 1.0, far.R + 1.0, 65)))))
     bounds = {

@@ -17,6 +17,7 @@ VOLUME_RTOL         1e-8       volume matching tolerance, relative to |B|_g
 ENDPOINT_MARGIN     1e-6       kernel grids stay inside |t| <= 1 - margin
 REPORT_CLIP         1e-9       clip for tabulated exact kernels near t = +-1
 DEGENERACY_TOL      0.0        deficits sampled exactly zero count as vanished
+BALL_CHUNK_POINTS   65_536     evaluation points per weight call in ball scans
 ==================  =========  ==================================================
 
 Deficit degeneracy is exact on purpose: registered families carry closed-form
@@ -25,6 +26,11 @@ sampled tail counts as identically zero only when every sample is 0.0.  For
 the same reason the volume-matching tolerance scales with the base ball's
 deficit volume |B|_g, not with omega_N: at offset 50 the exponential families
 have |B|_g ~ 1e-21, and only a relative tolerance matches the volume there.
+
+Ball scans (direction grids, working circles, advance maps) evaluate the
+weight on many translated copies of one reference grid; they hand the weight
+at most BALL_CHUNK_POINTS points per call, which keeps the per-call overhead
+negligible while the peak memory of a scan stays a few megabytes.
 """
 
 EPS = 0.01
@@ -41,5 +47,6 @@ VOLUME_RTOL = 1e-8
 ENDPOINT_MARGIN = 1e-6
 REPORT_CLIP = 1e-9
 DEGENERACY_TOL = 0.0
+BALL_CHUNK_POINTS = 65_536
 
 SCHEMA_VERSION = 1

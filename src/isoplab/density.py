@@ -131,9 +131,12 @@ def deficit_profile(d: Density, node_count: int = SPHERE_NODES) -> RadialDeficit
 
     Evaluated as the spherical mean of the pointwise deficit, which is the
     same number but stays accurate when the deficit is far below the weight's
-    rounding floor.
+    rounding floor.  A non-radial profile builds its sphere grid once, here,
+    and reuses it on every call.
     """
     g = deficit_weight(d)
+    if not d.radial:
+        dirs, w = sphere_grid(d.dim, node_count, node_count)
 
     def profile(r):
         r = np.asarray(r, dtype=float)
@@ -144,7 +147,6 @@ def deficit_profile(d: Density, node_count: int = SPHERE_NODES) -> RadialDeficit
             pts[:, 0] = rr
             out = np.asarray(g(pts), dtype=float)
         else:
-            dirs, w = sphere_grid(d.dim, node_count, node_count)
             pts = rr[:, None, None] * dirs[None, :, :]
             vals = np.asarray(g(pts.reshape(-1, d.dim)),
                               dtype=float).reshape(rr.size, -1)

@@ -21,10 +21,10 @@ import numpy as np
 
 from .defaults import (DEGENERACY_TOL, DIRECTION_NODES, EPS, GRID_REFINE,
                        QUAD_ABS_TOL, REFINE_ROUNDS, SCAN_STEP, SPHERE_NODES)
-from .density import Density, RadialDeficit, deficit_profile
+from .density import Density, RadialDeficit, deficit_profile, deficit_weight
 from .layers import exact_kernels
 from .measures import (MeasureResult, ball_deficit_measures,
-                       weighted_ball_measures)
+                       weighted_ball_measures_at)
 from .quadrature import sphere_grid
 from .sliding import excess_kernel, sliding_sign_search
 
@@ -99,16 +99,11 @@ def direction_grid(n: int, nodes: int = DIRECTION_NODES):
 
 def directional_margins(d: Density, R: float, eps: float, dirs: np.ndarray,
                         nodes: int = SPHERE_NODES):
-    """P_g - (N - eps) V_g for balls at R * theta, vectorized over directions."""
-    from .density import deficit_weight
+    """P_g - (N - eps) V_g for balls at R * theta, vectorized over directions:
+    one batched ball scan over all centres R * dirs."""
     n = d.dim
-    g_weight = deficit_weight(d)
-
-    P = np.empty(len(dirs))
-    V = np.empty(len(dirs))
-    for i, th in enumerate(dirs):
-        P[i], V[i] = weighted_ball_measures(g_weight, n, R * th, 1.0, nodes,
-                                            max(16, nodes // 2))
+    P, V = weighted_ball_measures_at(deficit_weight(d), n, R * np.asarray(dirs),
+                                     1.0, nodes, max(16, nodes // 2))
     return P, V, P - (n - eps) * V
 
 

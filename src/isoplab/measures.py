@@ -28,7 +28,8 @@ from typing import Callable
 
 import numpy as np
 
-from .defaults import MC_SAMPLES, QUAD_ABS_TOL, RADIAL_NODES, SPHERE_NODES
+from .defaults import (BALL_CHUNK_POINTS, MC_SAMPLES, QUAD_ABS_TOL,
+                       RADIAL_NODES, SPHERE_NODES)
 from .density import Density, RadialDeficit, eval_weight
 from .layers import LayerKernelPair, exact_kernels, layer_integral
 from .quadrature import (ball_grid, frame_from_axis, gauss_nodes,
@@ -562,13 +563,39 @@ def weighted_ball_measures(fn, n: int, center, radius: float = 1.0,
                            radial_nodes: int = RADIAL_NODES):
     """(perimeter, volume) of an arbitrary ball under an arbitrary weight.
 
-    Plain floats; used for direction scans and rescale cross-checks where the
-    full MeasureResult bookkeeping is not needed.
+    Plain floats; the one-centre call of ``weighted_ball_measures_at``.
     """
-    c = np.asarray(center, dtype=float)
-    spts, sw = sphere_cap_patch(n, radius, c, _e1(n), 0.0, math.pi, nodes, nodes)
-    bpts, bw = ball_cap_patch(n, radius, c, _e1(n), 0.0, math.pi,
-                              radial_nodes, nodes, nodes)
-    P = float(np.asarray(fn(spts), dtype=float) @ sw)
-    V = float(np.asarray(fn(bpts), dtype=float) @ bw)
+    P, V = weighted_ball_measures_at(fn, n, np.reshape(center, (1, n)), radius,
+                                     nodes, radial_nodes)
+    return float(P[0]), float(V[0])
+
+
+def weighted_ball_measures_at(fn, n: int, centers, radius: float = 1.0,
+                              nodes: int = SPHERE_NODES,
+                              radial_nodes: int = RADIAL_NODES):
+    """(P, V) arrays: perimeter and volume of the ball of ``radius`` about
+    each row of ``centers`` under the weight ``fn``.
+
+    The reference sphere and ball grids are built once and translated to a
+    chunk of centres by one broadcast add, so ``fn`` sees at most
+    ``BALL_CHUNK_POINTS`` points per call.  Each centre's values are reduced
+    with their own dot product, so a ball's measures do not depend on which
+    other centres share its chunk.
+    """
+    centers = np.asarray(centers, dtype=float)
+    spts, sw = sphere_band_grid(n, 0.0, math.pi, nodes, nodes)
+    bpts, bw = ball_grid(n, radial_nodes, nodes, nodes)
+    P = _translated_integrals(fn, centers, radius * spts, sw * radius ** (n - 1))
+    V = _translated_integrals(fn, centers, radius * bpts, bw * radius ** n)
     return P, V
+
+
+def _translated_integrals(fn, centers, pts, w) -> np.ndarray:
+    """integral(fn) on the grid (pts, w) translated to each centre."""
+    out = np.empty(len(centers))
+    step = max(1, BALL_CHUNK_POINTS // len(w))
+    for i in range(0, len(centers), step):
+        block = centers[i:i + step, None, :] + pts
+        vals = np.asarray(fn(block.reshape(-1, pts.shape[1])), dtype=float)
+        out[i:i + step] = [row @ w for row in vals.reshape(len(block), -1)]
+    return out

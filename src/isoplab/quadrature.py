@@ -136,8 +136,3 @@ def frame_from_axis(axis: np.ndarray, second: np.ndarray | None = None) -> np.nd
         if nv > 1e-8:
             cols.append(v / nv)
     return np.stack(cols, axis=1)
-
-
-def halved(value_full, value_half) -> float:
-    """Node-halving error proxy: |I_n - I_{n/2}| plus a rounding floor."""
-    return abs(value_full - value_half) + 1e-15 * abs(value_full)

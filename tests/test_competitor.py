@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,11 @@ from isoplab import (Density, build_competitor, cylinder_extension,
                      select_sweep_direction, select_working_circle,
                      set_measures, sweep_advance_map, unit_ball_volume,
                      volume_match)
-from isoplab.competitor import _CylinderPieces, _root_of_gap, _SweptPieces
+import isoplab.competitor
+from isoplab import PlainBall, weighted_ball_measures
+from isoplab.competitor import (_complement_in, _CylinderPieces, _root_of_gap,
+                                _SweptPieces, monte_carlo_check)
+from isoplab.density import deficit_weight
 from isoplab.quadrature import sphere_grid
 
 
@@ -282,6 +287,95 @@ def test_select_working_circle_angular_n3():
                      for a in ang])
     _, _, mc = directional_margins(d, R, eps, circ, nodes=24)
     assert mc.mean() >= sphere_avg - 1e-10
+
+
+def _working_circle_exhaustive(d, R, eps, axis_nodes, circle_nodes,
+                               quad_nodes):
+    """Reference scan: every candidate axis, antipodes included, one ball
+    measured at a time."""
+    n = d.dim
+    g = deficit_weight(d)
+    basis = np.eye(n)
+    m = n
+    while m > 2:
+        cand, _ = sphere_grid(m, axis_nodes, 2 * axis_nodes)
+        best_axis, best_avg = None, -math.inf
+        for axis_sub in cand:
+            axis = basis @ axis_sub
+            sub = basis @ _complement_in(axis_sub)
+            dirs_sub, w_sub = sphere_grid(m - 1, max(8, circle_nodes // 4),
+                                          circle_nodes)
+            margins = np.empty(len(dirs_sub))
+            for i, v in enumerate(dirs_sub):
+                u = sub @ v
+                P, V = weighted_ball_measures(g, n, R * u, 1.0, quad_nodes,
+                                              max(16, quad_nodes // 2))
+                margins[i] = P - (n - eps) * V
+            avg = float(margins @ w_sub / w_sub.sum())
+            if avg > best_avg:
+                best_avg, best_axis = avg, (axis, sub)
+        basis = best_axis[1]
+        m -= 1
+    return basis
+
+
+def test_select_working_circle_matches_exhaustive_scan(monkeypatch):
+    d = density_from_config({"family": "angular_mod", "dim": 3, "a": 1.0,
+                             "params": {"eta": 0.5, "k": 1, "c": 1.0}})
+    R, eps = 10.0, 0.05
+    options = dict(axis_nodes=6, circle_nodes=16, quad_nodes=16)
+    scans = []
+    batched = isoplab.competitor.weighted_ball_measures_at
+
+    def counted(*args):
+        scans.append(len(args[2]))
+        return batched(*args)
+    monkeypatch.setattr(isoplab.competitor, "weighted_ball_measures_at", counted)
+    plane = select_working_circle(d, R, eps, **options)
+    # the 6 x 12 axis grid is closed under antipodes: half of it is scanned,
+    # one batched call of 16 balls per circle
+    assert scans == [16] * 36
+    assert np.array_equal(plane, _working_circle_exhaustive(d, R, eps, **options))
+
+
+def test_select_sweep_direction_recorded_ball_deficits():
+    d = density_from_config({"family": "angular_mod", "dim": 2, "a": 1.0,
+                             "params": {"eta": 0.5, "k": 1, "c": 0.5}})
+    R, eps = 12.0, 0.05
+    sam = sweep_advance_map(d, R, np.eye(2), grid=24, eps=eps, nodes=32)
+    pieces = _SweptPieces(d, R, np.eye(2), 32)
+    recomputed = tuple(pieces.ball_g(float(phi)) for phi in sam.theta)
+    assert np.array_equal(sam.ball_deficit, recomputed)
+    recorded = select_sweep_direction(d, R, np.eye(2), sam, eps=eps, nodes=32)
+    again = select_sweep_direction(d, R, np.eye(2),
+                                   dataclasses.replace(sam, ball_deficit=recomputed),
+                                   eps=eps, nodes=32)
+    assert recorded == again
+
+
+def test_monte_carlo_check_rounding_floor(exp3):
+    # at offset 50 the weight rounds to 1.0 on the whole boundary: the Monte
+    # Carlo perimeter has a standard error of ~1e-24 and differs from the
+    # quadrature by rounding, which the quadrature's error estimate covers
+    cert = build_competitor(exp3, eps=0.05, R_min=50.0, R_max=200.0,
+                            mc_samples=100_000, mc_seed=1)
+    assert cert.mc_check["perimeter_consistent"]
+    assert cert.mc_check["volume_consistent"]
+    for seed in (11, 2024):
+        check = monte_carlo_check(cert.E, exp3, cert.P_f, cert.V_f,
+                                  100_000, seed)
+        assert check["P_mc_stderr"] < 1e-20
+        assert check["perimeter_consistent"] and check["volume_consistent"]
+
+
+def test_monte_carlo_check_flags_a_different_set(exp2):
+    near, far = PlainBall(dim=2, offset=3.0), PlainBall(dim=2, offset=4.0)
+    P_f, V_f = set_measures(near, exp2)
+    same = monte_carlo_check(near, exp2, P_f, V_f, 100_000, 7)
+    assert same["perimeter_consistent"] and same["volume_consistent"]
+    other = monte_carlo_check(far, exp2, P_f, V_f, 100_000, 7)
+    assert not other["perimeter_consistent"]
+    assert not other["volume_consistent"]
 
 
 def test_build_competitor_radial_resolvable(exp2):

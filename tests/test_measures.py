@@ -5,9 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import isoplab.measures
 from isoplab import (CylinderExtended, PlainBall, RotationSwept,
-                     ball_deficit_measures, deficit_profile, mean_density,
-                     profile_upper_bound, set_measures, unit_ball_volume)
+                     ball_deficit_measures, deficit_profile,
+                     density_from_config, mean_density, profile_upper_bound,
+                     set_measures, unit_ball_volume, weighted_ball_measures,
+                     weighted_ball_measures_at)
+from isoplab.density import deficit_weight
+from isoplab.measures import ball_cap_patch, sphere_cap_patch
 
 
 def euclid_cylinder(n, R, delta):
@@ -230,3 +235,25 @@ def test_direction_rotation_invariance_of_euclidean_measures(const2):
     P2, V2 = set_measures(E2, const2)
     assert P1.value == pytest.approx(P2.value, rel=1e-12)
     assert V1.value == pytest.approx(V2.value, rel=1e-12)
+
+
+@pytest.mark.parametrize("n,radius", [(2, 1.0), (3, 1.0), (3, 0.7)])
+def test_batched_ball_scan_matches_single_centres(monkeypatch, n, radius):
+    # a budget of 1100 points holds two 8-node ball grids in N=3 (512 points
+    # each) or 17 grids of 64 points (N=3 sphere, N=2 ball), so forty
+    # centres cross chunk boundaries in both dimensions
+    monkeypatch.setattr(isoplab.measures, "BALL_CHUNK_POINTS", 1100)
+    d = density_from_config({"family": "angular_mod", "dim": n, "a": 1.0,
+                             "params": {"eta": 0.5, "k": 1, "c": 0.5}})
+    g = deficit_weight(d)
+    rng = np.random.default_rng(5)
+    centers = 6.0 * rng.standard_normal((40, n))
+    P, V = weighted_ball_measures_at(g, n, centers, radius, 8, 8)
+    for c, p, v in zip(centers, P, V):
+        assert (p, v) == weighted_ball_measures(g, n, c, radius, 8, 8)
+        # the same values as the closed-form patches at that centre
+        e1 = np.eye(n)[0]
+        spts, sw = sphere_cap_patch(n, radius, c, e1, 0.0, math.pi, 8, 8)
+        bpts, bw = ball_cap_patch(n, radius, c, e1, 0.0, math.pi, 8, 8, 8)
+        assert p == float(g(spts) @ sw)
+        assert v == float(g(bpts) @ bw)
