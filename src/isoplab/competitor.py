@@ -39,11 +39,11 @@ from .density import (Density, deficit_profile, deficit_weight, eval_weight,
 from .farball import FarBallCertificate, find_far_radius, select_direction
 from .measures import (CylinderExtended, MeasureResult, PlainBall,
                        RotationSwept, annulus_patch, ball_cap_patch,
-                       cylinder_wall_patch, mean_density, set_measures,
-                       sphere_cap_patch, swept_band_patch, swept_wedge_patch,
-                       weighted_ball_measures, weighted_ball_measures_at)
-from .quadrature import (frame_from_axis, sphere_grid, unit_ball_volume,
-                         unit_sphere_area)
+                       cylinder_wall_patch, mean_density, moved_grid_integrals,
+                       set_measures, sphere_cap_patch, swept_band_patch,
+                       swept_wedge_integrals, weighted_ball_measures_at)
+from .quadrature import (ball_grid, frame_from_axis, sphere_band_grid,
+                         sphere_grid, unit_ball_volume, unit_sphere_area)
 
 HALF_PI = math.pi / 2
 
@@ -69,9 +69,11 @@ class SweepAdvanceMap:
 
     ``mapped`` is theta + advance(theta); measured difference quotients of the
     map must stay within [1 - eps, 1/(1 - eps)] for large enough offsets.
-    ``ball_deficit`` is |B^theta|_g of the base ball at each angle, recorded
-    for the direction selection; it is left out of the repr, which shows the
-    map itself.
+    Far out the advances (~1e-23 at offset 50) round away in theta + advance
+    and every quotient reads exactly 1; ``quotient_deviation`` keeps the
+    quotient minus 1 in deficit space.  ``ball_deficit`` is |B^theta|_g of
+    the base ball at each angle, recorded for the direction selection; it is
+    left out of the repr, which shows the map itself.
     """
 
     theta: tuple[float, ...]
@@ -83,12 +85,19 @@ class SweepAdvanceMap:
     offset: float
     ball_deficit: tuple[float, ...] = field(repr=False)
 
-    def quotients(self) -> np.ndarray:
+    def _steps(self) -> np.ndarray:
         th = np.asarray(self.theta)
+        return np.diff(np.append(th, th[0] + 2.0 * math.pi))
+
+    def quotients(self) -> np.ndarray:
         ta = np.asarray(self.mapped)
-        eta = np.diff(np.append(th, th[0] + 2.0 * math.pi))
         dtau = np.diff(np.append(ta, ta[0] + 2.0 * math.pi))
-        return dtau / eta
+        return dtau / self._steps()
+
+    def quotient_deviation(self) -> np.ndarray:
+        """quotients() - 1 without the rounding: diff(advance) / eta."""
+        adv = np.asarray(self.advance)
+        return np.diff(np.append(adv, adv[0])) / self._steps()
 
 
 @dataclass(frozen=True)
@@ -137,49 +146,76 @@ class _SweptPieces:
         self.g = deficit_weight(d)
         self.omega = unit_ball_volume(self.n)
         self.omega1 = unit_ball_volume(self.n - 1)
+        # half-ball g-volumes of the previous call, by side and exact angle
+        self._last_half_balls: dict[bool, dict[float, float]] = {False: {},
+                                                                 True: {}}
 
     def _center(self, phi):
         return self.R * _circle_dir(self.frame, phi)
 
+    def _halves_g(self, phis, upper: bool, solid: bool) -> np.ndarray:
+        """g-integrals of the halves of the balls (``solid``) or spheres at
+        each angle split by the sweep plane, in one batched scan: one
+        reference grid moved to each angle's centre and tangent frame."""
+        lo, hi = (0.0, HALF_PI) if upper else (HALF_PI, math.pi)
+        if solid:
+            pts, w = ball_grid(self.n, self.radial_nodes, self.nodes,
+                               self.nodes, lo, hi)
+        else:
+            pts, w = sphere_band_grid(self.n, lo, hi, self.nodes, self.nodes)
+        centers = np.array([self._center(phi) for phi in phis])
+        rots = np.array([frame_from_axis(_circle_tan(self.frame, phi))
+                         for phi in phis])
+        return moved_grid_integrals(self.g, pts, w, centers, rots)
+
+    def half_balls_g(self, phis, upper: bool) -> np.ndarray:
+        """g-volumes of the half-balls at each angle.
+
+        A value of the previous call is reused at the same exact float
+        angle: far out the advances round away in phi + delta, so the
+        rounds of a lockstep volume match all reuse one leading half-ball.
+        """
+        phis = [float(phi) for phi in phis]
+        last = self._last_half_balls[upper]
+        values = {phi: last[phi] for phi in phis if phi in last}
+        new = [phi for phi in dict.fromkeys(phis) if phi not in values]
+        if new:
+            values.update(zip(new, self._halves_g(new, upper, solid=True).tolist()))
+        self._last_half_balls[upper] = values
+        return np.array([values[phi] for phi in phis])
+
     def half_ball_g(self, phi: float, upper: bool) -> float:
         """g-volume of the half of the ball at angle phi split by the sweep plane."""
-        lo, hi = (0.0, HALF_PI) if upper else (HALF_PI, math.pi)
-        pts, w = ball_cap_patch(self.n, 1.0, self._center(phi),
-                                _circle_tan(self.frame, phi), lo, hi,
-                                self.radial_nodes, self.nodes, self.nodes)
-        return float(np.asarray(self.g(pts)) @ w)
+        return float(self.half_balls_g([phi], upper)[0])
+
+    def hemispheres_g(self, phis, upper: bool) -> np.ndarray:
+        return self._halves_g(phis, upper, solid=False)
 
     def hemisphere_g(self, phi: float, upper: bool) -> float:
-        lo, hi = (0.0, HALF_PI) if upper else (HALF_PI, math.pi)
-        pts, w = sphere_cap_patch(self.n, 1.0, self._center(phi),
-                                  _circle_tan(self.frame, phi), lo, hi,
-                                  self.nodes, self.nodes)
-        return float(np.asarray(self.g(pts)) @ w)
+        return float(self.hemispheres_g([phi], upper)[0])
 
     def hemisphere_f(self, phi: float, upper: bool) -> float:
         return 0.5 * unit_sphere_area(self.n) - self.hemisphere_g(phi, upper)
 
-    def _local_patch(self, builder, *args):
-        pts, w = builder(self.n, self.R, *args)
-        return pts @ self.frame.T, w
+    def wedges_g(self, phis, deltas) -> np.ndarray:
+        """g-volumes of the wedges swept from phis[i] to phis[i] + deltas[i]."""
+        phis, deltas = np.asarray(phis, dtype=float), np.asarray(deltas, dtype=float)
+        out = np.zeros(phis.size)
+        live = deltas > 0.0
+        if np.any(live):
+            out[live] = swept_wedge_integrals(
+                self.g, self.n, self.R, phis[live], phis[live] + deltas[live],
+                self.frame, self.radial_nodes, self.nodes)
+        return out
 
     def wedge_g(self, phi: float, delta: float) -> float:
-        if delta <= 0.0:
-            return 0.0
-        pts, w = self._local_patch(swept_wedge_patch, phi, phi + delta,
-                                   self.radial_nodes, self.nodes)
-        return float(np.asarray(self.g(pts)) @ w)
+        return float(self.wedges_g([phi], [delta])[0])
 
     def band_g(self, phi: float, delta: float) -> float:
         if delta <= 0.0:
             return 0.0
-        pts, w = self._local_patch(swept_band_patch, phi, phi + delta, self.nodes)
-        return float(np.asarray(self.g(pts)) @ w)
-
-    def ball_g(self, phi: float) -> float:
-        _, V = weighted_ball_measures(self.g, self.n, self._center(phi), 1.0,
-                                      self.nodes, self.radial_nodes)
-        return V
+        pts, w = swept_band_patch(self.n, self.R, phi, phi + delta, self.nodes)
+        return float(np.asarray(self.g(pts @ self.frame.T)) @ w)
 
     def balls_g(self, phis) -> np.ndarray:
         """|B|_g of the balls at each angle of ``phis``, in one batched scan."""
@@ -188,6 +224,17 @@ class _SweptPieces:
                                          self.nodes, self.radial_nodes)
         return V
 
+    def ball_g(self, phi: float) -> float:
+        return float(self.balls_g([phi])[0])
+
+    def volume_gaps(self, phis, deltas, trailing) -> np.ndarray:
+        """V_f(E) - omega_N of the sets based at phis[i] with sweep
+        deltas[i]; ``trailing`` holds their trailing half-balls' g-volumes,
+        which do not move with delta."""
+        phis, deltas = np.asarray(phis, dtype=float), np.asarray(deltas, dtype=float)
+        return (deltas * (self.R * self.omega1) - self.wedges_g(phis, deltas)
+                - trailing - self.half_balls_g(phis + deltas, upper=True))
+
     def gap_function(self, phi: float):
         """delta -> V_f(E) - omega_N for the set based at phi.
 
@@ -195,12 +242,7 @@ class _SweptPieces:
         once here rather than on every evaluation of the root finder.
         """
         trailing = self.half_ball_g(phi, upper=False)
-        length = self.R * self.omega1
-
-        def gap(delta: float) -> float:
-            return (delta * length - self.wedge_g(phi, delta) - trailing
-                    - self.half_ball_g(phi + delta, upper=True))
-        return gap
+        return lambda delta: float(self.volume_gaps([phi], [delta], trailing)[0])
 
     def volume_gap(self, phi: float, delta: float) -> float:
         """V_f(E) - omega_N for the set based at phi with sweep delta."""
@@ -218,9 +260,14 @@ class _SweptPieces:
 # volume matching
 # ---------------------------------------------------------------------------
 
-def _root_of_gap(gap, delta_max: float, vol_tol: float, hard_cap: float,
-                 max_expand: int = 8) -> tuple[float, float, int]:
+def _root_steps(delta_max: float, vol_tol: float, hard_cap: float,
+                max_expand: int = 8):
     """Safeguarded root bracketing of gap(delta) = 0 on [0, delta_max].
+
+    A generator: it yields each trial delta, is sent gap(delta) back, and
+    returns (delta, gap(delta), iters).  ``_root_of_gap`` runs one search
+    with a gap function; ``_lockstep_roots`` runs many searches together,
+    one batched gap evaluation per round.
 
     gap(0) <= 0 by construction; the bracket is expanded (boundedly, never
     past ``hard_cap``) if gap(delta_max) is still negative.  Inside the
@@ -230,17 +277,16 @@ def _root_of_gap(gap, delta_max: float, vol_tol: float, hard_cap: float,
     one-sided stalling of plain regula falsi.  Every iterate stays strictly
     inside the bracket, and a bisection step is taken whenever three steps
     have not halved it, so the bracket at least halves every four steps.
-    Returns (delta, gap(delta), iters).
     """
-    g0 = gap(0.0)
+    g0 = yield 0.0
     if g0 >= -vol_tol:
         return 0.0, g0, 0
     hi = min(delta_max, hard_cap)
-    ghi = gap(hi)
+    ghi = yield hi
     expansions = 0
     while ghi < 0.0 and expansions < max_expand and hi < hard_cap:
         hi = min(2.0 * hi, hard_cap)
-        ghi = gap(hi)
+        ghi = yield hi
         expansions += 1
     if ghi < 0.0:
         raise RuntimeError(
@@ -260,7 +306,7 @@ def _root_of_gap(gap, delta_max: float, vol_tol: float, hard_cap: float,
              else (lo * fhi - hi * flo) / (fhi - flo))
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
-        gx = gap(x)
+        gx = yield x
         iters += 1
         if abs(gx) <= vol_tol:
             return x, gx, iters
@@ -283,6 +329,56 @@ def _root_of_gap(gap, delta_max: float, vol_tol: float, hard_cap: float,
     return best[0], best[1], iters
 
 
+def _root_of_gap(gap, delta_max: float, vol_tol: float, hard_cap: float,
+                 max_expand: int = 8) -> tuple[float, float, int]:
+    """Runs one ``_root_steps`` search: sends gap(delta) back for each trial
+    delta until the search returns (delta, gap(delta), iters)."""
+    steps = _root_steps(delta_max, vol_tol, hard_cap, max_expand)
+    delta = next(steps)
+    while True:
+        try:
+            delta = steps.send(gap(delta))
+        except StopIteration as done:
+            return done.value
+
+
+def _lockstep_roots(searches, gaps) -> list[tuple[float, float, int]]:
+    """Run the ``_root_steps`` generators of many problems together.
+
+    Each round makes one call ``gaps(k, deltas)``, which returns the gaps of
+    the problems ``k`` (indices into ``searches``, ascending) that are still
+    running at their trial ``deltas``.  A search sees the same sequence of
+    values as under ``_root_of_gap``, so it returns the same result.
+    """
+    trials = {k: next(search) for k, search in enumerate(searches)}
+    out = [None] * len(searches)
+    while trials:
+        running = list(trials)
+        values = gaps(np.array(running), np.array([trials[k] for k in running]))
+        for k, value in zip(running, np.asarray(values).tolist()):
+            try:
+                trials[k] = searches[k].send(value)
+            except StopIteration as done:
+                out[k] = done.value
+                del trials[k]
+    return out
+
+
+def _match_bracket(variant: str, ball_deficit: float, n: int, R: float,
+                   eps: float, vol_tol: float | None = None):
+    """(delta_max, vol_tol, hard_cap, bound) of a volume match; see
+    ``volume_match``."""
+    if variant not in ("cylinder", "rotation"):
+        raise ValueError("variant must be 'cylinder' or 'rotation'")
+    omega1 = unit_ball_volume(n - 1)
+    vol_tol = VOLUME_RTOL * ball_deficit if vol_tol is None else vol_tol
+    denom = omega1 if variant == "cylinder" else omega1 * max(R - 1.0, 1e-9)
+    bound = (1.0 + 2.0 * eps) * ball_deficit / denom
+    hard_cap = 0.9 * (R - 1.0) if variant == "cylinder" else 0.45 * math.pi
+    delta_max = max(4.0 * bound, 1e-300)
+    return delta_max, vol_tol, hard_cap, bound
+
+
 def volume_match(variant: str, gap, ball_deficit: float, n: int, R: float,
                  eps: float, vol_tol: float | None = None) -> VolumeMatch:
     """Match |E_delta|_f = omega_N by safeguarded regula falsi.
@@ -297,18 +393,12 @@ def volume_match(variant: str, gap, ball_deficit: float, n: int, R: float,
         cylinder:  delta <= (1 + 2 eps) |B|_g / omega_{N-1}
         rotation:  delta <= (1 + 2 eps) |B|_g / (omega_{N-1} (R - 1))
     """
-    if variant not in ("cylinder", "rotation"):
-        raise ValueError("variant must be 'cylinder' or 'rotation'")
-    omega = unit_ball_volume(n)
-    omega1 = unit_ball_volume(n - 1)
-    vol_tol = VOLUME_RTOL * ball_deficit if vol_tol is None else vol_tol
-    denom = omega1 if variant == "cylinder" else omega1 * max(R - 1.0, 1e-9)
-    bound = (1.0 + 2.0 * eps) * ball_deficit / denom
-    hard_cap = 0.9 * (R - 1.0) if variant == "cylinder" else 0.45 * math.pi
-    delta_max = max(4.0 * bound, 1e-300)
+    delta_max, vol_tol, hard_cap, bound = _match_bracket(
+        variant, ball_deficit, n, R, eps, vol_tol)
     delta, res_gap, iters = _root_of_gap(gap, delta_max, vol_tol, hard_cap)
     bound_ok = delta <= bound * (1.0 + 1e-9)
-    return VolumeMatch(delta, omega + res_gap, iters, bound_ok, res_gap)
+    return VolumeMatch(delta, unit_ball_volume(n) + res_gap, iters, bound_ok,
+                       res_gap)
 
 
 # ---------------------------------------------------------------------------
@@ -571,9 +661,14 @@ def sweep_advance_map(d: Density, R: float, plane: np.ndarray,
     """Per-direction volume matching on the working circle.
 
     For each grid angle the sweep is matched to volume omega_N at the
-    tolerance ``VOLUME_RTOL * |B^theta|_g``; only angles whose base ball has
-    a vanished deficit (``|B^theta|_g <= DEGENERACY_TOL``) advance by zero.
-    The matched advance obeys
+    tolerance ``VOLUME_RTOL * |B^theta|_g``, with the bracket and root
+    search of ``volume_match``; only angles whose base ball has a vanished
+    deficit (``|B^theta|_g <= DEGENERACY_TOL``) advance by zero.  All angles
+    are matched in lockstep: the base balls and trailing half-balls are
+    measured in one batched scan each, and every round of the root searches
+    measures the leading half-balls and swept wedges of the angles still
+    running in one batched scan.  The advances equal per-angle matches bit
+    for bit.  The matched advance obeys
     delta(theta) <= (1 + 3 eps) |B^theta|_g / (omega_{N-1}(R-1))
     (checked downstream); difference quotients of the resulting map are the
     measured Lipschitz data.
@@ -586,12 +681,16 @@ def sweep_advance_map(d: Density, R: float, plane: np.ndarray,
     theta = 2.0 * math.pi * np.arange(grid) / grid
     ball_gs = pieces.balls_g(theta)
     advance = np.zeros(grid)
-    for i, phi in enumerate(theta):
-        if ball_gs[i] <= DEGENERACY_TOL:
-            continue
-        match = volume_match("rotation", pieces.gap_function(float(phi)),
-                             float(ball_gs[i]), n, R, eps)
-        advance[i] = match.delta_bar
+    live = np.nonzero(ball_gs > DEGENERACY_TOL)[0]
+    if live.size:
+        base = theta[live]
+        trailing = pieces.half_balls_g(base, upper=False)
+        searches = [_root_steps(*_match_bracket("rotation", float(ball_gs[i]),
+                                                n, R, eps)[:3])
+                    for i in live]
+        roots = _lockstep_roots(searches, lambda k, deltas: pieces.volume_gaps(
+            base[k], deltas, trailing[k]))
+        advance[live] = [delta for delta, _, _ in roots]
     mapped = theta + advance
     sam = SweepAdvanceMap(tuple(theta), tuple(advance), tuple(mapped),
                           0.0, 0.0, eps, R, tuple(ball_gs))
@@ -608,8 +707,9 @@ def select_sweep_direction(d: Density, R: float, plane: np.ndarray,
     The scan maximizes H_g(leading hemisphere at the advanced angle) +
     H_g(trailing hemisphere at the base angle) - (1 - eps)(N - eps)|B|_g; the
     change-of-variables estimate guarantees a nonnegative maximum on a fine
-    enough grid.  The winning swept set is volume-checked and its perimeter
-    margin assembled in deficit space.
+    enough grid.  The trailing and the leading hemispheres of all angles are
+    measured in two batched scans.  The winning swept set is volume-checked
+    and its perimeter margin assembled in deficit space.
     """
     n = d.dim
     frame = frame_from_axis(plane[:, 0], plane[:, 1])
@@ -618,11 +718,9 @@ def select_sweep_direction(d: Density, R: float, plane: np.ndarray,
     adv = np.asarray(advance.advance)
     omega = unit_ball_volume(n)
     ball_gs = np.asarray(advance.ball_deficit)
-    scores = np.empty(theta.size)
-    for i, phi in enumerate(theta):
-        lhs = (pieces.hemisphere_g(float(phi), upper=False)
-               + pieces.hemisphere_g(float(phi + adv[i]), upper=True))
-        scores[i] = lhs - (1.0 - eps) * (n - eps) * ball_gs[i]
+    scores = (pieces.hemispheres_g(theta, upper=False)
+              + pieces.hemispheres_g(theta + adv, upper=True)
+              - (1.0 - eps) * (n - eps) * ball_gs)
     qualifying = np.nonzero(scores >= 0.0)[0]
     scale = max(float(np.max(np.abs(ball_gs))), 1e-300)
     if qualifying.size:
@@ -704,7 +802,6 @@ def build_competitor(d: Density, eps: float = EPS, R_min: float = 50.0,
         cert = select_direction(dd, far.R, eps)
         ext = rotation_extension(cert, dd, eps, nodes)
     else:
-        cert = select_direction(dd, far.R, eps, quad_nodes=nodes)
         plane = select_working_circle(dd, far.R, eps)
         advance_map = sweep_advance_map(dd, far.R, plane, circle_grid, eps, nodes)
         _, ext = select_sweep_direction(dd, far.R, plane, advance_map, eps, nodes)

@@ -17,7 +17,7 @@ VOLUME_RTOL         1e-8       volume matching tolerance, relative to |B|_g
 ENDPOINT_MARGIN     1e-6       kernel grids stay inside |t| <= 1 - margin
 REPORT_CLIP         1e-9       clip for tabulated exact kernels near t = +-1
 DEGENERACY_TOL      0.0        deficits sampled exactly zero count as vanished
-BALL_CHUNK_POINTS   65_536     evaluation points per weight call in ball scans
+BALL_CHUNK_POINTS   65_536     evaluation points per weight call in ball/patch scans
 ==================  =========  ==================================================
 
 Deficit degeneracy is exact on purpose: registered families carry closed-form
@@ -27,10 +27,13 @@ the same reason the volume-matching tolerance scales with the base ball's
 deficit volume |B|_g, not with omega_N: at offset 50 the exponential families
 have |B|_g ~ 1e-21, and only a relative tolerance matches the volume there.
 
-Ball scans (direction grids, working circles, advance maps) evaluate the
-weight on many translated copies of one reference grid; they hand the weight
-at most BALL_CHUNK_POINTS points per call, which keeps the per-call overhead
-negligible while the peak memory of a scan stays a few megabytes.
+Ball and patch scans (direction grids, working circles, the advance map's
+balls, half-balls and swept wedges, the sweep direction's hemispheres)
+evaluate the weight on many rigidly moved copies of one reference grid, or on
+many wedges built from one Gauss rule; they hand the weight at most
+BALL_CHUNK_POINTS points per call (one item when a single item is larger),
+which keeps the per-call overhead negligible while the peak memory of a scan
+stays a few megabytes.
 """
 
 EPS = 0.01

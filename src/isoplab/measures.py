@@ -187,14 +187,19 @@ def swept_band_patch(n, R, phi_lo, phi_hi, nodes=SPHERE_NODES):
     return pts, w
 
 
+def _meridian_disk(n, radial_nodes, nodes):
+    """Points rho*v and weights of the unit meridian disk."""
+    rho, wr = gauss_nodes(0.0, 1.0, radial_nodes)
+    v, wv = sphere_grid(n - 1, nodes, nodes)
+    rho_v = (rho[:, None, None] * v[None, :, :]).reshape(-1, n - 1)
+    return rho_v, ((wr * rho ** (n - 2))[:, None] * wv[None, :]).ravel()
+
+
 def swept_wedge_patch(n, R, phi_lo, phi_hi, radial_nodes=RADIAL_NODES,
                       nodes=SPHERE_NODES):
     """Solid wedge: meridian disk swept over [phi_lo, phi_hi]."""
     phi, wp = gauss_nodes(phi_lo, phi_hi, max(8, nodes // 4))
-    rho, wr = gauss_nodes(0.0, 1.0, radial_nodes)
-    v, wv = sphere_grid(n - 1, nodes, nodes)
-    rho_v = (rho[:, None, None] * v[None, :, :]).reshape(-1, n - 1)
-    w_disk = ((wr * rho ** (n - 2))[:, None] * wv[None, :]).ravel()
+    rho_v, w_disk = _meridian_disk(n, radial_nodes, nodes)
     pts, w_factor = _meridian_points(n, R, rho_v, phi)
     w = (wp[:, None] * w_disk[None, :]).ravel() * w_factor
     return pts, w
@@ -576,26 +581,78 @@ def weighted_ball_measures_at(fn, n: int, centers, radius: float = 1.0,
     """(P, V) arrays: perimeter and volume of the ball of ``radius`` about
     each row of ``centers`` under the weight ``fn``.
 
-    The reference sphere and ball grids are built once and translated to a
-    chunk of centres by one broadcast add, so ``fn`` sees at most
-    ``BALL_CHUNK_POINTS`` points per call.  Each centre's values are reduced
-    with their own dot product, so a ball's measures do not depend on which
-    other centres share its chunk.
+    The reference sphere and ball grids are built once and translated to
+    each centre (``moved_grid_integrals``), so a ball's measures are the
+    floats of a one-ball call.
     """
-    centers = np.asarray(centers, dtype=float)
     spts, sw = sphere_band_grid(n, 0.0, math.pi, nodes, nodes)
     bpts, bw = ball_grid(n, radial_nodes, nodes, nodes)
-    P = _translated_integrals(fn, centers, radius * spts, sw * radius ** (n - 1))
-    V = _translated_integrals(fn, centers, radius * bpts, bw * radius ** n)
+    P = moved_grid_integrals(fn, radius * spts, sw * radius ** (n - 1), centers)
+    V = moved_grid_integrals(fn, radius * bpts, bw * radius ** n, centers)
     return P, V
 
 
-def _translated_integrals(fn, centers, pts, w) -> np.ndarray:
-    """integral(fn) on the grid (pts, w) translated to each centre."""
-    out = np.empty(len(centers))
-    step = max(1, BALL_CHUNK_POINTS // len(w))
-    for i in range(0, len(centers), step):
-        block = centers[i:i + step, None, :] + pts
-        vals = np.asarray(fn(block.reshape(-1, pts.shape[1])), dtype=float)
-        out[i:i + step] = [row @ w for row in vals.reshape(len(block), -1)]
+def moved_grid_integrals(fn, pts, w, centers, rots=None) -> np.ndarray:
+    """integral(fn) on the reference grid (pts, w) moved rigidly to each item.
+
+    Item i is the grid ``centers[i] + pts @ rots[i].T``, or the translate
+    ``centers[i] + pts`` when ``rots`` is None; its value equals
+    ``fn(centers[i] + pts @ rots[i].T) @ w`` bit for bit.
+    """
+    centers = np.asarray(centers, dtype=float)
+    n = pts.shape[1]
+    turned = None if rots is None else np.swapaxes(np.asarray(rots), 1, 2)
+
+    def points(i, j):
+        moved = pts if turned is None else np.matmul(pts, turned[i:j])
+        out = np.empty((j - i,) + pts.shape)
+        # one coordinate at a time: a broadcast add over the short last
+        # axis would run one inner loop per point
+        for axis in range(n):
+            np.add(moved[..., axis], centers[i:j, axis, None],
+                   out=out[..., axis])
+        return out.reshape(-1, n)
+    return _chunked_integrals(fn, len(centers), len(w), points, lambda i: w)
+
+
+def swept_wedge_integrals(fn, n: int, R: float, phi_lo, phi_hi, frame,
+                          radial_nodes: int = RADIAL_NODES,
+                          nodes: int = SPHERE_NODES) -> np.ndarray:
+    """integral(fn) over the wedge ``swept_wedge_patch(n, R, phi_lo[i],
+    phi_hi[i])`` mapped by ``frame``, for each i, bit for bit.
+
+    The Gauss rules in the sweep angle of all wedges are built from one
+    reference rule elementwise, one row per wedge; a wedge's weights are
+    formed only when its row of values is reduced.
+    """
+    lo = np.asarray(phi_lo, dtype=float)[:, None]
+    hi = np.asarray(phi_hi, dtype=float)[:, None]
+    phi, wp = gauss_nodes(lo, hi, max(8, nodes // 4))
+    rho_v, w_disk = _meridian_disk(n, radial_nodes, nodes)
+    w_factor = np.tile(R + rho_v[:, 0], phi.shape[1])
+
+    def points(i, j):
+        return _meridian_points(n, R, rho_v, phi[i:j].ravel())[0] @ frame.T
+
+    def weights(i):
+        return (wp[i][:, None] * w_disk[None, :]).ravel() * w_factor
+    return _chunked_integrals(fn, len(phi), w_factor.size, points, weights)
+
+
+def _chunked_integrals(fn, count: int, m: int, points, weights) -> np.ndarray:
+    """The scan engine: integrals of ``fn`` over ``count`` items of ``m``
+    points each.
+
+    ``points(i, j)`` returns the points of items i..j-1, one item after
+    another, and ``weights(i)`` the ``m`` weights of item i.  ``fn`` sees at
+    most ``BALL_CHUNK_POINTS`` points per call (one item if a single item is
+    larger), and each item is reduced with its own dot product, so its value
+    does not depend on which items share its chunk.
+    """
+    out = np.empty(count)
+    step = max(1, BALL_CHUNK_POINTS // m)
+    for i in range(0, count, step):
+        j = min(i + step, count)
+        vals = np.asarray(fn(points(i, j)), dtype=float).reshape(j - i, m)
+        out[i:j] = [row @ weights(k) for k, row in enumerate(vals, start=i)]
     return out

@@ -262,11 +262,18 @@ def test_acceptance_09_advance_map_band():
     q = cert.advance.quotients()
     lo_ok = float(q.min()) >= 1.0 - eps - 1e-3
     hi_ok = float(q.max()) <= 1.0 / (1.0 - eps) + 1e-3
+    # at offset 50 the quotients round to 1: the same band, on the
+    # deviation from 1 kept in deficit space
+    dev = cert.advance.quotient_deviation()
+    dev_ok = (float(dev.min()) >= -eps - 1e-3
+              and float(dev.max()) <= 1.0 / (1.0 - eps) - 1.0 + 1e-3)
     dt = time.perf_counter() - t0
-    ok = lo_ok and hi_ok and dt < 30.0
+    ok = lo_ok and hi_ok and dev_ok and dt < 30.0
     _report(9, "advance-map difference-quotient band", ok, dt,
-            f"quotients in [{q.min():.6f}, {q.max():.6f}]")
+            f"quotients in [{q.min():.6f}, {q.max():.6f}], deviation from 1 "
+            f"in [{dev.min():.3e}, {dev.max():.3e}]")
     assert lo_ok and hi_ok
+    assert dev_ok
     assert dt < 30.0
 
 

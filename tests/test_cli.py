@@ -1,10 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import isoplab
 from isoplab.cli import run
 
 
@@ -187,8 +190,12 @@ def test_rerun_outputs_byte_identical(tmp_path):
 
 
 def test_console_entry_point(tmp_path):
+    # the child imports the same isoplab as this process, installed or not
+    src = str(Path(isoplab.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-m", "isoplab.cli", "--out",
                           str(tmp_path / "o"), "morgan", "--c2", "1.0",
                           "--dim", "2", "--m0", "1.0"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env)
     assert out.returncode == 0

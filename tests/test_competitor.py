@@ -11,10 +11,16 @@ from isoplab import (Density, build_competitor, cylinder_extension,
                      set_measures, sweep_advance_map, unit_ball_volume,
                      volume_match)
 import isoplab.competitor
-from isoplab import PlainBall, weighted_ball_measures
-from isoplab.competitor import (_complement_in, _CylinderPieces, _root_of_gap,
+import isoplab.measures
+import isoplab.quadrature
+from isoplab import (ExtensionResult, PlainBall, RotationSwept, VolumeMatch,
+                     mean_density, weighted_ball_measures)
+from isoplab.competitor import (_complement_in, _CylinderPieces,
+                                _lockstep_roots, _root_of_gap, _root_steps,
                                 _SweptPieces, monte_carlo_check)
 from isoplab.density import deficit_weight
+from isoplab.measures import (ball_cap_patch, sphere_cap_patch,
+                              swept_band_patch, swept_wedge_patch)
 from isoplab.quadrature import sphere_grid
 
 
@@ -65,14 +71,17 @@ def test_volume_match_zero_deficit(const2):
     assert match.iterations == 0
 
 
-@pytest.mark.parametrize("gap, root, max_iters", [
+GAP_SHAPES = [
     # linear at the deficit scale of offset 50: one secant step is exact
     (lambda d: 3.0 * d - 1e-21, 1e-21 / 3.0, 1),
     # convex: Illinois keeps regula falsi from stalling at one end
     (lambda d: math.expm1(50.0 * d) - 1.0, math.log(2.0) / 50.0, 25),
     # flat, then steep: the bisection safeguard finds the kink
     (lambda d: 1e3 * max(d - 0.5, 0.0) - 1e-3, 0.5 + 1e-6, 10),
-])
+]
+
+
+@pytest.mark.parametrize("gap, root, max_iters", GAP_SHAPES)
 def test_root_of_gap_safeguarded(gap, root, max_iters):
     tol = 1e-6 * abs(gap(0.0))
     delta, g, iters = _root_of_gap(gap, 1.0, tol, 10.0)
@@ -80,6 +89,25 @@ def test_root_of_gap_safeguarded(gap, root, max_iters):
     assert abs(g) <= tol
     assert delta == pytest.approx(root, rel=1e-6)
     assert iters <= max_iters
+
+
+def test_lockstep_roots_match_one_at_a_time():
+    # the three shapes stop after different numbers of rounds; each round
+    # evaluates only the searches still running, in ascending order
+    gaps = [gap for gap, _, _ in GAP_SHAPES]
+    tols = [1e-6 * abs(gap(0.0)) for gap in gaps]
+    rounds = []
+
+    def batch(k, deltas):
+        rounds.append(k.tolist())
+        return np.array([gaps[i](x) for i, x in zip(k, deltas)])
+    searches = [_root_steps(1.0, tol, 10.0) for tol in tols]
+    together = _lockstep_roots(searches, batch)
+    alone = [_root_of_gap(gap, 1.0, tol, 10.0) for gap, tol in zip(gaps, tols)]
+    assert together == alone
+    assert len({iters for _, _, iters in alone}) == 3
+    assert rounds[0] == [0, 1, 2] and rounds[-1] == [1]
+    assert all(r == sorted(r) for r in rounds)
 
 
 def test_volume_match_rotation_exact_identity():
@@ -441,3 +469,156 @@ def test_build_competitor_rescales_general_limit():
     assert cert.bounds["rescale_lambda"] == pytest.approx(2.5 ** -0.5, rel=1e-12)
     assert abs(cert.volume_gap) <= 1e-6 * unit_ball_volume(2)
     assert cert.rho < 1.0
+
+
+class _PerAngleSweptPieces:
+    """The swept pieces one angle at a time, every patch built and
+    integrated on its own: the reference for the batched scans."""
+
+    def __init__(self, d, R, frame, nodes, radial_nodes=64):
+        self.n, self.R, self.frame = d.dim, R, frame
+        self.nodes, self.radial_nodes = nodes, radial_nodes
+        self.g = deficit_weight(d)
+        self.omega1 = unit_ball_volume(self.n - 1)
+
+    def _cap(self, patch, phi, upper, *nodes):
+        lo, hi = (0.0, math.pi / 2) if upper else (math.pi / 2, math.pi)
+        F = self.frame
+        center = self.R * (math.cos(phi) * F[:, 0] + math.sin(phi) * F[:, 1])
+        axis = -math.sin(phi) * F[:, 0] + math.cos(phi) * F[:, 1]
+        pts, w = patch(self.n, 1.0, center, axis, lo, hi, *nodes)
+        return float(np.asarray(self.g(pts)) @ w)
+
+    def half_ball_g(self, phi, upper):
+        return self._cap(ball_cap_patch, phi, upper, self.radial_nodes,
+                         self.nodes, self.nodes)
+
+    def hemisphere_g(self, phi, upper):
+        return self._cap(sphere_cap_patch, phi, upper, self.nodes, self.nodes)
+
+    def wedge_g(self, phi, delta):
+        if delta <= 0.0:
+            return 0.0
+        pts, w = swept_wedge_patch(self.n, self.R, phi, phi + delta,
+                                   self.radial_nodes, self.nodes)
+        return float(np.asarray(self.g(pts @ self.frame.T)) @ w)
+
+    def band_g(self, phi, delta):
+        if delta <= 0.0:
+            return 0.0
+        pts, w = swept_band_patch(self.n, self.R, phi, phi + delta, self.nodes)
+        return float(np.asarray(self.g(pts @ self.frame.T)) @ w)
+
+    def gap_function(self, phi):
+        trailing = self.half_ball_g(phi, upper=False)
+        length = self.R * self.omega1
+
+        def gap(delta):
+            return (delta * length - self.wedge_g(phi, delta) - trailing
+                    - self.half_ball_g(phi + delta, upper=True))
+        return gap
+
+    def perimeter_margin(self, phi, delta):
+        euclid_band = delta * self.R * (self.n - 1) * self.omega1
+        return (self.hemisphere_g(phi, upper=False)
+                + self.hemisphere_g(phi + delta, upper=True)
+                + self.band_g(phi, delta) - euclid_band)
+
+
+def _advance_by_angle(d, R, grid, eps, nodes):
+    """The advance map matched one angle at a time by ``volume_match``."""
+    pieces = _PerAngleSweptPieces(d, R, np.eye(2), nodes)
+    theta = 2.0 * math.pi * np.arange(grid) / grid
+    ball_gs = isoplab.competitor._SweptPieces(d, R, np.eye(2), nodes).balls_g(theta)
+    advance = np.zeros(grid)
+    for i, phi in enumerate(theta):
+        if ball_gs[i] <= 0.0:
+            continue
+        match = volume_match("rotation", pieces.gap_function(float(phi)),
+                             float(ball_gs[i]), d.dim, R, eps)
+        advance[i] = match.delta_bar
+    return tuple(advance)
+
+
+def _sweep_direction_by_angle(d, R, sam, eps, nodes):
+    """select_sweep_direction scoring one angle at a time."""
+    n = d.dim
+    pieces = _PerAngleSweptPieces(d, R, np.eye(2), nodes)
+    theta, adv = np.asarray(sam.theta), np.asarray(sam.advance)
+    ball_gs = np.asarray(sam.ball_deficit)
+    omega = unit_ball_volume(n)
+    scores = np.empty(theta.size)
+    for i, phi in enumerate(theta):
+        lhs = (pieces.hemisphere_g(float(phi), upper=False)
+               + pieces.hemisphere_g(float(phi + adv[i]), upper=True))
+        scores[i] = lhs - (1.0 - eps) * (n - eps) * ball_gs[i]
+    qualifying = np.nonzero(scores >= 0.0)[0]
+    best = int(qualifying[0]) if qualifying.size else int(np.argmax(scores))
+    phi, delta = float(theta[best]), float(adv[best])
+    direction = (math.cos(phi), math.sin(phi))
+    sweep = (-math.sin(phi), math.cos(phi))
+    E = (RotationSwept(dim=n, offset=R, delta=delta, direction=direction,
+                       sweep=sweep)
+         if delta > 0.0 else PlainBall(dim=n, offset=R, direction=direction))
+    margin = pieces.perimeter_margin(phi, delta)
+    gap = pieces.gap_function(phi)(delta)
+    bound = (1.0 + 3.0 * eps) * ball_gs[best] / (unit_ball_volume(n - 1)
+                                                 * max(R - 1.0, 1e-9))
+    match = VolumeMatch(delta, omega + gap, 0, delta <= bound * (1 + 1e-9), gap)
+    rho = mean_density(max(n * omega - margin, 1e-300), omega + gap, n)
+    checks = {"score": float(scores[best]), "advance_bound": bound,
+              "advance_bound_ok": bool(match.bound_ok)}
+    return phi, ExtensionResult(E, match, margin, gap, rho, checks)
+
+
+@pytest.mark.parametrize("R", [12.0, 50.0])
+def test_lockstep_advance_map_matches_per_angle_matching(R):
+    # at R = 50 the advances (~1e-23) round away in phi + delta, so every
+    # trial of an angle reuses one memoised leading half-ball
+    d = density_from_config({"family": "angular_mod", "dim": 2, "a": 1.0,
+                             "params": {"eta": 0.5, "k": 1, "c": 0.5}})
+    eps = 0.05
+    sam = sweep_advance_map(d, R, np.eye(2), grid=48, eps=eps, nodes=48)
+    assert sam.advance == _advance_by_angle(d, R, 48, eps, 48)
+    assert min(sam.advance) > 0.0
+    batched = select_sweep_direction(d, R, np.eye(2), sam, eps=eps, nodes=48)
+    assert batched == _sweep_direction_by_angle(d, R, sam, eps, 48)
+
+
+def test_advance_map_far_deviation_resolved():
+    # at offset 50 the quotients read exactly 1; their deviation from 1,
+    # kept in deficit space, still resolves the advance map
+    d = density_from_config({"family": "angular_mod", "dim": 2, "a": 1.0,
+                             "params": {"eta": 0.5, "k": 1, "c": 1.0}})
+    eps = 0.05
+    sam = sweep_advance_map(d, 50.0, np.eye(2), grid=48, eps=eps, nodes=48)
+    assert np.all(sam.quotients() == 1.0)
+    dev = sam.quotient_deviation()
+    assert np.any(dev != 0.0)
+    assert dev.min() >= -eps - 1e-3
+    assert dev.max() <= 1.0 / (1.0 - eps) - 1.0 + 1e-3
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_batched_swept_pieces_match_single_patches(monkeypatch, n):
+    # a budget of 1100 points holds two 512-point half-balls or wedges and
+    # 17 hemispheres in N=3, or eight 128-point half-balls or wedges in N=2,
+    # so the twenty angles cross chunk boundaries
+    monkeypatch.setattr(isoplab.measures, "BALL_CHUNK_POINTS", 1100)
+    d = density_from_config({"family": "angular_mod", "dim": n, "a": 1.0,
+                             "params": {"eta": 0.5, "k": 1, "c": 0.5}})
+    frame = isoplab.quadrature.frame_from_axis(np.linspace(1.0, 2.0, n),
+                                               np.linspace(-1.0, 0.5, n))
+    R = 6.0
+    pieces = _SweptPieces(d, R, frame, nodes=8, radial_nodes=8)
+    single = _PerAngleSweptPieces(d, R, frame, nodes=8, radial_nodes=8)
+    phis = np.linspace(0.0, 6.0, 20)
+    deltas = np.where(np.arange(20) % 3 == 0, 0.0, 0.04)
+    for upper in (False, True):
+        assert pieces.half_balls_g(phis, upper).tolist() == [
+            single.half_ball_g(float(phi), upper) for phi in phis]
+        assert pieces.hemispheres_g(phis, upper).tolist() == [
+            single.hemisphere_g(float(phi), upper) for phi in phis]
+    assert pieces.wedges_g(phis, deltas).tolist() == [
+        single.wedge_g(float(phi), float(delta))
+        for phi, delta in zip(phis, deltas)]
