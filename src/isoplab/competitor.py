@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -36,12 +37,12 @@ from .defaults import (CIRCLE_GRID, DEGENERACY_TOL, EPS, RADIAL_NODES,
                        SPHERE_NODES, VOLUME_RTOL)
 from .density import (Density, deficit_profile, deficit_weight, eval_weight,
                       rescale)
-from .farball import FarBallCertificate, find_far_radius, select_direction
+from .farball import FarBallCertificate, find_far_radius
 from .measures import (CylinderExtended, MeasureResult, PlainBall,
-                       RotationSwept, annulus_patch, ball_cap_patch,
-                       cylinder_wall_patch, mean_density, moved_grid_integrals,
-                       set_measures, sphere_cap_patch, swept_band_patch,
-                       swept_wedge_integrals, weighted_ball_measures_at)
+                       RotationSwept, circle_point, cylinder_patches,
+                       integrate_patches, mean_density, meridian_disk,
+                       moved_grid_integrals, set_measures, shrink_terms,
+                       swept_excess, swept_integrals, weighted_ball_measures_at)
 from .quadrature import (ball_grid, frame_from_axis, sphere_band_grid,
                          sphere_grid, unit_ball_volume, unit_sphere_area)
 
@@ -119,14 +120,6 @@ class CompetitorCertificate:
     mc_check: dict = field(default_factory=dict)
 
 
-def _circle_dir(plane: np.ndarray, phi: float) -> np.ndarray:
-    return math.cos(phi) * plane[:, 0] + math.sin(phi) * plane[:, 1]
-
-
-def _circle_tan(plane: np.ndarray, phi: float) -> np.ndarray:
-    return -math.sin(phi) * plane[:, 0] + math.cos(phi) * plane[:, 1]
-
-
 # ---------------------------------------------------------------------------
 # deficit-space pieces of the swept family on a working circle
 # ---------------------------------------------------------------------------
@@ -135,23 +128,25 @@ class _SweptPieces:
     """Deficit-space volume gap and perimeter margin of swept sets.
 
     The working circle lies in the plane spanned by the first two columns of
-    ``frame``; sets are based at angle phi and swept to phi + delta.
+    ``frame``; the set based at angle phi with sweep delta is
+    ``measures.swept_patches(n, R, delta, frame, phi, ...)``, whose pieces
+    are integrated here for many angles at once with the floats of the
+    patch list: half-balls and hemispheres through ``moved_grid_integrals``,
+    wedges and bands through ``swept_integrals``.
     """
 
     def __init__(self, d: Density, R: float, frame: np.ndarray,
                  nodes: int = SPHERE_NODES, radial_nodes: int = RADIAL_NODES):
-        self.d, self.R, self.frame = d, R, frame
-        self.n = d.dim
+        self.n, self.R, self.frame = d.dim, R, frame
         self.nodes, self.radial_nodes = nodes, radial_nodes
         self.g = deficit_weight(d)
-        self.omega = unit_ball_volume(self.n)
-        self.omega1 = unit_ball_volume(self.n - 1)
+        self._disk = meridian_disk(self.n, radial_nodes, nodes)
+        self._circle = sphere_grid(self.n - 1, nodes, nodes)
         # half-ball g-volumes of the previous call, by side and exact angle
-        self._last_half_balls: dict[bool, dict[float, float]] = {False: {},
-                                                                 True: {}}
+        self._last_half_balls = {False: {}, True: {}}
 
     def _center(self, phi):
-        return self.R * _circle_dir(self.frame, phi)
+        return self.R * circle_point(self.frame, phi)[0]
 
     def _halves_g(self, phis, upper: bool, solid: bool) -> np.ndarray:
         """g-integrals of the halves of the balls (``solid``) or spheres at
@@ -164,7 +159,7 @@ class _SweptPieces:
         else:
             pts, w = sphere_band_grid(self.n, lo, hi, self.nodes, self.nodes)
         centers = np.array([self._center(phi) for phi in phis])
-        rots = np.array([frame_from_axis(_circle_tan(self.frame, phi))
+        rots = np.array([frame_from_axis(circle_point(self.frame, phi)[1])
                          for phi in phis])
         return moved_grid_integrals(self.g, pts, w, centers, rots)
 
@@ -194,28 +189,27 @@ class _SweptPieces:
     def hemisphere_g(self, phi: float, upper: bool) -> float:
         return float(self.hemispheres_g([phi], upper)[0])
 
-    def hemisphere_f(self, phi: float, upper: bool) -> float:
-        return 0.5 * unit_sphere_area(self.n) - self.hemisphere_g(phi, upper)
-
-    def wedges_g(self, phis, deltas) -> np.ndarray:
-        """g-volumes of the wedges swept from phis[i] to phis[i] + deltas[i]."""
+    def _swept_g(self, phis, deltas, section) -> np.ndarray:
+        """g-integrals of ``section`` swept from phis[i] to phis[i] + deltas[i]."""
         phis, deltas = np.asarray(phis, dtype=float), np.asarray(deltas, dtype=float)
         out = np.zeros(phis.size)
         live = deltas > 0.0
         if np.any(live):
-            out[live] = swept_wedge_integrals(
+            out[live] = swept_integrals(
                 self.g, self.n, self.R, phis[live], phis[live] + deltas[live],
-                self.frame, self.radial_nodes, self.nodes)
+                self.frame, section, self.nodes)
         return out
 
-    def wedge_g(self, phi: float, delta: float) -> float:
-        return float(self.wedges_g([phi], [delta])[0])
+    def wedges_g(self, phis, deltas) -> np.ndarray:
+        """g-volumes of the wedges swept from phis[i] to phis[i] + deltas[i]."""
+        return self._swept_g(phis, deltas, self._disk)
+
+    def bands_g(self, phis, deltas) -> np.ndarray:
+        """g-areas of the bands swept from phis[i] to phis[i] + deltas[i]."""
+        return self._swept_g(phis, deltas, self._circle)
 
     def band_g(self, phi: float, delta: float) -> float:
-        if delta <= 0.0:
-            return 0.0
-        pts, w = swept_band_patch(self.n, self.R, phi, phi + delta, self.nodes)
-        return float(np.asarray(self.g(pts @ self.frame.T)) @ w)
+        return float(self.bands_g([phi], [delta])[0])
 
     def balls_g(self, phis) -> np.ndarray:
         """|B|_g of the balls at each angle of ``phis``, in one batched scan."""
@@ -232,8 +226,9 @@ class _SweptPieces:
         deltas[i]; ``trailing`` holds their trailing half-balls' g-volumes,
         which do not move with delta."""
         phis, deltas = np.asarray(phis, dtype=float), np.asarray(deltas, dtype=float)
-        return (deltas * (self.R * self.omega1) - self.wedges_g(phis, deltas)
-                - trailing - self.half_balls_g(phis + deltas, upper=True))
+        return (swept_excess(self.n, self.R, deltas)[1]
+                - self.wedges_g(phis, deltas) - trailing
+                - self.half_balls_g(phis + deltas, upper=True))
 
     def gap_function(self, phi: float):
         """delta -> V_f(E) - omega_N for the set based at phi.
@@ -250,10 +245,9 @@ class _SweptPieces:
 
     def perimeter_margin(self, phi: float, delta: float) -> float:
         """N omega_N - P_f(E), assembled from deficit integrals."""
-        euclid_band = delta * self.R * (self.n - 1) * self.omega1
         return (self.hemisphere_g(phi, upper=False)
                 + self.hemisphere_g(phi + delta, upper=True)
-                + self.band_g(phi, delta) - euclid_band)
+                + self.band_g(phi, delta) - swept_excess(self.n, self.R, delta)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -416,78 +410,23 @@ def ray_monotone_on_samples(d: Density, r_lo: float, r_hi: float,
 
 
 class _CylinderPieces:
-    """Deficit-space pieces of the cylinder-extended family along an axis."""
+    """Deficit-space volume gap and perimeter margin of the cylinder-extended
+    sets along the first column of ``frame``: the excess minus the
+    g-integrals over ``measures.cylinder_patches``, the patches that
+    ``set_measures`` integrates the weight over."""
 
     def __init__(self, d: Density, R: float, frame: np.ndarray,
                  nodes: int = SPHERE_NODES, radial_nodes: int = RADIAL_NODES):
-        self.d, self.R, self.frame = d, R, frame
-        self.n = d.dim
-        self.nodes, self.radial_nodes = nodes, radial_nodes
-        self.g = deficit_weight(d)
-        self.omega = unit_ball_volume(self.n)
-        self.omega1 = unit_ball_volume(self.n - 1)
-        self.e1 = frame[:, 0]
-
-    def _shrink_terms(self, delta: float) -> tuple[float, float]:
-        """(1 - k^{N-1}, 1 - k^N) for k = (R - delta)/R, cancellation-free."""
-        lk = math.log1p(-delta / self.R)
-        return -math.expm1((self.n - 1) * lk), -math.expm1(self.n * lk)
-
-    def half_ball_g(self, *, right: bool, radius: float, center_x1: float) -> float:
-        lo, hi = (0.0, HALF_PI) if right else (HALF_PI, math.pi)
-        pts, w = ball_cap_patch(self.n, radius, center_x1 * self.e1, self.e1,
-                                lo, hi, self.radial_nodes, self.nodes, self.nodes)
-        return float(np.asarray(self.g(pts)) @ w)
-
-    def hemisphere_g(self, *, right: bool, radius: float, center_x1: float) -> float:
-        lo, hi = (0.0, HALF_PI) if right else (HALF_PI, math.pi)
-        pts, w = sphere_cap_patch(self.n, radius, center_x1 * self.e1, self.e1,
-                                  lo, hi, self.nodes, self.nodes)
-        return float(np.asarray(self.g(pts)) @ w)
-
-    def _local(self, pts):
-        return pts @ self.frame.T
-
-    def cylinder_g(self, delta: float) -> float:
-        if delta <= 0.0:
-            return 0.0
-        from .measures import _cyl_interior
-        pts, w = _cyl_interior(self.n, self.R, delta, self.radial_nodes, self.nodes)
-        return float(np.asarray(self.g(self._local(pts))) @ w)
-
-    def wall_g(self, delta: float) -> float:
-        if delta <= 0.0:
-            return 0.0
-        pts, w = cylinder_wall_patch(self.n, self.R, delta, self.nodes)
-        return float(np.asarray(self.g(self._local(pts))) @ w)
-
-    def annulus_g(self, delta: float) -> float:
-        k = (self.R - delta) / self.R
-        if delta <= 0.0 or k >= 1.0:
-            return 0.0
-        pts, w = annulus_patch(self.n, self.R - delta, k, 1.0, self.nodes)
-        return float(np.asarray(self.g(self._local(pts))) @ w)
+        self.n, self.R, self.g = d.dim, R, deficit_weight(d)
+        # delta -> the patches of the set of height delta
+        self.patches = partial(cylinder_patches, d.dim, R, frame=frame,
+                               nodes=nodes, radial_nodes=radial_nodes)
 
     def volume_gap(self, delta: float) -> float:
-        k = (self.R - delta) / self.R
-        _, sN = self._shrink_terms(delta)
-        return (self.omega1 * delta - 0.5 * self.omega * sN
-                - self.half_ball_g(right=True, radius=1.0, center_x1=self.R)
-                - self.cylinder_g(delta)
-                - self.half_ball_g(right=False, radius=k,
-                                   center_x1=self.R - delta))
+        return self.patches(delta).volume_gap(self.g)
 
     def perimeter_margin(self, delta: float) -> float:
-        k = (self.R - delta) / self.R
-        s1, _ = self._shrink_terms(delta)
-        return (self.hemisphere_g(right=True, radius=1.0, center_x1=self.R)
-                + self.wall_g(delta)
-                + self.hemisphere_g(right=False, radius=k,
-                                    center_x1=self.R - delta)
-                + self.annulus_g(delta)
-                + 0.5 * self.n * self.omega * s1
-                - (self.n - 1) * self.omega1 * delta
-                - self.omega1 * s1)
+        return self.patches(delta).perimeter_margin(self.g)
 
     def shifted_boundary_decrease(self, delta: float) -> float:
         """H_f(near hemisphere of the shrunk ball) - H_f(near hemisphere of B).
@@ -495,12 +434,10 @@ class _CylinderPieces:
         Nonpositive for ray-nondecreasing weights; evaluated in deficit space:
         -(N omega_N / 2)(1 - k^{N-1}) + H_g(near of B) - H_g(near, shrunk).
         """
-        k = (self.R - delta) / self.R
-        s1, _ = self._shrink_terms(delta)
-        return (-0.5 * self.n * self.omega * s1
-                + self.hemisphere_g(right=False, radius=1.0, center_x1=self.R)
-                - self.hemisphere_g(right=False, radius=k,
-                                    center_x1=self.R - delta))
+        s1, _ = shrink_terms(self.n, self.R, delta)
+        near = [integrate_patches(self.g, [self.patches(x).surface["near"]()])
+                for x in (0.0, delta)]
+        return -0.5 * self.n * unit_ball_volume(self.n) * s1 + near[0] - near[1]
 
 
 @dataclass(frozen=True)
@@ -511,6 +448,14 @@ class ExtensionResult:
     volume_gap: float
     rho: float
     checks: dict
+
+
+def _extension(E, match: VolumeMatch, margin: float, checks: dict) -> ExtensionResult:
+    """E's extension result, with the mean density of its matched volume."""
+    n = E.dim
+    P = n * unit_ball_volume(n) - margin
+    rho = mean_density(max(P, 1e-300), match.achieved_volume, n)
+    return ExtensionResult(E, match, margin, match.gap, rho, checks)
 
 
 def cylinder_extension(cert: FarBallCertificate, d: Density,
@@ -526,24 +471,19 @@ def cylinder_extension(cert: FarBallCertificate, d: Density,
     if not ray_monotone_on_samples(d, max(d.envelope_radius, R - 2.0), R + 2.0):
         raise RuntimeError("weight is not ray-monotone near the annulus; "
                            "cylinder extension refused")
-    frame = frame_from_axis(theta)
-    pieces = _CylinderPieces(d, R, frame, nodes)
-    ball_g = (pieces.half_ball_g(right=True, radius=1.0, center_x1=R)
-              + pieces.half_ball_g(right=False, radius=1.0, center_x1=R))
+    pieces = _CylinderPieces(d, R, frame_from_axis(theta), nodes)
+    # |B|_g and the margin of B: the set of height zero
+    ball_g = -pieces.volume_gap(0.0)
+    ball_margin = pieces.perimeter_margin(0.0)
     match = volume_match("cylinder", pieces.volume_gap, ball_g, n, R, eps)
     delta = match.delta_bar
-    E = (CylinderExtended(dim=n, offset=R, delta=delta,
-                          direction=tuple(theta))
+    E = (CylinderExtended(dim=n, offset=R, delta=delta, direction=tuple(theta))
          if delta > 0.0 else PlainBall(dim=n, offset=R, direction=tuple(theta)))
-    margin = (pieces.perimeter_margin(delta) if delta > 0.0
-              else pieces.hemisphere_g(right=True, radius=1.0, center_x1=R)
-              + pieces.hemisphere_g(right=False, radius=1.0, center_x1=R))
+    margin = pieces.perimeter_margin(delta)
     decrease = pieces.shifted_boundary_decrease(delta)
     # perimeter chain: P_f(E) <= P_f(B) + (N - 1 + eps) omega_{N-1} delta
-    ball_margin = (pieces.hemisphere_g(right=True, radius=1.0, center_x1=R)
-                   + pieces.hemisphere_g(right=False, radius=1.0, center_x1=R))
     chain_lhs = ball_margin - margin      # P_f(E) - P_f(B)
-    chain_rhs = (n - 1 + eps) * pieces.omega1 * delta
+    chain_rhs = (n - 1 + eps) * unit_ball_volume(n - 1) * delta
     checks = {
         "shifted_boundary_nonincreasing": decrease <= 1e-10,
         "shifted_boundary_decrease": decrease,
@@ -554,10 +494,7 @@ def cylinder_extension(cert: FarBallCertificate, d: Density,
     if not checks["shifted_boundary_nonincreasing"]:
         raise RuntimeError("displaced near boundary grew; weight not "
                            "ray-monotone on the quadrature grid")
-    V = match.achieved_volume
-    P = n * unit_ball_volume(n) - margin
-    rho = mean_density(max(P, 1e-300), V, n)
-    return ExtensionResult(E, match, margin, match.gap, rho, checks)
+    return _extension(E, match, margin, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -578,33 +515,30 @@ def rotation_extension(cert: FarBallCertificate, d: Density,
     theta = np.array(cert.theta) if cert.theta is not None else np.eye(n)[0]
     plane = frame_from_axis(theta)
     pieces = _SweptPieces(d, R, plane, nodes)
-    ball_g = pieces.ball_g(0.0)
-    match = volume_match("rotation", pieces.gap_function(0.0), ball_g, n, R,
-                         eps)
+    match = volume_match("rotation", pieces.gap_function(0.0), pieces.ball_g(0.0),
+                         n, R, eps)
     delta = match.delta_bar
     E = (RotationSwept(dim=n, offset=R, delta=delta, direction=tuple(theta),
                        sweep=tuple(plane[:, 1]))
          if delta > 0.0 else PlainBall(dim=n, offset=R, direction=tuple(theta)))
     margin = pieces.perimeter_margin(0.0, delta)
     # rotation invariance of the swept hemisphere under a radial weight
-    upper0 = pieces.hemisphere_f(0.0, upper=True)
-    upper1 = pieces.hemisphere_f(delta, upper=True)
+    half_area = 0.5 * unit_sphere_area(n)
+    upper0 = half_area - pieces.hemisphere_g(0.0, upper=True)
+    upper1 = half_area - pieces.hemisphere_g(delta, upper=True)
     identity_resid = abs(upper1 - upper0)
-    band_f = (n - 1) * pieces.omega1 * R * delta - pieces.band_g(0.0, delta)
-    chain_ok = band_f <= (n - 1) * pieces.omega1 * (R + 1.0) * delta + 1e-12
-    V = match.achieved_volume
-    P = n * unit_ball_volume(n) - margin
-    rho = mean_density(max(P, 1e-300), V, n)
-    if rho > 1.0 + 1e-9:
-        raise RuntimeError(
-            f"mean density {rho} exceeds 1 + 1e-9: the offset or eps is "
-            "misconfigured for this weight")
-    checks = {
+    band_f = swept_excess(n, R, delta)[0] - pieces.band_g(0.0, delta)
+    chain_ok = band_f <= (n - 1) * unit_ball_volume(n - 1) * (R + 1.0) * delta + 1e-12
+    ext = _extension(E, match, margin, {
         "rotation_identity_residual": identity_resid,
         "rotation_identity_ok": identity_resid <= 1e-10 * unit_sphere_area(n),
         "perimeter_chain_ok": bool(chain_ok),
-    }
-    return ExtensionResult(E, match, margin, match.gap, rho, checks)
+    })
+    if ext.rho > 1.0 + 1e-9:
+        raise RuntimeError(
+            f"mean density {ext.rho} exceeds 1 + 1e-9: the offset or eps is "
+            "misconfigured for this weight")
+    return ext
 
 
 def select_working_circle(d: Density, R: float, eps: float = EPS,
@@ -733,10 +667,9 @@ def select_sweep_direction(d: Density, R: float, plane: np.ndarray,
                                "not the estimate")
     phi = float(theta[best])
     delta = float(adv[best])
-    direction = tuple(float(x) for x in _circle_dir(frame, phi))
-    sweep = tuple(float(x) for x in _circle_tan(frame, phi))
-    E = (RotationSwept(dim=n, offset=R, delta=delta, direction=direction,
-                       sweep=sweep)
+    direction, sweep = (tuple(float(x) for x in v)
+                        for v in circle_point(frame, phi))
+    E = (RotationSwept(dim=n, offset=R, delta=delta, direction=direction, sweep=sweep)
          if delta > 0.0 else PlainBall(dim=n, offset=R, direction=direction))
     margin = pieces.perimeter_margin(phi, delta)
     gap = pieces.volume_gap(phi, delta)
@@ -745,12 +678,9 @@ def select_sweep_direction(d: Density, R: float, plane: np.ndarray,
     bound = (1.0 + 3.0 * eps) * ball_gs[best] / denom
     match = VolumeMatch(delta, omega + gap, 0,
                         delta <= bound * (1 + 1e-9), gap)
-    V = omega + gap
-    P = n * omega - margin
-    rho = mean_density(max(P, 1e-300), V, n)
-    checks = {"score": float(scores[best]), "advance_bound": bound,
-              "advance_bound_ok": bool(match.bound_ok)}
-    return phi, ExtensionResult(E, match, margin, gap, rho, checks)
+    return phi, _extension(E, match, margin, {
+        "score": float(scores[best]), "advance_bound": bound,
+        "advance_bound_ok": bool(match.bound_ok)})
 
 
 # ---------------------------------------------------------------------------
@@ -799,8 +729,7 @@ def build_competitor(d: Density, eps: float = EPS, R_min: float = 50.0,
     far = find_far_radius(g, n, eps, R_min, R_max)
     advance_map = None
     if dd.radial:
-        cert = select_direction(dd, far.R, eps)
-        ext = rotation_extension(cert, dd, eps, nodes)
+        ext = rotation_extension(far, dd, eps, nodes)
     else:
         plane = select_working_circle(dd, far.R, eps)
         advance_map = sweep_advance_map(dd, far.R, plane, circle_grid, eps, nodes)
@@ -809,13 +738,9 @@ def build_competitor(d: Density, eps: float = EPS, R_min: float = 50.0,
     mc_check = monte_carlo_check(ext.E, dd, P_f, V_f, mc_samples, mc_seed)
     deficit_scale = float(np.max(np.asarray(
         g.profile(np.linspace(far.R - 1.0, far.R + 1.0, 65)))))
-    bounds = {
-        "match_bound_ok": ext.match.bound_ok,
-        "annulus_deficit_sup": deficit_scale,
-        "rescale_lambda": lam,
-    }
-    if isinstance(ext.checks, dict):
-        bounds.update({k: v for k, v in ext.checks.items()})
+    bounds = {"match_bound_ok": ext.match.bound_ok,
+              "annulus_deficit_sup": deficit_scale, "rescale_lambda": lam,
+              **ext.checks}
     return CompetitorCertificate(
         E=ext.E, P_f=P_f, V_f=V_f, rho=ext.rho,
         perimeter_margin=ext.perimeter_margin, volume_gap=ext.volume_gap,

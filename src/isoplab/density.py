@@ -100,6 +100,23 @@ def eval_weight(d: Density, x) -> np.ndarray | float:
     return v if v.ndim else float(v)
 
 
+def _spherical_mean(fn, n: int, r, grid):
+    """Mean of ``fn`` over the sphere of radius r (scalar or array r), on a
+    (directions, weights) ``grid``, or on the first axis if ``grid`` is None."""
+    r = np.asarray(r, dtype=float)
+    rr = np.atleast_1d(r)
+    if grid is None:
+        pts = np.zeros((rr.size, n))
+        pts[:, 0] = rr
+        out = np.asarray(fn(pts), dtype=float)
+    else:
+        dirs, w = grid
+        pts = rr[:, None, None] * dirs[None, :, :]
+        vals = np.asarray(fn(pts.reshape(-1, n)), dtype=float).reshape(rr.size, -1)
+        out = vals @ w / w.sum()
+    return float(out[0]) if r.ndim == 0 else out
+
+
 def radial_average(d: Density, r, node_count: int = SPHERE_NODES):
     """Mean of the weight over the sphere of radius r (scalar or array r).
 
@@ -109,21 +126,10 @@ def radial_average(d: Density, r, node_count: int = SPHERE_NODES):
     """
     if node_count < 16:
         raise ValueError("node_count must be at least 16")
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
+    if np.any(np.asarray(r, dtype=float) < 0):
         raise ValueError("radius must be nonnegative")
-    scalar = r.ndim == 0
-    rr = np.atleast_1d(r)
-    if d.radial:
-        pts = np.zeros((rr.size, d.dim))
-        pts[:, 0] = rr
-        out = np.atleast_1d(eval_weight(d, pts))
-    else:
-        dirs, w = sphere_grid(d.dim, node_count, node_count)
-        pts = rr[:, None, None] * dirs[None, :, :]
-        vals = eval_weight(d, pts.reshape(-1, d.dim)).reshape(rr.size, -1)
-        out = vals @ w / w.sum()
-    return float(out[0]) if scalar else out
+    grid = None if d.radial else sphere_grid(d.dim, node_count, node_count)
+    return _spherical_mean(lambda x: eval_weight(d, x), d.dim, r, grid)
 
 
 def deficit_profile(d: Density, node_count: int = SPHERE_NODES) -> RadialDeficit:
@@ -135,23 +141,10 @@ def deficit_profile(d: Density, node_count: int = SPHERE_NODES) -> RadialDeficit
     and reuses it on every call.
     """
     g = deficit_weight(d)
-    if not d.radial:
-        dirs, w = sphere_grid(d.dim, node_count, node_count)
+    grid = None if d.radial else sphere_grid(d.dim, node_count, node_count)
 
     def profile(r):
-        r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        rr = np.atleast_1d(r)
-        if d.radial:
-            pts = np.zeros((rr.size, d.dim))
-            pts[:, 0] = rr
-            out = np.asarray(g(pts), dtype=float)
-        else:
-            pts = rr[:, None, None] * dirs[None, :, :]
-            vals = np.asarray(g(pts.reshape(-1, d.dim)),
-                              dtype=float).reshape(rr.size, -1)
-            out = vals @ w / w.sum()
-        return float(out[0]) if scalar else out
+        return _spherical_mean(g, d.dim, r, grid)
 
     return RadialDeficit(dim=d.dim, profile=profile, node_count=node_count)
 

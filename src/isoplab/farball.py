@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defaults import (DEGENERACY_TOL, DIRECTION_NODES, EPS, GRID_REFINE,
-                       QUAD_ABS_TOL, REFINE_ROUNDS, SCAN_STEP, SPHERE_NODES)
+                       REFINE_ROUNDS, SCAN_STEP, SPHERE_NODES)
 from .density import Density, RadialDeficit, deficit_profile, deficit_weight
 from .layers import exact_kernels
 from .measures import (MeasureResult, ball_deficit_measures,
@@ -113,7 +113,7 @@ def select_direction(d: Density, R: float, eps: float = EPS,
     """Pick a direction whose ball satisfies the deficit bound at offset R.
 
     The grid margin maximizer is returned (deterministic: lowest index on
-    ties).  Existence on a fine enough grid follows from the mean-value
+    ties), with node-halving error estimates of its P_g and V_g.  Existence on a fine enough grid follows from the mean-value
     property of the directional margins; if no direction qualifies while the
     radial-average margin is positive, the grid is refined a bounded number
     of times and failure is reported with the direction table.
@@ -136,12 +136,16 @@ def select_direction(d: Density, R: float, eps: float = EPS,
         if margins[best] >= -1e-12 * scale:
             theta = tuple(float(x) for x in dirs[best])
             degenerate = V[best] <= DEGENERACY_TOL
+            # node-halving error estimates on the winning direction only, as
+            # in set_measures: |value(q) - value(q/2)| + 1e-15 |value|
+            halved = directional_margins(d, R, eps, dirs[best:best + 1],
+                                         max(8, quad_nodes // 2))
+            P_g, V_g = (MeasureResult(float(x[best]), "quadrature",
+                                      float(abs(x[best] - x2[0]) + 1e-15 * abs(x[best])),
+                                      quad_nodes)
+                        for x, x2 in zip((P, V), halved))
             return FarBallCertificate(
-                n, R, eps,
-                MeasureResult(float(P[best]), "quadrature", QUAD_ABS_TOL,
-                              quad_nodes),
-                MeasureResult(float(V[best]), "quadrature", QUAD_ABS_TOL,
-                              quad_nodes),
+                n, R, eps, P_g, V_g,
                 float(margins[best]), degenerate, theta=theta,
                 scan=tuple((float(i), float(m)) for i, m in enumerate(margins)))
         nodes *= GRID_REFINE

@@ -10,10 +10,16 @@ at distance R > 1 from the origin along a direction theta:
   delta about a 2-plane through the origin and the center, together with the
   rotated leading half.
 
-Every boundary is a finite union of closed-form patches (spherical caps,
-cylinder walls, flat annuli, swept bands), so perimeters are integrated on
-explicit parametrizations rather than through any level-set discretization.
-Interfaces interior to a union cancel and are never counted.
+Each family is described once, by ``set_patches``: its essential boundary
+and its interior as finite unions of closed-form patches (spherical caps,
+cylinder walls, flat annuli, swept bands and wedges) in global coordinates,
+together with its Euclidean perimeter and volume excess over the unit ball in
+closed form.  ``set_measures`` integrates the weight f over that description;
+the competitor construction integrates the deficit g = a - f over the same
+patches and subtracts, so the volume gap and the perimeter margin never form
+a difference of order-one floats.  Perimeters are integrated on explicit
+parametrizations rather than through any level-set discretization, and
+interfaces interior to a union cancel and are never counted.
 
 Volumes and perimeters are returned as ``MeasureResult`` records carrying the
 method tag, an error estimate (node-halving difference for quadrature, one
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -124,7 +131,8 @@ def set_frame(E: CompetitorSet) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# closed-form patches (local coordinates; column 0 of the frame is e1)
+# closed-form patches (the cylinder and swept builders in local coordinates,
+# column 0 of the frame being e1) and one description per set family
 # ---------------------------------------------------------------------------
 
 def sphere_cap_patch(n, radius, center, axis, lo, hi,
@@ -167,7 +175,7 @@ def annulus_patch(n, x1, r_in, r_out, nodes=SPHERE_NODES):
 
 
 def _meridian_points(n, R, rho_v, phi):
-    """Map meridian-disk coordinates (rho*v, phi) to local coordinates."""
+    """Map meridian-section coordinates (rho*v, phi) to local coordinates."""
     w = R + rho_v[:, 0]
     pts = np.empty((phi.size * rho_v.shape[0], n))
     cos_p, sin_p = np.cos(phi), np.sin(phi)
@@ -178,16 +186,20 @@ def _meridian_points(n, R, rho_v, phi):
     return pts, np.tile(w, phi.size)
 
 
+def _swept_patch(n, R, phi_lo, phi_hi, section, nodes):
+    """The meridian ``section`` (points rho*v, weights) swept over
+    [phi_lo, phi_hi]."""
+    phi, wp = gauss_nodes(phi_lo, phi_hi, max(8, nodes // 4))
+    pts, w_factor = _meridian_points(n, R, section[0], phi)
+    return pts, (wp[:, None] * section[1][None, :]).ravel() * w_factor
+
+
 def swept_band_patch(n, R, phi_lo, phi_hi, nodes=SPHERE_NODES):
     """Lateral surface swept by the meridian circle over [phi_lo, phi_hi]."""
-    phi, wp = gauss_nodes(phi_lo, phi_hi, max(8, nodes // 4))
-    v, wv = sphere_grid(n - 1, nodes, nodes)
-    pts, w_factor = _meridian_points(n, R, v, phi)
-    w = (wp[:, None] * wv[None, :]).ravel() * w_factor
-    return pts, w
+    return _swept_patch(n, R, phi_lo, phi_hi, sphere_grid(n - 1, nodes, nodes), nodes)
 
 
-def _meridian_disk(n, radial_nodes, nodes):
+def meridian_disk(n, radial_nodes, nodes):
     """Points rho*v and weights of the unit meridian disk."""
     rho, wr = gauss_nodes(0.0, 1.0, radial_nodes)
     v, wv = sphere_grid(n - 1, nodes, nodes)
@@ -198,65 +210,12 @@ def _meridian_disk(n, radial_nodes, nodes):
 def swept_wedge_patch(n, R, phi_lo, phi_hi, radial_nodes=RADIAL_NODES,
                       nodes=SPHERE_NODES):
     """Solid wedge: meridian disk swept over [phi_lo, phi_hi]."""
-    phi, wp = gauss_nodes(phi_lo, phi_hi, max(8, nodes // 4))
-    rho_v, w_disk = _meridian_disk(n, radial_nodes, nodes)
-    pts, w_factor = _meridian_points(n, R, rho_v, phi)
-    w = (wp[:, None] * w_disk[None, :]).ravel() * w_factor
-    return pts, w
-
-
-def integrate_patches(fn, patches, frame=None) -> float:
-    """Sum of integral(fn) over patches, mapping local points by ``frame``."""
-    total = 0.0
-    for pts, w in patches:
-        if frame is not None:
-            pts = pts @ frame.T
-        total += float(np.asarray(fn(pts), dtype=float) @ w)
-    return total
-
-
-# ---------------------------------------------------------------------------
-# patch assembly per variant
-# ---------------------------------------------------------------------------
-
-def _e1(n):
-    v = np.zeros(n)
-    v[0] = 1.0
-    return v
-
-
-def _e2(n):
-    v = np.zeros(n)
-    v[1] = 1.0
-    return v
-
-
-def volume_patches(E: CompetitorSet, nodes=SPHERE_NODES, radial_nodes=RADIAL_NODES):
-    """Local-coordinate solid patches covering E with disjoint interiors."""
-    n, R = E.dim, E.offset
-    c = R * _e1(n)
-    if isinstance(E, PlainBall):
-        return [ball_cap_patch(n, 1.0, c, _e1(n), 0.0, math.pi, radial_nodes,
-                               nodes, nodes)]
-    if isinstance(E, CylinderExtended):
-        d, k = E.delta, E.shrink
-        cl = (R - d) * _e1(n)
-        return [
-            ball_cap_patch(n, 1.0, c, _e1(n), 0.0, HALF_PI, radial_nodes, nodes, nodes),
-            _cyl_interior(n, R, d, radial_nodes, nodes),
-            ball_cap_patch(n, k, cl, _e1(n), HALF_PI, math.pi, radial_nodes, nodes, nodes),
-        ]
-    d = E.delta
-    c_rot = R * np.array([math.cos(d), math.sin(d)] + [0.0] * (n - 2))
-    axis_rot = np.array([-math.sin(d), math.cos(d)] + [0.0] * (n - 2))
-    return [
-        ball_cap_patch(n, 1.0, c, _e2(n), HALF_PI, math.pi, radial_nodes, nodes, nodes),
-        swept_wedge_patch(n, R, 0.0, d, radial_nodes, nodes),
-        ball_cap_patch(n, 1.0, c_rot, axis_rot, 0.0, HALF_PI, radial_nodes, nodes, nodes),
-    ]
+    return _swept_patch(n, R, phi_lo, phi_hi,
+                        meridian_disk(n, radial_nodes, nodes), nodes)
 
 
 def _cyl_interior(n, R, delta, radial_nodes, nodes):
+    """Solid cylinder {x1 in [R - delta, R], |x_perp| <= 1} in local coords."""
     x1, w1 = gauss_nodes(R - delta, R, max(8, nodes // 4))
     bpts, bw = ball_grid(n - 1, radial_nodes, nodes, nodes)
     pts = np.empty((x1.size * bpts.shape[0], n))
@@ -265,37 +224,143 @@ def _cyl_interior(n, R, delta, radial_nodes, nodes):
     return pts, (w1[:, None] * bw[None, :]).ravel()
 
 
-def surface_patches(E: CompetitorSet, nodes=SPHERE_NODES):
-    """Local-coordinate essential-boundary patches of E.
+def integrate_patches(fn, patches) -> float:
+    """Sum of integral(fn) over patches."""
+    total = 0.0
+    for pts, w in patches:
+        total += float(np.asarray(fn(pts), dtype=float) @ w)
+    return total
 
-    Interior interfaces (the flat meridian faces of the swept family, the
-    matching disk faces of the cylinder family) cancel and are omitted; the
-    only flat piece that survives is the exposed annulus of the cylinder
-    variant where the shrunk half-ball meets the full-radius face.
+
+def circle_point(plane: np.ndarray, phi):
+    """The point at angle phi on the unit circle of the first two columns of
+    ``plane``, and the circle's unit tangent there."""
+    c, s = math.cos(phi), math.sin(phi)
+    return c * plane[:, 0] + s * plane[:, 1], -s * plane[:, 0] + c * plane[:, 1]
+
+
+def shrink_terms(n: int, R: float, delta: float) -> tuple[float, float]:
+    """(1 - k^{N-1}, 1 - k^N) for k = (R - delta)/R, cancellation-free."""
+    lk = math.log1p(-delta / R)
+    return -math.expm1((n - 1) * lk), -math.expm1(n * lk)
+
+
+def swept_excess(n: int, R: float, delta):
+    """(perimeter, volume) excess of the swept set over the unit ball, of its
+    band and wedge: delta R omega_{N-1} times (N-1) and 1 (elementwise)."""
+    omega1 = unit_ball_volume(n - 1)
+    return delta * R * (n - 1) * omega1, delta * (R * omega1)
+
+
+@dataclass(frozen=True)
+class SetPatches:
+    """A competitor set as closed-form patches in global coordinates.
+
+    ``surface`` and ``volume`` map piece names to zero-argument builders of
+    (points, weights) patches, so a caller builds only what it integrates.
+    ``volume_excess`` is |E| - omega_N; the ``perimeter_excess`` terms sum to
+    P(E) - N omega_N, in the order the margin subtracts them.
     """
-    n, R = E.dim, E.offset
-    c = R * _e1(n)
-    if isinstance(E, PlainBall):
-        return [sphere_cap_patch(n, 1.0, c, _e1(n), 0.0, math.pi, nodes, nodes)]
+
+    surface: dict[str, Callable]
+    volume: dict[str, Callable]
+    perimeter_excess: tuple[float, ...]
+    volume_excess: float
+
+    def volume_gap(self, g) -> float:
+        """|E|_f - omega_N for f = 1 - g, subtracting piece by piece."""
+        gap = self.volume_excess
+        for make in self.volume.values():
+            gap -= integrate_patches(g, [make()])
+        return gap
+
+    def perimeter_margin(self, g) -> float:
+        """N omega_N - P_f(E) = P_g(E) - perimeter excess, for f = 1 - g."""
+        margin = integrate_patches(g, (make() for make in self.surface.values()))
+        for term in self.perimeter_excess:
+            margin -= term
+        return margin
+
+
+_UPPER, _LOWER, _WHOLE = (0.0, HALF_PI), (HALF_PI, math.pi), (0.0, math.pi)
+
+
+def _caps(n, radius, center, axis, band, nodes, radial_nodes):
+    """Builders of a ball's spherical and solid cap over a polar band."""
+    return (partial(sphere_cap_patch, n, radius, center, axis, *band, nodes,
+                    nodes),
+            partial(ball_cap_patch, n, radius, center, axis, *band,
+                    radial_nodes, nodes, nodes))
+
+
+def _placed(frame, build, *args):
+    """The local-coordinate patch ``build(*args)`` mapped by ``frame``."""
+    pts, w = build(*args)
+    return pts @ frame.T, w
+
+
+def set_patches(E: CompetitorSet, nodes: int, radial_nodes: int) -> SetPatches:
+    """The patches of E in its own frame (``set_frame``)."""
+    F, n, R = set_frame(E), E.dim, E.offset
     if isinstance(E, CylinderExtended):
-        d, k = E.delta, E.shrink
-        cl = (R - d) * _e1(n)
-        patches = [
-            sphere_cap_patch(n, 1.0, c, _e1(n), 0.0, HALF_PI, nodes, nodes),
-            cylinder_wall_patch(n, R, d, nodes),
-            sphere_cap_patch(n, k, cl, _e1(n), HALF_PI, math.pi, nodes, nodes),
-        ]
-        if k < 1.0:
-            patches.append(annulus_patch(n, R - d, k, 1.0, nodes))
-        return patches
-    d = E.delta
-    c_rot = R * np.array([math.cos(d), math.sin(d)] + [0.0] * (n - 2))
-    axis_rot = np.array([-math.sin(d), math.cos(d)] + [0.0] * (n - 2))
-    return [
-        sphere_cap_patch(n, 1.0, c, _e2(n), HALF_PI, math.pi, nodes, nodes),
-        swept_band_patch(n, R, 0.0, d, nodes),
-        sphere_cap_patch(n, 1.0, c_rot, axis_rot, 0.0, HALF_PI, nodes, nodes),
-    ]
+        return cylinder_patches(n, R, E.delta, F, nodes, radial_nodes)
+    if isinstance(E, RotationSwept):
+        return swept_patches(n, R, E.delta, F, 0.0, nodes, radial_nodes)
+    sphere, ball = _caps(n, 1.0, R * F[:, 0], F[:, 0], _WHOLE, nodes, radial_nodes)
+    return SetPatches({"sphere": sphere}, {"ball": ball}, (), 0.0)
+
+
+def cylinder_patches(n: int, R: float, delta: float, frame: np.ndarray,
+                     nodes: int, radial_nodes: int) -> SetPatches:
+    """The cylinder-extended set of height delta along ``frame[:, 0]``.
+
+    Its boundary is the far hemisphere, the cylinder wall, the shrunk near
+    hemisphere and, where the shrunk half-ball meets the full-radius face,
+    the exposed annulus; the matching disk faces are interior and cancel.
+    """
+    e1, k = frame[:, 0], (R - delta) / R
+    far = _caps(n, 1.0, R * e1, e1, _UPPER, nodes, radial_nodes)
+    near = _caps(n, k, (R - delta) * e1, e1, _LOWER, nodes, radial_nodes)
+    surface, volume = {"far": far[0]}, {"far": far[1]}
+    if delta > 0.0:
+        surface["wall"] = partial(_placed, frame, cylinder_wall_patch, n, R,
+                                  delta, nodes)
+        volume["cylinder"] = partial(_placed, frame, _cyl_interior, n, R, delta,
+                                     radial_nodes, nodes)
+    surface["near"], volume["near"] = near
+    if k < 1.0:
+        surface["annulus"] = partial(_placed, frame, annulus_patch, n, R - delta,
+                                     k, 1.0, nodes)
+    omega, omega1 = unit_ball_volume(n), unit_ball_volume(n - 1)
+    s1, sN = shrink_terms(n, R, delta)
+    # perimeter excess of the shrunk hemisphere, the wall and the annulus
+    return SetPatches(surface, volume,
+                      (-(0.5 * n * omega * s1), (n - 1) * omega1 * delta, omega1 * s1),
+                      omega1 * delta - 0.5 * omega * sN)
+
+
+def swept_patches(n: int, R: float, delta: float, frame: np.ndarray,
+                  phi: float, nodes: int, radial_nodes: int) -> SetPatches:
+    """The set based at angle phi on the circle of ``frame``'s first two
+    columns, swept to phi + delta.
+
+    Its boundary is the trailing hemisphere at phi, the leading hemisphere
+    at phi + delta and the swept band; the flat meridian faces are interior
+    and cancel.  The wedge comes first in the volume: the volume gap
+    subtracts it before the half-balls.
+    """
+    (d0, t0), (d1, t1) = circle_point(frame, phi), circle_point(frame, phi + delta)
+    trailing = _caps(n, 1.0, R * d0, t0, _LOWER, nodes, radial_nodes)
+    leading = _caps(n, 1.0, R * d1, t1, _UPPER, nodes, radial_nodes)
+    surface, volume = {"trailing": trailing[0], "leading": leading[0]}, {}
+    if delta > 0.0:
+        surface["band"] = partial(_placed, frame, swept_band_patch, n, R, phi,
+                                  phi + delta, nodes)
+        volume["wedge"] = partial(_placed, frame, swept_wedge_patch, n, R, phi,
+                                  phi + delta, radial_nodes, nodes)
+    volume["trailing"], volume["leading"] = trailing[1], leading[1]
+    per, vol = swept_excess(n, R, delta)
+    return SetPatches(surface, volume, (per,), vol)
 
 
 # ---------------------------------------------------------------------------
@@ -359,25 +424,33 @@ def _weight_of(d: Density | Callable) -> Callable:
     return (lambda x: eval_weight(d, x)) if isinstance(d, Density) else d
 
 
+def _built(makers: dict, sizes: list):
+    """Build the patches of ``makers`` one at a time, noting their sizes."""
+    for make in makers.values():
+        pts, w = make()
+        sizes.append(w.size)
+        yield pts, w
+
+
 def set_measures(E: CompetitorSet, d: Density, method: str = "quadrature",
                  budget: int | None = None, seed: int | None = None,
                  nodes: int = SPHERE_NODES):
     """Weighted perimeter and volume of a competitor set.
 
-    Quadrature integrates the weight on the closed-form patches; Monte-Carlo
-    uses rejection sampling in the local bounding box for the volume and
-    uniform parametric sampling of the boundary patches for the perimeter.
+    Quadrature integrates the weight on the patches of ``set_patches``, at
+    ``nodes`` and at half as many, whose difference is the error estimate;
+    Monte-Carlo uses rejection sampling in the local bounding box for the
+    volume and uniform parametric sampling of the boundary patches for the
+    perimeter.
     """
     fn = _weight_of(d)
     if method == "quadrature":
-        F = set_frame(E)
-        per, vol, n_nodes = [], [], 0
+        per, vol = [], []
         for nn in (max(8, nodes // 2), nodes):
-            sp = surface_patches(E, nn)
-            vp = volume_patches(E, nn, max(8, nn))
-            per.append(integrate_patches(fn, sp, F))
-            vol.append(integrate_patches(fn, vp, F))
-            n_nodes = sum(p[1].size for p in sp) + sum(p[1].size for p in vp)
+            patches, sizes = set_patches(E, nn, max(8, nn)), []
+            per.append(integrate_patches(fn, _built(patches.surface, sizes)))
+            vol.append(integrate_patches(fn, _built(patches.volume, sizes)))
+            n_nodes = sum(sizes)
         p_err = abs(per[1] - per[0]) + 1e-15 * abs(per[1])
         v_err = abs(vol[1] - vol[0]) + 1e-15 * abs(vol[1])
         return (MeasureResult(per[1], "quadrature", p_err, n_nodes),
@@ -421,6 +494,7 @@ def mc_volume(E: CompetitorSet, fn, samples: int, seed: int) -> MeasureResult:
 def _mc_surface_parts(E: CompetitorSet):
     """(measure, sampler) pairs: sampler(rng, m) -> (local points, integrand factor)."""
     n, R = E.dim, E.offset
+    e1, e2 = np.eye(n)[:2]
     area_sphere = unit_sphere_area(n)
 
     def hemi(center, axis, radius, sign):
@@ -436,7 +510,7 @@ def _mc_surface_parts(E: CompetitorSet):
         return 0.5 * area_sphere * radius ** (n - 1), sample
 
     if isinstance(E, PlainBall):
-        c = R * _e1(n)
+        c = R * e1
 
         def sample(rng, m):
             u = rng.standard_normal((m, n))
@@ -446,8 +520,7 @@ def _mc_surface_parts(E: CompetitorSet):
 
     if isinstance(E, CylinderExtended):
         d, k = E.delta, E.shrink
-        parts = [hemi(R * _e1(n), _e1(n), 1.0, +1),
-                 hemi((R - d) * _e1(n), _e1(n), k, -1)]
+        parts = [hemi(R * e1, e1, 1.0, +1), hemi((R - d) * e1, e1, k, -1)]
 
         def wall(rng, m):
             x1 = rng.uniform(R - d, R, size=m)
@@ -472,7 +545,7 @@ def _mc_surface_parts(E: CompetitorSet):
     d = E.delta
     c_rot = R * np.array([math.cos(d), math.sin(d)] + [0.0] * (n - 2))
     axis_rot = np.array([-math.sin(d), math.cos(d)] + [0.0] * (n - 2))
-    parts = [hemi(R * _e1(n), _e2(n), 1.0, -1),
+    parts = [hemi(R * e1, e2, 1.0, -1),
              hemi(c_rot, axis_rot, 1.0, +1)]
 
     def band(rng, m):
@@ -615,27 +688,28 @@ def moved_grid_integrals(fn, pts, w, centers, rots=None) -> np.ndarray:
     return _chunked_integrals(fn, len(centers), len(w), points, lambda i: w)
 
 
-def swept_wedge_integrals(fn, n: int, R: float, phi_lo, phi_hi, frame,
-                          radial_nodes: int = RADIAL_NODES,
-                          nodes: int = SPHERE_NODES) -> np.ndarray:
-    """integral(fn) over the wedge ``swept_wedge_patch(n, R, phi_lo[i],
-    phi_hi[i])`` mapped by ``frame``, for each i, bit for bit.
+def swept_integrals(fn, n: int, R: float, phi_lo, phi_hi, frame, section,
+                    nodes: int) -> np.ndarray:
+    """integral(fn) over the meridian ``section`` swept from phi_lo[i] to
+    phi_hi[i] and mapped by ``frame``, for each i: with the meridian circle
+    ``sphere_grid(n - 1, nodes, nodes)`` the band ``swept_band_patch``, with
+    ``meridian_disk`` the wedge ``swept_wedge_patch``, bit for bit.
 
-    The Gauss rules in the sweep angle of all wedges are built from one
-    reference rule elementwise, one row per wedge; a wedge's weights are
+    The Gauss rules in the sweep angle of all items are built from one
+    reference rule elementwise, one row per item; an item's weights are
     formed only when its row of values is reduced.
     """
     lo = np.asarray(phi_lo, dtype=float)[:, None]
     hi = np.asarray(phi_hi, dtype=float)[:, None]
     phi, wp = gauss_nodes(lo, hi, max(8, nodes // 4))
-    rho_v, w_disk = _meridian_disk(n, radial_nodes, nodes)
+    rho_v, w_section = section
     w_factor = np.tile(R + rho_v[:, 0], phi.shape[1])
 
     def points(i, j):
         return _meridian_points(n, R, rho_v, phi[i:j].ravel())[0] @ frame.T
 
     def weights(i):
-        return (wp[i][:, None] * w_disk[None, :]).ravel() * w_factor
+        return (wp[i][:, None] * w_section[None, :]).ravel() * w_factor
     return _chunked_integrals(fn, len(phi), w_factor.size, points, weights)
 
 

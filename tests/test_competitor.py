@@ -20,7 +20,8 @@ from isoplab.competitor import (_complement_in, _CylinderPieces,
                                 _SweptPieces, monte_carlo_check)
 from isoplab.density import deficit_weight
 from isoplab.measures import (ball_cap_patch, sphere_cap_patch,
-                              swept_band_patch, swept_wedge_patch)
+                              swept_band_patch, swept_patches,
+                              swept_wedge_patch)
 from isoplab.quadrature import sphere_grid
 
 
@@ -132,8 +133,8 @@ def test_volume_match_cylinder_scalar_root_oracle():
     R = 100.0
     d = right_half_bump_density(R)
     pieces = _CylinderPieces(d, R, np.eye(2), nodes=96, radial_nodes=96)
-    G = (pieces.half_ball_g(right=True, radius=1.0, center_x1=R)
-         + pieces.half_ball_g(right=False, radius=1.0, center_x1=R))
+    # |B|_g: at height zero the gap is minus the two half-balls' g-volumes
+    G = -pieces.volume_gap(0.0)
     assert G > 1e-4
 
     def eqn(delta):
@@ -622,3 +623,12 @@ def test_batched_swept_pieces_match_single_patches(monkeypatch, n):
     assert pieces.wedges_g(phis, deltas).tolist() == [
         single.wedge_g(float(phi), float(delta))
         for phi, delta in zip(phis, deltas)]
+    assert pieces.bands_g(phis, deltas).tolist() == [
+        single.band_g(float(phi), float(delta))
+        for phi, delta in zip(phis, deltas)]
+    # the batched gap and margin are those of the one patch list of the set
+    for phi, delta in zip(phis[:4], deltas[:4]):
+        patches = swept_patches(n, R, float(delta), frame, float(phi), 8, 8)
+        assert pieces.volume_gap(phi, delta) == patches.volume_gap(pieces.g)
+        assert (pieces.perimeter_margin(phi, delta)
+                == patches.perimeter_margin(pieces.g))

@@ -5,7 +5,8 @@ import pytest
 
 from isoplab import (RadialDeficit, ball_deficit_measures, deficit_profile,
                      direction_grid, directional_margins, find_far_radius,
-                     select_direction, unit_ball_volume)
+                     select_direction, unit_ball_volume, weighted_ball_measures)
+from isoplab.density import deficit_weight
 from isoplab.layers import exact_kernels
 
 E = math.e
@@ -98,6 +99,20 @@ def test_select_direction_angular_mod(angular2):
     P, V = ball_deficit_measures(g, 2, R, exact_kernels(2, R))
     radial_margin = P.value - (2 - 0.05) * V.value
     assert cert.margin >= radial_margin - 1e-10
+
+
+def test_select_direction_error_estimate_node_halving(angular2):
+    # the winning direction's P_g and V_g carry |value(q) - value(q/2)| plus
+    # a 1e-15 relative rounding floor, as set_measures reports
+    R, q = 6.0, 48
+    cert = select_direction(angular2, R, eps=0.05, node_count=360, quad_nodes=q)
+    g = deficit_weight(angular2)
+    center = R * np.array(cert.theta)
+    P, V = weighted_ball_measures(g, 2, center, 1.0, q, max(16, q // 2))
+    P2, V2 = weighted_ball_measures(g, 2, center, 1.0, q // 2, max(16, q // 4))
+    assert (cert.P_g.value, cert.V_g.value) == (P, V)
+    assert cert.P_g.error_estimate == abs(P - P2) + 1e-15 * abs(P)
+    assert cert.V_g.error_estimate == abs(V - V2) + 1e-15 * abs(V)
 
 
 def test_select_direction_degenerate(const2):

@@ -12,7 +12,8 @@ from isoplab import (CylinderExtended, PlainBall, RotationSwept,
                      set_measures, unit_ball_volume, weighted_ball_measures,
                      weighted_ball_measures_at)
 from isoplab.density import deficit_weight
-from isoplab.measures import ball_cap_patch, sphere_cap_patch
+from isoplab.measures import (ball_cap_patch, integrate_patches, set_patches,
+                              sphere_cap_patch)
 
 
 def euclid_cylinder(n, R, delta):
@@ -66,6 +67,32 @@ def test_euclidean_closed_forms_all_variants(n):
     Pe, Ve = euclid_swept(n, R, delta)
     assert V.value == pytest.approx(Ve, rel=1e-12)
     assert P.value == pytest.approx(Pe, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_set_patches_integrate_to_closed_form_excess(n):
+    # under the weight 1 each family's one patch list integrates to the unit
+    # ball's measures plus the family's closed-form excess
+    direction = tuple(np.linspace(1.0, 2.0, n) / np.linalg.norm(np.linspace(1.0, 2.0, n)))
+    R = 10.0
+    sets = [PlainBall(dim=n, offset=R, direction=direction),
+            CylinderExtended(dim=n, offset=R, delta=0.3, direction=direction),
+            CylinderExtended(dim=n, offset=R, delta=0.0, direction=direction),
+            RotationSwept(dim=n, offset=R, delta=0.2, direction=direction)]
+    omega = unit_ball_volume(n)
+
+    def one(x):
+        return np.ones(len(x))
+    for E in sets:
+        patches = set_patches(E, 16, 16)
+        V = integrate_patches(one, [make() for make in patches.volume.values()])
+        P = integrate_patches(one, [make() for make in patches.surface.values()])
+        assert V == pytest.approx(omega + patches.volume_excess, rel=1e-12)
+        assert P == pytest.approx(n * omega + sum(patches.perimeter_excess),
+                                  rel=1e-12)
+    # k = 0.97 < 1 exposes the annulus; height zero has no wall or annulus
+    assert "annulus" in set_patches(sets[1], 16, 16).surface
+    assert list(set_patches(sets[2], 16, 16).surface) == ["far", "near"]
 
 
 @pytest.mark.parametrize("n", [2, 3])
