@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -190,7 +191,10 @@ def cmd_far_ball(args) -> int:
     d = _density_from(cfg)
     g = deficit_profile(d)
     cert = find_far_radius(g, d.dim, args.eps, args.rmin, args.rmax)
-    dir_cert = select_direction(d, cert.R, args.eps)
+    # a radial weight's certificate holds in every direction: report e1
+    e1 = tuple(1.0 if i == 0 else 0.0 for i in range(d.dim))
+    dir_cert = (replace(cert, theta=e1) if d.radial
+                else select_direction(d, cert.R, args.eps))
     out = _outdir(args)
     write_json(out / "far_ball.json", {
         "seed": args.seed,

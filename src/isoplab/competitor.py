@@ -40,9 +40,10 @@ from .density import (Density, deficit_profile, deficit_weight, eval_weight,
 from .farball import FarBallCertificate, find_far_radius
 from .measures import (CylinderExtended, MeasureResult, PlainBall,
                        RotationSwept, circle_point, cylinder_patches,
-                       integrate_patches, mean_density, meridian_disk,
-                       moved_grid_integrals, set_measures, shrink_terms,
-                       swept_excess, swept_integrals, weighted_ball_measures_at)
+                       integrate_patches, mc_integrals, mean_density,
+                       moved_grid_integrals, set_measures, set_patches,
+                       shrink_terms, swept_excess, swept_integrals,
+                       weighted_ball_measures_at)
 from .quadrature import (ball_grid, frame_from_axis, sphere_band_grid,
                          sphere_grid, unit_ball_volume, unit_sphere_area)
 
@@ -140,7 +141,7 @@ class _SweptPieces:
         self.n, self.R, self.frame = d.dim, R, frame
         self.nodes, self.radial_nodes = nodes, radial_nodes
         self.g = deficit_weight(d)
-        self._disk = meridian_disk(self.n, radial_nodes, nodes)
+        self._disk = ball_grid(self.n - 1, radial_nodes, nodes, nodes)
         self._circle = sphere_grid(self.n - 1, nodes, nodes)
         # half-ball g-volumes of the previous call, by side and exact angle
         self._last_half_balls = {False: {}, True: {}}
@@ -689,24 +690,41 @@ def select_sweep_direction(d: Density, R: float, plane: np.ndarray,
 
 def monte_carlo_check(E: PlainBall | CylinderExtended | RotationSwept,
                       d: Density, P_f: MeasureResult, V_f: MeasureResult,
-                      samples: int, seed: int) -> dict:
-    """Re-measure E by Monte Carlo and compare with the quadrature P_f, V_f.
+                      samples: int, seed: int, margin: float | None = None,
+                      gap: float | None = None) -> dict:
+    """Re-measure E by Monte Carlo and compare with the quadrature values.
 
-    A measure is consistent when the two values differ by at most four
-    Monte-Carlo standard errors plus the quadrature's own error estimate,
-    which carries a rounding floor: far out the weight rounds to a constant
-    on the whole boundary, the standard error vanishes, and the two values
-    still differ by rounding.
+    One draw from E's patches (``mc_integrals``) measures both the weight,
+    for P_f and V_f, and the deficit g, for the perimeter margin P_g minus
+    the perimeter excess and the volume gap, volume excess minus V_g, of a
+    density with limit 1; ``margin`` and ``gap`` default to E's quadrature
+    values.  A value is consistent when the two differ by at most four
+    Monte-Carlo standard errors plus, for P_f and V_f, the quadrature's own
+    error estimate, whose rounding floor covers a weight that rounds to a
+    constant on the whole set far out, and for the margin and the gap the
+    same 1e-15 relative rounding floor.
     """
-    P_mc, V_mc = set_measures(E, d, method="monte_carlo", budget=samples,
-                              seed=seed)
+    patches, g = set_patches(E), deficit_weight(d)
+    margin = patches.perimeter_margin(g) if margin is None else margin
+    gap = patches.volume_gap(g) if gap is None else gap
+    fns = [partial(eval_weight, d), g]
+    (P_mc, Pg), (V_mc, Vg) = (mc_integrals(makers, fns, samples, seed)
+                              for makers in (patches.surface, patches.volume))
+    margin_mc = Pg.value - sum(patches.perimeter_excess)
+    gap_mc = patches.volume_excess - Vg.value
     return {
         "volume_consistent": abs(V_mc.value - V_f.value)
         <= 4.0 * V_mc.error_estimate + V_f.error_estimate,
         "perimeter_consistent": abs(P_mc.value - P_f.value)
         <= 4.0 * P_mc.error_estimate + P_f.error_estimate,
+        "margin_consistent": abs(margin_mc - margin)
+        <= 4.0 * Pg.error_estimate + 1e-15 * abs(margin),
+        "gap_consistent": abs(gap_mc - gap)
+        <= 4.0 * Vg.error_estimate + 1e-15 * abs(gap),
         "P_mc": P_mc.value, "P_mc_stderr": P_mc.error_estimate,
         "V_mc": V_mc.value, "V_mc_stderr": V_mc.error_estimate,
+        "margin_mc": margin_mc, "margin_stderr": Pg.error_estimate,
+        "gap_mc": gap_mc, "gap_stderr": Vg.error_estimate,
         "seed": seed, "samples": samples,
     }
 
@@ -735,7 +753,8 @@ def build_competitor(d: Density, eps: float = EPS, R_min: float = 50.0,
         advance_map = sweep_advance_map(dd, far.R, plane, circle_grid, eps, nodes)
         _, ext = select_sweep_direction(dd, far.R, plane, advance_map, eps, nodes)
     P_f, V_f = set_measures(ext.E, dd, nodes=nodes)
-    mc_check = monte_carlo_check(ext.E, dd, P_f, V_f, mc_samples, mc_seed)
+    mc_check = monte_carlo_check(ext.E, dd, P_f, V_f, mc_samples, mc_seed,
+                                 ext.perimeter_margin, ext.volume_gap)
     deficit_scale = float(np.max(np.asarray(
         g.profile(np.linspace(far.R - 1.0, far.R + 1.0, 65)))))
     bounds = {"match_bound_ok": ext.match.bound_ok,

@@ -17,7 +17,7 @@ VOLUME_RTOL         1e-8       volume matching tolerance, relative to |B|_g
 ENDPOINT_MARGIN     1e-6       kernel grids stay inside |t| <= 1 - margin
 REPORT_CLIP         1e-9       clip for tabulated exact kernels near t = +-1
 DEGENERACY_TOL      0.0        deficits sampled exactly zero count as vanished
-BALL_CHUNK_POINTS   65_536     evaluation points per weight call in ball/patch scans
+BALL_CHUNK_POINTS   65_536     points per weight call in scans and Monte Carlo
 ==================  =========  ==================================================
 
 Deficit degeneracy is exact on purpose: registered families carry closed-form
@@ -33,7 +33,7 @@ evaluate the weight on many rigidly moved copies of one reference grid, or on
 many wedges built from one Gauss rule; they hand the weight at most
 BALL_CHUNK_POINTS points per call (one item when a single item is larger),
 which keeps the per-call overhead negligible while the peak memory of a scan
-stays a few megabytes.
+stays a few megabytes.  Monte-Carlo draws come in chunks of the same size.
 """
 
 EPS = 0.01

@@ -21,8 +21,9 @@ import numpy as np
 from .defaults import SPHERE_NODES
 from .density import Density, eval_weight
 from .layers import cap_geometry
-from .measures import (CompetitorSet, PlainBall, bounding_box_local,
-                       contains_local, set_frame, sphere_cap_patch)
+from .measures import (CompetitorSet, PlainBall, mc_volume, set_frame,
+                       set_measures, sphere_cap_patch)
+from .quadrature import gauss_nodes
 
 
 @dataclass(frozen=True)
@@ -47,49 +48,35 @@ def tail_mass(E: CompetitorSet, d: Density, t: float,
     """Weighted volume of E outside the origin-centered ball of radius t.
 
     Offset balls are sliced exactly: the part of E beyond radius s is a
-    union of spherical caps, integrated in s.  The extended families fall
-    back to seeded rejection sampling against the membership test.
+    union of spherical caps, integrated in s.  The extended families are
+    sampled by ``mc_volume`` on the volume patches of ``set_patches``,
+    keeping the points with |x| > t; at a fixed seed the points do not
+    depend on t, so the estimate is nonincreasing in t.
     """
     if t <= 0.0:
-        from .measures import set_measures
-        _, V = set_measures(E, d, nodes=nodes)
-        return V.value
+        return set_measures(E, d, nodes=nodes)[1].value
     n, R = E.dim, E.offset
-    if isinstance(E, PlainBall):
-        if t >= R + 1.0:
-            return 0.0
-        theta = np.array(E.direction) if E.direction is not None else np.eye(n)[0]
-        theta = theta / np.linalg.norm(theta)
-        lo = max(t, R - 1.0)
-        from .quadrature import gauss_nodes
-        # substitute s = R + sin(u): the cap angle vanishes like a square
-        # root at tangency, and becomes smooth in u
-        u_nodes, u_w = gauss_nodes(math.asin(lo - R), math.pi / 2, 160)
-        total = 0.0
-        for u, wu in zip(u_nodes, u_w):
-            s = R + math.sin(u)
-            if not abs(s - R) < 1.0:
-                continue
-            gamma = float(cap_geometry(s, R))
-            pts, w = sphere_cap_patch(n, s, np.zeros(n), theta,
-                                      0.0, gamma, nodes, nodes)
-            total += wu * math.cos(u) * float(np.asarray(eval_weight(d, pts)) @ w)
-        return total
-    rng = np.random.default_rng(seed)
-    F = set_frame(E)
-    lo_box, hi_box = bounding_box_local(E)
-    box = float(np.prod(hi_box - lo_box))
+    if t >= R + 1.0:
+        return 0.0
+    if not isinstance(E, PlainBall):
+        def outside(x):
+            return eval_weight(d, x) * (np.linalg.norm(x, axis=1) > t)
+        return mc_volume(E, outside, mc_samples, seed).value
+    theta = set_frame(E)[:, 0]
+    lo = max(t, R - 1.0)
+    # substitute s = R + sin(u): the cap angle vanishes like a square
+    # root at tangency, and becomes smooth in u
+    u_nodes, u_w = gauss_nodes(math.asin(lo - R), math.pi / 2, 160)
     total = 0.0
-    done = 0
-    while done < mc_samples:
-        m = min(200_000, mc_samples - done)
-        u = rng.uniform(lo_box, hi_box, size=(m, n))
-        x = u @ F.T
-        keep = contains_local(E, u) & (np.linalg.norm(x, axis=1) > t)
-        if np.any(keep):
-            total += float(np.sum(np.asarray(eval_weight(d, x[keep]))))
-        done += m
-    return box * total / mc_samples
+    for u, wu in zip(u_nodes, u_w):
+        s = R + math.sin(u)
+        if not abs(s - R) < 1.0:
+            continue
+        gamma = float(cap_geometry(s, R))
+        pts, w = sphere_cap_patch(n, s, np.zeros(n), theta,
+                                  0.0, gamma, nodes, nodes)
+        total += wu * math.cos(u) * float(np.asarray(eval_weight(d, pts)) @ w)
+    return total
 
 
 def tail_mass_curve(E: CompetitorSet, d: Density, times,

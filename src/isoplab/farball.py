@@ -15,7 +15,7 @@ returned after direct measurement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -74,15 +74,19 @@ def find_far_radius(g: RadialDeficit, n: int, eps: float = EPS,
                 "no qualifying offset up to R_max "
                 f"({R_max}); scan recorded {len(scan)} points. This flags an "
                 "inadmissible kernel, a non-vanishing deficit, or R_max too small.")
-        R = out.R
-        P_g, V_g = ball_deficit_measures(g, n, R, exact_kernels(n, R))
-        margin = P_g.value - (n - eps) * V_g.value
-        degenerate = V_g.value <= DEGENERACY_TOL
-        if out.degenerate or degenerate or margin >= -1e-10:
-            return FarBallCertificate(n, R, eps, P_g, V_g, margin,
-                                      degenerate or out.degenerate,
-                                      scan=tuple(scan))
-        lo = R + step   # exact kernels disagreed near the edge; re-scan outward
+        cert = _ball_certificate(g, n, out.R, eps)
+        if out.degenerate or cert.degenerate or cert.margin >= -1e-10:
+            return replace(cert, degenerate=cert.degenerate or out.degenerate,
+                           scan=tuple(scan))
+        lo = out.R + step   # exact kernels disagreed near the edge; re-scan outward
+
+
+def _ball_certificate(g: RadialDeficit, n: int, R: float,
+                      eps: float) -> FarBallCertificate:
+    """The far-ball bound of the ball at offset R, by the exact kernels."""
+    P_g, V_g = ball_deficit_measures(g, n, R, exact_kernels(n, R))
+    return FarBallCertificate(n, R, eps, P_g, V_g, P_g.value - (n - eps) * V_g.value,
+                              V_g.value <= DEGENERACY_TOL)
 
 
 def direction_grid(n: int, nodes: int = DIRECTION_NODES):
@@ -120,13 +124,8 @@ def select_direction(d: Density, R: float, eps: float = EPS,
     """
     n = d.dim
     if d.radial:
-        theta = tuple(1.0 if i == 0 else 0.0 for i in range(n))
-        g = deficit_profile(d)
-        P_g, V_g = ball_deficit_measures(g, n, R, exact_kernels(n, R))
-        margin = P_g.value - (n - eps) * V_g.value
-        degenerate = V_g.value <= DEGENERACY_TOL
-        return FarBallCertificate(n, R, eps, P_g, V_g, margin, degenerate,
-                                  theta=theta)
+        return replace(_ball_certificate(deficit_profile(d), n, R, eps),
+                       theta=tuple(1.0 if i == 0 else 0.0 for i in range(n)))
     nodes = node_count
     for round_idx in range(REFINE_ROUNDS + 1):
         dirs, w = direction_grid(n, nodes)

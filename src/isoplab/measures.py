@@ -14,12 +14,17 @@ Each family is described once, by ``set_patches``: its essential boundary
 and its interior as finite unions of closed-form patches (spherical caps,
 cylinder walls, flat annuli, swept bands and wedges) in global coordinates,
 together with its Euclidean perimeter and volume excess over the unit ball in
-closed form.  ``set_measures`` integrates the weight f over that description;
-the competitor construction integrates the deficit g = a - f over the same
-patches and subtracts, so the volume gap and the perimeter margin never form
-a difference of order-one floats.  Perimeters are integrated on explicit
-parametrizations rather than through any level-set discretization, and
-interfaces interior to a union cancel and are never counted.
+closed form.  A patch is a map from a product of factors (intervals, radial
+segments of density rho^p, spheres or hemispheres) into R^N, drawn either as
+the tensor product of the factors' Gauss rules (``gauss``) or as i.i.d.
+points, each factor sampled from its own measure (``Sample``).
+``set_measures`` integrates the weight f over that description by quadrature
+or Monte Carlo; the competitor construction integrates the deficit
+g = a - f over the same patches and subtracts, so the volume gap and the
+perimeter margin never form a difference of order-one floats.  Perimeters
+are integrated on explicit parametrizations rather than through any
+level-set discretization, and interfaces interior to a union cancel and are
+never counted.
 
 Volumes and perimeters are returned as ``MeasureResult`` records carrying the
 method tag, an error estimate (node-halving difference for quadrature, one
@@ -40,8 +45,7 @@ from .defaults import (BALL_CHUNK_POINTS, MC_SAMPLES, QUAD_ABS_TOL,
 from .density import Density, RadialDeficit, eval_weight
 from .layers import LayerKernelPair, exact_kernels, layer_integral
 from .quadrature import (ball_grid, frame_from_axis, gauss_nodes,
-                         sphere_band_grid, sphere_grid, unit_ball_volume,
-                         unit_sphere_area)
+                         sphere_band_grid, unit_ball_volume, unit_sphere_area)
 
 HALF_PI = math.pi / 2
 
@@ -85,10 +89,6 @@ class CylinderExtended:
         if not 0.0 <= self.delta < self.offset - 1.0:
             raise ValueError("delta out of range for the cylinder extension")
 
-    @property
-    def shrink(self) -> float:
-        return (self.offset - self.delta) / self.offset
-
 
 @dataclass(frozen=True)
 class RotationSwept:
@@ -131,97 +131,175 @@ def set_frame(E: CompetitorSet) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# closed-form patches (the cylinder and swept builders in local coordinates,
-# column 0 of the frame being e1) and one description per set family
+# closed-form patches: each a map from a product of factors (intervals,
+# radial segments of density rho^p, spheres or hemispheres) into R^N, drawn
+# as a Gauss rule or as i.i.d. samples; the cylinder and swept builders work
+# in local coordinates, column 0 of the frame being e1
 # ---------------------------------------------------------------------------
 
-def sphere_cap_patch(n, radius, center, axis, lo, hi,
-                     polar_nodes=SPHERE_NODES, azimuth_nodes=SPHERE_NODES):
-    """Quadrature patch on {center + radius*u : angle(u, axis) in [lo, hi]}."""
-    pts0, w = sphere_band_grid(n, lo, hi, polar_nodes, azimuth_nodes)
+_UPPER, _LOWER, _WHOLE = (0.0, HALF_PI), (HALF_PI, math.pi), (0.0, math.pi)
+
+
+@dataclass(frozen=True)
+class _Factor:
+    """One factor of a patch: its Gauss rule () -> (nodes, weights), its
+    measure, and draw(rng, m) -> m i.i.d. nodes from that measure."""
+
+    rule: Callable
+    draw: Callable
+    measure: float
+
+
+def _segment(a, b, p, nodes) -> _Factor:
+    """The segment [a, b] with density rho^p (an interval for p = 0), drawn
+    by its inverse CDF."""
+    lo, hi = a ** (p + 1), b ** (p + 1)
+
+    def rule():
+        rho, wr = gauss_nodes(a, b, nodes)
+        return rho, wr * rho ** p
+    return _Factor(rule, lambda rng, m: (lo + rng.uniform(size=m) * (hi - lo))
+                   ** (1.0 / (p + 1)), (hi - lo) / (p + 1))
+
+
+def _sphere(n, lo, hi, polar_nodes, azimuth_nodes) -> _Factor:
+    """The band of S^{n-1} at polar angle [lo, hi] from e1.  Draws cover the
+    whole sphere (normalised Gaussians) and the hemispheres {x1 >= 0} and
+    {x1 <= 0} (Gaussians reflected into them)."""
+    side = {_WHOLE: 0.0, _UPPER: 1.0, _LOWER: -1.0}.get((lo, hi))
+
+    def draw(rng, m):
+        if side is None:
+            raise ValueError("draws cover whole spheres and hemispheres only")
+        u = rng.standard_normal((m, n))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        if side:
+            u[:, 0] = side * np.abs(u[:, 0])
+        return u
+    return _Factor(partial(sphere_band_grid, n, lo, hi, polar_nodes, azimuth_nodes),
+                   draw, unit_sphere_area(n) / (2.0 if side else 1.0))
+
+
+def gauss(place, scale, *factors):
+    """The Gauss rule of a patch, as (points, weights).
+
+    The factors' rules are broadcast into their tensor product, factor i
+    along axis i, for ``place`` to map to (points, Jacobian or None); the
+    weights are multiplied from the last factor back, then by the Jacobian
+    and the constant ``scale``.
+    """
+    rules = [f.rule() for f in factors]
+    axes = [(1,) * i + (len(w),) + (1,) * (len(rules) - 1 - i)
+            for i, (_, w) in enumerate(rules)]
+    pts, jac = place(*(np.reshape(x, ax + np.shape(x)[1:])
+                       for (x, _), ax in zip(rules, axes)))
+    w = np.reshape(rules[-1][1], axes[-1])
+    for (_, wi), ax in zip(rules[-2::-1], axes[-2::-1]):
+        w = np.reshape(wi, ax) * w
+    return pts, (w if jac is None else w * jac).ravel() * scale
+
+
+class Sample:
+    """A draw of m i.i.d. points of a patch, as (points, weights).
+
+    Each factor draws m nodes from its own measure and ``place`` combines
+    them row by row; a point's weight is the patch's closed-form measure
+    (kept in ``measure``) times its Jacobian, so the mean of weight times
+    integrand estimates the integral.  Drawing no rows gives the measure.
+    """
+
+    def __init__(self, rng: np.random.Generator, m: int):
+        self.rng, self.m, self.measure = rng, m, math.nan
+
+    def __call__(self, place, scale, *factors):
+        self.measure = scale * math.prod(f.measure for f in factors)
+        pts, jac = place(*(f.draw(self.rng, self.m) for f in factors))
+        return pts, self.measure * (np.ones(self.m) if jac is None else jac)
+
+
+def _axial(x1, y) -> np.ndarray:
+    """Points (x1, y), x1 along e1 and y across it, broadcast to one shape,
+    one point per row."""
+    pts = np.empty(np.broadcast_shapes(np.shape(x1), y.shape[:-1]) + (1 + y.shape[-1],))
+    pts[..., 0] = x1
+    pts[..., 1:] = y
+    return pts.reshape(-1, pts.shape[-1])
+
+
+def _cap_place(n, radius, center, axis):
+    """u about e1 -> center + radius * u turned to ``axis``."""
     A = frame_from_axis(np.asarray(axis, dtype=float))
-    pts = np.asarray(center, dtype=float) + radius * (pts0 @ A.T)
-    return pts, w * radius ** (n - 1)
+    c = np.asarray(center, dtype=float)
+    return lambda u: (c + radius * (u.reshape(-1, n) @ A.T), None)
 
 
-def ball_cap_patch(n, radius, center, axis, lo, hi,
-                   radial_nodes=RADIAL_NODES, polar_nodes=SPHERE_NODES,
-                   azimuth_nodes=SPHERE_NODES):
+def sphere_cap_patch(n, radius, center, axis, lo, hi, polar_nodes=SPHERE_NODES,
+                     azimuth_nodes=SPHERE_NODES, draw=gauss):
+    """Patch on {center + radius*u : angle(u, axis) in [lo, hi]}."""
+    return draw(_cap_place(n, radius, center, axis), radius ** (n - 1),
+                _sphere(n, lo, hi, polar_nodes, azimuth_nodes))
+
+
+def ball_cap_patch(n, radius, center, axis, lo, hi, radial_nodes=RADIAL_NODES,
+                   polar_nodes=SPHERE_NODES, azimuth_nodes=SPHERE_NODES,
+                   draw=gauss):
     """Solid patch of the ball restricted to the polar band about ``axis``."""
-    pts0, w = ball_grid(n, radial_nodes, polar_nodes, azimuth_nodes, lo, hi)
-    A = frame_from_axis(np.asarray(axis, dtype=float))
-    pts = np.asarray(center, dtype=float) + radius * (pts0 @ A.T)
-    return pts, w * radius ** n
+    place = _cap_place(n, radius, center, axis)
+    return draw(lambda rho, u: place(rho[..., None] * u), radius ** n,
+                _segment(0.0, 1.0, n - 1, radial_nodes),
+                _sphere(n, lo, hi, polar_nodes, azimuth_nodes))
 
 
-def cylinder_wall_patch(n, R, delta, nodes=SPHERE_NODES):
+def cylinder_wall_patch(n, R, delta, nodes=SPHERE_NODES, draw=gauss):
     """Lateral wall {x1 in [R - delta, R], |x_perp| = 1} in local coords."""
-    x1, w1 = gauss_nodes(R - delta, R, max(8, nodes // 4))
-    v, wv = sphere_grid(n - 1, nodes, nodes)
-    pts = np.empty((x1.size * v.shape[0], n))
-    pts[:, 0] = np.repeat(x1, v.shape[0])
-    pts[:, 1:] = np.tile(v, (x1.size, 1))
-    return pts, (w1[:, None] * wv[None, :]).ravel()
+    return draw(lambda x1, v: (_axial(x1, v), None), 1.0,
+                _segment(R - delta, R, 0, max(8, nodes // 4)),
+                _sphere(n - 1, *_WHOLE, nodes, nodes))
 
 
-def annulus_patch(n, x1, r_in, r_out, nodes=SPHERE_NODES):
+def annulus_patch(n, x1, r_in, r_out, nodes=SPHERE_NODES, draw=gauss):
     """Flat ring {x1} x {r_in <= |x_perp| <= r_out} in local coords."""
-    rho, wr = gauss_nodes(r_in, r_out, max(8, nodes // 4))
-    v, wv = sphere_grid(n - 1, nodes, nodes)
-    pts = np.empty((rho.size * v.shape[0], n))
-    pts[:, 0] = x1
-    pts[:, 1:] = (rho[:, None, None] * v[None, :, :]).reshape(-1, n - 1)
-    return pts, ((wr * rho ** (n - 2))[:, None] * wv[None, :]).ravel()
+    return draw(lambda rho, v: (_axial(x1, rho[..., None] * v), None),
+                1.0, _segment(r_in, r_out, n - 2, max(8, nodes // 4)),
+                _sphere(n - 1, *_WHOLE, nodes, nodes))
 
 
-def _meridian_points(n, R, rho_v, phi):
-    """Map meridian-section coordinates (rho*v, phi) to local coordinates."""
-    w = R + rho_v[:, 0]
-    pts = np.empty((phi.size * rho_v.shape[0], n))
-    cos_p, sin_p = np.cos(phi), np.sin(phi)
-    pts[:, 0] = (cos_p[:, None] * w[None, :]).ravel()
-    pts[:, 1] = (sin_p[:, None] * w[None, :]).ravel()
-    if n > 2:
-        pts[:, 2:] = np.tile(rho_v[:, 1:], (phi.size, 1))
-    return pts, np.tile(w, phi.size)
+def _swept_place(n, R):
+    """(phi, rho*v) -> the meridian-section point rho*v turned by phi, in
+    local coordinates, and the Jacobian R + rho v_1 of the sweep."""
+    def place(phi, rv):
+        w = R + rv[..., 0]
+        pts = np.empty(np.broadcast_shapes(np.shape(phi), w.shape) + (n,))
+        np.multiply(np.cos(phi), w, out=pts[..., 0])
+        np.multiply(np.sin(phi), w, out=pts[..., 1])
+        pts[..., 2:] = rv[..., 1:]
+        return pts.reshape(-1, n), w
+    return place
 
 
-def _swept_patch(n, R, phi_lo, phi_hi, section, nodes):
-    """The meridian ``section`` (points rho*v, weights) swept over
-    [phi_lo, phi_hi]."""
-    phi, wp = gauss_nodes(phi_lo, phi_hi, max(8, nodes // 4))
-    pts, w_factor = _meridian_points(n, R, section[0], phi)
-    return pts, (wp[:, None] * section[1][None, :]).ravel() * w_factor
-
-
-def swept_band_patch(n, R, phi_lo, phi_hi, nodes=SPHERE_NODES):
+def swept_band_patch(n, R, phi_lo, phi_hi, nodes=SPHERE_NODES, draw=gauss):
     """Lateral surface swept by the meridian circle over [phi_lo, phi_hi]."""
-    return _swept_patch(n, R, phi_lo, phi_hi, sphere_grid(n - 1, nodes, nodes), nodes)
-
-
-def meridian_disk(n, radial_nodes, nodes):
-    """Points rho*v and weights of the unit meridian disk."""
-    rho, wr = gauss_nodes(0.0, 1.0, radial_nodes)
-    v, wv = sphere_grid(n - 1, nodes, nodes)
-    rho_v = (rho[:, None, None] * v[None, :, :]).reshape(-1, n - 1)
-    return rho_v, ((wr * rho ** (n - 2))[:, None] * wv[None, :]).ravel()
+    return draw(_swept_place(n, R), 1.0,
+                _segment(phi_lo, phi_hi, 0, max(8, nodes // 4)),
+                _sphere(n - 1, *_WHOLE, nodes, nodes))
 
 
 def swept_wedge_patch(n, R, phi_lo, phi_hi, radial_nodes=RADIAL_NODES,
-                      nodes=SPHERE_NODES):
+                      nodes=SPHERE_NODES, draw=gauss):
     """Solid wedge: meridian disk swept over [phi_lo, phi_hi]."""
-    return _swept_patch(n, R, phi_lo, phi_hi,
-                        meridian_disk(n, radial_nodes, nodes), nodes)
+    place = _swept_place(n, R)
+    return draw(lambda phi, rho, v: place(phi, rho[..., None] * v), 1.0,
+                _segment(phi_lo, phi_hi, 0, max(8, nodes // 4)),
+                _segment(0.0, 1.0, n - 2, radial_nodes),
+                _sphere(n - 1, *_WHOLE, nodes, nodes))
 
 
-def _cyl_interior(n, R, delta, radial_nodes, nodes):
+def _cyl_interior(n, R, delta, radial_nodes, nodes, draw=gauss):
     """Solid cylinder {x1 in [R - delta, R], |x_perp| <= 1} in local coords."""
-    x1, w1 = gauss_nodes(R - delta, R, max(8, nodes // 4))
-    bpts, bw = ball_grid(n - 1, radial_nodes, nodes, nodes)
-    pts = np.empty((x1.size * bpts.shape[0], n))
-    pts[:, 0] = np.repeat(x1, bpts.shape[0])
-    pts[:, 1:] = np.tile(bpts, (x1.size, 1))
-    return pts, (w1[:, None] * bw[None, :]).ravel()
+    return draw(lambda x1, rho, v: (_axial(x1, rho[..., None] * v), None),
+                1.0, _segment(R - delta, R, 0, max(8, nodes // 4)),
+                _segment(0.0, 1.0, n - 2, radial_nodes),
+                _sphere(n - 1, *_WHOLE, nodes, nodes))
 
 
 def integrate_patches(fn, patches) -> float:
@@ -256,8 +334,9 @@ def swept_excess(n: int, R: float, delta):
 class SetPatches:
     """A competitor set as closed-form patches in global coordinates.
 
-    ``surface`` and ``volume`` map piece names to zero-argument builders of
-    (points, weights) patches, so a caller builds only what it integrates.
+    ``surface`` and ``volume`` map piece names to builders of (points,
+    weights) patches, so a caller builds only what it integrates: their Gauss
+    rules, or with ``draw=Sample(rng, m)`` m random points.
     ``volume_excess`` is |E| - omega_N; the ``perimeter_excess`` terms sum to
     P(E) - N omega_N, in the order the margin subtracts them.
     """
@@ -282,9 +361,6 @@ class SetPatches:
         return margin
 
 
-_UPPER, _LOWER, _WHOLE = (0.0, HALF_PI), (HALF_PI, math.pi), (0.0, math.pi)
-
-
 def _caps(n, radius, center, axis, band, nodes, radial_nodes):
     """Builders of a ball's spherical and solid cap over a polar band."""
     return (partial(sphere_cap_patch, n, radius, center, axis, *band, nodes,
@@ -293,13 +369,14 @@ def _caps(n, radius, center, axis, band, nodes, radial_nodes):
                     radial_nodes, nodes, nodes))
 
 
-def _placed(frame, build, *args):
+def _placed(frame, build, *args, draw=gauss):
     """The local-coordinate patch ``build(*args)`` mapped by ``frame``."""
-    pts, w = build(*args)
+    pts, w = build(*args, draw=draw)
     return pts @ frame.T, w
 
 
-def set_patches(E: CompetitorSet, nodes: int, radial_nodes: int) -> SetPatches:
+def set_patches(E: CompetitorSet, nodes: int = SPHERE_NODES,
+                radial_nodes: int = RADIAL_NODES) -> SetPatches:
     """The patches of E in its own frame (``set_frame``)."""
     F, n, R = set_frame(E), E.dim, E.offset
     if isinstance(E, CylinderExtended):
@@ -364,59 +441,6 @@ def swept_patches(n: int, R: float, delta: float, frame: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# membership and bounding boxes (for rejection sampling)
-# ---------------------------------------------------------------------------
-
-def contains_local(E: CompetitorSet, u: np.ndarray) -> np.ndarray:
-    """Membership test in local coordinates, shape (m, n) -> bool (m,)."""
-    n, R = E.dim, E.offset
-    if isinstance(E, PlainBall):
-        du = u.copy()
-        du[:, 0] -= R
-        return np.einsum("ij,ij->i", du, du) <= 1.0
-    if isinstance(E, CylinderExtended):
-        d, k = E.delta, E.shrink
-        du = u.copy()
-        du[:, 0] -= R
-        right = (np.einsum("ij,ij->i", du, du) <= 1.0) & (u[:, 0] >= R)
-        perp2 = np.einsum("ij,ij->i", u[:, 1:], u[:, 1:])
-        mid = (u[:, 0] >= R - d) & (u[:, 0] <= R) & (perp2 <= 1.0)
-        dl = u.copy()
-        dl[:, 0] -= R - d
-        left = (np.einsum("ij,ij->i", dl, dl) <= k * k) & (u[:, 0] <= R - d)
-        return right | mid | left
-    d = E.delta
-    phi = np.arctan2(u[:, 1], u[:, 0])
-    w = np.hypot(u[:, 0], u[:, 1])
-    perp2 = np.einsum("ij,ij->i", u[:, 2:], u[:, 2:]) if n > 2 else 0.0
-    base = u.copy()
-    base[:, 0] -= R
-    in_base = np.einsum("ij,ij->i", base, base) <= 1.0
-    rot = u.copy()
-    rot[:, 0] -= R * math.cos(d)
-    rot[:, 1] -= R * math.sin(d)
-    in_rot = np.einsum("ij,ij->i", rot, rot) <= 1.0
-    in_wedge = (w - R) ** 2 + perp2 <= 1.0
-    return np.where(phi <= 0.0, in_base,
-                    np.where(phi >= d, in_rot, in_wedge))
-
-
-def bounding_box_local(E: CompetitorSet) -> tuple[np.ndarray, np.ndarray]:
-    n, R = E.dim, E.offset
-    lo = -np.ones(n)
-    hi = np.ones(n)
-    if isinstance(E, PlainBall):
-        lo[0], hi[0] = R - 1.0, R + 1.0
-    elif isinstance(E, CylinderExtended):
-        lo[0], hi[0] = R - E.delta - E.shrink, R + 1.0
-    else:
-        d = E.delta
-        lo[0], hi[0] = R * math.cos(d) - 1.0, R + 1.0
-        hi[1] = R * math.sin(d) + 1.0
-    return lo, hi
-
-
-# ---------------------------------------------------------------------------
 # measures
 # ---------------------------------------------------------------------------
 
@@ -437,11 +461,10 @@ def set_measures(E: CompetitorSet, d: Density, method: str = "quadrature",
                  nodes: int = SPHERE_NODES):
     """Weighted perimeter and volume of a competitor set.
 
-    Quadrature integrates the weight on the patches of ``set_patches``, at
-    ``nodes`` and at half as many, whose difference is the error estimate;
-    Monte-Carlo uses rejection sampling in the local bounding box for the
-    volume and uniform parametric sampling of the boundary patches for the
-    perimeter.
+    Both methods integrate the weight over the patches of ``set_patches``.
+    Quadrature uses their Gauss rules at ``nodes`` and at half as many,
+    whose difference is the error estimate; Monte-Carlo draws ``budget``
+    i.i.d. points from them (``mc_perimeter``, ``mc_volume``).
     """
     fn = _weight_of(d)
     if method == "quadrature":
@@ -466,122 +489,51 @@ def set_measures(E: CompetitorSet, d: Density, method: str = "quadrature",
             mc_volume(E, fn, budget, seed))
 
 
-def mc_volume(E: CompetitorSet, fn, samples: int, seed: int) -> MeasureResult:
-    """Rejection sampling of the weighted volume in the local bounding box."""
+def mc_integrals(makers: dict, fns, samples: int,
+                 seed: int) -> list[MeasureResult]:
+    """Monte-Carlo integrals of each of ``fns`` over the patches of
+    ``makers`` (builders taking a ``draw``), all from one draw.
+
+    The budget is split by closed-form patch measure, at least 1,000 points
+    a patch; each patch draws its points (``Sample``) in chunks of at most
+    ``BALL_CHUNK_POINTS``, and every fn is evaluated on each chunk.  A
+    patch's estimate is the mean of fn times the point weights, and its
+    variance is accumulated about the patch's first such value, so a
+    constant integrand has a standard error of exactly 0; patch estimates
+    and variances add.
+    """
     rng = np.random.default_rng(seed)
-    F = set_frame(E)
-    lo, hi = bounding_box_local(E)
-    box = float(np.prod(hi - lo))
-    total, total2 = 0.0, 0.0
-    chunk = 200_000
-    done = 0
-    while done < samples:
-        m = min(chunk, samples - done)
-        u = rng.uniform(lo, hi, size=(m, E.dim))
-        inside = contains_local(E, u)
-        vals = np.zeros(m)
-        if np.any(inside):
-            vals[inside] = np.asarray(fn(u[inside] @ F.T), dtype=float)
-        total += float(vals.sum())
-        total2 += float((vals * vals).sum())
-        done += m
-    mean = total / samples
-    var = max(total2 / samples - mean * mean, 0.0)
-    return MeasureResult(box * mean, "monte_carlo",
-                         box * math.sqrt(var / samples), samples, seed)
+    probes = [Sample(rng, 0) for _ in makers]
+    for make, probe in zip(makers.values(), probes):
+        make(draw=probe)
+    mu = np.array([probe.measure for probe in probes])
+    alloc = np.maximum((samples * mu / mu.sum()).astype(int), 1000)
+    value, var = np.zeros(len(fns)), np.zeros(len(fns))
+    for make, m in zip(makers.values(), alloc):
+        total, s1, s2, shift = 0.0, 0.0, 0.0, None
+        for i in range(0, m, BALL_CHUNK_POINTS):
+            pts, w = make(draw=Sample(rng, min(BALL_CHUNK_POINTS, m - i)))
+            y = np.array([np.asarray(fn(pts), dtype=float) * w for fn in fns])
+            shift = y[:, :1] if shift is None else shift
+            dy = y - shift
+            total, s1, s2 = (total + y.sum(axis=1), s1 + dy.sum(axis=1),
+                             s2 + (dy * dy).sum(axis=1))
+        value += total / m
+        var += np.maximum(s2 / m - (s1 / m) ** 2, 0.0) / m
+    return [MeasureResult(float(v), "monte_carlo", math.sqrt(s), int(alloc.sum()), seed)
+            for v, s in zip(value, var)]
 
 
-def _mc_surface_parts(E: CompetitorSet):
-    """(measure, sampler) pairs: sampler(rng, m) -> (local points, integrand factor)."""
-    n, R = E.dim, E.offset
-    e1, e2 = np.eye(n)[:2]
-    area_sphere = unit_sphere_area(n)
-
-    def hemi(center, axis, radius, sign):
-        c = np.asarray(center, dtype=float)
-        ax = np.asarray(axis, dtype=float)
-
-        def sample(rng, m):
-            u = rng.standard_normal((m, n))
-            u /= np.linalg.norm(u, axis=1, keepdims=True)
-            flip = sign * (u @ ax) < 0
-            u[flip] -= 2.0 * np.outer(u[flip] @ ax, ax)
-            return c + radius * u, np.ones(m)
-        return 0.5 * area_sphere * radius ** (n - 1), sample
-
-    if isinstance(E, PlainBall):
-        c = R * e1
-
-        def sample(rng, m):
-            u = rng.standard_normal((m, n))
-            u /= np.linalg.norm(u, axis=1, keepdims=True)
-            return c + u, np.ones(m)
-        return [(area_sphere, sample)]
-
-    if isinstance(E, CylinderExtended):
-        d, k = E.delta, E.shrink
-        parts = [hemi(R * e1, e1, 1.0, +1), hemi((R - d) * e1, e1, k, -1)]
-
-        def wall(rng, m):
-            x1 = rng.uniform(R - d, R, size=m)
-            v = rng.standard_normal((m, n - 1))
-            v /= np.linalg.norm(v, axis=1, keepdims=True)
-            pts = np.concatenate([x1[:, None], v], axis=1)
-            return pts, np.ones(m)
-        parts.append((d * unit_sphere_area(n - 1), wall))
-
-        if k < 1.0:
-            def ring(rng, m):
-                u01 = rng.uniform(size=m)
-                rho = (k ** (n - 1) + u01 * (1.0 - k ** (n - 1))) ** (1.0 / (n - 1))
-                v = rng.standard_normal((m, n - 1))
-                v /= np.linalg.norm(v, axis=1, keepdims=True)
-                pts = np.concatenate([np.full((m, 1), R - d), rho[:, None] * v],
-                                     axis=1)
-                return pts, np.ones(m)
-            parts.append((unit_ball_volume(n - 1) * (1.0 - k ** (n - 1)), ring))
-        return parts
-
-    d = E.delta
-    c_rot = R * np.array([math.cos(d), math.sin(d)] + [0.0] * (n - 2))
-    axis_rot = np.array([-math.sin(d), math.cos(d)] + [0.0] * (n - 2))
-    parts = [hemi(R * e1, e2, 1.0, -1),
-             hemi(c_rot, axis_rot, 1.0, +1)]
-
-    def band(rng, m):
-        phi = rng.uniform(0.0, d, size=m)
-        v = rng.standard_normal((m, n - 1))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        w = R + v[:, 0]
-        pts = np.empty((m, n))
-        pts[:, 0] = w * np.cos(phi)
-        pts[:, 1] = w * np.sin(phi)
-        if n > 2:
-            pts[:, 2:] = v[:, 1:]
-        return pts, w
-    parts.append((d * unit_sphere_area(n - 1), band))
-    return parts
+def mc_volume(E: CompetitorSet, fn, samples: int, seed: int) -> MeasureResult:
+    """Monte-Carlo weighted volume: ``mc_integrals`` over the volume patches
+    of ``set_patches``."""
+    return mc_integrals(set_patches(E).volume, [fn], samples, seed)[0]
 
 
 def mc_perimeter(E: CompetitorSet, fn, samples: int, seed: int) -> MeasureResult:
-    """Uniform parametric sampling of the boundary patches.
-
-    The budget is split across patches proportionally to their parametric
-    measure; patch estimates and variances add.
-    """
-    rng = np.random.default_rng(seed)
-    F = set_frame(E)
-    parts = _mc_surface_parts(E)
-    measures = np.array([p[0] for p in parts])
-    alloc = np.maximum((samples * measures / measures.sum()).astype(int), 1000)
-    value, var = 0.0, 0.0
-    for (measure, sampler), m in zip(parts, alloc):
-        pts, factor = sampler(rng, int(m))
-        vals = np.asarray(fn(pts @ F.T), dtype=float) * factor
-        value += measure * float(vals.mean())
-        var += (measure ** 2) * float(vals.var()) / m
-    return MeasureResult(value, "monte_carlo", math.sqrt(var),
-                         int(alloc.sum()), seed)
+    """Monte-Carlo weighted perimeter: ``mc_integrals`` over the boundary
+    patches of ``set_patches``."""
+    return mc_integrals(set_patches(E).surface, [fn], samples, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +645,8 @@ def swept_integrals(fn, n: int, R: float, phi_lo, phi_hi, frame, section,
     """integral(fn) over the meridian ``section`` swept from phi_lo[i] to
     phi_hi[i] and mapped by ``frame``, for each i: with the meridian circle
     ``sphere_grid(n - 1, nodes, nodes)`` the band ``swept_band_patch``, with
-    ``meridian_disk`` the wedge ``swept_wedge_patch``, bit for bit.
+    the meridian disk ``ball_grid(n - 1, radial_nodes, nodes, nodes)`` the
+    wedge ``swept_wedge_patch``, bit for bit.
 
     The Gauss rules in the sweep angle of all items are built from one
     reference rule elementwise, one row per item; an item's weights are
@@ -704,9 +657,10 @@ def swept_integrals(fn, n: int, R: float, phi_lo, phi_hi, frame, section,
     phi, wp = gauss_nodes(lo, hi, max(8, nodes // 4))
     rho_v, w_section = section
     w_factor = np.tile(R + rho_v[:, 0], phi.shape[1])
+    place = _swept_place(n, R)
 
     def points(i, j):
-        return _meridian_points(n, R, rho_v, phi[i:j].ravel())[0] @ frame.T
+        return place(phi[i:j].reshape(-1, 1), rho_v[None])[0] @ frame.T
 
     def weights(i):
         return (wp[i][:, None] * w_section[None, :]).ravel() * w_factor

@@ -124,6 +124,24 @@ def test_far_ball_success(tmp_path):
     assert rec["theta"] == [1.0, 0.0]
 
 
+def test_far_ball_radial_measures_the_ball_once(tmp_path, monkeypatch):
+    # a radial weight's far-ball certificate holds in every direction: the
+    # command writes it with theta = e1 instead of measuring the ball again
+    calls = []
+    original = isoplab.farball.ball_deficit_measures
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+    monkeypatch.setattr(isoplab.farball, "ball_deficit_measures", counted)
+    cfg = write_cfg(tmp_path, {"density": EXP2})
+    assert run(["--out", str(tmp_path / "o"), "far-ball", "--config", cfg,
+                "--eps", "0.05", "--rmin", "10.0", "--rmax", "200.0"]) == 0
+    rec = json.loads((tmp_path / "o" / "far_ball.json").read_text())
+    assert calls == [rec["R"]]
+    assert rec["theta"] == [1.0, 0.0]
+
+
 def test_far_ball_far_offset_not_degenerate(tmp_path):
     # a deficit of ~ e^{-49} is tiny but positive: not degenerate, exit 0
     cfg = write_cfg(tmp_path, {"density": EXP2})

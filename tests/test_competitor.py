@@ -19,7 +19,7 @@ from isoplab.competitor import (_complement_in, _CylinderPieces,
                                 _lockstep_roots, _root_of_gap, _root_steps,
                                 _SweptPieces, monte_carlo_check)
 from isoplab.density import deficit_weight
-from isoplab.measures import (ball_cap_patch, sphere_cap_patch,
+from isoplab.measures import (ball_cap_patch, set_patches, sphere_cap_patch,
                               swept_band_patch, swept_patches,
                               swept_wedge_patch)
 from isoplab.quadrature import sphere_grid
@@ -402,9 +402,30 @@ def test_monte_carlo_check_flags_a_different_set(exp2):
     P_f, V_f = set_measures(near, exp2)
     same = monte_carlo_check(near, exp2, P_f, V_f, 100_000, 7)
     assert same["perimeter_consistent"] and same["volume_consistent"]
-    other = monte_carlo_check(far, exp2, P_f, V_f, 100_000, 7)
+    assert same["margin_consistent"] and same["gap_consistent"]
+    # the near ball's deficit-space margin and gap, by quadrature
+    patches = set_patches(near)
+    margin = patches.perimeter_margin(deficit_weight(exp2))
+    gap = patches.volume_gap(deficit_weight(exp2))
+    other = monte_carlo_check(far, exp2, P_f, V_f, 100_000, 7, margin, gap)
     assert not other["perimeter_consistent"]
     assert not other["volume_consistent"]
+    assert not other["margin_consistent"]
+    assert not other["gap_consistent"]
+
+
+@pytest.mark.parametrize("cfg", [
+    {"family": "radial_exp", "dim": 3, "a": 1.0, "params": {"c": 1.0}},
+    {"family": "angular_mod", "dim": 2, "a": 1.0,
+     "params": {"eta": 0.5, "k": 1, "c": 1.0}}])
+def test_monte_carlo_check_resolves_far_margin(cfg):
+    # at offset 50 the margin is ~1e-21, below the rounding floor of f; the
+    # deficit-space Monte Carlo estimate resolves it from the same draw
+    cert = build_competitor(density_from_config(cfg), eps=0.05, R_min=50.0,
+                            R_max=200.0, mc_samples=100_000, mc_seed=5)
+    check = cert.mc_check
+    assert check["margin_consistent"] and check["gap_consistent"]
+    assert 0.0 < check["margin_stderr"] < abs(cert.perimeter_margin) / 10.0
 
 
 def test_build_competitor_radial_resolvable(exp2):

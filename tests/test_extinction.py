@@ -141,3 +141,15 @@ def test_tail_mass_swept_set_mc(const2):
     # plus the swept wedge, loosely bracketed here
     assert 1.4 < v < 2.6
     assert tail_mass(E, const2, 10.0, mc_samples=300_000, seed=4) == v
+
+
+def test_tail_mass_swept_set_nonincreasing(exp2):
+    # at a fixed seed the draw does not depend on t, so the estimate is
+    # exactly nonincreasing in t, and 0.0 beyond the outer radius R + 1
+    E = RotationSwept(dim=2, offset=10.0, delta=0.05)
+    times = np.linspace(8.5, 11.5, 13)
+    m = [tail_mass(E, exp2, t, mc_samples=50_000, seed=4) for t in times]
+    assert m[0] > 0.0
+    assert all(b <= a for a, b in zip(m, m[1:]))
+    assert tail_mass(E, exp2, 11.0 + 1e-9, mc_samples=50_000, seed=4) == 0.0
+    assert m[-1] == 0.0

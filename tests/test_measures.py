@@ -12,8 +12,9 @@ from isoplab import (CylinderExtended, PlainBall, RotationSwept,
                      set_measures, unit_ball_volume, weighted_ball_measures,
                      weighted_ball_measures_at)
 from isoplab.density import deficit_weight
-from isoplab.measures import (ball_cap_patch, integrate_patches, set_patches,
-                              sphere_cap_patch)
+from isoplab.measures import (Sample, ball_cap_patch, integrate_patches,
+                              mc_integrals, set_patches, sphere_cap_patch,
+                              swept_patches)
 
 
 def euclid_cylinder(n, R, delta):
@@ -199,28 +200,74 @@ def test_measure_error_estimates_are_small(exp2):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_swept_membership_matches_rotated_union(n):
-    # the wedge characterization used by the measures equals the defining
-    # union of rotated leading half-balls, checked pointwise by brute force
-    from isoplab.measures import bounding_box_local, contains_local
-    R, delta = 3.0, 0.2
-    E = RotationSwept(dim=n, offset=R, delta=delta)
+    # every point the sampler draws from the swept set's volume patches lies
+    # in the defining union of rotated leading half-balls, checked pointwise
+    # by brute force over a grid of rotation angles
+    R, delta, steps = 3.0, 0.2, 200
+    patches = swept_patches(n, R, delta, np.eye(n), 0.0, 16, 16)
     rng = np.random.default_rng(0)
-    lo, hi = bounding_box_local(E)
-    u = rng.uniform(lo, hi, size=(100_000, n))
-    fast = contains_local(E, u)
+    u = np.concatenate([make(draw=Sample(rng, 20_000))[0]
+                        for make in patches.volume.values()])
     slow = np.zeros(len(u), dtype=bool)
     du = u.copy()
     du[:, 0] -= R
     perp2 = np.einsum("ij,ij->i", u[:, 2:], u[:, 2:]) if n > 2 else 0.0
     slow |= (np.einsum("ij,ij->i", du, du) <= 1.0) & (u[:, 1] <= 0.0)
-    for s in np.linspace(0.0, delta, 201):
+    # a point of the swept set at an angle between two grid angles s < s'
+    # lies within (R + 1) R (s' - s)^2 of the half-ball rotated by s
+    slack = (R + 1.0) * R * (delta / steps) ** 2
+    for s in np.linspace(0.0, delta, steps + 1):
         c, sn = math.cos(-s), math.sin(-s)
         x1 = c * u[:, 0] - sn * u[:, 1]
         x2 = sn * u[:, 0] + c * u[:, 1]
-        inb = (x1 - R) ** 2 + x2 ** 2 + perp2 <= 1.0
+        inb = (x1 - R) ** 2 + x2 ** 2 + perp2 <= 1.0 + slack
         slow |= inb & (x2 >= 0.0)
-    assert not np.any(slow & ~fast)
-    assert not np.any(fast & ~slow)
+    assert slow.all()
+
+
+def _closed_form_measures(E):
+    """Closed-form measure of every patch of E except the swept band and
+    wedge, whose draws carry a varying Jacobian."""
+    n, R = E.dim, E.offset
+    om, om1 = unit_ball_volume(n), unit_ball_volume(n - 1)
+    if isinstance(E, PlainBall):
+        return {"sphere": n * om}, {"ball": om}
+    if isinstance(E, RotationSwept):
+        return ({"trailing": 0.5 * n * om, "leading": 0.5 * n * om},
+                {"trailing": 0.5 * om, "leading": 0.5 * om})
+    k = (R - E.delta) / R
+    return ({"far": 0.5 * n * om, "wall": (n - 1) * om1 * E.delta,
+             "near": 0.5 * n * om * k ** (n - 1), "annulus": om1 * (1 - k ** (n - 1))},
+            {"far": 0.5 * om, "cylinder": om1 * E.delta, "near": 0.5 * om * k ** n})
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_patch_draws_integrate_one_exactly(n):
+    # each factor is drawn from its own measure, so under the weight 1 every
+    # patch without a varying Jacobian has the closed-form measure as its
+    # estimate, with a standard error of exactly 0
+    def one(x):
+        return np.ones(len(x))
+    direction = tuple(np.linspace(1.0, 2.0, n) / np.linalg.norm(np.linspace(1.0, 2.0, n)))
+    for E in (PlainBall(dim=n, offset=10.0, direction=direction),
+              CylinderExtended(dim=n, offset=10.0, delta=0.3, direction=direction),
+              RotationSwept(dim=n, offset=10.0, delta=0.2, direction=direction)):
+        patches = set_patches(E)
+        for makers, closed in zip((patches.surface, patches.volume),
+                                  _closed_form_measures(E)):
+            assert set(makers) - set(closed) <= {"band", "wedge"}
+            for name, value in closed.items():
+                est = mc_integrals({name: makers[name]}, [one], 20_000, 3)[0]
+                assert est.value == pytest.approx(value, rel=1e-12)
+                assert est.error_estimate == 0.0
+
+
+@pytest.mark.parametrize("n,centroid", [(2, 4.0 / (3.0 * math.pi)), (3, 3.0 / 8.0)])
+def test_half_ball_draws_centroid(n, centroid):
+    # radius by inverse CDF of rho^(n-1), direction reflected into {x1 >= 0}
+    x1 = ball_cap_patch(n, 1.0, np.zeros(n), np.eye(n)[0], 0.0, math.pi / 2,
+                        draw=Sample(np.random.default_rng(8), 200_000))[0][:, 0]
+    assert abs(x1.mean() - centroid) <= 4.0 * x1.std() / math.sqrt(x1.size)
 
 
 def test_frame_equivariance_under_nonradial_weight():
