@@ -43,9 +43,10 @@ from .measures import (CylinderExtended, MeasureResult, PlainBall,
                        integrate_patches, mc_integrals, mean_density,
                        moved_grid_integrals, set_measures, set_patches,
                        shrink_terms, swept_excess, swept_integrals,
-                       weighted_ball_measures_at)
-from .quadrature import (ball_grid, frame_from_axis, sphere_band_grid,
-                         sphere_grid, unit_ball_volume, unit_sphere_area)
+                       swept_patches, weighted_ball_measures_at)
+from .quadrature import (frame_from_axis, sphere_band_grid, sphere_grid,
+                         unit_ball_volume, unit_sphere_area)
+from .spectral import SweepSpectrum
 
 HALF_PI = math.pi / 2
 
@@ -74,8 +75,12 @@ class SweepAdvanceMap:
     Far out the advances (~1e-23 at offset 50) round away in theta + advance
     and every quotient reads exactly 1; ``quotient_deviation`` keeps the
     quotient minus 1 in deficit space.  ``ball_deficit`` is |B^theta|_g of
-    the base ball at each angle, recorded for the direction selection; it is
-    left out of the repr, which shows the map itself.
+    the base ball at each angle, recorded for the direction selection, and
+    ``advance_error`` each advance's error estimate: the root residual plus
+    the Fourier engine's estimate of the gap at the advance (every other
+    sweep-angle sample, half the meridian-disk nodes, the rounding floor of
+    the series), over the gap's mean slope.  Both are left out of the repr,
+    which shows the map itself.
     """
 
     theta: tuple[float, ...]
@@ -86,6 +91,7 @@ class SweepAdvanceMap:
     eps: float
     offset: float
     ball_deficit: tuple[float, ...] = field(repr=False)
+    advance_error: tuple[float, ...] = field(repr=False)
 
     def _steps(self) -> np.ndarray:
         th = np.asarray(self.theta)
@@ -126,143 +132,68 @@ class CompetitorCertificate:
 # ---------------------------------------------------------------------------
 
 class _SweptPieces:
-    """Deficit-space volume gap and perimeter margin of swept sets.
+    """Deficit-space surface pieces of swept sets, many angles at a time.
 
     The working circle lies in the plane spanned by the first two columns of
     ``frame``; the set based at angle phi with sweep delta is
-    ``measures.swept_patches(n, R, delta, frame, phi, ...)``, whose pieces
-    are integrated here for many angles at once with the floats of the
-    patch list: half-balls and hemispheres through ``moved_grid_integrals``,
-    wedges and bands through ``swept_integrals``.
+    ``measures.swept_patches(n, R, delta, frame, phi, ...)``.  Its
+    hemispheres are integrated here for many angles at once through
+    ``moved_grid_integrals`` and its bands through ``swept_integrals``, with
+    the floats of the patch list.  The solid pieces, balls, half-balls and
+    wedges, come from the Fourier engine ``spectral.SweepSpectrum``.
     """
 
     def __init__(self, d: Density, R: float, frame: np.ndarray,
-                 nodes: int = SPHERE_NODES, radial_nodes: int = RADIAL_NODES):
-        self.n, self.R, self.frame = d.dim, R, frame
-        self.nodes, self.radial_nodes = nodes, radial_nodes
+                 nodes: int = SPHERE_NODES):
+        self.n, self.R, self.frame, self.nodes = d.dim, R, frame, nodes
         self.g = deficit_weight(d)
-        self._disk = ball_grid(self.n - 1, radial_nodes, nodes, nodes)
-        self._circle = sphere_grid(self.n - 1, nodes, nodes)
-        # half-ball g-volumes of the previous call, by side and exact angle
-        self._last_half_balls = {False: {}, True: {}}
 
-    def _center(self, phi):
-        return self.R * circle_point(self.frame, phi)[0]
-
-    def _halves_g(self, phis, upper: bool, solid: bool) -> np.ndarray:
-        """g-integrals of the halves of the balls (``solid``) or spheres at
-        each angle split by the sweep plane, in one batched scan: one
-        reference grid moved to each angle's centre and tangent frame."""
+    def hemispheres_g(self, phis, upper: bool) -> np.ndarray:
+        """g-areas of the halves of the spheres at each angle split by the
+        sweep plane, in one batched scan: one reference grid moved to each
+        angle's centre and tangent frame."""
         lo, hi = (0.0, HALF_PI) if upper else (HALF_PI, math.pi)
-        if solid:
-            pts, w = ball_grid(self.n, self.radial_nodes, self.nodes,
-                               self.nodes, lo, hi)
-        else:
-            pts, w = sphere_band_grid(self.n, lo, hi, self.nodes, self.nodes)
-        centers = np.array([self._center(phi) for phi in phis])
+        pts, w = sphere_band_grid(self.n, lo, hi, self.nodes, self.nodes)
+        centers = np.array([self.R * circle_point(self.frame, phi)[0] for phi in phis])
         rots = np.array([frame_from_axis(circle_point(self.frame, phi)[1])
                          for phi in phis])
         return moved_grid_integrals(self.g, pts, w, centers, rots)
 
-    def half_balls_g(self, phis, upper: bool) -> np.ndarray:
-        """g-volumes of the half-balls at each angle.
-
-        A value of the previous call is reused at the same exact float
-        angle: far out the advances round away in phi + delta, so the
-        rounds of a lockstep volume match all reuse one leading half-ball.
-        """
-        phis = [float(phi) for phi in phis]
-        last = self._last_half_balls[upper]
-        values = {phi: last[phi] for phi in phis if phi in last}
-        new = [phi for phi in dict.fromkeys(phis) if phi not in values]
-        if new:
-            values.update(zip(new, self._halves_g(new, upper, solid=True).tolist()))
-        self._last_half_balls[upper] = values
-        return np.array([values[phi] for phi in phis])
-
-    def half_ball_g(self, phi: float, upper: bool) -> float:
-        """g-volume of the half of the ball at angle phi split by the sweep plane."""
-        return float(self.half_balls_g([phi], upper)[0])
-
-    def hemispheres_g(self, phis, upper: bool) -> np.ndarray:
-        return self._halves_g(phis, upper, solid=False)
-
     def hemisphere_g(self, phi: float, upper: bool) -> float:
         return float(self.hemispheres_g([phi], upper)[0])
 
-    def _swept_g(self, phis, deltas, section) -> np.ndarray:
-        """g-integrals of ``section`` swept from phis[i] to phis[i] + deltas[i]."""
+    def bands_g(self, phis, deltas) -> np.ndarray:
+        """g-areas of the bands swept from phis[i] to phis[i] + deltas[i]."""
         phis, deltas = np.asarray(phis, dtype=float), np.asarray(deltas, dtype=float)
         out = np.zeros(phis.size)
         live = deltas > 0.0
         if np.any(live):
             out[live] = swept_integrals(
                 self.g, self.n, self.R, phis[live], phis[live] + deltas[live],
-                self.frame, section, self.nodes)
+                self.frame, self.nodes)
         return out
-
-    def wedges_g(self, phis, deltas) -> np.ndarray:
-        """g-volumes of the wedges swept from phis[i] to phis[i] + deltas[i]."""
-        return self._swept_g(phis, deltas, self._disk)
-
-    def bands_g(self, phis, deltas) -> np.ndarray:
-        """g-areas of the bands swept from phis[i] to phis[i] + deltas[i]."""
-        return self._swept_g(phis, deltas, self._circle)
 
     def band_g(self, phi: float, delta: float) -> float:
         return float(self.bands_g([phi], [delta])[0])
 
-    def balls_g(self, phis) -> np.ndarray:
-        """|B|_g of the balls at each angle of ``phis``, in one batched scan."""
-        centers = np.array([self._center(float(phi)) for phi in phis])
-        _, V = weighted_ball_measures_at(self.g, self.n, centers, 1.0,
-                                         self.nodes, self.radial_nodes)
-        return V
 
-    def ball_g(self, phi: float) -> float:
-        return float(self.balls_g([phi])[0])
-
-    def volume_gaps(self, phis, deltas, trailing) -> np.ndarray:
-        """V_f(E) - omega_N of the sets based at phis[i] with sweep
-        deltas[i]; ``trailing`` holds their trailing half-balls' g-volumes,
-        which do not move with delta."""
-        phis, deltas = np.asarray(phis, dtype=float), np.asarray(deltas, dtype=float)
-        return (swept_excess(self.n, self.R, deltas)[1]
-                - self.wedges_g(phis, deltas) - trailing
-                - self.half_balls_g(phis + deltas, upper=True))
-
-    def gap_function(self, phi: float):
-        """delta -> V_f(E) - omega_N for the set based at phi.
-
-        The trailing half-ball does not move with delta, so it is integrated
-        once here rather than on every evaluation of the root finder.
-        """
-        trailing = self.half_ball_g(phi, upper=False)
-        return lambda delta: float(self.volume_gaps([phi], [delta], trailing)[0])
-
-    def volume_gap(self, phi: float, delta: float) -> float:
-        """V_f(E) - omega_N for the set based at phi with sweep delta."""
-        return self.gap_function(phi)(delta)
-
-    def perimeter_margin(self, phi: float, delta: float) -> float:
-        """N omega_N - P_f(E), assembled from deficit integrals."""
-        return (self.hemisphere_g(phi, upper=False)
-                + self.hemisphere_g(phi + delta, upper=True)
-                + self.band_g(phi, delta) - swept_excess(self.n, self.R, delta)[0])
+def _swept_certificate(d: Density, R: float, frame: np.ndarray, phi: float,
+                       delta: float, nodes: int) -> tuple[float, float]:
+    """(perimeter margin, volume gap) of the set based at phi with sweep
+    delta, integrated over its one patch list, ``swept_patches``."""
+    patches = swept_patches(d.dim, R, delta, frame, phi, nodes, RADIAL_NODES)
+    g = deficit_weight(d)
+    return patches.perimeter_margin(g), patches.volume_gap(g)
 
 
 # ---------------------------------------------------------------------------
 # volume matching
 # ---------------------------------------------------------------------------
 
-def _root_steps(delta_max: float, vol_tol: float, hard_cap: float,
-                max_expand: int = 8):
-    """Safeguarded root bracketing of gap(delta) = 0 on [0, delta_max].
-
-    A generator: it yields each trial delta, is sent gap(delta) back, and
-    returns (delta, gap(delta), iters).  ``_root_of_gap`` runs one search
-    with a gap function; ``_lockstep_roots`` runs many searches together,
-    one batched gap evaluation per round.
+def _root_of_gap(gap, delta_max: float, vol_tol: float, hard_cap: float,
+                 max_expand: int = 8) -> tuple[float, float, int]:
+    """Safeguarded root of gap(delta) = 0 on [0, delta_max]: returns
+    (delta, gap(delta), iters).
 
     gap(0) <= 0 by construction; the bracket is expanded (boundedly, never
     past ``hard_cap``) if gap(delta_max) is still negative.  Inside the
@@ -273,15 +204,15 @@ def _root_steps(delta_max: float, vol_tol: float, hard_cap: float,
     inside the bracket, and a bisection step is taken whenever three steps
     have not halved it, so the bracket at least halves every four steps.
     """
-    g0 = yield 0.0
+    g0 = gap(0.0)
     if g0 >= -vol_tol:
         return 0.0, g0, 0
     hi = min(delta_max, hard_cap)
-    ghi = yield hi
+    ghi = gap(hi)
     expansions = 0
     while ghi < 0.0 and expansions < max_expand and hi < hard_cap:
         hi = min(2.0 * hi, hard_cap)
-        ghi = yield hi
+        ghi = gap(hi)
         expansions += 1
     if ghi < 0.0:
         raise RuntimeError(
@@ -301,7 +232,7 @@ def _root_steps(delta_max: float, vol_tol: float, hard_cap: float,
              else (lo * fhi - hi * flo) / (fhi - flo))
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
-        gx = yield x
+        gx = gap(x)
         iters += 1
         if abs(gx) <= vol_tol:
             return x, gx, iters
@@ -324,54 +255,26 @@ def _root_steps(delta_max: float, vol_tol: float, hard_cap: float,
     return best[0], best[1], iters
 
 
-def _root_of_gap(gap, delta_max: float, vol_tol: float, hard_cap: float,
-                 max_expand: int = 8) -> tuple[float, float, int]:
-    """Runs one ``_root_steps`` search: sends gap(delta) back for each trial
-    delta until the search returns (delta, gap(delta), iters)."""
-    steps = _root_steps(delta_max, vol_tol, hard_cap, max_expand)
-    delta = next(steps)
-    while True:
-        try:
-            delta = steps.send(gap(delta))
-        except StopIteration as done:
-            return done.value
-
-
-def _lockstep_roots(searches, gaps) -> list[tuple[float, float, int]]:
-    """Run the ``_root_steps`` generators of many problems together.
-
-    Each round makes one call ``gaps(k, deltas)``, which returns the gaps of
-    the problems ``k`` (indices into ``searches``, ascending) that are still
-    running at their trial ``deltas``.  A search sees the same sequence of
-    values as under ``_root_of_gap``, so it returns the same result.
-    """
-    trials = {k: next(search) for k, search in enumerate(searches)}
-    out = [None] * len(searches)
-    while trials:
-        running = list(trials)
-        values = gaps(np.array(running), np.array([trials[k] for k in running]))
-        for k, value in zip(running, np.asarray(values).tolist()):
-            try:
-                trials[k] = searches[k].send(value)
-            except StopIteration as done:
-                out[k] = done.value
-                del trials[k]
-    return out
-
-
 def _match_bracket(variant: str, ball_deficit: float, n: int, R: float,
-                   eps: float, vol_tol: float | None = None):
-    """(delta_max, vol_tol, hard_cap, bound) of a volume match; see
-    ``volume_match``."""
+                   eps: float) -> tuple[float, float, float]:
+    """(delta_max, hard_cap, bound) of a volume match; see ``volume_match``.
+
+    The bracket starts at four times (1 + 2 eps) |B|_g / omega_{N-1}, or
+    / (omega_{N-1} (R - 1)) for the rotation.  The cylinder's bound is nan,
+    so never met, where its denominator is not positive.
+    """
     if variant not in ("cylinder", "rotation"):
         raise ValueError("variant must be 'cylinder' or 'rotation'")
     omega1 = unit_ball_volume(n - 1)
-    vol_tol = VOLUME_RTOL * ball_deficit if vol_tol is None else vol_tol
-    denom = omega1 if variant == "cylinder" else omega1 * max(R - 1.0, 1e-9)
-    bound = (1.0 + 2.0 * eps) * ball_deficit / denom
-    hard_cap = 0.9 * (R - 1.0) if variant == "cylinder" else 0.45 * math.pi
-    delta_max = max(4.0 * bound, 1e-300)
-    return delta_max, vol_tol, hard_cap, bound
+    slack = (1.0 + 2.0 * eps) * ball_deficit
+    if variant == "cylinder":
+        start, hard_cap = omega1, 0.9 * (R - 1.0)
+        denom = omega1 - n * unit_ball_volume(n) / (2.0 * R)
+    else:
+        start = denom = omega1 * max(R - 1.0, 1e-9)
+        hard_cap = 0.45 * math.pi
+    bound = slack / denom if denom > 0.0 else math.nan
+    return max(4.0 * slack / start, 1e-300), hard_cap, bound
 
 
 def volume_match(variant: str, gap, ball_deficit: float, n: int, R: float,
@@ -385,11 +288,23 @@ def volume_match(variant: str, gap, ball_deficit: float, n: int, R: float,
     small deficits.  The a-priori bound on the matched delta is checked per
     variant:
 
-        cylinder:  delta <= (1 + 2 eps) |B|_g / omega_{N-1}
+        cylinder:  delta <= (1 + 2 eps) |B|_g / (omega_{N-1} - N omega_N / (2R))
+                   for R > N omega_N / (2 omega_{N-1}); below it bound_ok is False
         rotation:  delta <= (1 + 2 eps) |B|_g / (omega_{N-1} (R - 1))
+
+    The cylinder set of height delta adds the cylinder, omega_{N-1} delta,
+    and loses omega_N (1 - k^N) / 2 of the near half-ball shrunk by
+    k = (R - delta)/R (``shrink_terms``); by Bernoulli's inequality
+    1 - k^N <= N (1 - k) = N delta / R.  At the match that Euclidean excess
+    equals the set's deficit volume, at most (1 + 2 eps) |B|_g, so
+
+        (omega_{N-1} - N omega_N / (2R)) delta
+            <= omega_{N-1} delta - omega_N (1 - k^N) / 2 <= (1 + 2 eps) |B|_g,
+
+    which tends to the bound without the shrink term as R -> infinity.
     """
-    delta_max, vol_tol, hard_cap, bound = _match_bracket(
-        variant, ball_deficit, n, R, eps, vol_tol)
+    delta_max, hard_cap, bound = _match_bracket(variant, ball_deficit, n, R, eps)
+    vol_tol = VOLUME_RTOL * ball_deficit if vol_tol is None else vol_tol
     delta, res_gap, iters = _root_of_gap(gap, delta_max, vol_tol, hard_cap)
     bound_ok = delta <= bound * (1.0 + 1e-9)
     return VolumeMatch(delta, unit_ball_volume(n) + res_gap, iters, bound_ok,
@@ -506,6 +421,10 @@ def rotation_extension(cert: FarBallCertificate, d: Density,
                        eps: float = EPS, nodes: int = SPHERE_NODES) -> ExtensionResult:
     """Volume-matched rotation-swept set for radial weights.
 
+    The sweep is matched on the closed-form gap of ``spectral.SweepSpectrum``
+    at the one angle 0 (a radial deficit is constant in the sweep angle, so
+    two samples per disk node resolve it); the volume gap and perimeter
+    margin of the matched set are then integrated over its patch list.
     Verifies the rotation-invariance identity on the swept hemisphere, the
     perimeter chain P_f(E) <= P_f(B) + (N-1) omega_{N-1} (R+1) delta, and the
     final mean-density bound.
@@ -515,15 +434,17 @@ def rotation_extension(cert: FarBallCertificate, d: Density,
     n, R = d.dim, cert.R
     theta = np.array(cert.theta) if cert.theta is not None else np.eye(n)[0]
     plane = frame_from_axis(theta)
-    pieces = _SweptPieces(d, R, plane, nodes)
-    match = volume_match("rotation", pieces.gap_function(0.0), pieces.ball_g(0.0),
-                         n, R, eps)
+    spectrum = SweepSpectrum(deficit_weight(d), n, R, plane, 1, nodes)
+    ball = float(spectrum.balls([0.0])[0][0])
+    match = volume_match("rotation", spectrum.gap(0.0, ball), ball, n, R, eps)
     delta = match.delta_bar
     E = (RotationSwept(dim=n, offset=R, delta=delta, direction=tuple(theta),
                        sweep=tuple(plane[:, 1]))
          if delta > 0.0 else PlainBall(dim=n, offset=R, direction=tuple(theta)))
-    margin = pieces.perimeter_margin(0.0, delta)
+    margin, gap = _swept_certificate(d, R, plane, 0.0, delta, nodes)
+    match = replace(match, achieved_volume=unit_ball_volume(n) + gap, gap=gap)
     # rotation invariance of the swept hemisphere under a radial weight
+    pieces = _SweptPieces(d, R, plane, nodes)
     half_area = 0.5 * unit_sphere_area(n)
     upper0 = half_area - pieces.hemisphere_g(0.0, upper=True)
     upper1 = half_area - pieces.hemisphere_g(delta, upper=True)
@@ -595,15 +516,16 @@ def sweep_advance_map(d: Density, R: float, plane: np.ndarray,
                       nodes: int = SPHERE_NODES) -> SweepAdvanceMap:
     """Per-direction volume matching on the working circle.
 
-    For each grid angle the sweep is matched to volume omega_N at the
-    tolerance ``VOLUME_RTOL * |B^theta|_g``, with the bracket and root
-    search of ``volume_match``; only angles whose base ball has a vanished
-    deficit (``|B^theta|_g <= DEGENERACY_TOL``) advance by zero.  All angles
-    are matched in lockstep: the base balls and trailing half-balls are
-    measured in one batched scan each, and every round of the root searches
-    measures the leading half-balls and swept wedges of the angles still
-    running in one batched scan.  The advances equal per-angle matches bit
-    for bit.  The matched advance obeys
+    One ``spectral.SweepSpectrum`` samples the deficit on the meridian disk
+    times a uniform grid in the sweep angle and gives |B^theta|_g at every
+    grid angle and each angle's volume gap delta -> V_f(E) - omega_N in
+    closed form, as Fourier shifts.  Each angle's gap goes to
+    ``volume_match``, at the tolerance ``VOLUME_RTOL * |B^theta|_g``; only
+    angles whose base ball has a vanished deficit
+    (``|B^theta|_g <= DEGENERACY_TOL``) advance by zero.  Each advance's
+    error estimate is its root residual plus the engine's estimate of the
+    gap there (every other sweep-angle sample, half the disk nodes, the
+    rounding floor), over the gap's mean slope.  The matched advance obeys
     delta(theta) <= (1 + 3 eps) |B^theta|_g / (omega_{N-1}(R-1))
     (checked downstream); difference quotients of the resulting map are the
     measured Lipschitz data.
@@ -612,23 +534,23 @@ def sweep_advance_map(d: Density, R: float, plane: np.ndarray,
         raise ValueError("plane must have two columns")
     n = d.dim
     frame = frame_from_axis(plane[:, 0], plane[:, 1])
-    pieces = _SweptPieces(d, R, frame, nodes)
+    spectrum = SweepSpectrum(deficit_weight(d), n, R, frame, grid, nodes)
     theta = 2.0 * math.pi * np.arange(grid) / grid
-    ball_gs = pieces.balls_g(theta)
-    advance = np.zeros(grid)
-    live = np.nonzero(ball_gs > DEGENERACY_TOL)[0]
-    if live.size:
-        base = theta[live]
-        trailing = pieces.half_balls_g(base, upper=False)
-        searches = [_root_steps(*_match_bracket("rotation", float(ball_gs[i]),
-                                                n, R, eps)[:3])
-                    for i in live]
-        roots = _lockstep_roots(searches, lambda k, deltas: pieces.volume_gaps(
-            base[k], deltas, trailing[k]))
-        advance[live] = [delta for delta, _, _ in roots]
+    ball_gs, _ = spectrum.balls(theta)
+    advance, residual = np.zeros(grid), np.zeros(grid)
+    for i in np.nonzero(ball_gs > DEGENERACY_TOL)[0]:
+        ball = float(ball_gs[i])
+        match = volume_match("rotation", spectrum.gap(float(theta[i]), ball),
+                             ball, n, R, eps)
+        advance[i], residual[i] = match.delta_bar, match.gap
+    _, gap_error = spectrum.volume_gaps(theta, advance)
+    moved = advance > 0.0
+    slope = np.full(grid, swept_excess(n, R, 1.0)[1])
+    slope[moved] = (residual[moved] + ball_gs[moved]) / advance[moved]
     mapped = theta + advance
     sam = SweepAdvanceMap(tuple(theta), tuple(advance), tuple(mapped),
-                          0.0, 0.0, eps, R, tuple(ball_gs))
+                          0.0, 0.0, eps, R, tuple(ball_gs),
+                          tuple((np.abs(residual) + gap_error) / slope))
     q = sam.quotients()
     return replace(sam, lipschitz_lo=float(q.min()),
                    lipschitz_hi=float(q.max()))
@@ -643,8 +565,8 @@ def select_sweep_direction(d: Density, R: float, plane: np.ndarray,
     H_g(trailing hemisphere at the base angle) - (1 - eps)(N - eps)|B|_g; the
     change-of-variables estimate guarantees a nonnegative maximum on a fine
     enough grid.  The trailing and the leading hemispheres of all angles are
-    measured in two batched scans.  The winning swept set is volume-checked
-    and its perimeter margin assembled in deficit space.
+    measured in two batched scans.  The winning swept set's volume gap and
+    perimeter margin are integrated over its patch list, in deficit space.
     """
     n = d.dim
     frame = frame_from_axis(plane[:, 0], plane[:, 1])
@@ -672,8 +594,7 @@ def select_sweep_direction(d: Density, R: float, plane: np.ndarray,
                         for v in circle_point(frame, phi))
     E = (RotationSwept(dim=n, offset=R, delta=delta, direction=direction, sweep=sweep)
          if delta > 0.0 else PlainBall(dim=n, offset=R, direction=direction))
-    margin = pieces.perimeter_margin(phi, delta)
-    gap = pieces.volume_gap(phi, delta)
+    margin, gap = _swept_certificate(d, R, frame, phi, delta, nodes)
     # a-priori advance bound at the winning angle
     denom = unit_ball_volume(n - 1) * max(R - 1.0, 1e-9)
     bound = (1.0 + 3.0 * eps) * ball_gs[best] / denom

@@ -640,13 +640,11 @@ def moved_grid_integrals(fn, pts, w, centers, rots=None) -> np.ndarray:
     return _chunked_integrals(fn, len(centers), len(w), points, lambda i: w)
 
 
-def swept_integrals(fn, n: int, R: float, phi_lo, phi_hi, frame, section,
+def swept_integrals(fn, n: int, R: float, phi_lo, phi_hi, frame,
                     nodes: int) -> np.ndarray:
-    """integral(fn) over the meridian ``section`` swept from phi_lo[i] to
-    phi_hi[i] and mapped by ``frame``, for each i: with the meridian circle
-    ``sphere_grid(n - 1, nodes, nodes)`` the band ``swept_band_patch``, with
-    the meridian disk ``ball_grid(n - 1, radial_nodes, nodes, nodes)`` the
-    wedge ``swept_wedge_patch``, bit for bit.
+    """integral(fn) over the meridian circle swept from phi_lo[i] to
+    phi_hi[i] and mapped by ``frame``, for each i: the band
+    ``swept_band_patch``, bit for bit.
 
     The Gauss rules in the sweep angle of all items are built from one
     reference rule elementwise, one row per item; an item's weights are
@@ -655,15 +653,15 @@ def swept_integrals(fn, n: int, R: float, phi_lo, phi_hi, frame, section,
     lo = np.asarray(phi_lo, dtype=float)[:, None]
     hi = np.asarray(phi_hi, dtype=float)[:, None]
     phi, wp = gauss_nodes(lo, hi, max(8, nodes // 4))
-    rho_v, w_section = section
-    w_factor = np.tile(R + rho_v[:, 0], phi.shape[1])
+    circle, w_circle = sphere_band_grid(n - 1, *_WHOLE, nodes, nodes)
+    w_factor = np.tile(R + circle[:, 0], phi.shape[1])
     place = _swept_place(n, R)
 
     def points(i, j):
-        return place(phi[i:j].reshape(-1, 1), rho_v[None])[0] @ frame.T
+        return place(phi[i:j].reshape(-1, 1), circle[None])[0] @ frame.T
 
     def weights(i):
-        return (wp[i][:, None] * w_section[None, :]).ravel() * w_factor
+        return (wp[i][:, None] * w_circle[None, :]).ravel() * w_factor
     return _chunked_integrals(fn, len(phi), w_factor.size, points, weights)
 
 

@@ -1,0 +1,252 @@
+"""The deficit on the working circle's swept region as Fourier series in the
+sweep angle: every ball, half-ball and wedge of the circle at once.
+
+Cylindrical coordinates about the working plane (spanned by the first two
+columns of ``frame``) write a point as s (cos psi e_1 + sin psi e_2) + z,
+with z in the span of the other columns.  The unit ball centred at angle
+phi on the circle of radius R is then
+
+    {(s, z) in D, |psi - phi| <= gamma(s, z)},
+    sin(gamma / 2) = sqrt(1 - rho^2) / (2 sqrt(R s)),
+
+where D is the meridian disk, the unit disk about (R, 0) in the (s, z)
+half-space, and rho the distance of (s, z) from (R, 0).  Its half-balls
+split by the sweep plane are psi in [phi - gamma, phi] (trailing) and
+[phi, phi + gamma] (leading), and the wedge swept from phi to phi + delta is
+psi in [phi, phi + delta] over D: every solid piece of
+``measures.swept_patches`` is a psi-interval integral at fixed (s, z),
+weighted by the Jacobian s.
+
+So the deficit is sampled once: at the nodes of D, times a uniform grid of
+M angles psi.  One FFT per disk node gives its trigonometric interpolant in
+psi, and the pieces at any angle are closed-form Fourier shifts of the
+per-mode sums over the nodes (``_Modes``).  D is ``ball_grid(N - 1)``'s
+section with its radius substituted, rho = sin(tau) with Gauss nodes in
+tau: gamma has a square-root edge at rho = 1, and the substitution makes the
+integrand smooth (Gauss in rho itself converges algebraically).
+
+Error estimates are computed from two coarser rules on the same samples or
+grids: every other psi sample, and half the disk nodes.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .defaults import (BALL_CHUNK_POINTS, GRID_REFINE, RADIAL_NODES,
+                       REFINE_ROUNDS, SPHERE_NODES, VOLUME_RTOL)
+from .measures import swept_excess
+from .quadrature import gauss_nodes, sphere_grid
+
+HALF_PI = math.pi / 2
+ULP = np.finfo(float).eps
+
+
+def _powers(angle, count: int) -> np.ndarray:
+    """e^{ik angle} for k = 0, ..., count - 1 along a new last axis, by
+    repeated multiplication: the rounding of mode k grows like k ulps."""
+    angle = np.asarray(angle, dtype=float)
+    z = np.empty(angle.shape + (count,), dtype=complex)
+    z[..., 0] = 1.0
+    z[..., 1:] = np.exp(1j * angle)[..., None]
+    return np.cumprod(z, axis=-1, out=z)
+
+
+def _shift(width, count: int) -> np.ndarray:
+    """(e^{ik width} - 1) / (ik) for k = 0, ..., count - 1 along a new last
+    axis, width at k = 0, formed without cancellation as
+    e^{ik width/2} 2 sin(k width/2) / k."""
+    width = np.asarray(width, dtype=float)[..., None]
+    half = _powers(0.5 * width[..., 0], count)
+    k = np.arange(count)
+    return half * (2.0 * half.imag / np.maximum(k, 1) + (k == 0) * width)
+
+
+@dataclass(frozen=True)
+class _Modes:
+    """Per-mode sums over the disk nodes of one quadrature rule.
+
+    For each Fourier mode k >= 0 of the psi samples at a node, the mode's
+    coefficient times the node's weight (Jacobian s included) times a psi
+    kernel, summed over the nodes: 1 for ``wedge``, the shift by gamma,
+    ``_shift(gamma, ...)``, for ``lead`` and its conjugate for ``trail``.  The
+    factor 2 of the conjugate mode -k is folded in (1 at k = 0 and at the
+    Nyquist mode), so a piece at angle phi is Re sum_k X_k e^{ik phi}.
+    ``nodes`` is the number of disk nodes summed.
+    """
+
+    nodes: int
+    k: np.ndarray
+    wedge: np.ndarray
+    lead: np.ndarray
+    trail: np.ndarray
+
+    def terms(self, pieces, phis, deltas=None) -> np.ndarray:
+        """The terms X_k e^{ik phi} of the sum of ``pieces`` at each angle,
+        one row each.
+
+        ``lead``, ``trail``: the half-balls [phi, phi + gamma] and
+        [phi - gamma, phi]; ``wedge``: [phi, phi + delta]; ``extend``:
+        [phi + gamma, phi + gamma + delta], which a sweep by delta adds to
+        the ball at phi.
+        """
+        k = self.k
+        X = sum(getattr(self, p) for p in pieces if p in ("lead", "trail"))
+        moving = [self.wedge if p == "wedge" else self.extend()
+                  for p in pieces if p in ("wedge", "extend")]
+        if moving:
+            X = X + sum(moving) * _shift(deltas, k.size)
+        return X * _powers(phis, k.size)
+
+    def extend(self) -> np.ndarray:
+        """Mode sums of the shift by gamma + delta minus the shift by gamma:
+        e^{ik gamma} = 1 + ik (e^{ik gamma} - 1)/(ik)."""
+        return self.wedge + 1j * self.k * self.lead
+
+
+def _disk(n: int, R: float, nodes: int, radial_nodes: int):
+    """Nodes (s, z), weights (Jacobian s included) and half-widths gamma of
+    the meridian disk, with rho = sin(tau) and Gauss nodes in tau."""
+    tau, wt = gauss_nodes(0.0, HALF_PI, radial_nodes)
+    v, wv = sphere_grid(n - 1, nodes, nodes)
+    rho, cos_tau = np.sin(tau), np.cos(tau)
+    sz = (rho[:, None, None] * v[None]).reshape(-1, n - 1)
+    sz[:, 0] += R
+    w = ((wt * cos_tau * rho ** (n - 2))[:, None] * wv[None]).ravel() * sz[:, 0]
+    half_sin = np.repeat(cos_tau, len(v)) / (2.0 * np.sqrt(R * sz[:, 0]))
+    return sz, w, 2.0 * np.arcsin(np.minimum(half_sin, 1.0))
+
+
+def _mode_sums(g, frame, disk, M: int, every_other: bool) -> list[_Modes]:
+    """The ``_Modes`` of the M-sample psi rule on ``disk`` and, with
+    ``every_other``, of the M/2-sample rule on the same samples.
+
+    The weight sees at most ``BALL_CHUNK_POINTS`` points per call (one disk
+    node if M is larger); each chunk's coefficients are reduced into the
+    per-mode sums, so memory stays that of one chunk.
+    """
+    sz, w, gamma = disk
+    n = frame.shape[0]
+    psi = 2.0 * math.pi * np.arange(M) / M
+    # the circle of radius 1 in the working plane, and each node's offset z
+    ring = np.cos(psi)[:, None] * frame[:, 0] + np.sin(psi)[:, None] * frame[:, 1]
+    offset = np.add.reduce(sz[:, 1:, None] * frame[:, 2:].T[None], axis=1)
+    rules = [(M, slice(None))] + ([(M // 2, slice(None, None, 2))] if every_other else [])
+    sums = [[np.zeros(m // 2 + 1, dtype=complex) for _ in range(3)] for m, _ in rules]
+    step = max(1, BALL_CHUNK_POINTS // M)
+    for i in range(0, len(w), step):
+        j = min(i + step, len(w))
+        pts = sz[i:j, 0, None, None] * ring[None] + offset[i:j, None, :]
+        vals = np.asarray(g(pts.reshape(-1, n)), dtype=float).reshape(j - i, M)
+        for (m, pick), acc in zip(rules, sums):
+            coef = np.fft.rfft(vals[:, pick], axis=1) * (w[i:j, None] / m)
+            lead = _shift(gamma[i:j], m // 2 + 1)
+            for total, kernel in zip(acc, (1.0, lead, np.conj(lead))):
+                total += np.add.reduce(coef * kernel, axis=0)
+    out = []
+    for (m, _), acc in zip(rules, sums):
+        fold = np.full(m // 2 + 1, 2.0)
+        fold[0] = 1.0
+        if m % 2 == 0:
+            fold[-1] = 1.0
+        out.append(_Modes(len(w), np.arange(m // 2 + 1), *(fold * x for x in acc)))
+    return out
+
+
+def _evaluate(modes: _Modes, pieces, phis, deltas=None):
+    """(values, rounding floors) of the sum of ``pieces`` at each angle, in
+    chunks of angles of at most ``BALL_CHUNK_POINTS`` terms.  The floor is
+    the worst-case rounding of a sum of as many terms as there are disk
+    nodes and modes, times the sum of the terms' moduli."""
+    phis = np.atleast_1d(np.asarray(phis, dtype=float))
+    deltas = None if deltas is None else np.broadcast_to(deltas, phis.shape)
+    values, floors = np.empty(phis.size), np.empty(phis.size)
+    step = max(1, BALL_CHUNK_POINTS // modes.k.size)
+    for i in range(0, phis.size, step):
+        j = min(i + step, phis.size)
+        terms = modes.terms(pieces, phis[i:j], None if deltas is None else deltas[i:j])
+        values[i:j] = np.add.reduce(terms.real, axis=1)
+        floors[i:j] = (ULP * (modes.nodes + modes.k.size)
+                       * np.add.reduce(np.abs(terms), axis=1))
+    return values, floors
+
+
+class SweepSpectrum:
+    """Balls, half-balls, wedges and volume gaps of the swept sets on the
+    circle of radius R in the plane of ``frame``'s first two columns.
+
+    The psi grid is the smallest even multiple of ``grid`` (the circle grid
+    whose angles are evaluated).  It is checked against its every-other
+    sample rule at the grid angles: where the two balls differ by more than
+    ``VOLUME_RTOL`` times the ball plus the rounding floor, the grid is
+    refined by ``GRID_REFINE``, at most ``REFINE_ROUNDS`` times, before an
+    error that names it.  Each value comes with an error estimate: its
+    differences from the every-other psi rule and from the rule with half
+    the disk nodes, plus the rounding floor of its Fourier sum.
+    """
+
+    def __init__(self, g, n: int, R: float, frame: np.ndarray, grid: int = 1,
+                 nodes: int = SPHERE_NODES, radial_nodes: int = RADIAL_NODES):
+        self.n, self.R = n, R
+        disk = _disk(n, R, nodes, radial_nodes)
+        theta = 2.0 * math.pi * np.arange(grid) / grid
+        M = grid if grid % 2 == 0 else 2 * grid
+        for rounds in range(REFINE_ROUNDS + 1):
+            full, alias = _mode_sums(g, frame, disk, M, every_other=True)
+            ball, floor = _evaluate(full, ("lead", "trail"), theta)
+            coarse, _ = _evaluate(alias, ("lead", "trail"), theta)
+            if np.all(np.abs(coarse - ball) <= VOLUME_RTOL * np.abs(ball) + floor):
+                break
+            if rounds == REFINE_ROUNDS:
+                worst = int(np.argmax(np.abs(coarse - ball) / (np.abs(ball) + floor)))
+                raise RuntimeError(
+                    f"psi grid of {M} samples does not resolve the deficit: at "
+                    f"angle {theta[worst]:.6g} its ball {ball[worst]:.6e} and the "
+                    f"every-other-sample rule's {coarse[worst]:.6e} differ by more "
+                    f"than VOLUME_RTOL after {REFINE_ROUNDS} refinements")
+            M *= GRID_REFINE
+        self.modes, self.psi_samples = full, M
+        half = _disk(n, R, max(1, nodes // 2), max(1, radial_nodes // 2))
+        self.coarse = (alias, _mode_sums(g, frame, half, M, every_other=False)[0])
+
+    def _integrals(self, pieces, phis, deltas=None):
+        """(values, error estimates) of the sum of ``pieces`` at each angle."""
+        values, error = _evaluate(self.modes, pieces, phis, deltas)
+        for modes in self.coarse:
+            error += np.abs(_evaluate(modes, pieces, phis, deltas)[0] - values)
+        return values, error
+
+    def balls(self, phis):
+        """|B^phi|_g at each angle, with error estimates."""
+        return self._integrals(("lead", "trail"), phis)
+
+    def half_balls(self, phis, upper: bool):
+        """g-volumes of the leading (``upper``) or trailing half-balls."""
+        return self._integrals(("lead",) if upper else ("trail",), phis)
+
+    def wedges(self, phis, deltas):
+        """g-volumes of the wedges swept from phis[i] to phis[i] + deltas[i]."""
+        return self._integrals(("wedge",), phis, deltas)
+
+    def volume_gaps(self, phis, deltas):
+        """V_f(E) - omega_N of the sets based at phis[i] with sweep deltas[i],
+        with error estimates: the excess minus |B^phi|_g and the added
+        [phi + gamma, phi + gamma + delta] piece."""
+        values, error = self._integrals(("lead", "trail", "extend"), phis, deltas)
+        return swept_excess(self.n, self.R, np.asarray(deltas))[1] - values, error
+
+    def gap(self, phi: float, ball: float):
+        """delta -> V_f(E) - omega_N for the set based at phi, whose ball has
+        g-volume ``ball`` (from ``balls``), in closed form: the Fourier terms
+        at phi are formed once, and each evaluation only shifts them by
+        delta."""
+        count = self.modes.k.size
+        at_phi = self.modes.extend() * _powers(phi, count)
+
+        def gap(delta: float) -> float:
+            added = np.add.reduce((at_phi * _shift(delta, count)).real)
+            return float(swept_excess(self.n, self.R, delta)[1] - ball - added)
+        return gap

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,16 +14,19 @@ from isoplab import (Density, build_competitor, cylinder_extension,
 import isoplab.competitor
 import isoplab.measures
 import isoplab.quadrature
+import isoplab.spectral
 from isoplab import (ExtensionResult, PlainBall, RotationSwept, VolumeMatch,
                      mean_density, weighted_ball_measures)
 from isoplab.competitor import (_complement_in, _CylinderPieces,
-                                _lockstep_roots, _root_of_gap, _root_steps,
-                                _SweptPieces, monte_carlo_check)
+                                _root_of_gap, _SweptPieces,
+                                monte_carlo_check)
+from isoplab.defaults import VOLUME_RTOL
 from isoplab.density import deficit_weight
 from isoplab.measures import (ball_cap_patch, set_patches, sphere_cap_patch,
                               swept_band_patch, swept_patches,
                               swept_wedge_patch)
 from isoplab.quadrature import sphere_grid
+from isoplab.spectral import ULP, SweepSpectrum
 
 
 def smooth_bump(u):
@@ -65,9 +69,10 @@ def right_half_bump_density(R, amp=0.2):
 
 
 def test_volume_match_zero_deficit(const2):
-    pieces = _SweptPieces(const2, 10.0, np.eye(2))
-    match = volume_match("rotation", lambda d: pieces.volume_gap(0.0, d),
-                         pieces.ball_g(0.0), 2, 10.0, 0.05)
+    spectrum = SweepSpectrum(deficit_weight(const2), 2, 10.0, np.eye(2))
+    ball = float(spectrum.balls([0.0])[0][0])
+    assert ball == 0.0
+    match = volume_match("rotation", spectrum.gap(0.0, ball), ball, 2, 10.0, 0.05)
     assert match.delta_bar == 0.0
     assert match.iterations == 0
 
@@ -92,37 +97,19 @@ def test_root_of_gap_safeguarded(gap, root, max_iters):
     assert iters <= max_iters
 
 
-def test_lockstep_roots_match_one_at_a_time():
-    # the three shapes stop after different numbers of rounds; each round
-    # evaluates only the searches still running, in ascending order
-    gaps = [gap for gap, _, _ in GAP_SHAPES]
-    tols = [1e-6 * abs(gap(0.0)) for gap in gaps]
-    rounds = []
-
-    def batch(k, deltas):
-        rounds.append(k.tolist())
-        return np.array([gaps[i](x) for i, x in zip(k, deltas)])
-    searches = [_root_steps(1.0, tol, 10.0) for tol in tols]
-    together = _lockstep_roots(searches, batch)
-    alone = [_root_of_gap(gap, 1.0, tol, 10.0) for gap, tol in zip(gaps, tols)]
-    assert together == alone
-    assert len({iters for _, _, iters in alone}) == 3
-    assert rounds[0] == [0, 1, 2] and rounds[-1] == [1]
-    assert all(r == sorted(r) for r in rounds)
-
-
 def test_volume_match_rotation_exact_identity():
     # deficit entirely behind the sweep: the matched angle is exactly
     # (deficit volume) / (2 R) in the plane
     R = 10.0
     d = lower_half_bump_density(R)
-    pieces = _SweptPieces(d, R, np.eye(2), nodes=96, radial_nodes=96)
+    g = deficit_weight(d)
+
+    def gap(delta):
+        return swept_patches(2, R, delta, np.eye(2), 0.0, 96, 96).volume_gap(g)
     # the matched gap uses the half-ball quadratures, so the oracle G does too
-    G = (pieces.half_ball_g(0.0, upper=False)
-         + pieces.half_ball_g(0.0, upper=True))
+    G = -gap(0.0)
     assert G > 1e-4
-    match = volume_match("rotation", lambda dd: pieces.volume_gap(0.0, dd),
-                         G, 2, R, 0.05, vol_tol=1e-12)
+    match = volume_match("rotation", gap, G, 2, R, 0.05, vol_tol=1e-12)
     assert match.delta_bar == pytest.approx(G / (2.0 * R), rel=1e-7)
     assert abs(match.gap) <= 1e-12
 
@@ -367,19 +354,46 @@ def test_select_working_circle_matches_exhaustive_scan(monkeypatch):
     assert np.array_equal(plane, _working_circle_exhaustive(d, R, eps, **options))
 
 
+def _estimated(refs, piece, *args):
+    """A one-patch reference at each of the argument rows and its error
+    estimate: the node-halving difference (``refs[1]`` has half the nodes
+    of ``refs[0]``) plus the worst-case rounding of a patch's sum of
+    nonnegative terms, points x ulp x value."""
+    values = [np.array([piece(ref, *row) for row in zip(*args)]) for ref in refs]
+    floor = ULP * refs[0].points * np.abs(values[0])
+    return values[0], np.abs(values[0] - values[1]) + floor
+
+
+def _half_balls(ref, phi, upper):
+    return ref.half_ball_g(float(phi), upper)
+
+
+def _ball_estimates(d, R, phis, nodes, radial_nodes):
+    """|B^phi|_g of one-patch half-balls and its error estimate."""
+    refs = [_PerAngleSweptPieces(d, R, np.eye(2), nn, rn)
+            for nn, rn in ((nodes, radial_nodes), (nodes // 2, radial_nodes // 2))]
+    halves = [_estimated(refs, partial(_half_balls, upper=upper), phis)
+              for upper in (False, True)]
+    return halves[0][0] + halves[1][0], halves[0][1] + halves[1][1]
+
+
 def test_select_sweep_direction_recorded_ball_deficits():
     d = density_from_config({"family": "angular_mod", "dim": 2, "a": 1.0,
                              "params": {"eta": 0.5, "k": 1, "c": 0.5}})
     R, eps = 12.0, 0.05
     sam = sweep_advance_map(d, R, np.eye(2), grid=24, eps=eps, nodes=32)
-    pieces = _SweptPieces(d, R, np.eye(2), 32)
-    recomputed = tuple(pieces.ball_g(float(phi)) for phi in sam.theta)
-    assert np.array_equal(sam.ball_deficit, recomputed)
+    balls, error = SweepSpectrum(deficit_weight(d), 2, R, np.eye(2), 24,
+                                 32).balls(sam.theta)
+    assert np.array_equal(sam.ball_deficit, balls)
+    recomputed, ref_error = _ball_estimates(d, R, sam.theta, 32, 64)
+    assert np.all(np.abs(balls - recomputed) <= error + ref_error)
     recorded = select_sweep_direction(d, R, np.eye(2), sam, eps=eps, nodes=32)
-    again = select_sweep_direction(d, R, np.eye(2),
-                                   dataclasses.replace(sam, ball_deficit=recomputed),
-                                   eps=eps, nodes=32)
-    assert recorded == again
+    again = select_sweep_direction(
+        d, R, np.eye(2), dataclasses.replace(sam, ball_deficit=tuple(recomputed)),
+        eps=eps, nodes=32)
+    assert recorded[0] == again[0]
+    assert recorded[1].E == again[1].E
+    assert recorded[1].perimeter_margin == again[1].perimeter_margin
 
 
 def test_monte_carlo_check_rounding_floor(exp3):
@@ -503,13 +517,17 @@ class _PerAngleSweptPieces:
         self.g = deficit_weight(d)
         self.omega1 = unit_ball_volume(self.n - 1)
 
+    def _integral(self, pts, w):
+        """g over one patch; ``points`` keeps the patch's size."""
+        self.points = w.size
+        return float(np.asarray(self.g(pts)) @ w)
+
     def _cap(self, patch, phi, upper, *nodes):
         lo, hi = (0.0, math.pi / 2) if upper else (math.pi / 2, math.pi)
         F = self.frame
         center = self.R * (math.cos(phi) * F[:, 0] + math.sin(phi) * F[:, 1])
         axis = -math.sin(phi) * F[:, 0] + math.cos(phi) * F[:, 1]
-        pts, w = patch(self.n, 1.0, center, axis, lo, hi, *nodes)
-        return float(np.asarray(self.g(pts)) @ w)
+        return self._integral(*patch(self.n, 1.0, center, axis, lo, hi, *nodes))
 
     def half_ball_g(self, phi, upper):
         return self._cap(ball_cap_patch, phi, upper, self.radial_nodes,
@@ -523,13 +541,13 @@ class _PerAngleSweptPieces:
             return 0.0
         pts, w = swept_wedge_patch(self.n, self.R, phi, phi + delta,
                                    self.radial_nodes, self.nodes)
-        return float(np.asarray(self.g(pts @ self.frame.T)) @ w)
+        return self._integral(pts @ self.frame.T, w)
 
     def band_g(self, phi, delta):
         if delta <= 0.0:
             return 0.0
         pts, w = swept_band_patch(self.n, self.R, phi, phi + delta, self.nodes)
-        return float(np.asarray(self.g(pts @ self.frame.T)) @ w)
+        return self._integral(pts @ self.frame.T, w)
 
     def gap_function(self, phi):
         trailing = self.half_ball_g(phi, upper=False)
@@ -548,18 +566,24 @@ class _PerAngleSweptPieces:
 
 
 def _advance_by_angle(d, R, grid, eps, nodes):
-    """The advance map matched one angle at a time by ``volume_match``."""
+    """The advance map matched one angle at a time by ``volume_match`` on
+    one-patch gaps, and each advance's error estimate: its root residual
+    plus the node-halving difference of the gap there, over the gap's mean
+    slope."""
     pieces = _PerAngleSweptPieces(d, R, np.eye(2), nodes)
+    half = _PerAngleSweptPieces(d, R, np.eye(2), nodes // 2, 32)
     theta = 2.0 * math.pi * np.arange(grid) / grid
-    ball_gs = isoplab.competitor._SweptPieces(d, R, np.eye(2), nodes).balls_g(theta)
-    advance = np.zeros(grid)
+    advance, error = np.zeros(grid), np.zeros(grid)
     for i, phi in enumerate(theta):
-        if ball_gs[i] <= 0.0:
-            continue
-        match = volume_match("rotation", pieces.gap_function(float(phi)),
-                             float(ball_gs[i]), d.dim, R, eps)
-        advance[i] = match.delta_bar
-    return tuple(advance)
+        gap = pieces.gap_function(float(phi))
+        ball = -gap(0.0)
+        match = volume_match("rotation", gap, ball, d.dim, R, eps)
+        delta = advance[i] = match.delta_bar
+        halving = abs(half.gap_function(float(phi))(delta) - match.gap)
+        # the gap sums about 2 |B|_g of nonnegative patch terms
+        floor = ULP * pieces.points * 2.0 * ball
+        error[i] = (abs(match.gap) + halving + floor) * delta / (match.gap + ball)
+    return advance, error
 
 
 def _sweep_direction_by_angle(d, R, sam, eps, nodes):
@@ -594,14 +618,17 @@ def _sweep_direction_by_angle(d, R, sam, eps, nodes):
 
 
 @pytest.mark.parametrize("R", [12.0, 50.0])
-def test_lockstep_advance_map_matches_per_angle_matching(R):
-    # at R = 50 the advances (~1e-23) round away in phi + delta, so every
-    # trial of an angle reuses one memoised leading half-ball
+def test_advance_map_matches_per_angle_matching(R):
+    # the Fourier engine's advances against one-patch matching per angle,
+    # within the two error estimates; at R = 50 the advances are ~1e-23
     d = density_from_config({"family": "angular_mod", "dim": 2, "a": 1.0,
                              "params": {"eta": 0.5, "k": 1, "c": 0.5}})
     eps = 0.05
     sam = sweep_advance_map(d, R, np.eye(2), grid=48, eps=eps, nodes=48)
-    assert sam.advance == _advance_by_angle(d, R, 48, eps, 48)
+    reference, ref_error = _advance_by_angle(d, R, 48, eps, 48)
+    advance, error = np.array(sam.advance), np.array(sam.advance_error)
+    assert np.all(np.abs(advance - reference) <= error + ref_error)
+    assert np.all(error <= 1e-6 * advance)
     assert min(sam.advance) > 0.0
     batched = select_sweep_direction(d, R, np.eye(2), sam, eps=eps, nodes=48)
     assert batched == _sweep_direction_by_angle(d, R, sam, eps, 48)
@@ -623,33 +650,98 @@ def test_advance_map_far_deviation_resolved():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_batched_swept_pieces_match_single_patches(monkeypatch, n):
-    # a budget of 1100 points holds two 512-point half-balls or wedges and
-    # 17 hemispheres in N=3, or eight 128-point half-balls or wedges in N=2,
-    # so the twenty angles cross chunk boundaries
-    monkeypatch.setattr(isoplab.measures, "BALL_CHUNK_POINTS", 1100)
+    # a budget of 200 points holds twelve 16-point hemispheres or bands in
+    # N=2 and three 64-point ones in N=3, so the twenty angles cross chunk
+    # boundaries
+    monkeypatch.setattr(isoplab.measures, "BALL_CHUNK_POINTS", 200)
     d = density_from_config({"family": "angular_mod", "dim": n, "a": 1.0,
                              "params": {"eta": 0.5, "k": 1, "c": 0.5}})
     frame = isoplab.quadrature.frame_from_axis(np.linspace(1.0, 2.0, n),
                                                np.linspace(-1.0, 0.5, n))
     R = 6.0
-    pieces = _SweptPieces(d, R, frame, nodes=8, radial_nodes=8)
+    pieces = _SweptPieces(d, R, frame, nodes=8)
     single = _PerAngleSweptPieces(d, R, frame, nodes=8, radial_nodes=8)
     phis = np.linspace(0.0, 6.0, 20)
     deltas = np.where(np.arange(20) % 3 == 0, 0.0, 0.04)
     for upper in (False, True):
-        assert pieces.half_balls_g(phis, upper).tolist() == [
-            single.half_ball_g(float(phi), upper) for phi in phis]
         assert pieces.hemispheres_g(phis, upper).tolist() == [
             single.hemisphere_g(float(phi), upper) for phi in phis]
-    assert pieces.wedges_g(phis, deltas).tolist() == [
-        single.wedge_g(float(phi), float(delta))
-        for phi, delta in zip(phis, deltas)]
     assert pieces.bands_g(phis, deltas).tolist() == [
         single.band_g(float(phi), float(delta))
         for phi, delta in zip(phis, deltas)]
-    # the batched gap and margin are those of the one patch list of the set
-    for phi, delta in zip(phis[:4], deltas[:4]):
-        patches = swept_patches(n, R, float(delta), frame, float(phi), 8, 8)
-        assert pieces.volume_gap(phi, delta) == patches.volume_gap(pieces.g)
-        assert (pieces.perimeter_margin(phi, delta)
-                == patches.perimeter_margin(pieces.g))
+
+
+def _agrees(value, error, reference, ref_error):
+    """The engine's values agree with one-patch references within the two
+    error estimates, and its own estimate resolves the volume-matching
+    tolerance."""
+    return (np.all(np.abs(value - reference) <= error + ref_error)
+            and np.all(error <= VOLUME_RTOL * np.abs(value)))
+
+
+def _spectrum_agrees(d, R, grid, nodes=24, ref_nodes=16):
+    """Balls, half-balls and wedges of ``SweepSpectrum`` at 20 angles of a
+    tilted frame against ``_PerAngleSweptPieces`` at ``ref_nodes`` and half
+    as many."""
+    n = d.dim
+    frame = isoplab.quadrature.frame_from_axis(np.linspace(1.0, 2.0, n),
+                                               np.linspace(-1.0, 0.5, n))
+    spectrum = SweepSpectrum(deficit_weight(d), n, R, frame, grid, nodes, nodes)
+    refs = [_PerAngleSweptPieces(d, R, frame, m, m)
+            for m in (ref_nodes, ref_nodes // 2)]
+    phis = np.linspace(0.0, 6.0, 20)
+    deltas = np.full(20, 0.04)
+    halves = [_estimated(refs, partial(_half_balls, upper=upper), phis)
+              for upper in (False, True)]
+    checks = [(spectrum.half_balls(phis, upper), half)
+              for upper, half in zip((False, True), halves)]
+    checks.append((spectrum.balls(phis), (halves[0][0] + halves[1][0],
+                                          halves[0][1] + halves[1][1])))
+    checks.append((spectrum.wedges(phis, deltas),
+                   _estimated(refs, lambda ref, phi, delta: ref.wedge_g(phi, delta),
+                              phis, deltas)))
+    return spectrum, all(_agrees(*mine, *ref) for mine, ref in checks)
+
+
+@pytest.mark.parametrize("n, ref_nodes", [(2, 16), (3, 16), (4, 12)])
+@pytest.mark.parametrize("R", [6.0, 12.0, 50.0])
+def test_spectrum_agrees_with_patches(n, ref_nodes, R):
+    d = density_from_config({"family": "angular_mod", "dim": n, "a": 1.0,
+                             "params": {"eta": 0.5, "k": 1, "c": 0.5}})
+    _, ok = _spectrum_agrees(d, R, grid=20, ref_nodes=ref_nodes)
+    assert ok
+
+
+def test_spectrum_refines_psi_grid(monkeypatch):
+    # harmonic 30 in the sweep angle aliases on 48 samples and on their every
+    # other sample: the grid is refined until both rules resolve it, or the
+    # engine names the psi grid when refinement is not allowed
+    d = density_from_config({"family": "angular_mod", "dim": 2, "a": 1.0,
+                             "params": {"eta": 0.5, "k": 30, "c": 0.5}})
+    spectrum, ok = _spectrum_agrees(d, 6.0, grid=48)
+    assert ok
+    assert spectrum.psi_samples > 48
+    monkeypatch.setattr(isoplab.spectral, "REFINE_ROUNDS", 0)
+    with pytest.raises(RuntimeError, match="psi grid of 48 samples"):
+        SweepSpectrum(deficit_weight(d), 2, 6.0, np.eye(2), 48)
+
+
+@pytest.mark.parametrize("cfg, rel", [
+    ({"family": "radial_exp", "dim": 2, "a": 1.0, "params": {"c": 1.0}}, 1e-3),
+    ({"family": "radial_exp", "dim": 3, "a": 1.0, "params": {"c": 1.0}}, 1e-3),
+    # a deficit of ~1/121 along the cylinder moves the ratio by ~1%
+    ({"family": "radial_power", "dim": 2, "a": 1.0, "params": {"p": 2.0}}, 2e-2)])
+def test_cylinder_bound_counts_the_shrunk_half_ball(cfg, rel):
+    # the near half-ball shrunk by k = (R - delta)/R loses
+    # omega_N (1 - k^N) / 2 ~ N omega_N delta / (2R), so the matched height
+    # is |B|_g / (omega_{N-1} - N omega_N / (2R)) to first order in the
+    # deficit, which the bound without the shrink term misses at R = 10
+    d = density_from_config(cfg)
+    n, R, eps = d.dim, 10.0, 0.05
+    cert = select_direction(d, R, eps)
+    assert cert.R == R
+    ext = cylinder_extension(cert, d, eps)
+    assert ext.match.bound_ok
+    ball_g = -_CylinderPieces(d, R, np.eye(n)).volume_gap(0.0)
+    slope = unit_ball_volume(n - 1) - n * unit_ball_volume(n) / (2.0 * R)
+    assert ball_g / ext.match.delta_bar == pytest.approx(slope, rel=rel)
