@@ -41,14 +41,11 @@ from .farball import FarBallCertificate, find_far_radius
 from .measures import (CylinderExtended, MeasureResult, PlainBall,
                        RotationSwept, circle_point, cylinder_patches,
                        integrate_patches, mc_integrals, mean_density,
-                       moved_grid_integrals, set_measures, set_patches,
-                       shrink_terms, swept_excess, swept_integrals,
+                       set_measures, set_patches, shrink_terms, swept_excess,
                        swept_patches, weighted_ball_measures_at)
-from .quadrature import (frame_from_axis, sphere_band_grid, sphere_grid,
-                         unit_ball_volume, unit_sphere_area)
+from .quadrature import (frame_from_axis, sphere_grid, unit_ball_volume,
+                         unit_sphere_area)
 from .spectral import SweepSpectrum
-
-HALF_PI = math.pi / 2
 
 
 @dataclass(frozen=True)
@@ -74,13 +71,15 @@ class SweepAdvanceMap:
     map must stay within [1 - eps, 1/(1 - eps)] for large enough offsets.
     Far out the advances (~1e-23 at offset 50) round away in theta + advance
     and every quotient reads exactly 1; ``quotient_deviation`` keeps the
-    quotient minus 1 in deficit space.  ``ball_deficit`` is |B^theta|_g of
-    the base ball at each angle, recorded for the direction selection, and
-    ``advance_error`` each advance's error estimate: the root residual plus
-    the Fourier engine's estimate of the gap at the advance (every other
-    sweep-angle sample, half the meridian-disk nodes, the rounding floor of
-    the series), over the gap's mean slope.  Both are left out of the repr,
-    which shows the map itself.
+    quotient minus 1 in deficit space.  Recorded for the direction
+    selection at each angle: ``ball_deficit``, |B^theta|_g of the base ball,
+    and ``rim_deficit``, H_g(trailing hemisphere at theta) + H_g(leading
+    hemisphere at theta + advance), with its error estimate ``rim_error``.
+    ``advance_error`` is each advance's error estimate: the root residual
+    plus the Fourier engine's estimate of the gap at the advance (every
+    other sweep-angle sample, half the meridian-disk nodes, the rounding
+    floor of the series), over the gap's mean slope.  These are left out of
+    the repr, which shows the map itself.
     """
 
     theta: tuple[float, ...]
@@ -91,6 +90,8 @@ class SweepAdvanceMap:
     eps: float
     offset: float
     ball_deficit: tuple[float, ...] = field(repr=False)
+    rim_deficit: tuple[float, ...] = field(repr=False)
+    rim_error: tuple[float, ...] = field(repr=False)
     advance_error: tuple[float, ...] = field(repr=False)
 
     def _steps(self) -> np.ndarray:
@@ -128,75 +129,30 @@ class CompetitorCertificate:
 
 
 # ---------------------------------------------------------------------------
-# deficit-space pieces of the swept family on a working circle
+# the swept family's final inequalities
 # ---------------------------------------------------------------------------
 
-class _SweptPieces:
-    """Deficit-space surface pieces of swept sets, many angles at a time.
-
-    The working circle lies in the plane spanned by the first two columns of
-    ``frame``; the set based at angle phi with sweep delta is
-    ``measures.swept_patches(n, R, delta, frame, phi, ...)``.  Its
-    hemispheres are integrated here for many angles at once through
-    ``moved_grid_integrals`` and its bands through ``swept_integrals``, with
-    the floats of the patch list.  The solid pieces, balls, half-balls and
-    wedges, come from the Fourier engine ``spectral.SweepSpectrum``.
-    """
-
-    def __init__(self, d: Density, R: float, frame: np.ndarray,
-                 nodes: int = SPHERE_NODES):
-        self.n, self.R, self.frame, self.nodes = d.dim, R, frame, nodes
-        self.g = deficit_weight(d)
-
-    def hemispheres_g(self, phis, upper: bool) -> np.ndarray:
-        """g-areas of the halves of the spheres at each angle split by the
-        sweep plane, in one batched scan: one reference grid moved to each
-        angle's centre and tangent frame."""
-        lo, hi = (0.0, HALF_PI) if upper else (HALF_PI, math.pi)
-        pts, w = sphere_band_grid(self.n, lo, hi, self.nodes, self.nodes)
-        centers = np.array([self.R * circle_point(self.frame, phi)[0] for phi in phis])
-        rots = np.array([frame_from_axis(circle_point(self.frame, phi)[1])
-                         for phi in phis])
-        return moved_grid_integrals(self.g, pts, w, centers, rots)
-
-    def hemisphere_g(self, phi: float, upper: bool) -> float:
-        return float(self.hemispheres_g([phi], upper)[0])
-
-    def bands_g(self, phis, deltas) -> np.ndarray:
-        """g-areas of the bands swept from phis[i] to phis[i] + deltas[i]."""
-        phis, deltas = np.asarray(phis, dtype=float), np.asarray(deltas, dtype=float)
-        out = np.zeros(phis.size)
-        live = deltas > 0.0
-        if np.any(live):
-            out[live] = swept_integrals(
-                self.g, self.n, self.R, phis[live], phis[live] + deltas[live],
-                self.frame, self.nodes)
-        return out
-
-    def band_g(self, phi: float, delta: float) -> float:
-        return float(self.bands_g([phi], [delta])[0])
-
-
 def _swept_certificate(d: Density, R: float, frame: np.ndarray, phi: float,
-                       delta: float, nodes: int) -> tuple[float, float]:
-    """(perimeter margin, volume gap) of the set based at phi with sweep
-    delta, integrated over its one patch list, ``swept_patches``."""
+                       delta: float, nodes: int):
+    """(patches, perimeter margin, volume gap) of the set based at phi with
+    sweep delta, integrated over its one patch list, ``swept_patches``."""
     patches = swept_patches(d.dim, R, delta, frame, phi, nodes, RADIAL_NODES)
     g = deficit_weight(d)
-    return patches.perimeter_margin(g), patches.volume_gap(g)
+    return patches, patches.perimeter_margin(g), patches.volume_gap(g)
 
 
 # ---------------------------------------------------------------------------
 # volume matching
 # ---------------------------------------------------------------------------
 
-def _root_of_gap(gap, delta_max: float, vol_tol: float, hard_cap: float,
-                 max_expand: int = 8) -> tuple[float, float, int]:
+def _root_of_gap(gap, g0: float, delta_max: float, vol_tol: float,
+                 hard_cap: float, max_expand: int = 8) -> tuple[float, float, int]:
     """Safeguarded root of gap(delta) = 0 on [0, delta_max]: returns
     (delta, gap(delta), iters).
 
-    gap(0) <= 0 by construction; the bracket is expanded (boundedly, never
-    past ``hard_cap``) if gap(delta_max) is still negative.  Inside the
+    ``g0`` is gap(0), which is not evaluated again; g0 <= 0 by
+    construction.  The bracket is expanded (boundedly, never past
+    ``hard_cap``) if gap(delta_max) is still negative.  Inside the
     bracket the Illinois variant of regula falsi is used: the gap is nearly
     linear in delta, so a secant step lands close to the root, and halving
     the value kept at an end that survives twice in a row stops the
@@ -204,7 +160,6 @@ def _root_of_gap(gap, delta_max: float, vol_tol: float, hard_cap: float,
     inside the bracket, and a bisection step is taken whenever three steps
     have not halved it, so the bracket at least halves every four steps.
     """
-    g0 = gap(0.0)
     if g0 >= -vol_tol:
         return 0.0, g0, 0
     hi = min(delta_max, hard_cap)
@@ -282,8 +237,9 @@ def volume_match(variant: str, gap, ball_deficit: float, n: int, R: float,
     """Match |E_delta|_f = omega_N by safeguarded regula falsi.
 
     ``gap`` maps delta to V_f(E_delta) - omega_N (nondecreasing, gap(0) <= 0).
-    ``ball_deficit`` is |B|_g of the base ball, which sets the scale of the
-    whole problem: gap(0) ~ -|B|_g, so the default tolerance is
+    ``ball_deficit`` is |B|_g of the base ball, and gap(0) is taken to be
+    -|B|_g without calling ``gap``.  It sets the scale of the whole problem,
+    so the default tolerance is
     ``VOLUME_RTOL * |B|_g`` and the match stays meaningful for exponentially
     small deficits.  The a-priori bound on the matched delta is checked per
     variant:
@@ -305,7 +261,8 @@ def volume_match(variant: str, gap, ball_deficit: float, n: int, R: float,
     """
     delta_max, hard_cap, bound = _match_bracket(variant, ball_deficit, n, R, eps)
     vol_tol = VOLUME_RTOL * ball_deficit if vol_tol is None else vol_tol
-    delta, res_gap, iters = _root_of_gap(gap, delta_max, vol_tol, hard_cap)
+    delta, res_gap, iters = _root_of_gap(gap, -ball_deficit, delta_max, vol_tol,
+                                         hard_cap)
     bound_ok = delta <= bound * (1.0 + 1e-9)
     return VolumeMatch(delta, unit_ball_volume(n) + res_gap, iters, bound_ok,
                        res_gap)
@@ -425,9 +382,10 @@ def rotation_extension(cert: FarBallCertificate, d: Density,
     at the one angle 0 (a radial deficit is constant in the sweep angle, so
     two samples per disk node resolve it); the volume gap and perimeter
     margin of the matched set are then integrated over its patch list.
-    Verifies the rotation-invariance identity on the swept hemisphere, the
-    perimeter chain P_f(E) <= P_f(B) + (N-1) omega_{N-1} (R+1) delta, and the
-    final mean-density bound.
+    Verifies, on the same patches and the leading cap of the base ball, the
+    rotation-invariance identity on the swept hemisphere and the perimeter
+    chain P_f(E) <= P_f(B) + (N-1) omega_{N-1} (R+1) delta, and the final
+    mean-density bound.
     """
     if not d.radial:
         raise ValueError("rotation extension requires a radial weight")
@@ -441,15 +399,18 @@ def rotation_extension(cert: FarBallCertificate, d: Density,
     E = (RotationSwept(dim=n, offset=R, delta=delta, direction=tuple(theta),
                        sweep=tuple(plane[:, 1]))
          if delta > 0.0 else PlainBall(dim=n, offset=R, direction=tuple(theta)))
-    margin, gap = _swept_certificate(d, R, plane, 0.0, delta, nodes)
+    patches, margin, gap = _swept_certificate(d, R, plane, 0.0, delta, nodes)
     match = replace(match, achieved_volume=unit_ball_volume(n) + gap, gap=gap)
     # rotation invariance of the swept hemisphere under a radial weight
-    pieces = _SweptPieces(d, R, plane, nodes)
+    g = deficit_weight(d)
+    base = swept_patches(n, R, 0.0, plane, 0.0, nodes, RADIAL_NODES)
     half_area = 0.5 * unit_sphere_area(n)
-    upper0 = half_area - pieces.hemisphere_g(0.0, upper=True)
-    upper1 = half_area - pieces.hemisphere_g(delta, upper=True)
+    upper0, upper1 = (half_area - integrate_patches(g, [p.surface["leading"]()])
+                      for p in (base, patches))
     identity_resid = abs(upper1 - upper0)
-    band_f = swept_excess(n, R, delta)[0] - pieces.band_g(0.0, delta)
+    band = patches.surface.get("band")
+    band_f = swept_excess(n, R, delta)[0] - (integrate_patches(g, [band()])
+                                             if band else 0.0)
     chain_ok = band_f <= (n - 1) * unit_ball_volume(n - 1) * (R + 1.0) * delta + 1e-12
     ext = _extension(E, match, margin, {
         "rotation_identity_residual": identity_resid,
@@ -525,7 +486,9 @@ def sweep_advance_map(d: Density, R: float, plane: np.ndarray,
     (``|B^theta|_g <= DEGENERACY_TOL``) advance by zero.  Each advance's
     error estimate is its root residual plus the engine's estimate of the
     gap there (every other sweep-angle sample, half the disk nodes, the
-    rounding floor), over the gap's mean slope.  The matched advance obeys
+    rounding floor), over the gap's mean slope.  The same spectrum gives the
+    trailing hemisphere at theta and the leading one at theta + advance,
+    whose sum the direction selection scores.  The matched advance obeys
     delta(theta) <= (1 + 3 eps) |B^theta|_g / (omega_{N-1}(R-1))
     (checked downstream); difference quotients of the resulting map are the
     measured Lipschitz data.
@@ -547,9 +510,13 @@ def sweep_advance_map(d: Density, R: float, plane: np.ndarray,
     moved = advance > 0.0
     slope = np.full(grid, swept_excess(n, R, 1.0)[1])
     slope[moved] = (residual[moved] + ball_gs[moved]) / advance[moved]
+    trailing, trailing_error = spectrum.hemispheres(theta, upper=False)
+    leading, leading_error = spectrum.hemispheres(theta + advance, upper=True)
     mapped = theta + advance
     sam = SweepAdvanceMap(tuple(theta), tuple(advance), tuple(mapped),
                           0.0, 0.0, eps, R, tuple(ball_gs),
+                          tuple(trailing + leading),
+                          tuple(trailing_error + leading_error),
                           tuple((np.abs(residual) + gap_error) / slope))
     q = sam.quotients()
     return replace(sam, lipschitz_lo=float(q.min()),
@@ -564,19 +531,17 @@ def select_sweep_direction(d: Density, R: float, plane: np.ndarray,
     The scan maximizes H_g(leading hemisphere at the advanced angle) +
     H_g(trailing hemisphere at the base angle) - (1 - eps)(N - eps)|B|_g; the
     change-of-variables estimate guarantees a nonnegative maximum on a fine
-    enough grid.  The trailing and the leading hemispheres of all angles are
-    measured in two batched scans.  The winning swept set's volume gap and
+    enough grid.  The hemispheres' sum and |B|_g at every angle are those
+    the advance map recorded.  The winning swept set's volume gap and
     perimeter margin are integrated over its patch list, in deficit space.
     """
     n = d.dim
     frame = frame_from_axis(plane[:, 0], plane[:, 1])
-    pieces = _SweptPieces(d, R, frame, nodes)
     theta = np.asarray(advance.theta)
     adv = np.asarray(advance.advance)
     omega = unit_ball_volume(n)
     ball_gs = np.asarray(advance.ball_deficit)
-    scores = (pieces.hemispheres_g(theta, upper=False)
-              + pieces.hemispheres_g(theta + adv, upper=True)
+    scores = (np.asarray(advance.rim_deficit)
               - (1.0 - eps) * (n - eps) * ball_gs)
     qualifying = np.nonzero(scores >= 0.0)[0]
     scale = max(float(np.max(np.abs(ball_gs))), 1e-300)
@@ -594,7 +559,7 @@ def select_sweep_direction(d: Density, R: float, plane: np.ndarray,
                         for v in circle_point(frame, phi))
     E = (RotationSwept(dim=n, offset=R, delta=delta, direction=direction, sweep=sweep)
          if delta > 0.0 else PlainBall(dim=n, offset=R, direction=direction))
-    margin, gap = _swept_certificate(d, R, frame, phi, delta, nodes)
+    _, margin, gap = _swept_certificate(d, R, frame, phi, delta, nodes)
     # a-priori advance bound at the winning angle
     denom = unit_ball_volume(n - 1) * max(R - 1.0, 1e-9)
     bound = (1.0 + 3.0 * eps) * ball_gs[best] / denom

@@ -617,68 +617,26 @@ def weighted_ball_measures_at(fn, n: int, centers, radius: float = 1.0,
     return P, V
 
 
-def moved_grid_integrals(fn, pts, w, centers, rots=None) -> np.ndarray:
-    """integral(fn) on the reference grid (pts, w) moved rigidly to each item.
+def moved_grid_integrals(fn, pts, w, centers) -> np.ndarray:
+    """The translated-grid scan engine: integral(fn) on the reference grid
+    (pts, w) translated to each row of ``centers``.
 
-    Item i is the grid ``centers[i] + pts @ rots[i].T``, or the translate
-    ``centers[i] + pts`` when ``rots`` is None; its value equals
-    ``fn(centers[i] + pts @ rots[i].T) @ w`` bit for bit.
+    ``fn`` sees at most ``BALL_CHUNK_POINTS`` points per call (one item if a
+    single grid is larger), and each item is reduced with its own dot
+    product, so its value equals ``fn(centers[i] + pts) @ w`` bit for bit
+    whichever items share its chunk.
     """
     centers = np.asarray(centers, dtype=float)
-    n = pts.shape[1]
-    turned = None if rots is None else np.swapaxes(np.asarray(rots), 1, 2)
-
-    def points(i, j):
-        moved = pts if turned is None else np.matmul(pts, turned[i:j])
-        out = np.empty((j - i,) + pts.shape)
-        # one coordinate at a time: a broadcast add over the short last
-        # axis would run one inner loop per point
-        for axis in range(n):
-            np.add(moved[..., axis], centers[i:j, axis, None],
-                   out=out[..., axis])
-        return out.reshape(-1, n)
-    return _chunked_integrals(fn, len(centers), len(w), points, lambda i: w)
-
-
-def swept_integrals(fn, n: int, R: float, phi_lo, phi_hi, frame,
-                    nodes: int) -> np.ndarray:
-    """integral(fn) over the meridian circle swept from phi_lo[i] to
-    phi_hi[i] and mapped by ``frame``, for each i: the band
-    ``swept_band_patch``, bit for bit.
-
-    The Gauss rules in the sweep angle of all items are built from one
-    reference rule elementwise, one row per item; an item's weights are
-    formed only when its row of values is reduced.
-    """
-    lo = np.asarray(phi_lo, dtype=float)[:, None]
-    hi = np.asarray(phi_hi, dtype=float)[:, None]
-    phi, wp = gauss_nodes(lo, hi, max(8, nodes // 4))
-    circle, w_circle = sphere_band_grid(n - 1, *_WHOLE, nodes, nodes)
-    w_factor = np.tile(R + circle[:, 0], phi.shape[1])
-    place = _swept_place(n, R)
-
-    def points(i, j):
-        return place(phi[i:j].reshape(-1, 1), circle[None])[0] @ frame.T
-
-    def weights(i):
-        return (wp[i][:, None] * w_circle[None, :]).ravel() * w_factor
-    return _chunked_integrals(fn, len(phi), w_factor.size, points, weights)
-
-
-def _chunked_integrals(fn, count: int, m: int, points, weights) -> np.ndarray:
-    """The scan engine: integrals of ``fn`` over ``count`` items of ``m``
-    points each.
-
-    ``points(i, j)`` returns the points of items i..j-1, one item after
-    another, and ``weights(i)`` the ``m`` weights of item i.  ``fn`` sees at
-    most ``BALL_CHUNK_POINTS`` points per call (one item if a single item is
-    larger), and each item is reduced with its own dot product, so its value
-    does not depend on which items share its chunk.
-    """
+    count, (m, n) = len(centers), pts.shape
     out = np.empty(count)
     step = max(1, BALL_CHUNK_POINTS // m)
     for i in range(0, count, step):
         j = min(i + step, count)
-        vals = np.asarray(fn(points(i, j)), dtype=float).reshape(j - i, m)
-        out[i:j] = [row @ weights(k) for k, row in enumerate(vals, start=i)]
+        moved = np.empty((j - i, m, n))
+        # one coordinate at a time: a broadcast add over the short last
+        # axis would run one inner loop per point
+        for axis in range(n):
+            np.add(pts[:, axis], centers[i:j, axis, None], out=moved[..., axis])
+        vals = np.asarray(fn(moved.reshape(-1, n)), dtype=float).reshape(j - i, m)
+        out[i:j] = [row @ w for row in vals]
     return out

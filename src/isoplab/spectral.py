@@ -1,5 +1,6 @@
 """The deficit on the working circle's swept region as Fourier series in the
-sweep angle: every ball, half-ball and wedge of the circle at once.
+sweep angle: every ball, half-ball, hemisphere and wedge of the circle at
+once.
 
 Cylindrical coordinates about the working plane (spanned by the first two
 columns of ``frame``) write a point as s (cos psi e_1 + sin psi e_2) + z,
@@ -16,6 +17,19 @@ split by the sweep plane are psi in [phi - gamma, phi] (trailing) and
 psi in [phi, phi + delta] over D: every solid piece of
 ``measures.swept_patches`` is a psi-interval integral at fixed (s, z),
 weighted by the Jacobian s.
+
+Its sphere is the two graphs psi = phi +- gamma(s, z) over D: the leading
+hemisphere is psi = phi + gamma, the trailing one psi = phi - gamma.  By the
+coarea formula for F = |x - c|^2 - 1, whose gradient has modulus 2 on the
+sphere and whose psi-derivative there is 2 s R sin(gamma), the area element
+of either graph is s ds dz |grad F| / |d_psi F| = ds dz / (R sin gamma).  On
+D's rule, ds dz = cos(tau) rho^{N-2} dtau dv, and R sin(gamma) =
+cos(tau) sqrt(R / s) cos(gamma / 2), so a node's surface weight is
+
+    w_tau rho^{N-2} w_v sqrt(s / R) / cos(gamma / 2),
+
+smooth on D (gamma < pi/2 there), and a hemisphere is the deficit at
+psi = phi +- gamma integrated against it.
 
 So the deficit is sampled once: at the nodes of D, times a uniform grid of
 M angles psi.  One FFT per disk node gives its trigonometric interpolant in
@@ -70,12 +84,14 @@ class _Modes:
     """Per-mode sums over the disk nodes of one quadrature rule.
 
     For each Fourier mode k >= 0 of the psi samples at a node, the mode's
-    coefficient times the node's weight (Jacobian s included) times a psi
-    kernel, summed over the nodes: 1 for ``wedge``, the shift by gamma,
-    ``_shift(gamma, ...)``, for ``lead`` and its conjugate for ``trail``.  The
-    factor 2 of the conjugate mode -k is folded in (1 at k = 0 and at the
-    Nyquist mode), so a piece at angle phi is Re sum_k X_k e^{ik phi}.
-    ``nodes`` is the number of disk nodes summed.
+    coefficient times the node's weight times a psi kernel, summed over the
+    nodes.  With the volume weight (Jacobian s included) the kernel is 1 for
+    ``wedge``, the shift by gamma, ``_shift(gamma, ...)``, for ``lead`` and
+    its conjugate for ``trail``; with the surface weight it is e^{ik gamma}
+    for ``lead_sphere`` and its conjugate for ``trail_sphere``.  The factor
+    2 of the conjugate mode -k is folded in (1 at k = 0 and at the Nyquist
+    mode), so a piece at angle phi is Re sum_k X_k e^{ik phi}.  ``nodes`` is
+    the number of disk nodes summed.
     """
 
     nodes: int
@@ -83,18 +99,21 @@ class _Modes:
     wedge: np.ndarray
     lead: np.ndarray
     trail: np.ndarray
+    lead_sphere: np.ndarray
+    trail_sphere: np.ndarray
 
     def terms(self, pieces, phis, deltas=None) -> np.ndarray:
         """The terms X_k e^{ik phi} of the sum of ``pieces`` at each angle,
         one row each.
 
         ``lead``, ``trail``: the half-balls [phi, phi + gamma] and
-        [phi - gamma, phi]; ``wedge``: [phi, phi + delta]; ``extend``:
-        [phi + gamma, phi + gamma + delta], which a sweep by delta adds to
-        the ball at phi.
+        [phi - gamma, phi]; ``lead_sphere``, ``trail_sphere``: the
+        hemispheres psi = phi + gamma and psi = phi - gamma; ``wedge``:
+        [phi, phi + delta]; ``extend``: [phi + gamma, phi + gamma + delta],
+        which a sweep by delta adds to the ball at phi.
         """
         k = self.k
-        X = sum(getattr(self, p) for p in pieces if p in ("lead", "trail"))
+        X = sum(getattr(self, p) for p in pieces if p not in ("wedge", "extend"))
         moving = [self.wedge if p == "wedge" else self.extend()
                   for p in pieces if p in ("wedge", "extend")]
         if moving:
@@ -108,8 +127,9 @@ class _Modes:
 
 
 def _disk(n: int, R: float, nodes: int, radial_nodes: int):
-    """Nodes (s, z), weights (Jacobian s included) and half-widths gamma of
-    the meridian disk, with rho = sin(tau) and Gauss nodes in tau."""
+    """Nodes (s, z), volume weights (Jacobian s included), surface weights
+    and half-widths gamma of the meridian disk, with rho = sin(tau) and
+    Gauss nodes in tau."""
     tau, wt = gauss_nodes(0.0, HALF_PI, radial_nodes)
     v, wv = sphere_grid(n - 1, nodes, nodes)
     rho, cos_tau = np.sin(tau), np.cos(tau)
@@ -117,7 +137,10 @@ def _disk(n: int, R: float, nodes: int, radial_nodes: int):
     sz[:, 0] += R
     w = ((wt * cos_tau * rho ** (n - 2))[:, None] * wv[None]).ravel() * sz[:, 0]
     half_sin = np.repeat(cos_tau, len(v)) / (2.0 * np.sqrt(R * sz[:, 0]))
-    return sz, w, 2.0 * np.arcsin(np.minimum(half_sin, 1.0))
+    gamma = 2.0 * np.arcsin(np.minimum(half_sin, 1.0))
+    w_sphere = (((wt * rho ** (n - 2))[:, None] * wv[None]).ravel()
+                * np.sqrt(sz[:, 0] / R) / np.cos(0.5 * gamma))
+    return sz, w, w_sphere, gamma
 
 
 def _mode_sums(g, frame, disk, M: int, every_other: bool) -> list[_Modes]:
@@ -128,24 +151,28 @@ def _mode_sums(g, frame, disk, M: int, every_other: bool) -> list[_Modes]:
     node if M is larger); each chunk's coefficients are reduced into the
     per-mode sums, so memory stays that of one chunk.
     """
-    sz, w, gamma = disk
+    sz, w, w_sphere, gamma = disk
     n = frame.shape[0]
     psi = 2.0 * math.pi * np.arange(M) / M
     # the circle of radius 1 in the working plane, and each node's offset z
     ring = np.cos(psi)[:, None] * frame[:, 0] + np.sin(psi)[:, None] * frame[:, 1]
     offset = np.add.reduce(sz[:, 1:, None] * frame[:, 2:].T[None], axis=1)
     rules = [(M, slice(None))] + ([(M // 2, slice(None, None, 2))] if every_other else [])
-    sums = [[np.zeros(m // 2 + 1, dtype=complex) for _ in range(3)] for m, _ in rules]
+    sums = [[np.zeros(m // 2 + 1, dtype=complex) for _ in range(5)] for m, _ in rules]
     step = max(1, BALL_CHUNK_POINTS // M)
     for i in range(0, len(w), step):
         j = min(i + step, len(w))
         pts = sz[i:j, 0, None, None] * ring[None] + offset[i:j, None, :]
         vals = np.asarray(g(pts.reshape(-1, n)), dtype=float).reshape(j - i, M)
         for (m, pick), acc in zip(rules, sums):
-            coef = np.fft.rfft(vals[:, pick], axis=1) * (w[i:j, None] / m)
+            raw = np.fft.rfft(vals[:, pick], axis=1)
+            coef = raw * (w[i:j, None] / m)
+            rim = raw * (w_sphere[i:j, None] / m)
             lead = _shift(gamma[i:j], m // 2 + 1)
-            for total, kernel in zip(acc, (1.0, lead, np.conj(lead))):
-                total += np.add.reduce(coef * kernel, axis=0)
+            turn = 1.0 + 1j * np.arange(m // 2 + 1) * lead       # e^{ik gamma}
+            for total, c, kernel in zip(acc, (coef, coef, coef, rim, rim),
+                                        (1.0, lead, np.conj(lead), turn, np.conj(turn))):
+                total += np.add.reduce(c * kernel, axis=0)
     out = []
     for (m, _), acc in zip(rules, sums):
         fold = np.full(m // 2 + 1, 2.0)
@@ -175,8 +202,9 @@ def _evaluate(modes: _Modes, pieces, phis, deltas=None):
 
 
 class SweepSpectrum:
-    """Balls, half-balls, wedges and volume gaps of the swept sets on the
-    circle of radius R in the plane of ``frame``'s first two columns.
+    """Balls, half-balls, hemispheres, wedges and volume gaps of the swept
+    sets on the circle of radius R in the plane of ``frame``'s first two
+    columns.
 
     The psi grid is the smallest even multiple of ``grid`` (the circle grid
     whose angles are evaluated).  It is checked against its every-other
@@ -226,6 +254,10 @@ class SweepSpectrum:
     def half_balls(self, phis, upper: bool):
         """g-volumes of the leading (``upper``) or trailing half-balls."""
         return self._integrals(("lead",) if upper else ("trail",), phis)
+
+    def hemispheres(self, phis, upper: bool):
+        """g-areas of the leading (``upper``) or trailing hemispheres."""
+        return self._integrals(("lead_sphere",) if upper else ("trail_sphere",), phis)
 
     def wedges(self, phis, deltas):
         """g-volumes of the wedges swept from phis[i] to phis[i] + deltas[i]."""

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 from functools import partial
 
 import numpy as np
@@ -18,14 +19,13 @@ import isoplab.spectral
 from isoplab import (ExtensionResult, PlainBall, RotationSwept, VolumeMatch,
                      mean_density, weighted_ball_measures)
 from isoplab.competitor import (_complement_in, _CylinderPieces,
-                                _root_of_gap, _SweptPieces,
-                                monte_carlo_check)
+                                _root_of_gap, monte_carlo_check)
 from isoplab.defaults import VOLUME_RTOL
 from isoplab.density import deficit_weight
 from isoplab.measures import (ball_cap_patch, set_patches, sphere_cap_patch,
                               swept_band_patch, swept_patches,
                               swept_wedge_patch)
-from isoplab.quadrature import sphere_grid
+from isoplab.quadrature import sphere_grid, unit_sphere_area
 from isoplab.spectral import ULP, SweepSpectrum
 
 
@@ -90,11 +90,35 @@ GAP_SHAPES = [
 @pytest.mark.parametrize("gap, root, max_iters", GAP_SHAPES)
 def test_root_of_gap_safeguarded(gap, root, max_iters):
     tol = 1e-6 * abs(gap(0.0))
-    delta, g, iters = _root_of_gap(gap, 1.0, tol, 10.0)
+    delta, g, iters = _root_of_gap(gap, gap(0.0), 1.0, tol, 10.0)
     assert 0.0 < delta < 1.0
     assert abs(g) <= tol
     assert delta == pytest.approx(root, rel=1e-6)
     assert iters <= max_iters
+
+
+def test_volume_match_takes_gap_at_zero_from_the_ball(monkeypatch, exp2):
+    # every caller's gap(0) is exactly -|B|_g: no gap is evaluated at 0, and
+    # each match evaluates its gap once per iteration plus the bracket end
+    deltas, matches = [], []
+    original = isoplab.competitor.volume_match
+
+    def recorded(variant, gap, *args, **kwargs):
+        def traced(delta):
+            deltas.append(delta)
+            return gap(delta)
+        matches.append(original(variant, traced, *args, **kwargs))
+        return matches[-1]
+    monkeypatch.setattr(isoplab.competitor, "volume_match", recorded)
+    cert = select_direction(exp2, 10.0, 0.05)
+    cylinder_extension(cert, exp2, eps=0.05)
+    rotation_extension(cert, exp2, eps=0.05)
+    d = density_from_config({"family": "angular_mod", "dim": 2, "a": 1.0,
+                             "params": {"eta": 0.5, "k": 1, "c": 0.5}})
+    sweep_advance_map(d, 12.0, np.eye(2), grid=16, eps=0.05, nodes=32)
+    assert len(matches) == 18
+    assert 0.0 not in deltas
+    assert len(deltas) == sum(m.iterations + 1 for m in matches)
 
 
 def test_volume_match_rotation_exact_identity():
@@ -586,18 +610,23 @@ def _advance_by_angle(d, R, grid, eps, nodes):
     return advance, error
 
 
+def _rims(ref, phi, delta):
+    """H_g(trailing hemisphere at phi) + H_g(leading one at phi + delta)."""
+    return (ref.hemisphere_g(float(phi), upper=False)
+            + ref.hemisphere_g(float(phi + delta), upper=True))
+
+
 def _sweep_direction_by_angle(d, R, sam, eps, nodes):
-    """select_sweep_direction scoring one angle at a time."""
+    """select_sweep_direction scoring one angle at a time on one-patch
+    hemispheres, and the error estimate of the winning score."""
     n = d.dim
     pieces = _PerAngleSweptPieces(d, R, np.eye(2), nodes)
+    half = _PerAngleSweptPieces(d, R, np.eye(2), nodes // 2)
     theta, adv = np.asarray(sam.theta), np.asarray(sam.advance)
     ball_gs = np.asarray(sam.ball_deficit)
     omega = unit_ball_volume(n)
-    scores = np.empty(theta.size)
-    for i, phi in enumerate(theta):
-        lhs = (pieces.hemisphere_g(float(phi), upper=False)
-               + pieces.hemisphere_g(float(phi + adv[i]), upper=True))
-        scores[i] = lhs - (1.0 - eps) * (n - eps) * ball_gs[i]
+    rims, rim_error = _estimated([pieces, half], _rims, theta, adv)
+    scores = rims - (1.0 - eps) * (n - eps) * ball_gs
     qualifying = np.nonzero(scores >= 0.0)[0]
     best = int(qualifying[0]) if qualifying.size else int(np.argmax(scores))
     phi, delta = float(theta[best]), float(adv[best])
@@ -614,7 +643,7 @@ def _sweep_direction_by_angle(d, R, sam, eps, nodes):
     rho = mean_density(max(n * omega - margin, 1e-300), omega + gap, n)
     checks = {"score": float(scores[best]), "advance_bound": bound,
               "advance_bound_ok": bool(match.bound_ok)}
-    return phi, ExtensionResult(E, match, margin, gap, rho, checks)
+    return phi, ExtensionResult(E, match, margin, gap, rho, checks), rim_error[best]
 
 
 @pytest.mark.parametrize("R", [12.0, 50.0])
@@ -630,8 +659,17 @@ def test_advance_map_matches_per_angle_matching(R):
     assert np.all(np.abs(advance - reference) <= error + ref_error)
     assert np.all(error <= 1e-6 * advance)
     assert min(sam.advance) > 0.0
-    batched = select_sweep_direction(d, R, np.eye(2), sam, eps=eps, nodes=48)
-    assert batched == _sweep_direction_by_angle(d, R, sam, eps, 48)
+    # the selection scores the engine's hemispheres: the same angle, set,
+    # match and certificate, and a score within the two estimates
+    phi, ext = select_sweep_direction(d, R, np.eye(2), sam, eps=eps, nodes=48)
+    ref_phi, ref, ref_error = _sweep_direction_by_angle(d, R, sam, eps, 48)
+    assert phi == ref_phi
+    assert (ext.E, ext.match, ext.perimeter_margin, ext.volume_gap, ext.rho) == (
+        ref.E, ref.match, ref.perimeter_margin, ref.volume_gap, ref.rho)
+    best = sam.theta.index(phi)
+    assert (abs(ext.checks.pop("score") - ref.checks.pop("score"))
+            <= sam.rim_error[best] + ref_error)
+    assert ext.checks == ref.checks
 
 
 def test_advance_map_far_deviation_resolved():
@@ -648,29 +686,6 @@ def test_advance_map_far_deviation_resolved():
     assert dev.max() <= 1.0 / (1.0 - eps) - 1.0 + 1e-3
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_batched_swept_pieces_match_single_patches(monkeypatch, n):
-    # a budget of 200 points holds twelve 16-point hemispheres or bands in
-    # N=2 and three 64-point ones in N=3, so the twenty angles cross chunk
-    # boundaries
-    monkeypatch.setattr(isoplab.measures, "BALL_CHUNK_POINTS", 200)
-    d = density_from_config({"family": "angular_mod", "dim": n, "a": 1.0,
-                             "params": {"eta": 0.5, "k": 1, "c": 0.5}})
-    frame = isoplab.quadrature.frame_from_axis(np.linspace(1.0, 2.0, n),
-                                               np.linspace(-1.0, 0.5, n))
-    R = 6.0
-    pieces = _SweptPieces(d, R, frame, nodes=8)
-    single = _PerAngleSweptPieces(d, R, frame, nodes=8, radial_nodes=8)
-    phis = np.linspace(0.0, 6.0, 20)
-    deltas = np.where(np.arange(20) % 3 == 0, 0.0, 0.04)
-    for upper in (False, True):
-        assert pieces.hemispheres_g(phis, upper).tolist() == [
-            single.hemisphere_g(float(phi), upper) for phi in phis]
-    assert pieces.bands_g(phis, deltas).tolist() == [
-        single.band_g(float(phi), float(delta))
-        for phi, delta in zip(phis, deltas)]
-
-
 def _agrees(value, error, reference, ref_error):
     """The engine's values agree with one-patch references within the two
     error estimates, and its own estimate resolves the volume-matching
@@ -680,9 +695,9 @@ def _agrees(value, error, reference, ref_error):
 
 
 def _spectrum_agrees(d, R, grid, nodes=24, ref_nodes=16):
-    """Balls, half-balls and wedges of ``SweepSpectrum`` at 20 angles of a
-    tilted frame against ``_PerAngleSweptPieces`` at ``ref_nodes`` and half
-    as many."""
+    """Balls, half-balls, hemispheres and wedges of ``SweepSpectrum`` at 20
+    angles of a tilted frame against ``_PerAngleSweptPieces`` at
+    ``ref_nodes`` and half as many."""
     n = d.dim
     frame = isoplab.quadrature.frame_from_axis(np.linspace(1.0, 2.0, n),
                                                np.linspace(-1.0, 0.5, n))
@@ -697,6 +712,9 @@ def _spectrum_agrees(d, R, grid, nodes=24, ref_nodes=16):
               for upper, half in zip((False, True), halves)]
     checks.append((spectrum.balls(phis), (halves[0][0] + halves[1][0],
                                           halves[0][1] + halves[1][1])))
+    checks += [(spectrum.hemispheres(phis, upper),
+                _estimated(refs, lambda ref, phi: ref.hemisphere_g(phi, upper), phis))
+               for upper in (False, True)]
     checks.append((spectrum.wedges(phis, deltas),
                    _estimated(refs, lambda ref, phi, delta: ref.wedge_g(phi, delta),
                               phis, deltas)))
@@ -712,6 +730,22 @@ def test_spectrum_agrees_with_patches(n, ref_nodes, R):
     assert ok
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_spectrum_hemispheres_of_weight_one(n):
+    # the surface weights ds dz / (R sin gamma) on the meridian disk's rule
+    # sum, exactly rounded, to half the sphere's area within a few ulps; the
+    # engine's hemispheres at any angle are within their estimate of it
+    half = 0.5 * unit_sphere_area(n)
+    for R in (2.0, 10.0, 50.0):
+        w_sphere = isoplab.spectral._disk(n, R, 64, 64)[2]
+        assert abs(math.fsum(w_sphere) - half) <= 8.0 * ULP * half
+    spectrum = SweepSpectrum(lambda x: np.ones(len(x)), n, 10.0, np.eye(n), 4)
+    for upper in (False, True):
+        values, error = spectrum.hemispheres([0.0, 1.0, 2.5], upper)
+        assert np.all(np.abs(values - half) <= error)
+        assert np.all(error <= VOLUME_RTOL * half)
+
+
 def test_spectrum_refines_psi_grid(monkeypatch):
     # harmonic 30 in the sweep angle aliases on 48 samples and on their every
     # other sample: the grid is refined until both rules resolve it, or the
@@ -724,6 +758,28 @@ def test_spectrum_refines_psi_grid(monkeypatch):
     monkeypatch.setattr(isoplab.spectral, "REFINE_ROUNDS", 0)
     with pytest.raises(RuntimeError, match="psi grid of 48 samples"):
         SweepSpectrum(deficit_weight(d), 2, 6.0, np.eye(2), 48)
+
+
+def test_angle_scans_use_only_the_spectrum(monkeypatch):
+    # every angle scan of the general-weight route (balls, half-balls,
+    # wedges, hemispheres) comes from the sweep spectrum: the translated-grid
+    # engine, which direction and working-circle scans use, is never called
+    # for N = 2, where there is no working circle to select
+    original, calls = isoplab.measures.moved_grid_integrals, []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[3]))
+        return original(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("isoplab") and vars(module).get(
+                "moved_grid_integrals") is original:
+            monkeypatch.setattr(module, "moved_grid_integrals", counted)
+    d = density_from_config({"family": "angular_mod", "dim": 2, "a": 1.0,
+                             "params": {"eta": 0.5, "k": 1, "c": 1.0}})
+    cert = build_competitor(d, eps=0.05, R_min=10.0, R_max=200.0,
+                            circle_grid=48, nodes=32, mc_samples=20_000)
+    assert cert.advance is not None and cert.strict
+    assert calls == []
 
 
 @pytest.mark.parametrize("cfg, rel", [
