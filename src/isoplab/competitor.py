@@ -16,8 +16,8 @@ perimeter stays below the Euclidean value N omega_N:
   theta -> theta + delta(theta), and pick a direction where the averaged
   change-of-variables inequality certifies the perimeter
   (``sweep_advance_map`` / ``select_sweep_direction``); for N >= 3 the
-  working circle is found by descending through subspheres on grid-averaged
-  margins (``select_working_circle``).
+  working circle is found by descending through subspheres on their mean
+  margins, in closed form on the meridian rule (``select_working_circle``).
 
 All final inequalities are assembled in deficit space: the perimeter margin
 N omega_N - P_f(E) is a sum of small deficit integrals and closed-form
@@ -42,10 +42,10 @@ from .measures import (CylinderExtended, MeasureResult, PlainBall,
                        RotationSwept, circle_point, cylinder_patches,
                        integrate_patches, mc_integrals, mean_density,
                        set_measures, set_patches, shrink_terms, swept_excess,
-                       swept_patches, weighted_ball_measures_at)
+                       swept_patches)
 from .quadrature import (frame_from_axis, sphere_grid, unit_ball_volume,
                          unit_sphere_area)
-from .spectral import SweepSpectrum
+from .spectral import SweepSpectrum, subsphere_means
 
 
 @dataclass(frozen=True)
@@ -429,47 +429,37 @@ def select_working_circle(d: Density, R: float, eps: float = EPS,
                           quad_nodes: int = 32) -> np.ndarray:
     """Descend subspheres to a working circle with nonnegative averaged margin.
 
-    At each level the axis grid is scanned and the subsphere orthogonal to
-    the best axis (largest grid-averaged margin of P_g - (N - eps) V_g over
-    the subsphere) is kept; the surviving 2-plane is returned as an (N, 2)
-    orthonormal basis.  The balls of one candidate subsphere are measured in
-    one batched scan.  An axis whose antipode was already scanned is
-    skipped: both are orthogonal to the same subsphere, whose average then
-    differs only by rounding, and the first of the pair is kept.  Radial
-    weights short-circuit to the first coordinate plane.
+    At each level the axis grid is scanned, and each axis's candidate is the
+    subsphere orthogonal to it.  Its mean margin P_g - (N - eps) V_g over the
+    balls centred on the subsphere of radius R comes in closed form from
+    ``spectral.subsphere_means``, with an error estimate.  A candidate ties
+    with the best one when their margins are within the sum of their
+    estimates, and the first tied candidate in grid order is kept, so
+    rounding never decides.  An axis whose antipode was already scanned is
+    skipped: both are orthogonal to the same subsphere.  The surviving
+    2-plane is returned as an (N, 2) orthonormal basis.  Radial weights
+    short-circuit to the first coordinate plane.
     """
     n = d.dim
     if d.radial or n == 2:
         return np.eye(n)[:, :2]
     g = deficit_weight(d)
-    basis = np.eye(n)            # columns span the current subspace
-    m = n
-    while m > 2:
-        cand, _ = sphere_grid(m, axis_nodes, 2 * axis_nodes)
-        dirs_sub, w_sub = sphere_grid(m - 1, max(8, circle_nodes // 4),
-                                      circle_nodes)
-        scanned = np.empty((0, m))
-        best_sub, best_avg = None, -math.inf
-        for axis_sub in cand:
-            if np.any(np.max(np.abs(scanned + axis_sub), axis=1) <= 1e-9):
-                continue
-            scanned = np.vstack([scanned, axis_sub])
-            sub = basis @ _complement_in(axis_sub)
-            centers = np.array([R * (sub @ v) for v in dirs_sub])
-            P, V = weighted_ball_measures_at(g, n, centers, 1.0, quad_nodes,
-                                             max(16, quad_nodes // 2))
-            avg = float((P - (n - eps) * V) @ w_sub / w_sub.sum())
-            if avg > best_avg:
-                best_avg, best_sub = avg, sub
-        basis = best_sub
-        m -= 1
+    basis, rest = np.eye(n), np.empty((n, 0))   # the subspace and its complement
+    for m in range(n, 2, -1):
+        kept: list[np.ndarray] = []
+        for axis_sub in sphere_grid(m, axis_nodes, 2 * axis_nodes)[0]:
+            if not any(np.max(np.abs(a + axis_sub)) <= 1e-9 for a in kept):
+                kept.append(axis_sub)
+        frames = [np.column_stack([basis @ F[:, 1:], basis @ F[:, :1], rest])
+                  for F in map(frame_from_axis, kept)]
+        means, error = subsphere_means(g, frames, m - 1, R, quad_nodes,
+                                       max(16, quad_nodes // 2), circle_nodes)
+        margin = means[:, 0] - (n - eps) * means[:, 1]
+        spread = error[:, 0] + (n - eps) * error[:, 1]
+        best = int(np.argmax(margin))
+        first = int(np.argmax(margin + spread >= margin[best] - spread[best]))
+        basis, rest = frames[first][:, :m - 1], frames[first][:, m - 1:]
     return basis
-
-
-def _complement_in(axis_sub: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the complement of axis_sub within R^m, (m, m-1)."""
-    F = frame_from_axis(axis_sub)
-    return F[:, 1:]
 
 
 def sweep_advance_map(d: Density, R: float, plane: np.ndarray,
@@ -635,7 +625,7 @@ def build_competitor(d: Density, eps: float = EPS, R_min: float = 50.0,
     if dd.radial:
         ext = rotation_extension(far, dd, eps, nodes)
     else:
-        plane = select_working_circle(dd, far.R, eps)
+        plane = select_working_circle(dd, far.R, eps, quad_nodes=nodes)
         advance_map = sweep_advance_map(dd, far.R, plane, circle_grid, eps, nodes)
         _, ext = select_sweep_direction(dd, far.R, plane, advance_map, eps, nodes)
     P_f, V_f = set_measures(ext.E, dd, nodes=nodes)

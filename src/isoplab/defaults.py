@@ -27,17 +27,19 @@ the same reason the volume-matching tolerance scales with the base ball's
 deficit volume |B|_g, not with omega_N: at offset 50 the exponential families
 have |B|_g ~ 1e-21, and only a relative tolerance matches the volume there.
 
-Ball scans over directions and working circles evaluate the weight on many
-translated copies of one reference grid; they hand the weight at most
-BALL_CHUNK_POINTS points per call (one ball when a single ball is larger),
-which keeps the per-call overhead negligible while the peak memory of a
-scan stays a few megabytes.  Every scan over the angles of a working circle
-(balls, half-balls, hemispheres, wedges, volume gaps) comes from one sample
-of the deficit on the meridian disk times a psi grid
-(``spectral.SweepSpectrum``), taken and transformed in chunks of the same
-size; its psi grid is refined by GRID_REFINE, at most REFINE_ROUNDS times,
-until its every-other-sample rule agrees to VOLUME_RTOL.  Monte-Carlo draws
-come in chunks of the same size.
+Ball scans over directions evaluate the weight on many translated copies of
+one reference grid; they hand the weight at most BALL_CHUNK_POINTS points
+per call (one ball when a single ball is larger), which keeps the per-call
+overhead negligible while the peak memory of a scan stays a few megabytes.
+Every scan over the angles of a working circle (balls, half-balls,
+hemispheres, wedges, volume gaps) comes from one sample of the deficit on
+the meridian disk times a psi grid (``spectral.SweepSpectrum``), taken and
+transformed in chunks of the same size; its psi grid is refined by
+GRID_REFINE, at most REFINE_ROUNDS times, until its every-other-sample rule
+agrees to VOLUME_RTOL.  The working-circle descent's candidate means come
+from the same meridian rule about each candidate subspace
+(``spectral.subsphere_means``), in chunks of the same size, and so do the
+far-radius tail test's profile calls and the Monte-Carlo draws.
 """
 
 EPS = 0.01

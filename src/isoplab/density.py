@@ -74,14 +74,15 @@ class RadialDeficit:
 
     ``support_hint`` marks a radius beyond which the profile vanishes
     identically (when known); ``breakpoints`` lists radii where the profile
-    is not smooth, so quadratures can split there.
+    is not smooth, so quadratures can split there; ``sphere_points`` is the
+    number of weight evaluations per radius (1 for a radial weight).
     """
 
     dim: int
     profile: Callable[[np.ndarray], np.ndarray]
     support_hint: float | None = None
-    node_count: int = SPHERE_NODES
     breakpoints: tuple[float, ...] = ()
+    sphere_points: int = 1
 
 
 def eval_weight(d: Density, x) -> np.ndarray | float:
@@ -113,7 +114,7 @@ def _spherical_mean(fn, n: int, r, grid):
         dirs, w = grid
         pts = rr[:, None, None] * dirs[None, :, :]
         vals = np.asarray(fn(pts.reshape(-1, n)), dtype=float).reshape(rr.size, -1)
-        out = vals @ w / w.sum()
+        out = np.add.reduce(vals * w, axis=1) / w.sum()
     return float(out[0]) if r.ndim == 0 else out
 
 
@@ -146,7 +147,8 @@ def deficit_profile(d: Density, node_count: int = SPHERE_NODES) -> RadialDeficit
     def profile(r):
         return _spherical_mean(g, d.dim, r, grid)
 
-    return RadialDeficit(dim=d.dim, profile=profile, node_count=node_count)
+    return RadialDeficit(dim=d.dim, profile=profile,
+                         sphere_points=1 if grid is None else len(grid[1]))
 
 
 @dataclass(frozen=True)

@@ -306,7 +306,7 @@ def integrate_patches(fn, patches) -> float:
     """Sum of integral(fn) over patches."""
     total = 0.0
     for pts, w in patches:
-        total += float(np.asarray(fn(pts), dtype=float) @ w)
+        total += float(np.add.reduce(np.asarray(fn(pts), dtype=float) * w))
     return total
 
 
@@ -622,9 +622,10 @@ def moved_grid_integrals(fn, pts, w, centers) -> np.ndarray:
     (pts, w) translated to each row of ``centers``.
 
     ``fn`` sees at most ``BALL_CHUNK_POINTS`` points per call (one item if a
-    single grid is larger), and each item is reduced with its own dot
-    product, so its value equals ``fn(centers[i] + pts) @ w`` bit for bit
-    whichever items share its chunk.
+    single grid is larger), and each item is reduced by numpy's pairwise
+    sum of its own row, so its value equals
+    ``np.add.reduce(fn(centers[i] + pts) * w)`` bit for bit whichever items
+    share its chunk, at any BLAS thread count.
     """
     centers = np.asarray(centers, dtype=float)
     count, (m, n) = len(centers), pts.shape
@@ -638,5 +639,5 @@ def moved_grid_integrals(fn, pts, w, centers) -> np.ndarray:
         for axis in range(n):
             np.add(pts[:, axis], centers[i:j, axis, None], out=moved[..., axis])
         vals = np.asarray(fn(moved.reshape(-1, n)), dtype=float).reshape(j - i, m)
-        out[i:j] = [row @ w for row in vals]
+        out[i:j] = np.add.reduce(vals * w, axis=1)
     return out

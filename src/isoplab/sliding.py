@@ -29,7 +29,8 @@ from typing import Callable
 
 import numpy as np
 
-from .defaults import DEGENERACY_TOL, ENDPOINT_MARGIN, QUAD_ABS_TOL, SCAN_STEP
+from .defaults import (BALL_CHUNK_POINTS, DEGENERACY_TOL, ENDPOINT_MARGIN,
+                       QUAD_ABS_TOL, SCAN_STEP)
 from .density import RadialDeficit
 from .layers import asymptotic_kernels, layer_integral
 from .quadrature import gauss_nodes, unit_ball_volume
@@ -170,10 +171,16 @@ class SignSearchOutcome:
 
 
 def _tail_is_zero(g: RadialDeficit, lo: float, hi: float, tol=DEGENERACY_TOL) -> bool:
+    """Whether the profile is within ``tol`` of zero at 512 radii of
+    [lo, hi], or [lo, hi] lies beyond its support.  The radii go to the
+    profile in chunks of at most ``BALL_CHUNK_POINTS`` weight evaluations,
+    and the first chunk with a nonzero value answers."""
     if g.support_hint is not None and lo >= g.support_hint:
         return True
     r = np.linspace(max(lo, 0.0), hi, 512)
-    return bool(np.all(np.abs(np.asarray(g.profile(r), dtype=float)) <= tol))
+    step = max(1, BALL_CHUNK_POINTS // g.sphere_points)
+    return all(np.all(np.abs(np.asarray(g.profile(r[i:i + step]), dtype=float)) <= tol)
+               for i in range(0, r.size, step))
 
 
 def sliding_sign_search(k: SlidingKernel, g: RadialDeficit, R_min: float,

@@ -1,6 +1,7 @@
 """The deficit on the working circle's swept region as Fourier series in the
 sweep angle: every ball, half-ball, hemisphere and wedge of the circle at
-once.
+once; and, on the same meridian rule, the mean ball measures over a
+subsphere of centres.
 
 Cylindrical coordinates about the working plane (spanned by the first two
 columns of ``frame``) write a point as s (cos psi e_1 + sin psi e_2) + z,
@@ -41,6 +42,35 @@ integrand smooth (Gauss in rho itself converges algebraically).
 
 Error estimates are computed from two coarser rules on the same samples or
 grids: every other psi sample, and half the disk nodes.
+
+The same coordinates average a ball over a whole subsphere of centres
+(``subsphere_means``), which is what the working-circle descent scores.  Let
+U be a subspace of dimension k and write a point as s u + w with u in
+S^{k-1} of U and w in its complement.  The unit ball about R v, v in
+S^{k-1}, contains the point exactly when v . u >= cos(gamma), with the gamma
+above, so the mean over v of the ball's indicator is the normalised cap
+measure
+
+    sigma_k(gamma) = I_{sin^2 gamma}((k - 1) / 2, 1/2) / 2     (gamma <= pi/2),
+
+gamma / pi for k = 2 and (1 - cos gamma) / 2 for k = 3 (I is the
+regularised incomplete beta function).  The mean of |B(R v)|_g is then
+the integral of g sigma_k(gamma), and in the coordinates (s, w, u), whose
+volume element is s^{k-1} ds dw du, it is a sum over the nodes (s, w) of
+the meridian ball D, the unit ball about (R, 0) in R^{N-k+1}, of the
+deficit's integral over the sphere {s u + w} times the kernel
+w_D s^{k-1} sigma_k(gamma).  The mean perimeter is the derivative in the
+radius t at t = 1 of the mean ball of radius t (coarea formula): d cos(gamma)
+/ dt = -1 / (s R), so d sigma_k / dt = |S^{k-2}| sin^{k-3}(gamma) /
+(|S^{k-1}| s R), and the kernel is w_D s^{k-2} sin^{k-3}(gamma) / R times
+|S^{k-2}| / |S^{k-1}|.  On the rule rho = sin(tau), w_D carries cos(tau), and
+R sin(gamma) = cos(tau) sqrt(R / s) cos(gamma / 2), so w_D s^{k-2}
+sin^{k-3}(gamma) / R is the hemisphere weight above times
+(s sin gamma)^{k-2}: smooth on D for every k, with no 1 / sin(gamma) left
+for k = 2.  For k = 2 (the only level in N = 3) the two sums are the k = 0
+Fourier modes of ``lead + trail`` and ``lead_sphere + trail_sphere``.
+Their error estimate is computed as for the spectrum: half the angular
+rule on the subsphere, and half the nodes of D.
 """
 
 from __future__ import annotations
@@ -49,11 +79,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import betainc
 
 from .defaults import (BALL_CHUNK_POINTS, GRID_REFINE, RADIAL_NODES,
                        REFINE_ROUNDS, SPHERE_NODES, VOLUME_RTOL)
 from .measures import swept_excess
-from .quadrature import gauss_nodes, sphere_grid
+from .quadrature import gauss_nodes, sphere_grid, unit_sphere_area
 
 HALF_PI = math.pi / 2
 ULP = np.finfo(float).eps
@@ -102,9 +133,11 @@ class _Modes:
     lead_sphere: np.ndarray
     trail_sphere: np.ndarray
 
-    def terms(self, pieces, phis, deltas=None) -> np.ndarray:
+    def terms(self, pieces, phase, shift=None) -> np.ndarray:
         """The terms X_k e^{ik phi} of the sum of ``pieces`` at each angle,
-        one row each.
+        one row each, from the angles' phase table e^{ik phi} and, for the
+        pieces that move with delta, the table ``_shift(deltas)``; tables
+        with more modes are cut to this rule's.
 
         ``lead``, ``trail``: the half-balls [phi, phi + gamma] and
         [phi - gamma, phi]; ``lead_sphere``, ``trail_sphere``: the
@@ -112,13 +145,13 @@ class _Modes:
         [phi, phi + delta]; ``extend``: [phi + gamma, phi + gamma + delta],
         which a sweep by delta adds to the ball at phi.
         """
-        k = self.k
+        count = self.k.size
         X = sum(getattr(self, p) for p in pieces if p not in ("wedge", "extend"))
         moving = [self.wedge if p == "wedge" else self.extend()
                   for p in pieces if p in ("wedge", "extend")]
         if moving:
-            X = X + sum(moving) * _shift(deltas, k.size)
-        return X * _powers(phis, k.size)
+            X = X + sum(moving) * shift[..., :count]
+        return X * phase[..., :count]
 
     def extend(self) -> np.ndarray:
         """Mode sums of the shift by gamma + delta minus the shift by gamma:
@@ -126,20 +159,23 @@ class _Modes:
         return self.wedge + 1j * self.k * self.lead
 
 
-def _disk(n: int, R: float, nodes: int, radial_nodes: int):
-    """Nodes (s, z), volume weights (Jacobian s included), surface weights
-    and half-widths gamma of the meridian disk, with rho = sin(tau) and
-    Gauss nodes in tau."""
+def _disk(n: int, R: float, nodes: int, radial_nodes: int, k: int = 2):
+    """Nodes (s, w), volume weights (Jacobian s^{k-1} included), surface
+    weights w_D s^{k-2} sin^{k-3}(gamma) / R and half-widths gamma of the
+    meridian ball of a k-dimensional subspace (the meridian disk for
+    k = 2), with rho = sin(tau) and Gauss nodes in tau."""
     tau, wt = gauss_nodes(0.0, HALF_PI, radial_nodes)
-    v, wv = sphere_grid(n - 1, nodes, nodes)
+    v, wv = sphere_grid(n - k + 1, nodes, nodes)
     rho, cos_tau = np.sin(tau), np.cos(tau)
-    sz = (rho[:, None, None] * v[None]).reshape(-1, n - 1)
+    sz = (rho[:, None, None] * v[None]).reshape(-1, n - k + 1)
     sz[:, 0] += R
-    w = ((wt * cos_tau * rho ** (n - 2))[:, None] * wv[None]).ravel() * sz[:, 0]
-    half_sin = np.repeat(cos_tau, len(v)) / (2.0 * np.sqrt(R * sz[:, 0]))
+    s = sz[:, 0]
+    w = ((wt * cos_tau * rho ** (n - k))[:, None] * wv[None]).ravel() * s ** (k - 1)
+    half_sin = np.repeat(cos_tau, len(v)) / (2.0 * np.sqrt(R * s))
     gamma = 2.0 * np.arcsin(np.minimum(half_sin, 1.0))
-    w_sphere = (((wt * rho ** (n - 2))[:, None] * wv[None]).ravel()
-                * np.sqrt(sz[:, 0] / R) / np.cos(0.5 * gamma))
+    w_sphere = (((wt * rho ** (n - k))[:, None] * wv[None]).ravel()
+                * np.sqrt(s / R) / np.cos(0.5 * gamma)
+                * (s * np.sin(gamma)) ** (k - 2))
     return sz, w, w_sphere, gamma
 
 
@@ -183,21 +219,30 @@ def _mode_sums(g, frame, disk, M: int, every_other: bool) -> list[_Modes]:
     return out
 
 
-def _evaluate(modes: _Modes, pieces, phis, deltas=None):
-    """(values, rounding floors) of the sum of ``pieces`` at each angle, in
-    chunks of angles of at most ``BALL_CHUNK_POINTS`` terms.  The floor is
-    the worst-case rounding of a sum of as many terms as there are disk
-    nodes and modes, times the sum of the terms' moduli."""
+def _evaluate(rules, pieces, phis, deltas=None):
+    """(values of each of the ``_Modes`` ``rules``, one row each, and the
+    rounding floors of the first rule's) of the sum of ``pieces`` at each
+    angle, in chunks of angles of at most ``BALL_CHUNK_POINTS`` terms.  The
+    phase and shift tables are formed once per chunk, with the first rule's
+    modes, and cut for the others: a cumulative product's prefix is the
+    same float.  The floor is the worst-case rounding of a sum of as many
+    terms as there are disk nodes and modes, times the sum of the terms'
+    moduli."""
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     deltas = None if deltas is None else np.broadcast_to(deltas, phis.shape)
-    values, floors = np.empty(phis.size), np.empty(phis.size)
-    step = max(1, BALL_CHUNK_POINTS // modes.k.size)
+    count = rules[0].k.size
+    values, floors = np.empty((len(rules), phis.size)), np.empty(phis.size)
+    step = max(1, BALL_CHUNK_POINTS // count)
     for i in range(0, phis.size, step):
         j = min(i + step, phis.size)
-        terms = modes.terms(pieces, phis[i:j], None if deltas is None else deltas[i:j])
-        values[i:j] = np.add.reduce(terms.real, axis=1)
-        floors[i:j] = (ULP * (modes.nodes + modes.k.size)
-                       * np.add.reduce(np.abs(terms), axis=1))
+        phase = _powers(phis[i:j], count)
+        shift = None if deltas is None else _shift(deltas[i:j], count)
+        for row, modes in enumerate(rules):
+            terms = modes.terms(pieces, phase, shift)
+            values[row, i:j] = np.add.reduce(terms.real, axis=1)
+            if row == 0:
+                floors[i:j] = (ULP * (modes.nodes + modes.k.size)
+                               * np.add.reduce(np.abs(terms), axis=1))
     return values, floors
 
 
@@ -224,8 +269,7 @@ class SweepSpectrum:
         M = grid if grid % 2 == 0 else 2 * grid
         for rounds in range(REFINE_ROUNDS + 1):
             full, alias = _mode_sums(g, frame, disk, M, every_other=True)
-            ball, floor = _evaluate(full, ("lead", "trail"), theta)
-            coarse, _ = _evaluate(alias, ("lead", "trail"), theta)
+            (ball, coarse), floor = _evaluate((full, alias), ("lead", "trail"), theta)
             if np.all(np.abs(coarse - ball) <= VOLUME_RTOL * np.abs(ball) + floor):
                 break
             if rounds == REFINE_ROUNDS:
@@ -242,9 +286,10 @@ class SweepSpectrum:
 
     def _integrals(self, pieces, phis, deltas=None):
         """(values, error estimates) of the sum of ``pieces`` at each angle."""
-        values, error = _evaluate(self.modes, pieces, phis, deltas)
-        for modes in self.coarse:
-            error += np.abs(_evaluate(modes, pieces, phis, deltas)[0] - values)
+        (values, *coarse), error = _evaluate((self.modes, *self.coarse), pieces,
+                                              phis, deltas)
+        for other in coarse:
+            error += np.abs(other - values)
         return values, error
 
     def balls(self, phis):
@@ -282,3 +327,56 @@ class SweepSpectrum:
             added = np.add.reduce((at_phi * _shift(delta, count)).real)
             return float(swept_excess(self.n, self.R, delta)[1] - ball - added)
         return gap
+
+
+def subsphere_means(g, frames, k: int, R: float, nodes: int = SPHERE_NODES,
+                    radial_nodes: int = RADIAL_NODES, circle_nodes: int = 32):
+    """Means of P_g and V_g of the unit balls about R v over the unit vectors
+    v of a k-dimensional subspace, one subspace per frame.
+
+    Each frame is an (N, N) orthonormal matrix whose first k columns span
+    the subspace.  Returns (means, errors), each of shape (frames, 2) with
+    columns (P_g, V_g).  A mean is a sum over the nodes (s, w) of the
+    meridian ball of the deficit's integral over the sphere {s u + w}, on
+    ``sphere_grid(k, max(8, circle_nodes // 4), circle_nodes)``, times the
+    kernels of the module docstring.  Its error estimate is its differences
+    from the rule with half the angular nodes and from the rule with half
+    the meridian-ball nodes, plus the worst-case rounding of its sum: as
+    many terms as nodes and angles, times the sum of the terms' moduli.
+    """
+    n = frames[0].shape[0]
+    polar = max(8, circle_nodes // 4)
+    ratio = unit_sphere_area(k - 1) / unit_sphere_area(k)
+    rules = []
+    for args, angles in (((nodes, radial_nodes), (polar, circle_nodes)),
+                         ((nodes, radial_nodes),
+                          (max(1, polar // 2), max(1, circle_nodes // 2))),
+                         ((max(1, nodes // 2), max(1, radial_nodes // 2)),
+                          (polar, circle_nodes))):
+        sz, w, w_sphere, gamma = _disk(n, R, *args, k)
+        cap = 0.5 * betainc(0.5 * (k - 1), 0.5, np.sin(gamma) ** 2)
+        sigma = np.where(gamma <= HALF_PI, cap, 1.0 - cap)
+        rules.append((sz, np.stack([ratio * w_sphere, w * sigma]),
+                      *sphere_grid(k, *angles)))
+    means, errors = np.empty((len(frames), 2)), np.empty((len(frames), 2))
+    for f, frame in enumerate(frames):
+        values = []
+        for sz, kernel, u, wu in rules:
+            ring = np.add.reduce(u[:, :, None] * frame[:, :k].T[None], axis=1)
+            offset = np.add.reduce(sz[:, 1:, None] * frame[:, k:].T[None], axis=1)
+            sums = np.empty((2, len(sz)))
+            step = max(1, BALL_CHUNK_POINTS // len(wu))
+            for i in range(0, len(sz), step):
+                j = min(i + step, len(sz))
+                pts = sz[i:j, 0, None, None] * ring[None] + offset[i:j, None, :]
+                vals = wu * np.asarray(g(pts.reshape(-1, n)),
+                                       dtype=float).reshape(j - i, -1)
+                sums[0, i:j] = np.add.reduce(vals, axis=1)
+                sums[1, i:j] = np.add.reduce(np.abs(vals), axis=1)
+            values.append((np.add.reduce(kernel * sums[0], axis=1),
+                           ULP * (len(sz) + len(wu))
+                           * np.add.reduce(np.abs(kernel) * sums[1], axis=1)))
+        (full, floor), (angular, _), (disk, _) = values
+        means[f] = full
+        errors[f] = np.abs(full - angular) + np.abs(full - disk) + floor
+    return means, errors

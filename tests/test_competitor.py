@@ -1,7 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
 import sys
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,16 +20,16 @@ import isoplab.measures
 import isoplab.quadrature
 import isoplab.spectral
 from isoplab import (ExtensionResult, PlainBall, RotationSwept, VolumeMatch,
-                     mean_density, weighted_ball_measures)
-from isoplab.competitor import (_complement_in, _CylinderPieces,
-                                _root_of_gap, monte_carlo_check)
+                     mean_density, weighted_ball_measures_at)
+from isoplab.competitor import (_CylinderPieces, _root_of_gap,
+                                monte_carlo_check)
 from isoplab.defaults import VOLUME_RTOL
 from isoplab.density import deficit_weight
 from isoplab.measures import (ball_cap_patch, set_patches, sphere_cap_patch,
                               swept_band_patch, swept_patches,
                               swept_wedge_patch)
-from isoplab.quadrature import sphere_grid, unit_sphere_area
-from isoplab.spectral import ULP, SweepSpectrum
+from isoplab.quadrature import frame_from_axis, sphere_grid, unit_sphere_area
+from isoplab.spectral import ULP, SweepSpectrum, subsphere_means
 
 
 def smooth_bump(u):
@@ -329,53 +332,77 @@ def test_select_working_circle_angular_n3():
     assert mc.mean() >= sphere_avg - 1e-10
 
 
-def _working_circle_exhaustive(d, R, eps, axis_nodes, circle_nodes,
-                               quad_nodes):
-    """Reference scan: every candidate axis, antipodes included, one ball
-    measured at a time."""
-    n = d.dim
-    g = deficit_weight(d)
-    basis = np.eye(n)
-    m = n
-    while m > 2:
-        cand, _ = sphere_grid(m, axis_nodes, 2 * axis_nodes)
-        best_axis, best_avg = None, -math.inf
-        for axis_sub in cand:
-            axis = basis @ axis_sub
-            sub = basis @ _complement_in(axis_sub)
-            dirs_sub, w_sub = sphere_grid(m - 1, max(8, circle_nodes // 4),
-                                          circle_nodes)
-            margins = np.empty(len(dirs_sub))
-            for i, v in enumerate(dirs_sub):
-                u = sub @ v
-                P, V = weighted_ball_measures(g, n, R * u, 1.0, quad_nodes,
-                                              max(16, quad_nodes // 2))
-                margins[i] = P - (n - eps) * V
-            avg = float(margins @ w_sub / w_sub.sum())
-            if avg > best_avg:
-                best_avg, best_axis = avg, (axis, sub)
-        basis = best_axis[1]
-        m -= 1
-    return basis
+def _count_moved_grids(monkeypatch):
+    """Count the items of every call of the translated-grid engine."""
+    original, calls = isoplab.measures.moved_grid_integrals, []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[3]))
+        return original(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("isoplab") and vars(module).get(
+                "moved_grid_integrals") is original:
+            monkeypatch.setattr(module, "moved_grid_integrals", counted)
+    return calls
+
+
+def _first_level_frames(n, axis_nodes):
+    """Every axis of the first descent level, antipodes included, as frames
+    whose first N - 1 columns span the orthogonal subsphere."""
+    axes = sphere_grid(n, axis_nodes, 2 * axis_nodes)[0]
+    return [np.column_stack([F[:, 1:], F[:, :1]]) for F in map(frame_from_axis, axes)]
 
 
 def test_select_working_circle_matches_exhaustive_scan(monkeypatch):
     d = density_from_config({"family": "angular_mod", "dim": 3, "a": 1.0,
                              "params": {"eta": 0.5, "k": 1, "c": 1.0}})
-    R, eps = 10.0, 0.05
-    options = dict(axis_nodes=6, circle_nodes=16, quad_nodes=16)
-    scans = []
-    batched = isoplab.competitor.weighted_ball_measures_at
+    R, eps, n = 10.0, 0.05, 3
+    calls = _count_moved_grids(monkeypatch)
+    plane = select_working_circle(d, R, eps, axis_nodes=6, circle_nodes=16,
+                                  quad_nodes=16)
+    assert calls == []          # no translated balls
+    g = deficit_weight(d)
+    frames = _first_level_frames(n, 6)
+    means, error = subsphere_means(g, frames, 2, R, 16, 16, 16)
+    # reference: the balls about the 16 centres of each candidate circle,
+    # measured on translated grids and averaged
+    dirs, w = sphere_grid(2, 8, 16)
+    for frame, mean, err in zip(frames, means, error):
+        P, V = weighted_ball_measures_at(g, n, R * dirs @ frame[:, :2].T, 1.0,
+                                         16, 16)
+        reference = np.array([P @ w, V @ w]) / w.sum()
+        assert np.all(np.abs(mean - reference) <= err)
+    # the axially symmetric weight ties every candidate: the first one wins
+    margin = means[:, 0] - (n - eps) * means[:, 1]
+    spread = error[:, 0] + (n - eps) * error[:, 1]
+    assert np.all(margin + spread >= margin.max() - spread[np.argmax(margin)])
+    assert np.array_equal(plane, frames[0][:, :2])
 
-    def counted(*args):
-        scans.append(len(args[2]))
-        return batched(*args)
-    monkeypatch.setattr(isoplab.competitor, "weighted_ball_measures_at", counted)
-    plane = select_working_circle(d, R, eps, **options)
-    # the 6 x 12 axis grid is closed under antipodes: half of it is scanned,
-    # one batched call of 16 balls per circle
-    assert scans == [16] * 36
-    assert np.array_equal(plane, _working_circle_exhaustive(d, R, eps, **options))
+
+def test_select_working_circle_ties_pick_the_first_candidate():
+    # eta cos(theta) averages to zero over every great circle, so every
+    # candidate ties and grid order decides
+    d = density_from_config({"family": "angular_mod", "dim": 3, "a": 1.0,
+                             "params": {"eta": 0.5, "k": 1, "c": 1.0}})
+    plane = select_working_circle(d, 10.0, 0.05, axis_nodes=5,
+                                  circle_nodes=16, quad_nodes=16)
+    assert np.array_equal(plane, _first_level_frames(3, 5)[0][:, :2])
+    # eta cos(2 theta) is largest on circles through the poles +-e1, whose
+    # axes lie on the grid's equator (odd axis_nodes): the plane contains e1
+    d = density_from_config({"family": "angular_mod", "dim": 3, "a": 1.0,
+                             "params": {"eta": 0.5, "k": 2, "c": 1.0}})
+    plane = select_working_circle(d, 10.0, 0.05, axis_nodes=5,
+                                  circle_nodes=16, quad_nodes=16)
+    assert np.linalg.norm(plane[0]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_select_working_circle_angular_n4():
+    d = density_from_config({"family": "angular_mod", "dim": 4, "a": 1.0,
+                             "params": {"eta": 0.5, "k": 1, "c": 1.0}})
+    plane = select_working_circle(d, 10.0, 0.05, axis_nodes=4,
+                                  circle_nodes=8, quad_nodes=8)
+    assert plane.shape == (4, 2)
+    assert np.allclose(plane.T @ plane, np.eye(2), atol=1e-12)
 
 
 def _estimated(refs, piece, *args):
@@ -544,7 +571,7 @@ class _PerAngleSweptPieces:
     def _integral(self, pts, w):
         """g over one patch; ``points`` keeps the patch's size."""
         self.points = w.size
-        return float(np.asarray(self.g(pts)) @ w)
+        return float(np.add.reduce(np.asarray(self.g(pts)) * w))
 
     def _cap(self, patch, phi, upper, *nodes):
         lo, hi = (0.0, math.pi / 2) if upper else (math.pi / 2, math.pi)
@@ -763,23 +790,43 @@ def test_spectrum_refines_psi_grid(monkeypatch):
 def test_angle_scans_use_only_the_spectrum(monkeypatch):
     # every angle scan of the general-weight route (balls, half-balls,
     # wedges, hemispheres) comes from the sweep spectrum: the translated-grid
-    # engine, which direction and working-circle scans use, is never called
-    # for N = 2, where there is no working circle to select
-    original, calls = isoplab.measures.moved_grid_integrals, []
-
-    def counted(*args, **kwargs):
-        calls.append(len(args[3]))
-        return original(*args, **kwargs)
-    for name, module in list(sys.modules.items()):
-        if name.startswith("isoplab") and vars(module).get(
-                "moved_grid_integrals") is original:
-            monkeypatch.setattr(module, "moved_grid_integrals", counted)
+    # engine, which direction scans use, is never called
+    calls = _count_moved_grids(monkeypatch)
     d = density_from_config({"family": "angular_mod", "dim": 2, "a": 1.0,
                              "params": {"eta": 0.5, "k": 1, "c": 1.0}})
     cert = build_competitor(d, eps=0.05, R_min=10.0, R_max=200.0,
                             circle_grid=48, nodes=32, mc_samples=20_000)
     assert cert.advance is not None and cert.strict
     assert calls == []
+
+
+_BUILD_ANGULAR3 = """
+from isoplab import build_competitor, density_from_config
+d = density_from_config({"family": "angular_mod", "dim": 3, "a": 1.0,
+                         "params": {"eta": 0.5, "k": 1, "c": 1.0}})
+c = build_competitor(d, eps=0.05, R_min=10.0, R_max=200.0, nodes=16,
+                     circle_grid=16, mc_samples=20_000)
+for field in (c.E, c.perimeter_margin, c.volume_gap, c.match, c.advance,
+              c.P_f, c.V_f, c.mc_check):
+    print(repr(field))
+"""
+
+
+def test_certificate_independent_of_blas_threads():
+    # every reduction is numpy's pairwise sum and no selection is decided
+    # by rounding, so the certificate is the same float at any BLAS thread
+    # count
+    src = str(Path(isoplab.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        runs.append(subprocess.Popen([sys.executable, "-c", _BUILD_ANGULAR3],
+                                     env=env, stdout=subprocess.PIPE, text=True))
+    outputs = [run.communicate(timeout=300)[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert outputs[0].count("\n") == 8
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("cfg, rel", [
