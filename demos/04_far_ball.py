@@ -4,14 +4,16 @@ of a unit ball dominates (N - eps) times its deficit volume.
 
 The radial search reduces to the excess-kernel scan and re-verifies with
 the exact kernels; the direction selection then lifts the certificate from
-the radial average to the actual weight by a grid scan whose mean matches
-the radial margin.
+the radial average to the actual weight by scanning the angles of the
+working circle, whose mean margin is at least the radial margin (in n = 2
+the circle is the whole sphere, and the two are equal).
 """
 
 import numpy as np
 
-from isoplab import (deficit_profile, density_from_config, direction_grid,
+from isoplab import (deficit_profile, density_from_config,
                      directional_margins, find_far_radius, select_direction)
+from isoplab.quadrature import sphere_grid
 
 print("=" * 72)
 print("radial exponential deficit, n = 3: every offset qualifies")
@@ -40,7 +42,8 @@ theta = np.array(cert.theta)
 print(f"  selected direction = ({theta[0]:+.4f}, {theta[1]:+.4f})")
 print(f"  margin = {cert.margin:.6e}")
 
-dirs, w = direction_grid(2, 24)
+dirs, w = sphere_grid(2, 1, 24)
+w = w / w.sum()
 P, V, margins = directional_margins(am, 6.0, 0.05, dirs, nodes=48)
 print("  margin profile over the direction grid (24 points):")
 for i in range(0, 24, 4):

@@ -12,8 +12,8 @@ comparison ODE for tail masses.
 from .competitor import (CompetitorCertificate, ExtensionResult,
                          SweepAdvanceMap, VolumeMatch, build_competitor,
                          cylinder_extension, rotation_extension,
-                         select_sweep_direction, select_working_circle,
-                         sweep_advance_map, volume_match)
+                         select_sweep_direction, sweep_advance_map,
+                         volume_match)
 from .density import (ConfigError, ConvergenceReport, Density, RadialDeficit,
                       SampleSpec, deficit_profile, density_from_config,
                       eval_weight, radial_average, rescale,
@@ -21,15 +21,15 @@ from .density import (ConfigError, ConvergenceReport, Density, RadialDeficit,
 from .extinction import (ComparisonReport, ExtinctionCertificate,
                          TailMassCurve, comparison_check, extinction_time,
                          simulate_comparison_ode, tail_mass, tail_mass_curve)
-from .farball import (FarBallCertificate, direction_grid, directional_margins,
-                      find_far_radius, select_direction)
+from .farball import (FarBallCertificate, directional_margins,
+                      find_far_radius, select_direction, select_working_circle)
 from .layers import (DeviationReport, LayerKernelPair, asymptotic_kernels,
                      cap_area, cap_geometry, exact_kernels, kernel_deviation,
                      layer_integral, sin_power_integral)
 from .measures import (CompetitorSet, CylinderExtended, MeasureResult,
                        PlainBall, RotationSwept, ball_deficit_measures,
                        mean_density, profile_upper_bound, set_measures,
-                       weighted_ball_measures, weighted_ball_measures_at)
+                       weighted_ball_measures)
 from .quadrature import unit_ball_volume, unit_sphere_area
 from .sliding import (AdmissibilityReport, SignSearchOutcome, SlidingKernel,
                       averaging_identity_residual, check_admissibility,

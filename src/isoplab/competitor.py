@@ -17,7 +17,8 @@ perimeter stays below the Euclidean value N omega_N:
   change-of-variables inequality certifies the perimeter
   (``sweep_advance_map`` / ``select_sweep_direction``); for N >= 3 the
   working circle is found by descending through subspheres on their mean
-  margins, in closed form on the meridian rule (``select_working_circle``).
+  margins, in closed form on the meridian rule
+  (``farball.select_working_circle``).
 
 All final inequalities are assembled in deficit space: the perimeter margin
 N omega_N - P_f(E) is a sum of small deficit integrals and closed-form
@@ -37,15 +38,15 @@ from .defaults import (CIRCLE_GRID, DEGENERACY_TOL, EPS, RADIAL_NODES,
                        SPHERE_NODES, VOLUME_RTOL)
 from .density import (Density, deficit_profile, deficit_weight, eval_weight,
                       rescale)
-from .farball import FarBallCertificate, find_far_radius
+from .farball import (FarBallCertificate, find_far_radius,
+                      select_working_circle)
 from .measures import (CylinderExtended, MeasureResult, PlainBall,
                        RotationSwept, circle_point, cylinder_patches,
                        integrate_patches, mc_integrals, mean_density,
                        set_measures, set_patches, shrink_terms, swept_excess,
                        swept_patches)
-from .quadrature import (frame_from_axis, sphere_grid, unit_ball_volume,
-                         unit_sphere_area)
-from .spectral import SweepSpectrum, subsphere_means
+from .quadrature import frame_from_axis, sphere_grid, unit_ball_volume
+from .spectral import ULP, SweepSpectrum
 
 
 @dataclass(frozen=True)
@@ -383,9 +384,9 @@ def rotation_extension(cert: FarBallCertificate, d: Density,
     two samples per disk node resolve it); the volume gap and perimeter
     margin of the matched set are then integrated over its patch list.
     Verifies, on the same patches and the leading cap of the base ball, the
-    rotation-invariance identity on the swept hemisphere and the perimeter
-    chain P_f(E) <= P_f(B) + (N-1) omega_{N-1} (R+1) delta, and the final
-    mean-density bound.
+    rotation-invariance identity on the swept hemisphere in deficit space,
+    the perimeter chain P_f(E) <= P_f(B) + (N-1) omega_{N-1} (R+1) delta,
+    and the final mean-density bound.
     """
     if not d.radial:
         raise ValueError("rotation extension requires a radial weight")
@@ -401,20 +402,24 @@ def rotation_extension(cert: FarBallCertificate, d: Density,
          if delta > 0.0 else PlainBall(dim=n, offset=R, direction=tuple(theta)))
     patches, margin, gap = _swept_certificate(d, R, plane, 0.0, delta, nodes)
     match = replace(match, achieved_volume=unit_ball_volume(n) + gap, gap=gap)
-    # rotation invariance of the swept hemisphere under a radial weight
+    # rotation invariance of the swept hemisphere under a radial weight, in
+    # deficit space: H_g(leading cap at delta) = H_g(leading cap at 0), within
+    # both caps' differences from their half-node rules and rounding floors
     g = deficit_weight(d)
-    base = swept_patches(n, R, 0.0, plane, 0.0, nodes, RADIAL_NODES)
-    half_area = 0.5 * unit_sphere_area(n)
-    upper0, upper1 = (half_area - integrate_patches(g, [p.surface["leading"]()])
-                      for p in (base, patches))
-    identity_resid = abs(upper1 - upper0)
+    caps = [[np.asarray(g(pts), dtype=float) * w for pts, w in (
+        swept_patches(n, R, sweep, plane, 0.0, nn, RADIAL_NODES).surface["leading"]()
+        for nn in (nodes, max(1, nodes // 2)))] for sweep in (0.0, delta)]
+    (H0, H0_half), (H1, H1_half) = ([float(np.add.reduce(t)) for t in c] for c in caps)
+    identity_resid = abs(H1 - H0)
+    identity_error = abs(H0 - H0_half) + abs(H1 - H1_half) + ULP * sum(
+        c[0].size * float(np.add.reduce(np.abs(c[0]))) for c in caps)
     band = patches.surface.get("band")
     band_f = swept_excess(n, R, delta)[0] - (integrate_patches(g, [band()])
                                              if band else 0.0)
     chain_ok = band_f <= (n - 1) * unit_ball_volume(n - 1) * (R + 1.0) * delta + 1e-12
     ext = _extension(E, match, margin, {
         "rotation_identity_residual": identity_resid,
-        "rotation_identity_ok": identity_resid <= 1e-10 * unit_sphere_area(n),
+        "rotation_identity_ok": bool(identity_resid <= identity_error),
         "perimeter_chain_ok": bool(chain_ok),
     })
     if ext.rho > 1.0 + 1e-9:
@@ -422,44 +427,6 @@ def rotation_extension(cert: FarBallCertificate, d: Density,
             f"mean density {ext.rho} exceeds 1 + 1e-9: the offset or eps is "
             "misconfigured for this weight")
     return ext
-
-
-def select_working_circle(d: Density, R: float, eps: float = EPS,
-                          axis_nodes: int = 8, circle_nodes: int = 32,
-                          quad_nodes: int = 32) -> np.ndarray:
-    """Descend subspheres to a working circle with nonnegative averaged margin.
-
-    At each level the axis grid is scanned, and each axis's candidate is the
-    subsphere orthogonal to it.  Its mean margin P_g - (N - eps) V_g over the
-    balls centred on the subsphere of radius R comes in closed form from
-    ``spectral.subsphere_means``, with an error estimate.  A candidate ties
-    with the best one when their margins are within the sum of their
-    estimates, and the first tied candidate in grid order is kept, so
-    rounding never decides.  An axis whose antipode was already scanned is
-    skipped: both are orthogonal to the same subsphere.  The surviving
-    2-plane is returned as an (N, 2) orthonormal basis.  Radial weights
-    short-circuit to the first coordinate plane.
-    """
-    n = d.dim
-    if d.radial or n == 2:
-        return np.eye(n)[:, :2]
-    g = deficit_weight(d)
-    basis, rest = np.eye(n), np.empty((n, 0))   # the subspace and its complement
-    for m in range(n, 2, -1):
-        kept: list[np.ndarray] = []
-        for axis_sub in sphere_grid(m, axis_nodes, 2 * axis_nodes)[0]:
-            if not any(np.max(np.abs(a + axis_sub)) <= 1e-9 for a in kept):
-                kept.append(axis_sub)
-        frames = [np.column_stack([basis @ F[:, 1:], basis @ F[:, :1], rest])
-                  for F in map(frame_from_axis, kept)]
-        means, error = subsphere_means(g, frames, m - 1, R, quad_nodes,
-                                       max(16, quad_nodes // 2), circle_nodes)
-        margin = means[:, 0] - (n - eps) * means[:, 1]
-        spread = error[:, 0] + (n - eps) * error[:, 1]
-        best = int(np.argmax(margin))
-        first = int(np.argmax(margin + spread >= margin[best] - spread[best]))
-        basis, rest = frames[first][:, :m - 1], frames[first][:, m - 1:]
-    return basis
 
 
 def sweep_advance_map(d: Density, R: float, plane: np.ndarray,

@@ -9,8 +9,7 @@ MC_SAMPLES          1_000_000  Monte-Carlo sample budget per measure
 SPHERE_NODES        64         Gauss nodes per angle on sphere grids
 RADIAL_NODES        64         Gauss nodes along radial directions
 SCAN_STEP           0.25       sliding-search grid step in the offset R
-DIRECTION_NODES     360        direction-grid size for far-ball selection
-CIRCLE_GRID         720        working-circle grid for the sweep-advance map
+CIRCLE_GRID         720        working-circle grid: advance map, far-ball angles
 GRID_REFINE         4          grid refinement factor on scan failure
 REFINE_ROUNDS       2          refinement rounds before reporting failure
 VOLUME_RTOL         1e-8       volume matching tolerance, relative to |B|_g
@@ -27,19 +26,17 @@ the same reason the volume-matching tolerance scales with the base ball's
 deficit volume |B|_g, not with omega_N: at offset 50 the exponential families
 have |B|_g ~ 1e-21, and only a relative tolerance matches the volume there.
 
-Ball scans over directions evaluate the weight on many translated copies of
-one reference grid; they hand the weight at most BALL_CHUNK_POINTS points
-per call (one ball when a single ball is larger), which keeps the per-call
-overhead negligible while the peak memory of a scan stays a few megabytes.
 Every scan over the angles of a working circle (balls, half-balls,
-hemispheres, wedges, volume gaps) comes from one sample of the deficit on
-the meridian disk times a psi grid (``spectral.SweepSpectrum``), taken and
-transformed in chunks of the same size; its psi grid is refined by
-GRID_REFINE, at most REFINE_ROUNDS times, until its every-other-sample rule
-agrees to VOLUME_RTOL.  The working-circle descent's candidate means come
-from the same meridian rule about each candidate subspace
-(``spectral.subsphere_means``), in chunks of the same size, and so do the
-far-radius tail test's profile calls and the Monte-Carlo draws.
+hemispheres, wedges, volume gaps, and the far-ball direction's margins)
+comes from one sample of the deficit on the meridian disk times a psi grid
+(``spectral.SweepSpectrum``); its psi grid is refined by GRID_REFINE, at
+most REFINE_ROUNDS times, until its every-other-sample rule agrees to
+VOLUME_RTOL.  The working-circle descent's candidate means come from the
+same meridian rule about each candidate subspace
+(``spectral.subsphere_means``).  These scans, the far-radius tail test and
+the Monte-Carlo draws hand the weight at most BALL_CHUNK_POINTS points per
+call, which keeps the per-call overhead negligible while the peak memory
+stays a few megabytes.
 """
 
 EPS = 0.01
@@ -48,7 +45,6 @@ MC_SAMPLES = 1_000_000
 SPHERE_NODES = 64
 RADIAL_NODES = 64
 SCAN_STEP = 0.25
-DIRECTION_NODES = 360
 CIRCLE_GRID = 720
 GRID_REFINE = 4
 REFINE_ROUNDS = 2

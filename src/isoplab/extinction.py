@@ -75,7 +75,8 @@ def tail_mass(E: CompetitorSet, d: Density, t: float,
         gamma = float(cap_geometry(s, R))
         pts, w = sphere_cap_patch(n, s, np.zeros(n), theta,
                                   0.0, gamma, nodes, nodes)
-        total += wu * math.cos(u) * float(np.asarray(eval_weight(d, pts)) @ w)
+        total += wu * math.cos(u) * float(np.add.reduce(
+            np.asarray(eval_weight(d, pts), dtype=float) * w))
     return total
 
 

@@ -593,51 +593,12 @@ def weighted_ball_measures(fn, n: int, center, radius: float = 1.0,
                            radial_nodes: int = RADIAL_NODES):
     """(perimeter, volume) of an arbitrary ball under an arbitrary weight.
 
-    Plain floats; the one-centre call of ``weighted_ball_measures_at``.
+    Plain floats: the reference sphere and ball grids moved to ``center``,
+    each reduced by numpy's pairwise sum, so a value is the same float at
+    any BLAS thread count.
     """
-    P, V = weighted_ball_measures_at(fn, n, np.reshape(center, (1, n)), radius,
-                                     nodes, radial_nodes)
-    return float(P[0]), float(V[0])
-
-
-def weighted_ball_measures_at(fn, n: int, centers, radius: float = 1.0,
-                              nodes: int = SPHERE_NODES,
-                              radial_nodes: int = RADIAL_NODES):
-    """(P, V) arrays: perimeter and volume of the ball of ``radius`` about
-    each row of ``centers`` under the weight ``fn``.
-
-    The reference sphere and ball grids are built once and translated to
-    each centre (``moved_grid_integrals``), so a ball's measures are the
-    floats of a one-ball call.
-    """
-    spts, sw = sphere_band_grid(n, 0.0, math.pi, nodes, nodes)
-    bpts, bw = ball_grid(n, radial_nodes, nodes, nodes)
-    P = moved_grid_integrals(fn, radius * spts, sw * radius ** (n - 1), centers)
-    V = moved_grid_integrals(fn, radius * bpts, bw * radius ** n, centers)
-    return P, V
-
-
-def moved_grid_integrals(fn, pts, w, centers) -> np.ndarray:
-    """The translated-grid scan engine: integral(fn) on the reference grid
-    (pts, w) translated to each row of ``centers``.
-
-    ``fn`` sees at most ``BALL_CHUNK_POINTS`` points per call (one item if a
-    single grid is larger), and each item is reduced by numpy's pairwise
-    sum of its own row, so its value equals
-    ``np.add.reduce(fn(centers[i] + pts) * w)`` bit for bit whichever items
-    share its chunk, at any BLAS thread count.
-    """
-    centers = np.asarray(centers, dtype=float)
-    count, (m, n) = len(centers), pts.shape
-    out = np.empty(count)
-    step = max(1, BALL_CHUNK_POINTS // m)
-    for i in range(0, count, step):
-        j = min(i + step, count)
-        moved = np.empty((j - i, m, n))
-        # one coordinate at a time: a broadcast add over the short last
-        # axis would run one inner loop per point
-        for axis in range(n):
-            np.add(pts[:, axis], centers[i:j, axis, None], out=moved[..., axis])
-        vals = np.asarray(fn(moved.reshape(-1, n)), dtype=float).reshape(j - i, m)
-        out[i:j] = np.add.reduce(vals * w, axis=1)
-    return out
+    c = np.asarray(center, dtype=float)
+    grids = ((sphere_band_grid(n, 0.0, math.pi, nodes, nodes), n - 1),
+             (ball_grid(n, radial_nodes, nodes, nodes), n))
+    return tuple(float(np.add.reduce(np.asarray(fn(c + radius * pts), dtype=float)
+                                     * (w * radius ** p))) for (pts, w), p in grids)

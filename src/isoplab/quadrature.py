@@ -58,18 +58,12 @@ def sphere_band_grid(n: int, polar_lo: float, polar_hi: float,
 
     The polar angle is measured from the first coordinate axis.  With
     lo = 0, hi = pi this is the whole sphere; [0, pi/2] is the hemisphere
-    {x1 >= 0}.  For n = 1 the band degenerates to the endpoints of S^0 that
-    the angular window contains (angle 0 for +1, angle pi for -1).
+    {x1 >= 0}.  For n = 1 only the whole of S^0, {+1, -1}, is a band.
     """
     if n == 1:
-        pts, w = [], []
-        if polar_lo <= 0.0:
-            pts.append([1.0])
-            w.append(1.0)
-        if polar_hi >= math.pi:
-            pts.append([-1.0])
-            w.append(1.0)
-        return np.array(pts), np.array(w)
+        if (polar_lo, polar_hi) != (0.0, math.pi):
+            raise ValueError("a band of S^0 must be all of it")
+        return np.array([[1.0], [-1.0]]), np.ones(2)
     if n == 2:
         if polar_lo == 0.0 and polar_hi == math.pi:
             # full circle: uniform periodic rule, exact for trig polynomials
@@ -94,15 +88,14 @@ def sphere_band_grid(n: int, polar_lo: float, polar_hi: float,
 
 
 def ball_grid(n: int, radial_nodes: int = 64, polar_nodes: int = 64,
-              azimuth_nodes: int = 64, polar_lo: float = 0.0,
-              polar_hi: float = math.pi):
-    """Grid on the unit ball of R^n (optionally restricted to a polar band).
+              azimuth_nodes: int = 64):
+    """Grid on the unit ball of R^n.
 
     Returns (points, weights); weights include the r^{n-1} volume factor and
-    sum to the (band-restricted) ball volume.
+    sum to the ball volume.
     """
     rho, wr = gauss_nodes(0.0, 1.0, radial_nodes)
-    spts, sw = sphere_band_grid(n, polar_lo, polar_hi, polar_nodes, azimuth_nodes)
+    spts, sw = sphere_grid(n, polar_nodes, azimuth_nodes)
     pts = (rho[:, None, None] * spts[None, :, :]).reshape(-1, n)
     w = ((wr * rho ** (n - 1))[:, None] * sw[None, :]).ravel()
     return pts, w

@@ -93,7 +93,7 @@ def _running_integral(fn, grid: np.ndarray, panel_nodes: int = 12) -> np.ndarray
     acc = 0.0
     for i in range(grid.size):
         x, w = gauss_nodes(edges[i], edges[i + 1], panel_nodes)
-        acc += float(np.asarray(fn(x), dtype=float) @ w)
+        acc += float(np.add.reduce(np.asarray(fn(x), dtype=float) * w))
         out[i] = acc
     return out
 
@@ -135,7 +135,8 @@ def check_admissibility(k: SlidingKernel, grid: np.ndarray | None = None,
     else:
         running = _running_integral(checked, grid)
         x, w = gauss_nodes(grid[-1], 1.0, 24)
-        total = running[-1] + float(np.asarray(checked(x), dtype=float) @ w)
+        tail = np.add.reduce(np.asarray(checked(x), dtype=float) * w)
+        total = running[-1] + float(tail)
     prim_one = 0.0
     if k.kind == "derivative":
         val, _, _ = layer_integral(k.values, epsabs=1e-12)

@@ -343,16 +343,19 @@ def subsphere_means(g, frames, k: int, R: float, nodes: int = SPHERE_NODES,
     from the rule with half the angular nodes and from the rule with half
     the meridian-ball nodes, plus the worst-case rounding of its sum: as
     many terms as nodes and angles, times the sum of the terms' moduli.
+    For k = 2 and an even ``circle_nodes`` the half angular rule is every
+    other sample of the full one with doubled weights, so it evaluates no
+    deficit of its own.
     """
     n = frames[0].shape[0]
     polar = max(8, circle_nodes // 4)
     ratio = unit_sphere_area(k - 1) / unit_sphere_area(k)
+    every_other = k == 2 and circle_nodes % 2 == 0
+    specs = [((nodes, radial_nodes), (polar, circle_nodes)),
+             ((max(1, nodes // 2), max(1, radial_nodes // 2)), (polar, circle_nodes)),
+             ((nodes, radial_nodes), (max(1, polar // 2), max(1, circle_nodes // 2)))]
     rules = []
-    for args, angles in (((nodes, radial_nodes), (polar, circle_nodes)),
-                         ((nodes, radial_nodes),
-                          (max(1, polar // 2), max(1, circle_nodes // 2))),
-                         ((max(1, nodes // 2), max(1, radial_nodes // 2)),
-                          (polar, circle_nodes))):
+    for args, angles in specs[:2] if every_other else specs:
         sz, w, w_sphere, gamma = _disk(n, R, *args, k)
         cap = 0.5 * betainc(0.5 * (k - 1), 0.5, np.sin(gamma) ** 2)
         sigma = np.where(gamma <= HALF_PI, cap, 1.0 - cap)
@@ -364,7 +367,7 @@ def subsphere_means(g, frames, k: int, R: float, nodes: int = SPHERE_NODES,
         for sz, kernel, u, wu in rules:
             ring = np.add.reduce(u[:, :, None] * frame[:, :k].T[None], axis=1)
             offset = np.add.reduce(sz[:, 1:, None] * frame[:, k:].T[None], axis=1)
-            sums = np.empty((2, len(sz)))
+            sums = np.empty((3, len(sz)))
             step = max(1, BALL_CHUNK_POINTS // len(wu))
             for i in range(0, len(sz), step):
                 j = min(i + step, len(sz))
@@ -373,10 +376,13 @@ def subsphere_means(g, frames, k: int, R: float, nodes: int = SPHERE_NODES,
                                        dtype=float).reshape(j - i, -1)
                 sums[0, i:j] = np.add.reduce(vals, axis=1)
                 sums[1, i:j] = np.add.reduce(np.abs(vals), axis=1)
+                sums[2, i:j] = np.add.reduce(2.0 * vals[:, ::2], axis=1)
             values.append((np.add.reduce(kernel * sums[0], axis=1),
+                           np.add.reduce(kernel * sums[2], axis=1),
                            ULP * (len(sz) + len(wu))
                            * np.add.reduce(np.abs(kernel) * sums[1], axis=1)))
-        (full, floor), (angular, _), (disk, _) = values
+        (full, alias, floor), (disk, _, _) = values[:2]
+        angular = alias if every_other else values[2][0]
         means[f] = full
         errors[f] = np.abs(full - angular) + np.abs(full - disk) + floor
     return means, errors

@@ -20,7 +20,7 @@ import isoplab.measures
 import isoplab.quadrature
 import isoplab.spectral
 from isoplab import (ExtensionResult, PlainBall, RotationSwept, VolumeMatch,
-                     mean_density, weighted_ball_measures_at)
+                     mean_density, weighted_ball_measures)
 from isoplab.competitor import (_CylinderPieces, _root_of_gap,
                                 monte_carlo_check)
 from isoplab.defaults import VOLUME_RTOL
@@ -202,6 +202,19 @@ def test_rotation_extension_radial(exp2):
     assert 2 * math.pi - P.value == pytest.approx(ext.perimeter_margin, abs=1e-12)
 
 
+
+def test_rotation_identity_residual_in_deficit_space(exp3):
+    # the leading caps at sweep 0 and delta differ in deficit space by
+    # rounding (2.2e-19 here), which a difference of |S^{N-1}|/2 - H_g
+    # values rounds to 0.0; the residual stays in deficit space and is held
+    # to the caps' node-halving and rounding estimates
+    far = find_far_radius(deficit_profile(exp3), 3, eps=0.05, R_min=10.0,
+                          R_max=60.0)
+    ext = rotation_extension(far, exp3, eps=0.05)
+    assert far.R == 10.0
+    assert 0.0 < ext.checks["rotation_identity_residual"] <= 1e-15
+    assert ext.checks["rotation_identity_ok"] is True
+
 def test_rotation_extension_requires_radial(angular2):
     far = find_far_radius(deficit_profile(angular2), 2, eps=0.05,
                           R_min=8.0, R_max=30.0)
@@ -332,17 +345,17 @@ def test_select_working_circle_angular_n3():
     assert mc.mean() >= sphere_avg - 1e-10
 
 
-def _count_moved_grids(monkeypatch):
-    """Count the items of every call of the translated-grid engine."""
-    original, calls = isoplab.measures.moved_grid_integrals, []
+def _count_ball_measures(monkeypatch):
+    """Record the centre of every ball measured on a translated grid."""
+    original, calls = isoplab.measures.weighted_ball_measures, []
 
     def counted(*args, **kwargs):
-        calls.append(len(args[3]))
+        calls.append(args[2])
         return original(*args, **kwargs)
     for name, module in list(sys.modules.items()):
         if name.startswith("isoplab") and vars(module).get(
-                "moved_grid_integrals") is original:
-            monkeypatch.setattr(module, "moved_grid_integrals", counted)
+                "weighted_ball_measures") is original:
+            monkeypatch.setattr(module, "weighted_ball_measures", counted)
     return calls
 
 
@@ -357,7 +370,7 @@ def test_select_working_circle_matches_exhaustive_scan(monkeypatch):
     d = density_from_config({"family": "angular_mod", "dim": 3, "a": 1.0,
                              "params": {"eta": 0.5, "k": 1, "c": 1.0}})
     R, eps, n = 10.0, 0.05, 3
-    calls = _count_moved_grids(monkeypatch)
+    calls = _count_ball_measures(monkeypatch)
     plane = select_working_circle(d, R, eps, axis_nodes=6, circle_nodes=16,
                                   quad_nodes=16)
     assert calls == []          # no translated balls
@@ -368,8 +381,8 @@ def test_select_working_circle_matches_exhaustive_scan(monkeypatch):
     # measured on translated grids and averaged
     dirs, w = sphere_grid(2, 8, 16)
     for frame, mean, err in zip(frames, means, error):
-        P, V = weighted_ball_measures_at(g, n, R * dirs @ frame[:, :2].T, 1.0,
-                                         16, 16)
+        P, V = np.array([weighted_ball_measures(g, n, c, 1.0, 16, 16)
+                         for c in R * dirs @ frame[:, :2].T]).T
         reference = np.array([P @ w, V @ w]) / w.sum()
         assert np.all(np.abs(mean - reference) <= err)
     # the axially symmetric weight ties every candidate: the first one wins
@@ -789,9 +802,9 @@ def test_spectrum_refines_psi_grid(monkeypatch):
 
 def test_angle_scans_use_only_the_spectrum(monkeypatch):
     # every angle scan of the general-weight route (balls, half-balls,
-    # wedges, hemispheres) comes from the sweep spectrum: the translated-grid
-    # engine, which direction scans use, is never called
-    calls = _count_moved_grids(monkeypatch)
+    # wedges, hemispheres) comes from the sweep spectrum: no ball is measured
+    # on a translated grid
+    calls = _count_ball_measures(monkeypatch)
     d = density_from_config({"family": "angular_mod", "dim": 2, "a": 1.0,
                              "params": {"eta": 0.5, "k": 1, "c": 1.0}})
     cert = build_competitor(d, eps=0.05, R_min=10.0, R_max=200.0,
@@ -801,7 +814,10 @@ def test_angle_scans_use_only_the_spectrum(monkeypatch):
 
 
 _BUILD_ANGULAR3 = """
-from isoplab import build_competitor, density_from_config
+import numpy as np
+from isoplab import (PlainBall, build_competitor, check_admissibility,
+                     density_from_config, direct_kernel, select_direction,
+                     tail_mass)
 d = density_from_config({"family": "angular_mod", "dim": 3, "a": 1.0,
                          "params": {"eta": 0.5, "k": 1, "c": 1.0}})
 c = build_competitor(d, eps=0.05, R_min=10.0, R_max=200.0, nodes=16,
@@ -809,6 +825,10 @@ c = build_competitor(d, eps=0.05, R_min=10.0, R_max=200.0, nodes=16,
 for field in (c.E, c.perimeter_margin, c.volume_gap, c.match, c.advance,
               c.P_f, c.V_f, c.mc_check):
     print(repr(field))
+print(repr(select_direction(d, 10.0, 0.05, quad_nodes=16)))
+print(repr(tail_mass(PlainBall(dim=3, offset=10.0), d, 9.5)))
+kernel = direct_kernel(lambda t: 1.0 - 3.0 * np.asarray(t) ** 2)
+print(repr(check_admissibility(kernel)))
 """
 
 
@@ -825,7 +845,7 @@ def test_certificate_independent_of_blas_threads():
                                      env=env, stdout=subprocess.PIPE, text=True))
     outputs = [run.communicate(timeout=300)[0] for run in runs]
     assert [run.returncode for run in runs] == [0, 0]
-    assert outputs[0].count("\n") == 8
+    assert outputs[0].count("\n") == 11
     assert outputs[0] == outputs[1]
 
 

@@ -3,11 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from isoplab import (RadialDeficit, ball_deficit_measures, deficit_profile,
-                     direction_grid, directional_margins, find_far_radius,
-                     select_direction, unit_ball_volume, weighted_ball_measures)
+import isoplab.farball
+import isoplab.measures
+from isoplab import (Density, RadialDeficit, ball_deficit_measures,
+                     deficit_profile, density_from_config, directional_margins,
+                     find_far_radius, select_direction, select_working_circle,
+                     unit_ball_volume, weighted_ball_measures)
 from isoplab.density import deficit_weight
 from isoplab.layers import exact_kernels
+from isoplab.quadrature import frame_from_axis, sphere_grid
+from isoplab.spectral import SweepSpectrum
 
 E = math.e
 
@@ -102,17 +107,19 @@ def test_select_direction_angular_mod(angular2):
 
 
 def test_select_direction_error_estimate_node_halving(angular2):
-    # the winning direction's P_g and V_g carry |value(q) - value(q/2)| plus
-    # a 1e-15 relative rounding floor, as set_measures reports
+    # the winning direction's P_g and V_g, read from the sweep spectrum, agree
+    # with the ball measured on a translated grid at its centre, within the
+    # spectrum's estimate plus the reference's node-halving difference
     R, q = 6.0, 48
     cert = select_direction(angular2, R, eps=0.05, node_count=360, quad_nodes=q)
     g = deficit_weight(angular2)
     center = R * np.array(cert.theta)
     P, V = weighted_ball_measures(g, 2, center, 1.0, q, max(16, q // 2))
     P2, V2 = weighted_ball_measures(g, 2, center, 1.0, q // 2, max(16, q // 4))
-    assert (cert.P_g.value, cert.V_g.value) == (P, V)
-    assert cert.P_g.error_estimate == abs(P - P2) + 1e-15 * abs(P)
-    assert cert.V_g.error_estimate == abs(V - V2) + 1e-15 * abs(V)
+    assert abs(cert.P_g.value - P) <= cert.P_g.error_estimate + abs(P - P2)
+    assert abs(cert.V_g.value - V) <= cert.V_g.error_estimate + abs(V - V2)
+    assert 0.0 < cert.P_g.error_estimate <= 1e-12 * P
+    assert 0.0 < cert.V_g.error_estimate <= 1e-12 * V
 
 
 def test_select_direction_degenerate(const2):
@@ -124,13 +131,81 @@ def test_direction_grid_mean_consistency(angular2):
     # the grid average of directional deficit measures reproduces the
     # radial-average measures
     R, eps = 6.0, 0.05
-    dirs, w = direction_grid(2, 360)
+    dirs, w = sphere_grid(2, 1, 360)
+    w = w / w.sum()
     P, V, margins = directional_margins(angular2, R, eps, dirs, nodes=48)
     g = deficit_profile(angular2)
     Pr, Vr = ball_deficit_measures(g, 2, R, exact_kernels(2, R))
     assert float(P @ w) == pytest.approx(Pr.value, abs=1e-8)
     assert float(V @ w) == pytest.approx(Vr.value, abs=1e-8)
 
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_select_direction_on_the_working_circle(monkeypatch, k):
+    # the direction is an angle of the working circle, its margin is at
+    # least the radial-average margin, and no ball is measured on a
+    # translated grid
+    d = density_from_config({"family": "angular_mod", "dim": 3, "a": 1.0,
+                             "params": {"eta": 0.5, "k": k, "c": 1.0}})
+    R, eps = 10.0, 0.05
+    original, calls = isoplab.measures.weighted_ball_measures, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+    for module in (isoplab.measures, isoplab.farball):
+        monkeypatch.setattr(module, "weighted_ball_measures", counted)
+    cert = select_direction(d, R, eps, node_count=90, quad_nodes=16)
+    assert calls == []
+    plane = select_working_circle(d, R, eps, quad_nodes=16)
+    theta = np.array(cert.theta)
+    assert np.linalg.norm(theta) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(theta - plane @ (plane.T @ theta)) <= 1e-12
+    P, V = ball_deficit_measures(deficit_profile(d), 3, R, exact_kernels(3, R))
+    radial = P.value - (3 - eps) * V.value
+    assert cert.margin >= radial - (P.error_estimate + (3 - eps) * V.error_estimate)
+    assert len(cert.scan) == 90
+
+
+def test_select_direction_mean_margin_is_the_spectrum_zero_mode():
+    # on an even grid the mean of the angles' margins is the circle's mean
+    # margin, the k = 0 Fourier mode of the sweep spectrum
+    d = density_from_config({"family": "angular_mod", "dim": 3, "a": 1.0,
+                             "params": {"eta": 0.5, "k": 2, "c": 1.0}})
+    R, eps = 10.0, 0.05
+    cert = select_direction(d, R, eps, node_count=90, quad_nodes=16)
+    plane = select_working_circle(d, R, eps, quad_nodes=16)
+    spectrum = SweepSpectrum(deficit_weight(d), 3, R,
+                             frame_from_axis(plane[:, 0], plane[:, 1]), 90, 16)
+    assert spectrum.psi_samples == 90
+    m = spectrum.modes
+    P0 = (m.lead_sphere[0] + m.trail_sphere[0]).real
+    V0 = (m.lead[0] + m.trail[0]).real
+    mean = np.add.reduce(np.array([margin for _, margin in cert.scan])) / 90
+    scale = P0 + (3 - eps) * V0
+    assert abs(mean - (P0 - (3 - eps) * V0)) <= 90 * np.finfo(float).eps * scale
+
+
+def test_select_direction_failure_names_the_circle_mean():
+    # a thin ring deficit about the circle of centres, declared non-radial:
+    # every ball's perimeter meets about as much deficit as its volume, so
+    # no angle qualifies, and the circle's mean margin (in N = 2 the
+    # radial-average margin) is reported
+    R = 10.0
+
+    def deficit(x):
+        r = np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
+        return 0.2 * np.exp(-((r - R) / 0.1) ** 2)
+    d = Density(dim=2, weight=lambda x: 1.0 - deficit(x), limit_a=1.0,
+                radial=False, label="ring", deficit=deficit)
+    P, V = ball_deficit_measures(deficit_profile(d), 2, R, exact_kernels(2, R))
+    radial = P.value - (2 - 0.05) * V.value
+    assert radial < 0.0
+    with pytest.raises(RuntimeError, match="circle's mean margin is") as err:
+        select_direction(d, R, 0.05, node_count=48, quad_nodes=32)
+    named = float(str(err.value).split("mean margin is ")[1].split()[0])
+    assert named == pytest.approx(radial, rel=1e-5)
 
 def test_margin_against_monte_carlo(angular2):
     # certificate margin re-measured with seeded deficit sampling

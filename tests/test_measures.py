@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import isoplab.measures
 from isoplab import (CylinderExtended, PlainBall, RotationSwept,
                      ball_deficit_measures, deficit_profile,
                      density_from_config, mean_density, profile_upper_bound,
-                     set_measures, unit_ball_volume, weighted_ball_measures,
-                     weighted_ball_measures_at)
+                     set_measures, unit_ball_volume, weighted_ball_measures)
 from isoplab.density import deficit_weight
 from isoplab.measures import (Sample, ball_cap_patch, integrate_patches,
                               mc_integrals, set_patches, sphere_cap_patch,
@@ -312,20 +310,15 @@ def test_direction_rotation_invariance_of_euclidean_measures(const2):
 
 
 @pytest.mark.parametrize("n,radius", [(2, 1.0), (3, 1.0), (3, 0.7)])
-def test_batched_ball_scan_matches_single_centres(monkeypatch, n, radius):
-    # a budget of 1100 points holds two 8-node ball grids in N=3 (512 points
-    # each) or 17 grids of 64 points (N=3 sphere, N=2 ball), so forty
-    # centres cross chunk boundaries in both dimensions
-    monkeypatch.setattr(isoplab.measures, "BALL_CHUNK_POINTS", 1100)
+def test_batched_ball_scan_matches_single_centres(n, radius):
+    # a ball measured on the reference grids moved to its centre gives the
+    # same floats as the closed-form cap patches at that centre
     d = density_from_config({"family": "angular_mod", "dim": n, "a": 1.0,
                              "params": {"eta": 0.5, "k": 1, "c": 0.5}})
     g = deficit_weight(d)
     rng = np.random.default_rng(5)
-    centers = 6.0 * rng.standard_normal((40, n))
-    P, V = weighted_ball_measures_at(g, n, centers, radius, 8, 8)
-    for c, p, v in zip(centers, P, V):
-        assert (p, v) == weighted_ball_measures(g, n, c, radius, 8, 8)
-        # the same values as the closed-form patches at that centre
+    for c in 6.0 * rng.standard_normal((40, n)):
+        p, v = weighted_ball_measures(g, n, c, radius, 8, 8)
         e1 = np.eye(n)[0]
         spts, sw = sphere_cap_patch(n, radius, c, e1, 0.0, math.pi, 8, 8)
         bpts, bw = ball_cap_patch(n, radius, c, e1, 0.0, math.pi, 8, 8, 8)

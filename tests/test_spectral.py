@@ -4,7 +4,7 @@ engine of the working-circle descent."""
 import numpy as np
 import pytest
 
-from isoplab import density_from_config, weighted_ball_measures_at
+from isoplab import density_from_config, weighted_ball_measures
 from isoplab.density import deficit_weight
 from isoplab.quadrature import sphere_grid, unit_ball_volume, unit_sphere_area
 from isoplab.spectral import SweepSpectrum, subsphere_means
@@ -47,8 +47,8 @@ def test_subsphere_means_match_translated_balls(n, k):
 
     def reference(nodes, polar, azimuth):
         dirs, w = sphere_grid(k, polar, azimuth)
-        P, V = weighted_ball_measures_at(g, n, R * dirs @ frame[:, :k].T, 1.0,
-                                         nodes, nodes)
+        P, V = np.array([weighted_ball_measures(g, n, c, 1.0, nodes, nodes)
+                         for c in R * dirs @ frame[:, :k].T]).T
         return np.array([P @ w, V @ w]) / w.sum()
     polar = 8 if k < 4 else 4
     ref = reference(8, polar, 8)
