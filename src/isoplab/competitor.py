@@ -40,8 +40,8 @@ from .density import (Density, deficit_profile, deficit_weight, eval_weight,
                       rescale)
 from .farball import (FarBallCertificate, find_far_radius,
                       select_working_circle)
-from .measures import (CylinderExtended, MeasureResult, PlainBall,
-                       RotationSwept, circle_point, cylinder_patches,
+from .measures import (CylinderExtended, CylinderFamily, MeasureResult,
+                       PlainBall, RotationSwept, circle_point,
                        integrate_patches, mc_integrals, mean_density,
                        set_measures, set_patches, shrink_terms, swept_excess,
                        swept_patches)
@@ -274,33 +274,46 @@ def volume_match(variant: str, gap, ball_deficit: float, n: int, R: float,
 # ---------------------------------------------------------------------------
 
 def ray_monotone_on_samples(d: Density, r_lo: float, r_hi: float,
-                            n_radii: int = 12, n_dirs: int = 48,
-                            tol: float = 1e-10) -> bool:
-    """Sampled check that t -> f(t theta) is nondecreasing on [r_lo, r_hi]."""
+                            n_radii: int = 12, n_dirs: int = 48) -> bool:
+    """Sampled check that t -> f(t theta) is nondecreasing on [r_lo, r_hi],
+    in deficit space: g = a - f may rise between neighbouring radii by no
+    more than the rounding floor of the two samples, a few ulps of their
+    magnitude, or of the limit a when the deficit is formed as a - f."""
     dirs, _ = sphere_grid(d.dim, 8, n_dirs)
-    radii = np.linspace(r_lo, r_hi, n_radii)
-    vals = np.stack([np.atleast_1d(eval_weight(d, r * dirs)) for r in radii])
-    return bool(np.all(np.diff(vals, axis=0) >= -tol))
+    g = deficit_weight(d)
+    vals = np.stack([np.atleast_1d(np.asarray(g(r * dirs), dtype=float))
+                     for r in np.linspace(r_lo, r_hi, n_radii)])
+    size = np.abs(vals) + (0.0 if d.deficit is not None else abs(d.limit_a))
+    return bool(np.all(np.diff(vals, axis=0) <= 4.0 * ULP * (size[:-1] + size[1:])))
 
 
 class _CylinderPieces:
     """Deficit-space volume gap and perimeter margin of the cylinder-extended
     sets along the first column of ``frame``: the excess minus the
-    g-integrals over ``measures.cylinder_patches``, the patches that
-    ``set_measures`` integrates the weight over."""
+    g-integrals over ``measures.CylinderFamily``, the patches that
+    ``set_measures`` integrates the weight over.  The pieces every height
+    shares (the far caps, and the near caps at height zero) are integrated
+    once and their floats subtracted in the same order."""
 
     def __init__(self, d: Density, R: float, frame: np.ndarray,
                  nodes: int = SPHERE_NODES, radial_nodes: int = RADIAL_NODES):
         self.n, self.R, self.g = d.dim, R, deficit_weight(d)
         # delta -> the patches of the set of height delta
-        self.patches = partial(cylinder_patches, d.dim, R, frame=frame,
-                               nodes=nodes, radial_nodes=radial_nodes)
+        self.patches = CylinderFamily(d.dim, R, frame, nodes, radial_nodes)
+        self._shared = dict.fromkeys(self.patches.shared)
+
+    def _integral(self, make) -> float:
+        if make not in self._shared:
+            return integrate_patches(self.g, [make()])
+        if self._shared[make] is None:
+            self._shared[make] = integrate_patches(self.g, [make()])
+        return self._shared[make]
 
     def volume_gap(self, delta: float) -> float:
-        return self.patches(delta).volume_gap(self.g)
+        return self.patches(delta).volume_gap(self.g, self._integral)
 
     def perimeter_margin(self, delta: float) -> float:
-        return self.patches(delta).perimeter_margin(self.g)
+        return self.patches(delta).perimeter_margin(self.g, self._integral)
 
     def shifted_boundary_decrease(self, delta: float) -> float:
         """H_f(near hemisphere of the shrunk ball) - H_f(near hemisphere of B).
@@ -309,8 +322,7 @@ class _CylinderPieces:
         -(N omega_N / 2)(1 - k^{N-1}) + H_g(near of B) - H_g(near, shrunk).
         """
         s1, _ = shrink_terms(self.n, self.R, delta)
-        near = [integrate_patches(self.g, [self.patches(x).surface["near"]()])
-                for x in (0.0, delta)]
+        near = [self._integral(self.patches(x).surface["near"]) for x in (0.0, delta)]
         return -0.5 * self.n * unit_ball_volume(self.n) * s1 + near[0] - near[1]
 
 

@@ -120,21 +120,25 @@ def simulate_comparison_ode(C2: float, n: int, m0: float,
     """
     if step <= 0:
         raise ValueError("step must be positive")
+    closed = extinction_time(C2, n, m0)
     rate = 1.0 / (n * C2 ** ((n - 1) / n))
-    u = m0 ** (1.0 / n)
-    t = 0.0
-    times, masses = [0.0], [m0]
-    while u > 0.0:
-        if u - rate * step <= 0.0:
-            t += u / rate
-            u = 0.0
-        else:
-            u -= rate * step
-            t += step
-        times.append(t)
-        masses.append(u ** n)
-    curve = TailMassCurve(tuple(times), tuple(masses), "analytic")
-    return ExtinctionCertificate(curve, t, extinction_time(C2, n, m0))
+    u0, du = m0 ** (1.0 / n), rate * step
+    # the steps u -= du and t += step, in order: running differences and
+    # sums accumulate one element after another, as the loop did; u[j] is
+    # the first value whose next step would not stay positive
+    count = int(u0 / du) + 2
+    while True:
+        u = np.subtract.accumulate(np.append(u0, np.full(count, du)))
+        ends = np.flatnonzero(u[1:] <= 0.0)
+        if ends.size:
+            break
+        count *= 2
+    j = int(ends[0])
+    t = np.add.accumulate(np.append(0.0, np.full(j, step))).tolist()
+    t.append(t[-1] + float(u[j]) / rate)
+    masses = [m0] + [x ** n for x in u[1:j + 1].tolist()] + [0.0]
+    curve = TailMassCurve(tuple(t), tuple(masses), "analytic")
+    return ExtinctionCertificate(curve, t[-1], closed)
 
 
 @dataclass(frozen=True)

@@ -226,11 +226,19 @@ def _axial(x1, y) -> np.ndarray:
     return pts.reshape(-1, pts.shape[-1])
 
 
+def _scaled(pts, radius, center):
+    """pts * radius + center, in place: center None leaves pts unshifted."""
+    pts *= radius
+    if center is not None:
+        pts += np.asarray(center, dtype=float)
+    return pts
+
+
 def _cap_place(n, radius, center, axis):
-    """u about e1 -> center + radius * u turned to ``axis``."""
+    """u about e1 -> center + radius * u turned to ``axis`` (center None: the
+    cap about the origin)."""
     A = frame_from_axis(np.asarray(axis, dtype=float))
-    c = np.asarray(center, dtype=float)
-    return lambda u: (c + radius * (u.reshape(-1, n) @ A.T), None)
+    return lambda u: (_scaled(u.reshape(-1, n) @ A.T, radius, center), None)
 
 
 def sphere_cap_patch(n, radius, center, axis, lo, hi, polar_nodes=SPHERE_NODES,
@@ -346,16 +354,25 @@ class SetPatches:
     perimeter_excess: tuple[float, ...]
     volume_excess: float
 
-    def volume_gap(self, g) -> float:
-        """|E|_f - omega_N for f = 1 - g, subtracting piece by piece."""
+    def volume_gap(self, g, integral=None) -> float:
+        """|E|_f - omega_N for f = 1 - g, subtracting piece by piece.
+
+        ``integral(make)``, when given, is the g-integral of the piece that
+        ``make`` builds; by default the piece is built and integrated.
+        """
+        integral = integral or (lambda make: integrate_patches(g, [make()]))
         gap = self.volume_excess
         for make in self.volume.values():
-            gap -= integrate_patches(g, [make()])
+            gap -= integral(make)
         return gap
 
-    def perimeter_margin(self, g) -> float:
-        """N omega_N - P_f(E) = P_g(E) - perimeter excess, for f = 1 - g."""
-        margin = integrate_patches(g, (make() for make in self.surface.values()))
+    def perimeter_margin(self, g, integral=None) -> float:
+        """N omega_N - P_f(E) = P_g(E) - perimeter excess, for f = 1 - g;
+        ``integral`` as in ``volume_gap``."""
+        integral = integral or (lambda make: integrate_patches(g, [make()]))
+        margin = 0.0
+        for make in self.surface.values():
+            margin += integral(make)
         for term in self.perimeter_excess:
             margin -= term
         return margin
@@ -389,31 +406,89 @@ def set_patches(E: CompetitorSet, nodes: int = SPHERE_NODES,
 
 def cylinder_patches(n: int, R: float, delta: float, frame: np.ndarray,
                      nodes: int, radial_nodes: int) -> SetPatches:
-    """The cylinder-extended set of height delta along ``frame[:, 0]``.
+    """The cylinder-extended set of height delta along ``frame[:, 0]``."""
+    return CylinderFamily(n, R, frame, nodes, radial_nodes)(delta)
+
+
+class _ScaledCaps:
+    """The spherical and solid caps over ``band`` about ``axis`` at any
+    radius and centre (``at``).
+
+    Their Gauss rules at radius 1 about the origin, turned to ``axis``, are
+    built on first use and kept.  A Gauss placement scales a copy by the
+    radius and shifts it, the two operations ``_cap_place`` does, so its
+    floats are those of the cap built there; other draws build the cap at
+    its radius and centre.
+    """
+
+    def __init__(self, n, axis, band, nodes, radial_nodes):
+        self.n, self.rules = n, [None, None]
+        self.caps = partial(_caps, n, axis=axis, band=band, nodes=nodes,
+                            radial_nodes=radial_nodes)
+
+    def at(self, radius, center):
+        """Builders of the spherical and the solid cap."""
+        return tuple(partial(self._placed, i, radius, center) for i in (0, 1))
+
+    def _placed(self, i, radius, center, draw=gauss):
+        if draw is not gauss:
+            return self.caps(radius=radius, center=center)[i](draw=draw)
+        if self.rules[i] is None:
+            self.rules[i] = self.caps(radius=1.0, center=None)[i]()
+        pts, w = self.rules[i]
+        placed = pts * radius
+        placed += center
+        return placed, w * radius ** (self.n - 1 + i)
+
+
+class CylinderFamily:
+    """The cylinder-extended sets of every height along ``frame[:, 0]``:
+    calling it with delta gives the ``SetPatches`` of height delta.
 
     Its boundary is the far hemisphere, the cylinder wall, the shrunk near
     hemisphere and, where the shrunk half-ball meets the full-radius face,
     the exposed annulus; the matching disk faces are interior and cancel.
+    The far caps do not move with delta, and every height shares their
+    builders, as height zero shares its near caps' (``shared``).  The near
+    caps of height delta are placed at radius k = (R - delta)/R and centre
+    (R - delta) e1 from one turned rule (``_ScaledCaps``).
     """
-    e1, k = frame[:, 0], (R - delta) / R
-    far = _caps(n, 1.0, R * e1, e1, _UPPER, nodes, radial_nodes)
-    near = _caps(n, k, (R - delta) * e1, e1, _LOWER, nodes, radial_nodes)
-    surface, volume = {"far": far[0]}, {"far": far[1]}
-    if delta > 0.0:
-        surface["wall"] = partial(_placed, frame, cylinder_wall_patch, n, R,
-                                  delta, nodes)
-        volume["cylinder"] = partial(_placed, frame, _cyl_interior, n, R, delta,
-                                     radial_nodes, nodes)
-    surface["near"], volume["near"] = near
-    if k < 1.0:
-        surface["annulus"] = partial(_placed, frame, annulus_patch, n, R - delta,
-                                     k, 1.0, nodes)
-    omega, omega1 = unit_ball_volume(n), unit_ball_volume(n - 1)
-    s1, sN = shrink_terms(n, R, delta)
-    # perimeter excess of the shrunk hemisphere, the wall and the annulus
-    return SetPatches(surface, volume,
-                      (-(0.5 * n * omega * s1), (n - 1) * omega1 * delta, omega1 * s1),
-                      omega1 * delta - 0.5 * omega * sN)
+
+    def __init__(self, n: int, R: float, frame: np.ndarray, nodes: int,
+                 radial_nodes: int):
+        self.n, self.R, self.frame = n, R, frame
+        self.nodes, self.radial_nodes = nodes, radial_nodes
+        self.e1 = frame[:, 0]
+        self.far = _caps(n, 1.0, R * self.e1, self.e1, _UPPER, nodes, radial_nodes)
+        self._near = _ScaledCaps(n, self.e1, _LOWER, nodes, radial_nodes)
+        self._near0 = self._near_caps(0.0)
+        self.shared = self.far + self._near0
+
+    def _near_caps(self, delta):
+        """Builders of the near hemisphere and half-ball of height delta."""
+        return self._near.at((self.R - delta) / self.R, (self.R - delta) * self.e1)
+
+    def __call__(self, delta: float) -> SetPatches:
+        n, R, frame, nodes = self.n, self.R, self.frame, self.nodes
+        k = (R - delta) / R
+        near = self._near0 if delta == 0.0 else self._near_caps(delta)
+        surface, volume = {"far": self.far[0]}, {"far": self.far[1]}
+        if delta > 0.0:
+            surface["wall"] = partial(_placed, frame, cylinder_wall_patch, n, R,
+                                      delta, nodes)
+            volume["cylinder"] = partial(_placed, frame, _cyl_interior, n, R,
+                                         delta, self.radial_nodes, nodes)
+        surface["near"], volume["near"] = near
+        if k < 1.0:
+            surface["annulus"] = partial(_placed, frame, annulus_patch, n,
+                                         R - delta, k, 1.0, nodes)
+        omega, omega1 = unit_ball_volume(n), unit_ball_volume(n - 1)
+        s1, sN = shrink_terms(n, R, delta)
+        # perimeter excess of the shrunk hemisphere, the wall and the annulus
+        return SetPatches(surface, volume,
+                          (-(0.5 * n * omega * s1), (n - 1) * omega1 * delta,
+                           omega1 * s1),
+                          omega1 * delta - 0.5 * omega * sN)
 
 
 def swept_patches(n: int, R: float, delta: float, frame: np.ndarray,

@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import math
 import os
 import subprocess
 import sys
+import weakref
 from functools import partial
 from pathlib import Path
 
@@ -22,12 +24,12 @@ import isoplab.spectral
 from isoplab import (ExtensionResult, PlainBall, RotationSwept, VolumeMatch,
                      mean_density, weighted_ball_measures)
 from isoplab.competitor import (_CylinderPieces, _root_of_gap,
-                                monte_carlo_check)
+                                monte_carlo_check, ray_monotone_on_samples)
 from isoplab.defaults import VOLUME_RTOL
 from isoplab.density import deficit_weight
-from isoplab.measures import (ball_cap_patch, set_patches, sphere_cap_patch,
-                              swept_band_patch, swept_patches,
-                              swept_wedge_patch)
+from isoplab.measures import (ball_cap_patch, cylinder_patches, set_patches,
+                              sphere_cap_patch, swept_band_patch,
+                              swept_patches, swept_wedge_patch)
 from isoplab.quadrature import frame_from_axis, sphere_grid, unit_sphere_area
 from isoplab.spectral import ULP, SweepSpectrum, subsphere_means
 
@@ -258,6 +260,92 @@ def test_cylinder_extension_refuses_nonmonotone():
     cert = select_direction(d, far.R, 0.2)
     with pytest.raises(RuntimeError, match="ray-monotone"):
         cylinder_extension(cert, d, eps=0.2)
+
+
+def _wavy_far_density(dim):
+    # g(r) = e^{-r}(1 + 0.9 sin 3r) in closed form: it rises along rays by up
+    # to 6.8e-22 between neighbouring sample radii on [48, 52], where the
+    # weight 1 - g rounds to within 1e-10 of 1
+    def deficit(x):
+        r = np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
+        return np.exp(-r) * (1.0 + 0.9 * np.sin(3.0 * r))
+    return Density(dim=dim, weight=lambda x: 1.0 - deficit(x), limit_a=1.0,
+                   radial=True, label="wavy-far", deficit=deficit)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_ray_monotone_refuses_a_far_rise_in_deficit_space(dim):
+    assert not ray_monotone_on_samples(_wavy_far_density(dim), 48.0, 52.0)
+    exp = density_from_config({"family": "radial_exp", "dim": dim, "a": 1.0,
+                               "params": {"c": 1.0}})
+    assert ray_monotone_on_samples(exp, 48.0, 52.0)
+    # a weight without a closed-form deficit: rounding of a - f is allowed
+    plain = dataclasses.replace(exp, deficit=None)
+    assert ray_monotone_on_samples(plain, 48.0, 52.0)
+
+
+_CYLINDER_FRAMES = {2: [np.eye(2), frame_from_axis(np.array([0.6, -0.8]))],
+                    3: [np.eye(3), frame_from_axis(np.array([0.48, 0.6, -0.64]))],
+                    4: [np.eye(4), frame_from_axis(np.array([0.5, -0.5, 0.5, 0.5]))]}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("tilted", [False, True])
+def test_cylinder_pieces_equal_the_patch_description(n, tilted):
+    # the pieces integrate the far caps once and place the near caps from
+    # one turned rule; every gap and margin is still the float of the set's
+    # own patch list, whatever the order of the calls
+    d = density_from_config({"family": "radial_exp", "dim": n, "a": 1.0,
+                             "params": {"c": 1.0}})
+    g, R, nodes, radial_nodes = deficit_weight(d), 6.0, 16, 12
+    frame = _CYLINDER_FRAMES[n][tilted]
+    deltas = [0.0, 1e-22, 1e-4, 0.3]
+    expected = {}
+    for delta in deltas:
+        patches = cylinder_patches(n, R, delta, frame, nodes, radial_nodes)
+        expected[delta] = (patches.volume_gap(g), patches.perimeter_margin(g))
+    pieces = _CylinderPieces(d, R, frame, nodes, radial_nodes)
+    for delta in deltas[::-1] + deltas[1::2] + deltas:
+        assert pieces.perimeter_margin(delta) == expected[delta][1]
+        assert pieces.volume_gap(delta) == expected[delta][0]
+
+
+def test_cylinder_match_builds_each_half_ball_rule_once(monkeypatch, exp3):
+    # the far half-ball does not move with the height and the near one is
+    # scaled and shifted from one turned rule: each is built once per
+    # cylinder extension, not once per gap evaluation
+    cert = select_direction(exp3, 10.0, 0.05)
+    bands = []
+    original = isoplab.measures.ball_cap_patch
+
+    def recorded(*args, **kwargs):
+        bands.append(args[4:6])
+        return original(*args, **kwargs)
+    monkeypatch.setattr(isoplab.measures, "ball_cap_patch", recorded)
+    ext = cylinder_extension(cert, exp3, eps=0.05)
+    assert ext.match.iterations >= 2
+    assert bands.count((0.0, math.pi / 2)) == 1
+    assert bands.count((math.pi / 2, math.pi)) == 1
+    assert len(bands) == 2
+
+
+def test_cylinder_pieces_free_their_rules_without_the_cycle_collector(exp3):
+    # the kept turned rules go when the pieces go, by reference counting
+    # alone, so a run of matches holds one rule at a time
+    pieces = _CylinderPieces(exp3, 10.0, np.eye(3), 16, 16)
+    for delta in (0.0, 1e-3):
+        pieces.volume_gap(delta)
+        pieces.perimeter_margin(delta)
+    pieces.shifted_boundary_decrease(1e-3)
+    family = weakref.ref(pieces.patches)
+    rules = [weakref.ref(pts) for pts, _ in pieces.patches._near.rules]
+    gc.disable()
+    try:
+        del pieces
+        assert family() is None
+        assert [rule() for rule in rules] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_advance_map_radial_constant(exp2):
@@ -816,8 +904,8 @@ def test_angle_scans_use_only_the_spectrum(monkeypatch):
 _BUILD_ANGULAR3 = """
 import numpy as np
 from isoplab import (PlainBall, build_competitor, check_admissibility,
-                     density_from_config, direct_kernel, select_direction,
-                     tail_mass)
+                     cylinder_extension, density_from_config, direct_kernel,
+                     select_direction, tail_mass)
 d = density_from_config({"family": "angular_mod", "dim": 3, "a": 1.0,
                          "params": {"eta": 0.5, "k": 1, "c": 1.0}})
 c = build_competitor(d, eps=0.05, R_min=10.0, R_max=200.0, nodes=16,
@@ -829,6 +917,9 @@ print(repr(select_direction(d, 10.0, 0.05, quad_nodes=16)))
 print(repr(tail_mass(PlainBall(dim=3, offset=10.0), d, 9.5)))
 kernel = direct_kernel(lambda t: 1.0 - 3.0 * np.asarray(t) ** 2)
 print(repr(check_admissibility(kernel)))
+e = density_from_config({"family": "radial_exp", "dim": 3, "a": 1.0,
+                         "params": {"c": 1.0}})
+print(repr(cylinder_extension(select_direction(e, 10.0, 0.05), e, 0.05)))
 """
 
 
@@ -845,7 +936,7 @@ def test_certificate_independent_of_blas_threads():
                                      env=env, stdout=subprocess.PIPE, text=True))
     outputs = [run.communicate(timeout=300)[0] for run in runs]
     assert [run.returncode for run in runs] == [0, 0]
-    assert outputs[0].count("\n") == 11
+    assert outputs[0].count("\n") == 12
     assert outputs[0] == outputs[1]
 
 

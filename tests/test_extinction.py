@@ -43,6 +43,33 @@ def test_simulation_matches_closed_form():
     assert cert.residual <= 1e-9
 
 
+def _stepped_ode(C2, n, m0, step):
+    """The equality flow stepped one step at a time: u -= rate * step and
+    t += step until a step would reach zero, whose crossing is solved."""
+    rate = 1.0 / (n * C2 ** ((n - 1) / n))
+    u, t = m0 ** (1.0 / n), 0.0
+    times, masses = [0.0], [m0]
+    while u > 0.0:
+        if u - rate * step <= 0.0:
+            t += u / rate
+            u = 0.0
+        else:
+            u -= rate * step
+            t += step
+        times.append(t)
+        masses.append(u ** n)
+    return tuple(times), tuple(masses)
+
+
+@pytest.mark.parametrize("C2, n, m0, step", [
+    (8.0, 3, 1.0, 1e-4), (1.0, 2, 1.0, 1e-3), (0.5, 4, 0.3, 2e-3),
+    (3.0, 6, 2.5, 7e-4), (5.0, 3, 1.0, 10.0)])
+def test_simulation_equals_the_stepped_flow(C2, n, m0, step):
+    # the accumulated steps are the same floats as the loop's, one by one
+    curve = simulate_comparison_ode(C2, n, m0, step).curve
+    assert (curve.times, curve.masses) == _stepped_ode(C2, n, m0, step)
+
+
 def test_simulation_quadratic_profile():
     # N = 2, C2 = 1, m0 = 1: the solution is (1 - t/2)^2
     cert = simulate_comparison_ode(1.0, 2, 1.0, step=1e-3)

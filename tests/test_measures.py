@@ -10,9 +10,10 @@ from isoplab import (CylinderExtended, PlainBall, RotationSwept,
                      density_from_config, mean_density, profile_upper_bound,
                      set_measures, unit_ball_volume, weighted_ball_measures)
 from isoplab.density import deficit_weight
-from isoplab.measures import (Sample, ball_cap_patch, integrate_patches,
-                              mc_integrals, set_patches, sphere_cap_patch,
-                              swept_patches)
+from isoplab.measures import (CylinderFamily, Sample, ball_cap_patch, gauss,
+                              integrate_patches, mc_integrals, set_patches,
+                              sphere_cap_patch, swept_patches)
+from isoplab.quadrature import frame_from_axis
 
 
 def euclid_cylinder(n, R, delta):
@@ -258,6 +259,32 @@ def test_patch_draws_integrate_one_exactly(n):
                 est = mc_integrals({name: makers[name]}, [one], 20_000, 3)[0]
                 assert est.value == pytest.approx(value, rel=1e-12)
                 assert est.error_estimate == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cylinder_near_caps_are_the_caps_built_in_place(n):
+    # the near caps of every height come from one turned rule of the unit
+    # caps, scaled and shifted: the same floats as the caps built at their
+    # radius and centre, and the same draws
+    R, nodes, radial_nodes = 6.0, 12, 10
+    frame = frame_from_axis(np.linspace(1.0, -0.4, n))
+    e1, lower = frame[:, 0], (math.pi / 2, math.pi)
+    family = CylinderFamily(n, R, frame, nodes, radial_nodes)
+    for delta in (0.3, 0.0, 1e-22, 1e-4):
+        k, c = (R - delta) / R, (R - delta) * e1
+        patches = family(delta)
+        for make, build in (
+                (patches.surface["near"],
+                 lambda draw: sphere_cap_patch(n, k, c, e1, *lower, nodes, nodes,
+                                               draw=draw)),
+                (patches.volume["near"],
+                 lambda draw: ball_cap_patch(n, k, c, e1, *lower, radial_nodes,
+                                             nodes, nodes, draw=draw))):
+            for got, want in ((make(), build(gauss)),
+                              (make(draw=Sample(np.random.default_rng(4), 50)),
+                               build(Sample(np.random.default_rng(4), 50)))):
+                assert np.array_equal(got[0], want[0])
+                assert np.array_equal(got[1], want[1])
 
 
 @pytest.mark.parametrize("n,centroid", [(2, 4.0 / (3.0 * math.pi)), (3, 3.0 / 8.0)])
