@@ -3,9 +3,9 @@
 
 From a far-ball certificate the offset ball is enlarged to weighted volume
 exactly omega_N while the weighted perimeter stays below the Euclidean value
-N omega_N.  Radial weights use the rotation sweep; general weights run the
-sweep at every angle of a working circle and select a certified direction
-through the volume-matching advance map.
+N omega_N.  Every weight runs the sweep at the angles of a working circle
+and selects a certified direction through the volume-matching advance map;
+a radial weight's map is constant in the angle, so it has one angle.
 
 Two regimes are shown: a nearby offset where the deficit is numerically
 resolvable, and the far regime where the deficit ~ exp(-50) lies below the

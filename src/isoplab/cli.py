@@ -235,10 +235,8 @@ def cmd_competitor(args) -> int:
                      "degenerate": cert.farball.degenerate},
         "bounds": cert.bounds, "mc_check": cert.mc_check,
     })
-    if cert.advance is not None:
-        write_csv(out / "advance_map.csv", ["theta", "advance", "mapped"],
-                  zip(cert.advance.theta, cert.advance.advance,
-                      cert.advance.mapped))
+    write_csv(out / "advance_map.csv", ["theta", "advance", "mapped"],
+              zip(cert.advance.theta, cert.advance.advance, cert.advance.mapped))
     write_csv(out / "far_ball_scan.csv", ["R", "correlation"],
               cert.farball.scan)
     return 2 if cert.degenerate else 0

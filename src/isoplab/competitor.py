@@ -8,17 +8,16 @@ perimeter stays below the Euclidean value N omega_N:
 * non-decreasing weights: bridge the two half-balls with a cylinder of
   height delta and shrink the near half by (R - delta)/R, so the displaced
   near boundary moves inward along rays (``cylinder_extension``);
-* radial weights: sweep the leading half-ball by a rotation of angle delta
-  about a 2-plane through the origin and the center, leaving the swept
-  boundary's weight unchanged (``rotation_extension``);
-* general weights: run the sweep construction at every direction of a
-  working circle, record the volume-matching advance map
-  theta -> theta + delta(theta), and pick a direction where the averaged
-  change-of-variables inequality certifies the perimeter
-  (``sweep_advance_map`` / ``select_sweep_direction``); for N >= 3 the
-  working circle is found by descending through subspheres on their mean
-  margins, in closed form on the meridian rule
-  (``farball.select_working_circle``).
+* every weight: sweep the leading half-ball by a rotation about a 2-plane
+  through the origin.  The sweep is volume-matched at every direction of a
+  working circle, the advance map theta -> theta + delta(theta)
+  (``sweep_advance_map``), and a direction where the averaged
+  change-of-variables inequality certifies the perimeter is picked
+  (``select_sweep_direction``).  For N >= 3 the working circle is found by
+  descending through subspheres on their mean margins
+  (``farball.select_working_circle``); a radial weight's is the first
+  coordinate plane, and its advance map, constant in the angle, has one
+  angle (``rotation_extension``).
 
 All final inequalities are assembled in deficit space: the perimeter margin
 N omega_N - P_f(E) is a sum of small deficit integrals and closed-form
@@ -75,12 +74,13 @@ class SweepAdvanceMap:
     quotient minus 1 in deficit space.  Recorded for the direction
     selection at each angle: ``ball_deficit``, |B^theta|_g of the base ball,
     and ``rim_deficit``, H_g(trailing hemisphere at theta) + H_g(leading
-    hemisphere at theta + advance), with its error estimate ``rim_error``.
-    ``advance_error`` is each advance's error estimate: the root residual
-    plus the Fourier engine's estimate of the gap at the advance (every
-    other sweep-angle sample, half the meridian-disk nodes, the rounding
-    floor of the series), over the gap's mean slope.  These are left out of
-    the repr, which shows the map itself.
+    hemisphere at theta + advance), with its error estimate ``rim_error``;
+    ``matches``, each angle's ``VolumeMatch``.  ``advance_error`` is each
+    advance's error estimate: the root residual plus the Fourier engine's
+    estimate of the gap at the advance (every other sweep-angle sample, half
+    the meridian-disk nodes, the rounding floor of the series), over the
+    gap's mean slope.  These are left out of the repr, which shows the map
+    itself.
     """
 
     theta: tuple[float, ...]
@@ -94,6 +94,7 @@ class SweepAdvanceMap:
     rim_deficit: tuple[float, ...] = field(repr=False)
     rim_error: tuple[float, ...] = field(repr=False)
     advance_error: tuple[float, ...] = field(repr=False)
+    matches: tuple[VolumeMatch, ...] = field(repr=False)
 
     def _steps(self) -> np.ndarray:
         th = np.asarray(self.theta)
@@ -124,22 +125,9 @@ class CompetitorCertificate:
     degenerate: bool
     match: VolumeMatch
     farball: FarBallCertificate
-    advance: SweepAdvanceMap | None = None
+    advance: SweepAdvanceMap
     bounds: dict = field(default_factory=dict)
     mc_check: dict = field(default_factory=dict)
-
-
-# ---------------------------------------------------------------------------
-# the swept family's final inequalities
-# ---------------------------------------------------------------------------
-
-def _swept_certificate(d: Density, R: float, frame: np.ndarray, phi: float,
-                       delta: float, nodes: int):
-    """(patches, perimeter margin, volume gap) of the set based at phi with
-    sweep delta, integrated over its one patch list, ``swept_patches``."""
-    patches = swept_patches(d.dim, R, delta, frame, phi, nodes, RADIAL_NODES)
-    g = deficit_weight(d)
-    return patches, patches.perimeter_margin(g), patches.volume_gap(g)
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +359,9 @@ def cylinder_extension(cert: FarBallCertificate, d: Density,
     chain_lhs = ball_margin - margin      # P_f(E) - P_f(B)
     chain_rhs = (n - 1 + eps) * unit_ball_volume(n - 1) * delta
     checks = {
-        "shifted_boundary_nonincreasing": decrease <= 1e-10,
+        "shifted_boundary_nonincreasing": decrease <= 0.0,
         "shifted_boundary_decrease": decrease,
-        "perimeter_chain_ok": chain_lhs <= chain_rhs + 1e-12,
+        "perimeter_chain_ok": chain_lhs <= chain_rhs,
         "perimeter_chain_lhs": chain_lhs,
         "perimeter_chain_rhs": chain_rhs,
     }
@@ -384,61 +372,24 @@ def cylinder_extension(cert: FarBallCertificate, d: Density,
 
 
 # ---------------------------------------------------------------------------
-# rotation extension (radial weights) and the general sweep
+# the swept sets: the advance map on a working circle, and its certificate
 # ---------------------------------------------------------------------------
 
 def rotation_extension(cert: FarBallCertificate, d: Density,
                        eps: float = EPS, nodes: int = SPHERE_NODES) -> ExtensionResult:
     """Volume-matched rotation-swept set for radial weights.
 
-    The sweep is matched on the closed-form gap of ``spectral.SweepSpectrum``
-    at the one angle 0 (a radial deficit is constant in the sweep angle, so
-    two samples per disk node resolve it); the volume gap and perimeter
-    margin of the matched set are then integrated over its patch list.
-    Verifies, on the same patches and the leading cap of the base ball, the
-    rotation-invariance identity on the swept hemisphere in deficit space,
-    the perimeter chain P_f(E) <= P_f(B) + (N-1) omega_{N-1} (R+1) delta,
-    and the final mean-density bound.
+    A radial deficit's advance map is constant in the angle, so the sweep
+    is matched at the one angle 0 of the plane through the certified
+    direction (``sweep_advance_map`` with one angle) and certified by
+    ``select_sweep_direction``, which also checks the rotation identity.
     """
     if not d.radial:
         raise ValueError("rotation extension requires a radial weight")
-    n, R = d.dim, cert.R
-    theta = np.array(cert.theta) if cert.theta is not None else np.eye(n)[0]
-    plane = frame_from_axis(theta)
-    spectrum = SweepSpectrum(deficit_weight(d), n, R, plane, 1, nodes)
-    ball = float(spectrum.balls([0.0])[0][0])
-    match = volume_match("rotation", spectrum.gap(0.0, ball), ball, n, R, eps)
-    delta = match.delta_bar
-    E = (RotationSwept(dim=n, offset=R, delta=delta, direction=tuple(theta),
-                       sweep=tuple(plane[:, 1]))
-         if delta > 0.0 else PlainBall(dim=n, offset=R, direction=tuple(theta)))
-    patches, margin, gap = _swept_certificate(d, R, plane, 0.0, delta, nodes)
-    match = replace(match, achieved_volume=unit_ball_volume(n) + gap, gap=gap)
-    # rotation invariance of the swept hemisphere under a radial weight, in
-    # deficit space: H_g(leading cap at delta) = H_g(leading cap at 0), within
-    # both caps' differences from their half-node rules and rounding floors
-    g = deficit_weight(d)
-    caps = [[np.asarray(g(pts), dtype=float) * w for pts, w in (
-        swept_patches(n, R, sweep, plane, 0.0, nn, RADIAL_NODES).surface["leading"]()
-        for nn in (nodes, max(1, nodes // 2)))] for sweep in (0.0, delta)]
-    (H0, H0_half), (H1, H1_half) = ([float(np.add.reduce(t)) for t in c] for c in caps)
-    identity_resid = abs(H1 - H0)
-    identity_error = abs(H0 - H0_half) + abs(H1 - H1_half) + ULP * sum(
-        c[0].size * float(np.add.reduce(np.abs(c[0]))) for c in caps)
-    band = patches.surface.get("band")
-    band_f = swept_excess(n, R, delta)[0] - (integrate_patches(g, [band()])
-                                             if band else 0.0)
-    chain_ok = band_f <= (n - 1) * unit_ball_volume(n - 1) * (R + 1.0) * delta + 1e-12
-    ext = _extension(E, match, margin, {
-        "rotation_identity_residual": identity_resid,
-        "rotation_identity_ok": bool(identity_resid <= identity_error),
-        "perimeter_chain_ok": bool(chain_ok),
-    })
-    if ext.rho > 1.0 + 1e-9:
-        raise RuntimeError(
-            f"mean density {ext.rho} exceeds 1 + 1e-9: the offset or eps is "
-            "misconfigured for this weight")
-    return ext
+    theta = np.array(cert.theta) if cert.theta is not None else np.eye(d.dim)[0]
+    plane = frame_from_axis(theta)[:, :2]
+    advance = sweep_advance_map(d, cert.R, plane, 1, eps, nodes)
+    return select_sweep_direction(d, cert.R, plane, advance, eps, nodes)[1]
 
 
 def sweep_advance_map(d: Density, R: float, plane: np.ndarray,
@@ -450,17 +401,16 @@ def sweep_advance_map(d: Density, R: float, plane: np.ndarray,
     times a uniform grid in the sweep angle and gives |B^theta|_g at every
     grid angle and each angle's volume gap delta -> V_f(E) - omega_N in
     closed form, as Fourier shifts.  Each angle's gap goes to
-    ``volume_match``, at the tolerance ``VOLUME_RTOL * |B^theta|_g``; only
-    angles whose base ball has a vanished deficit
-    (``|B^theta|_g <= DEGENERACY_TOL``) advance by zero.  Each advance's
-    error estimate is its root residual plus the engine's estimate of the
-    gap there (every other sweep-angle sample, half the disk nodes, the
-    rounding floor), over the gap's mean slope.  The same spectrum gives the
-    trailing hemisphere at theta and the leading one at theta + advance,
-    whose sum the direction selection scores.  The matched advance obeys
-    delta(theta) <= (1 + 3 eps) |B^theta|_g / (omega_{N-1}(R-1))
-    (checked downstream); difference quotients of the resulting map are the
-    measured Lipschitz data.
+    ``volume_match`` (tolerance ``VOLUME_RTOL * |B^theta|_g``, a-priori
+    bound (1 + 2 eps) |B^theta|_g / (omega_{N-1}(R-1))), and the match is
+    recorded; only a vanished deficit (``|B^theta|_g <= DEGENERACY_TOL``)
+    advances by zero unmatched.  Each advance's error estimate is its root
+    residual plus the engine's estimate of the gap there (every other
+    sweep-angle sample, half the disk nodes, the rounding floor), over the
+    gap's mean slope.  The same spectrum gives the trailing hemisphere at
+    theta and the leading one at theta + advance, whose sum the direction
+    selection scores.  Difference quotients of the map are the measured
+    Lipschitz data.
     """
     if plane.shape[1] != 2:
         raise ValueError("plane must have two columns")
@@ -469,12 +419,12 @@ def sweep_advance_map(d: Density, R: float, plane: np.ndarray,
     spectrum = SweepSpectrum(deficit_weight(d), n, R, frame, grid, nodes)
     theta = 2.0 * math.pi * np.arange(grid) / grid
     ball_gs, _ = spectrum.balls(theta)
-    advance, residual = np.zeros(grid), np.zeros(grid)
-    for i in np.nonzero(ball_gs > DEGENERACY_TOL)[0]:
-        ball = float(ball_gs[i])
-        match = volume_match("rotation", spectrum.gap(float(theta[i]), ball),
-                             ball, n, R, eps)
-        advance[i], residual[i] = match.delta_bar, match.gap
+    matches = tuple(volume_match("rotation", spectrum.gap(t, b), b, n, R, eps)
+                    if b > DEGENERACY_TOL else
+                    VolumeMatch(0.0, unit_ball_volume(n) - b, 0, True, -b)
+                    for t, b in zip(theta.tolist(), ball_gs.tolist()))
+    advance = np.array([m.delta_bar for m in matches])
+    residual = np.array([m.gap for m in matches])
     _, gap_error = spectrum.volume_gaps(theta, advance)
     moved = advance > 0.0
     slope = np.full(grid, swept_excess(n, R, 1.0)[1])
@@ -486,7 +436,8 @@ def sweep_advance_map(d: Density, R: float, plane: np.ndarray,
                           0.0, 0.0, eps, R, tuple(ball_gs),
                           tuple(trailing + leading),
                           tuple(trailing_error + leading_error),
-                          tuple((np.abs(residual) + gap_error) / slope))
+                          tuple((np.abs(residual) + gap_error) / slope),
+                          matches)
     q = sam.quotients()
     return replace(sam, lipschitz_lo=float(q.min()),
                    lipschitz_hi=float(q.max()))
@@ -495,20 +446,23 @@ def sweep_advance_map(d: Density, R: float, plane: np.ndarray,
 def select_sweep_direction(d: Density, R: float, plane: np.ndarray,
                            advance: SweepAdvanceMap, eps: float = EPS,
                            nodes: int = SPHERE_NODES) -> tuple[float, ExtensionResult]:
-    """Pick a base angle where the averaged inequality certifies the sweep.
+    """Pick a base angle where the averaged inequality certifies the sweep,
+    and certify the swept set there.
 
     The scan maximizes H_g(leading hemisphere at the advanced angle) +
     H_g(trailing hemisphere at the base angle) - (1 - eps)(N - eps)|B|_g; the
     change-of-variables estimate guarantees a nonnegative maximum on a fine
     enough grid.  The hemispheres' sum and |B|_g at every angle are those
     the advance map recorded.  The winning swept set's volume gap and
-    perimeter margin are integrated over its patch list, in deficit space.
+    perimeter margin are integrated over its patch list, in deficit space,
+    and reported with the winning angle's own volume match, whose gap
+    becomes the patch gap.  The same patches check the perimeter chain
+    P_f(E) <= P_f(B) + (N-1) omega_{N-1} (R+1) delta, which holds wherever
+    f <= a on the swept band, and for a radial weight the rotation identity;
+    a mean density above 1 + 1e-9 is refused.
     """
     n = d.dim
     frame = frame_from_axis(plane[:, 0], plane[:, 1])
-    theta = np.asarray(advance.theta)
-    adv = np.asarray(advance.advance)
-    omega = unit_ball_volume(n)
     ball_gs = np.asarray(advance.ball_deficit)
     scores = (np.asarray(advance.rim_deficit)
               - (1.0 - eps) * (n - eps) * ball_gs)
@@ -522,21 +476,40 @@ def select_sweep_direction(d: Density, R: float, plane: np.ndarray,
             raise RuntimeError("no base angle certified the averaged "
                                "inequality; this flags quadrature tolerance, "
                                "not the estimate")
-    phi = float(theta[best])
-    delta = float(adv[best])
+    phi, delta = float(advance.theta[best]), float(advance.advance[best])
     direction, sweep = (tuple(float(x) for x in v)
                         for v in circle_point(frame, phi))
     E = (RotationSwept(dim=n, offset=R, delta=delta, direction=direction, sweep=sweep)
          if delta > 0.0 else PlainBall(dim=n, offset=R, direction=direction))
-    _, margin, gap = _swept_certificate(d, R, frame, phi, delta, nodes)
-    # a-priori advance bound at the winning angle
-    denom = unit_ball_volume(n - 1) * max(R - 1.0, 1e-9)
-    bound = (1.0 + 3.0 * eps) * ball_gs[best] / denom
-    match = VolumeMatch(delta, omega + gap, 0,
-                        delta <= bound * (1 + 1e-9), gap)
-    return phi, _extension(E, match, margin, {
-        "score": float(scores[best]), "advance_bound": bound,
-        "advance_bound_ok": bool(match.bound_ok)})
+    g = deficit_weight(d)
+    patches = swept_patches(n, R, delta, frame, phi, nodes, RADIAL_NODES)
+    margin, gap = patches.perimeter_margin(g), patches.volume_gap(g)
+    match = replace(advance.matches[best],
+                    achieved_volume=unit_ball_volume(n) + gap, gap=gap)
+    band = patches.surface.get("band")
+    band_f = swept_excess(n, R, delta)[0] - (integrate_patches(g, [band()])
+                                             if band else 0.0)
+    checks = {"score": float(scores[best]), "perimeter_chain_ok": bool(
+        band_f <= (n - 1) * unit_ball_volume(n - 1) * (R + 1.0) * delta)}
+    if d.radial:
+        # rotation invariance in deficit space: H_g(leading cap at delta) =
+        # H_g(leading cap at 0), within both caps' differences from their
+        # half-node rules and rounding floors
+        caps = [[np.asarray(g(pts), dtype=float) * w for pts, w in (
+            swept_patches(n, R, swept, frame, phi, nn, RADIAL_NODES).surface["leading"]()
+            for nn in (nodes, max(1, nodes // 2)))] for swept in (0.0, delta)]
+        (H0, H0_half), (H1, H1_half) = ([float(np.add.reduce(t)) for t in c]
+                                        for c in caps)
+        error = abs(H0 - H0_half) + abs(H1 - H1_half) + ULP * sum(
+            c[0].size * float(np.add.reduce(np.abs(c[0]))) for c in caps)
+        checks.update(rotation_identity_residual=abs(H1 - H0),
+                      rotation_identity_ok=bool(abs(H1 - H0) <= error))
+    ext = _extension(E, match, margin, checks)
+    if ext.rho > 1.0 + 1e-9:
+        raise RuntimeError(
+            f"mean density {ext.rho} exceeds 1 + 1e-9: the offset or eps is "
+            "misconfigured for this weight")
+    return phi, ext
 
 
 # ---------------------------------------------------------------------------
@@ -591,22 +564,19 @@ def build_competitor(d: Density, eps: float = EPS, R_min: float = 50.0,
     """Far ball -> (circle, advance map, direction) -> certified set.
 
     The density is first rescaled so its limit is 1 and the target volume is
-    omega_N.  Radial weights take the rotation route directly; general
-    weights go through the working circle and the advance map.  The final
-    inequalities are re-measured with an independent Monte-Carlo pass.
+    omega_N.  A radial deficit's advance map is constant in the angle, so
+    it is matched at one angle.  The final inequalities are re-measured with
+    an independent Monte-Carlo pass.
     """
     n = d.dim
     omega = unit_ball_volume(n)
     dd, lam = rescale(d, omega) if d.limit_a != 1.0 else (d, 1.0)
     g = deficit_profile(dd)
     far = find_far_radius(g, n, eps, R_min, R_max)
-    advance_map = None
-    if dd.radial:
-        ext = rotation_extension(far, dd, eps, nodes)
-    else:
-        plane = select_working_circle(dd, far.R, eps, quad_nodes=nodes)
-        advance_map = sweep_advance_map(dd, far.R, plane, circle_grid, eps, nodes)
-        _, ext = select_sweep_direction(dd, far.R, plane, advance_map, eps, nodes)
+    plane = select_working_circle(dd, far.R, eps, quad_nodes=nodes)
+    advance_map = sweep_advance_map(dd, far.R, plane,
+                                    1 if dd.radial else circle_grid, eps, nodes)
+    _, ext = select_sweep_direction(dd, far.R, plane, advance_map, eps, nodes)
     P_f, V_f = set_measures(ext.E, dd, nodes=nodes)
     mc_check = monte_carlo_check(ext.E, dd, P_f, V_f, mc_samples, mc_seed,
                                  ext.perimeter_margin, ext.volume_gap)

@@ -76,7 +76,7 @@ def find_far_radius(g: RadialDeficit, n: int, eps: float = EPS,
                 f"({R_max}); scan recorded {len(scan)} points. This flags an "
                 "inadmissible kernel, a non-vanishing deficit, or R_max too small.")
         cert = _ball_certificate(g, n, out.R, eps)
-        if out.degenerate or cert.degenerate or cert.margin >= -1e-10:
+        if out.degenerate or cert.degenerate or cert.margin >= 0.0:
             return replace(cert, degenerate=cert.degenerate or out.degenerate,
                            scan=tuple(scan))
         lo = out.R + step   # exact kernels disagreed near the edge; re-scan outward

@@ -224,8 +224,8 @@ def test_acceptance_08_end_to_end_competitor():
         ball_g, kappa = _deficit_scale(key, cert)
         volume_ok = abs(cert.volume_gap) <= 1e-6 * ball_g
         margin_ok = cert.perimeter_margin >= kappa * ball_g
-        bounds_ok = cert.bounds["match_bound_ok"] and \
-            cert.bounds.get("advance_bound_ok", True)
+        bounds_ok = (cert.bounds["match_bound_ok"]
+                     and cert.bounds["perimeter_chain_ok"])
         runtime_ok = dt < 120.0
         all_ok = all_ok and volume_ok and margin_ok and bounds_ok and runtime_ok
         lines.append(f"{key}: |B|_g={ball_g:.2e} "
@@ -244,7 +244,7 @@ def test_acceptance_08_end_to_end_competitor():
             f"{key}: volume gap {cert.volume_gap:.3e} is not matched at the "
             f"deficit scale |B|_g = {ball_g:.3e}")
         assert cert.bounds["match_bound_ok"]
-        assert cert.bounds.get("advance_bound_ok", True)
+        assert cert.bounds["perimeter_chain_ok"]
         assert dt < 120.0
         # strict improvement over the Euclidean perimeter by the margin the
         # construction guarantees: margin >= kappa |B|_g with kappa > 0

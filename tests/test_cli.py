@@ -165,6 +165,22 @@ def test_competitor_run_and_exit(tmp_path):
     assert rec["mean_density"] < 1.0
 
 
+def test_competitor_radial_writes_one_angle_advance_map(tmp_path):
+    # a radial deficit's advance map is constant in the angle: one row
+    cfg = write_cfg(tmp_path, {"density": EXP2})
+    code = run(["--out", str(tmp_path / "o"), "competitor", "--config", cfg,
+                "--eps", "0.05", "--rmin", "10.0", "--rmax", "40.0",
+                "--samples", "20000", "--seed", "7"])
+    assert code == 0
+    rec = json.loads((tmp_path / "o" / "competitor.json").read_text())
+    rows = (tmp_path / "o" / "advance_map.csv").read_text().splitlines()
+    assert rows[0] == "theta,advance,mapped"
+    assert len(rows) == 2
+    theta, advance, mapped = map(float, rows[1].split(","))
+    assert theta == 0.0
+    assert advance == mapped == rec["match"]["delta_bar"] > 0.0
+
+
 def test_competitor_far_offset_certifies(tmp_path):
     # tiny-but-positive deficit at offset 50: certified success, exit 0
     cfg = write_cfg(tmp_path, {"density": EXP2})
@@ -201,7 +217,7 @@ def test_rerun_outputs_byte_identical(tmp_path):
             "--rmax", "30.0", "--samples", "20000", "--seed", "11"]
     assert run(["--out", str(tmp_path / "a")] + args) == 0
     assert run(["--out", str(tmp_path / "b")] + args) == 0
-    for name in ("competitor.json", "far_ball_scan.csv"):
+    for name in ("competitor.json", "advance_map.csv", "far_ball_scan.csv"):
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()
         assert a == b

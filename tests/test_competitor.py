@@ -205,6 +205,43 @@ def test_rotation_extension_radial(exp2):
 
 
 
+@pytest.mark.parametrize("R_min, margin, gap, delta", [
+    (10.0, 0.00023788650735124075, -8.131516293641283e-20, 6.551046463334303e-06),
+    (50.0, 1.0541983823862628e-21, 1.504632769052528e-36, 5.654295029846637e-24)])
+def test_build_competitor_radial_takes_the_one_angle_sweep(exp3, R_min, margin,
+                                                           gap, delta):
+    # a radial weight runs the working-circle route on one angle, and its
+    # certificate is the same float as the rotation route it replaced
+    cert = build_competitor(exp3, eps=0.05, R_min=R_min, R_max=200.0,
+                            mc_samples=20_000)
+    assert cert.perimeter_margin == margin
+    assert cert.volume_gap == gap
+    assert cert.match.delta_bar == delta
+    assert cert.match.iterations == 1
+    assert cert.advance.theta == (0.0,)
+    assert cert.advance.advance == (delta,)
+    assert cert.bounds["rotation_identity_ok"] is True
+    assert cert.bounds["perimeter_chain_ok"] is True
+
+
+def test_build_competitor_reports_the_winning_angles_match():
+    # the general route's match is the winning angle's own root, with the
+    # patch gap in place of the root residual
+    d = density_from_config({"family": "angular_mod", "dim": 2, "a": 1.0,
+                             "params": {"eta": 0.5, "k": 1, "c": 1.0}})
+    cert = build_competitor(d, eps=0.05, R_min=10.0, R_max=200.0,
+                            circle_grid=48, nodes=32, mc_samples=20_000)
+    phi = math.atan2(cert.E.direction[1], cert.E.direction[0]) % (2.0 * math.pi)
+    best = int(np.argmin(np.abs(np.asarray(cert.advance.theta) - phi)))
+    recorded = cert.advance.matches[best]
+    assert cert.match.iterations >= 1
+    assert cert.match == dataclasses.replace(
+        recorded, achieved_volume=unit_ball_volume(2) + cert.volume_gap,
+        gap=cert.volume_gap)
+    assert cert.bounds["perimeter_chain_ok"] is True
+    assert "rotation_identity_ok" not in cert.bounds
+
+
 def test_rotation_identity_residual_in_deficit_space(exp3):
     # the leading caps at sweep 0 and delta differ in deficit space by
     # rounding (2.2e-19 here), which a difference of |S^{N-1}|/2 - H_g
@@ -385,7 +422,7 @@ def test_select_sweep_direction_angular():
     sam = sweep_advance_map(d, R, np.eye(2), grid=48, eps=eps, nodes=48)
     phi, ext = select_sweep_direction(d, R, np.eye(2), sam, eps=eps, nodes=48)
     assert ext.checks["score"] >= 0.0
-    assert ext.checks["advance_bound_ok"]
+    assert ext.match.bound_ok
     assert ext.rho < 1.0
     assert abs(ext.volume_gap) <= 1e-7 * unit_ball_volume(2)
     # independent f-space cross-check of the deficit-space ledger
@@ -765,12 +802,15 @@ def _sweep_direction_by_angle(d, R, sam, eps, nodes):
          if delta > 0.0 else PlainBall(dim=n, offset=R, direction=direction))
     margin = pieces.perimeter_margin(phi, delta)
     gap = pieces.gap_function(phi)(delta)
-    bound = (1.0 + 3.0 * eps) * ball_gs[best] / (unit_ball_volume(n - 1)
-                                                 * max(R - 1.0, 1e-9))
-    match = VolumeMatch(delta, omega + gap, 0, delta <= bound * (1 + 1e-9), gap)
+    omega1 = unit_ball_volume(n - 1)
+    bound = (1.0 + 2.0 * eps) * ball_gs[best] / (omega1 * max(R - 1.0, 1e-9))
+    # the winner's own root, whose residual the patch gap replaces
+    match = VolumeMatch(delta, omega + gap, sam.matches[best].iterations,
+                        delta <= bound * (1 + 1e-9), gap)
     rho = mean_density(max(n * omega - margin, 1e-300), omega + gap, n)
-    checks = {"score": float(scores[best]), "advance_bound": bound,
-              "advance_bound_ok": bool(match.bound_ok)}
+    band_f = delta * R * (n - 1) * omega1 - pieces.band_g(phi, delta)
+    checks = {"score": float(scores[best]), "perimeter_chain_ok":
+              band_f <= (n - 1) * omega1 * (R + 1.0) * delta}
     return phi, ExtensionResult(E, match, margin, gap, rho, checks), rim_error[best]
 
 

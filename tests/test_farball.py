@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ def test_exponential_every_offset_qualifies(exp3):
     g = deficit_profile(exp3)
     cert = find_far_radius(g, 3, eps=0.05, R_min=10.0, R_max=60.0)
     assert cert.R == 10.0
-    assert cert.margin >= -1e-10
+    assert cert.margin >= 0.0
     assert not cert.degenerate
     assert cert.P_g.value / cert.V_g.value > 3.0
 
@@ -51,7 +52,7 @@ def test_bump_deficit_certificate():
     g = RadialDeficit(dim=3, profile=bump, support_hint=6.0,
                       breakpoints=(5.0, 6.0))
     cert = find_far_radius(g, 3, eps=0.05, R_min=4.5, R_max=12.0)
-    assert cert.margin >= -1e-10
+    assert cert.margin >= 0.0
     assert not cert.degenerate
     # brute-force fine-scan oracle: some offset in range must qualify with
     # exact kernels
@@ -75,6 +76,24 @@ def test_bump_outside_window_is_degenerate_far_ball():
     assert cert.degenerate
 
 
+def test_find_far_radius_rescans_past_a_negative_margin(monkeypatch, exp3):
+    # a measured margin short by 1e-12 does not qualify, however small it
+    # is next to the weight: the scan moves on to the next offset
+    original = isoplab.farball._ball_certificate
+    offsets = []
+
+    def certificate(g, n, R, eps):
+        offsets.append(R)
+        cert = original(g, n, R, eps)
+        return dataclasses.replace(cert, margin=-1e-12) if len(offsets) == 1 else cert
+    monkeypatch.setattr(isoplab.farball, "_ball_certificate", certificate)
+    cert = find_far_radius(deficit_profile(exp3), 3, eps=0.05, R_min=10.0,
+                           R_max=60.0)
+    assert offsets[0] == 10.0
+    assert cert.R > 10.0
+    assert cert.margin >= 0.0
+
+
 def test_find_far_radius_reports_failure():
     # a bump pinned to the kernel's negative middle region over a scan range
     # too short to slide past it: every grid correlation is negative
@@ -89,7 +108,7 @@ def test_find_far_radius_reports_failure():
 def test_select_direction_radial_short_circuit(exp2):
     cert = select_direction(exp2, 8.0, eps=0.05)
     assert cert.theta == (1.0, 0.0)
-    assert cert.margin >= -1e-10
+    assert cert.margin >= 0.0
 
 
 def test_select_direction_angular_mod(angular2):
