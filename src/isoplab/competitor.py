@@ -39,11 +39,11 @@ from .density import (Density, deficit_profile, deficit_weight, eval_weight,
                       rescale)
 from .farball import (FarBallCertificate, find_far_radius,
                       select_working_circle)
-from .measures import (CylinderExtended, CylinderFamily, MeasureResult,
-                       PlainBall, RotationSwept, circle_point,
-                       integrate_patches, mc_integrals, mean_density,
-                       set_measures, set_patches, shrink_terms, swept_excess,
-                       swept_patches)
+from .measures import (CylinderExtended, CylinderFamily, GaussPass,
+                       MeasureResult, PlainBall, RotationSwept, circle_point,
+                       gauss_rules, integrate_patches, mc_integrals,
+                       mean_density, patch_integrals, set_patches,
+                       shrink_terms, swept_excess, swept_patches)
 from .quadrature import frame_from_axis, sphere_grid, unit_ball_volume
 from .spectral import ULP, SweepSpectrum
 
@@ -86,8 +86,6 @@ class SweepAdvanceMap:
     theta: tuple[float, ...]
     advance: tuple[float, ...]
     mapped: tuple[float, ...]
-    lipschitz_lo: float
-    lipschitz_hi: float
     eps: float
     offset: float
     ball_deficit: tuple[float, ...] = field(repr=False)
@@ -431,32 +429,30 @@ def sweep_advance_map(d: Density, R: float, plane: np.ndarray,
     slope[moved] = (residual[moved] + ball_gs[moved]) / advance[moved]
     trailing, trailing_error = spectrum.hemispheres(theta, upper=False)
     leading, leading_error = spectrum.hemispheres(theta + advance, upper=True)
-    mapped = theta + advance
-    sam = SweepAdvanceMap(tuple(theta), tuple(advance), tuple(mapped),
-                          0.0, 0.0, eps, R, tuple(ball_gs),
-                          tuple(trailing + leading),
-                          tuple(trailing_error + leading_error),
-                          tuple((np.abs(residual) + gap_error) / slope),
-                          matches)
-    q = sam.quotients()
-    return replace(sam, lipschitz_lo=float(q.min()),
-                   lipschitz_hi=float(q.max()))
+    return SweepAdvanceMap(tuple(theta), tuple(advance), tuple(theta + advance),
+                           eps, R, tuple(ball_gs), tuple(trailing + leading),
+                           tuple(trailing_error + leading_error),
+                           tuple((np.abs(residual) + gap_error) / slope),
+                           matches)
 
 
-def select_sweep_direction(d: Density, R: float, plane: np.ndarray,
-                           advance: SweepAdvanceMap, eps: float = EPS,
-                           nodes: int = SPHERE_NODES) -> tuple[float, ExtensionResult]:
+def select_sweep_direction(
+        d: Density, R: float, plane: np.ndarray, advance: SweepAdvanceMap,
+        eps: float = EPS, nodes: int = SPHERE_NODES,
+) -> tuple[float, ExtensionResult, tuple[MeasureResult, MeasureResult]]:
     """Pick a base angle where the averaged inequality certifies the sweep,
-    and certify the swept set there.
+    and certify and measure the swept set there: (phi, ext, (P_f, V_f)).
 
     The scan maximizes H_g(leading hemisphere at the advanced angle) +
     H_g(trailing hemisphere at the base angle) - (1 - eps)(N - eps)|B|_g; the
     change-of-variables estimate guarantees a nonnegative maximum on a fine
     enough grid.  The hemispheres' sum and |B|_g at every angle are those
-    the advance map recorded.  The winning swept set's volume gap and
-    perimeter margin are integrated over its patch list, in deficit space,
-    and reported with the winning angle's own volume match, whose gap
-    becomes the patch gap.  The same patches check the perimeter chain
+    the advance map recorded.  The winning swept set is measured once, f
+    and g on the same nodes: one ``GaussPass`` over its patch list at
+    (nodes, RADIAL_NODES).  Its g-integrals give the volume gap and the
+    perimeter margin, in deficit space, reported with the winning angle's
+    own volume match, whose gap becomes the patch gap; its f-integrals give
+    P_f and V_f.  The same pass checks the perimeter chain
     P_f(E) <= P_f(B) + (N-1) omega_{N-1} (R+1) delta, which holds wherever
     f <= a on the swept band, and for a radial weight the rotation identity;
     a mean density above 1 + 1e-9 is refused.
@@ -482,26 +478,31 @@ def select_sweep_direction(d: Density, R: float, plane: np.ndarray,
     E = (RotationSwept(dim=n, offset=R, delta=delta, direction=direction, sweep=sweep)
          if delta > 0.0 else PlainBall(dim=n, offset=R, direction=direction))
     g = deficit_weight(d)
-    patches = swept_patches(n, R, delta, frame, phi, nodes, RADIAL_NODES)
-    margin, gap = patches.perimeter_margin(g), patches.volume_gap(g)
+    fns = [partial(eval_weight, d), g]
+    quad = GaussPass(partial(swept_patches, n, R, delta, frame, phi), fns,
+                     nodes, RADIAL_NODES)
+    patches, g_of = quad.patches, quad.integral(1)
+    margin, gap = patches.perimeter_margin(g, g_of), patches.volume_gap(g, g_of)
     match = replace(advance.matches[best],
                     achieved_volume=unit_ball_volume(n) + gap, gap=gap)
     band = patches.surface.get("band")
-    band_f = swept_excess(n, R, delta)[0] - (integrate_patches(g, [band()])
-                                             if band else 0.0)
+    band_f = swept_excess(n, R, delta)[0] - (g_of(band) if band else 0.0)
     checks = {"score": float(scores[best]), "perimeter_chain_ok": bool(
         band_f <= (n - 1) * unit_ball_volume(n - 1) * (R + 1.0) * delta)}
     if d.radial:
         # rotation invariance in deficit space: H_g(leading cap at delta) =
         # H_g(leading cap at 0), within both caps' differences from their
-        # half-node rules and rounding floors
-        caps = [[np.asarray(g(pts), dtype=float) * w for pts, w in (
-            swept_patches(n, R, swept, frame, phi, nn, RADIAL_NODES).surface["leading"]()
-            for nn in (nodes, max(1, nodes // 2)))] for swept in (0.0, delta)]
-        (H0, H0_half), (H1, H1_half) = ([float(np.add.reduce(t)) for t in c]
+        # half-node rules and rounding floors; g is the last integrand of both
+        caps = ([patch_integrals(swept_patches(n, R, 0.0, frame, phi, *rule)
+                                 .surface["leading"], [g])
+                 for rule in gauss_rules(nodes, RADIAL_NODES)],
+                quad.pieces[patches.surface["leading"]])
+        (H0, H0_half), (H1, H1_half) = ((c[0].value[-1], c[1].value[-1])
                                         for c in caps)
-        error = abs(H0 - H0_half) + abs(H1 - H1_half) + ULP * sum(
-            c[0].size * float(np.add.reduce(np.abs(c[0]))) for c in caps)
+        floor = 0.0
+        for c in caps:
+            floor += c[0].points * c[0].abs_sum[-1]
+        error = abs(H0 - H0_half) + abs(H1 - H1_half) + ULP * floor
         checks.update(rotation_identity_residual=abs(H1 - H0),
                       rotation_identity_ok=bool(abs(H1 - H0) <= error))
     ext = _extension(E, match, margin, checks)
@@ -509,7 +510,7 @@ def select_sweep_direction(d: Density, R: float, plane: np.ndarray,
         raise RuntimeError(
             f"mean density {ext.rho} exceeds 1 + 1e-9: the offset or eps is "
             "misconfigured for this weight")
-    return phi, ext
+    return phi, ext, quad.measures(0)
 
 
 # ---------------------------------------------------------------------------
@@ -565,8 +566,10 @@ def build_competitor(d: Density, eps: float = EPS, R_min: float = 50.0,
 
     The density is first rescaled so its limit is 1 and the target volume is
     omega_N.  A radial deficit's advance map is constant in the angle, so
-    it is matched at one angle.  The final inequalities are re-measured with
-    an independent Monte-Carlo pass.
+    it is matched at one angle.  The certified set is measured once, by
+    ``select_sweep_direction``: P_f and V_f come from the same Gauss nodes
+    as its perimeter margin and volume gap.  The final inequalities are
+    re-measured with an independent Monte-Carlo pass.
     """
     n = d.dim
     omega = unit_ball_volume(n)
@@ -576,8 +579,8 @@ def build_competitor(d: Density, eps: float = EPS, R_min: float = 50.0,
     plane = select_working_circle(dd, far.R, eps, quad_nodes=nodes)
     advance_map = sweep_advance_map(dd, far.R, plane,
                                     1 if dd.radial else circle_grid, eps, nodes)
-    _, ext = select_sweep_direction(dd, far.R, plane, advance_map, eps, nodes)
-    P_f, V_f = set_measures(ext.E, dd, nodes=nodes)
+    _, ext, (P_f, V_f) = select_sweep_direction(dd, far.R, plane, advance_map,
+                                                eps, nodes)
     mc_check = monte_carlo_check(ext.E, dd, P_f, V_f, mc_samples, mc_seed,
                                  ext.perimeter_margin, ext.volume_gap)
     deficit_scale = float(np.max(np.asarray(

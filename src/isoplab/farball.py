@@ -155,7 +155,9 @@ def select_direction(d: Density, R: float, eps: float = EPS,
     On an even grid the angles' mean margin is the spectrum's mode 0, the
     circle's mean, which the descent keeps at or above the radial-average
     margin that ``find_far_radius`` certifies: the best angle qualifies
-    whenever that certificate holds, and a failure names the circle's mean.
+    whenever that certificate holds.  It is refused when its margin plus
+    its own error estimate is below 0, and the failure names the circle's
+    mean.
     """
     n = d.dim
     if d.radial:
@@ -169,10 +171,9 @@ def select_direction(d: Density, R: float, eps: float = EPS,
     (lead, lead_err), (trail, trail_err) = (spectrum.hemispheres(phis, upper)
                                             for upper in (True, False))
     P, P_err = lead + trail, lead_err + trail_err
-    margins = P - (n - eps) * V
-    best = _first_tied(margins, P_err + (n - eps) * V_err)
-    scale = max(float(np.max(np.abs(P))), DEGENERACY_TOL)
-    if margins[best] < -1e-12 * scale:
+    margins, spread = P - (n - eps) * V, P_err + (n - eps) * V_err
+    best = _first_tied(margins, spread)
+    if margins[best] + spread[best] < 0.0:
         raise RuntimeError(
             f"no angle of the working circle qualifies at R = {R}: the circle's "
             f"mean margin is {np.mean(margins):.6e} and the best angle's "

@@ -19,12 +19,12 @@ segments of density rho^p, spheres or hemispheres) into R^N, drawn either as
 the tensor product of the factors' Gauss rules (``gauss``) or as i.i.d.
 points, each factor sampled from its own measure (``Sample``).
 ``set_measures`` integrates the weight f over that description by quadrature
-or Monte Carlo; the competitor construction integrates the deficit
-g = a - f over the same patches and subtracts, so the volume gap and the
-perimeter margin never form a difference of order-one floats.  Perimeters
-are integrated on explicit parametrizations rather than through any
-level-set discretization, and interfaces interior to a union cancel and are
-never counted.
+or Monte Carlo; the competitor construction integrates f and the deficit
+g = a - f on the same nodes (``GaussPass``) and subtracts the g-integrals,
+so the volume gap and the perimeter margin never form a difference of
+order-one floats.  Perimeters are integrated on explicit parametrizations
+rather than through any level-set discretization, and interfaces interior
+to a union cancel and are never counted.
 
 Volumes and perimeters are returned as ``MeasureResult`` records carrying the
 method tag, an error estimate (node-halving difference for quadrature, one
@@ -523,12 +523,62 @@ def _weight_of(d: Density | Callable) -> Callable:
     return (lambda x: eval_weight(d, x)) if isinstance(d, Density) else d
 
 
-def _built(makers: dict, sizes: list):
-    """Build the patches of ``makers`` one at a time, noting their sizes."""
-    for make in makers.values():
-        pts, w = make()
-        sizes.append(w.size)
-        yield pts, w
+def gauss_rules(nodes: int, radial_nodes: int) -> tuple[tuple[int, int], ...]:
+    """The Gauss rule at (nodes, radial_nodes) and the one with half as many
+    nodes, at least 8, whose difference is a quadrature's error estimate."""
+    return (nodes, radial_nodes), (max(8, nodes // 2), max(8, radial_nodes // 2))
+
+
+@dataclass(frozen=True)
+class PatchIntegrals:
+    """One patch on one Gauss rule: per integrand the integral and the sum of
+    |fn w|, and the point count."""
+
+    value: tuple[float, ...]
+    abs_sum: tuple[float, ...]
+    points: int
+
+
+def patch_integrals(make, fns) -> PatchIntegrals:
+    """Build the patch ``make`` once and integrate each of ``fns`` on it."""
+    pts, w = make()
+    terms = [np.asarray(fn(pts), dtype=float) * w for fn in fns]
+    return PatchIntegrals(tuple(float(np.add.reduce(t)) for t in terms),
+                          tuple(float(np.add.reduce(np.abs(t))) for t in terms),
+                          w.size)
+
+
+class GaussPass:
+    """Integrals of each of ``fns`` over every piece of a set, each piece
+    built once on each of the two ``gauss_rules``: the quadrature
+    counterpart of ``mc_integrals``.  ``patches`` is the full rule's
+    ``patches_at(nodes, radial_nodes)``, and ``pieces[make]`` the (full,
+    half) ``PatchIntegrals`` of the piece its builder ``make`` builds."""
+
+    def __init__(self, patches_at: Callable, fns, nodes: int, radial_nodes: int):
+        self.patches, half = (patches_at(*r) for r in gauss_rules(nodes, radial_nodes))
+        self.pieces = {make: (patch_integrals(make, fns),
+                              patch_integrals(getattr(half, kind)[name], fns))
+                       for kind in ("surface", "volume")
+                       for name, make in getattr(self.patches, kind).items()}
+
+    def integral(self, i: int) -> Callable:
+        """make -> the full rule's integral of ``fns[i]`` over that piece."""
+        return lambda make: self.pieces[make][0].value[i]
+
+    def measures(self, i: int) -> tuple[MeasureResult, MeasureResult]:
+        """``fns[i]`` over the boundary and the interior, summed piece by
+        piece; the error estimate is the rules' difference plus a 1e-15
+        relative floor."""
+        points, out = sum(full.points for full, _ in self.pieces.values()), []
+        for makers in (self.patches.surface, self.patches.volume):
+            full = half = 0.0
+            for make in makers.values():
+                full += self.pieces[make][0].value[i]
+                half += self.pieces[make][1].value[i]
+            out.append(MeasureResult(full, "quadrature",
+                                     abs(full - half) + 1e-15 * abs(full), points))
+        return out[0], out[1]
 
 
 def set_measures(E: CompetitorSet, d: Density, method: str = "quadrature",
@@ -537,22 +587,14 @@ def set_measures(E: CompetitorSet, d: Density, method: str = "quadrature",
     """Weighted perimeter and volume of a competitor set.
 
     Both methods integrate the weight over the patches of ``set_patches``.
-    Quadrature uses their Gauss rules at ``nodes`` and at half as many,
-    whose difference is the error estimate; Monte-Carlo draws ``budget``
+    Quadrature is one ``GaussPass`` at (nodes, max(8, nodes)), whose two
+    rules' difference is the error estimate; Monte-Carlo draws ``budget``
     i.i.d. points from them (``mc_perimeter``, ``mc_volume``).
     """
     fn = _weight_of(d)
     if method == "quadrature":
-        per, vol = [], []
-        for nn in (max(8, nodes // 2), nodes):
-            patches, sizes = set_patches(E, nn, max(8, nn)), []
-            per.append(integrate_patches(fn, _built(patches.surface, sizes)))
-            vol.append(integrate_patches(fn, _built(patches.volume, sizes)))
-            n_nodes = sum(sizes)
-        p_err = abs(per[1] - per[0]) + 1e-15 * abs(per[1])
-        v_err = abs(vol[1] - vol[0]) + 1e-15 * abs(vol[1])
-        return (MeasureResult(per[1], "quadrature", p_err, n_nodes),
-                MeasureResult(vol[1], "quadrature", v_err, n_nodes))
+        return GaussPass(partial(set_patches, E), [fn], nodes,
+                         max(8, nodes)).measures(0)
     if method != "monte_carlo":
         raise ValueError(f"unknown method {method!r}")
     budget = MC_SAMPLES if budget is None else int(budget)

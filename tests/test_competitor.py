@@ -25,7 +25,7 @@ from isoplab import (ExtensionResult, PlainBall, RotationSwept, VolumeMatch,
                      mean_density, weighted_ball_measures)
 from isoplab.competitor import (_CylinderPieces, _root_of_gap,
                                 monte_carlo_check, ray_monotone_on_samples)
-from isoplab.defaults import VOLUME_RTOL
+from isoplab.defaults import RADIAL_NODES, VOLUME_RTOL
 from isoplab.density import deficit_weight
 from isoplab.measures import (ball_cap_patch, cylinder_patches, set_patches,
                               sphere_cap_patch, swept_band_patch,
@@ -224,6 +224,49 @@ def test_build_competitor_radial_takes_the_one_angle_sweep(exp3, R_min, margin,
     assert cert.bounds["perimeter_chain_ok"] is True
 
 
+def test_build_competitor_measures_the_set_in_one_gauss_pass(monkeypatch, exp3):
+    # each piece of the swept set is built once on the full rule and once on
+    # the half rule, and only the leading cap at sweep 0 is built besides,
+    # for the rotation identity; Monte-Carlo draws are not Gauss builds
+    counts = dict.fromkeys(("sphere_cap_patch", "ball_cap_patch",
+                            "swept_band_patch", "swept_wedge_patch"), 0)
+    for name in counts:
+        original = getattr(isoplab.measures, name)
+
+        def recorded(*args, _name=name, _original=original, **kwargs):
+            if kwargs.get("draw", isoplab.measures.gauss) is isoplab.measures.gauss:
+                counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(isoplab.measures, name, recorded)
+    cert = build_competitor(exp3, eps=0.05, R_min=10.0, R_max=200.0,
+                            mc_samples=20_000)
+    assert isinstance(cert.E, RotationSwept)
+    assert counts == {"sphere_cap_patch": 6, "ball_cap_patch": 4,
+                      "swept_band_patch": 2, "swept_wedge_patch": 2}
+
+
+def test_build_competitor_measures_f_and_g_on_the_same_rule():
+    # P_f and V_f come from the nodes of the margin and the gap: the swept
+    # set's patches at (nodes, RADIAL_NODES), 64 radial nodes at nodes = 16
+    d = density_from_config({"family": "angular_mod", "dim": 3, "a": 1.0,
+                             "params": {"eta": 0.5, "k": 1, "c": 1.0}})
+    cert = build_competitor(d, eps=0.05, R_min=10.0, R_max=200.0,
+                            circle_grid=16, nodes=16, mc_samples=20_000)
+    patches = set_patches(cert.E, 16, RADIAL_NODES)
+    points = 0
+    for make in [*patches.surface.values(), *patches.volume.values()]:
+        points += make()[1].size
+    assert cert.P_f.samples_or_nodes == cert.V_f.samples_or_nodes == points
+    assert points == 41_600
+
+
+def test_build_competitor_measures_equal_set_measures(exp3):
+    # at the default rule the one pass gives set_measures' own floats
+    cert = build_competitor(exp3, eps=0.05, R_min=10.0, R_max=200.0,
+                            mc_samples=20_000)
+    assert (cert.P_f, cert.V_f) == set_measures(cert.E, exp3)
+
+
 def test_build_competitor_reports_the_winning_angles_match():
     # the general route's match is the winning angle's own root, with the
     # patch gap in place of the root residual
@@ -420,7 +463,7 @@ def test_select_sweep_direction_angular():
                              "params": {"eta": 0.5, "k": 1, "c": 0.5}})
     R, eps = 12.0, 0.05
     sam = sweep_advance_map(d, R, np.eye(2), grid=48, eps=eps, nodes=48)
-    phi, ext = select_sweep_direction(d, R, np.eye(2), sam, eps=eps, nodes=48)
+    phi, ext, _ = select_sweep_direction(d, R, np.eye(2), sam, eps=eps, nodes=48)
     assert ext.checks["score"] >= 0.0
     assert ext.match.bound_ok
     assert ext.rho < 1.0
@@ -433,8 +476,8 @@ def test_select_sweep_direction_angular():
 
 def test_select_sweep_direction_radial_any_angle(exp2):
     sam = sweep_advance_map(exp2, 8.0, np.eye(2), grid=16, eps=0.05, nodes=48)
-    phi, ext = select_sweep_direction(exp2, 8.0, np.eye(2), sam, eps=0.05,
-                                      nodes=48)
+    phi, ext, _ = select_sweep_direction(exp2, 8.0, np.eye(2), sam, eps=0.05,
+                                         nodes=48)
     assert phi == 0.0      # every angle qualifies; the first grid point wins
     assert ext.rho < 1.0
 
@@ -829,7 +872,7 @@ def test_advance_map_matches_per_angle_matching(R):
     assert min(sam.advance) > 0.0
     # the selection scores the engine's hemispheres: the same angle, set,
     # match and certificate, and a score within the two estimates
-    phi, ext = select_sweep_direction(d, R, np.eye(2), sam, eps=eps, nodes=48)
+    phi, ext, _ = select_sweep_direction(d, R, np.eye(2), sam, eps=eps, nodes=48)
     ref_phi, ref, ref_error = _sweep_direction_by_angle(d, R, sam, eps, 48)
     assert phi == ref_phi
     assert (ext.E, ext.match, ext.perimeter_margin, ext.volume_gap, ext.rho) == (

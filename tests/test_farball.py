@@ -226,6 +226,35 @@ def test_select_direction_failure_names_the_circle_mean():
     named = float(str(err.value).split("mean margin is ")[1].split()[0])
     assert named == pytest.approx(radial, rel=1e-5)
 
+
+@pytest.mark.parametrize("shortfall, refused", [(3e-13, True), (3e-14, False)])
+def test_select_direction_refuses_below_the_margins_own_estimate(shortfall,
+                                                                 refused):
+    # a wide ring deficit about the circle of centres, declared non-radial:
+    # every angle has the same P_g / V_g (1.61), so eps sets the best margin
+    # to -shortfall * P_g, and its estimate is 6e-14 P_g.  The angle is
+    # refused only when the margin plus its estimate is below 0: a fixed
+    # slack of 1e-12 P_g would take both
+    R = 10.0
+
+    def deficit(x):
+        r = np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
+        return 0.2 * np.exp(-(r - R) ** 2)
+    d = Density(dim=2, weight=lambda x: 1.0 - deficit(x), limit_a=1.0,
+                radial=False, label="wide-ring", deficit=deficit)
+    fit = select_direction(d, R, 0.5, node_count=16, quad_nodes=16)
+    P, V = fit.P_g, fit.V_g
+    eps = 2.0 - P.value * (1.0 + shortfall) / V.value
+    spread = P.error_estimate + (2.0 - eps) * V.error_estimate
+    assert 1e-14 * P.value < spread < 1e-13 * P.value
+    if refused:
+        with pytest.raises(RuntimeError, match="circle's mean margin is"):
+            select_direction(d, R, eps, node_count=16, quad_nodes=16)
+    else:
+        cert = select_direction(d, R, eps, node_count=16, quad_nodes=16)
+        own = cert.P_g.error_estimate + (2.0 - eps) * cert.V_g.error_estimate
+        assert -own <= cert.margin < 0.0
+
 def test_margin_against_monte_carlo(angular2):
     # certificate margin re-measured with seeded deficit sampling
     R, eps = 6.0, 0.05
