@@ -132,10 +132,10 @@ class CompetitorCertificate:
 # volume matching
 # ---------------------------------------------------------------------------
 
-def _root_of_gap(gap, g0: float, delta_max: float, vol_tol: float,
-                 hard_cap: float, max_expand: int = 8) -> tuple[float, float, int]:
-    """Safeguarded root of gap(delta) = 0 on [0, delta_max]: returns
-    (delta, gap(delta), iters).
+def _root_steps(g0: float, delta_max: float, vol_tol: float, hard_cap: float,
+                max_expand: int = 8):
+    """Safeguarded root of gap(delta) = 0 on [0, delta_max], as a generator
+    that yields trial deltas, is sent their gaps, and returns (delta, gap, iters).
 
     ``g0`` is gap(0), which is not evaluated again; g0 <= 0 by
     construction.  The bracket is expanded (boundedly, never past
@@ -150,11 +150,11 @@ def _root_of_gap(gap, g0: float, delta_max: float, vol_tol: float,
     if g0 >= -vol_tol:
         return 0.0, g0, 0
     hi = min(delta_max, hard_cap)
-    ghi = gap(hi)
+    ghi = yield hi
     expansions = 0
     while ghi < 0.0 and expansions < max_expand and hi < hard_cap:
         hi = min(2.0 * hi, hard_cap)
-        ghi = gap(hi)
+        ghi = yield hi
         expansions += 1
     if ghi < 0.0:
         raise RuntimeError(
@@ -174,7 +174,7 @@ def _root_of_gap(gap, g0: float, delta_max: float, vol_tol: float,
              else (lo * fhi - hi * flo) / (fhi - flo))
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
-        gx = gap(x)
+        gx = yield x
         iters += 1
         if abs(gx) <= vol_tol:
             return x, gx, iters
@@ -195,6 +195,32 @@ def _root_of_gap(gap, g0: float, delta_max: float, vol_tol: float,
         widths = (hi - lo, widths[0], widths[1])
     # bracket collapsed before meeting tolerance: numerical noise floor
     return best[0], best[1], iters
+
+
+def _lockstep_roots(searches, gaps) -> list:
+    """The results of ``_root_steps`` searches run together, each as if alone:
+    a round calls ``gaps(idx, deltas)`` once, at the trial deltas of the
+    searches ``idx`` (ascending) still running."""
+    out, trials = [None] * len(searches), dict.fromkeys(range(len(searches)))
+    values = [None] * len(searches)
+    while trials:
+        for k, value in zip(list(trials), values):
+            try:
+                trials[k] = searches[k].send(value)
+            except StopIteration as done:
+                out[k] = done.value
+                del trials[k]
+        if trials:      # in insertion order, so ascending
+            values = np.asarray(gaps(np.fromiter(trials, int, len(trials)),
+                                     np.array(list(trials.values())))).tolist()
+    return out
+
+
+def _root_of_gap(gap, g0: float, delta_max: float, vol_tol: float,
+                 hard_cap: float, max_expand: int = 8) -> tuple[float, float, int]:
+    """(delta, gap(delta), iters) of one ``_root_steps`` search on ``gap``."""
+    search = _root_steps(g0, delta_max, vol_tol, hard_cap, max_expand)
+    return _lockstep_roots([search], lambda _, deltas: [gap(float(deltas[0]))])[0]
 
 
 def _match_bracket(variant: str, ball_deficit: float, n: int, R: float,
@@ -248,11 +274,15 @@ def volume_match(variant: str, gap, ball_deficit: float, n: int, R: float,
     """
     delta_max, hard_cap, bound = _match_bracket(variant, ball_deficit, n, R, eps)
     vol_tol = VOLUME_RTOL * ball_deficit if vol_tol is None else vol_tol
-    delta, res_gap, iters = _root_of_gap(gap, -ball_deficit, delta_max, vol_tol,
-                                         hard_cap)
-    bound_ok = delta <= bound * (1.0 + 1e-9)
-    return VolumeMatch(delta, unit_ball_volume(n) + res_gap, iters, bound_ok,
-                       res_gap)
+    return _matched(n, bound, *_root_of_gap(gap, -ball_deficit, delta_max,
+                                            vol_tol, hard_cap))
+
+
+def _matched(n: int, bound: float, delta: float, gap: float,
+             iters: int) -> VolumeMatch:
+    """The match of a root (delta, gap, iters) with a-priori bound ``bound``."""
+    return VolumeMatch(delta, unit_ball_volume(n) + gap, iters,
+                       delta <= bound * (1.0 + 1e-9), gap)
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +420,20 @@ def rotation_extension(cert: FarBallCertificate, d: Density,
     return select_sweep_direction(d, cert.R, plane, advance, eps, nodes)[1]
 
 
+def _angle_match(theta: float, ball: float, n: int, R: float, eps: float):
+    """``volume_match``'s rotation search at the advance map's angle theta; its
+    failure names theta and |B^theta|_g, and a vanished deficit advances by 0."""
+    if ball <= DEGENERACY_TOL:
+        return VolumeMatch(0.0, unit_ball_volume(n) - ball, 0, True, -ball)
+    delta_max, hard_cap, bound = _match_bracket("rotation", ball, n, R, eps)
+    try:
+        root = yield from _root_steps(-ball, delta_max, VOLUME_RTOL * ball, hard_cap)
+    except RuntimeError as err:
+        raise RuntimeError(f"advance map at theta = {theta:.6g}, with "
+                           f"|B^theta|_g = {ball:.6e}: {err}") from err
+    return _matched(n, bound, *root)
+
+
 def sweep_advance_map(d: Density, R: float, plane: np.ndarray,
                       grid: int = CIRCLE_GRID, eps: float = EPS,
                       nodes: int = SPHERE_NODES) -> SweepAdvanceMap:
@@ -398,17 +442,17 @@ def sweep_advance_map(d: Density, R: float, plane: np.ndarray,
     One ``spectral.SweepSpectrum`` samples the deficit on the meridian disk
     times a uniform grid in the sweep angle and gives |B^theta|_g at every
     grid angle and each angle's volume gap delta -> V_f(E) - omega_N in
-    closed form, as Fourier shifts.  Each angle's gap goes to
+    closed form, as Fourier shifts.  Every angle is matched as by
     ``volume_match`` (tolerance ``VOLUME_RTOL * |B^theta|_g``, a-priori
-    bound (1 + 2 eps) |B^theta|_g / (omega_{N-1}(R-1))), and the match is
-    recorded; only a vanished deficit (``|B^theta|_g <= DEGENERACY_TOL``)
-    advances by zero unmatched.  Each advance's error estimate is its root
-    residual plus the engine's estimate of the gap there (every other
-    sweep-angle sample, half the disk nodes, the rounding floor), over the
-    gap's mean slope.  The same spectrum gives the trailing hemisphere at
-    theta and the leading one at theta + advance, whose sum the direction
-    selection scores.  Difference quotients of the map are the measured
-    Lipschitz data.
+    bound (1 + 2 eps) |B^theta|_g / (omega_{N-1}(R-1))), all in lockstep, one
+    ``SweepSpectrum.gaps`` call a round; only a vanished deficit
+    (``|B^theta|_g <= DEGENERACY_TOL``) advances by zero unmatched.  Each
+    advance's error estimate is its root residual plus the engine's estimate
+    of the gap there (every other sweep-angle sample, half the disk nodes,
+    the rounding floor), over the gap's mean slope.  The same spectrum gives
+    the trailing hemisphere at theta and the leading one at theta + advance,
+    whose sum the direction selection scores.  Difference quotients of the
+    map are the measured Lipschitz data.
     """
     if plane.shape[1] != 2:
         raise ValueError("plane must have two columns")
@@ -417,10 +461,9 @@ def sweep_advance_map(d: Density, R: float, plane: np.ndarray,
     spectrum = SweepSpectrum(deficit_weight(d), n, R, frame, grid, nodes)
     theta = 2.0 * math.pi * np.arange(grid) / grid
     ball_gs, _ = spectrum.balls(theta)
-    matches = tuple(volume_match("rotation", spectrum.gap(t, b), b, n, R, eps)
-                    if b > DEGENERACY_TOL else
-                    VolumeMatch(0.0, unit_ball_volume(n) - b, 0, True, -b)
-                    for t, b in zip(theta.tolist(), ball_gs.tolist()))
+    matches = tuple(_lockstep_roots([_angle_match(t, b, n, R, eps) for t, b in
+                                     zip(theta.tolist(), ball_gs.tolist())],
+                                    spectrum.gaps(theta, ball_gs)))
     advance = np.array([m.delta_bar for m in matches])
     residual = np.array([m.gap for m in matches])
     _, gap_error = spectrum.volume_gaps(theta, advance)

@@ -179,7 +179,8 @@ def select_direction(d: Density, R: float, eps: float = EPS,
             f"mean margin is {np.mean(margins):.6e} and the best angle's "
             f"{margins[best]:.6e}. The mean is at least the radial-average "
             "margin, so the offset's radial certificate does not hold here.")
-    P_g, V_g = (MeasureResult(float(x[best]), "quadrature", float(e[best]), quad_nodes)
+    P_g, V_g = (MeasureResult(float(x[best]), "quadrature", float(e[best]),
+                              spectrum.modes.nodes * spectrum.psi_samples)
                 for x, e in ((P, P_err), (V, V_err)))
     return FarBallCertificate(
         n, R, eps, P_g, V_g, float(margins[best]), bool(V[best] <= DEGENERACY_TOL),

@@ -315,18 +315,31 @@ class SweepSpectrum:
         values, error = self._integrals(("lead", "trail", "extend"), phis, deltas)
         return swept_excess(self.n, self.R, np.asarray(deltas))[1] - values, error
 
+    def gaps(self, phis, balls):
+        """(idx, deltas) -> V_f(E) - omega_N of the sets based at phis[idx]
+        with sweeps deltas, whose balls have g-volumes balls[idx] (from
+        ``balls``): the excess minus the ball minus each angle's Fourier
+        terms shifted by its delta, in chunks of ``BALL_CHUNK_POINTS`` terms."""
+        phis, balls = np.asarray(phis, dtype=float), np.asarray(balls, dtype=float)
+        count = self.modes.k.size
+        extend = self.modes.extend()
+        step = max(1, BALL_CHUNK_POINTS // count)
+
+        def gaps(idx, deltas) -> np.ndarray:
+            added = np.empty(deltas.shape)
+            for i in range(0, idx.size, step):
+                j = min(i + step, idx.size)
+                terms = extend * _powers(phis[idx[i:j]], count)
+                terms *= _shift(deltas[i:j], count)    # one table fewer alive
+                added[i:j] = np.add.reduce(terms.real, axis=1)
+            return swept_excess(self.n, self.R, deltas)[1] - balls[idx] - added
+        return gaps
+
     def gap(self, phi: float, ball: float):
         """delta -> V_f(E) - omega_N for the set based at phi, whose ball has
-        g-volume ``ball`` (from ``balls``), in closed form: the Fourier terms
-        at phi are formed once, and each evaluation only shifts them by
-        delta."""
-        count = self.modes.k.size
-        at_phi = self.modes.extend() * _powers(phi, count)
-
-        def gap(delta: float) -> float:
-            added = np.add.reduce((at_phi * _shift(delta, count)).real)
-            return float(swept_excess(self.n, self.R, delta)[1] - ball - added)
-        return gap
+        g-volume ``ball``: the one-angle view of ``gaps``."""
+        gaps = self.gaps([phi], [ball])
+        return lambda delta: float(gaps(np.zeros(1, dtype=int), np.array([delta]))[0])
 
 
 def subsphere_means(g, frames, k: int, R: float, nodes: int = SPHERE_NODES,

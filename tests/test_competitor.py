@@ -23,7 +23,8 @@ import isoplab.quadrature
 import isoplab.spectral
 from isoplab import (ExtensionResult, PlainBall, RotationSwept, VolumeMatch,
                      mean_density, weighted_ball_measures)
-from isoplab.competitor import (_CylinderPieces, _root_of_gap,
+from isoplab.competitor import (_CylinderPieces, _lockstep_roots,
+                                _root_of_gap, _root_steps,
                                 monte_carlo_check, ray_monotone_on_samples)
 from isoplab.defaults import RADIAL_NODES, VOLUME_RTOL
 from isoplab.density import deficit_weight
@@ -102,28 +103,60 @@ def test_root_of_gap_safeguarded(gap, root, max_iters):
     assert iters <= max_iters
 
 
+def test_lockstep_roots_equal_one_search_at_a_time():
+    # the three shapes and a search already matched at delta = 0 (gap(0)
+    # within tolerance, so it calls no gap) run together: each returns
+    # what it returns alone, and every round's call sees the searches still
+    # running, in ascending order
+    shapes = [gap for gap, _, _ in GAP_SHAPES] + [None]
+    g0s = [gap(0.0) for gap in shapes[:3]] + [-1e-9]
+    tols = [1e-6 * abs(g0) for g0 in g0s]
+    tols[3] = 1e-8
+    alone = [_root_of_gap(gap, g0, 1.0, tol, 10.0)
+             for gap, g0, tol in zip(shapes, g0s, tols)]
+    calls = []
+
+    def gaps(idx, deltas):
+        calls.append(idx.tolist())
+        return [shapes[k](x) for k, x in zip(idx.tolist(), deltas.tolist())]
+    together = _lockstep_roots([_root_steps(g0, 1.0, tol, 10.0)
+                                for g0, tol in zip(g0s, tols)], gaps)
+    assert together == alone
+    assert alone[3] == (0.0, -1e-9, 0)
+    # search k evaluates its gap iters + 1 times: in rounds 0 to iters
+    assert calls == [[k for k in range(3) if r <= alone[k][2]]
+                     for r in range(max(iters for _, _, iters in alone[:3]) + 1)]
+
+
 def test_volume_match_takes_gap_at_zero_from_the_ball(monkeypatch, exp2):
     # every caller's gap(0) is exactly -|B|_g: no gap is evaluated at 0, and
-    # each match evaluates its gap once per iteration plus the bracket end
-    deltas, matches = [], []
-    original = isoplab.competitor.volume_match
+    # each match evaluates its gap once per iteration plus the bracket end.
+    # volume_match runs one root search and the advance map runs one per
+    # angle, all in lockstep: each search's trial deltas and result are
+    # recorded
+    deltas, roots = [], []
+    original = isoplab.competitor._root_steps
 
-    def recorded(variant, gap, *args, **kwargs):
-        def traced(delta):
-            deltas.append(delta)
-            return gap(delta)
-        matches.append(original(variant, traced, *args, **kwargs))
-        return matches[-1]
-    monkeypatch.setattr(isoplab.competitor, "volume_match", recorded)
+    def recorded(*args):
+        search = original(*args)
+        try:
+            delta = next(search)
+            while True:
+                deltas.append(delta)
+                delta = search.send((yield delta))
+        except StopIteration as done:
+            roots.append(done.value)
+            return done.value
+    monkeypatch.setattr(isoplab.competitor, "_root_steps", recorded)
     cert = select_direction(exp2, 10.0, 0.05)
     cylinder_extension(cert, exp2, eps=0.05)
     rotation_extension(cert, exp2, eps=0.05)
     d = density_from_config({"family": "angular_mod", "dim": 2, "a": 1.0,
                              "params": {"eta": 0.5, "k": 1, "c": 0.5}})
     sweep_advance_map(d, 12.0, np.eye(2), grid=16, eps=0.05, nodes=32)
-    assert len(matches) == 18
+    assert len(roots) == 18
     assert 0.0 not in deltas
-    assert len(deltas) == sum(m.iterations + 1 for m in matches)
+    assert len(deltas) == sum(iters + 1 for _, _, iters in roots)
 
 
 def test_volume_match_rotation_exact_identity():
@@ -881,6 +914,59 @@ def test_advance_map_matches_per_angle_matching(R):
     assert (abs(ext.checks.pop("score") - ref.checks.pop("score"))
             <= sam.rim_error[best] + ref_error)
     assert ext.checks == ref.checks
+
+
+@pytest.mark.parametrize("R", [12.0, 50.0])
+def test_advance_map_equals_volume_match_per_angle(R):
+    # the angles matched in lockstep give, bit for bit, each angle's
+    # volume_match on the spectrum's one-angle gap, and the error estimates
+    # formed from those matches
+    d = density_from_config({"family": "angular_mod", "dim": 2, "a": 1.0,
+                             "params": {"eta": 0.5, "k": 1, "c": 0.5}})
+    n, eps, grid = 2, 0.05, 24
+    sam = sweep_advance_map(d, R, np.eye(2), grid=grid, eps=eps, nodes=32)
+    spectrum = SweepSpectrum(deficit_weight(d), n, R, np.eye(2), grid, 32)
+    theta = 2.0 * math.pi * np.arange(grid) / grid
+    ball_gs, _ = spectrum.balls(theta)
+    assert np.all(ball_gs > 0.0)
+    matches = tuple(volume_match("rotation", spectrum.gap(t, b), b, n, R, eps)
+                    for t, b in zip(theta.tolist(), ball_gs.tolist()))
+    advance = np.array([m.delta_bar for m in matches])
+    residual = np.array([m.gap for m in matches])
+    _, gap_error = spectrum.volume_gaps(theta, advance)
+    error = (np.abs(residual) + gap_error) / ((residual + ball_gs) / advance)
+    assert repr(sam.matches) == repr(matches)
+    assert repr(sam.advance) == repr(tuple(advance))
+    assert repr(sam.advance_error) == repr(tuple(error))
+
+
+def test_advance_map_failure_names_the_angle():
+    # a deficit 0.999 (1 - cos phi) / 2 at offset 2: at the angles where it
+    # is large, the sweep's largest range (0.45 pi past the ball) meets too
+    # little of 1 - g to make up |B^theta|_g, and the failure names the
+    # angle and |B^theta|_g of one of them
+    R, grid = 2.0, 16
+
+    def deficit(x):
+        x = np.asarray(x, dtype=float)
+        return 0.4995 * (1.0 - x[..., 0] / np.linalg.norm(x, axis=-1))
+    d = Density(dim=2, weight=lambda x: 1.0 - deficit(x), limit_a=1.0,
+                radial=False, label="half-plane", deficit=deficit)
+    with pytest.raises(RuntimeError, match="the target volume") as err:
+        sweep_advance_map(d, R, np.eye(2), grid=grid, eps=0.05, nodes=32)
+    message = str(err.value)
+    spectrum = SweepSpectrum(deficit_weight(d), 2, R, np.eye(2), grid, 32)
+    theta = 2.0 * math.pi * np.arange(grid) / grid
+    ball_gs, _ = spectrum.balls(theta)
+    failing = []
+    for t, b in zip(theta.tolist(), ball_gs.tolist()):
+        try:
+            volume_match("rotation", spectrum.gap(t, b), b, 2, R, 0.05)
+        except RuntimeError:
+            failing.append(f"theta = {t:.6g}, with |B^theta|_g = {b:.6e}")
+    assert 0 < len(failing) < grid
+    assert any(f"advance map at {named}: volume match failed" in message
+               for named in failing)
 
 
 def test_advance_map_far_deviation_resolved():

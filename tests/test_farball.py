@@ -10,6 +10,7 @@ from isoplab import (Density, RadialDeficit, ball_deficit_measures,
                      deficit_profile, density_from_config, directional_margins,
                      find_far_radius, select_direction, select_working_circle,
                      unit_ball_volume, weighted_ball_measures)
+from isoplab.defaults import RADIAL_NODES
 from isoplab.density import deficit_weight
 from isoplab.layers import exact_kernels
 from isoplab.quadrature import frame_from_axis, sphere_grid
@@ -204,6 +205,22 @@ def test_select_direction_mean_margin_is_the_spectrum_zero_mode():
     mean = np.add.reduce(np.array([margin for _, margin in cert.scan])) / 90
     scale = P0 + (3 - eps) * V0
     assert abs(mean - (P0 - (3 - eps) * V0)) <= 90 * np.finfo(float).eps * scale
+
+
+def test_select_direction_counts_the_spectrums_points():
+    # P_g and V_g come from the spectrum's full rule, so they count its
+    # points, as GaussPass counts a patch rule's: the meridian-disk nodes
+    # (RADIAL_NODES radii times the (N-1)-sphere rule) times the psi samples
+    d = density_from_config({"family": "angular_mod", "dim": 3, "a": 1.0,
+                             "params": {"eta": 0.5, "k": 2, "c": 1.0}})
+    R, eps = 10.0, 0.05
+    cert = select_direction(d, R, eps, node_count=90, quad_nodes=16)
+    plane = select_working_circle(d, R, eps, quad_nodes=16)
+    spectrum = SweepSpectrum(deficit_weight(d), 3, R,
+                             frame_from_axis(plane[:, 0], plane[:, 1]), 90, 16)
+    points = RADIAL_NODES * len(sphere_grid(2, 16, 16)[0]) * 90
+    assert spectrum.modes.nodes * spectrum.psi_samples == points
+    assert cert.P_g.samples_or_nodes == cert.V_g.samples_or_nodes == points
 
 
 def test_select_direction_failure_names_the_circle_mean():
