@@ -459,11 +459,11 @@ def sweep_advance_map(d: Density, R: float, plane: np.ndarray,
     n = d.dim
     frame = frame_from_axis(plane[:, 0], plane[:, 1])
     spectrum = SweepSpectrum(deficit_weight(d), n, R, frame, grid, nodes)
-    theta = 2.0 * math.pi * np.arange(grid) / grid
+    theta = spectrum.theta
     ball_gs, _ = spectrum.balls(theta)
     matches = tuple(_lockstep_roots([_angle_match(t, b, n, R, eps) for t, b in
                                      zip(theta.tolist(), ball_gs.tolist())],
-                                    spectrum.gaps(theta, ball_gs)))
+                                    spectrum.gaps()))
     advance = np.array([m.delta_bar for m in matches])
     residual = np.array([m.gap for m in matches])
     _, gap_error = spectrum.volume_gaps(theta, advance)

@@ -15,7 +15,6 @@ every angle at once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -97,6 +96,18 @@ def _first_tied(margin: np.ndarray, spread: np.ndarray) -> int:
     return int(np.argmax(margin + spread >= margin[best] - spread[best]))
 
 
+def _axes_up_to_sign(m: int, axis_nodes: int) -> np.ndarray:
+    """The axes of ``sphere_grid(m, axis_nodes, 2 * axis_nodes)`` in grid
+    order, less each one whose antipode (within 1e-9 in every coordinate)
+    was kept before it."""
+    axes = sphere_grid(m, axis_nodes, 2 * axis_nodes)[0]
+    kept, count = np.empty_like(axes), 0
+    for axis_sub in axes:
+        if not np.any(np.max(np.abs(kept[:count] + axis_sub), axis=1) <= 1e-9):
+            kept[count], count = axis_sub, count + 1
+    return kept[:count]
+
+
 def select_working_circle(d: Density, R: float, eps: float = EPS,
                           axis_nodes: int = 8, circle_nodes: int = 32,
                           quad_nodes: int = 32) -> np.ndarray:
@@ -118,12 +129,8 @@ def select_working_circle(d: Density, R: float, eps: float = EPS,
     g = deficit_weight(d)
     basis, rest = np.eye(n), np.empty((n, 0))   # the subspace and its complement
     for m in range(n, 2, -1):
-        kept: list[np.ndarray] = []
-        for axis_sub in sphere_grid(m, axis_nodes, 2 * axis_nodes)[0]:
-            if not any(np.max(np.abs(a + axis_sub)) <= 1e-9 for a in kept):
-                kept.append(axis_sub)
         frames = [np.column_stack([basis @ F[:, 1:], basis @ F[:, :1], rest])
-                  for F in map(frame_from_axis, kept)]
+                  for F in map(frame_from_axis, _axes_up_to_sign(m, axis_nodes))]
         means, error = subsphere_means(g, frames, m - 1, R, quad_nodes,
                                        max(16, quad_nodes // 2), circle_nodes)
         first = _first_tied(means[:, 0] - (n - eps) * means[:, 1],
@@ -166,7 +173,7 @@ def select_direction(d: Density, R: float, eps: float = EPS,
     plane = select_working_circle(d, R, eps, quad_nodes=quad_nodes)
     frame = frame_from_axis(plane[:, 0], plane[:, 1])
     spectrum = SweepSpectrum(deficit_weight(d), n, R, frame, node_count, quad_nodes)
-    phis = 2.0 * math.pi * np.arange(node_count) / node_count
+    phis = spectrum.theta
     V, V_err = spectrum.balls(phis)
     (lead, lead_err), (trail, trail_err) = (spectrum.hemispheres(phis, upper)
                                             for upper in (True, False))

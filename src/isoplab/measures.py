@@ -172,7 +172,10 @@ def _sphere(n, lo, hi, polar_nodes, azimuth_nodes) -> _Factor:
         if side is None:
             raise ValueError("draws cover whole spheres and hemispheres only")
         u = rng.standard_normal((m, n))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        square = u[:, 0] * u[:, 0]
+        for i in range(1, n):       # in coordinate order, as linalg.norm for n < 8
+            square += u[:, i] * u[:, i]
+        u /= np.sqrt(square)[:, None]
         if side:
             u[:, 0] = side * np.abs(u[:, 0])
         return u

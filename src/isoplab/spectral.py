@@ -185,7 +185,9 @@ def _mode_sums(g, frame, disk, M: int, every_other: bool) -> list[_Modes]:
 
     The weight sees at most ``BALL_CHUNK_POINTS`` points per call (one disk
     node if M is larger); each chunk's coefficients are reduced into the
-    per-mode sums, so memory stays that of one chunk.
+    per-mode sums, so memory stays that of one chunk.  Each chunk's kernel
+    tables are formed once, with the M-sample rule's modes, and cut for the
+    M/2-sample rule: a cumulative product's prefix is the same float.
     """
     sz, w, w_sphere, gamma = disk
     n = frame.shape[0]
@@ -200,15 +202,16 @@ def _mode_sums(g, frame, disk, M: int, every_other: bool) -> list[_Modes]:
         j = min(i + step, len(w))
         pts = sz[i:j, 0, None, None] * ring[None] + offset[i:j, None, :]
         vals = np.asarray(g(pts.reshape(-1, n)), dtype=float).reshape(j - i, M)
+        lead = _shift(gamma[i:j], M // 2 + 1)
+        turn = 1.0 + 1j * np.arange(M // 2 + 1) * lead           # e^{ik gamma}
+        kernels = (lead, np.conj(lead), turn, np.conj(turn))
         for (m, pick), acc in zip(rules, sums):
             raw = np.fft.rfft(vals[:, pick], axis=1)
             coef = raw * (w[i:j, None] / m)
             rim = raw * (w_sphere[i:j, None] / m)
-            lead = _shift(gamma[i:j], m // 2 + 1)
-            turn = 1.0 + 1j * np.arange(m // 2 + 1) * lead       # e^{ik gamma}
-            for total, c, kernel in zip(acc, (coef, coef, coef, rim, rim),
-                                        (1.0, lead, np.conj(lead), turn, np.conj(turn))):
-                total += np.add.reduce(c * kernel, axis=0)
+            acc[0] += np.add.reduce(coef, axis=0)
+            for total, c, kernel in zip(acc[1:], (coef, coef, rim, rim), kernels):
+                total += np.add.reduce(c * kernel[:, :m // 2 + 1], axis=0)
     out = []
     for (m, _), acc in zip(rules, sums):
         fold = np.full(m // 2 + 1, 2.0)
@@ -219,15 +222,16 @@ def _mode_sums(g, frame, disk, M: int, every_other: bool) -> list[_Modes]:
     return out
 
 
-def _evaluate(rules, pieces, phis, deltas=None):
+def _evaluate(rules, pieces, phis, deltas=None, phase=None):
     """(values of each of the ``_Modes`` ``rules``, one row each, and the
     rounding floors of the first rule's) of the sum of ``pieces`` at each
     angle, in chunks of angles of at most ``BALL_CHUNK_POINTS`` terms.  The
-    phase and shift tables are formed once per chunk, with the first rule's
-    modes, and cut for the others: a cumulative product's prefix is the
-    same float.  The floor is the worst-case rounding of a sum of as many
-    terms as there are disk nodes and modes, times the sum of the terms'
-    moduli."""
+    phase table e^{ik phi} is read from the rows of ``phase``, the table of
+    ``phis`` with the first rule's modes, or else formed once per chunk; the
+    shift table is formed once per chunk.  Both have the first rule's modes
+    and are cut for the others: a cumulative product's prefix is the same
+    float.  The floor is the worst-case rounding of a sum of as many terms
+    as there are disk nodes and modes, times the sum of the terms' moduli."""
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     deltas = None if deltas is None else np.broadcast_to(deltas, phis.shape)
     count = rules[0].k.size
@@ -235,10 +239,10 @@ def _evaluate(rules, pieces, phis, deltas=None):
     step = max(1, BALL_CHUNK_POINTS // count)
     for i in range(0, phis.size, step):
         j = min(i + step, phis.size)
-        phase = _powers(phis[i:j], count)
+        rows = _powers(phis[i:j], count) if phase is None else phase[i:j]
         shift = None if deltas is None else _shift(deltas[i:j], count)
         for row, modes in enumerate(rules):
-            terms = modes.terms(pieces, phase, shift)
+            terms = modes.terms(pieces, rows, shift)
             values[row, i:j] = np.add.reduce(terms.real, axis=1)
             if row == 0:
                 floors[i:j] = (ULP * (modes.nodes + modes.k.size)
@@ -251,14 +255,21 @@ class SweepSpectrum:
     sets on the circle of radius R in the plane of ``frame``'s first two
     columns.
 
-    The psi grid is the smallest even multiple of ``grid`` (the circle grid
-    whose angles are evaluated).  It is checked against its every-other
-    sample rule at the grid angles: where the two balls differ by more than
-    ``VOLUME_RTOL`` times the ball plus the rounding floor, the grid is
-    refined by ``GRID_REFINE``, at most ``REFINE_ROUNDS`` times, before an
-    error that names it.  Each value comes with an error estimate: its
-    differences from the every-other psi rule and from the rule with half
-    the disk nodes, plus the rounding floor of its Fourier sum.
+    The grid angles ``theta`` are the ``grid`` angles 2 pi i / grid.  The
+    psi grid is the smallest even multiple of ``grid``.  It is checked
+    against its every-other sample rule at the grid angles: where the two
+    balls differ by more than ``VOLUME_RTOL`` times the ball plus the
+    rounding floor, the grid is refined by ``GRID_REFINE``, at most
+    ``REFINE_ROUNDS`` times, before an error that names it.  Each value
+    comes with an error estimate: its differences from the every-other psi
+    rule and from the rule with half the disk nodes, plus the rounding floor
+    of its Fourier sum.
+
+    The spectrum keeps what it forms at the grid angles: their phase table
+    e^{ik theta} from the last refinement round, and the balls there with
+    their error estimates.  Every method given angles equal to ``theta``
+    reads them, and so does ``gaps``; other angles form their own tables.
+    Nothing is kept across spectra.
     """
 
     def __init__(self, g, n: int, R: float, frame: np.ndarray, grid: int = 1,
@@ -269,7 +280,9 @@ class SweepSpectrum:
         M = grid if grid % 2 == 0 else 2 * grid
         for rounds in range(REFINE_ROUNDS + 1):
             full, alias = _mode_sums(g, frame, disk, M, every_other=True)
-            (ball, coarse), floor = _evaluate((full, alias), ("lead", "trail"), theta)
+            phase = _powers(theta, full.k.size)
+            (ball, coarse), floor = _evaluate((full, alias), ("lead", "trail"),
+                                              theta, phase=phase)
             if np.all(np.abs(coarse - ball) <= VOLUME_RTOL * np.abs(ball) + floor):
                 break
             if rounds == REFINE_ROUNDS:
@@ -283,17 +296,26 @@ class SweepSpectrum:
         self.modes, self.psi_samples = full, M
         half = _disk(n, R, max(1, nodes // 2), max(1, radial_nodes // 2))
         self.coarse = (alias, _mode_sums(g, frame, half, M, every_other=False)[0])
+        theta.flags.writeable = False
+        self.theta, self._phase = theta, phase
+        (halved,), _ = _evaluate(self.coarse[1:], ("lead", "trail"), theta,
+                                 phase=phase)
+        self._balls = ball, floor + np.abs(coarse - ball) + np.abs(halved - ball)
 
     def _integrals(self, pieces, phis, deltas=None):
         """(values, error estimates) of the sum of ``pieces`` at each angle."""
+        phase = self._phase if np.array_equal(phis, self.theta) else None
         (values, *coarse), error = _evaluate((self.modes, *self.coarse), pieces,
-                                              phis, deltas)
+                                              phis, deltas, phase)
         for other in coarse:
             error += np.abs(other - values)
         return values, error
 
     def balls(self, phis):
-        """|B^phi|_g at each angle, with error estimates."""
+        """|B^phi|_g at each angle, with error estimates; at the grid angles,
+        the ones the constructor measured."""
+        if np.array_equal(phis, self.theta):
+            return tuple(x.copy() for x in self._balls)
         return self._integrals(("lead", "trail"), phis)
 
     def half_balls(self, phis, upper: bool):
@@ -315,12 +337,14 @@ class SweepSpectrum:
         values, error = self._integrals(("lead", "trail", "extend"), phis, deltas)
         return swept_excess(self.n, self.R, np.asarray(deltas))[1] - values, error
 
-    def gaps(self, phis, balls):
-        """(idx, deltas) -> V_f(E) - omega_N of the sets based at phis[idx]
-        with sweeps deltas, whose balls have g-volumes balls[idx] (from
-        ``balls``): the excess minus the ball minus each angle's Fourier
-        terms shifted by its delta, in chunks of ``BALL_CHUNK_POINTS`` terms."""
-        phis, balls = np.asarray(phis, dtype=float), np.asarray(balls, dtype=float)
+    def gaps(self):
+        """(idx, deltas) -> V_f(E) - omega_N of the sets based at the grid
+        angles theta[idx] with sweeps deltas: the excess minus the grid ball
+        (``balls(theta)``) minus each angle's Fourier terms shifted by its
+        delta, in chunks of ``BALL_CHUNK_POINTS`` terms.  A call reads the
+        rows idx of the kept phase table and forms only the shift table of
+        deltas."""
+        ball = self._balls[0]
         count = self.modes.k.size
         extend = self.modes.extend()
         step = max(1, BALL_CHUNK_POINTS // count)
@@ -329,17 +353,11 @@ class SweepSpectrum:
             added = np.empty(deltas.shape)
             for i in range(0, idx.size, step):
                 j = min(i + step, idx.size)
-                terms = extend * _powers(phis[idx[i:j]], count)
+                terms = extend * self._phase[idx[i:j]]
                 terms *= _shift(deltas[i:j], count)    # one table fewer alive
                 added[i:j] = np.add.reduce(terms.real, axis=1)
-            return swept_excess(self.n, self.R, deltas)[1] - balls[idx] - added
+            return swept_excess(self.n, self.R, deltas)[1] - ball[idx] - added
         return gaps
-
-    def gap(self, phi: float, ball: float):
-        """delta -> V_f(E) - omega_N for the set based at phi, whose ball has
-        g-volume ``ball``: the one-angle view of ``gaps``."""
-        gaps = self.gaps([phi], [ball])
-        return lambda delta: float(gaps(np.zeros(1, dtype=int), np.array([delta]))[0])
 
 
 def subsphere_means(g, frames, k: int, R: float, nodes: int = SPHERE_NODES,

@@ -74,11 +74,18 @@ def right_half_bump_density(R, amp=0.2):
                    label="right-bump", deficit=deficit)
 
 
+def _one_angle_gap(spectrum, i):
+    """delta -> V_f(E) - omega_N of the set based at the spectrum's grid
+    angle theta[i]: the one-angle view of ``SweepSpectrum.gaps``."""
+    gaps = spectrum.gaps()
+    return lambda delta: float(gaps(np.array([i]), np.array([delta]))[0])
+
+
 def test_volume_match_zero_deficit(const2):
     spectrum = SweepSpectrum(deficit_weight(const2), 2, 10.0, np.eye(2))
     ball = float(spectrum.balls([0.0])[0][0])
     assert ball == 0.0
-    match = volume_match("rotation", spectrum.gap(0.0, ball), ball, 2, 10.0, 0.05)
+    match = volume_match("rotation", _one_angle_gap(spectrum, 0), ball, 2, 10.0, 0.05)
     assert match.delta_bar == 0.0
     assert match.iterations == 0
 
@@ -929,8 +936,8 @@ def test_advance_map_equals_volume_match_per_angle(R):
     theta = 2.0 * math.pi * np.arange(grid) / grid
     ball_gs, _ = spectrum.balls(theta)
     assert np.all(ball_gs > 0.0)
-    matches = tuple(volume_match("rotation", spectrum.gap(t, b), b, n, R, eps)
-                    for t, b in zip(theta.tolist(), ball_gs.tolist()))
+    matches = tuple(volume_match("rotation", _one_angle_gap(spectrum, i), b, n, R, eps)
+                    for i, b in enumerate(ball_gs.tolist()))
     advance = np.array([m.delta_bar for m in matches])
     residual = np.array([m.gap for m in matches])
     _, gap_error = spectrum.volume_gaps(theta, advance)
@@ -959,9 +966,9 @@ def test_advance_map_failure_names_the_angle():
     theta = 2.0 * math.pi * np.arange(grid) / grid
     ball_gs, _ = spectrum.balls(theta)
     failing = []
-    for t, b in zip(theta.tolist(), ball_gs.tolist()):
+    for i, (t, b) in enumerate(zip(theta.tolist(), ball_gs.tolist())):
         try:
-            volume_match("rotation", spectrum.gap(t, b), b, 2, R, 0.05)
+            volume_match("rotation", _one_angle_gap(spectrum, i), b, 2, R, 0.05)
         except RuntimeError:
             failing.append(f"theta = {t:.6g}, with |B^theta|_g = {b:.6e}")
     assert 0 < len(failing) < grid

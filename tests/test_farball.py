@@ -188,6 +188,19 @@ def test_select_direction_on_the_working_circle(monkeypatch, k):
     assert len(cert.scan) == 90
 
 
+@pytest.mark.parametrize("m", [3, 4])
+def test_axes_up_to_sign_equal_the_pairwise_scan(m):
+    # one array comparison per axis keeps the axes that comparing it with
+    # each kept axis in turn keeps
+    kept = []
+    for axis in sphere_grid(m, 8, 16)[0].tolist():
+        if not any(max(abs(p + q) for p, q in zip(a, axis)) <= 1e-9 for a in kept):
+            kept.append(axis)
+    axes = isoplab.farball._axes_up_to_sign(m, 8)
+    assert len(kept) < len(sphere_grid(m, 8, 16)[0])
+    assert np.array_equal(axes, np.array(kept))
+
+
 def test_select_direction_mean_margin_is_the_spectrum_zero_mode():
     # on an even grid the mean of the angles' margins is the circle's mean
     # margin, the k = 0 Fourier mode of the sweep spectrum

@@ -10,7 +10,8 @@ from isoplab import (CylinderExtended, PlainBall, RotationSwept,
                      density_from_config, mean_density, profile_upper_bound,
                      set_measures, unit_ball_volume, weighted_ball_measures)
 from isoplab.density import deficit_weight
-from isoplab.measures import (CylinderFamily, Sample, ball_cap_patch, gauss,
+from isoplab.measures import (_LOWER, _UPPER, _WHOLE, CylinderFamily, Sample,
+                              _sphere, ball_cap_patch, gauss,
                               integrate_patches, mc_integrals, set_patches,
                               sphere_cap_patch, swept_patches)
 from isoplab.quadrature import frame_from_axis
@@ -351,3 +352,18 @@ def test_batched_ball_scan_matches_single_centres(n, radius):
         bpts, bw = ball_cap_patch(n, radius, c, e1, 0.0, math.pi, 8, 8, 8)
         assert p == float(np.add.reduce(g(spts) * sw))
         assert v == float(np.add.reduce(g(bpts) * bw))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("side", [(_WHOLE, 0.0), (_UPPER, 1.0), (_LOWER, -1.0)])
+def test_sphere_draws_equal_normalised_gaussians(n, side):
+    # the draws sum the squared coordinates in order, which for n < 8 is
+    # numpy's norm bit for bit: the same Monte Carlo nodes as normalising
+    # by np.linalg.norm
+    (lo, hi), sign = side
+    u = _sphere(n, lo, hi, 4, 4).draw(np.random.default_rng(n), 1000)
+    ref = np.random.default_rng(n).standard_normal((1000, n))
+    ref /= np.linalg.norm(ref, axis=1, keepdims=True)
+    if sign:
+        ref[:, 0] = sign * np.abs(ref[:, 0])
+    assert np.array_equal(u, ref)

@@ -1,13 +1,21 @@
 """Subsphere means of ball measures (``spectral.subsphere_means``), the
-engine of the working-circle descent."""
+engine of the working-circle descent, and the tables a ``SweepSpectrum``
+keeps for its grid angles."""
+
+import math
 
 import numpy as np
 import pytest
 
-from isoplab import density_from_config, weighted_ball_measures
+from isoplab import density_from_config, spectral, weighted_ball_measures
+from isoplab.competitor import sweep_advance_map
+from isoplab.defaults import (BALL_CHUNK_POINTS, CIRCLE_GRID, RADIAL_NODES,
+                              SPHERE_NODES)
 from isoplab.density import deficit_weight
+from isoplab.measures import swept_excess
 from isoplab.quadrature import sphere_grid, unit_ball_volume, unit_sphere_area
-from isoplab.spectral import SweepSpectrum, subsphere_means
+from isoplab.spectral import (SweepSpectrum, _disk, _evaluate, _mode_sums,
+                              _powers, _shift, subsphere_means)
 
 PAIRS = [(3, 2), (4, 2), (4, 3), (5, 4)]
 
@@ -69,3 +77,103 @@ def test_subsphere_means_are_the_spectrum_zero_mode():
     zero = np.array([(modes.lead_sphere[0] + modes.trail_sphere[0]).real,
                      (modes.lead[0] + modes.trail[0]).real])
     assert np.all(np.abs(means[0] - zero) <= 1e-14 * zero)
+
+
+# ---------------------------------------------------------------------------
+# the tables a spectrum keeps for its grid angles, on angular_mod N = 2 at
+# R = 10 and the default grid
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def circle():
+    return SweepSpectrum(_angular(2), 2, 10.0, np.eye(2), CIRCLE_GRID)
+
+
+def _formed(spectrum, pieces, phis, deltas=None):
+    """(values, error estimates) of ``pieces`` from the three rules, with
+    phase tables formed for ``phis``."""
+    (values, *coarse), error = _evaluate((spectrum.modes, *spectrum.coarse),
+                                         pieces, phis, deltas)
+    for other in coarse:
+        error += np.abs(other - values)
+    return values, error
+
+
+def _assert_identical(got, expected):
+    for x, y in zip(got, expected, strict=True):
+        assert np.array_equal(x, y)
+
+
+def test_grid_balls_equal_a_fresh_evaluation(circle):
+    theta = 2.0 * math.pi * np.arange(CIRCLE_GRID) / CIRCLE_GRID
+    assert np.array_equal(circle.theta, theta)
+    _assert_identical(circle.balls(circle.theta),
+                      _formed(circle, ("lead", "trail"), theta))
+
+
+def test_kept_and_formed_tables_give_the_same_values(circle):
+    # at the grid angles the methods read the kept phase table, elsewhere
+    # they form their own; both give the values of tables formed anew, and
+    # so does a spectrum built for other angles
+    theta = circle.theta
+    deltas = np.random.default_rng(3).uniform(0.0, 0.05, theta.size)
+    other = SweepSpectrum(_angular(2), 2, 10.0, np.eye(2), 24)
+    for spectrum, phis in ((circle, theta), (circle, theta + deltas),
+                           (other, theta)):
+        for upper in (True, False):
+            _assert_identical(spectrum.hemispheres(phis, upper),
+                              _formed(spectrum, ("lead_sphere",) if upper
+                                      else ("trail_sphere",), phis))
+        _assert_identical(spectrum.balls(phis),
+                          _formed(spectrum, ("lead", "trail"), phis))
+        values, error = _formed(spectrum, ("lead", "trail", "extend"), phis, deltas)
+        _assert_identical(spectrum.volume_gaps(phis, deltas),
+                          (swept_excess(2, 10.0, deltas)[1] - values, error))
+
+
+def test_gaps_read_the_kept_table(circle):
+    rng = np.random.default_rng(5)
+    idx = np.sort(rng.choice(CIRCLE_GRID, 300, replace=False))
+    deltas = rng.uniform(0.0, 0.05, idx.size)
+    count = circle.modes.k.size
+    terms = (circle.modes.extend() * _powers(circle.theta[idx], count)
+             * _shift(deltas, count))
+    expected = (swept_excess(2, 10.0, deltas)[1] - circle.balls(circle.theta)[0][idx]
+                - np.add.reduce(terms.real, axis=1))
+    assert np.array_equal(circle.gaps()(idx, deltas), expected)
+
+
+@pytest.mark.parametrize("M", [32, 720])
+def test_every_other_rule_equals_the_rule_with_its_own_tables(monkeypatch, M):
+    # the every-other psi rule cuts the full rule's kernel tables; the
+    # M/2-sample rule on the same angles, chunked alike, forms its own
+    g, frame = _angular(2), np.eye(2)
+    disk = _disk(2, 10.0, SPHERE_NODES, RADIAL_NODES)
+    alias = _mode_sums(g, frame, disk, M, every_other=True)[1]
+    monkeypatch.setattr(spectral, "BALL_CHUNK_POINTS", BALL_CHUNK_POINTS // 2)
+    own = _mode_sums(g, frame, disk, M // 2, every_other=False)[0]
+    for piece in ("k", "wedge", "lead", "trail", "lead_sphere", "trail_sphere"):
+        assert np.array_equal(getattr(alias, piece), getattr(own, piece))
+
+
+def test_advance_map_forms_the_grid_table_once_per_round(monkeypatch):
+    # a work counter: the 720-angle phase table is formed once per psi-grid
+    # refinement round and read by every later grid evaluation and lockstep
+    # round (2,691,680 table elements when each formed its own)
+    d = density_from_config({"family": "angular_mod", "dim": 2, "a": 1.0,
+                             "params": {"eta": 0.5, "k": 1, "c": 1.0}})
+    theta = 2.0 * math.pi * np.arange(CIRCLE_GRID) / CIRCLE_GRID
+    powers, mode_sums, tables, rounds = spectral._powers, spectral._mode_sums, [], []
+
+    def counted_powers(angle, count):
+        tables.append((np.size(angle) * count, np.array_equal(angle, theta)))
+        return powers(angle, count)
+
+    def counted_mode_sums(*args, every_other):
+        rounds.append(every_other)
+        return mode_sums(*args, every_other=every_other)
+    monkeypatch.setattr(spectral, "_powers", counted_powers)
+    monkeypatch.setattr(spectral, "_mode_sums", counted_mode_sums)
+    sweep_advance_map(d, 10.0, np.eye(2), eps=0.05)
+    assert sum(grid for _, grid in tables) == sum(rounds) >= 1
+    assert sum(size for size, _ in tables) <= 1_400_000
