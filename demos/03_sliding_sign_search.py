@@ -36,7 +36,7 @@ k3 = excess_kernel(3)
 g = RadialDeficit(dim=3, profile=lambda r: np.exp(-np.asarray(r, dtype=float)))
 const = math.pi * (2 * E - 14 / E)
 for R in (5.0, 10.0, 20.0):
-    c = correlation(k3, g, R)
+    c, _ = correlation(k3, g, R)
     print(f"  R={R:5.1f}: corr={c:.6e}  closed={const * math.exp(-R):.6e}")
 
 out = sliding_sign_search(k3, g, 5.0, 40.0)

@@ -4,13 +4,13 @@
 name                value      used by
 ==================  =========  ==================================================
 EPS                 0.01       slack epsilon in far-ball and competitor searches
-QUAD_ABS_TOL        1e-10      absolute target of the adaptive 1-D quadratures
+LAYER_NODES         24         Gauss nodes per panel of the 1-D layer integrals
 MC_SAMPLES          1_000_000  Monte-Carlo sample budget per measure
 SPHERE_NODES        64         Gauss nodes per angle on sphere grids
 RADIAL_NODES        64         Gauss nodes along radial directions
 SCAN_STEP           0.25       sliding-search grid step in the offset R
 CIRCLE_GRID         720        working-circle grid: advance map, far-ball angles
-GRID_REFINE         4          grid refinement factor on scan failure
+GRID_REFINE         4          refinement factor of scan grids and layer panels
 REFINE_ROUNDS       2          refinement rounds before reporting failure
 VOLUME_RTOL         1e-8       volume matching tolerance, relative to |B|_g
 ENDPOINT_MARGIN     1e-6       kernel grids stay inside |t| <= 1 - margin
@@ -40,7 +40,7 @@ stays a few megabytes.
 """
 
 EPS = 0.01
-QUAD_ABS_TOL = 1e-10
+LAYER_NODES = 24
 MC_SAMPLES = 1_000_000
 SPHERE_NODES = 64
 RADIAL_NODES = 64

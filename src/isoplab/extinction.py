@@ -21,8 +21,8 @@ import numpy as np
 from .defaults import SPHERE_NODES
 from .density import Density, eval_weight
 from .layers import cap_geometry
-from .measures import (CompetitorSet, PlainBall, mc_volume, set_frame,
-                       set_measures, sphere_cap_patch)
+from .measures import (CompetitorSet, PlainBall, mc_integrals, mc_volume,
+                       set_frame, set_measures, set_patches, sphere_cap_patch)
 from .quadrature import gauss_nodes
 
 
@@ -59,9 +59,7 @@ def tail_mass(E: CompetitorSet, d: Density, t: float,
     if t >= R + 1.0:
         return 0.0
     if not isinstance(E, PlainBall):
-        def outside(x):
-            return eval_weight(d, x) * (np.linalg.norm(x, axis=1) > t)
-        return mc_volume(E, outside, mc_samples, seed).value
+        return mc_volume(E, _outside(d, t), mc_samples, seed).value
     theta = set_frame(E)[:, 0]
     lo = max(t, R - 1.0)
     # substitute s = R + sin(u): the cap angle vanishes like a square
@@ -80,11 +78,30 @@ def tail_mass(E: CompetitorSet, d: Density, t: float,
     return total
 
 
+def _outside(d: Density, t: float):
+    """The weight times the indicator of |x| > t."""
+    def outside(x):
+        return eval_weight(d, x) * (np.linalg.norm(x, axis=1) > t)
+    return outside
+
+
 def tail_mass_curve(E: CompetitorSet, d: Density, times,
-                    **kwargs) -> TailMassCurve:
-    masses = [tail_mass(E, d, float(t), **kwargs) for t in times]
-    return TailMassCurve(tuple(float(t) for t in times),
-                         tuple(masses), "measured-from-set")
+                    nodes: int = SPHERE_NODES, mc_samples: int = 200_000,
+                    seed: int = 11) -> TailMassCurve:
+    """``tail_mass`` at each of ``times``.  For sets other than ``PlainBall``
+    the times strictly inside (0, R + 1) share one Monte-Carlo draw: one
+    ``mc_integrals`` over the volume patches of ``set_patches`` with one
+    thresholded weight per time, each the same float as its own
+    ``tail_mass`` call at the seed."""
+    times = tuple(float(t) for t in times)
+    inside = ([] if isinstance(E, PlainBall) else
+              [t for t in times if 0.0 < t < E.offset + 1.0])
+    drawn = dict(zip(inside, mc_integrals(set_patches(E).volume,
+                                          [_outside(d, t) for t in inside],
+                                          mc_samples, seed))) if inside else {}
+    masses = tuple(drawn[t].value if t in drawn else
+                   tail_mass(E, d, t, nodes, mc_samples, seed) for t in times)
+    return TailMassCurve(times, masses, "measured-from-set")
 
 
 def extinction_time(C2: float, n: int, m0: float) -> float:

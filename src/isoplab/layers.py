@@ -26,10 +26,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
-from .defaults import ENDPOINT_MARGIN, QUAD_ABS_TOL
-from .quadrature import unit_ball_volume
+from .defaults import (ENDPOINT_MARGIN, GRID_REFINE, LAYER_NODES, REFINE_ROUNDS,
+                       VOLUME_RTOL)
+from .quadrature import gauss_nodes, unit_ball_volume
 
 
 @dataclass(frozen=True)
@@ -212,24 +212,32 @@ def kernel_deviation(n: int, R: float, grid: np.ndarray | None = None,
     return DeviationReport(n, float(R), margin, grid.size, float(dev_a), float(dev_v))
 
 
-def layer_integral(fn, weight=None, epsabs: float = QUAD_ABS_TOL,
-                   breakpoints=()) -> tuple[float, float, int]:
-    """Adaptive integral of fn(t) * weight(t) over (-1, 1).
+def layer_integral(fn, weight=None, breakpoints=()) -> tuple[float, float, int]:
+    """Integral of fn(t) * weight(t) over (-1, 1) on Gauss rules in u,
+    t = sin(u), which makes endpoint factors (1 - t^2)^{+-1/2} smooth.
 
-    Substitutes t = sin(u) so endpoint factors (1 - t^2)^{+-1/2} become
-    smooth powers of cos(u).  Returns (value, achieved absolute error
-    estimate, evaluation count).  Breakpoints are radii in t where the
-    weight jumps; the quadrature splits there.
+    The breakpoints (radii in t where the weight is not smooth) cut the
+    u-interval into panels of ``LAYER_NODES`` nodes, and of half as many for
+    the estimate.  While the rules differ by more than ``VOLUME_RTOL`` of
+    sum |terms|, each panel is cut into ``GRID_REFINE``, at most
+    ``REFINE_ROUNDS`` times.  fn and weight see a rule's nodes in one call.
+    Returns (value, |full - half| + ULP * nodes * sum |terms|, evaluations).
     """
-    def integrand(u):
-        t = math.sin(u)
-        v = float(fn(t)) * math.cos(u)
-        if weight is not None:
-            v *= float(weight(t))
-        return v
-
-    pts = sorted(math.asin(b) for b in breakpoints if -1.0 < b < 1.0)
-    val, err, info = quad(integrand, -math.pi / 2, math.pi / 2,
-                          epsabs=epsabs, epsrel=1e-12, limit=200,
-                          points=pts or None, full_output=True)[:3]
-    return val, err, int(info["neval"])
+    cuts = sorted({math.asin(b) for b in breakpoints if -1.0 < b < 1.0})
+    edges = np.array([-math.pi / 2, *cuts, math.pi / 2])
+    count = 0
+    for rounds in range(REFINE_ROUNDS + 1):
+        rules = []
+        for nodes in (LAYER_NODES, LAYER_NODES // 2):
+            u, w = (a.ravel() for a in gauss_nodes(edges[:-1, None], edges[1:, None],
+                                                   nodes))
+            t = np.sin(u)
+            rules.append(w * np.cos(u) * fn(t) * (1.0 if weight is None else weight(t)))
+        full, half = rules
+        count += full.size + half.size
+        value, scale = float(np.add.reduce(full)), float(np.add.reduce(np.abs(full)))
+        diff = abs(value - float(np.add.reduce(half)))
+        if diff <= VOLUME_RTOL * scale or rounds == REFINE_ROUNDS:
+            return value, float(diff + np.finfo(float).eps * full.size * scale), count
+        width = np.diff(edges)[:, None] * (np.arange(GRID_REFINE) / GRID_REFINE)
+        edges = np.append((edges[:-1, None] + width).ravel(), edges[-1])

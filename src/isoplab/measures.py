@@ -40,8 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .defaults import (BALL_CHUNK_POINTS, MC_SAMPLES, QUAD_ABS_TOL,
-                       RADIAL_NODES, SPHERE_NODES)
+from .defaults import BALL_CHUNK_POINTS, MC_SAMPLES, RADIAL_NODES, SPHERE_NODES
 from .density import Density, RadialDeficit, eval_weight
 from .layers import LayerKernelPair, exact_kernels, layer_integral
 from .quadrature import (ball_grid, frame_from_axis, gauss_nodes,
@@ -661,12 +660,11 @@ def mc_perimeter(E: CompetitorSet, fn, samples: int, seed: int) -> MeasureResult
 # ---------------------------------------------------------------------------
 
 def ball_deficit_measures(g: RadialDeficit, n: int, R: float,
-                          kernels: LayerKernelPair | None = None,
-                          epsabs: float = QUAD_ABS_TOL):
+                          kernels: LayerKernelPair | None = None):
     """Deficit-weighted perimeter and volume of the offset unit ball.
 
-    P = integral area_kernel(t) g(R + t) dt and likewise for the volume, via
-    the endpoint-substituted adaptive quadrature.
+    P = integral area_kernel(t) g(R + t) dt and likewise for the volume, by
+    ``layer_integral``; both run on the same nodes and share each profile.
     """
     if not R > 1:
         raise ValueError("offset must exceed 1")
@@ -677,12 +675,16 @@ def ball_deficit_measures(g: RadialDeficit, n: int, R: float,
     if kernels.kind == "exact" and abs(kernels.offset - R) > 1e-12:
         raise ValueError("exact kernels built for a different offset")
     brk = tuple(b - R for b in g.breakpoints)
+    profiles = {}
 
     def weight(t):
-        return float(np.asarray(g.profile(R + t)))
+        key = t.tobytes()
+        if key not in profiles:
+            profiles[key] = g.profile(R + t)
+        return profiles[key]
 
-    p, p_err, p_n = layer_integral(kernels.area_kernel, weight, epsabs, brk)
-    v, v_err, v_n = layer_integral(kernels.volume_kernel, weight, epsabs, brk)
+    p, p_err, p_n = layer_integral(kernels.area_kernel, weight, brk)
+    v, v_err, v_n = layer_integral(kernels.volume_kernel, weight, brk)
     return (MeasureResult(p, "quadrature", p_err, p_n),
             MeasureResult(v, "quadrature", v_err, v_n))
 

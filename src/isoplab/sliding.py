@@ -29,8 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .defaults import (BALL_CHUNK_POINTS, DEGENERACY_TOL, ENDPOINT_MARGIN,
-                       QUAD_ABS_TOL, SCAN_STEP)
+from .defaults import BALL_CHUNK_POINTS, DEGENERACY_TOL, ENDPOINT_MARGIN, SCAN_STEP
 from .density import RadialDeficit
 from .layers import asymptotic_kernels, layer_integral
 from .quadrature import gauss_nodes, unit_ball_volume
@@ -137,10 +136,7 @@ def check_admissibility(k: SlidingKernel, grid: np.ndarray | None = None,
         x, w = gauss_nodes(grid[-1], 1.0, 24)
         tail = np.add.reduce(np.asarray(checked(x), dtype=float) * w)
         total = running[-1] + float(tail)
-    prim_one = 0.0
-    if k.kind == "derivative":
-        val, _, _ = layer_integral(k.values, epsabs=1e-12)
-        prim_one = val
+    prim_one = layer_integral(k.values)[0] if k.kind == "derivative" else 0.0
     return AdmissibilityReport(
         integral_zero=abs(total) <= tol,
         positive_inside=bool(np.all(running > 0.0)),
@@ -152,13 +148,11 @@ def check_admissibility(k: SlidingKernel, grid: np.ndarray | None = None,
     )
 
 
-def correlation(k: SlidingKernel, g: RadialDeficit, R: float,
-                epsabs: float = QUAD_ABS_TOL) -> float:
-    """corr(R) = integral of kernel(t) g(R + t) over (-1, 1)."""
+def correlation(k: SlidingKernel, g: RadialDeficit, R: float) -> tuple[float, float]:
+    """corr(R) = integral of kernel(t) g(R + t) over (-1, 1), and the error
+    estimate of ``layer_integral``."""
     brk = tuple(b - R for b in g.breakpoints)
-    val, _, _ = layer_integral(k.values, lambda t: float(np.asarray(g.profile(R + t))),
-                               epsabs, brk)
-    return val
+    return layer_integral(k.values, lambda t: g.profile(R + t), brk)[:2]
 
 
 @dataclass(frozen=True)
@@ -168,7 +162,7 @@ class SignSearchOutcome:
     correlation: float
     scan: tuple[tuple[float, float], ...]
     degenerate: bool              # deficit vanished on the whole scan window
-    strict: bool                  # correlation exceeds the strictness floor
+    strict: bool                  # correlation exceeds its own error estimate
 
 
 def _tail_is_zero(g: RadialDeficit, lo: float, hi: float, tol=DEGENERACY_TOL) -> bool:
@@ -207,21 +201,21 @@ def sliding_sign_search(k: SlidingKernel, g: RadialDeficit, R_min: float,
     scan: list[tuple[float, float]] = []
     prev: tuple[float, float] | None = None
     for R in grid:
-        c = correlation(k, g, float(R))
+        c, err = correlation(k, g, float(R))
         scan.append((float(R), c))
         if c >= 0.0:
-            R_found, c_found = float(R), c
+            R_found, c_found, err_found = float(R), c, err
             if prev is not None and prev[1] < 0.0:
                 lo, hi = prev[0], float(R)
                 for _ in range(refine_bisections):
                     mid = 0.5 * (lo + hi)
-                    cm = correlation(k, g, mid)
+                    cm, em = correlation(k, g, mid)
                     if cm >= 0.0:
-                        hi, R_found, c_found = mid, mid, cm
+                        hi, R_found, c_found, err_found = mid, mid, cm, em
                     else:
                         lo = mid
             return SignSearchOutcome(True, R_found, c_found, tuple(scan),
-                                     False, c_found > 1e-12)
+                                     False, c_found > err_found)
         prev = (float(R), c)
     return SignSearchOutcome(False, float("nan"), float("nan"), tuple(scan),
                              False, False)
@@ -244,7 +238,7 @@ def averaging_identity_residual(k: SlidingKernel, g: RadialDeficit,
         raise ValueError("need R2 >= R1 + 2")
     from scipy.integrate import quad
 
-    lhs, _ = quad(lambda R: correlation(k, g, R), R1, R2,
+    lhs, _ = quad(lambda R: correlation(k, g, R)[0], R1, R2,
                   epsabs=1e-11, epsrel=1e-11, limit=200)
 
     if k.kind == "derivative" and k.primitive is not None:
@@ -257,7 +251,7 @@ def averaging_identity_residual(k: SlidingKernel, g: RadialDeficit,
                           -math.pi / 2, hi, epsabs=1e-13, epsrel=1e-13, limit=200)
             return val
 
-    total, _, _ = layer_integral(k.values, epsabs=1e-13)
+    total, _, _ = layer_integral(k.values)
 
     def left(s):
         return float(np.asarray(g.profile(s))) * float(A(s - R1))

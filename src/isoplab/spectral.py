@@ -51,10 +51,10 @@ S^{k-1}, contains the point exactly when v . u >= cos(gamma), with the gamma
 above, so the mean over v of the ball's indicator is the normalised cap
 measure
 
-    sigma_k(gamma) = I_{sin^2 gamma}((k - 1) / 2, 1/2) / 2     (gamma <= pi/2),
+    sigma_k(gamma) = (|S^{k-2}| / |S^{k-1}|) integral_0^gamma sin^{k-2},
 
-gamma / pi for k = 2 and (1 - cos gamma) / 2 for k = 3 (I is the
-regularised incomplete beta function).  The mean of |B(R v)|_g is then
+gamma / pi for k = 2 and (1 - cos gamma) / 2 for k = 3 (``sin_power_integral``
+with 1 - cos gamma = 2 sin^2(gamma / 2)).  The mean of |B(R v)|_g is then
 the integral of g sigma_k(gamma), and in the coordinates (s, w, u), whose
 volume element is s^{k-1} ds dw du, it is a sum over the nodes (s, w) of
 the meridian ball D, the unit ball about (R, 0) in R^{N-k+1}, of the
@@ -79,10 +79,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 from .defaults import (BALL_CHUNK_POINTS, GRID_REFINE, RADIAL_NODES,
                        REFINE_ROUNDS, SPHERE_NODES, VOLUME_RTOL)
+from .layers import sin_power_integral
 from .measures import swept_excess
 from .quadrature import gauss_nodes, sphere_grid, unit_sphere_area
 
@@ -388,8 +388,8 @@ def subsphere_means(g, frames, k: int, R: float, nodes: int = SPHERE_NODES,
     rules = []
     for args, angles in specs[:2] if every_other else specs:
         sz, w, w_sphere, gamma = _disk(n, R, *args, k)
-        cap = 0.5 * betainc(0.5 * (k - 1), 0.5, np.sin(gamma) ** 2)
-        sigma = np.where(gamma <= HALF_PI, cap, 1.0 - cap)
+        sigma = ratio * sin_power_integral(k - 2, gamma,
+                                           one_minus_cos=2.0 * np.sin(0.5 * gamma) ** 2)
         rules.append((sz, np.stack([ratio * w_sphere, w * sigma]),
                       *sphere_grid(k, *angles)))
     means, errors = np.empty((len(frames), 2)), np.empty((len(frames), 2))

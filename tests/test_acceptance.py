@@ -145,7 +145,7 @@ def test_acceptance_05_sliding_correlation_closed_form():
     const = math.pi * (2 * E_CONST - 14 / E_CONST)
     worst_rel = 0.0
     for R in (5.0, 10.0, 20.0):
-        c = correlation(k, g, R)
+        c, _ = correlation(k, g, R)
         worst_rel = max(worst_rel, abs(c / (const * math.exp(-R)) - 1.0))
     from isoplab import ball_deficit_measures
     P, V = ball_deficit_measures(g, 3, 10.0, asymptotic_kernels(3))

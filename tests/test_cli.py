@@ -233,3 +233,17 @@ def test_console_entry_point(tmp_path):
                           "--dim", "2", "--m0", "1.0"],
                          capture_output=True, text=True, env=env)
     assert out.returncode == 0
+
+
+def test_import_loads_no_scipy():
+    # start-up stays free of scipy: the averaging diagnostic imports its
+    # quadrature on first use
+    src = str(Path(isoplab.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, isoplab, isoplab.cli; "
+                          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

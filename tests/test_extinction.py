@@ -180,3 +180,23 @@ def test_tail_mass_swept_set_nonincreasing(exp2):
     assert all(b <= a for a, b in zip(m, m[1:]))
     assert tail_mass(E, exp2, 11.0 + 1e-9, mc_samples=50_000, seed=4) == 0.0
     assert m[-1] == 0.0
+
+
+def test_tail_mass_curve_draws_once_for_a_swept_set(exp3, monkeypatch):
+    # the curve's masses are the per-t tail masses, from one Monte-Carlo
+    # draw; t = 11 = R + 1 takes tail_mass's closed branch
+    import isoplab.extinction as extinction
+    E = RotationSwept(dim=3, offset=10.0, delta=0.05)
+    times = np.linspace(9.5, 11.5, 5)
+    single = [tail_mass(E, exp3, float(t), seed=5) for t in times]
+    draws = []
+    original = extinction.mc_integrals
+
+    def counted(makers, fns, samples, seed):
+        draws.append(len(fns))
+        return original(makers, fns, samples, seed)
+    monkeypatch.setattr(extinction, "mc_integrals", counted)
+    curve = tail_mass_curve(E, exp3, times, seed=5)
+    assert list(curve.masses) == single
+    assert draws == [3]
+    assert single[0] > single[1] > single[2] > 0.0 == single[3] == single[4]

@@ -170,3 +170,81 @@ def test_ball_deficit_rejects_mismatched_kernels():
         ball_deficit_measures(g, 3, 5.0, exact_kernels(3, 6.0))
     with pytest.raises(ValueError):
         ball_deficit_measures(g, 2, 5.0, exact_kernels(3, 5.0))
+
+
+def _oracle_measures(n, R, g):
+    """(P_g, V_g) of the unit ball about R e1 at 30 digits.  For n = 2 the
+    kernels are written in u, t = sin(u), where they stay finite at the
+    endpoints; for n = 3 both are s / R times their flat limits."""
+    import mpmath as mp
+
+    R = mp.mpf(R)
+    if n == 2:
+        def area(u):
+            s = R + mp.sin(u)
+            return 4 * s / mp.sqrt((s + R) ** 2 - 1) * g(s)
+
+        def volume(u):
+            s = R + mp.sin(u)
+            gamma = mp.acos((s * s + R * R - 1) / (2 * s * R))
+            return 2 * s * gamma * mp.cos(u) * g(s)
+        ends = (-mp.pi / 2, mp.pi / 2)
+    else:
+        def area(t):
+            return 2 * mp.pi * (R + t) / R * g(R + t)
+
+        def volume(t):
+            return mp.pi * (1 - t * t) * (R + t) / R * g(R + t)
+        ends = (-1, 1)
+    return mp.quad(area, ends), mp.quad(volume, ends)
+
+
+@pytest.mark.parametrize("family, n, params", [
+    ("radial_exp", 2, {"c": 1.0}), ("radial_exp", 3, {"c": 1.0}),
+    ("radial_power", 2, {"p": 2.0})])
+def test_layer_estimates_cover_the_oracle_error(family, n, params):
+    # P_g and V_g of the far ball: each error estimate covers the distance
+    # to a 30-digit integral of the same kernels and deficit
+    import mpmath as mp
+
+    from isoplab import deficit_profile, density_from_config
+    g = deficit_profile(density_from_config({"family": family, "dim": n,
+                                             "a": 1.0, "params": params}))
+    exact = {"radial_exp": lambda s: mp.exp(-s),
+             "radial_power": lambda s: (1 + s) ** -2}[family]
+    with mp.workdps(30):
+        for R in (10.0, 50.0):
+            for measure, oracle in zip(ball_deficit_measures(g, n, R),
+                                       _oracle_measures(n, R, exact)):
+                error = abs(mp.mpf(measure.value) - oracle)
+                assert measure.error_estimate >= error, (R, measure, error)
+
+
+def test_layer_integral_refines_a_steep_integrand():
+    # the 24- and 12-node rules disagree on exp(-200 (t - 0.3)^2), so every
+    # panel is cut by GRID_REFINE, REFINE_ROUNDS times; the estimate covers
+    # the error against the closed form
+    from isoplab.defaults import GRID_REFINE, LAYER_NODES, REFINE_ROUNDS
+
+    val, err, count = layer_integral(lambda t: np.exp(-200.0 * (t - 0.3) ** 2))
+    exact = 0.5 * math.sqrt(math.pi / 200.0) * (math.erf(math.sqrt(200.0) * 0.7)
+                                               + math.erf(math.sqrt(200.0) * 1.3))
+    assert abs(val - exact) <= err <= 1e-8 * exact
+    rule = LAYER_NODES + LAYER_NODES // 2
+    assert count == rule * sum(GRID_REFINE ** r for r in range(REFINE_ROUNDS + 1))
+    smooth = layer_integral(lambda t: 1.0 - t * t)
+    assert smooth[2] == rule
+    assert all(type(x) is float for x in (val, err, *smooth[:2]))
+
+
+def test_ball_deficit_measures_share_the_profile():
+    # P_g and V_g run on the same nodes: one profile call per rule in all
+    calls = []
+
+    def profile(r):
+        calls.append(np.size(r))
+        return np.exp(-np.asarray(r, dtype=float))
+    from isoplab.defaults import LAYER_NODES
+    P, V = ball_deficit_measures(RadialDeficit(dim=3, profile=profile), 3, 10.0)
+    assert calls == [LAYER_NODES, LAYER_NODES // 2]
+    assert P.samples_or_nodes == V.samples_or_nodes == sum(calls)

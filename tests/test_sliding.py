@@ -51,7 +51,7 @@ def test_primitive_matches_quadrature(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_primitive_vanishes_at_one(n):
-    val, _, _ = layer_integral(excess_kernel(n).values, epsabs=1e-12)
+    val, _, _ = layer_integral(excess_kernel(n).values)
     assert abs(val) < 1e-10
 
 
@@ -90,7 +90,7 @@ def test_correlation_exponential_closed_form():
     g = exp_deficit()
     expected_const = math.pi * (2 * E - 14 / E)
     for R in (5.0, 10.0, 20.0):
-        c = correlation(k, g, R)
+        c, _ = correlation(k, g, R)
         assert c == pytest.approx(expected_const * math.exp(-R), rel=1e-8)
 
 
@@ -99,6 +99,19 @@ def test_search_exponential_returns_first_grid_point():
     assert out.found and out.R == 5.0
     assert out.strict and not out.degenerate
     assert out.correlation >= -1e-12
+
+
+@pytest.mark.parametrize("R_min", [10.0, 50.0])
+def test_search_far_out_is_strict_by_its_own_estimate(R_min):
+    # at R_min = 50 the correlation is about 1.7e-22: strict compares it
+    # with its layer-rule estimate, not with an absolute slack
+    from isoplab import deficit_profile, density_from_config
+    g = deficit_profile(density_from_config({"family": "radial_exp", "dim": 3,
+                                             "a": 1.0, "params": {"c": 1.0}}))
+    out = sliding_sign_search(excess_kernel(3), g, R_min, 200.0)
+    assert out.found and out.R == R_min and not out.degenerate
+    assert out.strict
+    assert out.correlation > correlation(excess_kernel(3), g, R_min)[1]
 
 
 def test_search_degenerate_branch():
