@@ -16,7 +16,8 @@ limit profiles in t; ``asymptotic_kernels`` returns those limits.
 Conventions: a "cap" of a circle (n = 2) consists of the two symmetric arcs
 cut by the slicing circle, matching the slice measure of the disk.  The
 integral of sin^m is evaluated by the standard recurrence so that low
-dimensions reduce to exact closed forms.
+dimensions reduce to exact closed forms.  ``layer_integral`` integrates on
+Gauss rules in u = asin(t), with a node-halving error estimate.
 """
 
 from __future__ import annotations
