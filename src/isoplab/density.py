@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .defaults import SPHERE_NODES
-from .quadrature import sphere_grid, unit_ball_volume
+from .quadrature import norms, sphere_grid, unit_ball_volume
 
 
 class ConfigError(ValueError):
@@ -246,11 +246,6 @@ def rescale(d: Density, target_volume: float) -> tuple[Density, float]:
 FAMILIES = ("constant", "radial_exp", "radial_power", "angular_mod")
 
 
-def _norms(x):
-    x = np.asarray(x, dtype=float)
-    return np.sqrt(np.einsum("...i,...i->...", x, x))
-
-
 def density_from_config(cfg: dict) -> Density:
     """Build a Density from a config record.
 
@@ -295,10 +290,10 @@ def density_from_config(cfg: dict) -> Density:
             raise ConfigError("params.c: must be positive")
 
         def weight(x):
-            return a * (1.0 - np.exp(-c * _norms(x)))
+            return a * (1.0 - np.exp(-c * norms(x)))
 
         def deficit(x):
-            return a * np.exp(-c * _norms(x))
+            return a * np.exp(-c * norms(x))
         radial = True
     elif family == "radial_power":
         p = float(params.get("p", 2.0))
@@ -306,10 +301,10 @@ def density_from_config(cfg: dict) -> Density:
             raise ConfigError("params.p: must be positive")
 
         def weight(x):
-            return a * (1.0 - (1.0 + _norms(x)) ** (-p))
+            return a * (1.0 - (1.0 + norms(x)) ** (-p))
 
         def deficit(x):
-            return a * (1.0 + _norms(x)) ** (-p)
+            return a * (1.0 + norms(x)) ** (-p)
         radial = True
     else:
         eta = float(params.get("eta", 0.5))
@@ -326,7 +321,7 @@ def density_from_config(cfg: dict) -> Density:
 
         def _modulation(x):
             x = np.asarray(x, dtype=float)
-            r = _norms(x)
+            r = norms(x)
             with np.errstate(invalid="ignore", divide="ignore"):
                 cos_t = np.where(r > 0, x[..., 0] / np.where(r > 0, r, 1.0), 1.0)
             cos_kt = np.polynomial.chebyshev.chebval(np.clip(cos_t, -1.0, 1.0),

@@ -23,7 +23,7 @@ from .density import Density, eval_weight
 from .layers import cap_geometry
 from .measures import (CompetitorSet, PlainBall, mc_integrals, mc_volume,
                        set_frame, set_measures, set_patches, sphere_cap_patch)
-from .quadrature import gauss_nodes
+from .quadrature import gauss_nodes, norms
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def tail_mass(E: CompetitorSet, d: Density, t: float,
 def _outside(d: Density, t: float):
     """The weight times the indicator of |x| > t."""
     def outside(x):
-        return eval_weight(d, x) * (np.linalg.norm(x, axis=1) > t)
+        return eval_weight(d, x) * (norms(x) > t)
     return outside
 
 

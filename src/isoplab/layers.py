@@ -17,7 +17,8 @@ Conventions: a "cap" of a circle (n = 2) consists of the two symmetric arcs
 cut by the slicing circle, matching the slice measure of the disk.  The
 integral of sin^m is evaluated by the standard recurrence so that low
 dimensions reduce to exact closed forms.  ``layer_integral`` integrates on
-Gauss rules in u = asin(t), with a node-halving error estimate.
+Gauss rules in u = asin(t), with a node-halving error estimate, and
+``running_integral`` integrates from -1 to many limits on the same rule.
 """
 
 from __future__ import annotations
@@ -242,3 +243,17 @@ def layer_integral(fn, weight=None, breakpoints=()) -> tuple[float, float, int]:
             return value, float(diff + np.finfo(float).eps * full.size * scale), count
         width = np.diff(edges)[:, None] * (np.arange(GRID_REFINE) / GRID_REFINE)
         edges = np.append((edges[:-1, None] + width).ravel(), edges[-1])
+
+
+def running_integral(fn, upper) -> np.ndarray:
+    """Integral of fn(t) from -1 to each limit in ``upper``: ``LAYER_NODES``
+    Gauss nodes in u = asin(t) on each panel between consecutive sorted
+    limits, fn called once on all nodes, the panels summed in that order."""
+    upper = np.asarray(upper, dtype=float)
+    order = np.argsort(upper, axis=None, kind="stable")
+    edges = np.arcsin(np.append(-1.0, upper.ravel()[order]))
+    u, w = gauss_nodes(edges[:-1, None], edges[1:, None], LAYER_NODES)
+    terms = w * np.cos(u) * np.reshape(fn(np.sin(u).ravel()), u.shape)
+    out = np.empty(order.size)
+    out[order] = np.cumsum(np.add.reduce(terms, axis=1))
+    return out.reshape(upper.shape)

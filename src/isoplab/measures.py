@@ -43,7 +43,7 @@ import numpy as np
 from .defaults import BALL_CHUNK_POINTS, MC_SAMPLES, RADIAL_NODES, SPHERE_NODES
 from .density import Density, RadialDeficit, eval_weight
 from .layers import LayerKernelPair, exact_kernels, layer_integral
-from .quadrature import (ball_grid, frame_from_axis, gauss_nodes,
+from .quadrature import (ball_grid, frame_from_axis, gauss_nodes, norms,
                          sphere_band_grid, unit_ball_volume, unit_sphere_area)
 
 HALF_PI = math.pi / 2
@@ -171,10 +171,7 @@ def _sphere(n, lo, hi, polar_nodes, azimuth_nodes) -> _Factor:
         if side is None:
             raise ValueError("draws cover whole spheres and hemispheres only")
         u = rng.standard_normal((m, n))
-        square = u[:, 0] * u[:, 0]
-        for i in range(1, n):       # in coordinate order, as linalg.norm for n < 8
-            square += u[:, i] * u[:, i]
-        u /= np.sqrt(square)[:, None]
+        u /= norms(u)[:, None]
         if side:
             u[:, 0] = side * np.abs(u[:, 0])
         return u

@@ -30,6 +30,17 @@ def unit_sphere_area(n: int) -> float:
     return n * unit_ball_volume(n)
 
 
+def norms(x) -> np.ndarray:
+    """Euclidean norms along the last axis.  The squares are summed in
+    coordinate order, so the result does not depend on the memory layout of
+    the points (``einsum`` reorders the sum on contiguous rows)."""
+    x = np.asarray(x, dtype=float)
+    square = x[..., 0] * x[..., 0]
+    for i in range(1, x.shape[-1]):
+        square += x[..., i] * x[..., i]
+    return np.sqrt(square)
+
+
 @lru_cache(maxsize=64)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(n)

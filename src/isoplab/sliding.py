@@ -23,16 +23,16 @@ between grid neighbors is refined by bisection.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .defaults import BALL_CHUNK_POINTS, DEGENERACY_TOL, ENDPOINT_MARGIN, SCAN_STEP
 from .density import RadialDeficit
-from .layers import asymptotic_kernels, layer_integral
-from .quadrature import gauss_nodes, unit_ball_volume
+from .layers import asymptotic_kernels, layer_integral, running_integral
+from .quadrature import unit_ball_volume
 
 
 @dataclass(frozen=True)
@@ -85,18 +85,6 @@ def direct_kernel(fn, label: str = "user") -> SlidingKernel:
     return SlidingKernel("direct", None, fn, label=label)
 
 
-def _running_integral(fn, grid: np.ndarray, panel_nodes: int = 12) -> np.ndarray:
-    """Cumulative integral of fn from -1 to each grid point (composite Gauss)."""
-    edges = np.concatenate([[-1.0], grid])
-    out = np.empty(grid.size)
-    acc = 0.0
-    for i in range(grid.size):
-        x, w = gauss_nodes(edges[i], edges[i + 1], panel_nodes)
-        acc += float(np.add.reduce(np.asarray(fn(x), dtype=float) * w))
-        out[i] = acc
-    return out
-
-
 @dataclass(frozen=True)
 class AdmissibilityReport:
     integral_zero: bool
@@ -120,7 +108,8 @@ def check_admissibility(k: SlidingKernel, grid: np.ndarray | None = None,
     Checks: the checked function (kernel for direct kind, primitive for
     derivative kind) integrates to zero over (-1, 1); its running integral is
     strictly positive at every interior grid point; for derivative kind the
-    primitive also vanishes at t = 1.
+    primitive also vanishes at t = 1.  The running values and the total come
+    from one call of the running integral on the grid with 1 appended.
     """
     if grid is None:
         grid = np.linspace(-1.0 + margin, 1.0 - margin, 10_001)
@@ -128,14 +117,8 @@ def check_admissibility(k: SlidingKernel, grid: np.ndarray | None = None,
     checked = k.primitive if k.kind == "derivative" else k.values
     if checked is None:
         raise ValueError("derivative kernel lacks a primitive")
-    if k.running is not None:
-        running = np.asarray(k.running(grid), dtype=float)
-        total = float(k.running(1.0))
-    else:
-        running = _running_integral(checked, grid)
-        x, w = gauss_nodes(grid[-1], 1.0, 24)
-        tail = np.add.reduce(np.asarray(checked(x), dtype=float) * w)
-        total = running[-1] + float(tail)
+    values = (k.running or partial(running_integral, checked))(np.append(grid, 1.0))
+    running, total = np.asarray(values[:-1], dtype=float), float(values[-1])
     prim_one = layer_integral(k.values)[0] if k.kind == "derivative" else 0.0
     return AdmissibilityReport(
         integral_zero=abs(total) <= tol,
@@ -148,11 +131,16 @@ def check_admissibility(k: SlidingKernel, grid: np.ndarray | None = None,
     )
 
 
+def _against_profile(fn, g: RadialDeficit, R: float) -> tuple[float, float, int]:
+    """``layer_integral`` of fn(t) g(R + t), cut at the profile's breakpoints."""
+    brk = tuple(b - R for b in g.breakpoints)
+    return layer_integral(fn, lambda t: g.profile(R + t), brk)
+
+
 def correlation(k: SlidingKernel, g: RadialDeficit, R: float) -> tuple[float, float]:
     """corr(R) = integral of kernel(t) g(R + t) over (-1, 1), and the error
     estimate of ``layer_integral``."""
-    brk = tuple(b - R for b in g.breakpoints)
-    return layer_integral(k.values, lambda t: g.profile(R + t), brk)[:2]
+    return _against_profile(k.values, g, R)[:2]
 
 
 @dataclass(frozen=True)
@@ -232,34 +220,24 @@ def averaging_identity_residual(k: SlidingKernel, g: RadialDeficit,
           + integral_{R2-1}^{R2+1} g(s) B(s - R2) ds,
 
     with A(s) the running integral of the kernel from -1 and B(s) the
-    remaining integral up to 1.  Returns (lhs, rhs, |lhs - rhs|).
+    remaining integral up to 1.  All three run on ``layer_integral``; the
+    left one on R-panels split at every breakpoint +- 1, each mapped onto
+    (-1, 1) so that the correlation's square-root ends get the u-substitution.
+    Returns (lhs, rhs, |lhs - rhs|).
     """
     if R2 < R1 + 2.0:
         raise ValueError("need R2 >= R1 + 2")
-    from scipy.integrate import quad
+    edges = sorted({R1, R2, *(b + e for b in g.breakpoints for e in (-1.0, 1.0)
+                              if R1 < b + e < R2)})
+    lhs = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        lhs += half * layer_integral(lambda x: np.array(
+            [correlation(k, g, mid + half * xi)[0] for xi in x]))[0]
 
-    lhs, _ = quad(lambda R: correlation(k, g, R)[0], R1, R2,
-                  epsabs=1e-11, epsrel=1e-11, limit=200)
-
-    if k.kind == "derivative" and k.primitive is not None:
-        A = k.primitive
-    else:
-        def A(sig):
-            # running integral in the substituted variable, accurate to ~1e-12
-            hi = math.asin(min(max(float(sig), -1.0), 1.0))
-            val, _ = quad(lambda u: float(k.values(math.sin(u))) * math.cos(u),
-                          -math.pi / 2, hi, epsabs=1e-13, epsrel=1e-13, limit=200)
-            return val
-
-    total, _, _ = layer_integral(k.values)
-
-    def left(s):
-        return float(np.asarray(g.profile(s))) * float(A(s - R1))
-
-    def right(s):
-        return float(np.asarray(g.profile(s))) * (total - float(A(s - R2)))
-
-    r1, _ = quad(left, R1 - 1.0, R1 + 1.0, epsabs=1e-12, epsrel=1e-12, limit=200)
-    r2, _ = quad(right, R2 - 1.0, R2 + 1.0, epsabs=1e-12, epsrel=1e-12, limit=200)
-    rhs = r1 + r2
+    A = (k.primitive if k.kind == "derivative" and k.primitive is not None
+         else partial(running_integral, k.values))
+    total = layer_integral(k.values)[0]
+    rhs = (_against_profile(A, g, R1)[0]
+           + _against_profile(lambda t: total - A(t), g, R2)[0])
     return lhs, rhs, abs(lhs - rhs)

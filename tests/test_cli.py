@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -236,8 +237,7 @@ def test_console_entry_point(tmp_path):
 
 
 def test_import_loads_no_scipy():
-    # start-up stays free of scipy: the averaging diagnostic imports its
-    # quadrature on first use
+    # numpy is the only runtime dependency, so start-up loads no scipy
     src = str(Path(isoplab.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -247,3 +247,21 @@ def test_import_loads_no_scipy():
                          capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    # every import in the package, function-local ones included, names the
+    # standard library, numpy, or the package itself (a relative import)
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    foreign = []
+    for path in sorted(Path(isoplab.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.split(".")[0] not in allowed]
+    assert foreign == []

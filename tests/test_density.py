@@ -191,6 +191,19 @@ def test_angular_mod_deficit_matches_angle_formula(n, k):
     assert np.allclose(got, ref, rtol=1e3 * np.finfo(float).eps, atol=0.0)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("family", ["radial_exp", "radial_power", "angular_mod"])
+def test_weights_do_not_depend_on_point_layout(family, n):
+    # |x| sums the squared coordinates in order, so C- and Fortran-ordered
+    # copies of the same points give the same floats to the last bit
+    d = density_from_config({"family": family, "dim": n, "a": 1.0})
+    x = 5.0 * np.random.default_rng(17).standard_normal((20_000, n))
+    c_pts, f_pts = np.ascontiguousarray(x), np.asfortranarray(x)
+    assert np.array_equal(eval_weight(d, c_pts), eval_weight(d, f_pts))
+    g = deficit_weight(d)
+    assert np.array_equal(g(c_pts), g(f_pts))
+
+
 @settings(max_examples=25, deadline=None)
 @given(r=st.floats(0.1, 30.0), c=st.floats(0.2, 2.0))
 def test_deficit_matches_weight_where_resolvable(r, c):

@@ -8,6 +8,7 @@ from isoplab import (asymptotic_kernels, ball_deficit_measures, cap_area,
                      layer_integral, sin_power_integral, unit_ball_volume,
                      unit_sphere_area)
 from isoplab.density import RadialDeficit
+from isoplab.layers import running_integral
 
 
 def test_cap_geometry_law_of_cosines():
@@ -248,3 +249,16 @@ def test_ball_deficit_measures_share_the_profile():
     P, V = ball_deficit_measures(RadialDeficit(dim=3, profile=profile), 3, 10.0)
     assert calls == [LAYER_NODES, LAYER_NODES // 2]
     assert P.samples_or_nodes == V.samples_or_nodes == sum(calls)
+
+
+def test_running_integral_closed_forms_at_unsorted_limits():
+    # limits in any order; the endpoint factor (1 - t^2)^{1/2} is smooth in
+    # u = asin(t), so its square-root ends cost no accuracy
+    s = np.array([0.5, -0.999, 0.0, 1.0, -0.3, 0.999999])
+    poly = running_integral(lambda t: 1.0 - 3.0 * t * t, s)
+    assert np.allclose(poly, s - s ** 3, rtol=0.0, atol=1e-14)
+    root = running_integral(lambda t: np.sqrt(1.0 - t * t), s)
+    ref = 0.5 * (s * np.sqrt(1.0 - s * s) + np.arcsin(s)) + math.pi / 4
+    assert np.allclose(root, ref, rtol=0.0, atol=1e-14)
+    assert float(running_integral(lambda t: t * t, 1.0)) == pytest.approx(2.0 / 3.0,
+                                                                          abs=1e-15)

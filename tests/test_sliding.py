@@ -85,6 +85,16 @@ def test_admissibility_negated_identity_passes():
     assert rep.min_running > 0.0
 
 
+def test_admissibility_kinked_direct_kernel():
+    # |t| - 1/2 integrates to zero, but one Gauss rule across its kink at
+    # t = 0 misses that by ~3e-3; its running integral s^2/2 - s/2 on (0, 1)
+    # dips to -1/8 at s = 1/2
+    rep = check_admissibility(direct_kernel(lambda t: np.abs(t) - 0.5))
+    assert rep.integral_zero
+    assert not rep.positive_inside
+    assert rep.min_running == pytest.approx(-0.125, abs=1e-12)
+
+
 def test_correlation_exponential_closed_form():
     k = excess_kernel(3)
     g = exp_deficit()
@@ -165,6 +175,19 @@ def test_averaging_identity_direct_kernel():
                       (1 - np.asarray(t, dtype=float) ** 2))
     lhs, rhs, resid = averaging_identity_residual(k, exp_deficit(), 5.0, 8.0)
     assert resid < 1e-8
+
+
+@pytest.mark.parametrize("kernel", [
+    excess_kernel(2), excess_kernel(3),
+    direct_kernel(lambda t: -np.asarray(t) * (1 - np.asarray(t) ** 2), "cubic")],
+    ids=["excess2", "excess3", "direct"])
+@pytest.mark.parametrize("window", [(3.0, 8.0), (4.5, 6.5), (5.2, 9.0)])
+def test_averaging_identity_across_breakpoints(kernel, window):
+    # the bump's edges 5 and 6 enter and leave the sliding window inside
+    # (R1, R2) and cut the right-hand windows, where the correlation has
+    # square-root ends (N = 2) or kinks
+    *_, resid = averaging_identity_residual(kernel, bump_deficit(), *window)
+    assert resid <= 1e-12
 
 
 def test_averaging_identity_requires_separation():
