@@ -75,7 +75,8 @@ class SweepAdvanceMap:
     selection at each angle: ``ball_deficit``, |B^theta|_g of the base ball,
     and ``rim_deficit``, H_g(trailing hemisphere at theta) + H_g(leading
     hemisphere at theta + advance), with its error estimate ``rim_error``;
-    ``matches``, each angle's ``VolumeMatch``.  ``advance_error`` is each
+    ``matches``, each angle's ``VolumeMatch`` (``_match``, as the cylinder's
+    ``volume_match``).  ``advance_error`` is each
     advance's error estimate: the root residual plus the Fourier engine's
     estimate of the gap at the advance (every other sweep-angle sample, half
     the meridian-disk nodes, the rounding floor of the series), over the
@@ -132,14 +133,13 @@ class CompetitorCertificate:
 # volume matching
 # ---------------------------------------------------------------------------
 
-def _root_steps(g0: float, delta_max: float, vol_tol: float, hard_cap: float,
-                max_expand: int = 8):
+def _root_steps(g0: float, delta_max: float, vol_tol: float, hard_cap: float):
     """Safeguarded root of gap(delta) = 0 on [0, delta_max], as a generator
     that yields trial deltas, is sent their gaps, and returns (delta, gap, iters).
 
     ``g0`` is gap(0), which is not evaluated again; g0 <= 0 by
-    construction.  The bracket is expanded (boundedly, never past
-    ``hard_cap``) if gap(delta_max) is still negative.  Inside the
+    construction.  The bracket is doubled, at most eight times and never
+    past ``hard_cap``, while gap(delta_max) is still negative.  Inside the
     bracket the Illinois variant of regula falsi is used: the gap is nearly
     linear in delta, so a secant step lands close to the root, and halving
     the value kept at an end that survives twice in a row stops the
@@ -152,7 +152,7 @@ def _root_steps(g0: float, delta_max: float, vol_tol: float, hard_cap: float,
     hi = min(delta_max, hard_cap)
     ghi = yield hi
     expansions = 0
-    while ghi < 0.0 and expansions < max_expand and hi < hard_cap:
+    while ghi < 0.0 and expansions < 8 and hi < hard_cap:
         hi = min(2.0 * hi, hard_cap)
         ghi = yield hi
         expansions += 1
@@ -216,89 +216,79 @@ def _lockstep_roots(searches, gaps) -> list:
     return out
 
 
-def _root_of_gap(gap, g0: float, delta_max: float, vol_tol: float,
-                 hard_cap: float, max_expand: int = 8) -> tuple[float, float, int]:
-    """(delta, gap(delta), iters) of one ``_root_steps`` search on ``gap``."""
-    search = _root_steps(g0, delta_max, vol_tol, hard_cap, max_expand)
-    return _lockstep_roots([search], lambda _, deltas: [gap(float(deltas[0]))])[0]
-
-
-def _match_bracket(variant: str, ball_deficit: float, n: int, R: float,
-                   eps: float) -> tuple[float, float, float]:
-    """(delta_max, hard_cap, bound) of a volume match; see ``volume_match``.
-
-    The bracket starts at four times (1 + 2 eps) |B|_g / omega_{N-1}, or
-    / (omega_{N-1} (R - 1)) for the rotation.  The cylinder's bound is nan,
-    so never met, where its denominator is not positive.
+def _match(ball: float, n: int, eps: float, start: float, hard_cap: float,
+           denom: float, theta: float | None = None):
+    """The volume match of a family whose base ball has deficit volume
+    ``ball`` = |B|_g = -gap(0), as a ``_root_steps`` search that returns a
+    ``VolumeMatch``.  |B|_g sets the scale of the whole problem: the
+    tolerance is ``VOLUME_RTOL * |B|_g``, so the match stays meaningful for
+    exponentially small deficits, and a vanished one (|B|_g <=
+    ``DEGENERACY_TOL``) matches at delta = 0 without a search.  The bracket
+    starts at 4 (1 + 2 eps) |B|_g / ``start`` and stops at ``hard_cap``; the
+    a-priori bound is delta <= (1 + 2 eps) |B|_g / ``denom``, never met
+    where ``denom`` <= 0.  A failure at the advance map's angle ``theta``
+    names theta and |B^theta|_g.
     """
-    if variant not in ("cylinder", "rotation"):
-        raise ValueError("variant must be 'cylinder' or 'rotation'")
-    omega1 = unit_ball_volume(n - 1)
-    slack = (1.0 + 2.0 * eps) * ball_deficit
-    if variant == "cylinder":
-        start, hard_cap = omega1, 0.9 * (R - 1.0)
-        denom = omega1 - n * unit_ball_volume(n) / (2.0 * R)
+    slack = (1.0 + 2.0 * eps) * ball
+    if ball <= DEGENERACY_TOL:
+        root = 0.0, -ball, 0
     else:
-        start = denom = omega1 * max(R - 1.0, 1e-9)
-        hard_cap = 0.45 * math.pi
+        try:
+            root = yield from _root_steps(-ball, max(4.0 * slack / start, 1e-300),
+                                          VOLUME_RTOL * ball, hard_cap)
+        except RuntimeError as err:
+            if theta is None:
+                raise
+            raise RuntimeError(f"advance map at theta = {theta:.6g}, with "
+                               f"|B^theta|_g = {ball:.6e}: {err}") from err
+    delta, gap, iters = root
     bound = slack / denom if denom > 0.0 else math.nan
-    return max(4.0 * slack / start, 1e-300), hard_cap, bound
+    return VolumeMatch(delta, unit_ball_volume(n) + gap, iters,
+                       delta <= bound * (1.0 + 1e-9), gap)
 
 
-def volume_match(variant: str, gap, ball_deficit: float, n: int, R: float,
-                 eps: float, vol_tol: float | None = None) -> VolumeMatch:
-    """Match |E_delta|_f = omega_N by safeguarded regula falsi.
+def volume_match(gap, ball_deficit: float, n: int, R: float,
+                 eps: float) -> VolumeMatch:
+    """Match the cylinder-extended sets' |E_delta|_f = omega_N (``_match``).
 
-    ``gap`` maps delta to V_f(E_delta) - omega_N (nondecreasing, gap(0) <= 0).
-    ``ball_deficit`` is |B|_g of the base ball, and gap(0) is taken to be
-    -|B|_g without calling ``gap``.  It sets the scale of the whole problem,
-    so the default tolerance is
-    ``VOLUME_RTOL * |B|_g`` and the match stays meaningful for exponentially
-    small deficits.  The a-priori bound on the matched delta is checked per
-    variant:
+    ``gap`` maps the height delta to V_f(E_delta) - omega_N
+    (nondecreasing); ``ball_deficit`` is |B|_g of the base ball.  The
+    bracket stops at 0.9 (R - 1), and the a-priori bound is
 
-        cylinder:  delta <= (1 + 2 eps) |B|_g / (omega_{N-1} - N omega_N / (2R))
-                   for R > N omega_N / (2 omega_{N-1}); below it bound_ok is False
-        rotation:  delta <= (1 + 2 eps) |B|_g / (omega_{N-1} (R - 1))
+        delta <= (1 + 2 eps) |B|_g / (omega_{N-1} - N omega_N / (2R))
 
-    The cylinder set of height delta adds the cylinder, omega_{N-1} delta,
-    and loses omega_N (1 - k^N) / 2 of the near half-ball shrunk by
-    k = (R - delta)/R (``shrink_terms``); by Bernoulli's inequality
-    1 - k^N <= N (1 - k) = N delta / R.  At the match that Euclidean excess
-    equals the set's deficit volume, at most (1 + 2 eps) |B|_g, so
+    for R > N omega_N / (2 omega_{N-1}); below it bound_ok is False.  The
+    set of height delta adds the cylinder, omega_{N-1} delta, and loses
+    omega_N (1 - k^N) / 2 of the near half-ball shrunk by k = (R - delta)/R
+    (``shrink_terms``); by Bernoulli's inequality 1 - k^N <= N (1 - k) =
+    N delta / R.  At the match that Euclidean excess equals the set's
+    deficit volume, at most (1 + 2 eps) |B|_g, so
 
         (omega_{N-1} - N omega_N / (2R)) delta
             <= omega_{N-1} delta - omega_N (1 - k^N) / 2 <= (1 + 2 eps) |B|_g,
 
     which tends to the bound without the shrink term as R -> infinity.
     """
-    delta_max, hard_cap, bound = _match_bracket(variant, ball_deficit, n, R, eps)
-    vol_tol = VOLUME_RTOL * ball_deficit if vol_tol is None else vol_tol
-    return _matched(n, bound, *_root_of_gap(gap, -ball_deficit, delta_max,
-                                            vol_tol, hard_cap))
-
-
-def _matched(n: int, bound: float, delta: float, gap: float,
-             iters: int) -> VolumeMatch:
-    """The match of a root (delta, gap, iters) with a-priori bound ``bound``."""
-    return VolumeMatch(delta, unit_ball_volume(n) + gap, iters,
-                       delta <= bound * (1.0 + 1e-9), gap)
+    omega1 = unit_ball_volume(n - 1)
+    search = _match(ball_deficit, n, eps, omega1, 0.9 * (R - 1.0),
+                    omega1 - n * unit_ball_volume(n) / (2.0 * R))
+    return _lockstep_roots([search], lambda _, deltas: [gap(float(deltas[0]))])[0]
 
 
 # ---------------------------------------------------------------------------
 # cylinder extension (non-decreasing weights)
 # ---------------------------------------------------------------------------
 
-def ray_monotone_on_samples(d: Density, r_lo: float, r_hi: float,
-                            n_radii: int = 12, n_dirs: int = 48) -> bool:
-    """Sampled check that t -> f(t theta) is nondecreasing on [r_lo, r_hi],
-    in deficit space: g = a - f may rise between neighbouring radii by no
-    more than the rounding floor of the two samples, a few ulps of their
-    magnitude, or of the limit a when the deficit is formed as a - f."""
-    dirs, _ = sphere_grid(d.dim, 8, n_dirs)
+def ray_monotone_on_samples(d: Density, r_lo: float, r_hi: float) -> bool:
+    """Sampled check (12 radii, 8 x 48 directions) that t -> f(t theta) is
+    nondecreasing on [r_lo, r_hi], in deficit space: g = a - f may rise
+    between neighbouring radii by no more than the rounding floor of the two
+    samples, a few ulps of their magnitude, or of the limit a when the
+    deficit is formed as a - f."""
+    dirs, _ = sphere_grid(d.dim, 8, 48)
     g = deficit_weight(d)
     vals = np.stack([np.atleast_1d(np.asarray(g(r * dirs), dtype=float))
-                     for r in np.linspace(r_lo, r_hi, n_radii)])
+                     for r in np.linspace(r_lo, r_hi, 12)])
     size = np.abs(vals) + (0.0 if d.deficit is not None else abs(d.limit_a))
     return bool(np.all(np.diff(vals, axis=0) <= 4.0 * ULP * (size[:-1] + size[1:])))
 
@@ -361,7 +351,7 @@ def _extension(E, match: VolumeMatch, margin: float, checks: dict) -> ExtensionR
 
 
 def cylinder_extension(cert: FarBallCertificate, d: Density,
-                       eps: float = EPS, nodes: int = SPHERE_NODES) -> ExtensionResult:
+                       eps: float = EPS) -> ExtensionResult:
     """Volume-matched cylinder-extended set along the certified direction.
 
     Requires the weight to be nondecreasing along rays near the working
@@ -373,11 +363,12 @@ def cylinder_extension(cert: FarBallCertificate, d: Density,
     if not ray_monotone_on_samples(d, max(d.envelope_radius, R - 2.0), R + 2.0):
         raise RuntimeError("weight is not ray-monotone near the annulus; "
                            "cylinder extension refused")
-    pieces = _CylinderPieces(d, R, frame_from_axis(theta), nodes)
+    pieces = _CylinderPieces(d, R, frame_from_axis(theta))
     # |B|_g and the margin of B: the set of height zero
     ball_g = -pieces.volume_gap(0.0)
     ball_margin = pieces.perimeter_margin(0.0)
-    match = volume_match("cylinder", pieces.volume_gap, ball_g, n, R, eps)
+    # gap by keyword, where perfbench's tracer counts its calls
+    match = volume_match(gap=pieces.volume_gap, ball_deficit=ball_g, n=n, R=R, eps=eps)
     delta = match.delta_bar
     E = (CylinderExtended(dim=n, offset=R, delta=delta, direction=tuple(theta))
          if delta > 0.0 else PlainBall(dim=n, offset=R, direction=tuple(theta)))
@@ -404,7 +395,7 @@ def cylinder_extension(cert: FarBallCertificate, d: Density,
 # ---------------------------------------------------------------------------
 
 def rotation_extension(cert: FarBallCertificate, d: Density,
-                       eps: float = EPS, nodes: int = SPHERE_NODES) -> ExtensionResult:
+                       eps: float = EPS) -> ExtensionResult:
     """Volume-matched rotation-swept set for radial weights.
 
     A radial deficit's advance map is constant in the angle, so the sweep
@@ -416,22 +407,8 @@ def rotation_extension(cert: FarBallCertificate, d: Density,
         raise ValueError("rotation extension requires a radial weight")
     theta = np.array(cert.theta) if cert.theta is not None else np.eye(d.dim)[0]
     plane = frame_from_axis(theta)[:, :2]
-    advance = sweep_advance_map(d, cert.R, plane, 1, eps, nodes)
-    return select_sweep_direction(d, cert.R, plane, advance, eps, nodes)[1]
-
-
-def _angle_match(theta: float, ball: float, n: int, R: float, eps: float):
-    """``volume_match``'s rotation search at the advance map's angle theta; its
-    failure names theta and |B^theta|_g, and a vanished deficit advances by 0."""
-    if ball <= DEGENERACY_TOL:
-        return VolumeMatch(0.0, unit_ball_volume(n) - ball, 0, True, -ball)
-    delta_max, hard_cap, bound = _match_bracket("rotation", ball, n, R, eps)
-    try:
-        root = yield from _root_steps(-ball, delta_max, VOLUME_RTOL * ball, hard_cap)
-    except RuntimeError as err:
-        raise RuntimeError(f"advance map at theta = {theta:.6g}, with "
-                           f"|B^theta|_g = {ball:.6e}: {err}") from err
-    return _matched(n, bound, *root)
+    advance = sweep_advance_map(d, cert.R, plane, 1, eps)
+    return select_sweep_direction(d, cert.R, plane, advance, eps)[1]
 
 
 def sweep_advance_map(d: Density, R: float, plane: np.ndarray,
@@ -442,17 +419,17 @@ def sweep_advance_map(d: Density, R: float, plane: np.ndarray,
     One ``spectral.SweepSpectrum`` samples the deficit on the meridian disk
     times a uniform grid in the sweep angle and gives |B^theta|_g at every
     grid angle and each angle's volume gap delta -> V_f(E) - omega_N in
-    closed form, as Fourier shifts.  Every angle is matched as by
-    ``volume_match`` (tolerance ``VOLUME_RTOL * |B^theta|_g``, a-priori
-    bound (1 + 2 eps) |B^theta|_g / (omega_{N-1}(R-1))), all in lockstep, one
+    closed form, as Fourier shifts.  Every angle runs the cylinder's matcher
+    ``_match`` (a-priori bound (1 + 2 eps) |B^theta|_g / (omega_{N-1}(R-1));
+    a failure names theta and |B^theta|_g), all in lockstep, one
     ``SweepSpectrum.gaps`` call a round; only a vanished deficit
     (``|B^theta|_g <= DEGENERACY_TOL``) advances by zero unmatched.  Each
     advance's error estimate is its root residual plus the engine's estimate
     of the gap there (every other sweep-angle sample, half the disk nodes,
     the rounding floor), over the gap's mean slope.  The same spectrum gives
     the trailing hemisphere at theta and the leading one at theta + advance,
-    whose sum the direction selection scores.  Difference quotients of the
-    map are the measured Lipschitz data.
+    whose sum bounds the margin in the direction selection.  Difference
+    quotients of the map are the measured Lipschitz data.
     """
     if plane.shape[1] != 2:
         raise ValueError("plane must have two columns")
@@ -461,9 +438,10 @@ def sweep_advance_map(d: Density, R: float, plane: np.ndarray,
     spectrum = SweepSpectrum(deficit_weight(d), n, R, frame, grid, nodes)
     theta = spectrum.theta
     ball_gs, _ = spectrum.balls(theta)
-    matches = tuple(_lockstep_roots([_angle_match(t, b, n, R, eps) for t, b in
-                                     zip(theta.tolist(), ball_gs.tolist())],
-                                    spectrum.gaps()))
+    length = unit_ball_volume(n - 1) * max(R - 1.0, 1e-9)   # start and bound
+    matches = tuple(_lockstep_roots(
+        [_match(b, n, eps, length, 0.45 * math.pi, length, t)
+         for t, b in zip(theta.tolist(), ball_gs.tolist())], spectrum.gaps()))
     advance = np.array([m.delta_bar for m in matches])
     residual = np.array([m.gap for m in matches])
     _, gap_error = spectrum.volume_gaps(theta, advance)
@@ -483,38 +461,39 @@ def select_sweep_direction(
         d: Density, R: float, plane: np.ndarray, advance: SweepAdvanceMap,
         eps: float = EPS, nodes: int = SPHERE_NODES,
 ) -> tuple[float, ExtensionResult, tuple[MeasureResult, MeasureResult]]:
-    """Pick a base angle where the averaged inequality certifies the sweep,
-    and certify and measure the swept set there: (phi, ext, (P_f, V_f)).
+    """Pick a base angle where a lower bound of the margin certifies the
+    sweep, and certify and measure the swept set there: (phi, ext, (P_f, V_f)).
 
-    The scan maximizes H_g(leading hemisphere at the advanced angle) +
-    H_g(trailing hemisphere at the base angle) - (1 - eps)(N - eps)|B|_g; the
-    change-of-variables estimate guarantees a nonnegative maximum on a fine
-    enough grid.  The hemispheres' sum and |B|_g at every angle are those
-    the advance map recorded.  The winning swept set is measured once, f
-    and g on the same nodes: one ``GaussPass`` over its patch list at
-    (nodes, RADIAL_NODES).  Its g-integrals give the volume gap and the
-    perimeter margin, in deficit space, reported with the winning angle's
-    own volume match, whose gap becomes the patch gap; its f-integrals give
-    P_f and V_f.  The same pass checks the perimeter chain
-    P_f(E) <= P_f(B) + (N-1) omega_{N-1} (R+1) delta, which holds wherever
-    f <= a on the swept band, and for a radial weight the rotation identity;
-    a mean density above 1 + 1e-9 is refused.
+    At each angle the bound is the advance map's rim deficit minus the
+    band's Euclidean excess (N-1) omega_{N-1} R delta: the margin without
+    the band's g-integral, which is >= 0 wherever f <= a on the band, as the
+    perimeter chain below also assumes.  The first angle whose bound plus
+    ``rim_error`` is >= 0 wins (the paper's averaging argument guarantees
+    one); without one the selection is refused, naming the best bound.  The
+    winning set is measured once, f and g on the same nodes: one
+    ``GaussPass`` over its patches at (nodes, RADIAL_NODES).  Its
+    g-integrals give the volume gap and the perimeter margin, in deficit
+    space, reported with the angle's own volume match, whose gap becomes the
+    patch gap; its f-integrals give P_f and V_f.  A patch gap off the
+    match's by more than ``VOLUME_RTOL * |B^phi|_g`` plus the pass's volume
+    estimate (node-halving differences and rounding floors) is refused: the
+    advance map's psi rule aliased the deficit.  The same pass checks the
+    perimeter chain P_f(E) <= P_f(B) + (N-1) omega_{N-1} (R+1) delta, and
+    for a radial weight the rotation identity; a mean density above
+    1 + 1e-9 is refused.
     """
     n = d.dim
     frame = frame_from_axis(plane[:, 0], plane[:, 1])
-    ball_gs = np.asarray(advance.ball_deficit)
-    scores = (np.asarray(advance.rim_deficit)
-              - (1.0 - eps) * (n - eps) * ball_gs)
-    qualifying = np.nonzero(scores >= 0.0)[0]
-    scale = max(float(np.max(np.abs(ball_gs))), 1e-300)
-    if qualifying.size:
-        best = int(qualifying[0])      # deterministic first-hit
-    else:
-        best = int(np.argmax(scores))
-        if scores[best] < -1e-12 * scale:
-            raise RuntimeError("no base angle certified the averaged "
-                               "inequality; this flags quadrature tolerance, "
-                               "not the estimate")
+    bounds = (np.asarray(advance.rim_deficit)
+              - swept_excess(n, R, np.asarray(advance.advance))[0])
+    qualifying = np.nonzero(bounds + np.asarray(advance.rim_error) >= 0.0)[0]
+    if not qualifying.size:
+        top = int(np.argmax(bounds))
+        raise RuntimeError(
+            f"no base angle certified the sweep: the best margin bound is "
+            f"{bounds[top]:.6e} at theta = {advance.theta[top]:.6g}, beyond "
+            f"its error estimate {advance.rim_error[top]:.3e} below zero")
+    best = int(qualifying[0])      # deterministic first-hit
     phi, delta = float(advance.theta[best]), float(advance.advance[best])
     direction, sweep = (tuple(float(x) for x in v)
                         for v in circle_point(frame, phi))
@@ -526,11 +505,24 @@ def select_sweep_direction(
                      nodes, RADIAL_NODES)
     patches, g_of = quad.patches, quad.integral(1)
     margin, gap = patches.perimeter_margin(g, g_of), patches.volume_gap(g, g_of)
+    volume_error = 0.0        # g, the last integrand, over the volume pieces
+    for make in patches.volume.values():
+        full, half = quad.pieces[make]
+        volume_error += (abs(full.value[-1] - half.value[-1])
+                         + ULP * full.points * full.abs_sum[-1])
+    matched = advance.matches[best].gap
+    tolerance = VOLUME_RTOL * advance.ball_deficit[best]
+    if abs(gap - matched) > tolerance + volume_error:
+        raise RuntimeError(
+            f"swept set at phi = {phi:.6g} is not matched: its patch gap "
+            f"{gap:.6e} differs from the advance map's {matched:.6e} by more "
+            f"than the tolerance {tolerance:.3e} plus the estimate "
+            f"{volume_error:.3e}; the psi rule aliases the deficit")
     match = replace(advance.matches[best],
                     achieved_volume=unit_ball_volume(n) + gap, gap=gap)
     band = patches.surface.get("band")
     band_f = swept_excess(n, R, delta)[0] - (g_of(band) if band else 0.0)
-    checks = {"score": float(scores[best]), "perimeter_chain_ok": bool(
+    checks = {"perimeter_chain_ok": bool(
         band_f <= (n - 1) * unit_ball_volume(n - 1) * (R + 1.0) * delta)}
     if d.radial:
         # rotation invariance in deficit space: H_g(leading cap at delta) =

@@ -42,8 +42,11 @@ class TailMassCurve:
             raise ValueError("times must be strictly increasing")
 
 
+TAIL_SAMPLES = 200_000   # Monte-Carlo samples of a tail mass of an extended set
+
+
 def tail_mass(E: CompetitorSet, d: Density, t: float,
-              nodes: int = SPHERE_NODES, mc_samples: int = 200_000,
+              nodes: int = SPHERE_NODES, mc_samples: int = TAIL_SAMPLES,
               seed: int = 11) -> float:
     """Weighted volume of E outside the origin-centered ball of radius t.
 
@@ -86,7 +89,6 @@ def _outside(d: Density, t: float):
 
 
 def tail_mass_curve(E: CompetitorSet, d: Density, times,
-                    nodes: int = SPHERE_NODES, mc_samples: int = 200_000,
                     seed: int = 11) -> TailMassCurve:
     """``tail_mass`` at each of ``times``.  For sets other than ``PlainBall``
     the times strictly inside (0, R + 1) share one Monte-Carlo draw: one
@@ -98,9 +100,9 @@ def tail_mass_curve(E: CompetitorSet, d: Density, times,
               [t for t in times if 0.0 < t < E.offset + 1.0])
     drawn = dict(zip(inside, mc_integrals(set_patches(E).volume,
                                           [_outside(d, t) for t in inside],
-                                          mc_samples, seed))) if inside else {}
+                                          TAIL_SAMPLES, seed))) if inside else {}
     masses = tuple(drawn[t].value if t in drawn else
-                   tail_mass(E, d, t, nodes, mc_samples, seed) for t in times)
+                   tail_mass(E, d, t, seed=seed) for t in times)
     return TailMassCurve(times, masses, "measured-from-set")
 
 

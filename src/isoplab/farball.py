@@ -52,8 +52,7 @@ class FarBallCertificate:
 
 
 def find_far_radius(g: RadialDeficit, n: int, eps: float = EPS,
-                    R_min: float = 10.0, R_max: float = 200.0,
-                    step: float = SCAN_STEP) -> FarBallCertificate:
+                    R_min: float = 10.0, R_max: float = 200.0) -> FarBallCertificate:
     """Search offsets through the excess-kernel scan, certify with exact kernels.
 
     The flat-limit scan certifies P_g >= N V_g for the radial average; the
@@ -67,7 +66,7 @@ def find_far_radius(g: RadialDeficit, n: int, eps: float = EPS,
     lo = R_min
     scan: list[tuple[float, float]] = []
     while True:
-        out = sliding_sign_search(kernel, g, lo, R_max, step)
+        out = sliding_sign_search(kernel, g, lo, R_max)
         scan.extend(out.scan)
         if not out.found:
             raise RuntimeError(
@@ -78,7 +77,7 @@ def find_far_radius(g: RadialDeficit, n: int, eps: float = EPS,
         if out.degenerate or cert.degenerate or cert.margin >= 0.0:
             return replace(cert, degenerate=cert.degenerate or out.degenerate,
                            scan=tuple(scan))
-        lo = out.R + step   # exact kernels disagreed near the edge; re-scan outward
+        lo = out.R + SCAN_STEP  # exact kernels disagreed near the edge; re-scan outward
 
 
 def _ball_certificate(g: RadialDeficit, n: int, R: float,

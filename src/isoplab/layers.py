@@ -195,23 +195,24 @@ class DeviationReport:
         return max(self.sup_area, self.sup_volume)
 
 
-def kernel_deviation(n: int, R: float, grid: np.ndarray | None = None,
-                     margin: float = ENDPOINT_MARGIN) -> DeviationReport:
+def kernel_deviation(n: int, R: float,
+                     grid: np.ndarray | None = None) -> DeviationReport:
     """sup over the grid of |exact/limit - 1| for both kernels.
 
     The grid must avoid the endpoints; the default uses 1001 points on
-    |t| <= 1 - margin.
+    |t| <= 1 - ``ENDPOINT_MARGIN``.
     """
     if grid is None:
-        grid = np.linspace(-1.0 + margin, 1.0 - margin, 1001)
+        grid = np.linspace(-1.0 + ENDPOINT_MARGIN, 1.0 - ENDPOINT_MARGIN, 1001)
     grid = np.asarray(grid, dtype=float)
-    if np.any(np.abs(grid) > 1.0 - margin * (1 - 1e-12)):
+    if np.any(np.abs(grid) > 1.0 - ENDPOINT_MARGIN * (1 - 1e-12)):
         raise ValueError("grid must stay inside |t| <= 1 - margin")
     ex = exact_kernels(n, R)
     asym = asymptotic_kernels(n)
     dev_a = np.max(np.abs(ex.area_kernel(grid) / asym.area_kernel(grid) - 1.0))
     dev_v = np.max(np.abs(ex.volume_kernel(grid) / asym.volume_kernel(grid) - 1.0))
-    return DeviationReport(n, float(R), margin, grid.size, float(dev_a), float(dev_v))
+    return DeviationReport(n, float(R), ENDPOINT_MARGIN, grid.size, float(dev_a),
+                           float(dev_v))
 
 
 def layer_integral(fn, weight=None, breakpoints=()) -> tuple[float, float, int]:

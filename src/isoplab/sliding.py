@@ -100,19 +100,23 @@ class AdmissibilityReport:
         return self.integral_zero and self.positive_inside and self.primitive_vanishes
 
 
-def check_admissibility(k: SlidingKernel, grid: np.ndarray | None = None,
-                        margin: float = ENDPOINT_MARGIN,
-                        tol: float = 1e-10) -> AdmissibilityReport:
-    """Verify the sign conditions on a dense grid of (-1, 1).
+ZERO_TOL = 1e-10   # |value| up to which check_admissibility reads an integral as 0
+
+
+def check_admissibility(k: SlidingKernel,
+                        grid: np.ndarray | None = None) -> AdmissibilityReport:
+    """Verify the sign conditions on a dense grid of (-1, 1), by default
+    10,001 points on |t| <= 1 - ``ENDPOINT_MARGIN``.
 
     Checks: the checked function (kernel for direct kind, primitive for
     derivative kind) integrates to zero over (-1, 1); its running integral is
     strictly positive at every interior grid point; for derivative kind the
-    primitive also vanishes at t = 1.  The running values and the total come
-    from one call of the running integral on the grid with 1 appended.
+    primitive also vanishes at t = 1.  Zero means within ``ZERO_TOL``.  The
+    running values and the total come from one call of the running integral
+    on the grid with 1 appended.
     """
     if grid is None:
-        grid = np.linspace(-1.0 + margin, 1.0 - margin, 10_001)
+        grid = np.linspace(-1.0 + ENDPOINT_MARGIN, 1.0 - ENDPOINT_MARGIN, 10_001)
     grid = np.asarray(grid, dtype=float)
     checked = k.primitive if k.kind == "derivative" else k.values
     if checked is None:
@@ -121,9 +125,9 @@ def check_admissibility(k: SlidingKernel, grid: np.ndarray | None = None,
     running, total = np.asarray(values[:-1], dtype=float), float(values[-1])
     prim_one = layer_integral(k.values)[0] if k.kind == "derivative" else 0.0
     return AdmissibilityReport(
-        integral_zero=abs(total) <= tol,
+        integral_zero=abs(total) <= ZERO_TOL,
         positive_inside=bool(np.all(running > 0.0)),
-        primitive_vanishes=(k.kind == "direct" or abs(prim_one) <= 1e-10),
+        primitive_vanishes=(k.kind == "direct" or abs(prim_one) <= ZERO_TOL),
         integral_value=total,
         min_running=float(running.min()),
         primitive_at_one=prim_one,
@@ -153,8 +157,8 @@ class SignSearchOutcome:
     strict: bool                  # correlation exceeds its own error estimate
 
 
-def _tail_is_zero(g: RadialDeficit, lo: float, hi: float, tol=DEGENERACY_TOL) -> bool:
-    """Whether the profile is within ``tol`` of zero at 512 radii of
+def _tail_is_zero(g: RadialDeficit, lo: float, hi: float) -> bool:
+    """Whether the profile is within ``DEGENERACY_TOL`` of zero at 512 radii of
     [lo, hi], or [lo, hi] lies beyond its support.  The radii go to the
     profile in chunks of at most ``BALL_CHUNK_POINTS`` weight evaluations,
     and the first chunk with a nonzero value answers."""
@@ -162,17 +166,17 @@ def _tail_is_zero(g: RadialDeficit, lo: float, hi: float, tol=DEGENERACY_TOL) ->
         return True
     r = np.linspace(max(lo, 0.0), hi, 512)
     step = max(1, BALL_CHUNK_POINTS // g.sphere_points)
-    return all(np.all(np.abs(np.asarray(g.profile(r[i:i + step]), dtype=float)) <= tol)
-               for i in range(0, r.size, step))
+    return all(np.all(np.abs(np.asarray(g.profile(r[i:i + step]), dtype=float))
+                      <= DEGENERACY_TOL) for i in range(0, r.size, step))
 
 
 def sliding_sign_search(k: SlidingKernel, g: RadialDeficit, R_min: float,
-                        R_max: float, step: float = SCAN_STEP,
-                        refine_bisections: int = 40) -> SignSearchOutcome:
-    """Scan translates R in [R_min, R_max] for a nonnegative correlation.
+                        R_max: float) -> SignSearchOutcome:
+    """Scan translates R in [R_min, R_max], ``SCAN_STEP`` apart, for a
+    nonnegative correlation.
 
     Returns the first grid point with corr >= 0; when the previous grid value
-    was negative the crossing is sharpened by bisection and the refined
+    was negative the crossing is sharpened by 40 bisections and the refined
     translate is returned instead.  A profile that vanishes identically on
     (R_min - 1, R_max + 1) short-circuits to the degenerate outcome.  If no
     grid point qualifies the full scan is returned with found = False, which
@@ -185,7 +189,7 @@ def sliding_sign_search(k: SlidingKernel, g: RadialDeficit, R_min: float,
     if _tail_is_zero(g, R_min - 1.0, R_max + 1.0):
         return SignSearchOutcome(True, float(R_min), 0.0, ((float(R_min), 0.0),),
                                  True, False)
-    grid = np.arange(R_min, R_max + 0.5 * step, step)
+    grid = np.arange(R_min, R_max + 0.5 * SCAN_STEP, SCAN_STEP)
     scan: list[tuple[float, float]] = []
     prev: tuple[float, float] | None = None
     for R in grid:
@@ -195,7 +199,7 @@ def sliding_sign_search(k: SlidingKernel, g: RadialDeficit, R_min: float,
             R_found, c_found, err_found = float(R), c, err
             if prev is not None and prev[1] < 0.0:
                 lo, hi = prev[0], float(R)
-                for _ in range(refine_bisections):
+                for _ in range(40):
                     mid = 0.5 * (lo + hi)
                     cm, em = correlation(k, g, mid)
                     if cm >= 0.0:

@@ -23,9 +23,9 @@ import isoplab.quadrature
 import isoplab.spectral
 from isoplab import (ExtensionResult, PlainBall, RotationSwept, VolumeMatch,
                      mean_density, weighted_ball_measures)
-from isoplab.competitor import (_CylinderPieces, _lockstep_roots,
-                                _root_of_gap, _root_steps,
-                                monte_carlo_check, ray_monotone_on_samples)
+from isoplab.competitor import (_CylinderPieces, _lockstep_roots, _match,
+                                _root_steps, monte_carlo_check,
+                                ray_monotone_on_samples)
 from isoplab.defaults import RADIAL_NODES, VOLUME_RTOL
 from isoplab.density import deficit_weight
 from isoplab.measures import (ball_cap_patch, cylinder_patches, set_patches,
@@ -81,13 +81,36 @@ def _one_angle_gap(spectrum, i):
     return lambda delta: float(gaps(np.array([i]), np.array([delta]))[0])
 
 
+def _alone(search, gap):
+    """The result of one ``_root_steps`` generator run on the gap ``gap``."""
+    return _lockstep_roots([search], lambda _, deltas: [gap(float(deltas[0]))])[0]
+
+
+def _root_of_gap(gap, g0, delta_max, tol, hard_cap):
+    """(delta, gap(delta), iters) of one ``_root_steps`` search on ``gap``."""
+    return _alone(_root_steps(g0, delta_max, tol, hard_cap), gap)
+
+
+def _sweep_match(gap, ball, n, R, eps):
+    """One angle's volume match as the advance map runs it: ``_match`` with
+    the sweep's bracket, which starts at, and whose bound divides by,
+    omega_{N-1} (R - 1), and stops at 0.45 pi."""
+    length = unit_ball_volume(n - 1) * max(R - 1.0, 1e-9)
+    return _alone(_match(ball, n, eps, length, 0.45 * math.pi, length), gap)
+
+
 def test_volume_match_zero_deficit(const2):
+    # a vanished deficit matches at delta = 0 without evaluating a gap, on
+    # the sweep's bracket and on the cylinder's
     spectrum = SweepSpectrum(deficit_weight(const2), 2, 10.0, np.eye(2))
     ball = float(spectrum.balls([0.0])[0][0])
     assert ball == 0.0
-    match = volume_match("rotation", _one_angle_gap(spectrum, 0), ball, 2, 10.0, 0.05)
-    assert match.delta_bar == 0.0
-    assert match.iterations == 0
+
+    def gap(delta):
+        raise AssertionError("no gap is evaluated")
+    for match in (_sweep_match(gap, ball, 2, 10.0, 0.05),
+                  volume_match(gap, ball, 2, 10.0, 0.05)):
+        assert match == VolumeMatch(0.0, math.pi, 0, True, 0.0)
 
 
 GAP_SHAPES = [
@@ -178,7 +201,7 @@ def test_volume_match_rotation_exact_identity():
     # the matched gap uses the half-ball quadratures, so the oracle G does too
     G = -gap(0.0)
     assert G > 1e-4
-    match = volume_match("rotation", gap, G, 2, R, 0.05, vol_tol=1e-12)
+    match = _sweep_match(gap, G, 2, R, 0.05)
     assert match.delta_bar == pytest.approx(G / (2.0 * R), rel=1e-7)
     assert abs(match.gap) <= 1e-12
 
@@ -205,7 +228,7 @@ def test_volume_match_cylinder_scalar_root_oracle():
         else:
             lo = mid
     oracle = 0.5 * (lo + hi)
-    match = volume_match("cylinder", pieces.volume_gap, G, 2, R, 0.05)
+    match = volume_match(pieces.volume_gap, G, 2, R, 0.05)
     assert match.delta_bar == pytest.approx(oracle, rel=1e-6)
 
 
@@ -262,6 +285,117 @@ def test_build_competitor_radial_takes_the_one_angle_sweep(exp3, R_min, margin,
     assert cert.advance.advance == (delta,)
     assert cert.bounds["rotation_identity_ok"] is True
     assert cert.bounds["perimeter_chain_ok"] is True
+
+
+def _angular(dim, k=1):
+    return density_from_config({"family": "angular_mod", "dim": dim, "a": 1.0,
+                                "params": {"eta": 0.5, "k": k, "c": 1.0}})
+
+
+@pytest.mark.parametrize("dim, R_min, options, margin, gap, delta", [
+    (2, 10.0, {}, 0.00029034619491806295, -1.1028870416755765e-14,
+     1.1941304828526295e-05),
+    (2, 50.0, {}, 1.2662424834972037e-21, -9.4039548065783e-37,
+     1.0248622638433101e-23),
+    (3, 10.0, {"nodes": 16, "circle_grid": 16}, 0.00024526105405075436,
+     -2.8364084084936403e-16, 6.754835131168708e-06)])
+def test_build_competitor_angular_certificates_pinned(dim, R_min, options,
+                                                      margin, gap, delta):
+    # the angular certificates on the full advance map (720 angles) and on
+    # the N=3 descent at 16 nodes and 16 angles are pinned to the float
+    cert = build_competitor(_angular(dim), eps=0.05, R_min=R_min, R_max=200.0,
+                            mc_samples=20_000, **options)
+    assert isinstance(cert.E, RotationSwept)
+    assert cert.perimeter_margin == margin
+    assert cert.volume_gap == gap
+    assert cert.match.delta_bar == cert.E.delta == delta
+    assert cert.match.iterations == 1
+    assert len(cert.advance.theta) == options.get("circle_grid", 720)
+    assert cert.strict and not cert.degenerate
+    assert all(value for value in cert.bounds.values() if isinstance(value, bool))
+
+
+@pytest.mark.parametrize("k", [16, 32])
+def test_build_competitor_refuses_an_aliased_sweep(k):
+    # cos(k theta) on a psi grid of k samples aliases onto mode 0, on the
+    # grid and on its every other sample alike, so the advance map reads a
+    # matched sweep at phi = 0 whose patch gap is 9% (k = 16) or 27%
+    # (k = 32) of |B^phi|_g: the selection refuses it and names both gaps
+    d = _angular(2, k)
+    with pytest.raises(RuntimeError, match="not matched") as err:
+        build_competitor(d, eps=0.05, R_min=10.0, R_max=200.0,
+                         circle_grid=k, mc_samples=20_000)
+    sam = sweep_advance_map(d, 10.0, np.eye(2), grid=k, eps=0.05)
+    patch_gap = swept_patches(2, 10.0, sam.advance[0], np.eye(2), 0.0, 64,
+                              RADIAL_NODES).volume_gap(deficit_weight(d))
+    assert patch_gap > 0.05 * sam.ball_deficit[0]
+    message = str(err.value)
+    assert "phi = 0 " in message
+    assert f"patch gap {patch_gap:.6e}" in message
+    assert f"advance map's {sam.matches[0].gap:.6e}" in message
+    assert f"tolerance {VOLUME_RTOL * sam.ball_deficit[0]:.3e}" in message
+
+
+def _swept_case(d, R, grid, nodes):
+    """The advance map on ``d``'s working circle, the selection on it, and
+    the Gauss pass that measured the winner."""
+    plane = select_working_circle(d, R, 0.05, quad_nodes=nodes)
+    sam = sweep_advance_map(d, R, plane, grid, 0.05, nodes)
+    phi, ext, _ = select_sweep_direction(d, R, plane, sam, 0.05, nodes)
+    frame = frame_from_axis(plane[:, 0], plane[:, 1])
+    quad = isoplab.measures.GaussPass(
+        partial(swept_patches, d.dim, R, ext.E.delta, frame, phi),
+        [deficit_weight(d)], nodes, RADIAL_NODES)
+    return sam, sam.theta.index(phi), ext, quad
+
+
+_SWEPT_CASES = [("radial_exp", 2, 10.0, 1, 64), ("radial_exp", 3, 10.0, 1, 64),
+                ("radial_exp", 3, 50.0, 1, 64), ("radial_power", 2, 10.0, 1, 64),
+                ("angular_mod", 2, 10.0, 48, 32), ("angular_mod", 2, 50.0, 48, 32),
+                ("angular_mod", 3, 10.0, 16, 16)]
+
+
+@pytest.mark.parametrize("family, dim, R, grid, nodes", _SWEPT_CASES)
+def test_sweep_selection_bound_is_a_lower_bound_of_the_margin(family, dim, R,
+                                                              grid, nodes):
+    # the selection's bound is the margin without the band's g-integral,
+    # which is >= 0: at the chosen angle it is at most the Gauss pass's
+    # margin plus the two estimates (the rim's, and the pass's node-halving
+    # differences and rounding floors over the surface pieces), and it
+    # certifies the angle
+    d = (_angular(dim) if family == "angular_mod" else
+         density_from_config({"family": family, "dim": dim, "a": 1.0}))
+    sam, best, ext, quad = _swept_case(d, R, grid, nodes)
+    error = 0.0
+    for make in quad.patches.surface.values():
+        full, half = quad.pieces[make]
+        error += abs(full.value[0] - half.value[0]) + ULP * full.points * full.abs_sum[0]
+    bounds, rim_error = _margin_bounds(sam, dim), np.asarray(sam.rim_error)
+    assert 0.0 <= bounds[best] + rim_error[best]
+    assert bounds[best] <= ext.perimeter_margin + rim_error[best] + error
+    assert np.all(bounds[:best] + rim_error[:best] < 0.0)
+
+
+@pytest.mark.parametrize("family, dim, grid", [
+    ("radial_exp", 2, 1), ("radial_exp", 3, 1), ("radial_exp", 4, 1),
+    ("radial_exp", 5, 1), ("angular_mod", 2, 48)])
+def test_sweep_selection_bound_is_at_least_the_averaged_proxy(family, dim, grid):
+    # at the match the band's Euclidean excess (N-1) omega_{N-1} R delta is
+    # N - 1 times the set's deficit volume, about |B|_g, so wherever
+    # eps (N + 1) < 1 the bound is at least the averaged inequality's proxy
+    # rim - (1 - eps)(N - eps)|B|_g, which the paper's averaging argument
+    # makes nonnegative at some angle: a qualifying angle still exists
+    eps, R = 0.05, 10.0
+    assert eps * (dim + 1) < 1.0
+    d = (_angular(dim) if family == "angular_mod" else
+         density_from_config({"family": family, "dim": dim, "a": 1.0}))
+    sam = sweep_advance_map(d, R, np.eye(dim)[:, :2], grid, eps, 16)
+    balls = np.asarray(sam.ball_deficit)
+    proxy = np.asarray(sam.rim_deficit) - (1.0 - eps) * (dim - eps) * balls
+    bounds = _margin_bounds(sam, dim)
+    assert np.all(bounds >= proxy)
+    assert np.max(proxy) >= 0.0
+    assert np.all(bounds >= balls)
 
 
 def test_build_competitor_measures_the_set_in_one_gauss_pass(monkeypatch, exp3):
@@ -498,13 +632,23 @@ def test_advance_map_angular_band(angular2):
     assert max(sam.advance) > min(sam.advance) > 0.0
 
 
+def _margin_bounds(sam, n):
+    """The selection's lower bound of the margin at each angle of the
+    advance map ``sam``: the rim deficit minus the band's Euclidean excess
+    (N-1) omega_{N-1} R delta."""
+    excess = np.asarray(sam.advance) * sam.offset * (n - 1) * unit_ball_volume(n - 1)
+    return np.asarray(sam.rim_deficit) - excess
+
+
 def test_select_sweep_direction_angular():
     d = density_from_config({"family": "angular_mod", "dim": 2, "a": 1.0,
                              "params": {"eta": 0.5, "k": 1, "c": 0.5}})
     R, eps = 12.0, 0.05
     sam = sweep_advance_map(d, R, np.eye(2), grid=48, eps=eps, nodes=48)
     phi, ext, _ = select_sweep_direction(d, R, np.eye(2), sam, eps=eps, nodes=48)
-    assert ext.checks["score"] >= 0.0
+    best = sam.theta.index(phi)
+    assert _margin_bounds(sam, 2)[best] + sam.rim_error[best] >= 0.0
+    assert "score" not in ext.checks
     assert ext.match.bound_ok
     assert ext.rho < 1.0
     assert abs(ext.volume_gap) <= 1e-7 * unit_ball_volume(2)
@@ -512,6 +656,21 @@ def test_select_sweep_direction_angular():
     P, V = set_measures(ext.E, d, nodes=96)
     assert V.value - math.pi == pytest.approx(ext.volume_gap, abs=1e-11)
     assert 2 * math.pi - P.value == pytest.approx(ext.perimeter_margin, abs=1e-11)
+
+
+def test_select_sweep_direction_refuses_without_a_qualifying_angle():
+    # with every rim deficit lowered below the band's excess, no angle's
+    # bound reaches -rim_error: the selection is refused and names the best
+    # bound, with no fallback to the best negative one
+    d = _angular(2)
+    sam = sweep_advance_map(d, 12.0, np.eye(2), grid=16, eps=0.05, nodes=32)
+    rims = np.asarray(sam.rim_deficit) - 2.0 * np.asarray(sam.rim_deficit).max()
+    low = dataclasses.replace(sam, rim_deficit=tuple(rims))
+    bounds = _margin_bounds(low, 2)
+    best = int(np.argmax(bounds))
+    with pytest.raises(RuntimeError, match="no base angle certified") as err:
+        select_sweep_direction(d, 12.0, np.eye(2), low, eps=0.05, nodes=32)
+    assert f"{bounds[best]:.6e} at theta = {sam.theta[best]:.6g}" in str(err.value)
 
 
 def test_select_sweep_direction_radial_any_angle(exp2):
@@ -838,7 +997,7 @@ class _PerAngleSweptPieces:
 
 
 def _advance_by_angle(d, R, grid, eps, nodes):
-    """The advance map matched one angle at a time by ``volume_match`` on
+    """The advance map matched one angle at a time by ``_sweep_match`` on
     one-patch gaps, and each advance's error estimate: its root residual
     plus the node-halving difference of the gap there, over the gap's mean
     slope."""
@@ -849,7 +1008,7 @@ def _advance_by_angle(d, R, grid, eps, nodes):
     for i, phi in enumerate(theta):
         gap = pieces.gap_function(float(phi))
         ball = -gap(0.0)
-        match = volume_match("rotation", gap, ball, d.dim, R, eps)
+        match = _sweep_match(gap, ball, d.dim, R, eps)
         delta = advance[i] = match.delta_bar
         halving = abs(half.gap_function(float(phi))(delta) - match.gap)
         # the gap sums about 2 |B|_g of nonnegative patch terms
@@ -865,18 +1024,18 @@ def _rims(ref, phi, delta):
 
 
 def _sweep_direction_by_angle(d, R, sam, eps, nodes):
-    """select_sweep_direction scoring one angle at a time on one-patch
-    hemispheres, and the error estimate of the winning score."""
+    """select_sweep_direction bounding the margin one angle at a time on
+    one-patch hemispheres: the angle, the extension, and the winning bound
+    with its error estimate."""
     n = d.dim
     pieces = _PerAngleSweptPieces(d, R, np.eye(2), nodes)
     half = _PerAngleSweptPieces(d, R, np.eye(2), nodes // 2)
     theta, adv = np.asarray(sam.theta), np.asarray(sam.advance)
     ball_gs = np.asarray(sam.ball_deficit)
-    omega = unit_ball_volume(n)
+    omega, omega1 = unit_ball_volume(n), unit_ball_volume(n - 1)
     rims, rim_error = _estimated([pieces, half], _rims, theta, adv)
-    scores = rims - (1.0 - eps) * (n - eps) * ball_gs
-    qualifying = np.nonzero(scores >= 0.0)[0]
-    best = int(qualifying[0]) if qualifying.size else int(np.argmax(scores))
+    bounds = rims - adv * R * (n - 1) * omega1
+    best = int(np.nonzero(bounds + rim_error >= 0.0)[0][0])
     phi, delta = float(theta[best]), float(adv[best])
     direction = (math.cos(phi), math.sin(phi))
     sweep = (-math.sin(phi), math.cos(phi))
@@ -885,16 +1044,16 @@ def _sweep_direction_by_angle(d, R, sam, eps, nodes):
          if delta > 0.0 else PlainBall(dim=n, offset=R, direction=direction))
     margin = pieces.perimeter_margin(phi, delta)
     gap = pieces.gap_function(phi)(delta)
-    omega1 = unit_ball_volume(n - 1)
     bound = (1.0 + 2.0 * eps) * ball_gs[best] / (omega1 * max(R - 1.0, 1e-9))
     # the winner's own root, whose residual the patch gap replaces
     match = VolumeMatch(delta, omega + gap, sam.matches[best].iterations,
                         delta <= bound * (1 + 1e-9), gap)
     rho = mean_density(max(n * omega - margin, 1e-300), omega + gap, n)
     band_f = delta * R * (n - 1) * omega1 - pieces.band_g(phi, delta)
-    checks = {"score": float(scores[best]), "perimeter_chain_ok":
+    checks = {"perimeter_chain_ok":
               band_f <= (n - 1) * omega1 * (R + 1.0) * delta}
-    return phi, ExtensionResult(E, match, margin, gap, rho, checks), rim_error[best]
+    return (phi, ExtensionResult(E, match, margin, gap, rho, checks),
+            bounds[best], rim_error[best])
 
 
 @pytest.mark.parametrize("R", [12.0, 50.0])
@@ -910,15 +1069,17 @@ def test_advance_map_matches_per_angle_matching(R):
     assert np.all(np.abs(advance - reference) <= error + ref_error)
     assert np.all(error <= 1e-6 * advance)
     assert min(sam.advance) > 0.0
-    # the selection scores the engine's hemispheres: the same angle, set,
-    # match and certificate, and a score within the two estimates
+    # the selection bounds the margin by the engine's hemispheres: the same
+    # angle, set, match and certificate, and a bound within the two
+    # estimates
     phi, ext, _ = select_sweep_direction(d, R, np.eye(2), sam, eps=eps, nodes=48)
-    ref_phi, ref, ref_error = _sweep_direction_by_angle(d, R, sam, eps, 48)
+    ref_phi, ref, ref_bound, ref_error = _sweep_direction_by_angle(d, R, sam,
+                                                                   eps, 48)
     assert phi == ref_phi
     assert (ext.E, ext.match, ext.perimeter_margin, ext.volume_gap, ext.rho) == (
         ref.E, ref.match, ref.perimeter_margin, ref.volume_gap, ref.rho)
     best = sam.theta.index(phi)
-    assert (abs(ext.checks.pop("score") - ref.checks.pop("score"))
+    assert (abs(_margin_bounds(sam, d.dim)[best] - ref_bound)
             <= sam.rim_error[best] + ref_error)
     assert ext.checks == ref.checks
 
@@ -926,7 +1087,7 @@ def test_advance_map_matches_per_angle_matching(R):
 @pytest.mark.parametrize("R", [12.0, 50.0])
 def test_advance_map_equals_volume_match_per_angle(R):
     # the angles matched in lockstep give, bit for bit, each angle's
-    # volume_match on the spectrum's one-angle gap, and the error estimates
+    # match alone on the spectrum's one-angle gap, and the error estimates
     # formed from those matches
     d = density_from_config({"family": "angular_mod", "dim": 2, "a": 1.0,
                              "params": {"eta": 0.5, "k": 1, "c": 0.5}})
@@ -936,7 +1097,7 @@ def test_advance_map_equals_volume_match_per_angle(R):
     theta = 2.0 * math.pi * np.arange(grid) / grid
     ball_gs, _ = spectrum.balls(theta)
     assert np.all(ball_gs > 0.0)
-    matches = tuple(volume_match("rotation", _one_angle_gap(spectrum, i), b, n, R, eps)
+    matches = tuple(_sweep_match(_one_angle_gap(spectrum, i), b, n, R, eps)
                     for i, b in enumerate(ball_gs.tolist()))
     advance = np.array([m.delta_bar for m in matches])
     residual = np.array([m.gap for m in matches])
@@ -968,7 +1129,7 @@ def test_advance_map_failure_names_the_angle():
     failing = []
     for i, (t, b) in enumerate(zip(theta.tolist(), ball_gs.tolist())):
         try:
-            volume_match("rotation", _one_angle_gap(spectrum, i), b, 2, R, 0.05)
+            _sweep_match(_one_angle_gap(spectrum, i), b, 2, R, 0.05)
         except RuntimeError:
             failing.append(f"theta = {t:.6g}, with |B^theta|_g = {b:.6e}")
     assert 0 < len(failing) < grid

@@ -144,7 +144,7 @@ def test_search_bump_against_fine_scan_oracle():
         F = lambda x: x ** 3 - x
         return math.pi * (F(b) - F(a))
 
-    out = sliding_sign_search(k, g, 4.5, 10.0, step=0.25)
+    out = sliding_sign_search(k, g, 4.5, 10.0)
     assert out.found
     assert out.correlation == pytest.approx(closed_form(out.R), abs=1e-10)
     # oracle: first point of the scan grid with nonnegative closed form
