@@ -17,6 +17,7 @@ ENDPOINT_MARGIN     1e-6       kernel grids stay inside |t| <= 1 - margin
 REPORT_CLIP         1e-9       clip for tabulated exact kernels near t = +-1
 DEGENERACY_TOL      0.0        deficits sampled exactly zero count as vanished
 BALL_CHUNK_POINTS   65_536     points per weight call in scans and Monte Carlo
+PSI_START           32         first psi grid of a sweep spectrum (or fewer)
 ==================  =========  ==================================================
 
 Deficit degeneracy is exact on purpose: registered families carry closed-form
@@ -29,10 +30,13 @@ have |B|_g ~ 1e-21, and only a relative tolerance matches the volume there.
 Every scan over the angles of a working circle (balls, half-balls,
 hemispheres, wedges, volume gaps, and the far-ball direction's margins)
 comes from one sample of the deficit on the meridian disk times a psi grid
-(``spectral.SweepSpectrum``); its psi grid is refined by GRID_REFINE, at
-most REFINE_ROUNDS times, until its every-other-sample rule agrees to
-VOLUME_RTOL.  The working-circle descent's candidate means come from the
-same meridian rule about each candidate subspace
+(``spectral.SweepSpectrum``).  The psi grid is sized by the deficit, not by
+the angle grid: it starts at PSI_START samples (at the angle grid's smallest
+even multiple when that is smaller) and is refined by GRID_REFINE until its
+every-other-sample rule and a rule of one sample more both agree with it to
+VOLUME_RTOL, never past the angle grid's even multiple times
+GRID_REFINE^REFINE_ROUNDS.  The working-circle descent's candidate means
+come from the same meridian rule about each candidate subspace
 (``spectral.subsphere_means``).  These scans, the far-radius tail test and
 the Monte-Carlo draws hand the weight at most BALL_CHUNK_POINTS points per
 call, which keeps the per-call overhead negligible while the peak memory
@@ -53,5 +57,6 @@ ENDPOINT_MARGIN = 1e-6
 REPORT_CLIP = 1e-9
 DEGENERACY_TOL = 0.0
 BALL_CHUNK_POINTS = 65_536
+PSI_START = 32
 
 SCHEMA_VERSION = 1

@@ -80,7 +80,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import (BALL_CHUNK_POINTS, GRID_REFINE, RADIAL_NODES,
+from .defaults import (BALL_CHUNK_POINTS, GRID_REFINE, PSI_START, RADIAL_NODES,
                        REFINE_ROUNDS, SPHERE_NODES, VOLUME_RTOL)
 from .layers import sin_power_integral
 from .measures import swept_excess
@@ -127,9 +127,9 @@ class _Modes:
 
     nodes: int
     k: np.ndarray
-    wedge: np.ndarray
     lead: np.ndarray
     trail: np.ndarray
+    wedge: np.ndarray
     lead_sphere: np.ndarray
     trail_sphere: np.ndarray
 
@@ -179,41 +179,57 @@ def _disk(n: int, R: float, nodes: int, radial_nodes: int, k: int = 2):
     return sz, w, w_sphere, gamma
 
 
+def _ring(frame, M: int) -> np.ndarray:
+    """The M points 2 pi i / M of the unit circle in the working plane."""
+    psi = 2.0 * math.pi * np.arange(M) / M
+    return np.cos(psi)[:, None] * frame[:, 0] + np.sin(psi)[:, None] * frame[:, 1]
+
+
 def _mode_sums(g, frame, disk, M: int, every_other: bool) -> list[_Modes]:
     """The ``_Modes`` of the M-sample psi rule on ``disk`` and, with
-    ``every_other``, of the M/2-sample rule on the same samples.
+    ``every_other`` (M even), of its two check rules: the M/2-sample rule on
+    every other sample, and the (M+1)-sample rule, which samples the deficit
+    on a grid of its own and checks the balls only: it sums ``lead`` and
+    ``trail``, and its other sums stay zero.
 
-    The weight sees at most ``BALL_CHUNK_POINTS`` points per call (one disk
-    node if M is larger); each chunk's coefficients are reduced into the
-    per-mode sums, so memory stays that of one chunk.  Each chunk's kernel
-    tables are formed once, with the M-sample rule's modes, and cut for the
-    M/2-sample rule: a cumulative product's prefix is the same float.
+    The weight sees at most ``BALL_CHUNK_POINTS`` points per call and grid
+    (one disk node if M is larger); each chunk's coefficients are reduced
+    into the per-mode sums, so memory stays that of one chunk.  Each chunk's
+    kernel tables are formed once, with the M-sample rule's M/2 + 1 modes,
+    which are also the (M+1)-sample rule's, and cut for the M/2-sample rule:
+    a cumulative product's prefix is the same float.
     """
     sz, w, w_sphere, gamma = disk
     n = frame.shape[0]
-    psi = 2.0 * math.pi * np.arange(M) / M
-    # the circle of radius 1 in the working plane, and each node's offset z
-    ring = np.cos(psi)[:, None] * frame[:, 0] + np.sin(psi)[:, None] * frame[:, 1]
+    # each node's offset z from the working plane
     offset = np.add.reduce(sz[:, 1:, None] * frame[:, 2:].T[None], axis=1)
-    rules = [(M, slice(None))] + ([(M // 2, slice(None, None, 2))] if every_other else [])
-    sums = [[np.zeros(m // 2 + 1, dtype=complex) for _ in range(5)] for m, _ in rules]
+    rings = [_ring(frame, M)] + ([_ring(frame, M + 1)] if every_other else [])
+    # (samples, grid, which samples, how many of the sums in _Modes order)
+    rules = [(M, 0, slice(None), 5)]
+    if every_other:
+        rules += [(M // 2, 0, slice(None, None, 2), 5), (M + 1, 1, slice(None), 2)]
+    sums = [[np.zeros(m // 2 + 1, dtype=complex) for _ in range(5)]
+            for m, _, _, _ in rules]
     step = max(1, BALL_CHUNK_POINTS // M)
     for i in range(0, len(w), step):
         j = min(i + step, len(w))
-        pts = sz[i:j, 0, None, None] * ring[None] + offset[i:j, None, :]
-        vals = np.asarray(g(pts.reshape(-1, n)), dtype=float).reshape(j - i, M)
+        vals = [np.asarray(g((sz[i:j, 0, None, None] * ring[None]
+                              + offset[i:j, None, :]).reshape(-1, n)),
+                           dtype=float).reshape(j - i, len(ring))
+                for ring in rings]
         lead = _shift(gamma[i:j], M // 2 + 1)
         turn = 1.0 + 1j * np.arange(M // 2 + 1) * lead           # e^{ik gamma}
-        kernels = (lead, np.conj(lead), turn, np.conj(turn))
-        for (m, pick), acc in zip(rules, sums):
-            raw = np.fft.rfft(vals[:, pick], axis=1)
+        kernels = (lead, np.conj(lead), None, turn, np.conj(turn))  # wedge: 1
+        for (m, ring, pick, count), acc in zip(rules, sums):
+            raw = np.fft.rfft(vals[ring][:, pick], axis=1)
             coef = raw * (w[i:j, None] / m)
             rim = raw * (w_sphere[i:j, None] / m)
-            acc[0] += np.add.reduce(coef, axis=0)
-            for total, c, kernel in zip(acc[1:], (coef, coef, rim, rim), kernels):
-                total += np.add.reduce(c * kernel[:, :m // 2 + 1], axis=0)
+            for total, c, kernel in zip(acc[:count], (coef, coef, coef, rim, rim),
+                                        kernels):
+                total += np.add.reduce(c if kernel is None
+                                       else c * kernel[:, :m // 2 + 1], axis=0)
     out = []
-    for (m, _), acc in zip(rules, sums):
+    for (m, _, _, _), acc in zip(rules, sums):
         fold = np.full(m // 2 + 1, 2.0)
         fold[0] = 1.0
         if m % 2 == 0:
@@ -256,11 +272,18 @@ class SweepSpectrum:
     columns.
 
     The grid angles ``theta`` are the ``grid`` angles 2 pi i / grid.  The
-    psi grid is the smallest even multiple of ``grid``.  It is checked
-    against its every-other sample rule at the grid angles: where the two
-    balls differ by more than ``VOLUME_RTOL`` times the ball plus the
-    rounding floor, the grid is refined by ``GRID_REFINE``, at most
-    ``REFINE_ROUNDS`` times, before an error that names it.  Each value
+    psi grid is sized by the deficit's bandwidth, not by ``grid``: it starts
+    at M = min(``PSI_START``, the smallest even multiple of ``grid``)
+    samples, and is checked at the grid angles against two rules, its every
+    other sample and a uniform grid of M + 1 samples.  The second is no
+    sub-rule of the first, so a single mode j of the deficit aliases alike
+    on all three only when j = j' mod M (M + 1) with |j'| <= M / 4 (at
+    M = 32 the band 1048..1064).  Where either rule's ball differs from the
+    M-sample one by more than ``VOLUME_RTOL`` times the ball plus the
+    rounding floor, M is multiplied by ``GRID_REFINE``, clamped at the
+    ceiling of the smallest even multiple of ``grid`` times
+    GRID_REFINE^REFINE_ROUNDS; a disagreement at the ceiling raises an
+    error that names the check, the angle, M and the ceiling.  Each value
     comes with an error estimate: its differences from the every-other psi
     rule and from the rule with half the disk nodes, plus the rounding floor
     of its Fourier sum.
@@ -277,22 +300,29 @@ class SweepSpectrum:
         self.n, self.R = n, R
         disk = _disk(n, R, nodes, radial_nodes)
         theta = 2.0 * math.pi * np.arange(grid) / grid
-        M = grid if grid % 2 == 0 else 2 * grid
-        for rounds in range(REFINE_ROUNDS + 1):
-            full, alias = _mode_sums(g, frame, disk, M, every_other=True)
+        even = grid if grid % 2 == 0 else 2 * grid
+        ceiling = even * GRID_REFINE ** REFINE_ROUNDS
+        M = min(PSI_START, even)
+        while True:
+            full, alias, coprime = _mode_sums(g, frame, disk, M, every_other=True)
             phase = _powers(theta, full.k.size)
-            (ball, coarse), floor = _evaluate((full, alias), ("lead", "trail"),
-                                              theta, phase=phase)
-            if np.all(np.abs(coarse - ball) <= VOLUME_RTOL * np.abs(ball) + floor):
+            (ball, coarse, other), floor = _evaluate(
+                (full, alias, coprime), ("lead", "trail"), theta, phase=phase)
+            tolerance = VOLUME_RTOL * np.abs(ball) + floor
+            excess = np.abs(np.stack([coarse, other]) - ball) - tolerance
+            if np.all(excess <= 0.0):
                 break
-            if rounds == REFINE_ROUNDS:
-                worst = int(np.argmax(np.abs(coarse - ball) / (np.abs(ball) + floor)))
+            if M == ceiling:
+                which, worst = np.unravel_index(int(np.argmax(excess)), excess.shape)
+                check = (("every-other-sample", coarse), (f"{M + 1}-sample", other))
+                name, value = check[which]
                 raise RuntimeError(
                     f"psi grid of {M} samples does not resolve the deficit: at "
                     f"angle {theta[worst]:.6g} its ball {ball[worst]:.6e} and the "
-                    f"every-other-sample rule's {coarse[worst]:.6e} differ by more "
-                    f"than VOLUME_RTOL after {REFINE_ROUNDS} refinements")
-            M *= GRID_REFINE
+                    f"{name} rule's {value[worst]:.6e} differ by more than "
+                    f"VOLUME_RTOL, and M = {M} is the ceiling {ceiling} = {even} "
+                    f"x GRID_REFINE^REFINE_ROUNDS")
+            M = min(M * GRID_REFINE, ceiling)
         self.modes, self.psi_samples = full, M
         half = _disk(n, R, max(1, nodes // 2), max(1, radial_nodes // 2))
         self.coarse = (alias, _mode_sums(g, frame, half, M, every_other=False)[0])

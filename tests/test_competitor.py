@@ -26,7 +26,7 @@ from isoplab import (ExtensionResult, PlainBall, RotationSwept, VolumeMatch,
 from isoplab.competitor import (_CylinderPieces, _lockstep_roots, _match,
                                 _root_steps, monte_carlo_check,
                                 ray_monotone_on_samples)
-from isoplab.defaults import RADIAL_NODES, VOLUME_RTOL
+from isoplab.defaults import CIRCLE_GRID, PSI_START, RADIAL_NODES, VOLUME_RTOL
 from isoplab.density import deficit_weight
 from isoplab.measures import (ball_cap_patch, cylinder_patches, set_patches,
                               sphere_cap_patch, swept_band_patch,
@@ -292,17 +292,49 @@ def _angular(dim, k=1):
                                 "params": {"eta": 0.5, "k": k, "c": 1.0}})
 
 
+def _pass_estimates(d, R, phi, delta, nodes=64):
+    """The estimates of the Gauss pass on the N=2 set based at phi with sweep
+    delta, over its surface and over its volume pieces: the deficit's
+    node-halving differences plus rounding floors; and the pass's volume
+    gap."""
+    g = deficit_weight(d)
+    quad = isoplab.measures.GaussPass(
+        partial(swept_patches, 2, R, delta, np.eye(2), phi), [g], nodes,
+        RADIAL_NODES)
+    errors = []
+    for pieces in (quad.patches.surface, quad.patches.volume):
+        error = 0.0
+        for make in pieces.values():
+            full, half = quad.pieces[make]
+            error += (abs(full.value[0] - half.value[0])
+                      + ULP * full.points * full.abs_sum[0])
+        errors.append(error)
+    return (*errors, quad.patches.volume_gap(g, quad.integral(0)))
+
+
+# the 720-angle certificates when the psi rule had as many samples as the
+# angle grid (720), before it started at PSI_START samples
+_GRID_SIZED_PINS = {10.0: (0.00029034619491806295, -1.1028870416755765e-14,
+                           1.1941304828526295e-05),
+                    50.0: (1.2662424834972037e-21, -9.4039548065783e-37,
+                           1.0248622638433101e-23)}
+
+
 @pytest.mark.parametrize("dim, R_min, options, margin, gap, delta", [
-    (2, 10.0, {}, 0.00029034619491806295, -1.1028870416755765e-14,
-     1.1941304828526295e-05),
-    (2, 50.0, {}, 1.2662424834972037e-21, -9.4039548065783e-37,
-     1.0248622638433101e-23),
+    (2, 10.0, {}, 0.00029034619491806306, -1.1028897521810077e-14,
+     1.1941304828526293e-05),
+    (2, 50.0, {}, 1.2662424834972024e-21, 3.76158192263132e-37,
+     1.0248622638433114e-23),
     (3, 10.0, {"nodes": 16, "circle_grid": 16}, 0.00024526105405075436,
      -2.8364084084936403e-16, 6.754835131168708e-06)])
 def test_build_competitor_angular_certificates_pinned(dim, R_min, options,
                                                       margin, gap, delta):
     # the angular certificates on the full advance map (720 angles) and on
-    # the N=3 descent at 16 nodes and 16 angles are pinned to the float
+    # the N=3 descent at 16 nodes and 16 angles are pinned to the float; on
+    # the full map each float lies within its own estimate of its value on
+    # the 720-sample psi rule: the margin and the gap within the Gauss
+    # pass's surface and volume estimates (the gap also within the match's
+    # tolerance), the advance within the advance map's estimate
     cert = build_competitor(_angular(dim), eps=0.05, R_min=R_min, R_max=200.0,
                             mc_samples=20_000, **options)
     assert isinstance(cert.E, RotationSwept)
@@ -313,19 +345,31 @@ def test_build_competitor_angular_certificates_pinned(dim, R_min, options,
     assert len(cert.advance.theta) == options.get("circle_grid", 720)
     assert cert.strict and not cert.degenerate
     assert all(value for value in cert.bounds.values() if isinstance(value, bool))
+    if dim == 2:
+        old_margin, old_gap, old_delta = _GRID_SIZED_PINS[R_min]
+        phi = math.atan2(cert.E.direction[1], cert.E.direction[0])
+        best = cert.advance.theta.index(phi % (2.0 * math.pi))
+        surface, volume, _ = _pass_estimates(_angular(2), R_min, phi, delta)
+        assert abs(margin - old_margin) <= surface
+        assert (abs(gap - old_gap)
+                <= VOLUME_RTOL * cert.advance.ball_deficit[best] + volume)
+        assert abs(delta - old_delta) <= cert.advance.advance_error[best]
 
 
-@pytest.mark.parametrize("k", [16, 32])
-def test_build_competitor_refuses_an_aliased_sweep(k):
-    # cos(k theta) on a psi grid of k samples aliases onto mode 0, on the
-    # grid and on its every other sample alike, so the advance map reads a
-    # matched sweep at phi = 0 whose patch gap is 9% (k = 16) or 27%
-    # (k = 32) of |B^phi|_g: the selection refuses it and names both gaps
-    d = _angular(2, k)
+@pytest.mark.parametrize("grid", [16, CIRCLE_GRID])
+def test_build_competitor_refuses_an_aliased_sweep(grid):
+    # the psi rule starts at M = min(PSI_START, grid) samples (16, or 32 on
+    # 720 angles); cos(k theta) with k = M (M + 1) aliases onto mode 0 on the
+    # rule, on its every other sample and on the (M+1)-sample check alike
+    # (the band those checks cannot see), so the advance map reads a matched
+    # sweep at phi = 0 whose patch gap is a third of |B^phi|_g: the
+    # selection refuses it and names both gaps
+    M = min(PSI_START, grid)
+    d = _angular(2, M * (M + 1))
     with pytest.raises(RuntimeError, match="not matched") as err:
         build_competitor(d, eps=0.05, R_min=10.0, R_max=200.0,
-                         circle_grid=k, mc_samples=20_000)
-    sam = sweep_advance_map(d, 10.0, np.eye(2), grid=k, eps=0.05)
+                         circle_grid=grid, mc_samples=20_000)
+    sam = sweep_advance_map(d, 10.0, np.eye(2), grid=grid, eps=0.05)
     patch_gap = swept_patches(2, 10.0, sam.advance[0], np.eye(2), 0.0, 64,
                               RADIAL_NODES).volume_gap(deficit_weight(d))
     assert patch_gap > 0.05 * sam.ball_deficit[0]
@@ -334,6 +378,28 @@ def test_build_competitor_refuses_an_aliased_sweep(k):
     assert f"patch gap {patch_gap:.6e}" in message
     assert f"advance map's {sam.matches[0].gap:.6e}" in message
     assert f"tolerance {VOLUME_RTOL * sam.ball_deficit[0]:.3e}" in message
+
+
+@pytest.mark.parametrize("k, psi_samples", [(16, 64), (32, 128)])
+def test_build_competitor_resolves_a_mode_at_the_grid(k, psi_samples):
+    # cos(k theta) on k angles: the k-sample psi rule and its every other
+    # sample alias mode k onto mode 0 alike, but the (k+1)-sample check
+    # reads it as mode -1, so the rule is refined until it resolves the
+    # mode, and the build certifies; each advance's patch gap, at 8 angles,
+    # matches its spectral match within the tolerance plus the pass estimate
+    d = _angular(2, k)
+    cert = build_competitor(d, eps=0.05, R_min=10.0, R_max=200.0,
+                            circle_grid=k, mc_samples=20_000)
+    assert cert.strict and not cert.degenerate
+    assert all(value for value in cert.bounds.values() if isinstance(value, bool))
+    assert SweepSpectrum(deficit_weight(d), 2, 10.0, np.eye(2),
+                         k).psi_samples == psi_samples
+    sam = cert.advance
+    for i in range(0, k, k // 8):
+        _, volume, patch_gap = _pass_estimates(d, 10.0, sam.theta[i],
+                                               sam.advance[i])
+        assert (abs(patch_gap - sam.matches[i].gap)
+                <= VOLUME_RTOL * sam.ball_deficit[i] + volume)
 
 
 def _swept_case(d, R, grid, nodes):
@@ -1223,6 +1289,27 @@ def test_spectrum_refines_psi_grid(monkeypatch):
     monkeypatch.setattr(isoplab.spectral, "REFINE_ROUNDS", 0)
     with pytest.raises(RuntimeError, match="psi grid of 48 samples"):
         SweepSpectrum(deficit_weight(d), 2, 6.0, np.eye(2), 48)
+
+
+@pytest.mark.parametrize("k, check", [(6, "every-other-sample"),
+                                      (16, "17-sample")])
+def test_spectrum_refinement_failure_names_its_check(monkeypatch, k, check):
+    # on 16 angles the psi rule starts at 16 samples, its ceiling without
+    # refinement: harmonic 6 is resolved by the rule and by the 17-sample
+    # check but aliases on the every other sample; harmonic 16 aliases onto
+    # mode 0 on the rule and on its every other sample alike, and only the
+    # 17-sample check sees it.  With refinement both are resolved
+    d = _angular(2, k)
+    assert SweepSpectrum(deficit_weight(d), 2, 10.0, np.eye(2),
+                         16).psi_samples == 64
+    monkeypatch.setattr(isoplab.spectral, "REFINE_ROUNDS", 0)
+    with pytest.raises(RuntimeError) as err:
+        SweepSpectrum(deficit_weight(d), 2, 10.0, np.eye(2), 16)
+    message = str(err.value)
+    assert message.startswith("psi grid of 16 samples")
+    assert f"the {check} rule's" in message
+    assert "at angle " in message
+    assert "M = 16 is the ceiling 16 = 16 x GRID_REFINE^REFINE_ROUNDS" in message
 
 
 def test_angle_scans_use_only_the_spectrum(monkeypatch):

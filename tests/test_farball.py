@@ -10,7 +10,7 @@ from isoplab import (Density, RadialDeficit, ball_deficit_measures,
                      deficit_profile, density_from_config, directional_margins,
                      find_far_radius, select_direction, select_working_circle,
                      unit_ball_volume, weighted_ball_measures)
-from isoplab.defaults import RADIAL_NODES
+from isoplab.defaults import PSI_START, RADIAL_NODES
 from isoplab.density import deficit_weight
 from isoplab.layers import exact_kernels
 from isoplab.quadrature import frame_from_axis, sphere_grid
@@ -211,7 +211,7 @@ def test_select_direction_mean_margin_is_the_spectrum_zero_mode():
     plane = select_working_circle(d, R, eps, quad_nodes=16)
     spectrum = SweepSpectrum(deficit_weight(d), 3, R,
                              frame_from_axis(plane[:, 0], plane[:, 1]), 90, 16)
-    assert spectrum.psi_samples == 90
+    assert spectrum.psi_samples == PSI_START
     m = spectrum.modes
     P0 = (m.lead_sphere[0] + m.trail_sphere[0]).real
     V0 = (m.lead[0] + m.trail[0]).real
@@ -231,7 +231,7 @@ def test_select_direction_counts_the_spectrums_points():
     plane = select_working_circle(d, R, eps, quad_nodes=16)
     spectrum = SweepSpectrum(deficit_weight(d), 3, R,
                              frame_from_axis(plane[:, 0], plane[:, 1]), 90, 16)
-    points = RADIAL_NODES * len(sphere_grid(2, 16, 16)[0]) * 90
+    points = RADIAL_NODES * len(sphere_grid(2, 16, 16)[0]) * PSI_START
     assert spectrum.modes.nodes * spectrum.psi_samples == points
     assert cert.P_g.samples_or_nodes == cert.V_g.samples_or_nodes == points
 

@@ -9,8 +9,8 @@ import pytest
 
 from isoplab import density_from_config, spectral, weighted_ball_measures
 from isoplab.competitor import sweep_advance_map
-from isoplab.defaults import (BALL_CHUNK_POINTS, CIRCLE_GRID, RADIAL_NODES,
-                              SPHERE_NODES)
+from isoplab.defaults import (BALL_CHUNK_POINTS, CIRCLE_GRID, PSI_START,
+                              RADIAL_NODES, SPHERE_NODES, VOLUME_RTOL)
 from isoplab.density import deficit_weight
 from isoplab.measures import swept_excess
 from isoplab.quadrature import sphere_grid, unit_ball_volume, unit_sphere_area
@@ -25,10 +25,10 @@ def _random_frame(n, seed):
     return Q
 
 
-def _angular(n):
+def _angular(n, k=1):
     return deficit_weight(density_from_config(
         {"family": "angular_mod", "dim": n, "a": 1.0,
-         "params": {"eta": 0.5, "k": 1, "c": 1.0}}))
+         "params": {"eta": 0.5, "k": k, "c": 1.0}}))
 
 
 @pytest.mark.parametrize("n, k", PAIRS)
@@ -159,7 +159,9 @@ def test_every_other_rule_equals_the_rule_with_its_own_tables(monkeypatch, M):
 def test_advance_map_forms_the_grid_table_once_per_round(monkeypatch):
     # a work counter: the 720-angle phase table is formed once per psi-grid
     # refinement round and read by every later grid evaluation and lockstep
-    # round (2,691,680 table elements when each formed its own)
+    # round (2,691,680 table elements when each formed its own), and every
+    # table has the PSI_START-sample rule's 17 modes (1,368,912 elements
+    # when the psi rule had as many samples as the grid)
     d = density_from_config({"family": "angular_mod", "dim": 2, "a": 1.0,
                              "params": {"eta": 0.5, "k": 1, "c": 1.0}})
     theta = 2.0 * math.pi * np.arange(CIRCLE_GRID) / CIRCLE_GRID
@@ -176,4 +178,24 @@ def test_advance_map_forms_the_grid_table_once_per_round(monkeypatch):
     monkeypatch.setattr(spectral, "_mode_sums", counted_mode_sums)
     sweep_advance_map(d, 10.0, np.eye(2), eps=0.05)
     assert sum(grid for _, grid in tables) == sum(rounds) >= 1
-    assert sum(size for size, _ in tables) <= 1_400_000
+    assert sum(size for size, _ in tables) <= 64_464
+
+
+@pytest.mark.parametrize("k", [4, 8, 16, 48, 96, 600])
+def test_psi_rule_resolves_the_deficits_bandwidth(k):
+    # angular_mod in N = 2 has the modes 0 and k in the sweep angle: on 720
+    # angles the psi rule starts at PSI_START samples and is refined until
+    # it resolves mode k (past 2k samples; 8192 for k = 600, which aliased
+    # on a 720-sample rule and its every other sample alike), and every
+    # ball lies within its estimate, and within VOLUME_RTOL, of a rule of
+    # 4k + 64 samples on the same disk nodes (4 radii: the weight's cost
+    # grows with k)
+    g = _angular(2, k)
+    spectrum = SweepSpectrum(g, 2, 10.0, np.eye(2), CIRCLE_GRID, 8, 4)
+    assert spectrum.psi_samples > max(2 * k, PSI_START - 1)
+    reference = _mode_sums(g, np.eye(2), _disk(2, 10.0, 8, 4), 4 * k + 64,
+                           every_other=False)
+    (exact,), _ = _evaluate(reference, ("lead", "trail"), spectrum.theta)
+    balls, error = spectrum.balls(spectrum.theta)
+    assert np.all(np.abs(balls - exact) <= error)
+    assert np.all(np.abs(balls - exact) <= VOLUME_RTOL * exact)
