@@ -11,7 +11,7 @@ RADIAL_NODES        64         Gauss nodes along radial directions
 SCAN_STEP           0.25       sliding-search grid step in the offset R
 CIRCLE_GRID         720        working-circle grid: advance map, far-ball angles
 GRID_REFINE         4          refinement factor of scan grids and layer panels
-REFINE_ROUNDS       2          refinement rounds before reporting failure
+REFINE_ROUNDS       2          refinement rounds before failure; psi-grid ceiling
 VOLUME_RTOL         1e-8       volume matching tolerance, relative to |B|_g
 ENDPOINT_MARGIN     1e-6       kernel grids stay inside |t| <= 1 - margin
 REPORT_CLIP         1e-9       clip for tabulated exact kernels near t = +-1
