@@ -11,13 +11,14 @@ RADIAL_NODES        64         Gauss nodes along radial directions
 SCAN_STEP           0.25       sliding-search grid step in the offset R
 CIRCLE_GRID         720        working-circle grid: advance map, far-ball angles
 GRID_REFINE         4          refinement factor of scan grids and layer panels
-REFINE_ROUNDS       2          refinement rounds before failure; psi-grid ceiling
+REFINE_ROUNDS       2          refinement rounds before failure; rule ceilings
 VOLUME_RTOL         1e-8       volume matching tolerance, relative to |B|_g
 ENDPOINT_MARGIN     1e-6       kernel grids stay inside |t| <= 1 - margin
 REPORT_CLIP         1e-9       clip for tabulated exact kernels near t = +-1
 DEGENERACY_TOL      0.0        deficits sampled exactly zero count as vanished
 BALL_CHUNK_POINTS   65_536     points per weight call in scans and Monte Carlo
 PSI_START           32         first psi grid of a sweep spectrum (or fewer)
+CIRCLE_START        8          first circle rule of the working-circle descent
 ==================  =========  ==================================================
 
 Deficit degeneracy is exact on purpose: registered families carry closed-form
@@ -37,7 +38,11 @@ every-other-sample rule and a rule of one sample more both agree with it to
 VOLUME_RTOL, never past the angle grid's even multiple times
 GRID_REFINE^REFINE_ROUNDS.  The working-circle descent's candidate means
 come from the same meridian rule about each candidate subspace
-(``spectral.subsphere_means``).  These scans, the far-radius tail test and
+(``spectral.subsphere_means``), all candidates in shared weight calls.  Its
+circle rule is sized the same way: it starts at CIRCLE_START samples and is
+refined by GRID_REFINE until its every-other-sample rule and, on half the
+meridian nodes, a rule of one sample more agree with it to VOLUME_RTOL, up
+to CIRCLE_START x GRID_REFINE^REFINE_ROUNDS, where it is kept.  These scans, the far-radius tail test and
 the Monte-Carlo draws hand the weight at most BALL_CHUNK_POINTS points per
 call, which keeps the per-call overhead negligible while the peak memory
 stays a few megabytes.
@@ -58,5 +63,6 @@ REPORT_CLIP = 1e-9
 DEGENERACY_TOL = 0.0
 BALL_CHUNK_POINTS = 65_536
 PSI_START = 32
+CIRCLE_START = 8
 
 SCHEMA_VERSION = 1

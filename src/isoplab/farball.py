@@ -98,13 +98,14 @@ def _first_tied(margin: np.ndarray, spread: np.ndarray) -> int:
 def _axes_up_to_sign(m: int, axis_nodes: int) -> np.ndarray:
     """The axes of ``sphere_grid(m, axis_nodes, 2 * axis_nodes)`` in grid
     order, less each one whose antipode (within 1e-9 in every coordinate)
-    was kept before it."""
+    comes before it.  One pairwise table marks the antipodes; no two axes of
+    a sphere grid coincide, so an axis has at most one, and an earlier
+    antipode was itself kept."""
     axes = sphere_grid(m, axis_nodes, 2 * axis_nodes)[0]
-    kept, count = np.empty_like(axes), 0
-    for axis_sub in axes:
-        if not np.any(np.max(np.abs(kept[:count] + axis_sub), axis=1) <= 1e-9):
-            kept[count], count = axis_sub, count + 1
-    return kept[:count]
+    antipode = np.ones((len(axes), len(axes)), dtype=bool)
+    for column in axes.T:
+        antipode &= np.abs(column[:, None] + column[None]) <= 1e-9
+    return axes[~np.any(np.tril(antipode, -1), axis=1)]
 
 
 def select_working_circle(d: Density, R: float, eps: float = EPS,
@@ -115,12 +116,14 @@ def select_working_circle(d: Density, R: float, eps: float = EPS,
     At each level the axis grid is scanned, and each axis's candidate is the
     subsphere orthogonal to it.  Its mean margin P_g - (N - eps) V_g over the
     balls centred on the subsphere of radius R comes in closed form from
-    ``spectral.subsphere_means``, with an error estimate, and the first
-    candidate tied with the best one is kept (``_first_tied``).  An axis
-    whose antipode was already scanned is skipped: both are orthogonal to
-    the same subsphere.  The surviving 2-plane is returned as an (N, 2)
-    orthonormal basis.  Radial weights short-circuit to the first
-    coordinate plane.
+    ``spectral.subsphere_means``, all candidates of a level at once, with
+    an error estimate, and the first candidate tied with the best one is
+    kept (``_first_tied``).  The last level's circle rule is sized by the
+    deficit; ``circle_nodes`` sets the azimuth count of the levels of
+    subsphere dimension 3 and more (N >= 4) only.  An axis whose antipode
+    was already scanned is skipped: both are orthogonal to the same
+    subsphere.  The surviving 2-plane is returned as an (N, 2) orthonormal
+    basis.  Radial weights short-circuit to the first coordinate plane.
     """
     n = d.dim
     if d.radial or n == 2:

@@ -67,10 +67,16 @@ radius t at t = 1 of the mean ball of radius t (coarea formula): d cos(gamma)
 R sin(gamma) = cos(tau) sqrt(R / s) cos(gamma / 2), so w_D s^{k-2}
 sin^{k-3}(gamma) / R is the hemisphere weight above times
 (s sin gamma)^{k-2}: smooth on D for every k, with no 1 / sin(gamma) left
-for k = 2.  For k = 2 (the only level in N = 3) the two sums are the k = 0
-Fourier modes of ``lead + trail`` and ``lead_sphere + trail_sphere``.
-Their error estimate is computed as for the spectrum: half the angular
-rule on the subsphere, and half the nodes of D.
+for k = 2.  For k = 2 (the only level in N = 3, and the last one for every
+N) the two sums are the k = 0 Fourier modes of ``lead + trail`` and
+``lead_sphere + trail_sphere``, and the circle's uniform rule is sized as
+the spectrum's psi rule is: from ``CIRCLE_START`` samples, checked against
+its every other sample and, on half the nodes of D, against a rule of one
+sample more.  Their error estimate sums those two checks' differences, the
+difference from half the nodes of D and the rounding floor.  A level
+k >= 3 keeps a fixed rule on its sphere; its estimate is the differences
+from half the angular rule and half the nodes of D, plus the floor.  All
+candidate subspaces of a level share the weight calls.
 """
 
 from __future__ import annotations
@@ -80,8 +86,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import (BALL_CHUNK_POINTS, GRID_REFINE, PSI_START, RADIAL_NODES,
-                       REFINE_ROUNDS, SPHERE_NODES, VOLUME_RTOL)
+from .defaults import (BALL_CHUNK_POINTS, CIRCLE_START, GRID_REFINE, PSI_START,
+                       RADIAL_NODES, REFINE_ROUNDS, SPHERE_NODES, VOLUME_RTOL)
 from .layers import sin_power_integral
 from .measures import swept_excess
 from .quadrature import gauss_nodes, sphere_grid, unit_sphere_area
@@ -390,60 +396,135 @@ class SweepSpectrum:
         return gaps
 
 
+@dataclass(frozen=True)
+class SubsphereMeans:
+    """Means of P_g and V_g over subspheres of centres, one row per frame,
+    columns (P_g, V_g), with their error estimates; unpacks as
+    (means, errors).  ``circle_samples`` is the azimuth count of the
+    subsphere rule: the settled circle rule at k = 2, ``circle_nodes`` at
+    k >= 3."""
+
+    means: np.ndarray
+    errors: np.ndarray
+    circle_samples: int
+
+    def __iter__(self):
+        return iter((self.means, self.errors))
+
+
+def _meridian_rule(n: int, R: float, k: int, nodes: int, radial_nodes: int):
+    """Nodes (s, w) of the meridian ball of a k-dimensional subspace and the
+    kernels of the mean P_g and V_g at them, shape (2, nodes)."""
+    sz, w, w_sphere, gamma = _disk(n, R, nodes, radial_nodes, k)
+    ratio = unit_sphere_area(k - 1) / unit_sphere_area(k)
+    sigma = ratio * sin_power_integral(k - 2, gamma,
+                                       one_minus_cos=2.0 * np.sin(0.5 * gamma) ** 2)
+    return sz, np.stack([ratio * w_sphere, w * sigma])
+
+
+def _subsphere_sums(g, frames: np.ndarray, k: int, rule, u, wu):
+    """(means, every-other-sample means, rounding floors), each of shape
+    (frames, 2), of the meridian-ball rule ``rule`` times the subsphere rule
+    (u, wu) about every frame's first k columns.
+
+    All frames share the weight calls: each call takes a block of frames
+    times a block of meridian nodes times the subsphere rule, at most
+    ``BALL_CHUNK_POINTS`` points (one node if the subsphere rule is
+    larger), built by broadcasting s ring[frames] + offset[frames, nodes].
+    Every per-node and per-frame sum runs over the same contiguous axis as
+    for one frame alone, so a frame's floats do not depend on its block.
+    The every-other means weight every other sample twice: the half rule
+    of a uniform circle.  The floor is the worst-case rounding of a sum of
+    as many terms as nodes and angles, times the sum of the terms' moduli.
+    """
+    sz, kernel = rule
+    n, nodes, angles = frames.shape[1], len(sz), len(wu)
+    # each frame's subsphere rule, coordinate first, and its complement as rows
+    ring = np.add.reduce(u[None, :, :, None]
+                         * frames[:, :, :k].transpose(0, 2, 1)[:, None],
+                         axis=2).transpose(2, 0, 1)
+    normal = frames[:, :, k:].transpose(0, 2, 1)
+    node_step = min(nodes, max(1, BALL_CHUNK_POINTS // angles))
+    frame_step = max(1, BALL_CHUNK_POINTS // (node_step * angles))
+    sums = np.empty((len(frames), 3, nodes))
+    for f in range(0, len(frames), frame_step):
+        e = min(f + frame_step, len(frames))
+        for i in range(0, nodes, node_step):
+            j = min(i + node_step, nodes)
+            offset = np.add.reduce(sz[None, i:j, 1:, None] * normal[f:e, None], axis=2)
+            # the points coordinate by coordinate, nodes innermost: the
+            # broadcasts run over the long axis, and g reads whole columns
+            pts = np.multiply(ring[:, f:e, :, None], sz[i:j, 0])
+            pts += offset.transpose(2, 0, 1)[:, :, None]
+            vals = np.asarray(g(pts.reshape(n, -1).T), dtype=float)
+            vals = np.multiply(wu, vals.reshape(e - f, angles, j - i)
+                               .transpose(0, 2, 1), order="C")
+            sums[f:e, 0, i:j] = np.add.reduce(vals, axis=2)
+            sums[f:e, 1, i:j] = np.add.reduce(np.abs(vals), axis=2)
+            sums[f:e, 2, i:j] = np.add.reduce(2.0 * vals[..., ::2], axis=2)
+    return (np.add.reduce(kernel * sums[:, 0, None], axis=2),
+            np.add.reduce(kernel * sums[:, 2, None], axis=2),
+            ULP * (nodes + angles)
+            * np.add.reduce(np.abs(kernel) * sums[:, 1, None], axis=2))
+
+
 def subsphere_means(g, frames, k: int, R: float, nodes: int = SPHERE_NODES,
-                    radial_nodes: int = RADIAL_NODES, circle_nodes: int = 32):
+                    radial_nodes: int = RADIAL_NODES,
+                    circle_nodes: int = 32) -> SubsphereMeans:
     """Means of P_g and V_g of the unit balls about R v over the unit vectors
     v of a k-dimensional subspace, one subspace per frame.
 
     Each frame is an (N, N) orthonormal matrix whose first k columns span
-    the subspace.  Returns (means, errors), each of shape (frames, 2) with
-    columns (P_g, V_g).  A mean is a sum over the nodes (s, w) of the
-    meridian ball of the deficit's integral over the sphere {s u + w}, on
-    ``sphere_grid(k, max(8, circle_nodes // 4), circle_nodes)``, times the
-    kernels of the module docstring.  Its error estimate is its differences
-    from the rule with half the angular nodes and from the rule with half
-    the meridian-ball nodes, plus the worst-case rounding of its sum: as
-    many terms as nodes and angles, times the sum of the terms' moduli.
-    For k = 2 and an even ``circle_nodes`` the half angular rule is every
-    other sample of the full one with doubled weights, so it evaluates no
-    deficit of its own.
+    the subspace.  Returns a ``SubsphereMeans``, which unpacks as (means,
+    errors), each of shape (frames, 2) with columns (P_g, V_g).  A mean is
+    a sum over the nodes (s, w) of the meridian ball of the deficit's
+    integral over the sphere {s u + w}, times the kernels of the module
+    docstring; all frames share the weight calls (``_subsphere_sums``).
+
+    For k = 2 the sphere is a circle, and its uniform rule of C samples is
+    sized by the deficit, as the sweep spectrum's psi rule is: C starts at
+    ``CIRCLE_START`` and is accepted when, for every frame, both checks
+    agree with it to ``VOLUME_RTOL`` times the mean plus the rounding
+    floor: the C-rule's every other sample, and, on the rule with half the
+    meridian nodes, a uniform rule of C + 1 samples, which is no sub-rule
+    of it and so sees the modes at multiples of C.  Otherwise C is
+    multiplied by ``GRID_REFINE`` up to CIRCLE_START x
+    GRID_REFINE^REFINE_ROUNDS, where it is accepted: the descent only ranks
+    the candidates, so a disagreement there stays in the estimate.  The
+    estimate is the differences from the every-other rule, of the C and
+    C + 1 rules on the half meridian rule, and from the half meridian
+    rule, plus the rounding floor.
+
+    For k >= 3 the rule is ``sphere_grid(k, max(8, circle_nodes // 4),
+    circle_nodes)``: ``circle_nodes`` sets that level's azimuth count and
+    nothing at k = 2.  The estimate is the differences from the rule with
+    half the angular nodes and from the rule with half the meridian-ball
+    nodes, plus the rounding floor.
     """
-    n = frames[0].shape[0]
-    polar = max(8, circle_nodes // 4)
-    ratio = unit_sphere_area(k - 1) / unit_sphere_area(k)
-    every_other = k == 2 and circle_nodes % 2 == 0
-    specs = [((nodes, radial_nodes), (polar, circle_nodes)),
-             ((max(1, nodes // 2), max(1, radial_nodes // 2)), (polar, circle_nodes)),
-             ((nodes, radial_nodes), (max(1, polar // 2), max(1, circle_nodes // 2)))]
-    rules = []
-    for args, angles in specs[:2] if every_other else specs:
-        sz, w, w_sphere, gamma = _disk(n, R, *args, k)
-        sigma = ratio * sin_power_integral(k - 2, gamma,
-                                           one_minus_cos=2.0 * np.sin(0.5 * gamma) ** 2)
-        rules.append((sz, np.stack([ratio * w_sphere, w * sigma]),
-                      *sphere_grid(k, *angles)))
-    means, errors = np.empty((len(frames), 2)), np.empty((len(frames), 2))
-    for f, frame in enumerate(frames):
-        values = []
-        for sz, kernel, u, wu in rules:
-            ring = np.add.reduce(u[:, :, None] * frame[:, :k].T[None], axis=1)
-            offset = np.add.reduce(sz[:, 1:, None] * frame[:, k:].T[None], axis=1)
-            sums = np.empty((3, len(sz)))
-            step = max(1, BALL_CHUNK_POINTS // len(wu))
-            for i in range(0, len(sz), step):
-                j = min(i + step, len(sz))
-                pts = sz[i:j, 0, None, None] * ring[None] + offset[i:j, None, :]
-                vals = wu * np.asarray(g(pts.reshape(-1, n)),
-                                       dtype=float).reshape(j - i, -1)
-                sums[0, i:j] = np.add.reduce(vals, axis=1)
-                sums[1, i:j] = np.add.reduce(np.abs(vals), axis=1)
-                sums[2, i:j] = np.add.reduce(2.0 * vals[:, ::2], axis=1)
-            values.append((np.add.reduce(kernel * sums[0], axis=1),
-                           np.add.reduce(kernel * sums[2], axis=1),
-                           ULP * (len(sz) + len(wu))
-                           * np.add.reduce(np.abs(kernel) * sums[1], axis=1)))
-        (full, alias, floor), (disk, _, _) = values[:2]
-        angular = alias if every_other else values[2][0]
-        means[f] = full
-        errors[f] = np.abs(full - angular) + np.abs(full - disk) + floor
-    return means, errors
+    frames = np.asarray(frames, dtype=float)
+    n = frames.shape[1]
+    full = _meridian_rule(n, R, k, nodes, radial_nodes)
+    half = _meridian_rule(n, R, k, max(1, nodes // 2), max(1, radial_nodes // 2))
+    if k > 2:
+        polar = max(8, circle_nodes // 4)
+        sphere = sphere_grid(k, polar, circle_nodes)
+        means, _, floor = _subsphere_sums(g, frames, k, full, *sphere)
+        disk = _subsphere_sums(g, frames, k, half, *sphere)[0]
+        angular = _subsphere_sums(g, frames, k, full, *sphere_grid(
+            k, max(1, polar // 2), max(1, circle_nodes // 2)))[0]
+        return SubsphereMeans(means, np.abs(means - angular) + np.abs(means - disk)
+                              + floor, circle_nodes)
+    ceiling = CIRCLE_START * GRID_REFINE ** REFINE_ROUNDS
+    C = CIRCLE_START
+    while True:
+        circle = sphere_grid(2, 1, C)     # S^1 takes no polar nodes
+        means, alias, floor = _subsphere_sums(g, frames, 2, full, *circle)
+        disk, _, disk_floor = _subsphere_sums(g, frames, 2, half, *circle)
+        other = _subsphere_sums(g, frames, 2, half, *sphere_grid(2, 1, C + 1))[0]
+        alias_gap, coprime_gap = np.abs(alias - means), np.abs(other - disk)
+        if C == ceiling or (
+                np.all(alias_gap <= VOLUME_RTOL * np.abs(means) + floor)
+                and np.all(coprime_gap <= VOLUME_RTOL * np.abs(disk) + disk_floor)):
+            return SubsphereMeans(means, alias_gap + coprime_gap
+                                  + np.abs(means - disk) + floor, C)
+        C = min(C * GRID_REFINE, ceiling)

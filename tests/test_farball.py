@@ -190,15 +190,18 @@ def test_select_direction_on_the_working_circle(monkeypatch, k):
 
 @pytest.mark.parametrize("m", [3, 4])
 def test_axes_up_to_sign_equal_the_pairwise_scan(m):
-    # one array comparison per axis keeps the axes that comparing it with
-    # each kept axis in turn keeps
-    kept = []
-    for axis in sphere_grid(m, 8, 16)[0].tolist():
-        if not any(max(abs(p + q) for p, q in zip(a, axis)) <= 1e-9 for a in kept):
-            kept.append(axis)
-    axes = isoplab.farball._axes_up_to_sign(m, 8)
-    assert len(kept) < len(sphere_grid(m, 8, 16)[0])
-    assert np.array_equal(axes, np.array(kept))
+    # the pairwise antipode table keeps the axes, in the same order, that
+    # comparing each axis with every axis kept before it keeps
+    for axis_nodes in range(4, 9):
+        grid = sphere_grid(m, axis_nodes, 2 * axis_nodes)[0]
+        kept = []
+        for axis in grid.tolist():
+            if not any(max(abs(p + q) for p, q in zip(a, axis)) <= 1e-9
+                       for a in kept):
+                kept.append(axis)
+        axes = isoplab.farball._axes_up_to_sign(m, axis_nodes)
+        assert len(kept) < len(grid)
+        assert np.array_equal(axes, np.array(kept))
 
 
 def test_select_direction_mean_margin_is_the_spectrum_zero_mode():

@@ -9,13 +9,17 @@ import pytest
 
 from isoplab import density_from_config, spectral, weighted_ball_measures
 from isoplab.competitor import sweep_advance_map
-from isoplab.defaults import (BALL_CHUNK_POINTS, CIRCLE_GRID, PSI_START,
-                              RADIAL_NODES, SPHERE_NODES, VOLUME_RTOL)
+from isoplab.defaults import (BALL_CHUNK_POINTS, CIRCLE_GRID, CIRCLE_START,
+                              GRID_REFINE, PSI_START, RADIAL_NODES,
+                              REFINE_ROUNDS, SPHERE_NODES, VOLUME_RTOL)
 from isoplab.density import deficit_weight
+from isoplab.farball import _axes_up_to_sign
 from isoplab.measures import swept_excess
-from isoplab.quadrature import sphere_grid, unit_ball_volume, unit_sphere_area
-from isoplab.spectral import (SweepSpectrum, _disk, _evaluate, _mode_sums,
-                              _powers, _shift, subsphere_means)
+from isoplab.quadrature import (frame_from_axis, sphere_grid, unit_ball_volume,
+                                unit_sphere_area)
+from isoplab.spectral import (SweepSpectrum, _disk, _evaluate, _meridian_rule,
+                              _mode_sums, _powers, _shift, _subsphere_sums,
+                              subsphere_means)
 
 PAIRS = [(3, 2), (4, 2), (4, 3), (5, 4)]
 
@@ -77,6 +81,74 @@ def test_subsphere_means_are_the_spectrum_zero_mode():
     zero = np.array([(modes.lead_sphere[0] + modes.trail_sphere[0]).real,
                      (modes.lead[0] + modes.trail[0]).real])
     assert np.all(np.abs(means[0] - zero) <= 1e-14 * zero)
+
+
+@pytest.mark.parametrize("n, k, chunk", [(3, 2, 600), (4, 3, 5_000)])
+def test_batched_subsphere_means_equal_per_frame_calls(monkeypatch, n, k, chunk):
+    # the chunk splits the full meridian rule's nodes of one frame over
+    # several weight calls and puts two frames' half rules in one call; the
+    # floats are those of one frame at a time in the default chunks
+    g = _angular(n)
+    frames = [_random_frame(n, 100 + seed) for seed in range(5)]
+    alone = [subsphere_means(g, [frame], k, 10.0, 8, 16, 8) for frame in frames]
+    monkeypatch.setattr(spectral, "BALL_CHUNK_POINTS", chunk)
+    batched = subsphere_means(g, frames, k, 10.0, 8, 16, 8)
+    assert np.array_equal(batched.means, np.concatenate([a.means for a in alone]))
+    assert np.array_equal(batched.errors, np.concatenate([a.errors for a in alone]))
+    assert {a.circle_samples for a in alone} == {batched.circle_samples}
+
+
+def _descent_frames(n, axis_nodes):
+    """The candidate frames of the N = 3 descent's only level."""
+    return [np.column_stack([F[:, 1:], F[:, :1]])
+            for F in map(frame_from_axis, _axes_up_to_sign(n, axis_nodes))]
+
+
+def test_circle_rule_settles_at_its_start():
+    # angular_mod k = 1 has the modes 0 and 1 on every circle of centres
+    out = subsphere_means(_angular(3), _descent_frames(3, 4), 2, 10.0, 16, 16)
+    assert out.circle_samples == CIRCLE_START
+
+
+def _circle_reference(g, frames):
+    """The means of a fixed 128-sample circle rule on the meridian rule of
+    16 x 16 nodes, and (means, every-other means, floors) of the
+    CIRCLE_START-sample rule on it."""
+    rule = _meridian_rule(3, 10.0, 2, 16, 16)
+    return (_subsphere_sums(g, frames, 2, rule, *sphere_grid(2, 1, 128))[0],
+            _subsphere_sums(g, frames, 2, rule, *sphere_grid(2, 1, CIRCLE_START)))
+
+
+@pytest.mark.parametrize("k", [8, 16])
+def test_circle_rule_refines_past_an_aliased_mode(k):
+    # angular_mod's mode k on a circle of centres aliases onto mode 0 of the
+    # 8-sample rule and of its every other sample; the rule refines past
+    # CIRCLE_START, and the means lie within their estimates of a fixed
+    # 128-sample rule on the same meridian nodes
+    g, frames = _angular(3, k), np.array(_descent_frames(3, 4))
+    reference, (start, _, _) = _circle_reference(g, frames)
+    assert np.any(np.abs(start - reference) > VOLUME_RTOL * np.abs(reference))
+    out = subsphere_means(g, frames, 2, 10.0, 16, 16)
+    assert CIRCLE_START < out.circle_samples <= CIRCLE_START * GRID_REFINE ** REFINE_ROUNDS
+    assert np.all(np.abs(out.means - reference) <= out.errors)
+
+
+def test_coprime_check_sees_a_mode_at_the_start():
+    # a deficit whose only mode on the circles about the e1-e2 plane is
+    # CIRCLE_START: the 8-sample rule and its every other sample alias it
+    # onto mode 0 alike and agree with each other; the (C + 1)-sample rule
+    # on the half meridian rule sees it, and the rule refines
+    def g(x):
+        r = np.linalg.norm(x, axis=-1)
+        turn = ((x[:, 0] + 1j * x[:, 1]) / r) ** CIRCLE_START
+        return np.exp(-r) * (1.0 + 0.5 * turn.real)
+    frames = np.eye(3)[None]
+    reference, (start, alias, floor) = _circle_reference(g, frames)
+    assert np.all(np.abs(alias - start) <= VOLUME_RTOL * np.abs(start) + floor)
+    assert np.all(np.abs(start - reference) > VOLUME_RTOL * np.abs(reference))
+    out = subsphere_means(g, frames, 2, 10.0, 16, 16)
+    assert out.circle_samples == CIRCLE_START * GRID_REFINE
+    assert np.all(np.abs(out.means - reference) <= out.errors)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import isoplab
+from isoplab import defaults
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 WORKLOADS = TRACING.with_name("workloads.py")
+README = TRACING.parents[1] / "README.md"
 
 
 def test_traced_functions_exist():
@@ -56,3 +59,29 @@ def test_benchmark_names_exist():
             missing.append(name)
     assert {"build_competitor", "cli.run", "cylinder_extension"} <= names
     assert missing == []
+
+
+def _table_values(rows, pattern: str) -> dict[str, float]:
+    """name -> value of the table rows matching ``pattern`` (groups name,
+    value), with digit separators ``_`` and ``,`` dropped."""
+    found = {}
+    for row in rows:
+        match = re.match(pattern, row)
+        if match:
+            name, value = match.groups()
+            found[name] = float(value.replace("_", "").replace(",", ""))
+    return found
+
+
+def test_every_default_is_in_both_tables():
+    # a constant of isoplab.defaults, with its value, in the docstring table
+    # of defaults.py and in the README's defaults table
+    constants = {name: value for name, value in vars(defaults).items()
+                 if name.isupper() and name != "SCHEMA_VERSION"}
+    docstring = _table_values(defaults.__doc__.splitlines(),
+                              r"([A-Z][A-Z_]+)\s+([-+0-9.e_,]+)\s")
+    readme = _table_values(README.read_text().splitlines(),
+                           r"\|\s*([A-Z][A-Z_]+)\s*\|\s*([-+0-9.e_,]+)\s*\|")
+    assert len(constants) > 10
+    for table in (docstring, readme):
+        assert {name: table.get(name) for name in constants} == constants
