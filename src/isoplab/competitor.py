@@ -43,7 +43,7 @@ from .measures import (CylinderExtended, CylinderFamily, GaussPass,
                        MeasureResult, PlainBall, RotationSwept, circle_point,
                        gauss_rules, integrate_patches, mc_integrals,
                        mean_density, patch_integrals, set_patches,
-                       shrink_terms, swept_excess, swept_patches)
+                       shrink_terms, sized_pass, swept_excess, swept_patches)
 from .quadrature import frame_from_axis, sphere_grid, unit_ball_volume
 from .spectral import ULP, SweepSpectrum
 
@@ -293,13 +293,24 @@ def ray_monotone_on_samples(d: Density, r_lo: float, r_hi: float) -> bool:
     return bool(np.all(np.diff(vals, axis=0) <= 4.0 * ULP * (size[:-1] + size[1:])))
 
 
+def _pass_record(quad: GaussPass) -> dict:
+    """The deterministic record of a certified set's Gauss pass: its rule,
+    and its estimates of the deficit, the last integrand, over the boundary
+    and over the interior."""
+    surface, volume = quad.estimates(-1)
+    return {"pass_rule": list(quad.rule), "pass_surface_estimate": surface,
+            "pass_volume_estimate": volume}
+
+
 class _CylinderPieces:
     """Deficit-space volume gap and perimeter margin of the cylinder-extended
     sets along the first column of ``frame``: the excess minus the
     g-integrals over ``measures.CylinderFamily``, the patches that
     ``set_measures`` integrates the weight over.  The pieces every height
     shares (the far caps, and the near caps at height zero) are integrated
-    once and their floats subtracted in the same order."""
+    once, and so are the pieces of the height last asked for, which the
+    margin and the shifted-boundary check at the match share; their floats
+    are subtracted in the same order."""
 
     def __init__(self, d: Density, R: float, frame: np.ndarray,
                  nodes: int = SPHERE_NODES, radial_nodes: int = RADIAL_NODES):
@@ -307,19 +318,42 @@ class _CylinderPieces:
         # delta -> the patches of the set of height delta
         self.patches = CylinderFamily(d.dim, R, frame, nodes, radial_nodes)
         self._shared = dict.fromkeys(self.patches.shared)
+        self._last = None       # (delta, its patches, their integrals)
+
+    @classmethod
+    def sized(cls, d: Density, R: float, frame: np.ndarray):
+        """The pieces on the rule that ``sized_pass`` settles on for the set
+        of height zero, up to (SPHERE_NODES, RADIAL_NODES), starting from
+        that pass's integrals; and the pass."""
+        families = {}
+
+        def height_zero(*rule):
+            if rule not in families:
+                families[rule] = cls(d, R, frame, *rule)
+            return families[rule].patches(0.0)
+        quad = sized_pass(height_zero, [deficit_weight(d)], SPHERE_NODES,
+                          RADIAL_NODES)
+        pieces = families[quad.rule]
+        for make in pieces._shared:
+            pieces._shared[make] = quad.integral(0)(make)
+        return pieces, quad
+
+    def _at(self, delta: float):
+        if self._last is None or self._last[0] != delta:
+            self._last = delta, self.patches(delta), {}
+        return self._last[1]
 
     def _integral(self, make) -> float:
-        if make not in self._shared:
-            return integrate_patches(self.g, [make()])
-        if self._shared[make] is None:
-            self._shared[make] = integrate_patches(self.g, [make()])
-        return self._shared[make]
+        values = self._shared if make in self._shared else self._last[2]
+        if values.get(make) is None:
+            values[make] = integrate_patches(self.g, [make()])
+        return values[make]
 
     def volume_gap(self, delta: float) -> float:
-        return self.patches(delta).volume_gap(self.g, self._integral)
+        return self._at(delta).volume_gap(self.g, self._integral)
 
     def perimeter_margin(self, delta: float) -> float:
-        return self.patches(delta).perimeter_margin(self.g, self._integral)
+        return self._at(delta).perimeter_margin(self.g, self._integral)
 
     def shifted_boundary_decrease(self, delta: float) -> float:
         """H_f(near hemisphere of the shrunk ball) - H_f(near hemisphere of B).
@@ -328,7 +362,9 @@ class _CylinderPieces:
         -(N omega_N / 2)(1 - k^{N-1}) + H_g(near of B) - H_g(near, shrunk).
         """
         s1, _ = shrink_terms(self.n, self.R, delta)
-        near = [self._integral(self.patches(x).surface["near"]) for x in (0.0, delta)]
+        # height zero's near hemisphere is shared, so the last height stays
+        near = [self._integral(patches.surface["near"])
+                for patches in (self.patches(0.0), self._at(delta))]
         return -0.5 * self.n * unit_ball_volume(self.n) * s1 + near[0] - near[1]
 
 
@@ -357,13 +393,20 @@ def cylinder_extension(cert: FarBallCertificate, d: Density,
     Requires the weight to be nondecreasing along rays near the working
     annulus (checked on samples; the variant is refused otherwise, since the
     inward displacement argument is what keeps the near boundary cheap).
+    The Gauss rule is sized once, on the set of height zero, the base ball:
+    ``sized_pass`` up to (SPHERE_NODES, RADIAL_NODES) at that set's own
+    |B|_g.  The match, the margin and the shifted-boundary check all run on
+    the settled rule, starting from the pass's integrals of the height-zero
+    pieces.  The checks record the rule and the pass's deficit estimates
+    over the boundary and the interior (``pass_rule``,
+    ``pass_surface_estimate``, ``pass_volume_estimate``).
     """
     n, R = d.dim, cert.R
     theta = np.array(cert.theta) if cert.theta is not None else np.eye(n)[0]
     if not ray_monotone_on_samples(d, max(d.envelope_radius, R - 2.0), R + 2.0):
         raise RuntimeError("weight is not ray-monotone near the annulus; "
                            "cylinder extension refused")
-    pieces = _CylinderPieces(d, R, frame_from_axis(theta))
+    pieces, quad = _CylinderPieces.sized(d, R, frame_from_axis(theta))
     # |B|_g and the margin of B: the set of height zero
     ball_g = -pieces.volume_gap(0.0)
     ball_margin = pieces.perimeter_margin(0.0)
@@ -383,6 +426,7 @@ def cylinder_extension(cert: FarBallCertificate, d: Density,
         "perimeter_chain_ok": chain_lhs <= chain_rhs,
         "perimeter_chain_lhs": chain_lhs,
         "perimeter_chain_rhs": chain_rhs,
+        **_pass_record(quad),
     }
     if not checks["shifted_boundary_nonincreasing"]:
         raise RuntimeError("displaced near boundary grew; weight not "
@@ -470,8 +514,13 @@ def select_sweep_direction(
     perimeter chain below also assumes.  The first angle whose bound plus
     ``rim_error`` is >= 0 wins (the paper's averaging argument guarantees
     one); without one the selection is refused, naming the best bound.  The
-    winning set is measured once, f and g on the same nodes: one
-    ``GaussPass`` over its patches at (nodes, RADIAL_NODES).  Its
+    winning set is measured once, f and g on the same nodes: the
+    ``GaussPass`` over its patches that ``sized_pass`` settles on, the first
+    of the rules 16, 32, ... below (nodes, RADIAL_NODES) whose deficit
+    estimates over the boundary and the interior are both within
+    ``VOLUME_RTOL * |B^phi|_g``, else (nodes, RADIAL_NODES) itself.  The
+    checks record that rule and the two estimates (``pass_rule``,
+    ``pass_surface_estimate``, ``pass_volume_estimate``).  Its
     g-integrals give the volume gap and the perimeter margin, in deficit
     space, reported with the angle's own volume match, whose gap becomes the
     patch gap; its f-integrals give P_f and V_f.  A patch gap off the
@@ -479,8 +528,8 @@ def select_sweep_direction(
     estimate (node-halving differences and rounding floors) is refused: the
     advance map's psi rule aliased the deficit.  The same pass checks the
     perimeter chain P_f(E) <= P_f(B) + (N-1) omega_{N-1} (R+1) delta, and
-    for a radial weight the rotation identity; a mean density above
-    1 + 1e-9 is refused.
+    for a radial weight the rotation identity, whose cap at sweep 0 is
+    built on the settled rule; a mean density above 1 + 1e-9 is refused.
     """
     n = d.dim
     frame = frame_from_axis(plane[:, 0], plane[:, 1])
@@ -501,15 +550,12 @@ def select_sweep_direction(
          if delta > 0.0 else PlainBall(dim=n, offset=R, direction=direction))
     g = deficit_weight(d)
     fns = [partial(eval_weight, d), g]
-    quad = GaussPass(partial(swept_patches, n, R, delta, frame, phi), fns,
-                     nodes, RADIAL_NODES)
+    quad = sized_pass(partial(swept_patches, n, R, delta, frame, phi), fns,
+                      nodes, RADIAL_NODES, advance.ball_deficit[best])
     patches, g_of = quad.patches, quad.integral(1)
     margin, gap = patches.perimeter_margin(g, g_of), patches.volume_gap(g, g_of)
-    volume_error = 0.0        # g, the last integrand, over the volume pieces
-    for make in patches.volume.values():
-        full, half = quad.pieces[make]
-        volume_error += (abs(full.value[-1] - half.value[-1])
-                         + ULP * full.points * full.abs_sum[-1])
+    record = _pass_record(quad)
+    volume_error = record["pass_volume_estimate"]
     matched = advance.matches[best].gap
     tolerance = VOLUME_RTOL * advance.ball_deficit[best]
     if abs(gap - matched) > tolerance + volume_error:
@@ -523,14 +569,15 @@ def select_sweep_direction(
     band = patches.surface.get("band")
     band_f = swept_excess(n, R, delta)[0] - (g_of(band) if band else 0.0)
     checks = {"perimeter_chain_ok": bool(
-        band_f <= (n - 1) * unit_ball_volume(n - 1) * (R + 1.0) * delta)}
+        band_f <= (n - 1) * unit_ball_volume(n - 1) * (R + 1.0) * delta),
+        **record}
     if d.radial:
         # rotation invariance in deficit space: H_g(leading cap at delta) =
         # H_g(leading cap at 0), within both caps' differences from their
         # half-node rules and rounding floors; g is the last integrand of both
         caps = ([patch_integrals(swept_patches(n, R, 0.0, frame, phi, *rule)
                                  .surface["leading"], [g])
-                 for rule in gauss_rules(nodes, RADIAL_NODES)],
+                 for rule in gauss_rules(*quad.rule)],
                 quad.pieces[patches.surface["leading"]])
         (H0, H0_half), (H1, H1_half) = ((c[0].value[-1], c[1].value[-1])
                                         for c in caps)
@@ -602,8 +649,10 @@ def build_competitor(d: Density, eps: float = EPS, R_min: float = 50.0,
     The density is first rescaled so its limit is 1 and the target volume is
     omega_N.  A radial deficit's advance map is constant in the angle, so
     it is matched at one angle.  The certified set is measured once, by
-    ``select_sweep_direction``: P_f and V_f come from the same Gauss nodes
-    as its perimeter margin and volume gap.  The final inequalities are
+    ``select_sweep_direction``, on the Gauss rule sized by its deficit
+    budget with (nodes, RADIAL_NODES) as the ceiling: P_f and V_f come from
+    the same nodes as its perimeter margin and volume gap, and ``bounds``
+    records the rule and its estimates.  The final inequalities are
     re-measured with an independent Monte-Carlo pass.
     """
     n = d.dim

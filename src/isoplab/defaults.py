@@ -6,8 +6,10 @@ name                value      used by
 EPS                 0.01       slack epsilon in far-ball and competitor searches
 LAYER_NODES         24         Gauss nodes per panel of the 1-D layer integrals
 MC_SAMPLES          1_000_000  Monte-Carlo sample budget per measure
-SPHERE_NODES        64         Gauss nodes per angle on sphere grids
-RADIAL_NODES        64         Gauss nodes along radial directions
+SPHERE_NODES        64         Gauss nodes per angle on sphere grids; ceiling
+                               of the certified sets' sized rules
+RADIAL_NODES        64         Gauss nodes along radial directions; ceiling
+                               of the certified sets' sized rules
 SCAN_STEP           0.25       sliding-search grid step in the offset R
 CIRCLE_GRID         720        working-circle grid: advance map, far-ball angles
 GRID_REFINE         4          refinement factor of scan grids and layer panels
@@ -27,6 +29,13 @@ sampled tail counts as identically zero only when every sample is 0.0.  For
 the same reason the volume-matching tolerance scales with the base ball's
 deficit volume |B|_g, not with omega_N: at offset 50 the exponential families
 have |B|_g ~ 1e-21, and only a relative tolerance matches the volume there.
+
+The certified swept set and the cylinder do not always run at the ceiling
+(SPHERE_NODES, RADIAL_NODES), or (nodes, RADIAL_NODES) for a caller's nodes:
+their Gauss rule is sized by their own deficit budget
+(``measures.sized_pass``).  The rules 16, 32, ... below the ceiling are
+tried in turn, and the first whose deficit estimates over the boundary and
+the interior are both within VOLUME_RTOL x |B|_g is kept, else the ceiling.
 
 Every scan over the angles of a working circle (balls, half-balls,
 hemispheres, wedges, volume gaps, and the far-ball direction's margins)

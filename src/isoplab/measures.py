@@ -20,9 +20,10 @@ the tensor product of the factors' Gauss rules (``gauss``) or as i.i.d.
 points, each factor sampled from its own measure (``Sample``).
 ``set_measures`` integrates the weight f over that description by quadrature
 or Monte Carlo; the competitor construction integrates f and the deficit
-g = a - f on the same nodes (``GaussPass``) and subtracts the g-integrals,
-so the volume gap and the perimeter margin never form a difference of
-order-one floats.  Perimeters are integrated on explicit parametrizations
+g = a - f on the same nodes (``GaussPass``), on a rule sized by the set's
+deficit budget (``sized_pass``), and subtracts the g-integrals, so the
+volume gap and the perimeter margin never form a difference of order-one
+floats.  Perimeters are integrated on explicit parametrizations
 rather than through any level-set discretization, and interfaces interior
 to a union cancel and are never counted.
 
@@ -40,13 +41,16 @@ from typing import Callable
 
 import numpy as np
 
-from .defaults import BALL_CHUNK_POINTS, MC_SAMPLES, RADIAL_NODES, SPHERE_NODES
+from .defaults import (BALL_CHUNK_POINTS, DEGENERACY_TOL, MC_SAMPLES,
+                       RADIAL_NODES, SPHERE_NODES, VOLUME_RTOL)
 from .density import Density, RadialDeficit, eval_weight
 from .layers import LayerKernelPair, exact_kernels, layer_integral
 from .quadrature import (ball_grid, frame_from_axis, gauss_nodes, norms,
                          sphere_band_grid, unit_ball_volume, unit_sphere_area)
 
 HALF_PI = math.pi / 2
+ULP = np.finfo(float).eps
+_RULE_FLOOR = 8     # the fewest nodes a half rule of ``gauss_rules`` takes
 
 
 @dataclass(frozen=True)
@@ -524,8 +528,10 @@ def _weight_of(d: Density | Callable) -> Callable:
 
 def gauss_rules(nodes: int, radial_nodes: int) -> tuple[tuple[int, int], ...]:
     """The Gauss rule at (nodes, radial_nodes) and the one with half as many
-    nodes, at least 8, whose difference is a quadrature's error estimate."""
-    return (nodes, radial_nodes), (max(8, nodes // 2), max(8, radial_nodes // 2))
+    nodes, at least 8 (``_RULE_FLOOR``), whose difference is a quadrature's
+    error estimate."""
+    return (nodes, radial_nodes), (max(_RULE_FLOOR, nodes // 2),
+                                   max(_RULE_FLOOR, radial_nodes // 2))
 
 
 @dataclass(frozen=True)
@@ -549,21 +555,47 @@ def patch_integrals(make, fns) -> PatchIntegrals:
 
 class GaussPass:
     """Integrals of each of ``fns`` over every piece of a set, each piece
-    built once on each of the two ``gauss_rules``: the quadrature
-    counterpart of ``mc_integrals``.  ``patches`` is the full rule's
-    ``patches_at(nodes, radial_nodes)``, and ``pieces[make]`` the (full,
-    half) ``PatchIntegrals`` of the piece its builder ``make`` builds."""
+    built once on each of the two ``gauss_rules`` of (nodes, radial_nodes):
+    the quadrature counterpart of ``mc_integrals``.  ``rule`` is the full
+    rule, ``patches`` its ``patches_at(*rule)``, and ``pieces[make]`` the
+    (full, half) ``PatchIntegrals`` of the piece its builder ``make``
+    builds.  Passes that share a ``built`` dict integrate a piece on a rule
+    once: the integrals are kept by rule and piece name.  The certified
+    sets take theirs from ``sized_pass``."""
 
-    def __init__(self, patches_at: Callable, fns, nodes: int, radial_nodes: int):
-        self.patches, half = (patches_at(*r) for r in gauss_rules(nodes, radial_nodes))
-        self.pieces = {make: (patch_integrals(make, fns),
-                              patch_integrals(getattr(half, kind)[name], fns))
+    def __init__(self, patches_at: Callable, fns, nodes: int, radial_nodes: int,
+                 built: dict | None = None):
+        built = {} if built is None else built
+        self.rule, half_rule = gauss_rules(nodes, radial_nodes)
+        self.patches, half = patches_at(*self.rule), patches_at(*half_rule)
+
+        def integrals(rule, kind, name, make):
+            if (rule, kind, name) not in built:
+                built[rule, kind, name] = patch_integrals(make, fns)
+            return built[rule, kind, name]
+        self.pieces = {make: (integrals(self.rule, kind, name, make),
+                              integrals(half_rule, kind, name,
+                                        getattr(half, kind)[name]))
                        for kind in ("surface", "volume")
                        for name, make in getattr(self.patches, kind).items()}
 
     def integral(self, i: int) -> Callable:
         """make -> the full rule's integral of ``fns[i]`` over that piece."""
         return lambda make: self.pieces[make][0].value[i]
+
+    def estimates(self, i: int) -> tuple[float, float]:
+        """The error estimates of ``fns[i]`` over the boundary and over the
+        interior: per piece the rules' difference plus the full rule's
+        rounding floor, ULP x points x sum |fn w|, summed over the pieces."""
+        out = []
+        for makers in (self.patches.surface, self.patches.volume):
+            error = 0.0
+            for make in makers.values():
+                full, half = self.pieces[make]
+                error += (abs(full.value[i] - half.value[i])
+                          + ULP * full.points * full.abs_sum[i])
+            out.append(error)
+        return out[0], out[1]
 
     def measures(self, i: int) -> tuple[MeasureResult, MeasureResult]:
         """``fns[i]`` over the boundary and the interior, summed piece by
@@ -578,6 +610,35 @@ class GaussPass:
             out.append(MeasureResult(full, "quadrature",
                                      abs(full - half) + 1e-15 * abs(full), points))
         return out[0], out[1]
+
+
+def sized_pass(patches_at: Callable, fns, nodes: int, radial_nodes: int,
+               scale: float | None = None) -> GaussPass:
+    """The ``GaussPass`` whose rule resolves the last of ``fns``, a deficit,
+    to the set's deficit scale.
+
+    The rules (16, 16), (32, 32), ... below both of the ceiling (nodes,
+    radial_nodes) are tried in turn; the first whose surface and volume
+    ``estimates`` of the deficit are both at most ``VOLUME_RTOL * scale``
+    is returned, and otherwise the pass at the ceiling, whatever its
+    estimates.  16 is the fewest nodes whose half rule differs from the
+    rule itself.  ``scale`` is |B|_g of the base ball; by default, each
+    pass's own deficit volume, which is |B|_g for a set with no volume
+    excess.  A vanished scale (at most ``DEGENERACY_TOL``) goes straight to
+    the ceiling.  Each rule's half rule is the rule tried before it, whose
+    integrals the passes share.
+    """
+    built, size = {}, 2 * _RULE_FLOOR
+    while (size < nodes and size < radial_nodes
+           and (scale is None or scale > DEGENERACY_TOL)):
+        quad = GaussPass(patches_at, fns, size, size, built)
+        ball = quad.measures(-1)[1].value if scale is None else scale
+        if ball <= DEGENERACY_TOL:
+            break
+        if max(quad.estimates(-1)) <= VOLUME_RTOL * ball:
+            return quad
+        size *= 2
+    return GaussPass(patches_at, fns, nodes, radial_nodes, built)
 
 
 def set_measures(E: CompetitorSet, d: Density, method: str = "quadrature",

@@ -89,11 +89,10 @@ import numpy as np
 from .defaults import (BALL_CHUNK_POINTS, CIRCLE_START, GRID_REFINE, PSI_START,
                        RADIAL_NODES, REFINE_ROUNDS, SPHERE_NODES, VOLUME_RTOL)
 from .layers import sin_power_integral
-from .measures import swept_excess
+from .measures import ULP, swept_excess
 from .quadrature import gauss_nodes, sphere_grid, unit_sphere_area
 
 HALF_PI = math.pi / 2
-ULP = np.finfo(float).eps
 
 
 def _powers(angle, count: int) -> np.ndarray:

@@ -10,10 +10,12 @@ from isoplab import (CylinderExtended, PlainBall, RotationSwept,
                      density_from_config, mean_density, profile_upper_bound,
                      set_measures, unit_ball_volume, weighted_ball_measures)
 from isoplab.density import deficit_weight
-from isoplab.measures import (_LOWER, _UPPER, _WHOLE, CylinderFamily, Sample,
-                              _sphere, ball_cap_patch, gauss,
-                              integrate_patches, mc_integrals, set_patches,
-                              sphere_cap_patch, swept_patches)
+from isoplab.defaults import VOLUME_RTOL
+from isoplab.measures import (_LOWER, _UPPER, _WHOLE, CylinderFamily,
+                              GaussPass, Sample, _sphere, ball_cap_patch,
+                              gauss, integrate_patches, mc_integrals,
+                              set_patches, sized_pass, sphere_cap_patch,
+                              swept_patches)
 from isoplab.quadrature import frame_from_axis
 
 
@@ -367,3 +369,79 @@ def test_sphere_draws_equal_normalised_gaussians(n, side):
     if sign:
         ref[:, 0] = sign * np.abs(ref[:, 0])
     assert np.array_equal(u, ref)
+
+
+def _recorded_swept(n, R, delta, calls):
+    """The swept set's ``patches_at``, recording each rule it is asked for."""
+    def patches_at(nodes, radial_nodes):
+        calls.append((nodes, radial_nodes))
+        return swept_patches(n, R, delta, np.eye(n), 0.0, nodes, radial_nodes)
+    return patches_at
+
+
+def _values(quad):
+    """A pass's (full, half) integrals by piece name."""
+    return {(kind, name): quad.pieces[make]
+            for kind in ("surface", "volume")
+            for name, make in getattr(quad.patches, kind).items()}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sized_pass_settles_on_the_first_rule_within_budget(n, exp2, exp3):
+    # the rules 16, 32, ... are tried in turn; the first whose deficit
+    # estimates are both within VOLUME_RTOL |B|_g is kept, each rule's half
+    # rule is the one tried before it and is not integrated again, and the
+    # kept pass is a plain pass on its rule, float for float
+    d = {2: exp2, 3: exp3}[n]
+    g, R, delta = deficit_weight(d), 10.0, 1e-5
+    ball = float(ball_deficit_measures(deficit_profile(d), n, R)[1].value)
+    calls, built = [], []
+
+    def g_counted(x):
+        built.append(len(x))
+        return g(x)
+    quad = sized_pass(_recorded_swept(n, R, delta, calls), [g_counted], 64, 64,
+                      ball)
+    rule = quad.rule
+    assert rule == {2: (16, 16), 3: (32, 32)}[n]
+    assert max(quad.estimates(0)) <= VOLUME_RTOL * ball
+    tried = [(16, 16), (8, 8)] + ([(32, 32), (16, 16)] if n == 3 else [])
+    assert calls == tried
+    # one build of each of the 5 or 6 pieces per distinct rule
+    pieces = len(quad.pieces)
+    assert len(built) == pieces * len(set(tried))
+    plain = GaussPass(_recorded_swept(n, R, delta, []), [g], *rule)
+    assert _values(quad) == _values(plain)
+
+
+@pytest.mark.parametrize("nodes, radial_nodes, scale", [
+    (16, 64, 1.0), (64, 16, 1.0), (64, 64, 0.0), (64, 64, 1e-300),
+    (32, 64, 1e-300)])
+def test_sized_pass_ceiling_is_the_plain_pass(exp3, nodes, radial_nodes, scale):
+    # a ceiling of at most 16 nodes, or a vanished scale, runs the ceiling
+    # alone; a budget no rule meets ends on the ceiling: either way the pass
+    # is the plain pass at (nodes, radial_nodes), float for float
+    g, calls = deficit_weight(exp3), []
+    quad = sized_pass(_recorded_swept(3, 10.0, 1e-5, calls), [g], nodes,
+                      radial_nodes, scale)
+    assert quad.rule == (nodes, radial_nodes)
+    if min(nodes, radial_nodes) <= 16 or scale == 0.0:
+        assert calls[0] == (nodes, radial_nodes) and len(calls) == 2
+    plain = GaussPass(_recorded_swept(3, 10.0, 1e-5, []), [g], nodes,
+                      radial_nodes)
+    assert _values(quad) == _values(plain)
+    assert quad.estimates(0) == plain.estimates(0)
+
+
+def test_sized_pass_scales_by_its_own_deficit_volume(exp3):
+    # without a scale the budget is each pass's own deficit volume, |B|_g
+    # for the plain ball: the same rule as with |B|_g given
+    g = deficit_weight(exp3)
+    ball = float(ball_deficit_measures(deficit_profile(exp3), 3, 10.0)[1].value)
+
+    def plain_ball(nodes, radial_nodes):
+        return set_patches(PlainBall(dim=3, offset=10.0), nodes, radial_nodes)
+    own = sized_pass(plain_ball, [g], 64, 64)
+    given = sized_pass(plain_ball, [g], 64, 64, ball)
+    assert own.rule == given.rule == (32, 32)
+    assert _values(own) == _values(given)
