@@ -10,8 +10,8 @@ a radial weight's map is constant in the angle, so it has one angle.
 Two regimes are shown: a nearby offset where the deficit is numerically
 resolvable, and the far regime where the deficit ~ exp(-50) lies below the
 rounding floor of f-space floats.  There the sweep is still matched, at a
-tolerance relative to the ball's deficit volume |B|_g, and its volume gap and
-strict margin are visible only in deficit space.
+tolerance relative to the ball's deficit volume |B|_g, and its volume gap,
+strict margin and mean density below 1 are visible only in deficit space.
 """
 
 import numpy as np
@@ -51,7 +51,7 @@ print(f"  perimeter margin = {cert.perimeter_margin:.6e}")
 
 print("\nfar regime (offsets >= 50): the deficit ~ exp(-50) is below the")
 print("rounding floor of f; the sweep is matched at the deficit scale |B|_g")
-print("and the strict margin is visible only in deficit space:")
+print("and the strict margin and rho < 1 are visible only in deficit space:")
 cert = build_competitor(exp2, eps=0.05, R_min=50.0, R_max=200.0,
                         mc_samples=20_000)
 ball_g = cert.farball.V_g.value
@@ -62,4 +62,6 @@ print(f"  volume gap = {cert.volume_gap:+.3e} "
       f"({cert.volume_gap / ball_g:+.1e} |B|_g)")
 print(f"  perimeter margin = {cert.perimeter_margin:.3e} "
       f"({cert.perimeter_margin / ball_g:.3f} |B|_g, strict = {cert.strict})")
-print(f"  rho = {cert.rho!r} (indistinguishable from 1 in f-space floats)")
+print(f"  rho = {cert.rho!r}, and in deficit space rho - 1 = "
+      f"{cert.bounds['rho_minus_one']:.3e} "
+      f"(estimate {cert.bounds['rho_minus_one_estimate']:.1e})")

@@ -42,8 +42,8 @@ from .farball import (FarBallCertificate, find_far_radius,
 from .measures import (CylinderExtended, CylinderFamily, GaussPass,
                        MeasureResult, PlainBall, RotationSwept, circle_point,
                        gauss_rules, integrate_patches, mc_integrals,
-                       mean_density, patch_integrals, set_patches,
-                       shrink_terms, sized_pass, swept_excess, swept_patches)
+                       patch_integrals, set_patches, shrink_terms, sized_pass,
+                       swept_excess, swept_patches)
 from .quadrature import frame_from_axis, sphere_grid, unit_ball_volume
 from .spectral import ULP, SweepSpectrum
 
@@ -224,18 +224,18 @@ def _match(ball: float, n: int, eps: float, start: float, hard_cap: float,
     tolerance is ``VOLUME_RTOL * |B|_g``, so the match stays meaningful for
     exponentially small deficits, and a vanished one (|B|_g <=
     ``DEGENERACY_TOL``) matches at delta = 0 without a search.  The bracket
-    starts at 4 (1 + 2 eps) |B|_g / ``start`` and stops at ``hard_cap``; the
-    a-priori bound is delta <= (1 + 2 eps) |B|_g / ``denom``, never met
-    where ``denom`` <= 0.  A failure at the advance map's angle ``theta``
-    names theta and |B^theta|_g.
+    starts at 4 (1 + 2 eps) |B|_g / ``start`` (a normal float) and stops at
+    ``hard_cap``; the a-priori bound is delta <= (1 + 2 eps) |B|_g /
+    ``denom``, never met where ``denom`` <= 0.  A failure at the advance
+    map's angle ``theta`` names theta and |B^theta|_g.
     """
     slack = (1.0 + 2.0 * eps) * ball
     if ball <= DEGENERACY_TOL:
         root = 0.0, -ball, 0
     else:
         try:
-            root = yield from _root_steps(-ball, max(4.0 * slack / start, 1e-300),
-                                          VOLUME_RTOL * ball, hard_cap)
+            hi = max(4.0 * slack / start, np.finfo(float).tiny)
+            root = yield from _root_steps(-ball, hi, VOLUME_RTOL * ball, hard_cap)
         except RuntimeError as err:
             if theta is None:
                 raise
@@ -294,10 +294,9 @@ def ray_monotone_on_samples(d: Density, r_lo: float, r_hi: float) -> bool:
 
 
 def _pass_record(quad: GaussPass) -> dict:
-    """The deterministic record of a certified set's Gauss pass: its rule,
-    and its estimates of the deficit, the last integrand, over the boundary
-    and over the interior."""
-    surface, volume = quad.estimates(-1)
+    """The record of a certified set's deficit pass: its rule, and its
+    estimates over the boundary and over the interior."""
+    surface, volume = quad.estimates()
     return {"pass_rule": list(quad.rule), "pass_surface_estimate": surface,
             "pass_volume_estimate": volume}
 
@@ -331,11 +330,11 @@ class _CylinderPieces:
             if rule not in families:
                 families[rule] = cls(d, R, frame, *rule)
             return families[rule].patches(0.0)
-        quad = sized_pass(height_zero, [deficit_weight(d)], SPHERE_NODES,
+        quad = sized_pass(height_zero, deficit_weight(d), SPHERE_NODES,
                           RADIAL_NODES)
         pieces = families[quad.rule]
         for make in pieces._shared:
-            pieces._shared[make] = quad.integral(0)(make)
+            pieces._shared[make] = quad.integral(make)
         return pieces, quad
 
     def _at(self, delta: float):
@@ -379,11 +378,25 @@ class ExtensionResult:
 
 
 def _extension(E, match: VolumeMatch, margin: float, checks: dict) -> ExtensionResult:
-    """E's extension result, with the mean density of its matched volume."""
-    n = E.dim
-    P = n * unit_ball_volume(n) - margin
-    rho = mean_density(max(P, 1e-300), match.achieved_volume, n)
-    return ExtensionResult(E, match, margin, match.gap, rho, checks)
+    """E's extension result, with its mean density in deficit space: rho - 1
+    = expm1(N log1p(-margin / (N omega_N)) - (N-1) log1p(gap / omega_N)),
+    estimated by rho (N e_P / P_f + (N-1) e_V / V_f) for the pass estimates
+    e_P, e_V of the margin and the gap, plus 4 ULP (|N log1p(.)| + |(N-1)
+    log1p(.)| + |rho - 1|).  rho - 1 above its estimate (rho > 1) is refused."""
+    n, omega, gap = E.dim, unit_ball_volume(E.dim), match.gap
+    log_p, log_v = (n * math.log1p(-margin / (n * omega)),
+                    (n - 1) * math.log1p(gap / omega))
+    excess = math.expm1(log_p - log_v)          # rho - 1
+    e_p, e_v = checks["pass_surface_estimate"], checks["pass_volume_estimate"]
+    estimate = ((1.0 + excess) * (n * e_p / (n * omega - margin)
+                                  + (n - 1) * e_v / (omega + gap))
+                + 4.0 * ULP * (abs(log_p) + abs(log_v) + abs(excess)))
+    if excess > estimate:
+        raise RuntimeError(f"mean density above 1: rho - 1 = {excess:.6e} exceeds "
+                           f"its estimate {estimate:.3e}; the offset or eps is "
+                           "misconfigured for this weight")
+    return ExtensionResult(E, match, margin, gap, 1.0 + excess, dict(
+        checks, rho_minus_one=excess, rho_minus_one_estimate=estimate))
 
 
 def cylinder_extension(cert: FarBallCertificate, d: Density,
@@ -397,9 +410,9 @@ def cylinder_extension(cert: FarBallCertificate, d: Density,
     ``sized_pass`` up to (SPHERE_NODES, RADIAL_NODES) at that set's own
     |B|_g.  The match, the margin and the shifted-boundary check all run on
     the settled rule, starting from the pass's integrals of the height-zero
-    pieces.  The checks record the rule and the pass's deficit estimates
-    over the boundary and the interior (``pass_rule``,
-    ``pass_surface_estimate``, ``pass_volume_estimate``).
+    pieces.  The checks record the rule, the pass's deficit estimates over
+    the boundary and the interior (``pass_rule``, ``pass_surface_estimate``,
+    ``pass_volume_estimate``) and rho - 1 (``_extension``, refusing rho > 1).
     """
     n, R = d.dim, cert.R
     theta = np.array(cert.theta) if cert.theta is not None else np.eye(n)[0]
@@ -514,22 +527,22 @@ def select_sweep_direction(
     perimeter chain below also assumes.  The first angle whose bound plus
     ``rim_error`` is >= 0 wins (the paper's averaging argument guarantees
     one); without one the selection is refused, naming the best bound.  The
-    winning set is measured once, f and g on the same nodes: the
-    ``GaussPass`` over its patches that ``sized_pass`` settles on, the first
-    of the rules 16, 32, ... below (nodes, RADIAL_NODES) whose deficit
-    estimates over the boundary and the interior are both within
-    ``VOLUME_RTOL * |B^phi|_g``, else (nodes, RADIAL_NODES) itself.  The
-    checks record that rule and the two estimates (``pass_rule``,
-    ``pass_surface_estimate``, ``pass_volume_estimate``).  Its
-    g-integrals give the volume gap and the perimeter margin, in deficit
-    space, reported with the angle's own volume match, whose gap becomes the
-    patch gap; its f-integrals give P_f and V_f.  A patch gap off the
-    match's by more than ``VOLUME_RTOL * |B^phi|_g`` plus the pass's volume
-    estimate (node-halving differences and rounding floors) is refused: the
-    advance map's psi rule aliased the deficit.  The same pass checks the
-    perimeter chain P_f(E) <= P_f(B) + (N-1) omega_{N-1} (R+1) delta, and
-    for a radial weight the rotation identity, whose cap at sweep 0 is
-    built on the settled rule; a mean density above 1 + 1e-9 is refused.
+    winning set's deficit g is integrated once, by the ``GaussPass`` over
+    its patches that ``sized_pass`` settles on: the first of the rules 16,
+    32, ... below (nodes, RADIAL_NODES) whose estimates over the boundary
+    and the interior are both within ``VOLUME_RTOL * |B^phi|_g``, else
+    (nodes, RADIAL_NODES) itself; the checks record it (``_pass_record``).
+    Its integrals give the perimeter margin and the volume gap, reported
+    with the angle's own volume match, whose gap becomes the patch gap, and
+    P_f = N omega_N - margin and V_f = omega_N + gap, estimated by the
+    pass's estimates plus their rounding floors, 2 ULP (N omega_N +
+    |margin|) and 2 ULP (omega_N + |gap|).  A patch gap off the match's by
+    more than ``VOLUME_RTOL * |B^phi|_g`` plus the pass's volume estimate
+    is refused: the advance map's psi rule aliased the deficit.  The same
+    pass checks the perimeter chain P_f(E) <= P_f(B) + (N-1) omega_{N-1}
+    (R+1) delta, and for a radial weight the rotation identity, whose cap
+    at sweep 0 is built on the settled rule; ``_extension`` refuses a mean
+    density above 1.
     """
     n = d.dim
     frame = frame_from_axis(plane[:, 0], plane[:, 1])
@@ -549,13 +562,12 @@ def select_sweep_direction(
     E = (RotationSwept(dim=n, offset=R, delta=delta, direction=direction, sweep=sweep)
          if delta > 0.0 else PlainBall(dim=n, offset=R, direction=direction))
     g = deficit_weight(d)
-    fns = [partial(eval_weight, d), g]
-    quad = sized_pass(partial(swept_patches, n, R, delta, frame, phi), fns,
+    quad = sized_pass(partial(swept_patches, n, R, delta, frame, phi), g,
                       nodes, RADIAL_NODES, advance.ball_deficit[best])
-    patches, g_of = quad.patches, quad.integral(1)
-    margin, gap = patches.perimeter_margin(g, g_of), patches.volume_gap(g, g_of)
-    record = _pass_record(quad)
-    volume_error = record["pass_volume_estimate"]
+    patches, omega = quad.patches, unit_ball_volume(n)
+    surface_error, volume_error = quad.estimates()
+    margin = patches.perimeter_margin(g, quad.integral)
+    gap = patches.volume_gap(g, quad.integral)
     matched = advance.matches[best].gap
     tolerance = VOLUME_RTOL * advance.ball_deficit[best]
     if abs(gap - matched) > tolerance + volume_error:
@@ -564,35 +576,27 @@ def select_sweep_direction(
             f"{gap:.6e} differs from the advance map's {matched:.6e} by more "
             f"than the tolerance {tolerance:.3e} plus the estimate "
             f"{volume_error:.3e}; the psi rule aliases the deficit")
-    match = replace(advance.matches[best],
-                    achieved_volume=unit_ball_volume(n) + gap, gap=gap)
+    match = replace(advance.matches[best], achieved_volume=omega + gap, gap=gap)
     band = patches.surface.get("band")
-    band_f = swept_excess(n, R, delta)[0] - (g_of(band) if band else 0.0)
+    band_f = swept_excess(n, R, delta)[0] - (quad.integral(band) if band else 0.0)
     checks = {"perimeter_chain_ok": bool(
         band_f <= (n - 1) * unit_ball_volume(n - 1) * (R + 1.0) * delta),
-        **record}
+        **_pass_record(quad)}
     if d.radial:
-        # rotation invariance in deficit space: H_g(leading cap at delta) =
-        # H_g(leading cap at 0), within both caps' differences from their
-        # half-node rules and rounding floors; g is the last integrand of both
-        caps = ([patch_integrals(swept_patches(n, R, 0.0, frame, phi, *rule)
-                                 .surface["leading"], [g])
-                 for rule in gauss_rules(*quad.rule)],
-                quad.pieces[patches.surface["leading"]])
-        (H0, H0_half), (H1, H1_half) = ((c[0].value[-1], c[1].value[-1])
-                                        for c in caps)
-        floor = 0.0
-        for c in caps:
-            floor += c[0].points * c[0].abs_sum[-1]
-        error = abs(H0 - H0_half) + abs(H1 - H1_half) + ULP * floor
-        checks.update(rotation_identity_residual=abs(H1 - H0),
-                      rotation_identity_ok=bool(abs(H1 - H0) <= error))
-    ext = _extension(E, match, margin, checks)
-    if ext.rho > 1.0 + 1e-9:
-        raise RuntimeError(
-            f"mean density {ext.rho} exceeds 1 + 1e-9: the offset or eps is "
-            "misconfigured for this weight")
-    return phi, ext, quad.measures(0)
+        # rotation invariance: H_g(leading cap at delta) = H_g(leading cap at 0)
+        (H0, H0_half), (H1, H1_half) = (
+            [patch_integrals(swept_patches(n, R, 0.0, frame, phi, *rule)
+                             .surface["leading"], g)
+             for rule in gauss_rules(*quad.rule)],
+            quad.pieces[patches.surface["leading"]])
+        residual = abs(H1.value - H0.value)
+        checks.update(rotation_identity_residual=residual, rotation_identity_ok=bool(
+            residual <= H0.estimate(H0_half) + H1.estimate(H1_half)))
+    P_f = MeasureResult(n * omega - margin, "quadrature", surface_error
+                        + 2.0 * ULP * (n * omega + abs(margin)), quad.points)
+    V_f = MeasureResult(omega + gap, "quadrature", volume_error
+                        + 2.0 * ULP * (omega + abs(gap)), quad.points)
+    return phi, _extension(E, match, margin, checks), (P_f, V_f)
 
 
 # ---------------------------------------------------------------------------
@@ -609,11 +613,12 @@ def monte_carlo_check(E: PlainBall | CylinderExtended | RotationSwept,
     for P_f and V_f, and the deficit g, for the perimeter margin P_g minus
     the perimeter excess and the volume gap, volume excess minus V_g, of a
     density with limit 1; ``margin`` and ``gap`` default to E's quadrature
-    values.  A value is consistent when the two differ by at most four
-    Monte-Carlo standard errors plus, for P_f and V_f, the quadrature's own
-    error estimate, whose rounding floor covers a weight that rounds to a
-    constant on the whole set far out, and for the margin and the gap the
-    same 1e-15 relative rounding floor.
+    values.  f and g are integrated independently, so against the closed
+    forms P_f = N omega_N - margin and V_f = omega_N + gap this also checks
+    f + g = 1.  A value is consistent when the two differ by at most four
+    Monte-Carlo standard errors plus, for P_f and V_f, their estimate,
+    whose rounding floor covers a weight that rounds to 1 on the whole set
+    far out, and for the margin and the gap a 1e-15 relative floor.
     """
     patches, g = set_patches(E), deficit_weight(d)
     margin = patches.perimeter_margin(g) if margin is None else margin
@@ -648,12 +653,12 @@ def build_competitor(d: Density, eps: float = EPS, R_min: float = 50.0,
 
     The density is first rescaled so its limit is 1 and the target volume is
     omega_N.  A radial deficit's advance map is constant in the angle, so
-    it is matched at one angle.  The certified set is measured once, by
-    ``select_sweep_direction``, on the Gauss rule sized by its deficit
-    budget with (nodes, RADIAL_NODES) as the ceiling: P_f and V_f come from
-    the same nodes as its perimeter margin and volume gap, and ``bounds``
-    records the rule and its estimates.  The final inequalities are
-    re-measured with an independent Monte-Carlo pass.
+    it is matched at one angle.  The certified set's deficit is integrated
+    once, by ``select_sweep_direction``, on the Gauss rule sized by its
+    deficit budget with (nodes, RADIAL_NODES) as the ceiling; P_f and V_f
+    are closed forms of its margin and gap, and ``bounds`` records the
+    rule, its estimates and rho - 1.  The final inequalities are re-measured
+    by an independent Monte-Carlo pass, the one step that evaluates f.
     """
     n = d.dim
     omega = unit_ball_volume(n)

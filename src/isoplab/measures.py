@@ -19,13 +19,12 @@ segments of density rho^p, spheres or hemispheres) into R^N, drawn either as
 the tensor product of the factors' Gauss rules (``gauss``) or as i.i.d.
 points, each factor sampled from its own measure (``Sample``).
 ``set_measures`` integrates the weight f over that description by quadrature
-or Monte Carlo; the competitor construction integrates f and the deficit
-g = a - f on the same nodes (``GaussPass``), on a rule sized by the set's
-deficit budget (``sized_pass``), and subtracts the g-integrals, so the
-volume gap and the perimeter margin never form a difference of order-one
-floats.  Perimeters are integrated on explicit parametrizations
-rather than through any level-set discretization, and interfaces interior
-to a union cancel and are never counted.
+(``GaussPass``) or Monte Carlo; the competitor construction integrates the
+deficit g = a - f alone, on a rule sized by the set's deficit budget
+(``sized_pass``), so its volume gap and perimeter margin never form a
+difference of order-one floats, and its P_f and V_f are their closed forms.
+Perimeters are integrated on explicit parametrizations rather than through
+any level-set discretization, and interfaces interior to a union cancel.
 
 Volumes and perimeters are returned as ``MeasureResult`` records carrying the
 method tag, an error estimate (node-halving difference for quadrature, one
@@ -49,7 +48,7 @@ from .quadrature import (ball_grid, frame_from_axis, gauss_nodes, norms,
                          sphere_band_grid, unit_ball_volume, unit_sphere_area)
 
 HALF_PI = math.pi / 2
-ULP = np.finfo(float).eps
+ULP = float(np.finfo(float).eps)
 _RULE_FLOOR = 8     # the fewest nodes a half rule of ``gauss_rules`` takes
 
 
@@ -522,10 +521,6 @@ def swept_patches(n: int, R: float, delta: float, frame: np.ndarray,
 # measures
 # ---------------------------------------------------------------------------
 
-def _weight_of(d: Density | Callable) -> Callable:
-    return (lambda x: eval_weight(d, x)) if isinstance(d, Density) else d
-
-
 def gauss_rules(nodes: int, radial_nodes: int) -> tuple[tuple[int, int], ...]:
     """The Gauss rule at (nodes, radial_nodes) and the one with half as many
     nodes, at least 8 (``_RULE_FLOOR``), whose difference is a quadrature's
@@ -536,34 +531,37 @@ def gauss_rules(nodes: int, radial_nodes: int) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class PatchIntegrals:
-    """One patch on one Gauss rule: per integrand the integral and the sum of
+    """One patch on one Gauss rule: the integral of an integrand, the sum of
     |fn w|, and the point count."""
 
-    value: tuple[float, ...]
-    abs_sum: tuple[float, ...]
+    value: float
+    abs_sum: float
     points: int
 
+    def estimate(self, half: PatchIntegrals) -> float:
+        """|value - half.value|, the rules' difference, + ULP x points x sum |fn w|."""
+        return abs(self.value - half.value) + ULP * self.points * self.abs_sum
 
-def patch_integrals(make, fns) -> PatchIntegrals:
-    """Build the patch ``make`` once and integrate each of ``fns`` on it."""
+
+def patch_integrals(make, fn) -> PatchIntegrals:
+    """Build the patch ``make`` once and integrate ``fn`` on it."""
     pts, w = make()
-    terms = [np.asarray(fn(pts), dtype=float) * w for fn in fns]
-    return PatchIntegrals(tuple(float(np.add.reduce(t)) for t in terms),
-                          tuple(float(np.add.reduce(np.abs(t))) for t in terms),
-                          w.size)
+    terms = np.asarray(fn(pts), dtype=float) * w
+    return PatchIntegrals(float(np.add.reduce(terms)),
+                          float(np.add.reduce(np.abs(terms))), w.size)
 
 
 class GaussPass:
-    """Integrals of each of ``fns`` over every piece of a set, each piece
-    built once on each of the two ``gauss_rules`` of (nodes, radial_nodes):
-    the quadrature counterpart of ``mc_integrals``.  ``rule`` is the full
-    rule, ``patches`` its ``patches_at(*rule)``, and ``pieces[make]`` the
-    (full, half) ``PatchIntegrals`` of the piece its builder ``make``
-    builds.  Passes that share a ``built`` dict integrate a piece on a rule
-    once: the integrals are kept by rule and piece name.  The certified
-    sets take theirs from ``sized_pass``."""
+    """Integrals of ``fn`` over every piece of a set, each piece built once
+    on each of the two ``gauss_rules`` of (nodes, radial_nodes): the
+    quadrature counterpart of ``mc_integrals``.  ``rule`` is the full rule,
+    ``patches`` its ``patches_at(*rule)``, ``pieces[make]`` the (full,
+    half) ``PatchIntegrals`` of the piece ``make`` builds, and ``points``
+    the full rule's point count.  Passes that share a ``built`` dict
+    integrate a piece on a rule once.  The certified sets integrate the
+    deficit alone, on the pass that ``sized_pass`` settles on."""
 
-    def __init__(self, patches_at: Callable, fns, nodes: int, radial_nodes: int,
+    def __init__(self, patches_at: Callable, fn, nodes: int, radial_nodes: int,
                  built: dict | None = None):
         built = {} if built is None else built
         self.rule, half_rule = gauss_rules(nodes, radial_nodes)
@@ -571,74 +569,71 @@ class GaussPass:
 
         def integrals(rule, kind, name, make):
             if (rule, kind, name) not in built:
-                built[rule, kind, name] = patch_integrals(make, fns)
+                built[rule, kind, name] = patch_integrals(make, fn)
             return built[rule, kind, name]
         self.pieces = {make: (integrals(self.rule, kind, name, make),
                               integrals(half_rule, kind, name,
                                         getattr(half, kind)[name]))
                        for kind in ("surface", "volume")
                        for name, make in getattr(self.patches, kind).items()}
+        self.points = sum(full.points for full, _ in self.pieces.values())
 
-    def integral(self, i: int) -> Callable:
-        """make -> the full rule's integral of ``fns[i]`` over that piece."""
-        return lambda make: self.pieces[make][0].value[i]
+    def integral(self, make) -> float:
+        """The full rule's integral over the piece that ``make`` builds."""
+        return self.pieces[make][0].value
 
-    def estimates(self, i: int) -> tuple[float, float]:
-        """The error estimates of ``fns[i]`` over the boundary and over the
-        interior: per piece the rules' difference plus the full rule's
-        rounding floor, ULP x points x sum |fn w|, summed over the pieces."""
+    def estimates(self) -> tuple[float, float]:
+        """The pieces' ``estimate``s, summed over the boundary and over the
+        interior."""
         out = []
         for makers in (self.patches.surface, self.patches.volume):
             error = 0.0
-            for make in makers.values():
-                full, half = self.pieces[make]
-                error += (abs(full.value[i] - half.value[i])
-                          + ULP * full.points * full.abs_sum[i])
+            for full, half in (self.pieces[make] for make in makers.values()):
+                error += full.estimate(half)
             out.append(error)
         return out[0], out[1]
 
-    def measures(self, i: int) -> tuple[MeasureResult, MeasureResult]:
-        """``fns[i]`` over the boundary and the interior, summed piece by
+    def measures(self) -> tuple[MeasureResult, MeasureResult]:
+        """The integrals over the boundary and the interior, summed piece by
         piece; the error estimate is the rules' difference plus a 1e-15
         relative floor."""
-        points, out = sum(full.points for full, _ in self.pieces.values()), []
+        out = []
         for makers in (self.patches.surface, self.patches.volume):
             full = half = 0.0
             for make in makers.values():
-                full += self.pieces[make][0].value[i]
-                half += self.pieces[make][1].value[i]
-            out.append(MeasureResult(full, "quadrature",
-                                     abs(full - half) + 1e-15 * abs(full), points))
+                full += self.pieces[make][0].value
+                half += self.pieces[make][1].value
+            out.append(MeasureResult(full, "quadrature", abs(full - half)
+                                     + 1e-15 * abs(full), self.points))
         return out[0], out[1]
 
 
-def sized_pass(patches_at: Callable, fns, nodes: int, radial_nodes: int,
+def sized_pass(patches_at: Callable, g, nodes: int, radial_nodes: int,
                scale: float | None = None) -> GaussPass:
-    """The ``GaussPass`` whose rule resolves the last of ``fns``, a deficit,
-    to the set's deficit scale.
+    """The ``GaussPass`` of the deficit ``g`` on a rule that resolves it to
+    the set's deficit scale.
 
     The rules (16, 16), (32, 32), ... below both of the ceiling (nodes,
     radial_nodes) are tried in turn; the first whose surface and volume
-    ``estimates`` of the deficit are both at most ``VOLUME_RTOL * scale``
-    is returned, and otherwise the pass at the ceiling, whatever its
-    estimates.  16 is the fewest nodes whose half rule differs from the
-    rule itself.  ``scale`` is |B|_g of the base ball; by default, each
-    pass's own deficit volume, which is |B|_g for a set with no volume
-    excess.  A vanished scale (at most ``DEGENERACY_TOL``) goes straight to
-    the ceiling.  Each rule's half rule is the rule tried before it, whose
-    integrals the passes share.
+    ``estimates`` are both at most ``VOLUME_RTOL * scale`` is returned, and
+    otherwise the pass at the ceiling, whatever its estimates.  16 is the
+    fewest nodes whose half rule differs from the rule itself.  ``scale``
+    is |B|_g of the base ball; by default, each pass's own deficit volume,
+    which is |B|_g for a set with no volume excess.  A vanished scale (at
+    most ``DEGENERACY_TOL``) goes straight to the ceiling.  Each rule's half
+    rule is the rule tried before it, whose integrals the passes share.
     """
     built, size = {}, 2 * _RULE_FLOOR
     while (size < nodes and size < radial_nodes
            and (scale is None or scale > DEGENERACY_TOL)):
-        quad = GaussPass(patches_at, fns, size, size, built)
-        ball = quad.measures(-1)[1].value if scale is None else scale
+        quad = GaussPass(patches_at, g, size, size, built)
+        ball = quad.measures()[1].value if scale is None else scale
         if ball <= DEGENERACY_TOL:
             break
-        if max(quad.estimates(-1)) <= VOLUME_RTOL * ball:
+        if max(quad.estimates()) <= VOLUME_RTOL * ball:
             return quad
         size *= 2
-    return GaussPass(patches_at, fns, nodes, radial_nodes, built)
+    return GaussPass(patches_at, g, nodes, radial_nodes, built)
 
 
 def set_measures(E: CompetitorSet, d: Density, method: str = "quadrature",
@@ -651,10 +646,10 @@ def set_measures(E: CompetitorSet, d: Density, method: str = "quadrature",
     rules' difference is the error estimate; Monte-Carlo draws ``budget``
     i.i.d. points from them (``mc_perimeter``, ``mc_volume``).
     """
-    fn = _weight_of(d)
+    fn = partial(eval_weight, d) if isinstance(d, Density) else d
     if method == "quadrature":
-        return GaussPass(partial(set_patches, E), [fn], nodes,
-                         max(8, nodes)).measures(0)
+        return GaussPass(partial(set_patches, E), fn, nodes,
+                         max(8, nodes)).measures()
     if method != "monte_carlo":
         raise ValueError(f"unknown method {method!r}")
     budget = MC_SAMPLES if budget is None else int(budget)

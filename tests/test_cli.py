@@ -197,6 +197,9 @@ def test_competitor_far_offset_certifies(tmp_path):
     rec = json.loads((tmp_path / "o" / "competitor.json").read_text())
     assert rec["strict"] is True and rec["degenerate"] is False
     assert 0.0 < rec["perimeter_margin"] < 1e-18
+    # the mean density rounds to 1; its deficit-space rho - 1 is a float < 0
+    assert rec["mean_density"] == 1.0
+    assert rec["bounds"]["rho_minus_one"] < -rec["bounds"]["rho_minus_one_estimate"] < 0.0
 
 
 def test_competitor_constant_degenerate_exit(tmp_path):

@@ -22,7 +22,7 @@ import isoplab.measures
 import isoplab.quadrature
 import isoplab.spectral
 from isoplab import (ExtensionResult, PlainBall, RotationSwept, VolumeMatch,
-                     mean_density, weighted_ball_measures)
+                     weighted_ball_measures)
 from isoplab.competitor import (_CylinderPieces, _lockstep_roots, _match,
                                 _root_steps, monte_carlo_check,
                                 ray_monotone_on_samples)
@@ -312,17 +312,17 @@ def _pass_estimates(d, R, phi, delta, nodes=64):
     gap."""
     g = deficit_weight(d)
     quad = isoplab.measures.GaussPass(
-        partial(swept_patches, 2, R, delta, np.eye(2), phi), [g], nodes,
+        partial(swept_patches, 2, R, delta, np.eye(2), phi), g, nodes,
         RADIAL_NODES)
     errors = []
     for pieces in (quad.patches.surface, quad.patches.volume):
         error = 0.0
         for make in pieces.values():
             full, half = quad.pieces[make]
-            error += (abs(full.value[0] - half.value[0])
-                      + ULP * full.points * full.abs_sum[0])
+            error += (abs(full.value - half.value)
+                      + ULP * full.points * full.abs_sum)
         errors.append(error)
-    return (*errors, quad.patches.volume_gap(g, quad.integral(0)))
+    return (*errors, quad.patches.volume_gap(g, quad.integral))
 
 
 # the 720-angle certificates when the psi rule had as many samples as the
@@ -435,7 +435,7 @@ def _swept_case(d, R, grid, nodes):
     frame = frame_from_axis(plane[:, 0], plane[:, 1])
     quad = isoplab.measures.GaussPass(
         partial(swept_patches, d.dim, R, ext.E.delta, frame, phi),
-        [deficit_weight(d)], nodes, RADIAL_NODES)
+        deficit_weight(d), nodes, RADIAL_NODES)
     return sam, sam.theta.index(phi), ext, quad
 
 
@@ -459,7 +459,7 @@ def test_sweep_selection_bound_is_a_lower_bound_of_the_margin(family, dim, R,
     error = 0.0
     for make in quad.patches.surface.values():
         full, half = quad.pieces[make]
-        error += abs(full.value[0] - half.value[0]) + ULP * full.points * full.abs_sum[0]
+        error += abs(full.value - half.value) + ULP * full.points * full.abs_sum
     bounds, rim_error = _margin_bounds(sam, dim), np.asarray(sam.rim_error)
     assert 0.0 <= bounds[best] + rim_error[best]
     assert bounds[best] <= ext.perimeter_margin + rim_error[best] + error
@@ -513,8 +513,9 @@ def test_build_competitor_measures_the_set_in_one_gauss_pass(monkeypatch, exp3):
 
 
 def test_build_competitor_measures_f_and_g_on_the_same_rule():
-    # P_f and V_f come from the nodes of the margin and the gap: the swept
-    # set's patches at (nodes, RADIAL_NODES), 64 radial nodes at nodes = 16
+    # P_f and V_f are the closed forms of the margin and the gap, and count
+    # the nodes those were integrated on: the swept set's patches at
+    # (nodes, RADIAL_NODES), 64 radial nodes at nodes = 16
     d = density_from_config({"family": "angular_mod", "dim": 3, "a": 1.0,
                              "params": {"eta": 0.5, "k": 1, "c": 1.0}})
     cert = build_competitor(d, eps=0.05, R_min=10.0, R_max=200.0,
@@ -527,14 +528,19 @@ def test_build_competitor_measures_f_and_g_on_the_same_rule():
     assert points == 41_600
 
 
-def test_build_competitor_measures_equal_set_measures(exp3):
-    # on the settled rule (32, 32) the one pass gives set_measures' own
-    # floats at nodes = 32
+def test_build_competitor_measures_agree_with_set_measures(exp3):
+    # on the settled rule (32, 32) the closed forms N omega_N - margin and
+    # omega_N + gap agree with set_measures' f-quadrature at nodes = 32, on
+    # the same nodes, within the two error estimates
     cert = build_competitor(exp3, eps=0.05, R_min=10.0, R_max=200.0,
                             mc_samples=20_000)
     nodes, radial_nodes = cert.bounds["pass_rule"]
     assert nodes == radial_nodes == 32
-    assert (cert.P_f, cert.V_f) == set_measures(cert.E, exp3, nodes=nodes)
+    for closed, direct in zip((cert.P_f, cert.V_f),
+                              set_measures(cert.E, exp3, nodes=nodes)):
+        assert closed.samples_or_nodes == direct.samples_or_nodes
+        assert (abs(closed.value - direct.value)
+                <= closed.error_estimate + direct.error_estimate)
 
 
 def test_build_competitor_reports_the_winning_angles_match():
@@ -1099,7 +1105,8 @@ def test_select_sweep_direction_recorded_ball_deficits():
 def test_monte_carlo_check_rounding_floor(exp3):
     # at offset 50 the weight rounds to 1.0 on the whole boundary: the Monte
     # Carlo perimeter has a standard error of ~1e-24 and differs from the
-    # quadrature by rounding, which the quadrature's error estimate covers
+    # closed form N omega_N - margin by rounding, which the rounding floor
+    # of P_f's error estimate covers
     cert = build_competitor(exp3, eps=0.05, R_min=50.0, R_max=200.0,
                             mc_samples=100_000, mc_seed=1)
     assert cert.mc_check["perimeter_consistent"]
@@ -1180,6 +1187,100 @@ def test_build_competitor_constant_degenerate(const2):
     assert cert.degenerate
     assert cert.match.delta_bar == 0.0
     assert cert.rho == pytest.approx(1.0, abs=1e-12)
+
+
+def test_constant_weight_reads_rho_minus_one_exactly_zero(const2):
+    # a vanished deficit gives a margin and a gap of exactly 0, so the mean
+    # density is exactly 1 with a zero estimate, which is not refused
+    cert = build_competitor(const2, eps=0.05, R_min=10.0, R_max=40.0,
+                            mc_samples=20_000)
+    assert (cert.perimeter_margin, cert.volume_gap) == (0.0, 0.0)
+    assert cert.bounds["rho_minus_one"] == 0.0
+    assert cert.bounds["rho_minus_one_estimate"] == 0.0
+    assert cert.rho == 1.0
+
+
+@pytest.mark.parametrize("d", [
+    density_from_config({"family": "radial_exp", "dim": 3, "a": 1.0}),
+    _angular(2)], ids=["radial_exp_N3", "angular_mod_N2"])
+def test_mean_density_below_one_in_deficit_space_far_out(d):
+    # at offset 50 rho rounds to 1 in f-space floats (it read 1 + 8.9e-16
+    # and 1 + 2.2e-16 from f-integrals); rho - 1, formed from the margin and
+    # the gap, is about -2.5e-22 and -4.0e-22, far below its estimate, and
+    # is recorded as a float, so it is not a flag that must read True
+    cert = build_competitor(d, eps=0.05, R_min=50.0, R_max=200.0,
+                            mc_samples=20_000)
+    excess = cert.bounds["rho_minus_one"]
+    assert type(excess) is float and type(cert.bounds["rho_minus_one_estimate"]) is float
+    assert excess < 0.0
+    assert -excess > 1e6 * cert.bounds["rho_minus_one_estimate"]
+    assert cert.rho == 1.0 + excess == 1.0
+
+
+def test_closed_form_measures_carry_the_pass_estimates(exp3):
+    # P_f and V_f are N omega_N - margin and omega_N + gap; each estimate is
+    # the pass's deficit estimate plus the closed form's rounding floor, so
+    # far out it is at the deficit scale plus a few ulps of N omega_N
+    for R_min in (10.0, 50.0):
+        cert = build_competitor(exp3, eps=0.05, R_min=R_min, R_max=200.0,
+                                mc_samples=20_000)
+        omega, margin, gap = unit_ball_volume(3), cert.perimeter_margin, cert.volume_gap
+        assert cert.P_f.value == 3 * omega - margin
+        assert cert.V_f.value == omega + gap
+        assert cert.P_f.error_estimate == (cert.bounds["pass_surface_estimate"]
+                                           + 2.0 * ULP * (3 * omega + abs(margin)))
+        assert cert.V_f.error_estimate == (cert.bounds["pass_volume_estimate"]
+                                           + 2.0 * ULP * (omega + abs(gap)))
+    assert cert.bounds["pass_surface_estimate"] < 1e-30
+    assert cert.P_f.error_estimate < 3.0 * ULP * 3 * omega
+
+
+def test_extension_refuses_rho_above_its_estimate():
+    # a margin below zero by more than its estimate is a mean density above 1
+    E, omega = PlainBall(dim=2, offset=10.0), unit_ball_volume(2)
+    match = VolumeMatch(0.0, omega, 0, True, 0.0)
+    checks = {"pass_surface_estimate": 1e-20, "pass_volume_estimate": 1e-20}
+    with pytest.raises(RuntimeError, match="mean density above 1: rho - 1 = 3.18"):
+        isoplab.competitor._extension(E, match, -1e-17, checks)
+    ext = isoplab.competitor._extension(E, match, -1e-21, checks)
+    assert 0.0 < ext.checks["rho_minus_one"] <= ext.checks["rho_minus_one_estimate"]
+
+
+@pytest.mark.parametrize("d", [
+    density_from_config({"family": "radial_exp", "dim": 3, "a": 1.0}),
+    _angular(3)], ids=["radial_exp_N3", "angular_mod_N3"])
+def test_build_competitor_evaluates_the_weight_only_in_monte_carlo(monkeypatch, d):
+    # the certificate is assembled from the deficit alone: outside the
+    # Monte-Carlo cross-check the weight is never evaluated (88,640 points
+    # of the certified pass on each of these inputs when the pass also
+    # integrated f)
+    points, weight = [0], d.weight
+
+    def counted(x):
+        points[0] += math.prod(np.shape(x)[:-1])
+        return weight(x)
+    mc = _stage_points(monkeypatch, points, "monte_carlo_check")
+    cert = build_competitor(dataclasses.replace(d, weight=counted), eps=0.05,
+                            R_min=10.0, R_max=200.0, mc_samples=20_000)
+    assert cert.strict
+    assert mc["monte_carlo_check"] > 0
+    assert points[0] - mc["monte_carlo_check"] == 0
+
+
+def test_build_competitor_refuses_a_weight_that_returns_nan(exp3):
+    # a weight with NaN on the far half of the set and the deficit
+    # unchanged: the deficit-space certificate never reads it, but the
+    # Monte-Carlo cross-check evaluates it on the set and refuses it,
+    # naming the density
+    def weight(x):
+        out = np.array(exp3.weight(x), dtype=float)
+        out[np.asarray(x)[..., 0] > 10.0] = np.nan
+        return out
+    d = dataclasses.replace(exp3, weight=weight, label="half-nan")
+    with pytest.raises(ValueError,
+                       match="density 'half-nan' returned a non-finite value"):
+        build_competitor(d, eps=0.05, R_min=10.0, R_max=200.0,
+                         mc_samples=20_000)
 
 
 def test_variant_agreement_radial_nondecreasing(exp2):
@@ -1319,7 +1420,8 @@ def _sweep_direction_by_angle(d, R, sam, eps, nodes, rule):
     # the winner's own root, whose residual the patch gap replaces
     match = VolumeMatch(delta, omega + gap, sam.matches[best].iterations,
                         delta <= bound * (1 + 1e-9), gap)
-    rho = mean_density(max(n * omega - margin, 1e-300), omega + gap, n)
+    rho = 1.0 + math.expm1(n * math.log1p(-margin / (n * omega))
+                           - (n - 1) * math.log1p(gap / omega))
     band_f = delta * R * (n - 1) * omega1 - pieces.band_g(phi, delta)
     checks = {"perimeter_chain_ok":
               band_f <= (n - 1) * omega1 * (R + 1.0) * delta}

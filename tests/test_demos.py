@@ -23,3 +23,5 @@ def test_demos_run():
                             capture_output=True, text=True, timeout=300)
     assert len(demos) == 6
     assert result.returncode == 0, result.stderr
+    # demo 05's far regime: rho rounds to 1, rho - 1 in deficit space is < 0
+    assert "rho = 1.0, and in deficit space rho - 1 = -" in result.stdout

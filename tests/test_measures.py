@@ -400,17 +400,17 @@ def test_sized_pass_settles_on_the_first_rule_within_budget(n, exp2, exp3):
     def g_counted(x):
         built.append(len(x))
         return g(x)
-    quad = sized_pass(_recorded_swept(n, R, delta, calls), [g_counted], 64, 64,
+    quad = sized_pass(_recorded_swept(n, R, delta, calls), g_counted, 64, 64,
                       ball)
     rule = quad.rule
     assert rule == {2: (16, 16), 3: (32, 32)}[n]
-    assert max(quad.estimates(0)) <= VOLUME_RTOL * ball
+    assert max(quad.estimates()) <= VOLUME_RTOL * ball
     tried = [(16, 16), (8, 8)] + ([(32, 32), (16, 16)] if n == 3 else [])
     assert calls == tried
     # one build of each of the 5 or 6 pieces per distinct rule
     pieces = len(quad.pieces)
     assert len(built) == pieces * len(set(tried))
-    plain = GaussPass(_recorded_swept(n, R, delta, []), [g], *rule)
+    plain = GaussPass(_recorded_swept(n, R, delta, []), g, *rule)
     assert _values(quad) == _values(plain)
 
 
@@ -422,15 +422,15 @@ def test_sized_pass_ceiling_is_the_plain_pass(exp3, nodes, radial_nodes, scale):
     # alone; a budget no rule meets ends on the ceiling: either way the pass
     # is the plain pass at (nodes, radial_nodes), float for float
     g, calls = deficit_weight(exp3), []
-    quad = sized_pass(_recorded_swept(3, 10.0, 1e-5, calls), [g], nodes,
+    quad = sized_pass(_recorded_swept(3, 10.0, 1e-5, calls), g, nodes,
                       radial_nodes, scale)
     assert quad.rule == (nodes, radial_nodes)
     if min(nodes, radial_nodes) <= 16 or scale == 0.0:
         assert calls[0] == (nodes, radial_nodes) and len(calls) == 2
-    plain = GaussPass(_recorded_swept(3, 10.0, 1e-5, []), [g], nodes,
+    plain = GaussPass(_recorded_swept(3, 10.0, 1e-5, []), g, nodes,
                       radial_nodes)
     assert _values(quad) == _values(plain)
-    assert quad.estimates(0) == plain.estimates(0)
+    assert quad.estimates() == plain.estimates()
 
 
 def test_sized_pass_scales_by_its_own_deficit_volume(exp3):
@@ -441,7 +441,31 @@ def test_sized_pass_scales_by_its_own_deficit_volume(exp3):
 
     def plain_ball(nodes, radial_nodes):
         return set_patches(PlainBall(dim=3, offset=10.0), nodes, radial_nodes)
-    own = sized_pass(plain_ball, [g], 64, 64)
-    given = sized_pass(plain_ball, [g], 64, 64, ball)
+    own = sized_pass(plain_ball, g, 64, 64)
+    given = sized_pass(plain_ball, g, 64, 64, ball)
     assert own.rule == given.rule == (32, 32)
     assert _values(own) == _values(given)
+
+
+def test_pass_estimates_sum_the_per_piece_estimate(exp3):
+    # each piece's estimate is the rules' difference plus the full rule's
+    # rounding floor, ULP x points x sum |g w|; the pass's boundary and
+    # interior estimates add them piece by piece
+    g = deficit_weight(exp3)
+    quad = GaussPass(_recorded_swept(3, 10.0, 1e-5, []), g, 16, 16)
+    sums = []
+    for kind in ("surface", "volume"):
+        total = 0.0
+        for make in getattr(quad.patches, kind).values():
+            full, half = quad.pieces[make]
+            pts, w = make()
+            terms = g(pts) * w
+            assert full.points == w.size
+            assert full.abs_sum == float(np.add.reduce(np.abs(terms)))
+            estimate = (abs(full.value - half.value)
+                        + np.finfo(float).eps * w.size * full.abs_sum)
+            assert full.estimate(half) == estimate
+            total += estimate
+        sums.append(total)
+    assert quad.estimates() == tuple(sums)
+    assert quad.points == sum(full.points for full, _ in quad.pieces.values())
