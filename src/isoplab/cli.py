@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -47,11 +48,19 @@ def write_json(path: Path, payload: dict) -> None:
     path.write_text(text + "\n")
 
 
+# rows formatted and written per write_csv call on the open file
+_CSV_BLOCK_ROWS = 4096
+
+
 def write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(x)) for x in row))
-    path.write_text("\n".join(lines) + "\n")
+    """The header and the rows, one line each, every value as the repr of
+    its float; rows are written in blocks of ``_CSV_BLOCK_ROWS``."""
+    rows = iter(rows)
+    with path.open("w") as f:
+        f.write(",".join(header) + "\n")
+        while block := list(islice(rows, _CSV_BLOCK_ROWS)):
+            f.write("".join(",".join(repr(float(x)) for x in row) + "\n"
+                            for row in block))
 
 
 def _measure_record(m) -> dict:

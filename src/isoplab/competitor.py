@@ -345,7 +345,7 @@ class _CylinderPieces:
     def _integral(self, make) -> float:
         values = self._shared if make in self._shared else self._last[2]
         if values.get(make) is None:
-            values[make] = integrate_patches(self.g, [make()])
+            values[make] = integrate_patches(self.g, [make])
         return values[make]
 
     def volume_gap(self, delta: float) -> float:

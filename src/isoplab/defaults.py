@@ -18,7 +18,8 @@ VOLUME_RTOL         1e-8       volume matching tolerance, relative to |B|_g
 ENDPOINT_MARGIN     1e-6       kernel grids stay inside |t| <= 1 - margin
 REPORT_CLIP         1e-9       clip for tabulated exact kernels near t = +-1
 DEGENERACY_TOL      0.0        deficits sampled exactly zero count as vanished
-BALL_CHUNK_POINTS   65_536     points per weight call in scans and Monte Carlo
+BALL_CHUNK_POINTS   65_536     points per weight call: scans, Monte Carlo and
+                               the blocks of every Gauss pass
 PSI_START           32         first psi grid of a sweep spectrum (or fewer)
 CIRCLE_START        8          first circle rule of the working-circle descent
 ==================  =========  ==================================================
@@ -54,7 +55,12 @@ meridian nodes, a rule of one sample more agree with it to VOLUME_RTOL, up
 to CIRCLE_START x GRID_REFINE^REFINE_ROUNDS, where it is kept.  These scans, the far-radius tail test and
 the Monte-Carlo draws hand the weight at most BALL_CHUNK_POINTS points per
 call, which keeps the per-call overhead negligible while the peak memory
-stays a few megabytes.
+stays a few megabytes.  So does every Gauss pass (``set_measures``, the
+certified sets' sized passes, the cylinder's heights): a patch is
+integrated in blocks of at most BALL_CHUNK_POINTS points, the leaves of
+numpy's pairwise summation tree of its rule (``measures.patch_integrals``),
+whose sums add back up to the float of one sum over the whole rule.  Its
+values do not depend on the chunk size; its speed and memory do.
 """
 
 EPS = 0.01

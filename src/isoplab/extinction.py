@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -129,6 +130,16 @@ class ExtinctionCertificate:
         return abs(self.extinction_observed - self.extinction_closed_form)
 
 
+# elements converted to Python floats at a time
+_BLOCK = 4096
+
+
+def _floats(a: np.ndarray):
+    """The elements of ``a`` as Python floats, converted block by block."""
+    for i in range(0, len(a), _BLOCK):
+        yield from a[i:i + _BLOCK].tolist()
+
+
 def simulate_comparison_ode(C2: float, n: int, m0: float,
                             step: float = 1e-3) -> ExtinctionCertificate:
     """Integrate the equality ODE in u = m^{1/N}, where it is linear.
@@ -153,11 +164,12 @@ def simulate_comparison_ode(C2: float, n: int, m0: float,
             break
         count *= 2
     j = int(ends[0])
-    t = np.add.accumulate(np.append(0.0, np.full(j, step))).tolist()
-    t.append(t[-1] + float(u[j]) / rate)
-    masses = [m0] + [x ** n for x in u[1:j + 1].tolist()] + [0.0]
-    curve = TailMassCurve(tuple(t), tuple(masses), "analytic")
-    return ExtinctionCertificate(curve, t[-1], closed)
+    t = np.add.accumulate(np.append(0.0, np.full(j, step)))
+    end = float(t[-1]) + float(u[j]) / rate
+    times = tuple(chain(_floats(t), (end,)))
+    masses = tuple(chain((m0,), (x ** n for x in _floats(u[1:j + 1])), (0.0,)))
+    curve = TailMassCurve(times, masses, "analytic")
+    return ExtinctionCertificate(curve, end, closed)
 
 
 @dataclass(frozen=True)

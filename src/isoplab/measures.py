@@ -19,10 +19,17 @@ segments of density rho^p, spheres or hemispheres) into R^N, drawn either as
 the tensor product of the factors' Gauss rules (``gauss``) or as i.i.d.
 points, each factor sampled from its own measure (``Sample``).
 ``set_measures`` integrates the weight f over that description by quadrature
-(``GaussPass``) or Monte Carlo; the competitor construction integrates the
-deficit g = a - f alone, on a rule sized by the set's deficit budget
-(``sized_pass``), so its volume gap and perimeter margin never form a
-difference of order-one floats, and its P_f and V_f are their closed forms.
+(``GaussPass``) or Monte Carlo.  A patch's Gauss rule is integrated in
+blocks of at most ``BALL_CHUNK_POINTS`` points, the leaves of numpy's own
+pairwise summation tree of the flattened rule, each built on the slab of
+the first factor's nodes that covers it; the blocks' sums are added back up
+that tree (``patch_integrals``, ``GaussBlocks``).  Every integral is then
+the float of one ``np.add.reduce`` over the whole rule, while no weight call
+sees more than a block and the memory follows the block and its slab, not
+the rule.  The competitor construction integrates the deficit g = a - f
+alone, on a rule sized by the set's deficit budget (``sized_pass``), so its
+volume gap and perimeter margin never form a difference of order-one
+floats, and its P_f and V_f are their closed forms.
 Perimeters are integrated on explicit parametrizations rather than through
 any level-set discretization, and interfaces interior to a union cancel.
 
@@ -45,7 +52,8 @@ from .defaults import (BALL_CHUNK_POINTS, DEGENERACY_TOL, MC_SAMPLES,
 from .density import Density, RadialDeficit, eval_weight
 from .layers import LayerKernelPair, exact_kernels, layer_integral
 from .quadrature import (ball_grid, frame_from_axis, gauss_nodes, norms,
-                         sphere_band_grid, unit_ball_volume, unit_sphere_area)
+                         pairwise_leaves, pairwise_total, sphere_band_grid,
+                         unit_ball_volume, unit_sphere_area)
 
 HALF_PI = math.pi / 2
 ULP = float(np.finfo(float).eps)
@@ -174,7 +182,9 @@ def _sphere(n, lo, hi, polar_nodes, azimuth_nodes) -> _Factor:
         if side is None:
             raise ValueError("draws cover whole spheres and hemispheres only")
         u = rng.standard_normal((m, n))
-        u /= norms(u)[:, None]
+        r = norms(u)
+        for j in range(n):
+            u[:, j] /= r
         if side:
             u[:, 0] = side * np.abs(u[:, 0])
         return u
@@ -183,14 +193,21 @@ def _sphere(n, lo, hi, polar_nodes, azimuth_nodes) -> _Factor:
 
 
 def gauss(place, scale, *factors):
-    """The Gauss rule of a patch, as (points, weights).
+    """The Gauss rule of a patch, as (points, weights): the tensor product
+    of the factors' rules (``_tensor``)."""
+    return _tensor(place, scale, [f.rule() for f in factors])
 
-    The factors' rules are broadcast into their tensor product, factor i
-    along axis i, for ``place`` to map to (points, Jacobian or None); the
-    weights are multiplied from the last factor back, then by the Jacobian
-    and the constant ``scale``.
+
+def _tensor(place, scale, rules):
+    """The tensor product of the factor rules ``rules``, as (points, weights).
+
+    The rules are broadcast into their product, factor i along axis i, for
+    ``place`` to map to (points, Jacobian or None); the weights are
+    multiplied from the last factor back, then by the Jacobian and the
+    constant ``scale``.  Every point and weight is computed from its own
+    nodes alone, so a slab of the first factor's nodes gives the same floats
+    as the corresponding rows of the whole product.
     """
-    rules = [f.rule() for f in factors]
     axes = [(1,) * i + (len(w),) + (1,) * (len(rules) - 1 - i)
             for i, (_, w) in enumerate(rules)]
     pts, jac = place(*(np.reshape(x, ax + np.shape(x)[1:])
@@ -199,6 +216,62 @@ def gauss(place, scale, *factors):
     for (_, wi), ax in zip(rules[-2::-1], axes[-2::-1]):
         w = np.reshape(wi, ax) * w
     return pts, (w if jac is None else w * jac).ravel() * scale
+
+
+class GaussBlocks:
+    """The Gauss rule of a patch (``gauss``), one block of rows per draw.
+
+    The blocks are the ``pairwise_leaves`` of the rule's points at
+    ``BALL_CHUNK_POINTS``, drawn in order as ``index`` advances from 0.  The
+    factors' rules are built on the first draw, which sets ``leaves``, and
+    kept.  A block is built by ``_tensor`` on the slab of the first factor's
+    nodes that covers it and sliced to its rows, so its floats are those
+    rows of the whole rule; a slab that reaches past its block is kept for
+    the next.  A patch of at most ``BALL_CHUNK_POINTS`` points is one block,
+    the whole rule.
+    """
+
+    def __init__(self):
+        self.index, self.leaves, self.rules, self._slab = 0, None, None, None
+        self.leaf = BALL_CHUNK_POINTS
+
+    @property
+    def whole(self) -> bool:
+        return len(self.leaves) == 1
+
+    def advance(self) -> bool:
+        """Move to the next block; False when the rule has no more.  A
+        builder that serves a kept whole rule (``_ScaledCaps``) draws
+        nothing, and its one block is the last."""
+        self.index += 1
+        return self.leaves is not None and self.index < len(self.leaves)
+
+    def total(self, sums):
+        """The rule's sum from its blocks' sums, in order, added back up
+        numpy's pairwise tree."""
+        if len(sums) == 1:
+            return sums[0]
+        return pairwise_total(self.size, self.leaf, iter(sums))
+
+    def __call__(self, place, scale, *factors):
+        if self.rules is None:
+            self.rules = [f.rule() for f in factors]
+            self.size = math.prod(len(w) for _, w in self.rules)
+            self.leaves = pairwise_leaves(0, self.size, self.leaf)
+        if self.whole:
+            return _tensor(place, scale, self.rules)
+        start, stop = self.leaves[self.index]
+        (x, w), rows = self.rules[0], self.size // len(self.rules[0][1])
+        slab = start // rows, -(-stop // rows)
+        if self._slab is None or self._slab[0] != slab:
+            self._slab = None       # freed before the next slab is built
+            lo, hi = slab
+            self._slab = slab, _tensor(place, scale,
+                                       [(x[lo:hi], w[lo:hi]), *self.rules[1:]])
+        (_, (pts, w)), first = self._slab, start - slab[0] * rows
+        if slab[1] * rows == stop:      # no later block reads this slab
+            self._slab = None
+        return pts[first:first + stop - start], w[first:first + stop - start]
 
 
 class Sample:
@@ -231,8 +304,14 @@ def _axial(x1, y) -> np.ndarray:
 def _scaled(pts, radius, center):
     """pts * radius + center, in place: center None leaves pts unshifted."""
     pts *= radius
-    if center is not None:
-        pts += np.asarray(center, dtype=float)
+    return pts if center is None else _shifted(pts, center)
+
+
+def _shifted(pts, center):
+    """pts + center, in place, one coordinate column at a time (a column
+    add costs about a third of the broadcast add of a row)."""
+    for j, c in enumerate(np.asarray(center, dtype=float)):
+        pts[:, j] += c
     return pts
 
 
@@ -312,11 +391,12 @@ def _cyl_interior(n, R, delta, radial_nodes, nodes, draw=gauss):
                 _sphere(n - 1, *_WHOLE, nodes, nodes))
 
 
-def integrate_patches(fn, patches) -> float:
-    """Sum of integral(fn) over patches."""
+def integrate_patches(fn, makers) -> float:
+    """Sum of the integrals of fn over the patches that ``makers`` build,
+    each integrated in blocks (``patch_integrals``)."""
     total = 0.0
-    for pts, w in patches:
-        total += float(np.add.reduce(np.asarray(fn(pts), dtype=float) * w))
+    for make in makers:
+        total += patch_integrals(make, fn).value
     return total
 
 
@@ -362,7 +442,7 @@ class SetPatches:
         ``integral(make)``, when given, is the g-integral of the piece that
         ``make`` builds; by default the piece is built and integrated.
         """
-        integral = integral or (lambda make: integrate_patches(g, [make()]))
+        integral = integral or (lambda make: integrate_patches(g, [make]))
         gap = self.volume_excess
         for make in self.volume.values():
             gap -= integral(make)
@@ -371,7 +451,7 @@ class SetPatches:
     def perimeter_margin(self, g, integral=None) -> float:
         """N omega_N - P_f(E) = P_g(E) - perimeter excess, for f = 1 - g;
         ``integral`` as in ``volume_gap``."""
-        integral = integral or (lambda make: integrate_patches(g, [make()]))
+        integral = integral or (lambda make: integrate_patches(g, [make]))
         margin = 0.0
         for make in self.surface.values():
             margin += integral(make)
@@ -416,11 +496,13 @@ class _ScaledCaps:
     """The spherical and solid caps over ``band`` about ``axis`` at any
     radius and centre (``at``).
 
-    Their Gauss rules at radius 1 about the origin, turned to ``axis``, are
-    built on first use and kept.  A Gauss placement scales a copy by the
+    A Gauss placement builds the rule, or the ``GaussBlocks`` block, at
+    radius 1 about the origin, turned to ``axis``, and scales a copy by the
     radius and shifts it, the two operations ``_cap_place`` does, so its
-    floats are those of the cap built there; other draws build the cap at
-    its radius and centre.
+    floats are those of the cap built there.  A rule of one block is kept
+    after its first build and placed from then on; a rule of several blocks
+    is built again block by block, so its points are never all held.
+    Monte-Carlo draws build the cap at its radius and centre.
     """
 
     def __init__(self, n, axis, band, nodes, radial_nodes):
@@ -433,14 +515,15 @@ class _ScaledCaps:
         return tuple(partial(self._placed, i, radius, center) for i in (0, 1))
 
     def _placed(self, i, radius, center, draw=gauss):
-        if draw is not gauss:
+        if isinstance(draw, Sample):
             return self.caps(radius=radius, center=center)[i](draw=draw)
-        if self.rules[i] is None:
-            self.rules[i] = self.caps(radius=1.0, center=None)[i]()
-        pts, w = self.rules[i]
-        placed = pts * radius
-        placed += center
-        return placed, w * radius ** (self.n - 1 + i)
+        rule = self.rules[i]
+        if rule is None:
+            rule = self.caps(radius=1.0, center=None)[i](draw=draw)
+            if draw is not gauss and draw.whole:
+                self.rules[i] = rule
+        pts, w = rule
+        return _shifted(pts * radius, center), w * radius ** (self.n - 1 + i)
 
 
 class CylinderFamily:
@@ -544,11 +627,29 @@ class PatchIntegrals:
 
 
 def patch_integrals(make, fn) -> PatchIntegrals:
-    """Build the patch ``make`` once and integrate ``fn`` on it."""
-    pts, w = make()
+    """Integrate ``fn`` over the patch ``make`` builds, block by block.
+
+    The blocks are drawn by one ``GaussBlocks``, so no weight call sees more
+    than ``BALL_CHUNK_POINTS`` points and the factors' rules are built once.
+    Each block's terms fn w and |fn w| are summed by ``np.add.reduce`` and
+    the blocks' sums are added back up numpy's pairwise tree
+    (``pairwise_total``): the floats of one ``np.add.reduce`` over the whole
+    rule.
+    """
+    blocks = GaussBlocks()
+    sums = [_block_sums(make(draw=blocks), fn)]
+    while blocks.advance():
+        sums.append(_block_sums(make(draw=blocks), fn))
+    value, abs_sum = blocks.total([total for total, _ in sums])
+    return PatchIntegrals(float(value), float(abs_sum), sum(size for _, size in sums))
+
+
+def _block_sums(block, fn):
+    """The sums of fn w and of |fn w| over one block (points, weights), and
+    its point count; the block is freed on return."""
+    pts, w = block
     terms = np.asarray(fn(pts), dtype=float) * w
-    return PatchIntegrals(float(np.add.reduce(terms)),
-                          float(np.add.reduce(np.abs(terms))), w.size)
+    return np.array([np.add.reduce(terms), np.add.reduce(np.abs(terms))]), w.size
 
 
 class GaussPass:
@@ -558,8 +659,11 @@ class GaussPass:
     ``patches`` its ``patches_at(*rule)``, ``pieces[make]`` the (full,
     half) ``PatchIntegrals`` of the piece ``make`` builds, and ``points``
     the full rule's point count.  Passes that share a ``built`` dict
-    integrate a piece on a rule once.  The certified sets integrate the
-    deficit alone, on the pass that ``sized_pass`` settles on."""
+    integrate a piece on a rule once.  Each piece is integrated in
+    pairwise-aligned blocks of at most ``BALL_CHUNK_POINTS`` points
+    (``patch_integrals``), the same floats as one sum over its whole rule.
+    The certified sets integrate the deficit alone, on the pass that
+    ``sized_pass`` settles on."""
 
     def __init__(self, patches_at: Callable, fn, nodes: int, radial_nodes: int,
                  built: dict | None = None):
@@ -682,14 +786,18 @@ def mc_integrals(makers: dict, fns, samples: int,
     alloc = np.maximum((samples * mu / mu.sum()).astype(int), 1000)
     value, var = np.zeros(len(fns)), np.zeros(len(fns))
     for make, m in zip(makers.values(), alloc):
-        total, s1, s2, shift = 0.0, 0.0, 0.0, None
+        total, s1, s2 = (np.zeros(len(fns)) for _ in range(3))
+        shift = None
         for i in range(0, m, BALL_CHUNK_POINTS):
             pts, w = make(draw=Sample(rng, min(BALL_CHUNK_POINTS, m - i)))
-            y = np.array([np.asarray(fn(pts), dtype=float) * w for fn in fns])
-            shift = y[:, :1] if shift is None else shift
-            dy = y - shift
-            total, s1, s2 = (total + y.sum(axis=1), s1 + dy.sum(axis=1),
-                             s2 + (dy * dy).sum(axis=1))
+            ys = [np.asarray(fn(pts), dtype=float) * w for fn in fns]
+            shift = [y[0] for y in ys] if shift is None else shift
+            for j, (y, y0) in enumerate(zip(ys, shift)):
+                dy = y - y0
+                total[j] += y.sum()
+                s1[j] += dy.sum()
+                dy *= dy
+                s2[j] += dy.sum()
         value += total / m
         var += np.maximum(s2 / m - (s1 / m) ** 2, 0.0) / m
     return [MeasureResult(float(v), "monte_carlo", math.sqrt(s), int(alloc.sum()), seed)

@@ -1,4 +1,5 @@
-"""Shared quadrature machinery: Gauss panels, sphere/ball grids, frames.
+"""Shared quadrature machinery: Gauss panels, sphere/ball grids, frames,
+and the leaves of numpy's pairwise summation tree.
 
 Sphere grids use Gauss-Legendre nodes in every polar angle and a uniform
 periodic rule in the azimuth, so smooth integrands converge spectrally and
@@ -39,6 +40,40 @@ def norms(x) -> np.ndarray:
     for i in range(1, x.shape[-1]):
         square += x[..., i] * x[..., i]
     return np.sqrt(square)
+
+
+# numpy adds at most this many terms without splitting them
+_PAIRWISE_BLOCK = 128
+
+
+def _pairwise_split(n: int, leaf: int) -> int:
+    """Where numpy's pairwise summation splits a run of n terms: after
+    n // 2 rounded down to a multiple of 8 terms; 0 when the run is a leaf,
+    at most ``leaf`` terms or a block numpy sums without splitting."""
+    if n <= max(leaf, _PAIRWISE_BLOCK):
+        return 0
+    half = n // 2
+    return half - half % 8
+
+
+def pairwise_leaves(start: int, stop: int, leaf: int) -> list[tuple[int, int]]:
+    """The leaves [start', stop') of numpy's pairwise summation tree of the
+    terms [start, stop), cut where a run has at most ``leaf`` terms."""
+    half = _pairwise_split(stop - start, leaf)
+    if not half:
+        return [(start, stop)]
+    return (pairwise_leaves(start, start + half, leaf)
+            + pairwise_leaves(start + half, stop, leaf))
+
+
+def pairwise_total(n: int, leaf: int, sums):
+    """The sum of n terms from the iterator ``sums`` of the sums of their
+    ``pairwise_leaves``, in order, added back up the same tree: the float
+    that ``np.add.reduce`` gives on all n terms at once."""
+    half = _pairwise_split(n, leaf)
+    if not half:
+        return next(sums)
+    return pairwise_total(half, leaf, sums) + pairwise_total(n - half, leaf, sums)
 
 
 @lru_cache(maxsize=64)

@@ -4,12 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import isoplab
-from isoplab.cli import run
+from isoplab.cli import run, write_csv
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -218,6 +220,42 @@ def test_morgan_outputs(tmp_path):
     assert rec["extinction_observed"] == pytest.approx(12.0, abs=1e-6)
     curve = (tmp_path / "o" / "morgan_curve.csv").read_text().splitlines()
     assert curve[0] == "t,mass"
+
+
+def _joined_csv(header, rows) -> str:
+    """The CSV text as one join of every line."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(repr(float(x)) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097, 10_000])
+def test_write_csv_bytes_equal_one_join(tmp_path, count):
+    # rows written in blocks: the bytes of the whole table joined at once,
+    # final newline included, for every kind of value
+    values = [3, np.int64(-7), np.float64(0.1), math.nan, math.inf, -math.inf,
+              -0.0, 5e-324, 1e16, np.float64(2.0) / 3.0]
+    rows = [(values[i % len(values)], values[(3 * i + 1) % len(values)], i)
+            for i in range(count)]
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a", "b", "c"], iter(rows))
+    assert path.read_bytes() == _joined_csv(["a", "b", "c"], rows).encode()
+
+
+def test_morgan_keeps_a_bounded_working_set(tmp_path):
+    # 120,001 rows: the curve's tuples, and the table in blocks of rows
+    # rather than its whole text (27 MB when joined whole)
+    argv = ["--out", str(tmp_path / "o"), "morgan", "--c2", "8.0", "--dim",
+            "3", "--m0", "1.0", "--step", "1e-4"]
+    run(argv)
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14e6
 
 
 def test_rerun_outputs_byte_identical(tmp_path):

@@ -493,14 +493,14 @@ def test_build_competitor_measures_the_set_in_one_gauss_pass(monkeypatch, exp3):
     # tries: 16 and its half rule 8, then 32, whose half rule is the 16
     # already built; only the leading cap at sweep 0 is built besides, on
     # the settled rule and its half, for the rotation identity.  Monte-Carlo
-    # draws are not Gauss builds
+    # draws are not Gauss builds; at 32 nodes every piece is one Gauss block
     counts = dict.fromkeys(("sphere_cap_patch", "ball_cap_patch",
                             "swept_band_patch", "swept_wedge_patch"), 0)
     for name in counts:
         original = getattr(isoplab.measures, name)
 
         def recorded(*args, _name=name, _original=original, **kwargs):
-            if kwargs.get("draw", isoplab.measures.gauss) is isoplab.measures.gauss:
+            if not isinstance(kwargs.get("draw"), isoplab.measures.Sample):
                 counts[_name] += 1
             return _original(*args, **kwargs)
         monkeypatch.setattr(isoplab.measures, name, recorded)
@@ -709,9 +709,27 @@ def test_cylinder_checks_integrate_each_near_hemisphere_once(monkeypatch, exp3):
     assert placed.count((0, k)) == 1
     assert placed.count((1, k)) == 1
     near = [integrate_patches(g, [cylinder_patches(n, R, x, np.eye(n), 16, 16)
-                                  .surface["near"]()]) for x in (0.0, delta)]
+                                  .surface["near"]]) for x in (0.0, delta)]
     s1 = -math.expm1((n - 1) * math.log1p(-delta / R))
     assert decrease == -0.5 * n * unit_ball_volume(n) * s1 + near[0] - near[1]
+
+
+def test_build_competitor_hands_the_weight_at_most_a_chunk(exp3):
+    # every weight and deficit call, the Gauss passes' blocks, the Monte
+    # Carlo chunks and the scans, has at most BALL_CHUNK_POINTS points
+    sizes = []
+
+    def counted(fn):
+        def wrapped(x):
+            sizes.append(math.prod(np.shape(x)[:-1]))
+            return fn(x)
+        return wrapped
+    d = dataclasses.replace(exp3, weight=counted(exp3.weight),
+                            deficit=counted(exp3.deficit))
+    cert = build_competitor(d, eps=0.05, R_min=10.0, R_max=200.0,
+                            mc_samples=200_000)
+    cylinder_extension(cert.farball, d, eps=0.05)
+    assert max(sizes) <= isoplab.measures.BALL_CHUNK_POINTS
 
 
 def _counted(d):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,14 +11,15 @@ from isoplab import (CylinderExtended, PlainBall, RotationSwept,
                      ball_deficit_measures, deficit_profile,
                      density_from_config, mean_density, profile_upper_bound,
                      set_measures, unit_ball_volume, weighted_ball_measures)
-from isoplab.density import deficit_weight
-from isoplab.defaults import VOLUME_RTOL
+import isoplab.measures
+from isoplab.density import FAMILIES, deficit_weight
+from isoplab.defaults import BALL_CHUNK_POINTS, VOLUME_RTOL
 from isoplab.measures import (_LOWER, _UPPER, _WHOLE, CylinderFamily,
                               GaussPass, Sample, _sphere, ball_cap_patch,
                               gauss, integrate_patches, mc_integrals,
                               set_patches, sized_pass, sphere_cap_patch,
                               swept_patches)
-from isoplab.quadrature import frame_from_axis
+from isoplab.quadrature import frame_from_axis, pairwise_leaves, pairwise_total
 
 
 def euclid_cylinder(n, R, delta):
@@ -88,8 +91,8 @@ def test_set_patches_integrate_to_closed_form_excess(n):
         return np.ones(len(x))
     for E in sets:
         patches = set_patches(E, 16, 16)
-        V = integrate_patches(one, [make() for make in patches.volume.values()])
-        P = integrate_patches(one, [make() for make in patches.surface.values()])
+        V = integrate_patches(one, patches.volume.values())
+        P = integrate_patches(one, patches.surface.values())
         assert V == pytest.approx(omega + patches.volume_excess, rel=1e-12)
         assert P == pytest.approx(n * omega + sum(patches.perimeter_excess),
                                   rel=1e-12)
@@ -469,3 +472,120 @@ def test_pass_estimates_sum_the_per_piece_estimate(exp3):
         sums.append(total)
     assert quad.estimates() == tuple(sums)
     assert quad.points == sum(full.points for full, _ in quad.pieces.values())
+
+
+# ---------------------------------------------------------------------------
+# Gauss passes in blocks
+# ---------------------------------------------------------------------------
+
+_PARAMS = {"constant": {}, "radial_exp": {"c": 1.0}, "radial_power": {"p": 2.0},
+           "angular_mod": {"eta": 0.5, "k": 1, "c": 1.0}}
+
+
+def _family(name, n):
+    return density_from_config({"family": name, "dim": n, "a": 1.0,
+                                "params": _PARAMS[name]})
+
+
+def _sets(n):
+    return (PlainBall(dim=n, offset=10.0),
+            CylinderExtended(dim=n, offset=10.0, delta=0.05),
+            RotationSwept(dim=n, offset=10.0, delta=0.05))
+
+
+def chunk_counted(d, sizes):
+    """``d`` whose weight and deficit record the points of every call."""
+    def counted(fn):
+        def wrapped(x):
+            sizes.append(math.prod(np.shape(x)[:-1]))
+            return fn(x)
+        return wrapped
+    return dataclasses.replace(d, weight=counted(d.weight), deficit=(
+        None if d.deficit is None else counted(d.deficit)))
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees in a warm call of fn."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pairwise_total_is_numpy_add_reduce():
+    # the leaves' sums added back up numpy's pairwise tree are the float of
+    # one np.add.reduce over all the terms: a guard on numpy's summation
+    # rule, which every blocked Gauss pass relies on.  Leaves of 128 are
+    # checked on the first 20 random sizes only, for time
+    rng = np.random.default_rng(24)
+    terms = (rng.standard_normal(3_000_000)
+             * np.exp(rng.uniform(-20.0, 20.0, 3_000_000)))
+
+    def check(n, leaf):
+        leaves = pairwise_leaves(0, n, leaf)
+        assert [a for a, _ in leaves[1:]] == [b for _, b in leaves[:-1]]
+        assert leaves[0][0] == 0 and leaves[-1][1] == n
+        assert all(b - a <= max(leaf, 128) for a, b in leaves)
+        x = terms[:n]
+        sums = [np.add.reduce(x[a:b]) for a, b in leaves]
+        assert pairwise_total(n, leaf, iter(sums)) == np.add.reduce(x)
+    for n in range(1, 601):
+        for leaf in (128, 8192, 65536):
+            check(n, leaf)
+    for i, n in enumerate(rng.integers(1, 3_000_001, 300)):
+        for leaf in (8192, 65536) + ((128,) if i < 20 else ()):
+            check(int(n), leaf)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_set_measures_hands_the_weight_at_most_a_chunk(family):
+    # a 64-node half-ball rule in N = 3 has 262,144 points; the pass hands
+    # the weight at most BALL_CHUNK_POINTS of them per call
+    sizes = []
+    d = chunk_counted(_family(family, 3), sizes)
+    for E in _sets(3):
+        set_measures(E, d)
+    assert max(sizes) <= BALL_CHUNK_POINTS
+    assert sum(sizes) > 4 * 64 ** 3
+
+
+@pytest.mark.parametrize("n, nodes", [(2, 64), (3, 64), (4, 32)])
+def test_blocked_passes_equal_one_block(monkeypatch, n, nodes):
+    # with the chunk above every patch size each patch is one block, one
+    # np.add.reduce over its whole rule: the blocked values and estimates
+    # are the same floats
+    densities = [_family(name, n) for name in FAMILIES]
+    blocked = [set_measures(E, d, nodes=nodes) for d in densities for E in _sets(n)]
+    monkeypatch.setattr(isoplab.measures, "BALL_CHUNK_POINTS", 2 ** 40)
+    sizes = []
+    whole = [set_measures(E, chunk_counted(d, sizes), nodes=nodes)
+             for d in densities for E in _sets(n)]
+    assert whole == blocked
+    if n > 2:
+        assert max(sizes) > BALL_CHUNK_POINTS
+
+
+@pytest.mark.parametrize("chunk", [129, 1000])
+def test_blocks_of_any_size_equal_one_block(monkeypatch, chunk):
+    # blocks that cut through a first-factor node, and slabs kept for the
+    # next block, give the floats of the whole rule
+    d = _family("angular_mod", 3)
+    whole = [set_measures(E, d, nodes=16) for E in _sets(3)]
+    monkeypatch.setattr(isoplab.measures, "BALL_CHUNK_POINTS", chunk)
+    sizes = []
+    assert [set_measures(E, chunk_counted(d, sizes), nodes=16)
+            for E in _sets(3)] == whole
+    assert max(sizes) <= chunk
+
+
+def test_gauss_passes_keep_a_bounded_working_set():
+    # the blocks bound the pass's memory, whatever the rule's point count:
+    # 20 MB and 97 MB when each patch was built whole
+    d3, d4 = _family("radial_exp", 3), _family("radial_exp", 4)
+    assert traced_peak(lambda: set_measures(
+        CylinderExtended(dim=3, offset=10.0, delta=0.05), d3)) <= 8e6
+    assert traced_peak(lambda: set_measures(
+        CylinderExtended(dim=4, offset=10.0, delta=0.05), d4, nodes=32)) <= 16e6
