@@ -16,8 +16,8 @@ perimeter stays below the Euclidean value N omega_N:
   (``select_sweep_direction``).  For N >= 3 the working circle is found by
   descending through subspheres on their mean margins
   (``farball.select_working_circle``); a radial weight's is the first
-  coordinate plane, and its advance map, constant in the angle, has one
-  angle (``rotation_extension``).
+  coordinate plane, and its advance map, constant in the angle, is
+  matched at one angle (``build_competitor``).
 
 All final inequalities are assembled in deficit space: the perimeter margin
 N omega_N - P_f(E) is a sum of small deficit integrals and closed-form
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -301,72 +301,6 @@ def _pass_record(quad: GaussPass) -> dict:
             "pass_volume_estimate": volume}
 
 
-class _CylinderPieces:
-    """Deficit-space volume gap and perimeter margin of the cylinder-extended
-    sets along the first column of ``frame``: the excess minus the
-    g-integrals over ``measures.CylinderFamily``, the patches that
-    ``set_measures`` integrates the weight over.  The pieces every height
-    shares (the far caps, and the near caps at height zero) are integrated
-    once, and so are the pieces of the height last asked for, which the
-    margin and the shifted-boundary check at the match share; their floats
-    are subtracted in the same order."""
-
-    def __init__(self, d: Density, R: float, frame: np.ndarray,
-                 nodes: int = SPHERE_NODES, radial_nodes: int = RADIAL_NODES):
-        self.n, self.R, self.g = d.dim, R, deficit_weight(d)
-        # delta -> the patches of the set of height delta
-        self.patches = CylinderFamily(d.dim, R, frame, nodes, radial_nodes)
-        self._shared = dict.fromkeys(self.patches.shared)
-        self._last = None       # (delta, its patches, their integrals)
-
-    @classmethod
-    def sized(cls, d: Density, R: float, frame: np.ndarray):
-        """The pieces on the rule that ``sized_pass`` settles on for the set
-        of height zero, up to (SPHERE_NODES, RADIAL_NODES), starting from
-        that pass's integrals; and the pass."""
-        families = {}
-
-        def height_zero(*rule):
-            if rule not in families:
-                families[rule] = cls(d, R, frame, *rule)
-            return families[rule].patches(0.0)
-        quad = sized_pass(height_zero, deficit_weight(d), SPHERE_NODES,
-                          RADIAL_NODES)
-        pieces = families[quad.rule]
-        for make in pieces._shared:
-            pieces._shared[make] = quad.integral(make)
-        return pieces, quad
-
-    def _at(self, delta: float):
-        if self._last is None or self._last[0] != delta:
-            self._last = delta, self.patches(delta), {}
-        return self._last[1]
-
-    def _integral(self, make) -> float:
-        values = self._shared if make in self._shared else self._last[2]
-        if values.get(make) is None:
-            values[make] = integrate_patches(self.g, [make])
-        return values[make]
-
-    def volume_gap(self, delta: float) -> float:
-        return self._at(delta).volume_gap(self.g, self._integral)
-
-    def perimeter_margin(self, delta: float) -> float:
-        return self._at(delta).perimeter_margin(self.g, self._integral)
-
-    def shifted_boundary_decrease(self, delta: float) -> float:
-        """H_f(near hemisphere of the shrunk ball) - H_f(near hemisphere of B).
-
-        Nonpositive for ray-nondecreasing weights; evaluated in deficit space:
-        -(N omega_N / 2)(1 - k^{N-1}) + H_g(near of B) - H_g(near, shrunk).
-        """
-        s1, _ = shrink_terms(self.n, self.R, delta)
-        # height zero's near hemisphere is shared, so the last height stays
-        near = [self._integral(patches.surface["near"])
-                for patches in (self.patches(0.0), self._at(delta))]
-        return -0.5 * self.n * unit_ball_volume(self.n) * s1 + near[0] - near[1]
-
-
 @dataclass(frozen=True)
 class ExtensionResult:
     E: CylinderExtended | RotationSwept | PlainBall
@@ -407,29 +341,49 @@ def cylinder_extension(cert: FarBallCertificate, d: Density,
     annulus (checked on samples; the variant is refused otherwise, since the
     inward displacement argument is what keeps the near boundary cheap).
     The Gauss rule is sized once, on the set of height zero, the base ball:
-    ``sized_pass`` up to (SPHERE_NODES, RADIAL_NODES) at that set's own
-    |B|_g.  The match, the margin and the shifted-boundary check all run on
-    the settled rule, starting from the pass's integrals of the height-zero
-    pieces.  The checks record the rule, the pass's deficit estimates over
-    the boundary and the interior (``pass_rule``, ``pass_surface_estimate``,
-    ``pass_volume_estimate``) and rho - 1 (``_extension``, refusing rho > 1).
+    ``sized_pass`` up to (SPHERE_NODES, RADIAL_NODES) at the certificate's
+    |B|_g (``cert.V_g``).  The match, the margin and the shifted-boundary
+    check all run on the settled rule: the pieces the pass holds, the far
+    caps that every height shares and the near caps of height zero, are
+    read from it, and every other piece is integrated once
+    (``integrate_patches``), as each height's patches are built once, so
+    the margin and the shifted-boundary check at the match share its near
+    hemisphere.  The checks record the rule, the pass's
+    deficit estimates over the boundary and the interior (``pass_rule``,
+    ``pass_surface_estimate``, ``pass_volume_estimate``) and rho - 1
+    (``_extension``, refusing rho > 1).
     """
     n, R = d.dim, cert.R
     theta = np.array(cert.theta) if cert.theta is not None else np.eye(n)[0]
     if not ray_monotone_on_samples(d, max(d.envelope_radius, R - 2.0), R + 2.0):
         raise RuntimeError("weight is not ray-monotone near the annulus; "
                            "cylinder extension refused")
-    pieces, quad = _CylinderPieces.sized(d, R, frame_from_axis(theta))
+    g = deficit_weight(d)
+    family = cache(partial(CylinderFamily, n, R, frame_from_axis(theta)))
+    quad = sized_pass(lambda *rule: family(*rule)(0.0), g, SPHERE_NODES,
+                      RADIAL_NODES, cert.V_g.value)
+    at = cache(family(*quad.rule))          # delta -> the set of height delta
+    other = cache(lambda make: integrate_patches(g, [make]))
+
+    def integral(make):
+        return quad.integral(make) if make in quad.pieces else other(make)
+
+    def gap(delta):
+        return at(delta).volume_gap(g, integral)
     # |B|_g and the margin of B: the set of height zero
-    ball_g = -pieces.volume_gap(0.0)
-    ball_margin = pieces.perimeter_margin(0.0)
+    ball_g, ball_margin = -gap(0.0), at(0.0).perimeter_margin(g, integral)
     # gap by keyword, where perfbench's tracer counts its calls
-    match = volume_match(gap=pieces.volume_gap, ball_deficit=ball_g, n=n, R=R, eps=eps)
+    match = volume_match(gap=gap, ball_deficit=ball_g, n=n, R=R, eps=eps)
     delta = match.delta_bar
     E = (CylinderExtended(dim=n, offset=R, delta=delta, direction=tuple(theta))
          if delta > 0.0 else PlainBall(dim=n, offset=R, direction=tuple(theta)))
-    margin = pieces.perimeter_margin(delta)
-    decrease = pieces.shifted_boundary_decrease(delta)
+    margin = at(delta).perimeter_margin(g, integral)
+    # H_f(near hemisphere, shrunk) - H_f(near hemisphere of B), nonpositive
+    # for ray-nondecreasing weights: -(N omega_N / 2)(1 - k^{N-1})
+    # + H_g(near of B) - H_g(near, shrunk)
+    near = [integral(at(x).surface["near"]) for x in (0.0, delta)]
+    decrease = (-0.5 * n * unit_ball_volume(n) * shrink_terms(n, R, delta)[0]
+                + near[0] - near[1])
     # perimeter chain: P_f(E) <= P_f(B) + (N - 1 + eps) omega_{N-1} delta
     chain_lhs = ball_margin - margin      # P_f(E) - P_f(B)
     chain_rhs = (n - 1 + eps) * unit_ball_volume(n - 1) * delta

@@ -533,10 +533,12 @@ class CylinderFamily:
     Its boundary is the far hemisphere, the cylinder wall, the shrunk near
     hemisphere and, where the shrunk half-ball meets the full-radius face,
     the exposed annulus; the matching disk faces are interior and cancel.
-    The far caps do not move with delta, and every height shares their
-    builders, as height zero shares its near caps' (``shared``).  The near
-    caps of height delta are placed at radius k = (R - delta)/R and centre
-    (R - delta) e1 from one turned rule (``_ScaledCaps``).
+    The far caps do not move with delta: every height shares their
+    builders, and every call at height zero its near caps', so a
+    ``GaussPass`` over the set of height zero holds their integrals for any
+    height (``GaussPass.integral``).  The near caps of height delta are
+    placed at radius k = (R - delta)/R and centre (R - delta) e1 from one
+    turned rule (``_ScaledCaps``).
     """
 
     def __init__(self, n: int, R: float, frame: np.ndarray, nodes: int,
@@ -547,7 +549,6 @@ class CylinderFamily:
         self.far = _caps(n, 1.0, R * self.e1, self.e1, _UPPER, nodes, radial_nodes)
         self._near = _ScaledCaps(n, self.e1, _LOWER, nodes, radial_nodes)
         self._near0 = self._near_caps(0.0)
-        self.shared = self.far + self._near0
 
     def _near_caps(self, delta):
         """Builders of the near hemisphere and half-ball of height delta."""
@@ -713,28 +714,23 @@ class GaussPass:
 
 
 def sized_pass(patches_at: Callable, g, nodes: int, radial_nodes: int,
-               scale: float | None = None) -> GaussPass:
+               scale: float) -> GaussPass:
     """The ``GaussPass`` of the deficit ``g`` on a rule that resolves it to
-    the set's deficit scale.
+    the deficit scale ``scale``, |B|_g of the set's base ball.
 
     The rules (16, 16), (32, 32), ... below both of the ceiling (nodes,
     radial_nodes) are tried in turn; the first whose surface and volume
     ``estimates`` are both at most ``VOLUME_RTOL * scale`` is returned, and
     otherwise the pass at the ceiling, whatever its estimates.  16 is the
-    fewest nodes whose half rule differs from the rule itself.  ``scale``
-    is |B|_g of the base ball; by default, each pass's own deficit volume,
-    which is |B|_g for a set with no volume excess.  A vanished scale (at
-    most ``DEGENERACY_TOL``) goes straight to the ceiling.  Each rule's half
-    rule is the rule tried before it, whose integrals the passes share.
+    fewest nodes whose half rule differs from the rule itself.  A vanished
+    scale (at most ``DEGENERACY_TOL``) goes straight to the ceiling.  Each
+    rule's half rule is the rule tried before it, whose integrals the passes
+    share.
     """
     built, size = {}, 2 * _RULE_FLOOR
-    while (size < nodes and size < radial_nodes
-           and (scale is None or scale > DEGENERACY_TOL)):
+    while size < nodes and size < radial_nodes and scale > DEGENERACY_TOL:
         quad = GaussPass(patches_at, g, size, size, built)
-        ball = quad.measures()[1].value if scale is None else scale
-        if ball <= DEGENERACY_TOL:
-            break
-        if max(quad.estimates()) <= VOLUME_RTOL * ball:
+        if max(quad.estimates()) <= VOLUME_RTOL * scale:
             return quad
         size *= 2
     return GaussPass(patches_at, g, nodes, radial_nodes, built)

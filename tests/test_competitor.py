@@ -23,15 +23,16 @@ import isoplab.quadrature
 import isoplab.spectral
 from isoplab import (ExtensionResult, PlainBall, RotationSwept, VolumeMatch,
                      weighted_ball_measures)
-from isoplab.competitor import (_CylinderPieces, _lockstep_roots, _match,
-                                _root_steps, monte_carlo_check,
-                                ray_monotone_on_samples)
-from isoplab.defaults import CIRCLE_GRID, PSI_START, RADIAL_NODES, VOLUME_RTOL
+from isoplab.competitor import (_lockstep_roots, _match, _root_steps,
+                                monte_carlo_check, ray_monotone_on_samples)
+from isoplab.defaults import (CIRCLE_GRID, PSI_START, RADIAL_NODES,
+                              SPHERE_NODES, VOLUME_RTOL)
 from isoplab.density import deficit_weight
-from isoplab.measures import (ball_cap_patch, cylinder_patches,
-                              integrate_patches, set_patches,
-                              sphere_cap_patch, swept_band_patch,
-                              swept_patches, swept_wedge_patch)
+from isoplab.measures import (CylinderFamily, GaussPass, ball_cap_patch,
+                              cylinder_patches, integrate_patches,
+                              set_patches, sized_pass, sphere_cap_patch,
+                              swept_band_patch, swept_patches,
+                              swept_wedge_patch)
 from isoplab.quadrature import frame_from_axis, sphere_grid, unit_sphere_area
 from isoplab.spectral import ULP, SweepSpectrum, subsphere_means
 
@@ -212,9 +213,12 @@ def test_volume_match_cylinder_scalar_root_oracle():
     # 2 delta - (pi/2)(1 - ((R - delta)/R)^2) = G; bisection oracle
     R = 100.0
     d = right_half_bump_density(R)
-    pieces = _CylinderPieces(d, R, np.eye(2), nodes=96, radial_nodes=96)
+    g = deficit_weight(d)
+
+    def gap(delta):
+        return cylinder_patches(2, R, delta, np.eye(2), 96, 96).volume_gap(g)
     # |B|_g: at height zero the gap is minus the two half-balls' g-volumes
-    G = -pieces.volume_gap(0.0)
+    G = -gap(0.0)
     assert G > 1e-4
 
     def eqn(delta):
@@ -229,7 +233,7 @@ def test_volume_match_cylinder_scalar_root_oracle():
         else:
             lo = mid
     oracle = 0.5 * (lo + hi)
-    match = volume_match(pieces.volume_gap, G, 2, R, 0.05)
+    match = volume_match(gap, G, 2, R, 0.05)
     assert match.delta_bar == pytest.approx(oracle, rel=1e-6)
 
 
@@ -648,9 +652,11 @@ _CYLINDER_FRAMES = {2: [np.eye(2), frame_from_axis(np.array([0.6, -0.8]))],
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("tilted", [False, True])
 def test_cylinder_pieces_equal_the_patch_description(n, tilted):
-    # the pieces integrate the far caps once and place the near caps from
-    # one turned rule; every gap and margin is still the float of the set's
-    # own patch list, whatever the order of the calls
+    # every height of a family shares the far caps' builders with the pass
+    # over its set of height zero, and places the near caps from one turned
+    # rule; reading the pass for those pieces and integrating the others,
+    # every gap and margin is still the float of the set's own patch list,
+    # whatever the order of the calls
     d = density_from_config({"family": "radial_exp", "dim": n, "a": 1.0,
                              "params": {"c": 1.0}})
     g, R, nodes, radial_nodes = deficit_weight(d), 6.0, 16, 12
@@ -660,10 +666,28 @@ def test_cylinder_pieces_equal_the_patch_description(n, tilted):
     for delta in deltas:
         patches = cylinder_patches(n, R, delta, frame, nodes, radial_nodes)
         expected[delta] = (patches.volume_gap(g), patches.perimeter_margin(g))
-    pieces = _CylinderPieces(d, R, frame, nodes, radial_nodes)
+    families = {}
+
+    def height_zero(*rule):
+        if rule not in families:
+            families[rule] = CylinderFamily(n, R, frame, *rule)
+        return families[rule](0.0)
+    quad = GaussPass(height_zero, g, nodes, radial_nodes)
+    family = families[nodes, radial_nodes]
+
+    def integral(make):
+        return (quad.integral(make) if make in quad.pieces
+                else integrate_patches(g, [make]))
     for delta in deltas[::-1] + deltas[1::2] + deltas:
-        assert pieces.perimeter_margin(delta) == expected[delta][1]
-        assert pieces.volume_gap(delta) == expected[delta][0]
+        patches = family(delta)
+        read = {(kind, name) for kind in ("surface", "volume")
+                for name, make in getattr(patches, kind).items()
+                if make in quad.pieces}
+        assert read == ({("surface", "far"), ("volume", "far")}
+                        | ({("surface", "near"), ("volume", "near")}
+                           if delta == 0.0 else set()))
+        assert patches.perimeter_margin(g, integral) == expected[delta][1]
+        assert patches.volume_gap(g, integral) == expected[delta][0]
 
 
 def test_cylinder_match_builds_each_half_ball_rule_once(monkeypatch, exp3):
@@ -690,9 +714,10 @@ def test_cylinder_match_builds_each_half_ball_rule_once(monkeypatch, exp3):
 
 
 def test_cylinder_checks_integrate_each_near_hemisphere_once(monkeypatch, exp3):
-    # the margin at a height and the shifted-boundary check there share that
-    # height's near hemisphere: it is placed and integrated once, and the
-    # check is the float of the set's own patch list
+    # the margin at the match and the shifted-boundary check there share
+    # that height's near hemisphere: it is placed and integrated once, and
+    # the gap, the margin and the check are the floats of the set's own
+    # patch list on the settled rule
     placed = []
     original = isoplab.measures._ScaledCaps._placed
 
@@ -700,18 +725,22 @@ def test_cylinder_checks_integrate_each_near_hemisphere_once(monkeypatch, exp3):
         placed.append((i, radius))
         return original(self, i, radius, center, draw=draw)
     monkeypatch.setattr(isoplab.measures._ScaledCaps, "_placed", recorded)
-    n, R, delta = 3, 10.0, 1e-3
-    g, k = deficit_weight(exp3), (R - delta) / R
-    pieces = _CylinderPieces(exp3, R, np.eye(n), 16, 16)
-    pieces.volume_gap(delta)
-    pieces.perimeter_margin(delta)
-    decrease = pieces.shifted_boundary_decrease(delta)
+    n, R = 3, 10.0
+    ext = cylinder_extension(select_direction(exp3, R, 0.05), exp3, eps=0.05)
+    delta, rule = ext.E.delta, ext.checks["pass_rule"]
+    k = (R - delta) / R
+    assert delta > 0.0
     assert placed.count((0, k)) == 1
     assert placed.count((1, k)) == 1
-    near = [integrate_patches(g, [cylinder_patches(n, R, x, np.eye(n), 16, 16)
+    g, frame = deficit_weight(exp3), frame_from_axis(np.eye(n)[0])
+    patches = cylinder_patches(n, R, delta, frame, *rule)
+    assert ext.volume_gap == patches.volume_gap(g)
+    assert ext.perimeter_margin == patches.perimeter_margin(g)
+    near = [integrate_patches(g, [cylinder_patches(n, R, x, frame, *rule)
                                   .surface["near"]]) for x in (0.0, delta)]
     s1 = -math.expm1((n - 1) * math.log1p(-delta / R))
-    assert decrease == -0.5 * n * unit_ball_volume(n) * s1 + near[0] - near[1]
+    assert (ext.checks["shifted_boundary_decrease"]
+            == -0.5 * n * unit_ball_volume(n) * s1 + near[0] - near[1])
 
 
 def test_build_competitor_hands_the_weight_at_most_a_chunk(exp3):
@@ -859,10 +888,13 @@ def test_sized_certificates_cover_the_oracle(family, n, R_min):
     d = density_from_config({"family": family, "dim": n, "a": 1.0})
     cert = build_competitor(d, eps=0.05, R_min=R_min, R_max=200.0,
                             mc_samples=20_000)
-    R = cert.farball.R
+    R, g = cert.farball.R, deficit_weight(d)
     ext = cylinder_extension(cert.farball, d, eps=0.05)
-    pieces, quad = _CylinderPieces.sized(d, R, np.eye(n))
-    assert list(quad.rule) == ext.checks["pass_rule"]
+    rule = ext.checks["pass_rule"]
+    # the cylinder's rule is sized on its base ball at the far ball's |B|_g
+    quad = sized_pass(partial(cylinder_patches, n, R, 0.0, np.eye(n)), g,
+                      SPHERE_NODES, RADIAL_NODES, cert.farball.V_g.value)
+    assert list(quad.rule) == rule
     ball, margin, gap, cylinder_margin = _oracle(family, n, R, cert.E.delta,
                                                  ext.E.delta)
     bounds, checks = cert.bounds, ext.checks
@@ -870,27 +902,38 @@ def test_sized_certificates_cover_the_oracle(family, n, R_min):
         assert (abs(mp.mpf(cert.perimeter_margin) - margin)
                 <= bounds["pass_surface_estimate"])
         assert abs(mp.mpf(cert.volume_gap) - gap) <= bounds["pass_volume_estimate"]
-        assert (abs(mp.mpf(-pieces.volume_gap(0.0)) - ball)
+        assert (abs(mp.mpf(-quad.patches.volume_gap(g, quad.integral)) - ball)
                 <= checks["pass_volume_estimate"])
         assert (abs(mp.mpf(ext.perimeter_margin) - cylinder_margin)
                 <= checks["pass_surface_estimate"])
 
 
-def test_cylinder_pieces_free_their_rules_without_the_cycle_collector(exp3):
-    # the kept turned rules go when the pieces go, by reference counting
-    # alone, so a run of matches holds one rule at a time
-    pieces = _CylinderPieces(exp3, 10.0, np.eye(3), 16, 16)
-    for delta in (0.0, 1e-3):
-        pieces.volume_gap(delta)
-        pieces.perimeter_margin(delta)
-    pieces.shifted_boundary_decrease(1e-3)
-    family = weakref.ref(pieces.patches)
-    rules = [weakref.ref(pts) for pts, _ in pieces.patches._near.rules]
+def test_cylinder_pieces_free_their_rules_without_the_cycle_collector(
+        monkeypatch, exp3):
+    # the families and their kept turned rules go when the extension
+    # returns, by reference counting alone, so a run of extensions holds
+    # no rule past its own
+    families, rules = [], []
+    init, placed = CylinderFamily.__init__, isoplab.measures._ScaledCaps._placed
+
+    def recorded_init(self, *args):
+        init(self, *args)
+        families.append(weakref.ref(self))
+
+    def recorded_placed(self, *args, **kwargs):
+        out = placed(self, *args, **kwargs)
+        rules.extend(weakref.ref(pts) for pts, _ in filter(None, self.rules))
+        return out
+    monkeypatch.setattr(CylinderFamily, "__init__", recorded_init)
+    monkeypatch.setattr(isoplab.measures._ScaledCaps, "_placed", recorded_placed)
+    cert = select_direction(exp3, 10.0, 0.05)
     gc.disable()
     try:
-        del pieces
-        assert family() is None
-        assert [rule() for rule in rules] == [None, None]
+        ext = cylinder_extension(cert, exp3, eps=0.05)
+        assert ext.E.delta > 0.0
+        assert families and rules
+        assert [family() for family in families] == [None] * len(families)
+        assert [rule() for rule in rules] == [None] * len(rules)
     finally:
         gc.enable()
 
@@ -1271,16 +1314,21 @@ def test_build_competitor_evaluates_the_weight_only_in_monte_carlo(monkeypatch, 
     # the certificate is assembled from the deficit alone: outside the
     # Monte-Carlo cross-check the weight is never evaluated (88,640 points
     # of the certified pass on each of these inputs when the pass also
-    # integrated f)
+    # integrated f), and neither is it by the cylinder route, which
+    # certifies a radial weight from g alone too
     points, weight = [0], d.weight
 
     def counted(x):
         points[0] += math.prod(np.shape(x)[:-1])
         return weight(x)
     mc = _stage_points(monkeypatch, points, "monte_carlo_check")
-    cert = build_competitor(dataclasses.replace(d, weight=counted), eps=0.05,
-                            R_min=10.0, R_max=200.0, mc_samples=20_000)
+    counted_d = dataclasses.replace(d, weight=counted)
+    cert = build_competitor(counted_d, eps=0.05, R_min=10.0, R_max=200.0,
+                            mc_samples=20_000)
     assert cert.strict
+    if d.radial:
+        ext = cylinder_extension(cert.farball, counted_d, eps=0.05)
+        assert ext.perimeter_margin > 0.0
     assert mc["monte_carlo_check"] > 0
     assert points[0] - mc["monte_carlo_check"] == 0
 
@@ -1706,6 +1754,8 @@ def test_cylinder_bound_counts_the_shrunk_half_ball(cfg, rel):
     assert cert.R == R
     ext = cylinder_extension(cert, d, eps)
     assert ext.match.bound_ok
-    ball_g = -_CylinderPieces(d, R, np.eye(n)).volume_gap(0.0)
+    # |B|_g as the match takes it: the base ball on the settled rule
+    ball_g = -cylinder_patches(n, R, 0.0, np.eye(n), *ext.checks["pass_rule"]
+                               ).volume_gap(deficit_weight(d))
     slope = unit_ball_volume(n - 1) - n * unit_ball_volume(n) / (2.0 * R)
     assert ball_g / ext.match.delta_bar == pytest.approx(slope, rel=rel)

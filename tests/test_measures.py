@@ -437,17 +437,15 @@ def test_sized_pass_ceiling_is_the_plain_pass(exp3, nodes, radial_nodes, scale):
 
 
 def test_sized_pass_scales_by_its_own_deficit_volume(exp3):
-    # without a scale the budget is each pass's own deficit volume, |B|_g
-    # for the plain ball: the same rule as with |B|_g given
+    # the budget is VOLUME_RTOL times the given |B|_g: the plain ball at
+    # offset 10 settles on (32, 32)
     g = deficit_weight(exp3)
     ball = float(ball_deficit_measures(deficit_profile(exp3), 3, 10.0)[1].value)
 
     def plain_ball(nodes, radial_nodes):
         return set_patches(PlainBall(dim=3, offset=10.0), nodes, radial_nodes)
-    own = sized_pass(plain_ball, g, 64, 64)
     given = sized_pass(plain_ball, g, 64, 64, ball)
-    assert own.rule == given.rule == (32, 32)
-    assert _values(own) == _values(given)
+    assert given.rule == (32, 32)
 
 
 def test_pass_estimates_sum_the_per_piece_estimate(exp3):

@@ -12,17 +12,40 @@ WORKLOADS = TRACING.with_name("workloads.py")
 README = TRACING.parents[1] / "README.md"
 
 
-def test_traced_functions_exist():
-    # the benchmark tracer binds isoplab functions by name: a rename in the
-    # package must fail here rather than in a benchmark run
+def _tracing():
+    """The benchmark's tracing module, loaded from its file."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_functions_exist():
+    # the benchmark tracer binds isoplab functions by name: a rename in the
+    # package must fail here rather than in a benchmark run
+    tracing = _tracing()
     missing = [f"{mod}.{name}" for mod, name, *_ in tracing.TARGETS
                if not callable(getattr(importlib.import_module("isoplab." + mod),
                                        name, None))]
     assert len(tracing.TARGETS) > 0
     assert missing == []
+
+
+def test_traced_cylinder_counts_its_gap_evaluations():
+    # the tracer wraps the gap that ``volume_match`` is handed by keyword;
+    # handed positionally, it would wrap |B|_g in the gap's place.  The
+    # traced cylinder route must run and count one match and its gap
+    # evaluations
+    d = isoplab.density_from_config({"family": "radial_exp", "dim": 2, "a": 1.0})
+    cert = isoplab.select_direction(d, 10.0, 0.05)
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        isoplab.cylinder_extension(cert, d, 0.05)
+    finally:
+        tracer.uninstall()
+    assert tracer.counters["competitor.volume_match_calls"] == 1
+    assert tracer.counters["competitor.gap_evals"] > 0
 
 
 def _isoplab_names(path: Path) -> set[str]:
