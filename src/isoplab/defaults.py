@@ -18,8 +18,12 @@ VOLUME_RTOL         1e-8       volume matching tolerance, relative to |B|_g
 ENDPOINT_MARGIN     1e-6       kernel grids stay inside |t| <= 1 - margin
 REPORT_CLIP         1e-9       clip for tabulated exact kernels near t = +-1
 DEGENERACY_TOL      0.0        deficits sampled exactly zero count as vanished
-BALL_CHUNK_POINTS   65_536     points per weight call: scans, Monte Carlo and
-                               the blocks of every Gauss pass
+BALL_CHUNK_POINTS   65_536     largest weight call; the unit of the Monte
+                               Carlo draws, the spectrum's mode sums and the
+                               Gauss-pass blocks, whose results depend on it
+BLOCK_POINTS        8_192      points per weight call wherever the values do
+                               not depend on the block: spherical means, the
+                               descent's sums, angle scans, the tail test
 PSI_START           32         first psi grid of a sweep spectrum (or fewer)
 CIRCLE_START        8          first circle rule of the working-circle descent
 ==================  =========  ==================================================
@@ -52,15 +56,21 @@ come from the same meridian rule about each candidate subspace
 circle rule is sized the same way: it starts at CIRCLE_START samples and is
 refined by GRID_REFINE until its every-other-sample rule and, on half the
 meridian nodes, a rule of one sample more agree with it to VOLUME_RTOL, up
-to CIRCLE_START x GRID_REFINE^REFINE_ROUNDS, where it is kept.  These scans, the far-radius tail test and
-the Monte-Carlo draws hand the weight at most BALL_CHUNK_POINTS points per
-call, which keeps the per-call overhead negligible while the peak memory
-stays a few megabytes.  So does every Gauss pass (``set_measures``, the
-certified sets' sized passes, the cylinder's heights): a patch is
-integrated in blocks of at most BALL_CHUNK_POINTS points, the leaves of
-numpy's pairwise summation tree of its rule (``measures.patch_integrals``),
-whose sums add back up to the float of one sum over the whole rule.  Its
-values do not depend on the chunk size; its speed and memory do.
+to CIRCLE_START x GRID_REFINE^REFINE_ROUNDS, where it is kept.
+
+The weight is handed its points in bounded calls.  BLOCK_POINTS is the
+size of every call whose floats do not depend on the block: the spherical
+means (the deficit profile, ``weighted_ball_measures``), the descent's
+subsphere sums, the spectrum's angle scans and the far-radius tail test.
+Each value there is a sum along one row (a radius, an angle, a frame), held
+whole by a block or cut at the leaves of numpy's pairwise summation tree
+(``quadrature.pairwise_leaves``), whose sums add back up to the float of
+one sum over the row.  BALL_CHUNK_POINTS is the largest call and the unit
+of three callers whose results depend on it: the Monte Carlo draws (their
+sample stream), the spectrum's mode sums (their floats) and the blocks of
+every Gauss pass (``set_measures``, the sized passes, the cylinder's
+heights), whose floats do not depend on it but whose near-cap rules
+(``measures._ScaledCaps``) do.
 """
 
 EPS = 0.01
@@ -77,6 +87,7 @@ ENDPOINT_MARGIN = 1e-6
 REPORT_CLIP = 1e-9
 DEGENERACY_TOL = 0.0
 BALL_CHUNK_POINTS = 65_536
+BLOCK_POINTS = 8_192
 PSI_START = 32
 CIRCLE_START = 8
 

@@ -18,8 +18,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .defaults import SPHERE_NODES
-from .quadrature import norms, sphere_grid, unit_ball_volume
+from .defaults import BLOCK_POINTS, SPHERE_NODES
+from .quadrature import (norms, pairwise_leaves, pairwise_total, sphere_grid,
+                         unit_ball_volume)
 
 
 class ConfigError(ValueError):
@@ -103,7 +104,10 @@ def eval_weight(d: Density, x) -> np.ndarray | float:
 
 def _spherical_mean(fn, n: int, r, grid):
     """Mean of ``fn`` over the sphere of radius r (scalar or array r), on a
-    (directions, weights) ``grid``, or on the first axis if ``grid`` is None."""
+    (directions, weights) ``grid``, or on the first axis if ``grid`` is None.
+    ``fn`` sees blocks of radii of at most ``BLOCK_POINTS`` points, or one
+    radius on each of the ``pairwise_leaves`` of a larger grid: a radius's
+    mean is the float of one ``np.add.reduce`` over its grid."""
     r = np.asarray(r, dtype=float)
     rr = np.atleast_1d(r)
     if grid is None:
@@ -112,9 +116,16 @@ def _spherical_mean(fn, n: int, r, grid):
         out = np.asarray(fn(pts), dtype=float)
     else:
         dirs, w = grid
-        pts = rr[:, None, None] * dirs[None, :, :]
-        vals = np.asarray(fn(pts.reshape(-1, n)), dtype=float).reshape(rr.size, -1)
-        out = np.add.reduce(vals * w, axis=1) / w.sum()
+        leaves = pairwise_leaves(0, len(w), BLOCK_POINTS)
+        step = max(1, BLOCK_POINTS // len(w))
+        out = np.empty(rr.size)
+        for i in range(0, rr.size, step):
+            block = rr[i:i + step, None, None]
+            sums = (np.add.reduce(np.asarray(fn((block * dirs[a:b]).reshape(-1, n)),
+                                             dtype=float).reshape(len(block), -1)
+                                  * w[a:b], axis=1) for a, b in leaves)
+            out[i:i + step] = pairwise_total(len(w), BLOCK_POINTS, sums)
+        out /= w.sum()
     return float(out[0]) if r.ndim == 0 else out
 
 
@@ -139,7 +150,8 @@ def deficit_profile(d: Density, node_count: int = SPHERE_NODES) -> RadialDeficit
     Evaluated as the spherical mean of the pointwise deficit, which is the
     same number but stays accurate when the deficit is far below the weight's
     rounding floor.  A non-radial profile builds its sphere grid once, here,
-    and reuses it on every call.
+    and reuses it on every call, in blocks of ``BLOCK_POINTS`` points
+    whatever the number of radii (``_spherical_mean``).
     """
     g = deficit_weight(d)
     grid = None if d.radial else sphere_grid(d.dim, node_count, node_count)

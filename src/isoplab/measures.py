@@ -47,8 +47,8 @@ from typing import Callable
 
 import numpy as np
 
-from .defaults import (BALL_CHUNK_POINTS, DEGENERACY_TOL, MC_SAMPLES,
-                       RADIAL_NODES, SPHERE_NODES, VOLUME_RTOL)
+from .defaults import (BALL_CHUNK_POINTS, BLOCK_POINTS, DEGENERACY_TOL,
+                       MC_SAMPLES, RADIAL_NODES, SPHERE_NODES, VOLUME_RTOL)
 from .density import Density, RadialDeficit, eval_weight
 from .layers import LayerKernelPair, exact_kernels, layer_integral
 from .quadrature import (ball_grid, frame_from_axis, gauss_nodes, norms,
@@ -874,10 +874,17 @@ def weighted_ball_measures(fn, n: int, center, radius: float = 1.0,
 
     Plain floats: the reference sphere and ball grids moved to ``center``,
     each reduced by numpy's pairwise sum, so a value is the same float at
-    any BLAS thread count.
+    any BLAS thread count; ``fn`` sees each in its ``pairwise_leaves`` of at
+    most ``BLOCK_POINTS`` points.
     """
     c = np.asarray(center, dtype=float)
     grids = ((sphere_band_grid(n, 0.0, math.pi, nodes, nodes), n - 1),
              (ball_grid(n, radial_nodes, nodes, nodes), n))
-    return tuple(float(np.add.reduce(np.asarray(fn(c + radius * pts), dtype=float)
-                                     * (w * radius ** p))) for (pts, w), p in grids)
+    out = []
+    for (pts, w), p in grids:
+        w = w * radius ** p
+        sums = (np.add.reduce(np.asarray(fn(c + radius * pts[a:b]), dtype=float)
+                              * w[a:b])
+                for a, b in pairwise_leaves(0, len(w), BLOCK_POINTS))
+        out.append(float(pairwise_total(len(w), BLOCK_POINTS, sums)))
+    return tuple(out)

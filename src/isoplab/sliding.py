@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .defaults import BALL_CHUNK_POINTS, DEGENERACY_TOL, ENDPOINT_MARGIN, SCAN_STEP
+from .defaults import BLOCK_POINTS, DEGENERACY_TOL, ENDPOINT_MARGIN, SCAN_STEP
 from .density import RadialDeficit
 from .layers import asymptotic_kernels, layer_integral, running_integral
 from .quadrature import unit_ball_volume
@@ -160,12 +160,12 @@ class SignSearchOutcome:
 def _tail_is_zero(g: RadialDeficit, lo: float, hi: float) -> bool:
     """Whether the profile is within ``DEGENERACY_TOL`` of zero at 512 radii of
     [lo, hi], or [lo, hi] lies beyond its support.  The radii go to the
-    profile in chunks of at most ``BALL_CHUNK_POINTS`` weight evaluations,
-    and the first chunk with a nonzero value answers."""
+    profile in chunks of at most ``BLOCK_POINTS`` weight evaluations, and
+    the first chunk with a nonzero value answers."""
     if g.support_hint is not None and lo >= g.support_hint:
         return True
     r = np.linspace(max(lo, 0.0), hi, 512)
-    step = max(1, BALL_CHUNK_POINTS // g.sphere_points)
+    step = max(1, BLOCK_POINTS // g.sphere_points)
     return all(np.all(np.abs(np.asarray(g.profile(r[i:i + step]), dtype=float))
                       <= DEGENERACY_TOL) for i in range(0, r.size, step))
 

@@ -86,8 +86,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import (BALL_CHUNK_POINTS, CIRCLE_START, GRID_REFINE, PSI_START,
-                       RADIAL_NODES, REFINE_ROUNDS, SPHERE_NODES, VOLUME_RTOL)
+from .defaults import (BALL_CHUNK_POINTS, BLOCK_POINTS, CIRCLE_START, GRID_REFINE,
+                       PSI_START, RADIAL_NODES, REFINE_ROUNDS, SPHERE_NODES,
+                       VOLUME_RTOL)
 from .layers import sin_power_integral
 from .measures import ULP, swept_excess
 from .quadrature import gauss_nodes, sphere_grid, unit_sphere_area
@@ -246,18 +247,19 @@ def _mode_sums(g, frame, disk, M: int, every_other: bool) -> list[_Modes]:
 def _evaluate(rules, pieces, phis, deltas=None, phase=None):
     """(values of each of the ``_Modes`` ``rules``, one row each, and the
     rounding floors of the first rule's) of the sum of ``pieces`` at each
-    angle, in chunks of angles of at most ``BALL_CHUNK_POINTS`` terms.  The
-    phase table e^{ik phi} is read from the rows of ``phase``, the table of
-    ``phis`` with the first rule's modes, or else formed once per chunk; the
-    shift table is formed once per chunk.  Both have the first rule's modes
-    and are cut for the others: a cumulative product's prefix is the same
-    float.  The floor is the worst-case rounding of a sum of as many terms
-    as there are disk nodes and modes, times the sum of the terms' moduli."""
+    angle, one sum along its row, in chunks of angles of at most
+    ``BLOCK_POINTS`` terms.  The phase table e^{ik phi} is read from the
+    rows of ``phase``, the table of ``phis`` with the first rule's modes, or
+    else formed once per chunk; the shift table is formed once per chunk.
+    Both have the first rule's modes and are cut for the others: a
+    cumulative product's prefix is the same float.  The floor is the
+    worst-case rounding of a sum of as many terms as there are disk nodes
+    and modes, times the sum of the terms' moduli."""
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     deltas = None if deltas is None else np.broadcast_to(deltas, phis.shape)
     count = rules[0].k.size
     values, floors = np.empty((len(rules), phis.size)), np.empty(phis.size)
-    step = max(1, BALL_CHUNK_POINTS // count)
+    step = max(1, BLOCK_POINTS // count)
     for i in range(0, phis.size, step):
         j = min(i + step, phis.size)
         rows = _powers(phis[i:j], count) if phase is None else phase[i:j]
@@ -376,13 +378,13 @@ class SweepSpectrum:
         """(idx, deltas) -> V_f(E) - omega_N of the sets based at the grid
         angles theta[idx] with sweeps deltas: the excess minus the grid ball
         (``balls(theta)``) minus each angle's Fourier terms shifted by its
-        delta, in chunks of ``BALL_CHUNK_POINTS`` terms.  A call reads the
-        rows idx of the kept phase table and forms only the shift table of
-        deltas."""
+        delta, one sum along its row, in chunks of ``BLOCK_POINTS`` terms.
+        A call reads the rows idx of the kept phase table and forms only the
+        shift table of deltas."""
         ball = self._balls[0]
         count = self.modes.k.size
         extend = self.modes.extend()
-        step = max(1, BALL_CHUNK_POINTS // count)
+        step = max(1, BLOCK_POINTS // count)
 
         def gaps(idx, deltas) -> np.ndarray:
             added = np.empty(deltas.shape)
@@ -428,10 +430,11 @@ def _subsphere_sums(g, frames: np.ndarray, k: int, rule, u, wu):
 
     All frames share the weight calls: each call takes a block of frames
     times a block of meridian nodes times the subsphere rule, at most
-    ``BALL_CHUNK_POINTS`` points (one node if the subsphere rule is
-    larger), built by broadcasting s ring[frames] + offset[frames, nodes].
-    Every per-node and per-frame sum runs over the same contiguous axis as
-    for one frame alone, so a frame's floats do not depend on its block.
+    ``BLOCK_POINTS`` points (one node if the subsphere rule is larger),
+    built by broadcasting s ring[frames] + offset[frames, nodes], and
+    reduced over the nodes one block of frames at a time.  Every per-node
+    and per-frame sum runs over the same contiguous axis as for one frame
+    alone, so a frame's floats do not depend on its block.
     The every-other means weight every other sample twice: the half rule
     of a uniform circle.  The floor is the worst-case rounding of a sum of
     as many terms as nodes and angles, times the sum of the terms' moduli.
@@ -443,11 +446,13 @@ def _subsphere_sums(g, frames: np.ndarray, k: int, rule, u, wu):
                          * frames[:, :, :k].transpose(0, 2, 1)[:, None],
                          axis=2).transpose(2, 0, 1)
     normal = frames[:, :, k:].transpose(0, 2, 1)
-    node_step = min(nodes, max(1, BALL_CHUNK_POINTS // angles))
-    frame_step = max(1, BALL_CHUNK_POINTS // (node_step * angles))
-    sums = np.empty((len(frames), 3, nodes))
+    node_step = min(nodes, max(1, BLOCK_POINTS // angles))
+    frame_step = max(1, BLOCK_POINTS // (node_step * angles))
+    kernels = np.stack([kernel, kernel, np.abs(kernel)])
+    out = np.empty((len(frames), 3, 2))
     for f in range(0, len(frames), frame_step):
         e = min(f + frame_step, len(frames))
+        sums = np.empty((e - f, 3, nodes))
         for i in range(0, nodes, node_step):
             j = min(i + node_step, nodes)
             offset = np.add.reduce(sz[None, i:j, 1:, None] * normal[f:e, None], axis=2)
@@ -458,13 +463,12 @@ def _subsphere_sums(g, frames: np.ndarray, k: int, rule, u, wu):
             vals = np.asarray(g(pts.reshape(n, -1).T), dtype=float)
             vals = np.multiply(wu, vals.reshape(e - f, angles, j - i)
                                .transpose(0, 2, 1), order="C")
-            sums[f:e, 0, i:j] = np.add.reduce(vals, axis=2)
-            sums[f:e, 1, i:j] = np.add.reduce(np.abs(vals), axis=2)
-            sums[f:e, 2, i:j] = np.add.reduce(2.0 * vals[..., ::2], axis=2)
-    return (np.add.reduce(kernel * sums[:, 0, None], axis=2),
-            np.add.reduce(kernel * sums[:, 2, None], axis=2),
-            ULP * (nodes + angles)
-            * np.add.reduce(np.abs(kernel) * sums[:, 1, None], axis=2))
+            sums[:, 0, i:j] = np.add.reduce(vals, axis=2)
+            sums[:, 1, i:j] = np.add.reduce(2.0 * vals[..., ::2], axis=2)
+            sums[:, 2, i:j] = np.add.reduce(np.abs(vals), axis=2)
+        out[f:e] = np.add.reduce(kernels * sums[:, :, None], axis=3)
+    means, alias, size = out.transpose(1, 0, 2)
+    return means, alias, ULP * (nodes + angles) * size
 
 
 def subsphere_means(g, frames, k: int, R: float, nodes: int = SPHERE_NODES,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from isoplab import density_from_config
@@ -24,3 +26,19 @@ def exp3():
 def angular2():
     return density_from_config({"family": "angular_mod", "dim": 2, "a": 1.0,
                                 "params": {"eta": 0.5, "k": 1, "c": 1.0}})
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees in a warm call of fn."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def traced_peak():
+    return _traced_peak

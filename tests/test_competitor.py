@@ -18,6 +18,8 @@ from isoplab import (Density, build_competitor, cylinder_extension,
                      set_measures, sweep_advance_map, unit_ball_volume,
                      volume_match)
 import isoplab.competitor
+import isoplab.defaults
+import isoplab.density
 import isoplab.measures
 import isoplab.quadrature
 import isoplab.spectral
@@ -743,22 +745,53 @@ def test_cylinder_checks_integrate_each_near_hemisphere_once(monkeypatch, exp3):
             == -0.5 * n * unit_ball_volume(n) * s1 + near[0] - near[1])
 
 
-def test_build_competitor_hands_the_weight_at_most_a_chunk(exp3):
+def test_build_competitor_hands_the_weight_at_most_a_chunk(monkeypatch, exp3):
     # every weight and deficit call, the Gauss passes' blocks, the Monte
-    # Carlo chunks and the scans, has at most BALL_CHUNK_POINTS points
-    sizes = []
+    # Carlo chunks, the mode sums and the scans, has at most
+    # BALL_CHUNK_POINTS points; the spherical means (the far ball's and the
+    # annulus probe's profile) and the descent's subsphere sums at most
+    # BLOCK_POINTS
+    sizes, inside = [], []
+    inner = {"_spherical_mean": [], "_subsphere_sums": []}
 
     def counted(fn):
         def wrapped(x):
             sizes.append(math.prod(np.shape(x)[:-1]))
+            if inside:
+                inner[inside[-1]].append(sizes[-1])
             return fn(x)
         return wrapped
-    d = dataclasses.replace(exp3, weight=counted(exp3.weight),
-                            deficit=counted(exp3.deficit))
-    cert = build_competitor(d, eps=0.05, R_min=10.0, R_max=200.0,
-                            mc_samples=200_000)
-    cylinder_extension(cert.farball, d, eps=0.05)
+
+    def entered(module, name):
+        fn = getattr(module, name)
+
+        def wrapped(*args):
+            inside.append(name)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(module, name, wrapped)
+    entered(isoplab.density, "_spherical_mean")
+    entered(isoplab.spectral, "_subsphere_sums")
+    for d, options in ((exp3, {}), (_angular(3), dict(nodes=16, circle_grid=16))):
+        d = dataclasses.replace(d, weight=counted(d.weight),
+                                deficit=counted(d.deficit))
+        cert = build_competitor(d, eps=0.05, R_min=10.0, R_max=200.0,
+                                mc_samples=200_000, **options)
+        if d.radial:
+            cylinder_extension(cert.farball, d, eps=0.05)
     assert max(sizes) <= isoplab.measures.BALL_CHUNK_POINTS
+    assert all(inner.values())
+    assert max(map(max, inner.values())) <= isoplab.defaults.BLOCK_POINTS
+
+
+def test_angular_build_keeps_a_bounded_working_set(traced_peak):
+    # the annulus probe's 65 radii and the descent's 64 frames go to the
+    # deficit in blocks: 16.4 MB traced when each went whole
+    d = _angular(3)
+    assert traced_peak(lambda: build_competitor(
+        d, eps=0.05, R_min=10.0, R_max=200.0, nodes=16, circle_grid=16)) <= 10e6
 
 
 def _counted(d):

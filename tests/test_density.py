@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,8 @@ from isoplab import (ConfigError, Density, SampleSpec, deficit_profile,
                      density_from_config, eval_weight, mean_density,
                      radial_average, rescale, unit_ball_volume,
                      validate_convergence, weighted_ball_measures)
+import isoplab.density
+from isoplab.defaults import BLOCK_POINTS
 from isoplab.density import deficit_weight
 
 
@@ -213,3 +216,39 @@ def test_deficit_matches_weight_where_resolvable(r, c):
     x = np.array([[r, 0.0]])
     direct = 1.0 - float(np.asarray(d.weight(x))[0])
     assert float(np.asarray(g(x))[0]) == pytest.approx(direct, abs=1e-12)
+
+
+def _angular(n):
+    return density_from_config({"family": "angular_mod", "dim": n, "a": 1.0,
+                                "params": {"eta": 0.5, "k": 1, "c": 1.0}})
+
+
+@pytest.mark.parametrize("n, node_count, counts", [
+    (2, 64, (1, 7, 65)), (3, 64, (1, 7, 65)), (4, 16, (1, 7, 65)), (4, 32, (1, 7))])
+def test_blocked_profile_equals_one_block(monkeypatch, n, node_count, counts):
+    # the radii go to the deficit in blocks of at most BLOCK_POINTS points,
+    # and a sphere grid larger than a block (N=4 at 32 nodes: 32,768
+    # directions) one radius at a time in the leaves of its pairwise tree:
+    # each radius's mean is the float of one sum over its whole grid
+    d, sizes = _angular(n), []
+
+    def counted(x):
+        sizes.append(len(x))
+        return d.deficit(x)
+    radii = [3.5] + [np.linspace(0.5, 30.0, m) for m in counts]
+    profile = deficit_profile(dataclasses.replace(d, deficit=counted), node_count)
+    blocked = [profile.profile(r) for r in radii]
+    monkeypatch.setattr(isoplab.density, "BLOCK_POINTS", 2 ** 40)
+    whole = [deficit_profile(d, node_count).profile(r) for r in radii]
+    assert isinstance(blocked[0], float) and blocked[0] == whole[0]
+    for got, expected in zip(blocked[1:], whole[1:], strict=True):
+        assert got.shape == expected.shape and np.array_equal(got, expected)
+    assert max(sizes) <= BLOCK_POINTS
+
+
+def test_profile_memory_does_not_grow_with_its_radii(traced_peak):
+    # 8 radii of the N=4 profile are 2.1 M deficit points: 151 MB traced
+    # when they went to the deficit at once
+    profile = deficit_profile(_angular(4)).profile
+    r = np.linspace(1.0, 30.0, 8)
+    assert traced_peak(lambda: profile(r)) <= 4e6

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from isoplab import (CylinderExtended, PlainBall, RotationSwept,
                      set_measures, unit_ball_volume, weighted_ball_measures)
 import isoplab.measures
 from isoplab.density import FAMILIES, deficit_weight
-from isoplab.defaults import BALL_CHUNK_POINTS, VOLUME_RTOL
+from isoplab.defaults import BALL_CHUNK_POINTS, BLOCK_POINTS, VOLUME_RTOL
 from isoplab.measures import (_LOWER, _UPPER, _WHOLE, CylinderFamily,
                               GaussPass, Sample, _sphere, ball_cap_patch,
                               gauss, integrate_patches, mc_integrals,
@@ -502,17 +501,6 @@ def chunk_counted(d, sizes):
         None if d.deficit is None else counted(d.deficit)))
 
 
-def traced_peak(fn) -> int:
-    """Peak bytes that tracemalloc sees in a warm call of fn."""
-    fn()
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_pairwise_total_is_numpy_add_reduce():
     # the leaves' sums added back up numpy's pairwise tree are the float of
     # one np.add.reduce over all the terms: a guard on numpy's summation
@@ -579,7 +567,21 @@ def test_blocks_of_any_size_equal_one_block(monkeypatch, chunk):
     assert max(sizes) <= chunk
 
 
-def test_gauss_passes_keep_a_bounded_working_set():
+@pytest.mark.parametrize("n, nodes", [(2, 64), (3, 64), (4, 16)])
+def test_blocked_ball_measures_equal_one_block(monkeypatch, n, nodes):
+    # each grid goes to the weight in the leaves of its pairwise tree (N=3:
+    # 262,144 ball points), whose sums add back up to the floats of one sum
+    # over the whole grid
+    d, sizes = _family("angular_mod", n), []
+    g = chunk_counted(d, sizes).deficit
+    centre = [10.0] + [0.5] * (n - 1)
+    blocked = weighted_ball_measures(g, n, centre, 1.3, nodes)
+    monkeypatch.setattr(isoplab.measures, "BLOCK_POINTS", 2 ** 40)
+    assert weighted_ball_measures(d.deficit, n, centre, 1.3, nodes) == blocked
+    assert max(sizes) <= BLOCK_POINTS
+
+
+def test_gauss_passes_keep_a_bounded_working_set(traced_peak):
     # the blocks bound the pass's memory, whatever the rule's point count:
     # 20 MB and 97 MB when each patch was built whole
     d3, d4 = _family("radial_exp", 3), _family("radial_exp", 4)

@@ -9,9 +9,10 @@ import pytest
 
 from isoplab import density_from_config, spectral, weighted_ball_measures
 from isoplab.competitor import sweep_advance_map
-from isoplab.defaults import (BALL_CHUNK_POINTS, CIRCLE_GRID, CIRCLE_START,
-                              GRID_REFINE, PSI_START, RADIAL_NODES,
-                              REFINE_ROUNDS, SPHERE_NODES, VOLUME_RTOL)
+from isoplab.defaults import (BALL_CHUNK_POINTS, BLOCK_POINTS, CIRCLE_GRID,
+                              CIRCLE_START, GRID_REFINE, PSI_START,
+                              RADIAL_NODES, REFINE_ROUNDS, SPHERE_NODES,
+                              VOLUME_RTOL)
 from isoplab.density import deficit_weight
 from isoplab.farball import _axes_up_to_sign
 from isoplab.measures import swept_excess
@@ -91,11 +92,27 @@ def test_batched_subsphere_means_equal_per_frame_calls(monkeypatch, n, k, chunk)
     g = _angular(n)
     frames = [_random_frame(n, 100 + seed) for seed in range(5)]
     alone = [subsphere_means(g, [frame], k, 10.0, 8, 16, 8) for frame in frames]
-    monkeypatch.setattr(spectral, "BALL_CHUNK_POINTS", chunk)
+    monkeypatch.setattr(spectral, "BLOCK_POINTS", chunk)
     batched = subsphere_means(g, frames, k, 10.0, 8, 16, 8)
     assert np.array_equal(batched.means, np.concatenate([a.means for a in alone]))
     assert np.array_equal(batched.errors, np.concatenate([a.errors for a in alone]))
     assert {a.circle_samples for a in alone} == {batched.circle_samples}
+
+
+@pytest.mark.parametrize("n, k, nodes", [(3, 2, 16), (3, 3, 16), (4, 2, 8),
+                                         (4, 3, 16)])
+def test_blocked_subsphere_means_equal_one_block(monkeypatch, n, k, nodes):
+    # the frames go to the weight, and their sums are reduced, in blocks of
+    # at most BLOCK_POINTS points; with one block for all of them the means
+    # and estimates are the same floats
+    g = _angular(n)
+    frames = [_random_frame(n, 300 + seed) for seed in range(5)]
+    blocked = subsphere_means(g, frames, k, 10.0, nodes, 16, 16)
+    monkeypatch.setattr(spectral, "BLOCK_POINTS", 2 ** 40)
+    whole = subsphere_means(g, frames, k, 10.0, nodes, 16, 16)
+    assert np.array_equal(blocked.means, whole.means)
+    assert np.array_equal(blocked.errors, whole.errors)
+    assert blocked.circle_samples == whole.circle_samples
 
 
 def _descent_frames(n, axis_nodes):
@@ -213,6 +230,21 @@ def test_gaps_read_the_kept_table(circle):
     expected = (swept_excess(2, 10.0, deltas)[1] - circle.balls(circle.theta)[0][idx]
                 - np.add.reduce(terms.real, axis=1))
     assert np.array_equal(circle.gaps()(idx, deltas), expected)
+
+
+def test_blocked_scans_equal_one_block(monkeypatch, circle):
+    # the balls at other angles and the gaps go in chunks of at most
+    # BLOCK_POINTS terms; an angle's value is one sum along its own row
+    rng = np.random.default_rng(11)
+    phis = rng.uniform(0.0, 2.0 * math.pi, 2000)
+    idx = np.arange(CIRCLE_GRID)
+    deltas = rng.uniform(0.0, 0.05, idx.size)
+    assert idx.size * circle.modes.k.size > BLOCK_POINTS
+    blocked = circle.balls(phis), circle.gaps()(idx, deltas)
+    monkeypatch.setattr(spectral, "BLOCK_POINTS", 2 ** 40)
+    whole = circle.balls(phis), circle.gaps()(idx, deltas)
+    _assert_identical(blocked[0], whole[0])
+    assert np.array_equal(blocked[1], whole[1])
 
 
 @pytest.mark.parametrize("M", [32, 720])

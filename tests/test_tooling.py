@@ -48,6 +48,27 @@ def test_traced_cylinder_counts_its_gap_evaluations():
     assert tracer.counters["competitor.gap_evals"] > 0
 
 
+def test_traced_build_repeats_its_counters():
+    # ``run.py --trace 1`` reports a run correct only when two traced passes
+    # count alike: the angular_descent build, twice under fresh tracers
+    tracing = _tracing()
+    d = isoplab.density_from_config({"family": "angular_mod", "dim": 3, "a": 1.0,
+                                     "params": {"eta": 0.5, "k": 1, "c": 1.0}})
+    runs = []
+    for _ in range(2):
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            isoplab.build_competitor(tracer.instrument(d), eps=0.05, R_min=10.0,
+                                     R_max=200.0, nodes=16, circle_grid=16)
+        finally:
+            tracer.uninstall()
+        runs.append(tracer.metrics())
+    first, second = runs
+    assert first["density.deficit_calls"] > 0
+    assert [name for name in tracing.COUNTERS if first[name] != second[name]] == []
+
+
 def _isoplab_names(path: Path) -> set[str]:
     """Every dotted name a source file reads from the package: ``isoplab.a.b``
     and ``from isoplab import a`` with its uses ``a.b``, as "a.b"."""
