@@ -22,7 +22,7 @@ import numpy as np
 
 from . import defaults
 from .competitor import build_competitor
-from .density import (ConfigError, Density, deficit_profile,
+from .density import (ConfigError, Density, _number, deficit_profile,
                       density_from_config, validate_convergence)
 from .extinction import simulate_comparison_ode
 from .farball import find_far_radius, select_direction
@@ -76,9 +76,12 @@ def _load_config(args) -> dict:
     if not p.exists():
         raise ConfigError(f"config: file not found: {p}")
     try:
-        return json.loads(p.read_text())
+        cfg = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: invalid JSON ({exc})") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError("config: expected a JSON object")
+    return cfg
 
 
 def _density_from(cfg: dict) -> Density:
@@ -93,21 +96,28 @@ def _set_from(cfg: dict, n_fallback: int) -> PlainBall | CylinderExtended | Rota
     variant = scfg.get("variant")
     if variant is None:
         raise ConfigError("set.variant: required")
-    dim = int(scfg.get("dim", n_fallback))
-    offset = float(scfg.get("offset", 10.0))
-    direction = tuple(scfg["direction"]) if "direction" in scfg else None
+    dim = _number(scfg.get("dim", n_fallback), "set.dim", integer=True)
+    offset = _number(scfg.get("offset", 10.0), "set.offset")
+    delta = _number(scfg.get("delta", 0.0), "set.delta")
+    direction = _vector(scfg, "direction")
     if variant == "plain_ball":
         return PlainBall(dim=dim, offset=offset, direction=direction)
     if variant == "cylinder_extended":
-        return CylinderExtended(dim=dim, offset=offset,
-                                delta=float(scfg.get("delta", 0.0)),
+        return CylinderExtended(dim=dim, offset=offset, delta=delta,
                                 direction=direction)
     if variant == "rotation_swept":
-        sweep = tuple(scfg["sweep"]) if "sweep" in scfg else None
-        return RotationSwept(dim=dim, offset=offset,
-                             delta=float(scfg.get("delta", 0.0)),
-                             direction=direction, sweep=sweep)
+        return RotationSwept(dim=dim, offset=offset, delta=delta,
+                             direction=direction, sweep=_vector(scfg, "sweep"))
     raise ConfigError(f"set.variant: unknown {variant!r}")
+
+
+def _vector(scfg: dict, key: str) -> tuple[float, ...] | None:
+    """The set's vector ``key`` as floats, None when it is not given."""
+    if key not in scfg:
+        return None
+    if not isinstance(scfg[key], list):
+        raise ConfigError(f"set.{key}: expected a list of numbers")
+    return tuple(_number(x, f"set.{key}") for x in scfg[key])
 
 
 def _outdir(args) -> Path:

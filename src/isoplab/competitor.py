@@ -47,6 +47,8 @@ from .measures import (CylinderExtended, CylinderFamily, GaussPass,
 from .quadrature import frame_from_axis, sphere_grid, unit_ball_volume
 from .spectral import ULP, SweepSpectrum
 
+_TINY = float(np.finfo(float).tiny)    # the least normal float
+
 
 @dataclass(frozen=True)
 class VolumeMatch:
@@ -189,7 +191,7 @@ def _root_steps(g0: float, delta_max: float, vol_tol: float, hard_cap: float):
             if kept == 1:
                 flo *= 0.5
             kept = 1
-        if hi - lo <= 4.0 * np.finfo(float).eps * hi:
+        if hi - lo <= 4.0 * ULP * hi:
             break
         bisect = hi - lo > 0.5 * widths[2]
         widths = (hi - lo, widths[0], widths[1])
@@ -234,7 +236,7 @@ def _match(ball: float, n: int, eps: float, start: float, hard_cap: float,
         root = 0.0, -ball, 0
     else:
         try:
-            hi = max(4.0 * slack / start, np.finfo(float).tiny)
+            hi = max(4.0 * slack / start, _TINY)
             root = yield from _root_steps(-ball, hi, VOLUME_RTOL * ball, hard_cap)
         except RuntimeError as err:
             if theta is None:
@@ -432,15 +434,16 @@ def sweep_advance_map(d: Density, R: float, plane: np.ndarray,
     grid angle and each angle's volume gap delta -> V_f(E) - omega_N in
     closed form, as Fourier shifts.  Every angle runs the cylinder's matcher
     ``_match`` (a-priori bound (1 + 2 eps) |B^theta|_g / (omega_{N-1}(R-1));
-    a failure names theta and |B^theta|_g), all in lockstep, one
-    ``SweepSpectrum.gaps`` call a round; only a vanished deficit
-    (``|B^theta|_g <= DEGENERACY_TOL``) advances by zero unmatched.  Each
-    advance's error estimate is its root residual plus the engine's estimate
-    of the gap there (every other sweep-angle sample, half the disk nodes,
-    the rounding floor), over the gap's mean slope.  The same spectrum gives
-    the trailing hemisphere at theta and the leading one at theta + advance,
-    whose sum bounds the margin in the direction selection.  Difference
-    quotients of the map are the measured Lipschitz data.
+    a failure names theta and |B^theta|_g), all in lockstep, one call a
+    round of the ``SweepSpectrum.gaps`` formed on those balls; only a
+    vanished deficit (``|B^theta|_g <= DEGENERACY_TOL``) advances by zero
+    unmatched.  Each advance's error estimate is its root residual plus the
+    engine's estimate of the gap there (every other sweep-angle sample, half
+    the disk nodes, the rounding floor), over the gap's mean slope.  The
+    same spectrum gives the trailing hemisphere at theta and the leading one
+    at theta + advance, whose sum bounds the margin in the direction
+    selection.  Difference quotients of the map are the measured Lipschitz
+    data.
     """
     if plane.shape[1] != 2:
         raise ValueError("plane must have two columns")
@@ -452,7 +455,7 @@ def sweep_advance_map(d: Density, R: float, plane: np.ndarray,
     length = unit_ball_volume(n - 1) * max(R - 1.0, 1e-9)   # start and bound
     matches = tuple(_lockstep_roots(
         [_match(b, n, eps, length, 0.45 * math.pi, length, t)
-         for t, b in zip(theta.tolist(), ball_gs.tolist())], spectrum.gaps()))
+         for t, b in zip(theta.tolist(), ball_gs.tolist())], spectrum.gaps(ball_gs)))
     advance = np.array([m.delta_bar for m in matches])
     residual = np.array([m.gap for m in matches])
     _, gap_error = spectrum.volume_gaps(theta, advance)

@@ -19,8 +19,9 @@ ENDPOINT_MARGIN     1e-6       kernel grids stay inside |t| <= 1 - margin
 REPORT_CLIP         1e-9       clip for tabulated exact kernels near t = +-1
 DEGENERACY_TOL      0.0        deficits sampled exactly zero count as vanished
 BALL_CHUNK_POINTS   65_536     largest weight call; the unit of the Monte
-                               Carlo draws, the spectrum's mode sums and the
-                               Gauss-pass blocks, whose results depend on it
+                               Carlo draws and the spectrum's mode sums,
+                               whose results depend on it, and of the
+                               Gauss-pass blocks, whose results do not
 BLOCK_POINTS        8_192      points per weight call wherever the values do
                                not depend on the block: spherical means, the
                                descent's sums, angle scans, the tail test
@@ -66,11 +67,11 @@ Each value there is a sum along one row (a radius, an angle, a frame), held
 whole by a block or cut at the leaves of numpy's pairwise summation tree
 (``quadrature.pairwise_leaves``), whose sums add back up to the float of
 one sum over the row.  BALL_CHUNK_POINTS is the largest call and the unit
-of three callers whose results depend on it: the Monte Carlo draws (their
-sample stream), the spectrum's mode sums (their floats) and the blocks of
-every Gauss pass (``set_measures``, the sized passes, the cylinder's
-heights), whose floats do not depend on it but whose near-cap rules
-(``measures._ScaledCaps``) do.
+of three callers.  The results of two depend on it: the Monte Carlo draws
+(their sample stream) and the spectrum's mode sums (their floats).  The
+third, the blocks of every Gauss pass (``set_measures``, the sized passes,
+the cylinder's heights), are leaves of numpy's pairwise summation tree of
+the whole rule, so no Gauss-pass result depends on it.
 """
 
 EPS = 0.01

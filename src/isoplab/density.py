@@ -27,6 +27,19 @@ class ConfigError(ValueError):
     """Malformed density or experiment configuration."""
 
 
+def _number(value, field: str, integer: bool = False):
+    """A config value as a float, or with ``integer`` as an int (a fraction
+    is refused); otherwise a ``ConfigError`` that names ``field``."""
+    kind = "an integer" if integer else "a number"
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{field}: must be {kind}") from None
+    if integer and not number.is_integer():
+        raise ConfigError(f"{field}: must be {kind}")
+    return int(number) if integer else number
+
+
 @dataclass(frozen=True)
 class Density:
     """A weight on R^N converging to ``limit_a`` at infinity from below.
@@ -281,13 +294,12 @@ def density_from_config(cfg: dict) -> Density:
     family = cfg["family"]
     if family not in FAMILIES:
         raise ConfigError(f"family: unknown {family!r}, expected one of {FAMILIES}")
-    try:
-        dim = int(cfg["dim"])
-    except (TypeError, ValueError):
-        raise ConfigError("dim: must be an integer") from None
-    a = float(cfg["a"])
-    r0 = float(cfg.get("envelope_radius", 0.0))
-    params = dict(cfg.get("params", {}))
+    dim = _number(cfg["dim"], "dim", integer=True)
+    a = _number(cfg["a"], "a")
+    r0 = _number(cfg.get("envelope_radius", 0.0), "envelope_radius")
+    params = cfg.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError("params: expected a JSON object")
 
     if family == "constant":
         def weight(x):
@@ -297,7 +309,7 @@ def density_from_config(cfg: dict) -> Density:
             return np.zeros(np.asarray(x, dtype=float).shape[:-1])
         radial = True
     elif family == "radial_exp":
-        c = float(params.get("c", 1.0))
+        c = _number(params.get("c", 1.0), "params.c")
         if c <= 0:
             raise ConfigError("params.c: must be positive")
 
@@ -308,7 +320,7 @@ def density_from_config(cfg: dict) -> Density:
             return a * np.exp(-c * norms(x))
         radial = True
     elif family == "radial_power":
-        p = float(params.get("p", 2.0))
+        p = _number(params.get("p", 2.0), "params.p")
         if p <= 0:
             raise ConfigError("params.p: must be positive")
 
@@ -319,9 +331,9 @@ def density_from_config(cfg: dict) -> Density:
             return a * (1.0 + norms(x)) ** (-p)
         radial = True
     else:
-        eta = float(params.get("eta", 0.5))
-        k = int(params.get("k", 1))
-        c = float(params.get("c", 1.0))
+        eta = _number(params.get("eta", 0.5), "params.eta")
+        k = _number(params.get("k", 1), "params.k", integer=True)
+        c = _number(params.get("c", 1.0), "params.c")
         if not 0 <= eta <= 1:
             raise ConfigError("params.eta: must lie in [0, 1]")
         if c <= 0:

@@ -24,7 +24,7 @@ from .density import Density, eval_weight
 from .layers import cap_geometry
 from .measures import (CompetitorSet, PlainBall, mc_integrals, mc_volume,
                        set_frame, set_measures, set_patches, sphere_cap_patch)
-from .quadrature import gauss_nodes, norms
+from .quadrature import frame_from_axis, gauss_nodes, norms
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ def tail_mass(E: CompetitorSet, d: Density, t: float,
         return 0.0
     if not isinstance(E, PlainBall):
         return mc_volume(E, _outside(d, t), mc_samples, seed).value
-    theta = set_frame(E)[:, 0]
+    frame = frame_from_axis(set_frame(E)[:, 0])     # one frame for every slice
     lo = max(t, R - 1.0)
     # substitute s = R + sin(u): the cap angle vanishes like a square
     # root at tangency, and becomes smooth in u
@@ -75,7 +75,7 @@ def tail_mass(E: CompetitorSet, d: Density, t: float,
         if not abs(s - R) < 1.0:
             continue
         gamma = float(cap_geometry(s, R))
-        pts, w = sphere_cap_patch(n, s, np.zeros(n), theta,
+        pts, w = sphere_cap_patch(n, s, np.zeros(n), frame,
                                   0.0, gamma, nodes, nodes)
         total += wu * math.cos(u) * float(np.add.reduce(
             np.asarray(eval_weight(d, pts), dtype=float) * w))

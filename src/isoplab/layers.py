@@ -33,6 +33,8 @@ from .defaults import (ENDPOINT_MARGIN, GRID_REFINE, LAYER_NODES, REFINE_ROUNDS,
                        VOLUME_RTOL)
 from .quadrature import gauss_nodes, unit_ball_volume
 
+ULP = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class LayerKernelPair:
@@ -241,7 +243,7 @@ def layer_integral(fn, weight=None, breakpoints=()) -> tuple[float, float, int]:
         value, scale = float(np.add.reduce(full)), float(np.add.reduce(np.abs(full)))
         diff = abs(value - float(np.add.reduce(half)))
         if diff <= VOLUME_RTOL * scale or rounds == REFINE_ROUNDS:
-            return value, float(diff + np.finfo(float).eps * full.size * scale), count
+            return value, float(diff + ULP * full.size * scale), count
         width = np.diff(edges)[:, None] * (np.arange(GRID_REFINE) / GRID_REFINE)
         edges = np.append((edges[:-1, None] + width).ravel(), edges[-1])
 

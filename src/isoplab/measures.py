@@ -50,13 +50,12 @@ import numpy as np
 from .defaults import (BALL_CHUNK_POINTS, BLOCK_POINTS, DEGENERACY_TOL,
                        MC_SAMPLES, RADIAL_NODES, SPHERE_NODES, VOLUME_RTOL)
 from .density import Density, RadialDeficit, eval_weight
-from .layers import LayerKernelPair, exact_kernels, layer_integral
+from .layers import ULP, LayerKernelPair, exact_kernels, layer_integral
 from .quadrature import (ball_grid, frame_from_axis, gauss_nodes, norms,
                          pairwise_leaves, pairwise_total, sphere_band_grid,
                          unit_ball_volume, unit_sphere_area)
 
 HALF_PI = math.pi / 2
-ULP = float(np.finfo(float).eps)
 _RULE_FLOOR = 8     # the fewest nodes a half rule of ``gauss_rules`` takes
 
 
@@ -240,11 +239,9 @@ class GaussBlocks:
         return len(self.leaves) == 1
 
     def advance(self) -> bool:
-        """Move to the next block; False when the rule has no more.  A
-        builder that serves a kept whole rule (``_ScaledCaps``) draws
-        nothing, and its one block is the last."""
+        """Move to the next block; False when the rule has no more."""
         self.index += 1
-        return self.leaves is not None and self.index < len(self.leaves)
+        return self.index < len(self.leaves)
 
     def total(self, sums):
         """The rule's sum from its blocks' sums, in order, added back up
@@ -302,23 +299,19 @@ def _axial(x1, y) -> np.ndarray:
 
 
 def _scaled(pts, radius, center):
-    """pts * radius + center, in place: center None leaves pts unshifted."""
+    """pts * radius + center, in place, one coordinate column at a time (a
+    column add costs about a third of the broadcast add of a row)."""
     pts *= radius
-    return pts if center is None else _shifted(pts, center)
-
-
-def _shifted(pts, center):
-    """pts + center, in place, one coordinate column at a time (a column
-    add costs about a third of the broadcast add of a row)."""
     for j, c in enumerate(np.asarray(center, dtype=float)):
         pts[:, j] += c
     return pts
 
 
 def _cap_place(n, radius, center, axis):
-    """u about e1 -> center + radius * u turned to ``axis`` (center None: the
-    cap about the origin)."""
-    A = frame_from_axis(np.asarray(axis, dtype=float))
+    """u about e1 -> center + radius * u turned to ``axis``: a vector, or the
+    frame ``frame_from_axis`` forms of it, which a caller that places many
+    caps about one axis forms once."""
+    A = axis if np.ndim(axis) == 2 else frame_from_axis(np.asarray(axis, dtype=float))
     return lambda u: (_scaled(u.reshape(-1, n) @ A.T, radius, center), None)
 
 
@@ -461,10 +454,12 @@ class SetPatches:
 
 
 def _caps(n, radius, center, axis, band, nodes, radial_nodes):
-    """Builders of a ball's spherical and solid cap over a polar band."""
-    return (partial(sphere_cap_patch, n, radius, center, axis, *band, nodes,
+    """Builders of a ball's spherical and solid cap over a polar band about
+    ``axis``, which share its frame: formed here once, not at every draw."""
+    frame = frame_from_axis(axis)
+    return (partial(sphere_cap_patch, n, radius, center, frame, *band, nodes,
                     nodes),
-            partial(ball_cap_patch, n, radius, center, axis, *band,
+            partial(ball_cap_patch, n, radius, center, frame, *band,
                     radial_nodes, nodes, nodes))
 
 
@@ -492,40 +487,6 @@ def cylinder_patches(n: int, R: float, delta: float, frame: np.ndarray,
     return CylinderFamily(n, R, frame, nodes, radial_nodes)(delta)
 
 
-class _ScaledCaps:
-    """The spherical and solid caps over ``band`` about ``axis`` at any
-    radius and centre (``at``).
-
-    A Gauss placement builds the rule, or the ``GaussBlocks`` block, at
-    radius 1 about the origin, turned to ``axis``, and scales a copy by the
-    radius and shifts it, the two operations ``_cap_place`` does, so its
-    floats are those of the cap built there.  A rule of one block is kept
-    after its first build and placed from then on; a rule of several blocks
-    is built again block by block, so its points are never all held.
-    Monte-Carlo draws build the cap at its radius and centre.
-    """
-
-    def __init__(self, n, axis, band, nodes, radial_nodes):
-        self.n, self.rules = n, [None, None]
-        self.caps = partial(_caps, n, axis=axis, band=band, nodes=nodes,
-                            radial_nodes=radial_nodes)
-
-    def at(self, radius, center):
-        """Builders of the spherical and the solid cap."""
-        return tuple(partial(self._placed, i, radius, center) for i in (0, 1))
-
-    def _placed(self, i, radius, center, draw=gauss):
-        if isinstance(draw, Sample):
-            return self.caps(radius=radius, center=center)[i](draw=draw)
-        rule = self.rules[i]
-        if rule is None:
-            rule = self.caps(radius=1.0, center=None)[i](draw=draw)
-            if draw is not gauss and draw.whole:
-                self.rules[i] = rule
-        pts, w = rule
-        return _shifted(pts * radius, center), w * radius ** (self.n - 1 + i)
-
-
 class CylinderFamily:
     """The cylinder-extended sets of every height along ``frame[:, 0]``:
     calling it with delta gives the ``SetPatches`` of height delta.
@@ -537,8 +498,7 @@ class CylinderFamily:
     builders, and every call at height zero its near caps', so a
     ``GaussPass`` over the set of height zero holds their integrals for any
     height (``GaussPass.integral``).  The near caps of height delta are
-    placed at radius k = (R - delta)/R and centre (R - delta) e1 from one
-    turned rule (``_ScaledCaps``).
+    built at radius k = (R - delta)/R and centre (R - delta) e1.
     """
 
     def __init__(self, n: int, R: float, frame: np.ndarray, nodes: int,
@@ -547,12 +507,13 @@ class CylinderFamily:
         self.nodes, self.radial_nodes = nodes, radial_nodes
         self.e1 = frame[:, 0]
         self.far = _caps(n, 1.0, R * self.e1, self.e1, _UPPER, nodes, radial_nodes)
-        self._near = _ScaledCaps(n, self.e1, _LOWER, nodes, radial_nodes)
         self._near0 = self._near_caps(0.0)
 
     def _near_caps(self, delta):
         """Builders of the near hemisphere and half-ball of height delta."""
-        return self._near.at((self.R - delta) / self.R, (self.R - delta) * self.e1)
+        R = self.R
+        return _caps(self.n, (R - delta) / R, (R - delta) * self.e1, self.e1,
+                     _LOWER, self.nodes, self.radial_nodes)
 
     def __call__(self, delta: float) -> SetPatches:
         n, R, frame, nodes = self.n, self.R, self.frame, self.nodes

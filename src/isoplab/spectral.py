@@ -244,17 +244,15 @@ def _mode_sums(g, frame, disk, M: int, every_other: bool) -> list[_Modes]:
     return out
 
 
-def _evaluate(rules, pieces, phis, deltas=None, phase=None):
+def _evaluate(rules, pieces, phis, deltas=None):
     """(values of each of the ``_Modes`` ``rules``, one row each, and the
     rounding floors of the first rule's) of the sum of ``pieces`` at each
     angle, one sum along its row, in chunks of angles of at most
-    ``BLOCK_POINTS`` terms.  The phase table e^{ik phi} is read from the
-    rows of ``phase``, the table of ``phis`` with the first rule's modes, or
-    else formed once per chunk; the shift table is formed once per chunk.
-    Both have the first rule's modes and are cut for the others: a
-    cumulative product's prefix is the same float.  The floor is the
-    worst-case rounding of a sum of as many terms as there are disk nodes
-    and modes, times the sum of the terms' moduli."""
+    ``BLOCK_POINTS`` terms.  The phase table e^{ik phi} and the shift table
+    are formed once per chunk, with the first rule's modes, and cut for the
+    others: a cumulative product's prefix is the same float.  The floor is
+    the worst-case rounding of a sum of as many terms as there are disk
+    nodes and modes, times the sum of the terms' moduli."""
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     deltas = None if deltas is None else np.broadcast_to(deltas, phis.shape)
     count = rules[0].k.size
@@ -262,7 +260,7 @@ def _evaluate(rules, pieces, phis, deltas=None, phase=None):
     step = max(1, BLOCK_POINTS // count)
     for i in range(0, phis.size, step):
         j = min(i + step, phis.size)
-        rows = _powers(phis[i:j], count) if phase is None else phase[i:j]
+        rows = _powers(phis[i:j], count)
         shift = None if deltas is None else _shift(deltas[i:j], count)
         for row, modes in enumerate(rules):
             terms = modes.terms(pieces, rows, shift)
@@ -295,11 +293,8 @@ class SweepSpectrum:
     rule and from the rule with half the disk nodes, plus the rounding floor
     of its Fourier sum.
 
-    The spectrum keeps what it forms at the grid angles: their phase table
-    e^{ik theta} from the last refinement round, and the balls there with
-    their error estimates.  Every method given angles equal to ``theta``
-    reads them, and so does ``gaps``; other angles form their own tables.
-    Nothing is kept across spectra.
+    The spectrum keeps its mode sums alone: every method forms the phase
+    rows of the angles it is given, chunk by chunk (``_evaluate``).
     """
 
     def __init__(self, g, n: int, R: float, frame: np.ndarray, grid: int = 1,
@@ -312,9 +307,8 @@ class SweepSpectrum:
         M = min(PSI_START, even)
         while True:
             full, alias, coprime = _mode_sums(g, frame, disk, M, every_other=True)
-            phase = _powers(theta, full.k.size)
             (ball, coarse, other), floor = _evaluate(
-                (full, alias, coprime), ("lead", "trail"), theta, phase=phase)
+                (full, alias, coprime), ("lead", "trail"), theta)
             tolerance = VOLUME_RTOL * np.abs(ball) + floor
             excess = np.abs(np.stack([coarse, other]) - ball) - tolerance
             if np.all(excess <= 0.0):
@@ -330,29 +324,20 @@ class SweepSpectrum:
                     f"VOLUME_RTOL, and M = {M} is the ceiling {ceiling} = {even} "
                     f"x GRID_REFINE^REFINE_ROUNDS")
             M = min(M * GRID_REFINE, ceiling)
-        self.modes, self.psi_samples = full, M
+        self.modes, self.psi_samples, self.theta = full, M, theta
         half = _disk(n, R, max(1, nodes // 2), max(1, radial_nodes // 2))
         self.coarse = (alias, _mode_sums(g, frame, half, M, every_other=False)[0])
-        theta.flags.writeable = False
-        self.theta, self._phase = theta, phase
-        (halved,), _ = _evaluate(self.coarse[1:], ("lead", "trail"), theta,
-                                 phase=phase)
-        self._balls = ball, floor + np.abs(coarse - ball) + np.abs(halved - ball)
 
     def _integrals(self, pieces, phis, deltas=None):
         """(values, error estimates) of the sum of ``pieces`` at each angle."""
-        phase = self._phase if np.array_equal(phis, self.theta) else None
         (values, *coarse), error = _evaluate((self.modes, *self.coarse), pieces,
-                                              phis, deltas, phase)
+                                              phis, deltas)
         for other in coarse:
             error += np.abs(other - values)
         return values, error
 
     def balls(self, phis):
-        """|B^phi|_g at each angle, with error estimates; at the grid angles,
-        the ones the constructor measured."""
-        if np.array_equal(phis, self.theta):
-            return tuple(x.copy() for x in self._balls)
+        """|B^phi|_g at each angle, with error estimates."""
         return self._integrals(("lead", "trail"), phis)
 
     def half_balls(self, phis, upper: bool):
@@ -374,14 +359,12 @@ class SweepSpectrum:
         values, error = self._integrals(("lead", "trail", "extend"), phis, deltas)
         return swept_excess(self.n, self.R, np.asarray(deltas))[1] - values, error
 
-    def gaps(self):
+    def gaps(self, ball):
         """(idx, deltas) -> V_f(E) - omega_N of the sets based at the grid
         angles theta[idx] with sweeps deltas: the excess minus the grid ball
-        (``balls(theta)``) minus each angle's Fourier terms shifted by its
-        delta, one sum along its row, in chunks of ``BLOCK_POINTS`` terms.
-        A call reads the rows idx of the kept phase table and forms only the
-        shift table of deltas."""
-        ball = self._balls[0]
+        ``ball[idx]`` (``balls(theta)``'s values) minus each angle's Fourier
+        terms shifted by its delta, one sum along its row, in chunks of
+        ``BLOCK_POINTS`` terms, each forming its own phase and shift rows."""
         count = self.modes.k.size
         extend = self.modes.extend()
         step = max(1, BLOCK_POINTS // count)
@@ -390,7 +373,7 @@ class SweepSpectrum:
             added = np.empty(deltas.shape)
             for i in range(0, idx.size, step):
                 j = min(i + step, idx.size)
-                terms = extend * self._phase[idx[i:j]]
+                terms = extend * _powers(self.theta[idx[i:j]], count)
                 terms *= _shift(deltas[i:j], count)    # one table fewer alive
                 added[i:j] = np.add.reduce(terms.real, axis=1)
             return swept_excess(self.n, self.R, deltas)[1] - ball[idx] - added

@@ -45,6 +45,35 @@ def test_missing_config_is_usage_error(tmp_path, capsys):
     assert "config: required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, payload, field", [
+    ("check-density", {"density": {**EXP2, "a": None}}, "a"),
+    ("check-density", {"density": {**EXP2, "a": "x"}}, "a"),
+    ("check-density", {"density": {**EXP2, "dim": 2.7}}, "dim"),
+    ("check-density", {"density": {**EXP2, "params": 5}}, "params"),
+    ("check-density", {"density": {**EXP2, "params": {"c": None}}}, "params.c"),
+    ("check-density", {"density": {**EXP2, "envelope_radius": [1]}},
+     "envelope_radius"),
+    ("check-density", {"density": {"family": "angular_mod", "dim": 2, "a": 1.0,
+                                   "params": {"k": "two"}}}, "params.k"),
+    ("check-density", [1, 2], "config"),
+    ("measure", {"density": EXP2, "set": {"variant": "plain_ball", "offset": None}},
+     "set.offset"),
+    ("measure", {"density": EXP2, "set": {"variant": "plain_ball", "dim": 3.5}},
+     "set.dim"),
+    ("measure", {"density": EXP2, "set": {"variant": "cylinder_extended",
+                                          "delta": [1]}}, "set.delta"),
+    ("measure", {"density": EXP2, "set": {"variant": "plain_ball", "direction": 5}},
+     "set.direction"),
+])
+def test_malformed_config_values_name_their_field(tmp_path, capsys, command,
+                                                  payload, field):
+    # each value fails its conversion inside the program, as a usage error
+    # that names the field, not as a traceback or a "failure:"
+    cfg = write_cfg(tmp_path, payload)
+    assert run(["--out", str(tmp_path / "o"), command, "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
 def test_kernels_csv_schema(tmp_path):
     code = run(["--out", str(tmp_path / "o"), "kernels", "--dim", "3",
                 "--rmin", "10.0", "--grid", "11"])

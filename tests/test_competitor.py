@@ -78,10 +78,11 @@ def right_half_bump_density(R, amp=0.2):
                    label="right-bump", deficit=deficit)
 
 
-def _one_angle_gap(spectrum, i):
+def _one_angle_gap(spectrum, ball_gs, i):
     """delta -> V_f(E) - omega_N of the set based at the spectrum's grid
-    angle theta[i]: the one-angle view of ``SweepSpectrum.gaps``."""
-    gaps = spectrum.gaps()
+    angle theta[i], whose ball is ``ball_gs[i]``: the one-angle view of
+    ``SweepSpectrum.gaps``."""
+    gaps = spectrum.gaps(ball_gs)
     return lambda delta: float(gaps(np.array([i]), np.array([delta]))[0])
 
 
@@ -693,47 +694,56 @@ def test_cylinder_pieces_equal_the_patch_description(n, tilted):
 
 
 def test_cylinder_match_builds_each_half_ball_rule_once(monkeypatch, exp3):
-    # the far half-ball does not move with the height and the near one is
-    # scaled and shifted from one turned rule: each is built once per
+    # the far half-ball does not move with the height: it is built once per
     # cylinder extension and rule, not once per gap evaluation.  The sizing
-    # builds both on the rules it tries; on the settled rule the match
-    # starts from those builds' integrals and builds neither again
+    # builds it and the near half-ball of height zero on the rules it tries;
+    # on the settled rule the match starts from those builds' integrals and
+    # builds the near half-ball once at each height it tries
     cert = select_direction(exp3, 10.0, 0.05)
-    bands = []
+    builds = []
     original = isoplab.measures.ball_cap_patch
 
     def recorded(*args, **kwargs):
-        bands.append(args[4:7])
+        builds.append((args[1], *args[4:7]))    # radius, band, radial nodes
         return original(*args, **kwargs)
     monkeypatch.setattr(isoplab.measures, "ball_cap_patch", recorded)
     ext = cylinder_extension(cert, exp3, eps=0.05)
     assert ext.match.iterations >= 2
     nodes, radial_nodes = ext.checks["pass_rule"]
-    assert bands.count((0.0, math.pi / 2, radial_nodes)) == 1
-    assert bands.count((math.pi / 2, math.pi, radial_nodes)) == 1
-    assert len(bands) == len(set(bands))
-    assert len(bands) == 2 * len({band[2] for band in bands})
+    rules = {build[3] for build in builds}
+    far = [build for build in builds if build[1] == 0.0]
+    near = [build for build in builds if build[1] == math.pi / 2]
+    assert len(far) + len(near) == len(builds)
+    assert far.count((1.0, 0.0, math.pi / 2, radial_nodes)) == 1
+    assert len(far) == len(set(far)) == len(rules)
+    # height zero on every rule, and each height the match tries (its first
+    # bracket end and one per iteration) on the settled rule alone
+    assert sorted(build[3] for build in near if build[0] == 1.0) == sorted(rules)
+    tried = [build for build in near if build[0] < 1.0]
+    assert {build[3] for build in tried} == {radial_nodes}
+    assert len(tried) == len(set(tried)) == ext.match.iterations + 1
 
 
 def test_cylinder_checks_integrate_each_near_hemisphere_once(monkeypatch, exp3):
     # the margin at the match and the shifted-boundary check there share
-    # that height's near hemisphere: it is placed and integrated once, and
+    # that height's near hemisphere: it is built and integrated once, and
     # the gap, the margin and the check are the floats of the set's own
     # patch list on the settled rule
-    placed = []
-    original = isoplab.measures._ScaledCaps._placed
+    radii = {"sphere_cap_patch": [], "ball_cap_patch": []}
+    for name, built in radii.items():
+        original = getattr(isoplab.measures, name)
 
-    def recorded(self, i, radius, center, draw=isoplab.measures.gauss):
-        placed.append((i, radius))
-        return original(self, i, radius, center, draw=draw)
-    monkeypatch.setattr(isoplab.measures._ScaledCaps, "_placed", recorded)
+        def recorded(*args, _built=built, _original=original, **kwargs):
+            _built.append(args[1])
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(isoplab.measures, name, recorded)
     n, R = 3, 10.0
     ext = cylinder_extension(select_direction(exp3, R, 0.05), exp3, eps=0.05)
     delta, rule = ext.E.delta, ext.checks["pass_rule"]
     k = (R - delta) / R
     assert delta > 0.0
-    assert placed.count((0, k)) == 1
-    assert placed.count((1, k)) == 1
+    assert radii["sphere_cap_patch"].count(k) == 1
+    assert radii["ball_cap_patch"].count(k) == 1
     g, frame = deficit_weight(exp3), frame_from_axis(np.eye(n)[0])
     patches = cylinder_patches(n, R, delta, frame, *rule)
     assert ext.volume_gap == patches.volume_gap(g)
@@ -943,22 +953,22 @@ def test_sized_certificates_cover_the_oracle(family, n, R_min):
 
 def test_cylinder_pieces_free_their_rules_without_the_cycle_collector(
         monkeypatch, exp3):
-    # the families and their kept turned rules go when the extension
-    # returns, by reference counting alone, so a run of extensions holds
-    # no rule past its own
+    # the families and the factor rules their pieces were integrated on go
+    # when the extension returns, by reference counting alone, so a run of
+    # extensions holds no rule past its own
     families, rules = [], []
-    init, placed = CylinderFamily.__init__, isoplab.measures._ScaledCaps._placed
+    init, call = CylinderFamily.__init__, isoplab.measures.GaussBlocks.__call__
 
     def recorded_init(self, *args):
         init(self, *args)
         families.append(weakref.ref(self))
 
-    def recorded_placed(self, *args, **kwargs):
-        out = placed(self, *args, **kwargs)
-        rules.extend(weakref.ref(pts) for pts, _ in filter(None, self.rules))
+    def recorded_call(self, *args):
+        out = call(self, *args)
+        rules.extend(weakref.ref(x) for x, _ in self.rules)
         return out
     monkeypatch.setattr(CylinderFamily, "__init__", recorded_init)
-    monkeypatch.setattr(isoplab.measures._ScaledCaps, "_placed", recorded_placed)
+    monkeypatch.setattr(isoplab.measures.GaussBlocks, "__call__", recorded_call)
     cert = select_direction(exp3, 10.0, 0.05)
     gc.disable()
     try:
@@ -1570,7 +1580,7 @@ def test_advance_map_equals_volume_match_per_angle(R):
     theta = 2.0 * math.pi * np.arange(grid) / grid
     ball_gs, _ = spectrum.balls(theta)
     assert np.all(ball_gs > 0.0)
-    matches = tuple(_sweep_match(_one_angle_gap(spectrum, i), b, n, R, eps)
+    matches = tuple(_sweep_match(_one_angle_gap(spectrum, ball_gs, i), b, n, R, eps)
                     for i, b in enumerate(ball_gs.tolist()))
     advance = np.array([m.delta_bar for m in matches])
     residual = np.array([m.gap for m in matches])
@@ -1602,7 +1612,7 @@ def test_advance_map_failure_names_the_angle():
     failing = []
     for i, (t, b) in enumerate(zip(theta.tolist(), ball_gs.tolist())):
         try:
-            _sweep_match(_one_angle_gap(spectrum, i), b, 2, R, 0.05)
+            _sweep_match(_one_angle_gap(spectrum, ball_gs, i), b, 2, R, 0.05)
         except RuntimeError:
             failing.append(f"theta = {t:.6g}, with |B^theta|_g = {b:.6e}")
     assert 0 < len(failing) < grid

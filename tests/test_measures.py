@@ -268,9 +268,9 @@ def test_patch_draws_integrate_one_exactly(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_cylinder_near_caps_are_the_caps_built_in_place(n):
-    # the near caps of every height come from one turned rule of the unit
-    # caps, scaled and shifted: the same floats as the caps built at their
-    # radius and centre, and the same draws
+    # the near caps of every height, built on the frame their description
+    # forms once, are the floats and the draws of the caps built from the
+    # axis vector at their radius and centre
     R, nodes, radial_nodes = 6.0, 12, 10
     frame = frame_from_axis(np.linspace(1.0, -0.4, n))
     e1, lower = frame[:, 0], (math.pi / 2, math.pi)

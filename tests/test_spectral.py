@@ -169,8 +169,8 @@ def test_coprime_check_sees_a_mode_at_the_start():
 
 
 # ---------------------------------------------------------------------------
-# the tables a spectrum keeps for its grid angles, on angular_mod N = 2 at
-# R = 10 and the default grid
+# the spectrum's scans at its grid angles and elsewhere, on angular_mod N = 2
+# at R = 10 and the default grid
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -200,10 +200,10 @@ def test_grid_balls_equal_a_fresh_evaluation(circle):
                       _formed(circle, ("lead", "trail"), theta))
 
 
-def test_kept_and_formed_tables_give_the_same_values(circle):
-    # at the grid angles the methods read the kept phase table, elsewhere
-    # they form their own; both give the values of tables formed anew, and
-    # so does a spectrum built for other angles
+def test_scans_equal_tables_formed_anew(circle):
+    # at the grid angles, off them, and on a spectrum built for other
+    # angles, every method gives the values of phase and shift tables
+    # formed anew for the angles it is given
     theta = circle.theta
     deltas = np.random.default_rng(3).uniform(0.0, 0.05, theta.size)
     other = SweepSpectrum(_angular(2), 2, 10.0, np.eye(2), 24)
@@ -220,16 +220,17 @@ def test_kept_and_formed_tables_give_the_same_values(circle):
                           (swept_excess(2, 10.0, deltas)[1] - values, error))
 
 
-def test_gaps_read_the_kept_table(circle):
+def test_gaps_equal_a_fresh_evaluation(circle):
     rng = np.random.default_rng(5)
     idx = np.sort(rng.choice(CIRCLE_GRID, 300, replace=False))
     deltas = rng.uniform(0.0, 0.05, idx.size)
     count = circle.modes.k.size
+    ball = circle.balls(circle.theta)[0]
     terms = (circle.modes.extend() * _powers(circle.theta[idx], count)
              * _shift(deltas, count))
-    expected = (swept_excess(2, 10.0, deltas)[1] - circle.balls(circle.theta)[0][idx]
+    expected = (swept_excess(2, 10.0, deltas)[1] - ball[idx]
                 - np.add.reduce(terms.real, axis=1))
-    assert np.array_equal(circle.gaps()(idx, deltas), expected)
+    assert np.array_equal(circle.gaps(ball)(idx, deltas), expected)
 
 
 def test_blocked_scans_equal_one_block(monkeypatch, circle):
@@ -240,9 +241,10 @@ def test_blocked_scans_equal_one_block(monkeypatch, circle):
     idx = np.arange(CIRCLE_GRID)
     deltas = rng.uniform(0.0, 0.05, idx.size)
     assert idx.size * circle.modes.k.size > BLOCK_POINTS
-    blocked = circle.balls(phis), circle.gaps()(idx, deltas)
+    ball = circle.balls(circle.theta)[0]
+    blocked = circle.balls(phis), circle.gaps(ball)(idx, deltas)
     monkeypatch.setattr(spectral, "BLOCK_POINTS", 2 ** 40)
-    whole = circle.balls(phis), circle.gaps()(idx, deltas)
+    whole = circle.balls(phis), circle.gaps(ball)(idx, deltas)
     _assert_identical(blocked[0], whole[0])
     assert np.array_equal(blocked[1], whole[1])
 
@@ -260,29 +262,21 @@ def test_every_other_rule_equals_the_rule_with_its_own_tables(monkeypatch, M):
         assert np.array_equal(getattr(alias, piece), getattr(own, piece))
 
 
-def test_advance_map_forms_the_grid_table_once_per_round(monkeypatch):
-    # a work counter: the 720-angle phase table is formed once per psi-grid
-    # refinement round and read by every later grid evaluation and lockstep
-    # round (2,691,680 table elements when each formed its own), and every
-    # table has the PSI_START-sample rule's 17 modes (1,368,912 elements
-    # when the psi rule had as many samples as the grid)
+def test_advance_map_bounds_its_phase_table_work(monkeypatch):
+    # a work counter: every phase table of the advance map on 720 angles,
+    # formed per chunk of the angles each scan and lockstep round is given,
+    # has the PSI_START-sample rule's 17 modes: 125,664 table elements
+    # (1,368,912 when the psi rule had as many samples as the grid)
     d = density_from_config({"family": "angular_mod", "dim": 2, "a": 1.0,
                              "params": {"eta": 0.5, "k": 1, "c": 1.0}})
-    theta = 2.0 * math.pi * np.arange(CIRCLE_GRID) / CIRCLE_GRID
-    powers, mode_sums, tables, rounds = spectral._powers, spectral._mode_sums, [], []
+    powers, tables = spectral._powers, []
 
     def counted_powers(angle, count):
-        tables.append((np.size(angle) * count, np.array_equal(angle, theta)))
+        tables.append(np.size(angle) * count)
         return powers(angle, count)
-
-    def counted_mode_sums(*args, every_other):
-        rounds.append(every_other)
-        return mode_sums(*args, every_other=every_other)
     monkeypatch.setattr(spectral, "_powers", counted_powers)
-    monkeypatch.setattr(spectral, "_mode_sums", counted_mode_sums)
     sweep_advance_map(d, 10.0, np.eye(2), eps=0.05)
-    assert sum(grid for _, grid in tables) == sum(rounds) >= 1
-    assert sum(size for size, _ in tables) <= 64_464
+    assert sum(tables) <= 125_664
 
 
 @pytest.mark.parametrize("k", [4, 8, 16, 48, 96, 600])

@@ -48,6 +48,28 @@ def test_traced_cylinder_counts_its_gap_evaluations():
     assert tracer.counters["competitor.gap_evals"] > 0
 
 
+def test_traced_patch_points_count_what_is_integrated(monkeypatch):
+    # every patch the cylinder integrates comes from a builder the tracer
+    # binds, so ``measures.patch_points`` counts the points that
+    # ``patch_integrals`` sums, block by block
+    d = isoplab.density_from_config({"family": "radial_exp", "dim": 3, "a": 1.0})
+    cert = isoplab.select_direction(d, 10.0, 0.05)
+    summed, block_sums = [], isoplab.measures._block_sums
+
+    def counted(block, fn):
+        summed.append(len(block[1]))
+        return block_sums(block, fn)
+    monkeypatch.setattr(isoplab.measures, "_block_sums", counted)
+    importlib.import_module("isoplab.cli")      # the tracer binds its commands
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        isoplab.cylinder_extension(cert, d, 0.05)
+    finally:
+        tracer.uninstall()
+    assert tracer.counters["measures.patch_points"] == sum(summed) > 0
+
+
 def test_traced_build_repeats_its_counters():
     # ``run.py --trace 1`` reports a run correct only when two traced passes
     # count alike: the angular_descent build, twice under fresh tracers
