@@ -77,8 +77,8 @@ class SweepAdvanceMap:
     selection at each angle: ``ball_deficit``, |B^theta|_g of the base ball,
     and ``rim_deficit``, H_g(trailing hemisphere at theta) + H_g(leading
     hemisphere at theta + advance), with its error estimate ``rim_error``;
-    ``matches``, each angle's ``VolumeMatch`` (``_match``, as the cylinder's
-    ``volume_match``).  ``advance_error`` is each
+    ``matches``, each angle's ``VolumeMatch`` (a row of ``_matches``, as
+    the cylinder's ``volume_match``).  ``advance_error`` is each
     advance's error estimate: the root residual plus the Fourier engine's
     estimate of the gap at the advance (every other sweep-angle sample, half
     the meridian-disk nodes, the rounding floor of the series), over the
@@ -135,127 +135,121 @@ class CompetitorCertificate:
 # volume matching
 # ---------------------------------------------------------------------------
 
-def _root_steps(g0: float, delta_max: float, vol_tol: float, hard_cap: float):
-    """Safeguarded root of gap(delta) = 0 on [0, delta_max], as a generator
-    that yields trial deltas, is sent their gaps, and returns (delta, gap, iters).
+def _roots(g0, delta_max, tol, hard_cap: float, gaps, names):
+    """Safeguarded roots of gap_k(delta) = 0 on [0, delta_max[k]], one row k
+    of arrays per search, as the arrays (delta, gap, iters).
 
-    ``g0`` is gap(0), which is not evaluated again; g0 <= 0 by
-    construction.  The bracket is doubled, at most eight times and never
-    past ``hard_cap``, while gap(delta_max) is still negative.  Inside the
-    bracket the Illinois variant of regula falsi is used: the gap is nearly
-    linear in delta, so a secant step lands close to the root, and halving
-    the value kept at an end that survives twice in a row stops the
-    one-sided stalling of plain regula falsi.  Every iterate stays strictly
-    inside the bracket, and a bisection step is taken whenever three steps
-    have not halved it, so the bracket at least halves every four steps.
+    ``g0[k]`` is gap_k(0), which is not evaluated again; g0 <= 0 by
+    construction, and only the rows with g0 < -tol are searched, the others
+    ending at delta = 0.  A round calls ``gaps(idx, deltas)`` once, at the
+    trial deltas of the rows ``idx`` (ascending) still running.  The bracket
+    rounds come first: hi is doubled, at most eight times and never past
+    ``hard_cap``, while gap(hi) is still negative, and a row still negative
+    then fails, the first one named by ``names(k)``.  Then the Illinois
+    rounds: the Illinois variant of regula falsi is used inside the bracket,
+    since the gap is nearly linear in delta, so a secant step lands close
+    to the root, and halving the value kept at an end that survives twice
+    in a row stops the one-sided stalling of plain regula falsi.  Every
+    iterate stays strictly inside the bracket, and a bisection step is
+    taken whenever three steps have not halved it, so the bracket at least
+    halves every four steps.  A row ends at its best iterate: the first
+    within the tolerance, else, once its bracket collapses or after 200
+    steps, the one of least |gap|.
     """
-    if g0 >= -vol_tol:
-        return 0.0, g0, 0
-    hi = min(delta_max, hard_cap)
-    ghi = yield hi
-    expansions = 0
-    while ghi < 0.0 and expansions < 8 and hi < hard_cap:
-        hi = min(2.0 * hi, hard_cap)
-        ghi = yield hi
-        expansions += 1
-    if ghi < 0.0:
-        raise RuntimeError(
-            f"volume match failed: gap still {ghi:.3e} at delta = {hi:.3e}; "
-            "the family cannot reach the target volume in range")
-    if ghi <= vol_tol:
-        return hi, ghi, expansions
-    lo, flo, fhi = 0.0, g0, ghi  # flo, fhi: Illinois-scaled end values
-    best = min((0.0, g0), (hi, ghi), key=lambda p: abs(p[1]))
-    kept = 0                     # -1: lo end moved last, +1: hi end moved last
-    widths = (hi, hi, hi)        # bracket widths one to three steps back
-    bisect = False
-    iters = expansions
-    for _ in range(200):
-        # lo >= 0 and flo < 0 < fhi: both products add, nothing cancels
-        x = (0.5 * (lo + hi) if bisect
-             else (lo * fhi - hi * flo) / (fhi - flo))
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        gx = yield x
-        iters += 1
-        if abs(gx) <= vol_tol:
-            return x, gx, iters
-        best = min(best, (x, gx), key=lambda p: abs(p[1]))
-        if gx < 0.0:
-            lo, flo = x, gx
-            if kept == -1:
-                fhi *= 0.5
-            kept = -1
-        else:
-            hi, fhi = x, gx
-            if kept == 1:
-                flo *= 0.5
-            kept = 1
-        if hi - lo <= 4.0 * ULP * hi:
+    delta, gap, iters = np.zeros(g0.size), g0.copy(), np.zeros(g0.size, dtype=int)
+    idx = np.flatnonzero(g0 < -tol)
+    if not idx.size:
+        return delta, gap, iters
+    hi = np.minimum(delta_max[idx], hard_cap)
+    fhi = np.array(gaps(idx, hi), dtype=float)      # fhi, flo: Illinois-scaled
+    base = np.zeros(idx.size, dtype=int)            # bracket expansions
+    for _ in range(8):
+        up = np.flatnonzero((fhi < 0.0) & (hi < hard_cap))
+        if not up.size:
             break
-        bisect = hi - lo > 0.5 * widths[2]
-        widths = (hi - lo, widths[0], widths[1])
-    # bracket collapsed before meeting tolerance: numerical noise floor
-    return best[0], best[1], iters
+        hi[up] = np.minimum(2.0 * hi[up], hard_cap)
+        fhi[up] = gaps(idx[up], hi[up])
+        base[up] += 1
+    failed = np.flatnonzero(fhi < 0.0)
+    if failed.size:
+        k = failed[0]
+        raise RuntimeError(
+            f"{names(idx[k])}volume match failed: gap still {fhi[k]:.3e} at "
+            f"delta = {hi[k]:.3e}; the family cannot reach the target volume "
+            "in range")
+    lo, flo, t = np.zeros(idx.size), g0[idx], tol[idx]
+    at_hi = np.abs(fhi) < np.abs(flo)               # best iterate so far
+    bx, bg = np.where(at_hi, hi, 0.0), np.where(at_hi, fhi, flo)
+    kept = np.full(idx.size, 0.5)   # 1: lo end moved last, 0: hi end, 0.5: neither
+    widths = (hi,) * 3              # bracket widths one to three steps back
+    bisect = np.zeros(idx.size, dtype=bool)
+    stop, step = fhi <= t, 0
+    while True:
+        if np.count_nonzero(stop):
+            out = idx[stop]
+            delta[out], gap[out], iters[out] = bx[stop], bg[stop], base[stop] + step
+            if out.size == idx.size:
+                return delta, gap, iters
+            go = ~stop
+            idx, lo, hi, flo, fhi, t, base, bx, bg, kept, bisect = (
+                a[go] for a in (idx, lo, hi, flo, fhi, t, base, bx, bg, kept, bisect))
+            widths = tuple(w[go] for w in widths)
+        step += 1
+        # lo >= 0 and flo < 0 < fhi: both products add, nothing cancels
+        x = (lo * fhi - hi * flo) / (fhi - flo)
+        np.copyto(x, 0.5 * (lo + hi), where=bisect | ~((lo < x) & (x < hi)))
+        gx = np.asarray(gaps(idx, x), dtype=float)
+        size = np.abs(gx)
+        better = size < np.abs(bg)
+        bx, bg = np.where(better, x, bx), np.where(better, gx, bg)
+        neg = gx < 0.0
+        # halve the value kept at the end that did not move, if the same
+        # end moved twice in a row
+        halve = np.where(neg == kept, 0.5, 1.0)
+        lo, hi, kept = np.where(neg, x, lo), np.where(neg, hi, x), neg
+        flo, fhi = np.where(neg, gx, halve * flo), np.where(neg, halve * fhi, gx)
+        width = hi - lo
+        # within tolerance, or the bracket collapsed (the noise floor)
+        stop = (size <= t) | (width <= 4.0 * ULP * hi)
+        if step == 200:
+            stop[:] = True
+        bisect = width > 0.5 * widths[2]
+        widths = (width, widths[0], widths[1])
 
 
-def _lockstep_roots(searches, gaps) -> list:
-    """The results of ``_root_steps`` searches run together, each as if alone:
-    a round calls ``gaps(idx, deltas)`` once, at the trial deltas of the
-    searches ``idx`` (ascending) still running."""
-    out, trials = [None] * len(searches), dict.fromkeys(range(len(searches)))
-    values = [None] * len(searches)
-    while trials:
-        for k, value in zip(list(trials), values):
-            try:
-                trials[k] = searches[k].send(value)
-            except StopIteration as done:
-                out[k] = done.value
-                del trials[k]
-        if trials:      # in insertion order, so ascending
-            values = np.asarray(gaps(np.fromiter(trials, int, len(trials)),
-                                     np.array(list(trials.values())))).tolist()
-    return out
-
-
-def _match(ball: float, n: int, eps: float, start: float, hard_cap: float,
-           denom: float, theta: float | None = None):
-    """The volume match of a family whose base ball has deficit volume
-    ``ball`` = |B|_g = -gap(0), as a ``_root_steps`` search that returns a
-    ``VolumeMatch``.  |B|_g sets the scale of the whole problem: the
-    tolerance is ``VOLUME_RTOL * |B|_g``, so the match stays meaningful for
-    exponentially small deficits, and a vanished one (|B|_g <=
-    ``DEGENERACY_TOL``) matches at delta = 0 without a search.  The bracket
-    starts at 4 (1 + 2 eps) |B|_g / ``start`` (a normal float) and stops at
-    ``hard_cap``; the a-priori bound is delta <= (1 + 2 eps) |B|_g /
-    ``denom``, never met where ``denom`` <= 0.  A failure at the advance
-    map's angle ``theta`` names theta and |B^theta|_g.
+def _matches(balls, n: int, eps: float, start: float, hard_cap: float,
+             denom: float, gaps, names):
+    """The volume matches of families whose base balls have deficit volumes
+    ``balls`` = |B|_g = -gap(0), one ``_roots`` row each, as the arrays
+    (delta, gap) and a tuple of ``VolumeMatch``.  |B|_g sets the scale of
+    each problem: the tolerance is ``VOLUME_RTOL * |B|_g``, so a match stays
+    meaningful for exponentially small deficits, and a vanished one (|B|_g
+    <= ``DEGENERACY_TOL``) gets an infinite tolerance, so it matches at
+    delta = 0 without a search.  The bracket starts at 4 (1 + 2 eps) |B|_g /
+    ``start`` (a normal float) and stops at ``hard_cap``; the a-priori bound
+    is delta <= (1 + 2 eps) |B|_g / ``denom``, never met where ``denom`` <= 0.
     """
-    slack = (1.0 + 2.0 * eps) * ball
-    if ball <= DEGENERACY_TOL:
-        root = 0.0, -ball, 0
-    else:
-        try:
-            hi = max(4.0 * slack / start, _TINY)
-            root = yield from _root_steps(-ball, hi, VOLUME_RTOL * ball, hard_cap)
-        except RuntimeError as err:
-            if theta is None:
-                raise
-            raise RuntimeError(f"advance map at theta = {theta:.6g}, with "
-                               f"|B^theta|_g = {ball:.6e}: {err}") from err
-    delta, gap, iters = root
-    bound = slack / denom if denom > 0.0 else math.nan
-    return VolumeMatch(delta, unit_ball_volume(n) + gap, iters,
-                       delta <= bound * (1.0 + 1e-9), gap)
+    balls = np.asarray(balls, dtype=float)
+    slack = (1.0 + 2.0 * eps) * balls
+    tol = np.where(balls <= DEGENERACY_TOL, np.inf, VOLUME_RTOL * balls)
+    delta, gap, iters = _roots(-balls, np.maximum(4.0 * slack / start, _TINY),
+                               tol, hard_cap, gaps, names)
+    ok = delta <= (slack / denom if denom > 0.0 else math.nan) * (1.0 + 1e-9)
+    omega = unit_ball_volume(n)
+    return delta, gap, tuple(
+        VolumeMatch(x, omega + g, i, b, g) for x, g, i, b in
+        zip(delta.tolist(), gap.tolist(), iters.tolist(), ok.tolist()))
 
 
 def volume_match(gap, ball_deficit: float, n: int, R: float,
                  eps: float) -> VolumeMatch:
-    """Match the cylinder-extended sets' |E_delta|_f = omega_N (``_match``).
+    """Match the cylinder-extended sets' |E_delta|_f = omega_N, one
+    ``_matches`` row.
 
     ``gap`` maps the height delta to V_f(E_delta) - omega_N
     (nondecreasing); ``ball_deficit`` is |B|_g of the base ball.  The
-    bracket stops at 0.9 (R - 1), and the a-priori bound is
+    bracket starts at 4 (1 + 2 eps) |B|_g / omega_{N-1} and stops at
+    0.9 (R - 1), and the a-priori bound is
 
         delta <= (1 + 2 eps) |B|_g / (omega_{N-1} - N omega_N / (2R))
 
@@ -272,9 +266,9 @@ def volume_match(gap, ball_deficit: float, n: int, R: float,
     which tends to the bound without the shrink term as R -> infinity.
     """
     omega1 = unit_ball_volume(n - 1)
-    search = _match(ball_deficit, n, eps, omega1, 0.9 * (R - 1.0),
-                    omega1 - n * unit_ball_volume(n) / (2.0 * R))
-    return _lockstep_roots([search], lambda _, deltas: [gap(float(deltas[0]))])[0]
+    return _matches([ball_deficit], n, eps, omega1, 0.9 * (R - 1.0),
+                    omega1 - n * unit_ball_volume(n) / (2.0 * R),
+                    lambda _, deltas: [gap(float(deltas[0]))], lambda _: "")[2][0]
 
 
 # ---------------------------------------------------------------------------
@@ -432,16 +426,17 @@ def sweep_advance_map(d: Density, R: float, plane: np.ndarray,
     One ``spectral.SweepSpectrum`` samples the deficit on the meridian disk
     times a uniform grid in the sweep angle and gives |B^theta|_g at every
     grid angle and each angle's volume gap delta -> V_f(E) - omega_N in
-    closed form, as Fourier shifts.  Every angle runs the cylinder's matcher
-    ``_match`` (a-priori bound (1 + 2 eps) |B^theta|_g / (omega_{N-1}(R-1));
-    a failure names theta and |B^theta|_g), all in lockstep, one call a
-    round of the ``SweepSpectrum.gaps`` formed on those balls; only a
-    vanished deficit (``|B^theta|_g <= DEGENERACY_TOL``) advances by zero
-    unmatched.  Each advance's error estimate is its root residual plus the
-    engine's estimate of the gap there (every other sweep-angle sample, half
-    the disk nodes, the rounding floor), over the gap's mean slope.  The
-    same spectrum gives the trailing hemisphere at theta and the leading one
-    at theta + advance, whose sum bounds the margin in the direction
+    closed form, as Fourier shifts.  Every angle is one row of the
+    cylinder's matcher ``_matches`` (bracket start and a-priori bound over
+    omega_{N-1}(R-1), bracket stop 0.45 pi): one search over all the angles,
+    one call a round of the ``SweepSpectrum.gaps`` formed on those balls.
+    A failed bracket names the first failing theta and its |B^theta|_g, and
+    only a vanished deficit (``|B^theta|_g <= DEGENERACY_TOL``) advances by
+    zero unmatched.  Each advance's error estimate is its root residual plus
+    the engine's estimate of the gap there (every other sweep-angle sample,
+    half the disk nodes, the rounding floor), over the gap's mean slope.
+    The same spectrum gives the trailing hemisphere at theta and the leading
+    one at theta + advance, whose sum bounds the margin in the direction
     selection.  Difference quotients of the map are the measured Lipschitz
     data.
     """
@@ -453,11 +448,10 @@ def sweep_advance_map(d: Density, R: float, plane: np.ndarray,
     theta = spectrum.theta
     ball_gs, _ = spectrum.balls(theta)
     length = unit_ball_volume(n - 1) * max(R - 1.0, 1e-9)   # start and bound
-    matches = tuple(_lockstep_roots(
-        [_match(b, n, eps, length, 0.45 * math.pi, length, t)
-         for t, b in zip(theta.tolist(), ball_gs.tolist())], spectrum.gaps(ball_gs)))
-    advance = np.array([m.delta_bar for m in matches])
-    residual = np.array([m.gap for m in matches])
+    advance, residual, matches = _matches(
+        ball_gs, n, eps, length, 0.45 * math.pi, length, spectrum.gaps(ball_gs),
+        lambda k: f"advance map at theta = {theta[k]:.6g}, with "
+                  f"|B^theta|_g = {ball_gs[k]:.6e}: ")
     _, gap_error = spectrum.volume_gaps(theta, advance)
     moved = advance > 0.0
     slope = np.full(grid, swept_excess(n, R, 1.0)[1])

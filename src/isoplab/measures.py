@@ -227,16 +227,12 @@ class GaussBlocks:
     nodes that covers it and sliced to its rows, so its floats are those
     rows of the whole rule; a slab that reaches past its block is kept for
     the next.  A patch of at most ``BALL_CHUNK_POINTS`` points is one block,
-    the whole rule.
+    built on one slab, the whole rule.
     """
 
     def __init__(self):
         self.index, self.leaves, self.rules, self._slab = 0, None, None, None
         self.leaf = BALL_CHUNK_POINTS
-
-    @property
-    def whole(self) -> bool:
-        return len(self.leaves) == 1
 
     def advance(self) -> bool:
         """Move to the next block; False when the rule has no more."""
@@ -246,8 +242,6 @@ class GaussBlocks:
     def total(self, sums):
         """The rule's sum from its blocks' sums, in order, added back up
         numpy's pairwise tree."""
-        if len(sums) == 1:
-            return sums[0]
         return pairwise_total(self.size, self.leaf, iter(sums))
 
     def __call__(self, place, scale, *factors):
@@ -255,8 +249,6 @@ class GaussBlocks:
             self.rules = [f.rule() for f in factors]
             self.size = math.prod(len(w) for _, w in self.rules)
             self.leaves = pairwise_leaves(0, self.size, self.leaf)
-        if self.whole:
-            return _tensor(place, scale, self.rules)
         start, stop = self.leaves[self.index]
         (x, w), rows = self.rules[0], self.size // len(self.rules[0][1])
         slab = start // rows, -(-stop // rows)

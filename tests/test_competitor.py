@@ -25,8 +25,8 @@ import isoplab.quadrature
 import isoplab.spectral
 from isoplab import (ExtensionResult, PlainBall, RotationSwept, VolumeMatch,
                      weighted_ball_measures)
-from isoplab.competitor import (_lockstep_roots, _match, _root_steps,
-                                monte_carlo_check, ray_monotone_on_samples)
+from isoplab.competitor import (_matches, _roots, monte_carlo_check,
+                                ray_monotone_on_samples)
 from isoplab.defaults import (CIRCLE_GRID, PSI_START, RADIAL_NODES,
                               SPHERE_NODES, VOLUME_RTOL)
 from isoplab.density import deficit_weight
@@ -86,22 +86,25 @@ def _one_angle_gap(spectrum, ball_gs, i):
     return lambda delta: float(gaps(np.array([i]), np.array([delta]))[0])
 
 
-def _alone(search, gap):
-    """The result of one ``_root_steps`` generator run on the gap ``gap``."""
-    return _lockstep_roots([search], lambda _, deltas: [gap(float(deltas[0]))])[0]
+def _alone(gap):
+    """The ``gaps`` of one ``_roots`` row whose gap is ``gap``."""
+    return lambda _, deltas: [gap(float(deltas[0]))]
 
 
 def _root_of_gap(gap, g0, delta_max, tol, hard_cap):
-    """(delta, gap(delta), iters) of one ``_root_steps`` search on ``gap``."""
-    return _alone(_root_steps(g0, delta_max, tol, hard_cap), gap)
+    """(delta, gap(delta), iters) of one ``_roots`` row on ``gap``."""
+    out = _roots(np.array([g0]), np.array([delta_max]), np.array([tol]),
+                 hard_cap, _alone(gap), lambda _: "")
+    return tuple(a.tolist()[0] for a in out)
 
 
 def _sweep_match(gap, ball, n, R, eps):
-    """One angle's volume match as the advance map runs it: ``_match`` with
-    the sweep's bracket, which starts at, and whose bound divides by,
-    omega_{N-1} (R - 1), and stops at 0.45 pi."""
+    """One angle's volume match as the advance map runs it: a ``_matches``
+    row with the sweep's bracket, which starts at, and whose bound divides
+    by, omega_{N-1} (R - 1), and stops at 0.45 pi."""
     length = unit_ball_volume(n - 1) * max(R - 1.0, 1e-9)
-    return _alone(_match(ball, n, eps, length, 0.45 * math.pi, length), gap)
+    return _matches([ball], n, eps, length, 0.45 * math.pi, length,
+                    _alone(gap), lambda _: "")[2][0]
 
 
 def test_volume_match_zero_deficit(const2):
@@ -138,13 +141,80 @@ def test_root_of_gap_safeguarded(gap, root, max_iters):
     assert iters <= max_iters
 
 
+def _illinois(gap, g0, delta_max, tol, hard_cap):
+    """The search of one ``_roots`` row as a scalar loop: the reference that
+    every row must equal float for float."""
+    if g0 >= -tol:
+        return 0.0, g0, 0
+    hi = min(delta_max, hard_cap)
+    ghi, iters = gap(hi), 0
+    while ghi < 0.0 and iters < 8 and hi < hard_cap:
+        hi = min(2.0 * hi, hard_cap)
+        ghi, iters = gap(hi), iters + 1
+    assert ghi >= 0.0
+    if ghi <= tol:
+        return hi, ghi, iters
+    lo, flo, fhi = 0.0, g0, ghi
+    best = min((0.0, g0), (hi, ghi), key=lambda p: abs(p[1]))
+    kept, widths, bisect = 0, (hi, hi, hi), False
+    for _ in range(200):
+        x = 0.5 * (lo + hi) if bisect else (lo * fhi - hi * flo) / (fhi - flo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        gx = gap(x)
+        iters += 1
+        if abs(gx) <= tol:
+            return x, gx, iters
+        best = min(best, (x, gx), key=lambda p: abs(p[1]))
+        if gx < 0.0:
+            lo, flo, fhi = x, gx, 0.5 * fhi if kept == -1 else fhi
+            kept = -1
+        else:
+            hi, fhi, flo = x, gx, 0.5 * flo if kept == 1 else flo
+            kept = 1
+        if hi - lo <= 4.0 * ULP * hi:
+            break
+        bisect = hi - lo > 0.5 * widths[2]
+        widths = (hi - lo, widths[0], widths[1])
+    return best[0], best[1], iters
+
+
+def test_roots_equal_the_scalar_search():
+    # every row of ``_roots``, alone and with the others, equals the scalar
+    # loop, also where the bracket collapses short of the tolerance and the
+    # row returns its iterate of least |gap|: a gap with noise of 1e-9
+    # about its root, and one that jumps from -1 to 1; and a root past
+    # delta_max = 1
+    shapes = [(gap, 1e-6 * abs(gap(0.0))) for gap, _, _ in GAP_SHAPES] + [
+        (lambda d: d - 0.3 + 1e-9 * math.sin(1e7 * d), 0.0),
+        (lambda d: -1.0 if d < 0.3 else 1.0, 1e-15),
+        (lambda d: 0.2 * d - 1.0, 1e-9)]
+    scalar = [_illinois(gap, gap(0.0), 1.0, tol, 10.0) for gap, tol in shapes]
+    assert [_root_of_gap(gap, gap(0.0), 1.0, tol, 10.0)
+            for gap, tol in shapes] == scalar
+
+    def gaps(idx, deltas):
+        return [shapes[k][0](x) for k, x in zip(idx.tolist(), deltas.tolist())]
+    together = _roots(np.array([gap(0.0) for gap, _ in shapes]),
+                      np.ones(len(shapes)), np.array([tol for _, tol in shapes]),
+                      10.0, gaps, lambda _: "")
+    assert list(zip(*(a.tolist() for a in together))) == scalar
+    # the two collapsed rows: beyond tolerance, at their best iterates
+    assert [abs(g) > tol for (_, g, _), (_, tol) in zip(scalar, shapes)] == [
+        False, False, False, True, True, False]
+    assert scalar[5] == (5.0, 0.0, 4)   # three doublings, one secant step
+
+
 def test_lockstep_roots_equal_one_search_at_a_time():
-    # the three shapes and a search already matched at delta = 0 (gap(0)
-    # within tolerance, so it calls no gap) run together: each returns
-    # what it returns alone, and every round's call sees the searches still
-    # running, in ascending order
-    shapes = [gap for gap, _, _ in GAP_SHAPES] + [None]
-    g0s = [gap(0.0) for gap in shapes[:3]] + [-1e-9]
+    # the three shapes, a search already matched at delta = 0 (gap(0)
+    # within tolerance, so it calls no gap) and a linear gap whose root 3
+    # lies past delta_max = 1 (two bracket doublings, then one exact secant
+    # step) run together as the rows of one ``_roots``: each returns what it
+    # returns alone.  The bracket rounds come first, then the Illinois
+    # rounds, and every round's call sees the rows still running, in
+    # ascending order
+    shapes = [gap for gap, _, _ in GAP_SHAPES] + [None, lambda d: d - 3.0]
+    g0s = [gap(0.0) for gap in shapes[:3]] + [-1e-9, -3.0]
     tols = [1e-6 * abs(g0) for g0 in g0s]
     tols[3] = 1e-8
     alone = [_root_of_gap(gap, g0, 1.0, tol, 10.0)
@@ -154,35 +224,38 @@ def test_lockstep_roots_equal_one_search_at_a_time():
     def gaps(idx, deltas):
         calls.append(idx.tolist())
         return [shapes[k](x) for k, x in zip(idx.tolist(), deltas.tolist())]
-    together = _lockstep_roots([_root_steps(g0, 1.0, tol, 10.0)
-                                for g0, tol in zip(g0s, tols)], gaps)
-    assert together == alone
+    together = _roots(np.array(g0s), np.ones(5), np.array(tols), 10.0, gaps,
+                      lambda _: "")
+    assert list(zip(*(a.tolist() for a in together))) == alone
     assert alone[3] == (0.0, -1e-9, 0)
-    # search k evaluates its gap iters + 1 times: in rounds 0 to iters
-    assert calls == [[k for k in range(3) if r <= alone[k][2]]
-                     for r in range(max(iters for _, _, iters in alone[:3]) + 1)]
+    assert alone[4] == (3.0, 0.0, 3)
+    # row k evaluates its gap at the bracket end, once per doubling, then
+    # once per Illinois step: iters + 1 times in all
+    doublings = {0: 0, 1: 0, 2: 0, 4: 2}
+    steps = {k: alone[k][2] - e for k, e in doublings.items()}
+    assert calls == (
+        [[k for k, e in doublings.items() if r <= e] for r in range(3)]
+        + [[k for k, s in steps.items() if r < s] for r in range(max(steps.values()))])
 
 
 def test_volume_match_takes_gap_at_zero_from_the_ball(monkeypatch, exp2):
     # every caller's gap(0) is exactly -|B|_g: no gap is evaluated at 0, and
     # each match evaluates its gap once per iteration plus the bracket end.
-    # volume_match runs one root search and the advance map runs one per
-    # angle, all in lockstep: each search's trial deltas and result are
-    # recorded
+    # volume_match runs one ``_roots`` row and the advance map one per
+    # angle: every trial delta handed to ``gaps`` and the result of every
+    # row that runs a search are recorded
     deltas, roots = [], []
-    original = isoplab.competitor._root_steps
+    original = isoplab.competitor._roots
 
-    def recorded(*args):
-        search = original(*args)
-        try:
-            delta = next(search)
-            while True:
-                deltas.append(delta)
-                delta = search.send((yield delta))
-        except StopIteration as done:
-            roots.append(done.value)
-            return done.value
-    monkeypatch.setattr(isoplab.competitor, "_root_steps", recorded)
+    def recorded(g0, delta_max, tol, hard_cap, gaps, names):
+        def traced(idx, trials):
+            deltas.extend(trials.tolist())
+            return gaps(idx, trials)
+        out = original(g0, delta_max, tol, hard_cap, traced, names)
+        roots.extend(row for row, ran in zip(zip(*(a.tolist() for a in out)),
+                                             (g0 < -tol).tolist()) if ran)
+        return out
+    monkeypatch.setattr(isoplab.competitor, "_roots", recorded)
     cert = select_direction(exp2, 10.0, 0.05)
     cylinder_extension(cert, exp2, eps=0.05)
     rotation_extension(cert, exp2, eps=0.05)
@@ -1569,9 +1642,9 @@ def test_advance_map_matches_per_angle_matching(R):
 
 @pytest.mark.parametrize("R", [12.0, 50.0])
 def test_advance_map_equals_volume_match_per_angle(R):
-    # the angles matched in lockstep give, bit for bit, each angle's
-    # match alone on the spectrum's one-angle gap, and the error estimates
-    # formed from those matches
+    # the angles matched as the rows of one search give, bit for bit, each
+    # angle's match alone on the spectrum's one-angle gap, and the error
+    # estimates formed from those matches
     d = density_from_config({"family": "angular_mod", "dim": 2, "a": 1.0,
                              "params": {"eta": 0.5, "k": 1, "c": 0.5}})
     n, eps, grid = 2, 0.05, 24
@@ -1595,7 +1668,7 @@ def test_advance_map_failure_names_the_angle():
     # a deficit 0.999 (1 - cos phi) / 2 at offset 2: at the angles where it
     # is large, the sweep's largest range (0.45 pi past the ball) meets too
     # little of 1 - g to make up |B^theta|_g, and the failure names the
-    # angle and |B^theta|_g of one of them
+    # angle and |B^theta|_g of the first of them in grid order
     R, grid = 2.0, 16
 
     def deficit(x):
@@ -1616,8 +1689,7 @@ def test_advance_map_failure_names_the_angle():
         except RuntimeError:
             failing.append(f"theta = {t:.6g}, with |B^theta|_g = {b:.6e}")
     assert 0 < len(failing) < grid
-    assert any(f"advance map at {named}: volume match failed" in message
-               for named in failing)
+    assert f"advance map at {failing[0]}: volume match failed" in message
 
 
 def test_advance_map_far_deviation_resolved():

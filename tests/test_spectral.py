@@ -264,7 +264,7 @@ def test_every_other_rule_equals_the_rule_with_its_own_tables(monkeypatch, M):
 
 def test_advance_map_bounds_its_phase_table_work(monkeypatch):
     # a work counter: every phase table of the advance map on 720 angles,
-    # formed per chunk of the angles each scan and lockstep round is given,
+    # formed per chunk of the angles each scan and root-search round is given,
     # has the PSI_START-sample rule's 17 modes: 125,664 table elements
     # (1,368,912 when the psi rule had as many samples as the grid)
     d = density_from_config({"family": "angular_mod", "dim": 2, "a": 1.0,

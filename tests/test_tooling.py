@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 import isoplab
+import isoplab.cli      # the tracer binds the CLI's commands by module name
 from isoplab import defaults
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -60,7 +61,6 @@ def test_traced_patch_points_count_what_is_integrated(monkeypatch):
         summed.append(len(block[1]))
         return block_sums(block, fn)
     monkeypatch.setattr(isoplab.measures, "_block_sums", counted)
-    importlib.import_module("isoplab.cli")      # the tracer binds its commands
     tracer = _tracing().Tracer()
     tracer.install()
     try:
