@@ -15,9 +15,9 @@ perimeter stays below the Euclidean value N omega_N:
   change-of-variables inequality certifies the perimeter is picked
   (``select_sweep_direction``).  For N >= 3 the working circle is found by
   descending through subspheres on their mean margins
-  (``farball.select_working_circle``); a radial weight's is the first
-  coordinate plane, and its advance map, constant in the angle, is
-  matched at one angle (``build_competitor``).
+  (``farball.select_working_circle``).  A radial weight's sweep is matched
+  and certified in closed form from four layer integrals
+  (``rotation_extension``).
 
 All final inequalities are assembled in deficit space: the perimeter margin
 N omega_N - P_f(E) is a sum of small deficit integrals and closed-form
@@ -39,11 +39,11 @@ from .density import (Density, deficit_profile, deficit_weight, eval_weight,
                       rescale)
 from .farball import (FarBallCertificate, find_far_radius,
                       select_working_circle)
+from .layers import moment_integrals
 from .measures import (CylinderExtended, CylinderFamily, GaussPass,
                        MeasureResult, PlainBall, RotationSwept, circle_point,
-                       gauss_rules, integrate_patches, mc_integrals,
-                       patch_integrals, set_patches, shrink_terms, sized_pass,
-                       swept_excess, swept_patches)
+                       integrate_patches, mc_integrals, set_patches,
+                       shrink_terms, sized_pass, swept_excess, swept_patches)
 from .quadrature import frame_from_axis, sphere_grid, unit_ball_volume
 from .spectral import ULP, SweepSpectrum
 
@@ -307,17 +307,17 @@ class ExtensionResult:
     checks: dict
 
 
-def _extension(E, match: VolumeMatch, margin: float, checks: dict) -> ExtensionResult:
+def _extension(E, match: VolumeMatch, margin: float, e_p: float, e_v: float,
+               checks: dict) -> ExtensionResult:
     """E's extension result, with its mean density in deficit space: rho - 1
     = expm1(N log1p(-margin / (N omega_N)) - (N-1) log1p(gap / omega_N)),
-    estimated by rho (N e_P / P_f + (N-1) e_V / V_f) for the pass estimates
-    e_P, e_V of the margin and the gap, plus 4 ULP (|N log1p(.)| + |(N-1)
+    estimated by rho (N e_P / P_f + (N-1) e_V / V_f) for the estimates e_P,
+    e_V of the margin and the gap, plus 4 ULP (|N log1p(.)| + |(N-1)
     log1p(.)| + |rho - 1|).  rho - 1 above its estimate (rho > 1) is refused."""
     n, omega, gap = E.dim, unit_ball_volume(E.dim), match.gap
     log_p, log_v = (n * math.log1p(-margin / (n * omega)),
                     (n - 1) * math.log1p(gap / omega))
     excess = math.expm1(log_p - log_v)          # rho - 1
-    e_p, e_v = checks["pass_surface_estimate"], checks["pass_volume_estimate"]
     estimate = ((1.0 + excess) * (n * e_p / (n * omega - margin)
                                   + (n - 1) * e_v / (omega + gap))
                 + 4.0 * ULP * (abs(log_p) + abs(log_v) + abs(excess)))
@@ -327,6 +327,18 @@ def _extension(E, match: VolumeMatch, margin: float, checks: dict) -> ExtensionR
                            "misconfigured for this weight")
     return ExtensionResult(E, match, margin, gap, 1.0 + excess, dict(
         checks, rho_minus_one=excess, rho_minus_one_estimate=estimate))
+
+
+def _closed_forms(n: int, margin: float, gap: float, e_p: float, e_v: float,
+                  points: int) -> tuple[MeasureResult, MeasureResult]:
+    """P_f = N omega_N - margin and V_f = omega_N + gap, estimated by the
+    estimates e_P, e_V of the margin and the gap plus their rounding floors,
+    2 ULP (N omega_N + |margin|) and 2 ULP (omega_N + |gap|)."""
+    omega = unit_ball_volume(n)
+    return (MeasureResult(n * omega - margin, "quadrature",
+                          e_p + 2.0 * ULP * (n * omega + abs(margin)), points),
+            MeasureResult(omega + gap, "quadrature",
+                          e_v + 2.0 * ULP * (omega + abs(gap)), points))
 
 
 def cylinder_extension(cert: FarBallCertificate, d: Density,
@@ -394,7 +406,7 @@ def cylinder_extension(cert: FarBallCertificate, d: Density,
     if not checks["shifted_boundary_nonincreasing"]:
         raise RuntimeError("displaced near boundary grew; weight not "
                            "ray-monotone on the quadrature grid")
-    return _extension(E, match, margin, checks)
+    return _extension(E, match, margin, *quad.estimates(), checks)
 
 
 # ---------------------------------------------------------------------------
@@ -403,19 +415,63 @@ def cylinder_extension(cert: FarBallCertificate, d: Density,
 
 def rotation_extension(cert: FarBallCertificate, d: Density,
                        eps: float = EPS) -> ExtensionResult:
-    """Volume-matched rotation-swept set for radial weights.
+    """Volume-matched rotation-swept set for radial weights, in closed form.
 
-    A radial deficit's advance map is constant in the angle, so the sweep
-    is matched at the one angle 0 of the plane through the certified
-    direction (``sweep_advance_map`` with one angle) and certified by
-    ``select_sweep_direction``, which also checks the rotation identity.
+    The certified ball B (about e1 without a certified direction) is swept
+    towards the next vector of its frame.  A reflection through the sweep
+    tangent fixes B and |x|, so for a radial deficit the hemispheres sum to
+    P_g(B) and the half-balls to V_g(B), both from ``cert``, and the band
+    and the wedge of angle delta to delta Band_g and delta W_g
+    (``layers.moment_integrals``).  The gap is linear in delta, so the match
+    is one division, with no root search (``match.iterations`` 0):
+
+        delta  = V_g(B) / (R omega_{N-1} - W_g),
+        margin = P_g(B) - delta ((N-1) R omega_{N-1} - Band_g).
+
+    The margin's estimate is e_P + delta e_Band, the gap's e_V + delta e_W,
+    each plus 2 ULP of its terms, and delta's the gap plus its estimate over
+    the gap's slope.  The a-priori bound is the sweep's, delta <= (1 + 2
+    eps) V_g(B) / (omega_{N-1} (R - 1)).  The checks record the four
+    integrals' evaluations (``layer_evaluations``) and estimates, the
+    estimates of delta, the margin and the gap, the perimeter chain and
+    rho - 1 (``_extension``, refusing rho > 1).
     """
     if not d.radial:
         raise ValueError("rotation extension requires a radial weight")
-    theta = np.array(cert.theta) if cert.theta is not None else np.eye(d.dim)[0]
-    plane = frame_from_axis(theta)[:, :2]
-    advance = sweep_advance_map(d, cert.R, plane, 1, eps)
-    return select_sweep_direction(d, cert.R, plane, advance, eps)[1]
+    n, R, P, V = d.dim, cert.R, cert.P_g, cert.V_g
+    theta = np.array(cert.theta) if cert.theta is not None else np.eye(n)[0]
+    g = deficit_profile(d)
+    (band, e_band, n_band), (wedge, e_wedge, n_wedge) = moment_integrals(
+        g.profile, n, R, g.breakpoints)
+    omega1 = unit_ball_volume(n - 1)
+    length = R * omega1                 # the wedge's volume per unit angle
+    slope = length - wedge              # of the gap in delta
+    delta = V.value / slope if V.value > DEGENERACY_TOL else 0.0
+    if not 0.0 <= delta < 0.45 * math.pi:
+        raise RuntimeError(
+            f"volume match failed: delta = {delta:.3e} for |B|_g = "
+            f"{V.value:.6e} and W_g = {wedge:.6e}; the family cannot reach "
+            "the target volume in range")
+    band_f = delta * ((n - 1) * length - band)      # the band's f-integral
+    margin, gap = P.value - band_f, delta * slope - V.value
+    e_margin = (P.error_estimate + delta * e_band
+                + 2.0 * ULP * (abs(P.value) + band_f))
+    e_gap = V.error_estimate + delta * e_wedge + 2.0 * ULP * (delta * length + V.value)
+    direction, sweep = (tuple(float(x) for x in v)
+                        for v in circle_point(frame_from_axis(theta), 0.0))
+    E = (RotationSwept(dim=n, offset=R, delta=delta, direction=direction, sweep=sweep)
+         if delta > 0.0 else PlainBall(dim=n, offset=R, direction=direction))
+    match = VolumeMatch(delta, unit_ball_volume(n) + gap, 0, bool(
+        delta <= (1.0 + 2.0 * eps) * V.value / (omega1 * (R - 1.0))), gap)
+    checks = {
+        "perimeter_chain_ok": bool(band_f <= (n - 1) * omega1 * (R + 1.0) * delta),
+        "layer_evaluations": [P.samples_or_nodes, V.samples_or_nodes, n_band, n_wedge],
+        "P_g_estimate": P.error_estimate, "V_g_estimate": V.error_estimate,
+        "band_g_estimate": e_band, "wedge_g_estimate": e_wedge,
+        "delta_estimate": (abs(gap) + e_gap) / slope,
+        "margin_estimate": e_margin, "gap_estimate": e_gap,
+    }
+    return _extension(E, match, margin, e_margin, e_gap, checks)
 
 
 def sweep_advance_map(d: Density, R: float, plane: np.ndarray,
@@ -491,9 +547,10 @@ def select_sweep_direction(
     more than ``VOLUME_RTOL * |B^phi|_g`` plus the pass's volume estimate
     is refused: the advance map's psi rule aliased the deficit.  The same
     pass checks the perimeter chain P_f(E) <= P_f(B) + (N-1) omega_{N-1}
-    (R+1) delta, and for a radial weight the rotation identity, whose cap
-    at sweep 0 is built on the settled rule; ``_extension`` refuses a mean
-    density above 1.
+    (R+1) delta; ``_extension`` refuses a mean density above 1.  It takes
+    any weight; ``build_competitor`` certifies a radial one in closed form
+    (``rotation_extension``) instead, and this route is its independent
+    reference.
     """
     n = d.dim
     frame = frame_from_axis(plane[:, 0], plane[:, 1])
@@ -533,21 +590,9 @@ def select_sweep_direction(
     checks = {"perimeter_chain_ok": bool(
         band_f <= (n - 1) * unit_ball_volume(n - 1) * (R + 1.0) * delta),
         **_pass_record(quad)}
-    if d.radial:
-        # rotation invariance: H_g(leading cap at delta) = H_g(leading cap at 0)
-        (H0, H0_half), (H1, H1_half) = (
-            [patch_integrals(swept_patches(n, R, 0.0, frame, phi, *rule)
-                             .surface["leading"], g)
-             for rule in gauss_rules(*quad.rule)],
-            quad.pieces[patches.surface["leading"]])
-        residual = abs(H1.value - H0.value)
-        checks.update(rotation_identity_residual=residual, rotation_identity_ok=bool(
-            residual <= H0.estimate(H0_half) + H1.estimate(H1_half)))
-    P_f = MeasureResult(n * omega - margin, "quadrature", surface_error
-                        + 2.0 * ULP * (n * omega + abs(margin)), quad.points)
-    V_f = MeasureResult(omega + gap, "quadrature", volume_error
-                        + 2.0 * ULP * (omega + abs(gap)), quad.points)
-    return phi, _extension(E, match, margin, checks), (P_f, V_f)
+    ext = _extension(E, match, margin, surface_error, volume_error, checks)
+    return phi, ext, _closed_forms(n, margin, gap, surface_error, volume_error,
+                                   quad.points)
 
 
 # ---------------------------------------------------------------------------
@@ -603,24 +648,36 @@ def build_competitor(d: Density, eps: float = EPS, R_min: float = 50.0,
     """Far ball -> (circle, advance map, direction) -> certified set.
 
     The density is first rescaled so its limit is 1 and the target volume is
-    omega_N.  A radial deficit's advance map is constant in the angle, so
-    it is matched at one angle.  The certified set's deficit is integrated
-    once, by ``select_sweep_direction``, on the Gauss rule sized by its
-    deficit budget with (nodes, RADIAL_NODES) as the ceiling; P_f and V_f
-    are closed forms of its margin and gap, and ``bounds`` records the
-    rule, its estimates and rho - 1.  The final inequalities are re-measured
-    by an independent Monte-Carlo pass, the one step that evaluates f.
+    omega_N.  A radial weight is certified in closed form by
+    ``rotation_extension``, with no spectrum, root search or Gauss pass;
+    its advance map is the one angle 0, with delta's estimate as its error.
+    Any other weight's set is swept on its working circle and its deficit
+    integrated once, by ``select_sweep_direction``, on the Gauss rule sized
+    by its deficit budget with (nodes, RADIAL_NODES) as the ceiling.  P_f
+    and V_f are closed forms of the margin and the gap, and ``bounds``
+    records the route's checks and estimates and rho - 1.  The final
+    inequalities are re-measured by an independent Monte-Carlo pass, the
+    one step that evaluates f.
     """
     n = d.dim
-    omega = unit_ball_volume(n)
-    dd, lam = rescale(d, omega) if d.limit_a != 1.0 else (d, 1.0)
+    dd, lam = rescale(d, unit_ball_volume(n)) if d.limit_a != 1.0 else (d, 1.0)
     g = deficit_profile(dd)
     far = find_far_radius(g, n, eps, R_min, R_max)
-    plane = select_working_circle(dd, far.R, eps, quad_nodes=nodes)
-    advance_map = sweep_advance_map(dd, far.R, plane,
-                                    1 if dd.radial else circle_grid, eps, nodes)
-    _, ext, (P_f, V_f) = select_sweep_direction(dd, far.R, plane, advance_map,
-                                                eps, nodes)
+    if dd.radial:
+        ext = rotation_extension(far, dd, eps)
+        c, delta = ext.checks, ext.match.delta_bar
+        advance_map = SweepAdvanceMap(
+            (0.0,), (delta,), (delta,), eps, far.R, (far.V_g.value,),
+            (far.P_g.value,), (far.P_g.error_estimate,), (c["delta_estimate"],),
+            (ext.match,))
+        P_f, V_f = _closed_forms(n, ext.perimeter_margin, ext.volume_gap,
+                                 c["margin_estimate"], c["gap_estimate"],
+                                 sum(c["layer_evaluations"]))
+    else:
+        plane = select_working_circle(dd, far.R, eps, quad_nodes=nodes)
+        advance_map = sweep_advance_map(dd, far.R, plane, circle_grid, eps, nodes)
+        _, ext, (P_f, V_f) = select_sweep_direction(dd, far.R, plane, advance_map,
+                                                    eps, nodes)
     mc_check = monte_carlo_check(ext.E, dd, P_f, V_f, mc_samples, mc_seed,
                                  ext.perimeter_margin, ext.volume_gap)
     deficit_scale = float(np.max(np.asarray(

@@ -19,6 +19,8 @@ integral of sin^m is evaluated by the standard recurrence so that low
 dimensions reduce to exact closed forms.  ``layer_integral`` integrates on
 Gauss rules in u = asin(t), with a node-halving error estimate, and
 ``running_integral`` integrates from -1 to many limits on the same rule.
+``moment_integrals`` integrates the two sweep moments of a radial weight
+over the ball's meridian section and its boundary on that rule.
 """
 
 from __future__ import annotations
@@ -179,6 +181,56 @@ def exact_kernels(n: int, R: float) -> LayerKernelPair:
         return s ** (n - 1) * (n - 1) * w * im
 
     return LayerKernelPair(n, "exact", float(R), area_kernel, volume_kernel)
+
+
+def moment_integrals(profile, n: int, R: float, breakpoints=()):
+    """The sweep moments (Band_g, W_g) of the offset ball for the radial
+    deficit ``profile`` (a function of |x|), each as ``layer_integral``'s
+    (value, estimate, evaluations), both on one profile per rule.
+
+    A rotation about a 2-plane through the origin and the centre direction
+    c turns the ball's meridian section, the unit (n-1)-disk about R c, and
+    by an angle delta sweeps a band and a wedge whose g-integrals are delta
+    Band_g and delta W_g: the moments of g(|x|) (x.c) over the disk's
+    boundary sphere and over the disk.  On the slice |x| = s = R + t their
+    kernels are x.c = (s^2 + R^2 - 1)/(2R) times the sphere's area kernel
+    ``exact_kernels(n-1, R)``, and the moment of x.c over the disk's cap of
+    half-angle gamma, s^{n-1} |S^{n-3}| sin^{n-2}(gamma)/(n-2) = omega_{n-2}
+    s^{n-1} sin^{n-2}(gamma).  With g = 1 they are (n-1) R omega_{n-1} and R
+    omega_{n-1}.  For n = 2 the disk is the segment [R - 1, R + 1], the
+    wedge's kernel is s, and Band_g = g(R + 1)(R + 1) + g(R - 1)(R - 1), two
+    points, estimated by 2 ULP times its terms.
+    """
+    weight, cuts = layer_weight(profile, R), tuple(b - R for b in breakpoints)
+    omega = unit_ball_volume(n - 2)
+
+    def wedge(t):
+        s = R + np.asarray(t, dtype=float)
+        return omega * s ** (n - 1) * _cap_trig(s, R)[1] ** (n - 2)
+
+    if n == 2:
+        ends = np.array([R + 1.0, R - 1.0])
+        terms = np.asarray(profile(ends), dtype=float) * ends
+        band = (float(np.add.reduce(terms)),
+                2.0 * ULP * float(np.add.reduce(np.abs(terms))), 2)
+    else:
+        area = exact_kernels(n - 1, R).area_kernel
+        band = layer_integral(lambda t: (R + t - (1.0 - t * t) / (2.0 * R)) * area(t),
+                              weight, cuts)
+    return band, layer_integral(wedge, weight, cuts)
+
+
+def layer_weight(profile, R: float):
+    """t -> profile(R + t), evaluated once per rule for every integral that
+    runs on it."""
+    values = {}
+
+    def weight(t):
+        key = t.tobytes()
+        if key not in values:
+            values[key] = profile(R + t)
+        return values[key]
+    return weight
 
 
 @dataclass(frozen=True)

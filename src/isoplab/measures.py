@@ -50,7 +50,8 @@ import numpy as np
 from .defaults import (BALL_CHUNK_POINTS, BLOCK_POINTS, DEGENERACY_TOL,
                        MC_SAMPLES, RADIAL_NODES, SPHERE_NODES, VOLUME_RTOL)
 from .density import Density, RadialDeficit, eval_weight
-from .layers import ULP, LayerKernelPair, exact_kernels, layer_integral
+from .layers import (ULP, LayerKernelPair, exact_kernels, layer_integral,
+                     layer_weight)
 from .quadrature import (ball_grid, frame_from_axis, gauss_nodes, norms,
                          pairwise_leaves, pairwise_total, sphere_band_grid,
                          unit_ball_volume, unit_sphere_area)
@@ -785,14 +786,7 @@ def ball_deficit_measures(g: RadialDeficit, n: int, R: float,
     if kernels.kind == "exact" and abs(kernels.offset - R) > 1e-12:
         raise ValueError("exact kernels built for a different offset")
     brk = tuple(b - R for b in g.breakpoints)
-    profiles = {}
-
-    def weight(t):
-        key = t.tobytes()
-        if key not in profiles:
-            profiles[key] = g.profile(R + t)
-        return profiles[key]
-
+    weight = layer_weight(g.profile, R)
     p, p_err, p_n = layer_integral(kernels.area_kernel, weight, brk)
     v, v_err, v_n = layer_integral(kernels.volume_kernel, weight, brk)
     return (MeasureResult(p, "quadrature", p_err, p_n),

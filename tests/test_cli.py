@@ -211,11 +211,13 @@ def test_competitor_radial_writes_one_angle_advance_map(tmp_path):
     theta, advance, mapped = map(float, rows[1].split(","))
     assert theta == 0.0
     assert advance == mapped == rec["match"]["delta_bar"] > 0.0
-    # the certified pass's settled rule and its deficit estimates
+    assert rec["match"]["iterations"] == 0
+    # the closed form's layer record, the band's two end points at N = 2,
+    # and its deficit estimates
     bounds = rec["bounds"]
-    assert bounds["pass_rule"] == [16, 16]
-    assert 0.0 < bounds["pass_surface_estimate"] < 1e-8 * rec["perimeter_margin"]
-    assert 0.0 < bounds["pass_volume_estimate"] < 1e-8 * rec["perimeter_margin"]
+    assert bounds["layer_evaluations"][2] == 2
+    assert 0.0 < bounds["margin_estimate"] < 1e-8 * rec["perimeter_margin"]
+    assert 0.0 < bounds["gap_estimate"] < 1e-8 * rec["perimeter_margin"]
 
 
 def test_competitor_far_offset_certifies(tmp_path):

@@ -8,7 +8,7 @@ from isoplab import (asymptotic_kernels, ball_deficit_measures, cap_area,
                      layer_integral, sin_power_integral, unit_ball_volume,
                      unit_sphere_area)
 from isoplab.density import RadialDeficit
-from isoplab.layers import running_integral
+from isoplab.layers import moment_integrals, running_integral
 
 
 def test_cap_geometry_law_of_cosines():
@@ -249,6 +249,35 @@ def test_ball_deficit_measures_share_the_profile():
     P, V = ball_deficit_measures(RadialDeficit(dim=3, profile=profile), 3, 10.0)
     assert calls == [LAYER_NODES, LAYER_NODES // 2]
     assert P.samples_or_nodes == V.samples_or_nodes == sum(calls)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("R", [1.5, 10.0, 50.0])
+def test_moment_integrals_of_weight_one(n, R):
+    # with g = 1 the sweep moments are Euclidean: W = R omega_{N-1}, the
+    # meridian section's volume times its centre's distance, and Band =
+    # (N-1) R omega_{N-1} on its boundary sphere, each within its estimate
+    # on the layer rule (N = 2: Band is the two end points, (R+1) + (R-1))
+    (band, band_error, band_n), (wedge, wedge_error, wedge_n) = moment_integrals(
+        np.ones_like, n, R)
+    length = R * unit_ball_volume(n - 1)
+    assert abs(wedge - length) <= wedge_error
+    assert abs(band - (n - 1) * length) <= band_error
+    assert band_n == (2 if n == 2 else wedge_n)
+
+
+def test_moment_integrals_share_the_profile():
+    # Band_g and W_g run on the same nodes: one profile call per rule in all
+    # (N = 2: the band's end points are one call besides)
+    from isoplab.defaults import LAYER_NODES
+    for n, extra in ((3, []), (2, [2])):
+        calls = []
+
+        def profile(r):
+            calls.append(np.size(r))
+            return np.exp(-np.asarray(r, dtype=float))
+        moment_integrals(profile, n, 10.0)
+        assert calls == extra + [LAYER_NODES, LAYER_NODES // 2]
 
 
 def test_running_integral_closed_forms_at_unsorted_limits():

@@ -49,6 +49,35 @@ def test_traced_cylinder_counts_its_gap_evaluations():
     assert tracer.counters["competitor.gap_evals"] > 0
 
 
+def test_traced_radial_build_times_its_closed_form():
+    # a radial build runs through ``rotation_extension``, which the tracer
+    # binds, so ``competitor.rotation_s`` times it: one span, no advance-map
+    # angle, and two layer integrals beyond the far ball's, the two moment
+    # integrals
+    tracing = _tracing()
+    d = isoplab.density_from_config({"family": "radial_exp", "dim": 3, "a": 1.0})
+    tracers = []
+    for run in (lambda: isoplab.find_far_radius(isoplab.deficit_profile(d), 3,
+                                                0.05, 10.0, 200.0),
+                lambda: isoplab.build_competitor(d, eps=0.05, R_min=10.0,
+                                                 R_max=200.0, mc_samples=20_000)):
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            run()
+        finally:
+            tracer.uninstall()
+        tracers.append(tracer)
+    far, build = tracers
+    spans = build.by_name()
+    assert spans["competitor.rotation_extension"]["calls"] == 1
+    assert spans["competitor.sweep_advance_map"]["calls"] == 0
+    assert build.metrics()["competitor.rotation_s"] > 0.0
+    assert build.counters["competitor.advance_angles"] == 0
+    assert (build.counters["layers.layer_integral_calls"]
+            == far.counters["layers.layer_integral_calls"] + 2)
+
+
 def test_traced_patch_points_count_what_is_integrated(monkeypatch):
     # every patch the cylinder integrates comes from a builder the tracer
     # binds, so ``measures.patch_points`` counts the points that
