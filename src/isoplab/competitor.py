@@ -227,18 +227,25 @@ def _matches(balls, n: int, eps: float, start: float, hard_cap: float,
     <= ``DEGENERACY_TOL``) gets an infinite tolerance, so it matches at
     delta = 0 without a search.  The bracket starts at 4 (1 + 2 eps) |B|_g /
     ``start`` (a normal float) and stops at ``hard_cap``; the a-priori bound
-    is delta <= (1 + 2 eps) |B|_g / ``denom``, never met where ``denom`` <= 0.
+    is ``_within_bound``'s.
     """
     balls = np.asarray(balls, dtype=float)
     slack = (1.0 + 2.0 * eps) * balls
     tol = np.where(balls <= DEGENERACY_TOL, np.inf, VOLUME_RTOL * balls)
     delta, gap, iters = _roots(-balls, np.maximum(4.0 * slack / start, _TINY),
                                tol, hard_cap, gaps, names)
-    ok = delta <= (slack / denom if denom > 0.0 else math.nan) * (1.0 + 1e-9)
+    ok = _within_bound(delta, balls, eps, denom)
     omega = unit_ball_volume(n)
     return delta, gap, tuple(
         VolumeMatch(x, omega + g, i, b, g) for x, g, i, b in
         zip(delta.tolist(), gap.tolist(), iters.tolist(), ok.tolist()))
+
+
+def _within_bound(delta, balls, eps: float, denom: float):
+    """Every match's a-priori bound, delta <= (1 + 2 eps) |B|_g / ``denom``
+    within a 1e-9 relative slack, for |B|_g = ``balls``; unmet if denom <= 0."""
+    return delta <= ((1.0 + 2.0 * eps) * balls / denom if denom > 0.0
+                     else math.nan) * (1.0 + 1e-9)
 
 
 def volume_match(gap, ball_deficit: float, n: int, R: float,
@@ -304,41 +311,36 @@ class ExtensionResult:
     perimeter_margin: float
     volume_gap: float
     rho: float
+    P_f: MeasureResult
+    V_f: MeasureResult
     checks: dict
 
 
 def _extension(E, match: VolumeMatch, margin: float, e_p: float, e_v: float,
-               checks: dict) -> ExtensionResult:
-    """E's extension result, with its mean density in deficit space: rho - 1
-    = expm1(N log1p(-margin / (N omega_N)) - (N-1) log1p(gap / omega_N)),
-    estimated by rho (N e_P / P_f + (N-1) e_V / V_f) for the estimates e_P,
-    e_V of the margin and the gap, plus 4 ULP (|N log1p(.)| + |(N-1)
-    log1p(.)| + |rho - 1|).  rho - 1 above its estimate (rho > 1) is refused."""
+               points: int, checks: dict) -> ExtensionResult:
+    """E's extension result on every route.  P_f = N omega_N - margin and
+    V_f = omega_N + gap, on the route's ``points``, are estimated by the
+    margin's and the gap's estimates e_P, e_V plus 2 ULP (N omega_N +
+    |margin|) and 2 ULP (omega_N + |gap|).  In deficit space rho - 1 =
+    expm1(N log1p(-margin / (N omega_N)) - (N-1) log1p(gap / omega_N)), with
+    the estimate rho (N e_P / P_f + (N-1) e_V / V_f) plus 4 ULP (|N log1p(.)|
+    + |(N-1) log1p(.)| + |rho - 1|); above it (rho > 1) it is refused."""
     n, omega, gap = E.dim, unit_ball_volume(E.dim), match.gap
+    P_f = MeasureResult(n * omega - margin, "quadrature",
+                        e_p + 2.0 * ULP * (n * omega + abs(margin)), points)
+    V_f = MeasureResult(omega + gap, "quadrature",
+                        e_v + 2.0 * ULP * (omega + abs(gap)), points)
     log_p, log_v = (n * math.log1p(-margin / (n * omega)),
                     (n - 1) * math.log1p(gap / omega))
     excess = math.expm1(log_p - log_v)          # rho - 1
-    estimate = ((1.0 + excess) * (n * e_p / (n * omega - margin)
-                                  + (n - 1) * e_v / (omega + gap))
+    estimate = ((1.0 + excess) * (n * e_p / P_f.value + (n - 1) * e_v / V_f.value)
                 + 4.0 * ULP * (abs(log_p) + abs(log_v) + abs(excess)))
     if excess > estimate:
         raise RuntimeError(f"mean density above 1: rho - 1 = {excess:.6e} exceeds "
                            f"its estimate {estimate:.3e}; the offset or eps is "
                            "misconfigured for this weight")
-    return ExtensionResult(E, match, margin, gap, 1.0 + excess, dict(
+    return ExtensionResult(E, match, margin, gap, 1.0 + excess, P_f, V_f, dict(
         checks, rho_minus_one=excess, rho_minus_one_estimate=estimate))
-
-
-def _closed_forms(n: int, margin: float, gap: float, e_p: float, e_v: float,
-                  points: int) -> tuple[MeasureResult, MeasureResult]:
-    """P_f = N omega_N - margin and V_f = omega_N + gap, estimated by the
-    estimates e_P, e_V of the margin and the gap plus their rounding floors,
-    2 ULP (N omega_N + |margin|) and 2 ULP (omega_N + |gap|)."""
-    omega = unit_ball_volume(n)
-    return (MeasureResult(n * omega - margin, "quadrature",
-                          e_p + 2.0 * ULP * (n * omega + abs(margin)), points),
-            MeasureResult(omega + gap, "quadrature",
-                          e_v + 2.0 * ULP * (omega + abs(gap)), points))
 
 
 def cylinder_extension(cert: FarBallCertificate, d: Density,
@@ -359,7 +361,7 @@ def cylinder_extension(cert: FarBallCertificate, d: Density,
     hemisphere.  The checks record the rule, the pass's
     deficit estimates over the boundary and the interior (``pass_rule``,
     ``pass_surface_estimate``, ``pass_volume_estimate``) and rho - 1
-    (``_extension``, refusing rho > 1).
+    (``_extension``, with P_f and V_f on the pass's points; rho > 1 refused).
     """
     n, R = d.dim, cert.R
     theta = np.array(cert.theta) if cert.theta is not None else np.eye(n)[0]
@@ -406,12 +408,23 @@ def cylinder_extension(cert: FarBallCertificate, d: Density,
     if not checks["shifted_boundary_nonincreasing"]:
         raise RuntimeError("displaced near boundary grew; weight not "
                            "ray-monotone on the quadrature grid")
-    return _extension(E, match, margin, *quad.estimates(), checks)
+    return _extension(E, match, margin, *quad.estimates(), quad.points, checks)
 
 
 # ---------------------------------------------------------------------------
 # the swept sets: the advance map on a working circle, and its certificate
 # ---------------------------------------------------------------------------
+
+def _swept_set(n: int, R: float, frame, phi: float, delta: float, band_f: float):
+    """The ball at angle phi of ``frame``'s circle swept by delta (plain at
+    delta = 0), and whether the band's f-integral ``band_f`` keeps the
+    perimeter chain P_f(E) <= P_f(B) + (N-1) omega_{N-1} (R+1) delta."""
+    direction, sweep = (tuple(float(x) for x in v)
+                        for v in circle_point(frame, phi))
+    E = (RotationSwept(dim=n, offset=R, delta=delta, direction=direction, sweep=sweep)
+         if delta > 0.0 else PlainBall(dim=n, offset=R, direction=direction))
+    return E, bool(band_f <= (n - 1) * unit_ball_volume(n - 1) * (R + 1.0) * delta)
+
 
 def rotation_extension(cert: FarBallCertificate, d: Density,
                        eps: float = EPS) -> ExtensionResult:
@@ -431,10 +444,11 @@ def rotation_extension(cert: FarBallCertificate, d: Density,
     The margin's estimate is e_P + delta e_Band, the gap's e_V + delta e_W,
     each plus 2 ULP of its terms, and delta's the gap plus its estimate over
     the gap's slope.  The a-priori bound is the sweep's, delta <= (1 + 2
-    eps) V_g(B) / (omega_{N-1} (R - 1)).  The checks record the four
-    integrals' evaluations (``layer_evaluations``) and estimates, the
-    estimates of delta, the margin and the gap, the perimeter chain and
-    rho - 1 (``_extension``, refusing rho > 1).
+    eps) V_g(B) / (omega_{N-1} (R - 1)) (``_within_bound``).  The checks
+    record the four integrals' evaluations (``layer_evaluations``) and
+    estimates, the estimates of delta, the margin and the gap, the
+    perimeter chain and rho - 1 (``_extension``, with P_f and V_f on those
+    evaluations; rho > 1 refused).
     """
     if not d.radial:
         raise ValueError("rotation extension requires a radial weight")
@@ -457,21 +471,18 @@ def rotation_extension(cert: FarBallCertificate, d: Density,
     e_margin = (P.error_estimate + delta * e_band
                 + 2.0 * ULP * (abs(P.value) + band_f))
     e_gap = V.error_estimate + delta * e_wedge + 2.0 * ULP * (delta * length + V.value)
-    direction, sweep = (tuple(float(x) for x in v)
-                        for v in circle_point(frame_from_axis(theta), 0.0))
-    E = (RotationSwept(dim=n, offset=R, delta=delta, direction=direction, sweep=sweep)
-         if delta > 0.0 else PlainBall(dim=n, offset=R, direction=direction))
+    E, chain_ok = _swept_set(n, R, frame_from_axis(theta), 0.0, delta, band_f)
     match = VolumeMatch(delta, unit_ball_volume(n) + gap, 0, bool(
-        delta <= (1.0 + 2.0 * eps) * V.value / (omega1 * (R - 1.0))), gap)
+        _within_bound(delta, V.value, eps, omega1 * (R - 1.0))), gap)
+    evaluations = [P.samples_or_nodes, V.samples_or_nodes, n_band, n_wedge]
     checks = {
-        "perimeter_chain_ok": bool(band_f <= (n - 1) * omega1 * (R + 1.0) * delta),
-        "layer_evaluations": [P.samples_or_nodes, V.samples_or_nodes, n_band, n_wedge],
+        "perimeter_chain_ok": chain_ok, "layer_evaluations": evaluations,
         "P_g_estimate": P.error_estimate, "V_g_estimate": V.error_estimate,
         "band_g_estimate": e_band, "wedge_g_estimate": e_wedge,
         "delta_estimate": (abs(gap) + e_gap) / slope,
         "margin_estimate": e_margin, "gap_estimate": e_gap,
     }
-    return _extension(E, match, margin, e_margin, e_gap, checks)
+    return _extension(E, match, margin, e_margin, e_gap, sum(evaluations), checks)
 
 
 def sweep_advance_map(d: Density, R: float, plane: np.ndarray,
@@ -524,9 +535,9 @@ def sweep_advance_map(d: Density, R: float, plane: np.ndarray,
 def select_sweep_direction(
         d: Density, R: float, plane: np.ndarray, advance: SweepAdvanceMap,
         eps: float = EPS, nodes: int = SPHERE_NODES,
-) -> tuple[float, ExtensionResult, tuple[MeasureResult, MeasureResult]]:
+) -> tuple[float, ExtensionResult]:
     """Pick a base angle where a lower bound of the margin certifies the
-    sweep, and certify and measure the swept set there: (phi, ext, (P_f, V_f)).
+    sweep, and certify the swept set there: (phi, ext).
 
     At each angle the bound is the advance map's rim deficit minus the
     band's Euclidean excess (N-1) omega_{N-1} R delta: the margin without
@@ -540,14 +551,13 @@ def select_sweep_direction(
     and the interior are both within ``VOLUME_RTOL * |B^phi|_g``, else
     (nodes, RADIAL_NODES) itself; the checks record it (``_pass_record``).
     Its integrals give the perimeter margin and the volume gap, reported
-    with the angle's own volume match, whose gap becomes the patch gap, and
-    P_f = N omega_N - margin and V_f = omega_N + gap, estimated by the
-    pass's estimates plus their rounding floors, 2 ULP (N omega_N +
-    |margin|) and 2 ULP (omega_N + |gap|).  A patch gap off the match's by
-    more than ``VOLUME_RTOL * |B^phi|_g`` plus the pass's volume estimate
-    is refused: the advance map's psi rule aliased the deficit.  The same
-    pass checks the perimeter chain P_f(E) <= P_f(B) + (N-1) omega_{N-1}
-    (R+1) delta; ``_extension`` refuses a mean density above 1.  It takes
+    with the angle's own volume match, whose gap becomes the patch gap; a
+    patch gap off the match's by more than ``VOLUME_RTOL * |B^phi|_g`` plus
+    the pass's volume estimate is refused: the advance map's psi rule
+    aliased the deficit.  The same pass checks the perimeter chain
+    (``_swept_set``), and ``_extension`` forms P_f, V_f and rho from the
+    margin, the gap and the pass's estimates on its points, refusing a
+    mean density above 1.  It takes
     any weight; ``build_competitor`` certifies a radial one in closed form
     (``rotation_extension``) instead, and this route is its independent
     reference.
@@ -565,10 +575,6 @@ def select_sweep_direction(
             f"its error estimate {advance.rim_error[top]:.3e} below zero")
     best = int(qualifying[0])      # deterministic first-hit
     phi, delta = float(advance.theta[best]), float(advance.advance[best])
-    direction, sweep = (tuple(float(x) for x in v)
-                        for v in circle_point(frame, phi))
-    E = (RotationSwept(dim=n, offset=R, delta=delta, direction=direction, sweep=sweep)
-         if delta > 0.0 else PlainBall(dim=n, offset=R, direction=direction))
     g = deficit_weight(d)
     quad = sized_pass(partial(swept_patches, n, R, delta, frame, phi), g,
                       nodes, RADIAL_NODES, advance.ball_deficit[best])
@@ -586,13 +592,10 @@ def select_sweep_direction(
             f"{volume_error:.3e}; the psi rule aliases the deficit")
     match = replace(advance.matches[best], achieved_volume=omega + gap, gap=gap)
     band = patches.surface.get("band")
-    band_f = swept_excess(n, R, delta)[0] - (quad.integral(band) if band else 0.0)
-    checks = {"perimeter_chain_ok": bool(
-        band_f <= (n - 1) * unit_ball_volume(n - 1) * (R + 1.0) * delta),
-        **_pass_record(quad)}
-    ext = _extension(E, match, margin, surface_error, volume_error, checks)
-    return phi, ext, _closed_forms(n, margin, gap, surface_error, volume_error,
-                                   quad.points)
+    E, chain_ok = _swept_set(n, R, frame, phi, delta, swept_excess(n, R, delta)[0]
+                             - (quad.integral(band) if band else 0.0))
+    return phi, _extension(E, match, margin, surface_error, volume_error, quad.points,
+                           {"perimeter_chain_ok": chain_ok, **_pass_record(quad)})
 
 
 # ---------------------------------------------------------------------------
@@ -601,15 +604,14 @@ def select_sweep_direction(
 
 def monte_carlo_check(E: PlainBall | CylinderExtended | RotationSwept,
                       d: Density, P_f: MeasureResult, V_f: MeasureResult,
-                      samples: int, seed: int, margin: float | None = None,
-                      gap: float | None = None) -> dict:
+                      samples: int, seed: int, margin: float, gap: float) -> dict:
     """Re-measure E by Monte Carlo and compare with the quadrature values.
 
     One draw from E's patches (``mc_integrals``) measures both the weight,
     for P_f and V_f, and the deficit g, for the perimeter margin P_g minus
     the perimeter excess and the volume gap, volume excess minus V_g, of a
-    density with limit 1; ``margin`` and ``gap`` default to E's quadrature
-    values.  f and g are integrated independently, so against the closed
+    density with limit 1, against the certified ``margin`` and ``gap``.
+    f and g are integrated independently, so against the closed
     forms P_f = N omega_N - margin and V_f = omega_N + gap this also checks
     f + g = 1.  A value is consistent when the two differ by at most four
     Monte-Carlo standard errors plus, for P_f and V_f, their estimate,
@@ -617,8 +619,6 @@ def monte_carlo_check(E: PlainBall | CylinderExtended | RotationSwept,
     far out, and for the margin and the gap a 1e-15 relative floor.
     """
     patches, g = set_patches(E), deficit_weight(d)
-    margin = patches.perimeter_margin(g) if margin is None else margin
-    gap = patches.volume_gap(g) if gap is None else gap
     fns = [partial(eval_weight, d), g]
     (P_mc, Pg), (V_mc, Vg) = (mc_integrals(makers, fns, samples, seed)
                               for makers in (patches.surface, patches.volume))
@@ -653,8 +653,9 @@ def build_competitor(d: Density, eps: float = EPS, R_min: float = 50.0,
     its advance map is the one angle 0, with delta's estimate as its error.
     Any other weight's set is swept on its working circle and its deficit
     integrated once, by ``select_sweep_direction``, on the Gauss rule sized
-    by its deficit budget with (nodes, RADIAL_NODES) as the ceiling.  P_f
-    and V_f are closed forms of the margin and the gap, and ``bounds``
+    by its deficit budget with (nodes, RADIAL_NODES) as the ceiling.  Either
+    route returns one ``ExtensionResult``, whose P_f and V_f are closed
+    forms of the margin and the gap (``_extension``), and ``bounds``
     records the route's checks and estimates and rho - 1.  The final
     inequalities are re-measured by an independent Monte-Carlo pass, the
     one step that evaluates f.
@@ -670,15 +671,11 @@ def build_competitor(d: Density, eps: float = EPS, R_min: float = 50.0,
             (0.0,), (delta,), (delta,), eps, far.R, (far.V_g.value,),
             (far.P_g.value,), (far.P_g.error_estimate,), (c["delta_estimate"],),
             (ext.match,))
-        P_f, V_f = _closed_forms(n, ext.perimeter_margin, ext.volume_gap,
-                                 c["margin_estimate"], c["gap_estimate"],
-                                 sum(c["layer_evaluations"]))
     else:
         plane = select_working_circle(dd, far.R, eps, quad_nodes=nodes)
         advance_map = sweep_advance_map(dd, far.R, plane, circle_grid, eps, nodes)
-        _, ext, (P_f, V_f) = select_sweep_direction(dd, far.R, plane, advance_map,
-                                                    eps, nodes)
-    mc_check = monte_carlo_check(ext.E, dd, P_f, V_f, mc_samples, mc_seed,
+        _, ext = select_sweep_direction(dd, far.R, plane, advance_map, eps, nodes)
+    mc_check = monte_carlo_check(ext.E, dd, ext.P_f, ext.V_f, mc_samples, mc_seed,
                                  ext.perimeter_margin, ext.volume_gap)
     deficit_scale = float(np.max(np.asarray(
         g.profile(np.linspace(far.R - 1.0, far.R + 1.0, 65)))))
@@ -686,7 +683,7 @@ def build_competitor(d: Density, eps: float = EPS, R_min: float = 50.0,
               "annulus_deficit_sup": deficit_scale, "rescale_lambda": lam,
               **ext.checks}
     return CompetitorCertificate(
-        E=ext.E, P_f=P_f, V_f=V_f, rho=ext.rho,
+        E=ext.E, P_f=ext.P_f, V_f=ext.V_f, rho=ext.rho,
         perimeter_margin=ext.perimeter_margin, volume_gap=ext.volume_gap,
         strict=ext.perimeter_margin > 0.0,
         # degenerate = the zero-deficit branch: the plain ball is already

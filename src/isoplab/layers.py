@@ -16,11 +16,12 @@ limit profiles in t; ``asymptotic_kernels`` returns those limits.
 Conventions: a "cap" of a circle (n = 2) consists of the two symmetric arcs
 cut by the slicing circle, matching the slice measure of the disk.  The
 integral of sin^m is evaluated by the standard recurrence so that low
-dimensions reduce to exact closed forms.  ``layer_integral`` integrates on
-Gauss rules in u = asin(t), with a node-halving error estimate, and
-``running_integral`` integrates from -1 to many limits on the same rule.
-``moment_integrals`` integrates the two sweep moments of a radial weight
-over the ball's meridian section and its boundary on that rule.
+dimensions reduce to exact closed forms.  ``layer_integral`` integrates a
+kernel, or a stack of them, on Gauss rules in u = asin(t), with a
+node-halving error estimate, and ``running_integral`` integrates from -1 to
+many limits on the same rule.  ``profile_integrals`` integrates kernels
+against a radial profile at offset R on that rule, for the ball's deficit
+measures, the sliding correlation and the sweep moments (``moment_integrals``).
 """
 
 from __future__ import annotations
@@ -186,7 +187,7 @@ def exact_kernels(n: int, R: float) -> LayerKernelPair:
 def moment_integrals(profile, n: int, R: float, breakpoints=()):
     """The sweep moments (Band_g, W_g) of the offset ball for the radial
     deficit ``profile`` (a function of |x|), each as ``layer_integral``'s
-    (value, estimate, evaluations), both on one profile per rule.
+    (value, estimate, evaluations), rows of one ``profile_integrals`` call.
 
     A rotation about a 2-plane through the origin and the centre direction
     c turns the ball's meridian section, the unit (n-1)-disk about R c, and
@@ -201,36 +202,31 @@ def moment_integrals(profile, n: int, R: float, breakpoints=()):
     wedge's kernel is s, and Band_g = g(R + 1)(R + 1) + g(R - 1)(R - 1), two
     points, estimated by 2 ULP times its terms.
     """
-    weight, cuts = layer_weight(profile, R), tuple(b - R for b in breakpoints)
     omega = unit_ball_volume(n - 2)
 
     def wedge(t):
-        s = R + np.asarray(t, dtype=float)
+        s = R + t
         return omega * s ** (n - 1) * _cap_trig(s, R)[1] ** (n - 2)
 
     if n == 2:
         ends = np.array([R + 1.0, R - 1.0])
         terms = np.asarray(profile(ends), dtype=float) * ends
-        band = (float(np.add.reduce(terms)),
-                2.0 * ULP * float(np.add.reduce(np.abs(terms))), 2)
-    else:
-        area = exact_kernels(n - 1, R).area_kernel
-        band = layer_integral(lambda t: (R + t - (1.0 - t * t) / (2.0 * R)) * area(t),
-                              weight, cuts)
-    return band, layer_integral(wedge, weight, cuts)
+        return ((float(np.add.reduce(terms)),
+                 2.0 * ULP * float(np.add.reduce(np.abs(terms))), 2),
+                profile_integrals(wedge, profile, R, breakpoints))
+    area = exact_kernels(n - 1, R).area_kernel
+    values, estimates, count = profile_integrals(
+        lambda t: np.stack([(R + t - (1.0 - t * t) / (2.0 * R)) * area(t), wedge(t)]),
+        profile, R, breakpoints)
+    return tuple((v, e, count) for v, e in zip(values, estimates))
 
 
-def layer_weight(profile, R: float):
-    """t -> profile(R + t), evaluated once per rule for every integral that
-    runs on it."""
-    values = {}
-
-    def weight(t):
-        key = t.tobytes()
-        if key not in values:
-            values[key] = profile(R + t)
-        return values[key]
-    return weight
+def profile_integrals(fn, profile, R: float, breakpoints=()):
+    """``layer_integral`` of fn(t) profile(R + t), the rows of fn against
+    the radial ``profile`` (a function of |x|) on the layer of the ball at
+    offset R, its panels cut at the profile's breakpoints b, t = b - R."""
+    return layer_integral(fn, lambda t: profile(R + t),
+                          tuple(b - R for b in breakpoints))
 
 
 @dataclass(frozen=True)
@@ -269,7 +265,7 @@ def kernel_deviation(n: int, R: float,
                            float(dev_v))
 
 
-def layer_integral(fn, weight=None, breakpoints=()) -> tuple[float, float, int]:
+def layer_integral(fn, weight=None, breakpoints=()):
     """Integral of fn(t) * weight(t) over (-1, 1) on Gauss rules in u,
     t = sin(u), which makes endpoint factors (1 - t^2)^{+-1/2} smooth.
 
@@ -277,8 +273,11 @@ def layer_integral(fn, weight=None, breakpoints=()) -> tuple[float, float, int]:
     u-interval into panels of ``LAYER_NODES`` nodes, and of half as many for
     the estimate.  While the rules differ by more than ``VOLUME_RTOL`` of
     sum |terms|, each panel is cut into ``GRID_REFINE``, at most
-    ``REFINE_ROUNDS`` times.  fn and weight see a rule's nodes in one call.
-    Returns (value, |full - half| + ULP * nodes * sum |terms|, evaluations).
+    ``REFINE_ROUNDS`` times.  fn and weight see a rule's nodes in one call,
+    and fn may return several rows (kernels), integrated on the same rules
+    and all refined while any row's rules differ.  Returns (value, |full -
+    half| + ULP * nodes * sum |terms|, evaluations): floats for one row,
+    lists of floats for several, and the count of nodes of every rule.
     """
     cuts = sorted({math.asin(b) for b in breakpoints if -1.0 < b < 1.0})
     edges = np.array([-math.pi / 2, *cuts, math.pi / 2])
@@ -291,11 +290,12 @@ def layer_integral(fn, weight=None, breakpoints=()) -> tuple[float, float, int]:
             t = np.sin(u)
             rules.append(w * np.cos(u) * fn(t) * (1.0 if weight is None else weight(t)))
         full, half = rules
-        count += full.size + half.size
-        value, scale = float(np.add.reduce(full)), float(np.add.reduce(np.abs(full)))
-        diff = abs(value - float(np.add.reduce(half)))
-        if diff <= VOLUME_RTOL * scale or rounds == REFINE_ROUNDS:
-            return value, float(diff + ULP * full.size * scale), count
+        count += full.shape[-1] + half.shape[-1]
+        value, scale = np.add.reduce(full, axis=-1), np.add.reduce(np.abs(full), axis=-1)
+        diff = np.abs(value - np.add.reduce(half, axis=-1))
+        if np.all(diff <= VOLUME_RTOL * scale) or rounds == REFINE_ROUNDS:
+            return (value.tolist(), (diff + ULP * full.shape[-1] * scale).tolist(),
+                    count)
         width = np.diff(edges)[:, None] * (np.arange(GRID_REFINE) / GRID_REFINE)
         edges = np.append((edges[:-1, None] + width).ravel(), edges[-1])
 

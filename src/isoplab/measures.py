@@ -50,8 +50,7 @@ import numpy as np
 from .defaults import (BALL_CHUNK_POINTS, BLOCK_POINTS, DEGENERACY_TOL,
                        MC_SAMPLES, RADIAL_NODES, SPHERE_NODES, VOLUME_RTOL)
 from .density import Density, RadialDeficit, eval_weight
-from .layers import (ULP, LayerKernelPair, exact_kernels, layer_integral,
-                     layer_weight)
+from .layers import ULP, LayerKernelPair, exact_kernels, profile_integrals
 from .quadrature import (ball_grid, frame_from_axis, gauss_nodes, norms,
                          pairwise_leaves, pairwise_total, sphere_band_grid,
                          unit_ball_volume, unit_sphere_area)
@@ -774,8 +773,8 @@ def ball_deficit_measures(g: RadialDeficit, n: int, R: float,
                           kernels: LayerKernelPair | None = None):
     """Deficit-weighted perimeter and volume of the offset unit ball.
 
-    P = integral area_kernel(t) g(R + t) dt and likewise for the volume, by
-    ``layer_integral``; both run on the same nodes and share each profile.
+    P = integral area_kernel(t) g(R + t) dt and likewise for the volume, the
+    two rows of one ``profile_integrals`` call: one profile call per rule.
     """
     if not R > 1:
         raise ValueError("offset must exceed 1")
@@ -785,12 +784,11 @@ def ball_deficit_measures(g: RadialDeficit, n: int, R: float,
         raise ValueError("kernel dimension mismatch")
     if kernels.kind == "exact" and abs(kernels.offset - R) > 1e-12:
         raise ValueError("exact kernels built for a different offset")
-    brk = tuple(b - R for b in g.breakpoints)
-    weight = layer_weight(g.profile, R)
-    p, p_err, p_n = layer_integral(kernels.area_kernel, weight, brk)
-    v, v_err, v_n = layer_integral(kernels.volume_kernel, weight, brk)
-    return (MeasureResult(p, "quadrature", p_err, p_n),
-            MeasureResult(v, "quadrature", v_err, v_n))
+    values, estimates, count = profile_integrals(
+        lambda t: np.stack([kernels.area_kernel(t), kernels.volume_kernel(t)]),
+        g.profile, R, g.breakpoints)
+    return tuple(MeasureResult(v, "quadrature", e, count)
+                 for v, e in zip(values, estimates))
 
 
 def mean_density(P: float, V: float, n: int) -> float:

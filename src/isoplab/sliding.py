@@ -31,7 +31,8 @@ import numpy as np
 
 from .defaults import BLOCK_POINTS, DEGENERACY_TOL, ENDPOINT_MARGIN, SCAN_STEP
 from .density import RadialDeficit
-from .layers import asymptotic_kernels, layer_integral, running_integral
+from .layers import (asymptotic_kernels, layer_integral, profile_integrals,
+                     running_integral)
 from .quadrature import unit_ball_volume
 
 
@@ -135,16 +136,10 @@ def check_admissibility(k: SlidingKernel,
     )
 
 
-def _against_profile(fn, g: RadialDeficit, R: float) -> tuple[float, float, int]:
-    """``layer_integral`` of fn(t) g(R + t), cut at the profile's breakpoints."""
-    brk = tuple(b - R for b in g.breakpoints)
-    return layer_integral(fn, lambda t: g.profile(R + t), brk)
-
-
 def correlation(k: SlidingKernel, g: RadialDeficit, R: float) -> tuple[float, float]:
-    """corr(R) = integral of kernel(t) g(R + t) over (-1, 1), and the error
-    estimate of ``layer_integral``."""
-    return _against_profile(k.values, g, R)[:2]
+    """corr(R) = integral of kernel(t) g(R + t) over (-1, 1), and its error
+    estimate, by ``layers.profile_integrals``."""
+    return profile_integrals(k.values, g.profile, R, g.breakpoints)[:2]
 
 
 @dataclass(frozen=True)
@@ -242,6 +237,6 @@ def averaging_identity_residual(k: SlidingKernel, g: RadialDeficit,
     A = (k.primitive if k.kind == "derivative" and k.primitive is not None
          else partial(running_integral, k.values))
     total = layer_integral(k.values)[0]
-    rhs = (_against_profile(A, g, R1)[0]
-           + _against_profile(lambda t: total - A(t), g, R2)[0])
+    rhs = (profile_integrals(A, g.profile, R1, g.breakpoints)[0] + profile_integrals(
+        lambda t: total - A(t), g.profile, R2, g.breakpoints)[0])
     return lhs, rhs, abs(lhs - rhs)

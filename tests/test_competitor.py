@@ -520,7 +520,7 @@ def _swept_case(d, R, grid, nodes):
     the Gauss pass that measured the winner."""
     plane = select_working_circle(d, R, 0.05, quad_nodes=nodes)
     sam = sweep_advance_map(d, R, plane, grid, 0.05, nodes)
-    phi, ext, _ = select_sweep_direction(d, R, plane, sam, 0.05, nodes)
+    phi, ext = select_sweep_direction(d, R, plane, sam, 0.05, nodes)
     frame = frame_from_axis(plane[:, 0], plane[:, 1])
     quad = isoplab.measures.GaussPass(
         partial(swept_patches, d.dim, R, ext.E.delta, frame, phi),
@@ -598,8 +598,8 @@ def test_build_competitor_measures_the_set_in_one_gauss_pass(monkeypatch, exp3):
     assert isinstance(cert.E, RotationSwept)
     assert counts == dict.fromkeys(counts, 0)   # the radial closed form
     sam = sweep_advance_map(exp3, cert.farball.R, np.eye(3)[:, :2], 1, 0.05)
-    _, ext, _ = select_sweep_direction(exp3, cert.farball.R, np.eye(3)[:, :2],
-                                       sam, 0.05)
+    _, ext = select_sweep_direction(exp3, cert.farball.R, np.eye(3)[:, :2],
+                                    sam, 0.05)
     assert ext.checks["pass_rule"] == [32, 32]
     assert counts == {"sphere_cap_patch": 6, "ball_cap_patch": 6,
                       "swept_band_patch": 3, "swept_wedge_patch": 3}
@@ -1116,7 +1116,7 @@ def test_select_sweep_direction_angular():
                              "params": {"eta": 0.5, "k": 1, "c": 0.5}})
     R, eps = 12.0, 0.05
     sam = sweep_advance_map(d, R, np.eye(2), grid=48, eps=eps, nodes=48)
-    phi, ext, _ = select_sweep_direction(d, R, np.eye(2), sam, eps=eps, nodes=48)
+    phi, ext = select_sweep_direction(d, R, np.eye(2), sam, eps=eps, nodes=48)
     best = sam.theta.index(phi)
     assert _margin_bounds(sam, 2)[best] + sam.rim_error[best] >= 0.0
     assert "score" not in ext.checks
@@ -1167,7 +1167,7 @@ def test_radial_closed_form_agrees_with_the_gauss_pass_route(family, n, a, R_min
             <= sam.advance_error[0] + bounds["delta_estimate"])
     at_delta = dataclasses.replace(sam, advance=(cert.match.delta_bar,),
                                    matches=(cert.match,))
-    _, ext, _ = select_sweep_direction(dd, R, plane, at_delta, 0.05)
+    _, ext = select_sweep_direction(dd, R, plane, at_delta, 0.05)
     assert ext.E == cert.E
     assert (abs(ext.perimeter_margin - cert.perimeter_margin)
             <= ext.checks["pass_surface_estimate"] + bounds["margin_estimate"])
@@ -1204,8 +1204,8 @@ def test_radial_builds_at_large_n_fit_a_2gb_address_space():
 
 def test_select_sweep_direction_radial_any_angle(exp2):
     sam = sweep_advance_map(exp2, 8.0, np.eye(2), grid=16, eps=0.05, nodes=48)
-    phi, ext, _ = select_sweep_direction(exp2, 8.0, np.eye(2), sam, eps=0.05,
-                                         nodes=48)
+    phi, ext = select_sweep_direction(exp2, 8.0, np.eye(2), sam, eps=0.05,
+                                      nodes=48)
     assert phi == 0.0      # every angle qualifies; the first grid point wins
     assert ext.rho < 1.0
 
@@ -1366,8 +1366,8 @@ def test_monte_carlo_check_rounding_floor(exp3):
     assert cert.mc_check["perimeter_consistent"]
     assert cert.mc_check["volume_consistent"]
     for seed in (11, 2024):
-        check = monte_carlo_check(cert.E, exp3, cert.P_f, cert.V_f,
-                                  100_000, seed)
+        check = monte_carlo_check(cert.E, exp3, cert.P_f, cert.V_f, 100_000, seed,
+                                  cert.perimeter_margin, cert.volume_gap)
         assert check["P_mc_stderr"] < 1e-20
         assert check["perimeter_consistent"] and check["volume_consistent"]
 
@@ -1375,13 +1375,13 @@ def test_monte_carlo_check_rounding_floor(exp3):
 def test_monte_carlo_check_flags_a_different_set(exp2):
     near, far = PlainBall(dim=2, offset=3.0), PlainBall(dim=2, offset=4.0)
     P_f, V_f = set_measures(near, exp2)
-    same = monte_carlo_check(near, exp2, P_f, V_f, 100_000, 7)
-    assert same["perimeter_consistent"] and same["volume_consistent"]
-    assert same["margin_consistent"] and same["gap_consistent"]
     # the near ball's deficit-space margin and gap, by quadrature
     patches = set_patches(near)
     margin = patches.perimeter_margin(deficit_weight(exp2))
     gap = patches.volume_gap(deficit_weight(exp2))
+    same = monte_carlo_check(near, exp2, P_f, V_f, 100_000, 7, margin, gap)
+    assert same["perimeter_consistent"] and same["volume_consistent"]
+    assert same["margin_consistent"] and same["gap_consistent"]
     other = monte_carlo_check(far, exp2, P_f, V_f, 100_000, 7, margin, gap)
     assert not other["perimeter_consistent"]
     assert not other["volume_consistent"]
@@ -1495,9 +1495,62 @@ def test_extension_refuses_rho_above_its_estimate():
     E, omega = PlainBall(dim=2, offset=10.0), unit_ball_volume(2)
     match = VolumeMatch(0.0, omega, 0, True, 0.0)
     with pytest.raises(RuntimeError, match="mean density above 1: rho - 1 = 3.18"):
-        isoplab.competitor._extension(E, match, -1e-17, 1e-20, 1e-20, {})
-    ext = isoplab.competitor._extension(E, match, -1e-21, 1e-20, 1e-20, {})
+        isoplab.competitor._extension(E, match, -1e-17, 1e-20, 1e-20, 0, {})
+    ext = isoplab.competitor._extension(E, match, -1e-21, 1e-20, 1e-20, 0, {})
     assert 0.0 < ext.checks["rho_minus_one"] <= ext.checks["rho_minus_one_estimate"]
+
+
+@pytest.mark.parametrize("route", ["rotation", "sweep", "cylinder"])
+def test_every_route_forms_p_f_and_v_f_in_its_extension(exp3, route):
+    # P_f = N omega_N - margin and V_f = omega_N + gap on every route, each
+    # estimated by the route's estimate of the margin or the gap plus 2 ULP
+    # of its terms, over the route's evaluation count
+    R, plane, g = 10.0, np.eye(3)[:, :2], deficit_weight(exp3)
+    cert = select_direction(exp3, R, 0.05)
+    if route == "sweep":
+        sam = sweep_advance_map(exp3, R, plane, 1, 0.05)
+        ext = select_sweep_direction(exp3, R, plane, sam, 0.05)[1]
+        make = partial(swept_patches, 3, R, ext.E.delta,
+                       frame_from_axis(*plane.T), 0.0)
+    elif route == "rotation":
+        ext = rotation_extension(cert, exp3, eps=0.05)
+    else:
+        ext = cylinder_extension(cert, exp3, eps=0.05)
+        family = partial(CylinderFamily, 3, R, frame_from_axis(np.array(cert.theta)))
+        make = lambda *rule: family(*rule)(0.0)     # noqa: E731
+    c, margin, gap = ext.checks, ext.perimeter_margin, ext.volume_gap
+    if route == "rotation":
+        (e_p, e_v), points = ((c["margin_estimate"], c["gap_estimate"]),
+                              sum(c["layer_evaluations"]))
+    else:
+        (e_p, e_v), points = ((c["pass_surface_estimate"], c["pass_volume_estimate"]),
+                              GaussPass(make, g, *c["pass_rule"]).points)
+    omega = unit_ball_volume(3)
+    assert ext.P_f == isoplab.MeasureResult(
+        3 * omega - margin, "quadrature", e_p + 2.0 * ULP * (3 * omega + abs(margin)),
+        points)
+    assert ext.V_f == isoplab.MeasureResult(
+        omega + gap, "quadrature", e_v + 2.0 * ULP * (omega + abs(gap)), points)
+
+
+def test_both_routes_give_one_verdict_at_the_a_priori_bound(exp3):
+    # eps is set so that the closed form's delta sits at the a-priori bound
+    # (1 + 2 eps) |B|_g / (omega_{N-1} (R - 1)): the closed form and the
+    # sweep's matcher, given a gap whose root is that delta, both accept it,
+    # also 1e-10 above the bound, within the 1e-9 slack, and both refuse it
+    # 1e-6 above
+    cert = select_direction(exp3, 10.0, 0.05)
+    R, V = cert.R, cert.V_g.value
+    delta = rotation_extension(cert, exp3, eps=0.05).match.delta_bar
+    denom = unit_ball_volume(2) * (R - 1.0)
+    for scale, verdict in ((1.0, True), (1.0 - 1e-10, True), (1.0 - 1e-6, False)):
+        eps = 0.5 * (scale * delta * denom / V - 1.0)
+        assert abs((1.0 + 2.0 * eps) * V / denom - scale * delta) <= 4.0 * ULP * delta
+        closed = rotation_extension(cert, exp3, eps=eps).match
+        x, _, (swept,) = _matches([V], 3, eps, denom, 0.45 * math.pi, denom,
+                                  lambda _, x: x * (V / delta) - V, lambda _: "")
+        assert abs(x[0] - delta) <= 4.0 * ULP * delta
+        assert closed.bound_ok is swept.bound_ok is verdict
 
 
 @pytest.mark.parametrize("d", [
@@ -1684,7 +1737,7 @@ def _sweep_direction_by_angle(d, R, sam, eps, nodes, rule):
     band_f = delta * R * (n - 1) * omega1 - pieces.band_g(phi, delta)
     checks = {"perimeter_chain_ok":
               band_f <= (n - 1) * omega1 * (R + 1.0) * delta}
-    return (phi, ExtensionResult(E, match, margin, gap, rho, checks),
+    return (phi, ExtensionResult(E, match, margin, gap, rho, None, None, checks),
             bounds[best], rim_error[best])
 
 
@@ -1704,7 +1757,7 @@ def test_advance_map_matches_per_angle_matching(R):
     # the selection bounds the margin by the engine's hemispheres: the same
     # angle, set, match and certificate on the pass's settled rule, and a
     # bound within the two estimates
-    phi, ext, _ = select_sweep_direction(d, R, np.eye(2), sam, eps=eps, nodes=48)
+    phi, ext = select_sweep_direction(d, R, np.eye(2), sam, eps=eps, nodes=48)
     rule = tuple(ext.checks["pass_rule"])
     ref_phi, ref, ref_bound, ref_error = _sweep_direction_by_angle(d, R, sam,
                                                                    eps, 48, rule)

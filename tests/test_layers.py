@@ -8,7 +8,7 @@ from isoplab import (asymptotic_kernels, ball_deficit_measures, cap_area,
                      layer_integral, sin_power_integral, unit_ball_volume,
                      unit_sphere_area)
 from isoplab.density import RadialDeficit
-from isoplab.layers import moment_integrals, running_integral
+from isoplab.layers import ULP, moment_integrals, running_integral
 
 
 def test_cap_geometry_law_of_cosines():
@@ -238,17 +238,53 @@ def test_layer_integral_refines_a_steep_integrand():
     assert all(type(x) is float for x in (val, err, *smooth[:2]))
 
 
-def test_ball_deficit_measures_share_the_profile():
-    # P_g and V_g run on the same nodes: one profile call per rule in all
-    calls = []
+def test_layer_integral_stacks_rows_on_one_rule():
+    # rows that settle on the first rules are the floats of one-row calls;
+    # a row that needs refinement refines every row with it, so the smooth
+    # row's rounding floor counts the refined rule's nodes
+    from isoplab.defaults import GRID_REFINE, LAYER_NODES, REFINE_ROUNDS
 
-    def profile(r):
-        calls.append(np.size(r))
-        return np.exp(-np.asarray(r, dtype=float))
-    from isoplab.defaults import LAYER_NODES
-    P, V = ball_deficit_measures(RadialDeficit(dim=3, profile=profile), 3, 10.0)
-    assert calls == [LAYER_NODES, LAYER_NODES // 2]
-    assert P.samples_or_nodes == V.samples_or_nodes == sum(calls)
+    def smooth(t):
+        return 1.0 - t * t
+
+    def wave(t):
+        return np.cos(3.0 * t)
+
+    def steep(t):
+        return np.exp(-200.0 * (t - 0.3) ** 2)
+
+    weight, cuts = np.exp, (0.2,)
+    rows = [layer_integral(fn, weight, cuts) for fn in (smooth, wave)]
+    stacked = layer_integral(lambda t: np.stack([smooth(t), wave(t)]), weight, cuts)
+    assert rows[0][2] == rows[1][2] == LAYER_NODES * 3
+    assert stacked == ([r[0] for r in rows], [r[1] for r in rows], rows[0][2])
+    assert all(type(x) is float for x in (*stacked[0], *stacked[1]))
+    values, estimates, count = layer_integral(lambda t: np.stack([smooth(t), steep(t)]))
+    assert (values[1], estimates[1], count) == layer_integral(steep)
+    assert count == (LAYER_NODES + LAYER_NODES // 2) * sum(
+        GRID_REFINE ** r for r in range(REFINE_ROUNDS + 1))
+    nodes = LAYER_NODES * GRID_REFINE ** REFINE_ROUNDS
+    assert estimates[0] >= ULP * nodes * values[0]
+    assert layer_integral(smooth)[1] < ULP * nodes * values[0]
+    assert abs(values[0] - 4.0 / 3.0) <= estimates[0]
+
+
+def test_ball_deficit_measures_share_the_profile():
+    # P_g and V_g are the rows of one call on the same nodes: one profile
+    # call per rule in all, also when exp(-200 (r - 10.3)^2) refines both
+    # rows to the last round
+    from isoplab.defaults import GRID_REFINE, LAYER_NODES, REFINE_ROUNDS
+    for rounds, profile in ((0, lambda r: np.exp(-r)),
+                            (REFINE_ROUNDS, lambda r: np.exp(-200.0 * (r - 10.3) ** 2))):
+        calls = []
+
+        def counted(r):
+            calls.append(np.size(r))
+            return profile(np.asarray(r, dtype=float))
+        P, V = ball_deficit_measures(RadialDeficit(dim=3, profile=counted), 3, 10.0)
+        assert calls == [nodes * GRID_REFINE ** k for k in range(rounds + 1)
+                         for nodes in (LAYER_NODES, LAYER_NODES // 2)]
+        assert P.samples_or_nodes == V.samples_or_nodes == sum(calls)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

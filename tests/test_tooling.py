@@ -52,8 +52,8 @@ def test_traced_cylinder_counts_its_gap_evaluations():
 def test_traced_radial_build_times_its_closed_form():
     # a radial build runs through ``rotation_extension``, which the tracer
     # binds, so ``competitor.rotation_s`` times it: one span, no advance-map
-    # angle, and two layer integrals beyond the far ball's, the two moment
-    # integrals
+    # angle, and one layer integral beyond the far ball's, the two moment
+    # integrals as the rows of one call
     tracing = _tracing()
     d = isoplab.density_from_config({"family": "radial_exp", "dim": 3, "a": 1.0})
     tracers = []
@@ -75,7 +75,7 @@ def test_traced_radial_build_times_its_closed_form():
     assert build.metrics()["competitor.rotation_s"] > 0.0
     assert build.counters["competitor.advance_angles"] == 0
     assert (build.counters["layers.layer_integral_calls"]
-            == far.counters["layers.layer_integral_calls"] + 2)
+            == far.counters["layers.layer_integral_calls"] + 1)
 
 
 def test_traced_patch_points_count_what_is_integrated(monkeypatch):
