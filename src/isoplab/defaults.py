@@ -52,12 +52,9 @@ even multiple when that is smaller) and is refined by GRID_REFINE until its
 every-other-sample rule and a rule of one sample more both agree with it to
 VOLUME_RTOL, never past the angle grid's even multiple times
 GRID_REFINE^REFINE_ROUNDS.  The working-circle descent's candidate means
-come from the same meridian rule about each candidate subspace
-(``spectral.subsphere_means``), all candidates in shared weight calls.  Its
-circle rule is sized the same way: it starts at CIRCLE_START samples and is
-refined by GRID_REFINE until its every-other-sample rule and, on half the
-meridian nodes, a rule of one sample more agree with it to VOLUME_RTOL, up
-to CIRCLE_START x GRID_REFINE^REFINE_ROUNDS, where it is kept.
+come from the same meridian rule about each candidate subspace, a block of
+candidates in shared weight calls, on a circle rule sized the same way from
+CIRCLE_START samples (``spectral.subsphere_means``).
 
 The weight is handed its points in bounded calls.  BLOCK_POINTS is the
 size of every call whose floats do not depend on the block: the spherical

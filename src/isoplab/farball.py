@@ -1,16 +1,12 @@
 """Certified search for a far offset ball whose deficit perimeter dominates
 (N - eps) times its deficit volume.
 
-The search runs in two stages.  ``find_far_radius`` works on the radial
-average of the deficit: the flat-limit kernels reduce the inequality to a
-nonnegative correlation of the excess kernel, which the sliding scan
-certifies, and the found offset is then re-verified with the exact kernels
-(re-scanning outward if the exact margin is short).  ``select_direction``
-lifts the radial certificate to the actual weight by averaging: the
-spherical mean of the directional margin is the radial-average margin, the
-working circle (``select_working_circle``) keeps a mean at least as large,
-so some angle of that circle qualifies, and the sweep spectrum measures
-every angle at once.
+``find_far_radius`` certifies an offset on the radial average of the deficit
+(excess-kernel scan, then exact kernels).  ``select_direction`` lifts it to
+the weight by averaging: the directional margins average to the
+radial-average margin over the sphere, the descent stops at the first working
+circle whose mean reaches it (``select_working_circle``), and the sweep
+spectrum measures every angle of that circle at once.
 """
 
 from __future__ import annotations
@@ -19,7 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .defaults import CIRCLE_GRID, DEGENERACY_TOL, EPS, SCAN_STEP, SPHERE_NODES
+from .defaults import (BLOCK_POINTS, CIRCLE_GRID, DEGENERACY_TOL, EPS, SCAN_STEP,
+                       SPHERE_NODES)
 from .density import Density, RadialDeficit, deficit_profile, deficit_weight
 from .layers import exact_kernels
 from .measures import (MeasureResult, ball_deficit_measures, circle_point,
@@ -98,45 +95,56 @@ def _first_tied(margin: np.ndarray, spread: np.ndarray) -> int:
 def _axes_up_to_sign(m: int, axis_nodes: int) -> np.ndarray:
     """The axes of ``sphere_grid(m, axis_nodes, 2 * axis_nodes)`` in grid
     order, less each one whose antipode (within 1e-9 in every coordinate)
-    comes before it.  One pairwise table marks the antipodes; no two axes of
-    a sphere grid coincide, so an axis has at most one, and an earlier
-    antipode was itself kept."""
+    comes before it, marked in blocks of rows against every row up to them,
+    of at most ``BLOCK_POINTS`` entries or one row.  Grid axes are distinct,
+    so an axis has at most one antipode, and an earlier one was itself kept."""
     axes = sphere_grid(m, axis_nodes, 2 * axis_nodes)[0]
-    antipode = np.ones((len(axes), len(axes)), dtype=bool)
-    for column in axes.T:
-        antipode &= np.abs(column[:, None] + column[None]) <= 1e-9
-    return axes[~np.any(np.tril(antipode, -1), axis=1)]
+    step, keep = max(1, BLOCK_POINTS // len(axes)), np.ones(len(axes), dtype=bool)
+    for i in range(0, len(axes), step):
+        e = min(i + step, len(axes))
+        antipode = np.logical_and.reduce([np.abs(c[i:e, None] + c[:e]) <= 1e-9
+                                          for c in axes.T])
+        keep[i:e] = ~np.any(np.tril(antipode, i - 1), axis=1)
+    return axes[keep]
 
 
-def select_working_circle(d: Density, R: float, eps: float = EPS,
+def select_working_circle(d: Density, far: FarBallCertificate, eps: float = EPS,
                           axis_nodes: int = 8, circle_nodes: int = 32,
                           quad_nodes: int = 32) -> np.ndarray:
-    """Descend subspheres to a working circle with nonnegative averaged margin.
+    """Descend subspheres to a working circle whose mean margin reaches the
+    radial-average margin that ``far`` certifies at R = ``far.R``.
 
-    At each level the axis grid is scanned, and each axis's candidate is the
-    subsphere orthogonal to it.  Its mean margin P_g - (N - eps) V_g over the
-    balls centred on the subsphere of radius R comes in closed form from
-    ``spectral.subsphere_means``, all candidates of a level at once, with
-    an error estimate, and the first candidate tied with the best one is
-    kept (``_first_tied``).  The last level's circle rule is sized by the
-    deficit; ``circle_nodes`` sets the azimuth count of the levels of
-    subsphere dimension 3 and more (N >= 4) only.  An axis whose antipode
-    was already scanned is skipped: both are orthogonal to the same
-    subsphere.  The surviving 2-plane is returned as an (N, 2) orthonormal
-    basis.  Radial weights short-circuit to the first coordinate plane.
+    At each level each axis's candidate, up to sign (``_axes_up_to_sign``),
+    is the subsphere orthogonal to it, and ``spectral.subsphere_means``
+    gives its mean margin P_g - (N - eps) V_g over the balls centred on the
+    subsphere of radius R, with an error estimate.  The candidates are
+    scored, and their frames built, in grid order in blocks of 8, 16, 32,
+    ..., and the first whose mean plus its estimate reaches ``far.margin``
+    less its own estimate (P_g's plus N - eps times V_g's) is kept: averaged
+    over all axes, the candidates' means are the sphere's.  If none of a
+    level does, the first one tied with the best is kept (``_first_tied``),
+    and ``select_sweep_direction`` is the final guard.  ``circle_nodes``
+    sets the azimuth count of the subsphere levels of dimension 3 and more.
+    Returns an (N, 2) orthonormal basis: e1, e2 for radial weights and N = 2.
     """
     n = d.dim
     if d.radial or n == 2:
         return np.eye(n)[:, :2]
     g = deficit_weight(d)
+    target = far.margin - (far.P_g.error_estimate + (n - eps) * far.V_g.error_estimate)
     basis, rest = np.eye(n), np.empty((n, 0))   # the subspace and its complement
     for m in range(n, 2, -1):
-        frames = [np.column_stack([basis @ F[:, 1:], basis @ F[:, :1], rest])
-                  for F in map(frame_from_axis, _axes_up_to_sign(m, axis_nodes))]
-        means, error = subsphere_means(g, frames, m - 1, R, quad_nodes,
-                                       max(16, quad_nodes // 2), circle_nodes)
-        first = _first_tied(means[:, 0] - (n - eps) * means[:, 1],
-                            error[:, 0] + (n - eps) * error[:, 1])
+        axes, frames, margin, spread = _axes_up_to_sign(m, axis_nodes), [], [], []
+        while len(frames) < len(axes) and not np.any(np.add(margin, spread) >= target):
+            block = [np.column_stack([basis @ F[:, 1:], basis @ F[:, :1], rest])
+                     for F in map(frame_from_axis, axes[len(frames):2 * len(frames) + 8])]
+            means, error = subsphere_means(g, block, m - 1, far.R, quad_nodes,
+                                           max(16, quad_nodes // 2), circle_nodes)
+            frames += block
+            margin = np.append(margin, means[:, 0] - (n - eps) * means[:, 1])
+            spread = np.append(spread, error[:, 0] + (n - eps) * error[:, 1])
+        hit = np.flatnonzero(margin + spread >= target)
+        first = hit[0] if hit.size else _first_tied(margin, spread)
         basis, rest = frames[first][:, :m - 1], frames[first][:, m - 1:]
     return basis
 
@@ -156,23 +164,23 @@ def select_direction(d: Density, R: float, eps: float = EPS,
                      quad_nodes: int = SPHERE_NODES) -> FarBallCertificate:
     """Pick a direction whose ball satisfies the deficit bound at offset R.
 
-    A radial weight's certificate holds in every direction: e1 is returned.
-    Otherwise one ``SweepSpectrum`` on the working circle
-    (``select_working_circle``) gives V_g (``balls``) and P_g (the sum of
-    both ``hemispheres``) at ``node_count`` angles, with error estimates,
-    and the first angle tied with the best margin wins (``_first_tied``).
-    On an even grid the angles' mean margin is the spectrum's mode 0, the
-    circle's mean, which the descent keeps at or above the radial-average
-    margin that ``find_far_radius`` certifies: the best angle qualifies
-    whenever that certificate holds.  It is refused when its margin plus
-    its own error estimate is below 0, and the failure names the circle's
-    mean.
+    The ball at R is certified once on the radial average: for a radial
+    weight it holds in every direction, and e1 is returned.  Otherwise the
+    working circle is the first whose mean margin reaches that certificate's
+    less its estimate, else the first tied with the best
+    (``select_working_circle``), and one ``SweepSpectrum`` on it gives V_g
+    (``balls``) and P_g (both ``hemispheres``) at ``node_count`` angles with
+    error estimates.  The first angle tied with the best margin wins
+    (``_first_tied``); it qualifies whenever the circle reached the target,
+    since on an even grid the angles' mean margin is the circle's (the
+    spectrum's mode 0).  It is refused when its margin plus its own error
+    estimate is below 0, and the failure names the circle's mean.
     """
     n = d.dim
+    far = _ball_certificate(deficit_profile(d), n, R, eps)
     if d.radial:
-        return replace(_ball_certificate(deficit_profile(d), n, R, eps),
-                       theta=tuple(1.0 if i == 0 else 0.0 for i in range(n)))
-    plane = select_working_circle(d, R, eps, quad_nodes=quad_nodes)
+        return replace(far, theta=tuple(1.0 if i == 0 else 0.0 for i in range(n)))
+    plane = select_working_circle(d, far, eps, quad_nodes=quad_nodes)
     frame = frame_from_axis(plane[:, 0], plane[:, 1])
     spectrum = SweepSpectrum(deficit_weight(d), n, R, frame, node_count, quad_nodes)
     phis = spectrum.theta

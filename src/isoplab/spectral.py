@@ -69,14 +69,9 @@ sin^{k-3}(gamma) / R is the hemisphere weight above times
 (s sin gamma)^{k-2}: smooth on D for every k, with no 1 / sin(gamma) left
 for k = 2.  For k = 2 (the only level in N = 3, and the last one for every
 N) the two sums are the k = 0 Fourier modes of ``lead + trail`` and
-``lead_sphere + trail_sphere``, and the circle's uniform rule is sized as
-the spectrum's psi rule is: from ``CIRCLE_START`` samples, checked against
-its every other sample and, on half the nodes of D, against a rule of one
-sample more.  Their error estimate sums those two checks' differences, the
-difference from half the nodes of D and the rounding floor.  A level
-k >= 3 keeps a fixed rule on its sphere; its estimate is the differences
-from half the angular rule and half the nodes of D, plus the floor.  All
-candidate subspaces of a level share the weight calls.
+``lead_sphere + trail_sphere``.  ``subsphere_means`` sizes the rules and
+estimates their errors; the candidates scored together share the weight
+calls.
 """
 
 from __future__ import annotations
@@ -475,8 +470,8 @@ def subsphere_means(g, frames, k: int, R: float, nodes: int = SPHERE_NODES,
     meridian nodes, a uniform rule of C + 1 samples, which is no sub-rule
     of it and so sees the modes at multiples of C.  Otherwise C is
     multiplied by ``GRID_REFINE`` up to CIRCLE_START x
-    GRID_REFINE^REFINE_ROUNDS, where it is accepted: the descent only ranks
-    the candidates, so a disagreement there stays in the estimate.  The
+    GRID_REFINE^REFINE_ROUNDS, where it is accepted: the descent compares
+    each mean plus its estimate, so a disagreement there stays in it.  The
     estimate is the differences from the every-other rule, of the C and
     C + 1 rules on the half meridian rule, and from the half meridian
     rule, plus the rounding floor.

@@ -20,6 +20,7 @@ from isoplab import (Density, build_competitor, cylinder_extension,
 import isoplab.competitor
 import isoplab.defaults
 import isoplab.density
+import isoplab.farball
 import isoplab.measures
 import isoplab.quadrature
 import isoplab.spectral
@@ -515,10 +516,15 @@ def test_build_competitor_resolves_a_mode_at_the_grid(k, psi_samples):
                 <= VOLUME_RTOL * sam.ball_deficit[i] + volume)
 
 
+def _far(d, R, eps=0.05):
+    """The far-ball certificate at offset R: the working circle's target."""
+    return isoplab.farball._ball_certificate(deficit_profile(d), d.dim, R, eps)
+
+
 def _swept_case(d, R, grid, nodes):
     """The advance map on ``d``'s working circle, the selection on it, and
     the Gauss pass that measured the winner."""
-    plane = select_working_circle(d, R, 0.05, quad_nodes=nodes)
+    plane = select_working_circle(d, _far(d, R), 0.05, quad_nodes=nodes)
     sam = sweep_advance_map(d, R, plane, grid, 0.05, nodes)
     phi, ext = select_sweep_direction(d, R, plane, sam, 0.05, nodes)
     frame = frame_from_axis(plane[:, 0], plane[:, 1])
@@ -1202,6 +1208,37 @@ def test_radial_builds_at_large_n_fit_a_2gb_address_space():
     assert run.stdout == "4 True 4 True\n5 True 4 True\n"
 
 
+_BUILD_ANGULAR_N4 = """
+import resource
+limit = 2 << 30
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from isoplab import build_competitor, density_from_config
+cert = build_competitor(
+    density_from_config({"family": "angular_mod", "dim": 4, "a": 1.0,
+                         "params": {"eta": 0.5, "k": 1, "c": 1.0}}),
+    eps=0.05, R_min=10.0, R_max=200.0, nodes=16, mc_samples=20_000)
+flags = [v for v in cert.mc_check.values() if isinstance(v, bool)]
+print(cert.strict, len(flags), all(flags))
+print(*cert.E.direction)
+"""
+
+
+def test_angular_build_at_n4_fits_a_2gb_address_space():
+    # angular_mod N=4 runs the two-level descent (512 then 64 candidates),
+    # the advance map and the sweep selection on a non-radial weight, in a
+    # child process limited to 2 GB of address space
+    src = str(Path(isoplab.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", _BUILD_ANGULAR_N4], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    verdict, direction = run.stdout.splitlines()
+    assert verdict == "True 4 True"
+    assert np.allclose([float(x) for x in direction.split()],
+                       [0.003886, -0.124309, 0.992236, 0.0], rtol=0.0, atol=1e-6)
+
+
 def test_select_sweep_direction_radial_any_angle(exp2):
     sam = sweep_advance_map(exp2, 8.0, np.eye(2), grid=16, eps=0.05, nodes=48)
     phi, ext = select_sweep_direction(exp2, 8.0, np.eye(2), sam, eps=0.05,
@@ -1211,13 +1248,13 @@ def test_select_sweep_direction_radial_any_angle(exp2):
 
 
 def test_select_working_circle_radial_equatorial(exp3):
-    plane = select_working_circle(exp3, 10.0, 0.05)
+    plane = select_working_circle(exp3, _far(exp3, 10.0), 0.05)
     assert np.allclose(plane, np.eye(3)[:, :2])
 
 
 def test_select_working_circle_radial_n4():
     d = density_from_config({"family": "radial_exp", "dim": 4, "a": 1.0})
-    plane = select_working_circle(d, 10.0, 0.05)
+    plane = select_working_circle(d, _far(d, 10.0), 0.05)
     assert np.allclose(plane, np.eye(4)[:, :2])
 
 
@@ -1225,8 +1262,8 @@ def test_select_working_circle_angular_n3():
     d = density_from_config({"family": "angular_mod", "dim": 3, "a": 1.0,
                              "params": {"eta": 0.5, "k": 1, "c": 0.5}})
     R, eps = 12.0, 0.05
-    plane = select_working_circle(d, R, eps, axis_nodes=6, circle_nodes=24,
-                                  quad_nodes=24)
+    plane = select_working_circle(d, _far(d, R, eps), eps, axis_nodes=6,
+                                  circle_nodes=24, quad_nodes=24)
     assert plane.shape == (3, 2)
     assert np.allclose(plane.T @ plane, np.eye(2), atol=1e-12)
     # the selected circle's average margin is at least the sphere average
@@ -1262,12 +1299,19 @@ def _first_level_frames(n, axis_nodes):
     return [np.column_stack([F[:, 1:], F[:, :1]]) for F in map(frame_from_axis, axes)]
 
 
+def _target(far, eps):
+    """The descent's target: the far-ball margin less its own error bar."""
+    return far.margin - (far.P_g.error_estimate
+                         + (far.dim - eps) * far.V_g.error_estimate)
+
+
 def test_select_working_circle_matches_exhaustive_scan(monkeypatch):
     d = density_from_config({"family": "angular_mod", "dim": 3, "a": 1.0,
                              "params": {"eta": 0.5, "k": 1, "c": 1.0}})
     R, eps, n = 10.0, 0.05, 3
     calls = _count_ball_measures(monkeypatch)
-    plane = select_working_circle(d, R, eps, axis_nodes=6, circle_nodes=16,
+    far = _far(d, R, eps)
+    plane = select_working_circle(d, far, eps, axis_nodes=6, circle_nodes=16,
                                   quad_nodes=16)
     assert calls == []          # no translated balls
     g = deficit_weight(d)
@@ -1281,11 +1325,15 @@ def test_select_working_circle_matches_exhaustive_scan(monkeypatch):
                          for c in R * dirs @ frame[:, :2].T]).T
         reference = np.array([P @ w, V @ w]) / w.sum()
         assert np.all(np.abs(mean - reference) <= err)
-    # the axially symmetric weight ties every candidate: the first one wins
+    # the axially symmetric weight ties every candidate, and the plane is
+    # the first candidate of the exhaustive scan whose mean margin plus its
+    # estimate reaches the target: the first one
     margin = means[:, 0] - (n - eps) * means[:, 1]
     spread = error[:, 0] + (n - eps) * error[:, 1]
     assert np.all(margin + spread >= margin.max() - spread[np.argmax(margin)])
-    assert np.array_equal(plane, frames[0][:, :2])
+    first = np.flatnonzero(margin + spread >= _target(far, eps))[0]
+    assert first == 0
+    assert np.array_equal(plane, frames[first][:, :2])
 
 
 def test_select_working_circle_ties_pick_the_first_candidate():
@@ -1293,22 +1341,80 @@ def test_select_working_circle_ties_pick_the_first_candidate():
     # candidate ties and grid order decides
     d = density_from_config({"family": "angular_mod", "dim": 3, "a": 1.0,
                              "params": {"eta": 0.5, "k": 1, "c": 1.0}})
-    plane = select_working_circle(d, 10.0, 0.05, axis_nodes=5,
+    plane = select_working_circle(d, _far(d, 10.0), 0.05, axis_nodes=5,
                                   circle_nodes=16, quad_nodes=16)
     assert np.array_equal(plane, _first_level_frames(3, 5)[0][:, :2])
     # eta cos(2 theta) is largest on circles through the poles +-e1, whose
     # axes lie on the grid's equator (odd axis_nodes): the plane contains e1
     d = density_from_config({"family": "angular_mod", "dim": 3, "a": 1.0,
                              "params": {"eta": 0.5, "k": 2, "c": 1.0}})
-    plane = select_working_circle(d, 10.0, 0.05, axis_nodes=5,
+    plane = select_working_circle(d, _far(d, 10.0), 0.05, axis_nodes=5,
                                   circle_nodes=16, quad_nodes=16)
     assert np.linalg.norm(plane[0]) == pytest.approx(1.0, abs=1e-12)
+
+
+def _count_frames(monkeypatch):
+    """Record how many frames each ``subsphere_means`` call of the descent
+    scores."""
+    original, calls = isoplab.farball.subsphere_means, []
+
+    def counted(g, frames, *args):
+        calls.append(len(frames))
+        return original(g, frames, *args)
+    monkeypatch.setattr(isoplab.farball, "subsphere_means", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n, options, scored", [
+    (3, {"quad_nodes": 16}, [8]),
+    (4, {"axis_nodes": 4, "circle_nodes": 8, "quad_nodes": 8}, [8, 8]),
+])
+def test_select_working_circle_stops_at_the_first_qualifying_block(
+        monkeypatch, n, options, scored):
+    # with k = 1 every candidate reaches the far ball's margin, so each
+    # level scores its first block of 8 only, and builds only its frames
+    d = density_from_config({"family": "angular_mod", "dim": n, "a": 1.0,
+                             "params": {"eta": 0.5, "k": 1, "c": 1.0}})
+    calls = _count_frames(monkeypatch)
+    frames = []
+    original = isoplab.farball.frame_from_axis
+    monkeypatch.setattr(isoplab.farball, "frame_from_axis",
+                        lambda *a: frames.append(a) or original(*a))
+    select_working_circle(d, _far(d, 10.0), 0.05, **options)
+    assert calls == scored
+    assert len(frames) == sum(scored)
+
+
+@pytest.mark.parametrize("k, axis_nodes, scored", [
+    (1, 5, [8, 16, 1]), (2, 5, [8, 16, 1]), (2, 8, [8, 16, 32, 8])])
+def test_select_working_circle_falls_back_to_the_first_tied(monkeypatch, k,
+                                                            axis_nodes, scored):
+    # a target above every candidate's mean plus its estimate: the whole
+    # level (25 or 64 axes up to sign) is scored in blocks of 8, 16, 32, ...,
+    # and the first candidate tied with the best is kept
+    d = density_from_config({"family": "angular_mod", "dim": 3, "a": 1.0,
+                             "params": {"eta": 0.5, "k": k, "c": 1.0}})
+    R, eps, n = 10.0, 0.05, 3
+    far = _far(d, R, eps)
+    calls = _count_frames(monkeypatch)
+    plane = select_working_circle(d, dataclasses.replace(far, margin=math.inf),
+                                  eps, axis_nodes=axis_nodes, quad_nodes=16)
+    assert calls == scored
+    frames = [np.column_stack([F[:, 1:], F[:, :1]]) for F in
+              map(frame_from_axis, isoplab.farball._axes_up_to_sign(n, axis_nodes))]
+    means, error = subsphere_means(deficit_weight(d), frames, 2, R, 16, 16)
+    first = isoplab.farball._first_tied(means[:, 0] - (n - eps) * means[:, 1],
+                                        error[:, 0] + (n - eps) * error[:, 1])
+    assert np.array_equal(plane, frames[first][:, :2])
+    # here the first candidate tied with the best also reaches the target
+    assert np.array_equal(select_working_circle(d, far, eps, axis_nodes=axis_nodes,
+                                                quad_nodes=16), plane)
 
 
 def test_select_working_circle_angular_n4():
     d = density_from_config({"family": "angular_mod", "dim": 4, "a": 1.0,
                              "params": {"eta": 0.5, "k": 1, "c": 1.0}})
-    plane = select_working_circle(d, 10.0, 0.05, axis_nodes=4,
+    plane = select_working_circle(d, _far(d, 10.0), 0.05, axis_nodes=4,
                                   circle_nodes=8, quad_nodes=8)
     assert plane.shape == (4, 2)
     assert np.allclose(plane.T @ plane, np.eye(2), atol=1e-12)

@@ -1,5 +1,10 @@
 import dataclasses
+import inspect
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,6 +166,11 @@ def test_direction_grid_mean_consistency(angular2):
 
 
 
+def _far(d, R, eps):
+    """The far-ball certificate at offset R: the working circle's target."""
+    return isoplab.farball._ball_certificate(deficit_profile(d), d.dim, R, eps)
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_select_direction_on_the_working_circle(monkeypatch, k):
     # the direction is an angle of the working circle, its margin is at
@@ -178,7 +188,7 @@ def test_select_direction_on_the_working_circle(monkeypatch, k):
         monkeypatch.setattr(module, "weighted_ball_measures", counted)
     cert = select_direction(d, R, eps, node_count=90, quad_nodes=16)
     assert calls == []
-    plane = select_working_circle(d, R, eps, quad_nodes=16)
+    plane = select_working_circle(d, _far(d, R, eps), eps, quad_nodes=16)
     theta = np.array(cert.theta)
     assert np.linalg.norm(theta) == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(theta - plane @ (plane.T @ theta)) <= 1e-12
@@ -204,6 +214,72 @@ def test_axes_up_to_sign_equal_the_pairwise_scan(m):
         assert np.array_equal(axes, np.array(kept))
 
 
+def _one_table_axes(m, axis_nodes):
+    """The antipode marking as one (A, A) table per coordinate."""
+    axes = sphere_grid(m, axis_nodes, 2 * axis_nodes)[0]
+    antipode = np.ones((len(axes), len(axes)), dtype=bool)
+    for column in axes.T:
+        antipode &= np.abs(column[:, None] + column[None]) <= 1e-9
+    return axes[~np.any(np.tril(antipode, -1), axis=1)]
+
+
+@pytest.mark.parametrize("m, axis_nodes", [(3, 8), (4, 8), (5, 4)])
+def test_axes_up_to_sign_blocks_equal_one_table(monkeypatch, m, axis_nodes):
+    # the blocked antipode table keeps the axes that one table keeps, for
+    # blocks of many rows, of one row, and of every row at once
+    axes = _one_table_axes(m, axis_nodes)
+    for block in (isoplab.farball.BLOCK_POINTS, 1, 2 ** 40):
+        monkeypatch.setattr(isoplab.farball, "BLOCK_POINTS", block)
+        assert np.array_equal(isoplab.farball._axes_up_to_sign(m, axis_nodes), axes)
+
+
+_AXES_UNDER_A_LIMIT = """
+import resource, sys
+limit = 3 << 28
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+import numpy as np
+from isoplab.farball import _axes_up_to_sign
+exec(sys.argv[1])
+try:
+    _one_table_axes(5, 8)
+    print("one table fits")
+except MemoryError:
+    print("one table fails")
+print(len(_axes_up_to_sign(5, 8)))
+"""
+
+
+def test_axes_up_to_sign_fit_where_one_table_does_not():
+    # (5, 8) has 8,192 axes: one float table per coordinate is 512 MB, the
+    # row blocks hold at most one row of 8,192 entries
+    src = str(Path(isoplab.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    helper = ("from isoplab.quadrature import sphere_grid\n"
+              + inspect.getsource(_one_table_axes))
+    run = subprocess.run([sys.executable, "-c", _AXES_UNDER_A_LIMIT, helper],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "one table fails\n4096\n"
+
+
+def test_select_direction_builds_one_far_ball_certificate(monkeypatch):
+    # the offset's certificate is built once, and the descent aims at it
+    d = density_from_config({"family": "angular_mod", "dim": 3, "a": 1.0,
+                             "params": {"eta": 0.5, "k": 1, "c": 1.0}})
+    built, seen = [], []
+    certificate = isoplab.farball._ball_certificate
+    descent = isoplab.farball.select_working_circle
+    monkeypatch.setattr(isoplab.farball, "_ball_certificate",
+                        lambda *a: built.append(certificate(*a)) or built[-1])
+    monkeypatch.setattr(
+        isoplab.farball, "select_working_circle",
+        lambda d, far, *a, **k: seen.append(far) or descent(d, far, *a, **k))
+    select_direction(d, 10.0, 0.05, node_count=16, quad_nodes=16)
+    assert len(built) == 1 and seen == built
+    assert built[0] == _far(d, 10.0, 0.05)
+
+
 def test_select_direction_mean_margin_is_the_spectrum_zero_mode():
     # on an even grid the mean of the angles' margins is the circle's mean
     # margin, the k = 0 Fourier mode of the sweep spectrum
@@ -211,7 +287,7 @@ def test_select_direction_mean_margin_is_the_spectrum_zero_mode():
                              "params": {"eta": 0.5, "k": 2, "c": 1.0}})
     R, eps = 10.0, 0.05
     cert = select_direction(d, R, eps, node_count=90, quad_nodes=16)
-    plane = select_working_circle(d, R, eps, quad_nodes=16)
+    plane = select_working_circle(d, _far(d, R, eps), eps, quad_nodes=16)
     spectrum = SweepSpectrum(deficit_weight(d), 3, R,
                              frame_from_axis(plane[:, 0], plane[:, 1]), 90, 16)
     assert spectrum.psi_samples == PSI_START
@@ -231,7 +307,7 @@ def test_select_direction_counts_the_spectrums_points():
                              "params": {"eta": 0.5, "k": 2, "c": 1.0}})
     R, eps = 10.0, 0.05
     cert = select_direction(d, R, eps, node_count=90, quad_nodes=16)
-    plane = select_working_circle(d, R, eps, quad_nodes=16)
+    plane = select_working_circle(d, _far(d, R, eps), eps, quad_nodes=16)
     spectrum = SweepSpectrum(deficit_weight(d), 3, R,
                              frame_from_axis(plane[:, 0], plane[:, 1]), 90, 16)
     points = RADIAL_NODES * len(sphere_grid(2, 16, 16)[0]) * PSI_START
