@@ -34,17 +34,19 @@ certc = find_far_radius(deficit_profile(const), 2, eps=0.05, R_min=5.0,
 print(f"  degenerate = {certc.degenerate} at R = {certc.R} "
       "(the ball is already full)")
 
-print("\nangular modulation, n = 2: direction selection at R = 6")
+print("\nangular modulation, n = 2: the offset's certificate lifted to a direction")
 am = density_from_config({"family": "angular_mod", "dim": 2, "a": 1.0,
                           "params": {"eta": 0.5, "k": 1, "c": 1.0}})
-cert = select_direction(am, 6.0, eps=0.05, node_count=360, quad_nodes=48)
+far = find_far_radius(deficit_profile(am), 2, eps=0.05, R_min=6.0, R_max=60.0)
+cert = select_direction(am, far, node_count=360, quad_nodes=48)
 theta = np.array(cert.theta)
+print(f"  offset R = {cert.R}")
 print(f"  selected direction = ({theta[0]:+.4f}, {theta[1]:+.4f})")
 print(f"  margin = {cert.margin:.6e}")
 
 dirs, w = sphere_grid(2, 1, 24)
 w = w / w.sum()
-P, V, margins = directional_margins(am, 6.0, 0.05, dirs, nodes=48)
+P, V, margins = directional_margins(am, cert.R, 0.05, dirs, nodes=48)
 print("  margin profile over the direction grid (24 points):")
 for i in range(0, 24, 4):
     ang = 2 * np.pi * i / 24

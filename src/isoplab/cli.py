@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from itertools import islice
 from pathlib import Path
 
@@ -208,12 +207,8 @@ def cmd_kernel_search(args) -> int:
 def cmd_far_ball(args) -> int:
     cfg = _load_config(args)
     d = _density_from(cfg)
-    g = deficit_profile(d)
-    cert = find_far_radius(g, d.dim, args.eps, args.rmin, args.rmax)
-    # a radial weight's certificate holds in every direction: report e1
-    e1 = tuple(1.0 if i == 0 else 0.0 for i in range(d.dim))
-    dir_cert = (replace(cert, theta=e1) if d.radial
-                else select_direction(d, cert.R, args.eps))
+    cert = find_far_radius(deficit_profile(d), d.dim, args.eps, args.rmin, args.rmax)
+    dir_cert = select_direction(d, cert)
     out = _outdir(args)
     write_json(out / "far_ball.json", {
         "seed": args.seed,

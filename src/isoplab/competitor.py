@@ -672,7 +672,7 @@ def build_competitor(d: Density, eps: float = EPS, R_min: float = 50.0,
             (far.P_g.value,), (far.P_g.error_estimate,), (c["delta_estimate"],),
             (ext.match,))
     else:
-        plane = select_working_circle(dd, far, eps, quad_nodes=nodes)
+        plane = select_working_circle(dd, far, quad_nodes=nodes)
         advance_map = sweep_advance_map(dd, far.R, plane, circle_grid, eps, nodes)
         _, ext = select_sweep_direction(dd, far.R, plane, advance_map, eps, nodes)
     mc_check = monte_carlo_check(ext.E, dd, ext.P_f, ext.V_f, mc_samples, mc_seed,

@@ -2,11 +2,11 @@
 (N - eps) times its deficit volume.
 
 ``find_far_radius`` certifies an offset on the radial average of the deficit
-(excess-kernel scan, then exact kernels).  ``select_direction`` lifts it to
-the weight by averaging: the directional margins average to the
-radial-average margin over the sphere, the descent stops at the first working
-circle whose mean reaches it (``select_working_circle``), and the sweep
-spectrum measures every angle of that circle at once.
+(excess-kernel scan, then exact kernels).  ``select_direction`` lifts that
+certificate to the weight by averaging: the directional margins average to
+the radial-average margin over the sphere, the descent stops at the first
+working circle whose mean reaches it (``select_working_circle``), and the
+sweep spectrum measures every angle of that circle at once.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .defaults import (BLOCK_POINTS, CIRCLE_GRID, DEGENERACY_TOL, EPS, SCAN_STEP,
-                       SPHERE_NODES)
-from .density import Density, RadialDeficit, deficit_profile, deficit_weight
+from .defaults import CIRCLE_GRID, DEGENERACY_TOL, EPS, SCAN_STEP, SPHERE_NODES
+from .density import Density, RadialDeficit, deficit_weight
 from .layers import exact_kernels
 from .measures import (MeasureResult, ball_deficit_measures, circle_point,
                        weighted_ball_measures)
@@ -35,6 +34,11 @@ class FarBallCertificate:
     the plain ball already carries the full unit-ball weighted volume.  A
     tiny but positive V_g is not degenerate: it is the scale at which the
     competitor is matched and its margin certified.
+
+    ``theta`` and ``scan``: from ``find_far_radius``, None and its (R,
+    correlation) pairs; from ``select_direction``, e1 and those pairs for a
+    radial weight, else the best angle's direction and the working circle's
+    (angle index, margin) pairs.
     """
 
     dim: int
@@ -94,25 +98,22 @@ def _first_tied(margin: np.ndarray, spread: np.ndarray) -> int:
 
 def _axes_up_to_sign(m: int, axis_nodes: int) -> np.ndarray:
     """The axes of ``sphere_grid(m, axis_nodes, 2 * axis_nodes)`` in grid
-    order, less each one whose antipode (within 1e-9 in every coordinate)
-    comes before it, marked in blocks of rows against every row up to them,
-    of at most ``BLOCK_POINTS`` entries or one row.  Grid axes are distinct,
-    so an axis has at most one antipode, and an earlier one was itself kept."""
-    axes = sphere_grid(m, axis_nodes, 2 * axis_nodes)[0]
-    step, keep = max(1, BLOCK_POINTS // len(axes)), np.ones(len(axes), dtype=bool)
-    for i in range(0, len(axes), step):
-        e = min(i + step, len(axes))
-        antipode = np.logical_and.reduce([np.abs(c[i:e, None] + c[:e]) <= 1e-9
-                                          for c in axes.T])
-        keep[i:e] = ~np.any(np.tril(antipode, i - 1), axis=1)
-    return axes[keep]
+    order, less each one whose antipode comes before it.  The indices name
+    the antipode: on the circle node j's is j + axis_nodes (turned by pi),
+    and each level above flips polar index i to axis_nodes - 1 - i (the
+    Gauss nodes are symmetric about pi/2) and takes the antipode below."""
+    p = axis_nodes
+    antipode = (np.arange(2 * p) + p) % (2 * p)
+    for _ in range(m - 2):
+        antipode = (antipode.size * (p - 1 - np.arange(p))[:, None] + antipode).ravel()
+    return sphere_grid(m, p, 2 * p)[0][antipode > np.arange(antipode.size)]
 
 
-def select_working_circle(d: Density, far: FarBallCertificate, eps: float = EPS,
-                          axis_nodes: int = 8, circle_nodes: int = 32,
-                          quad_nodes: int = 32) -> np.ndarray:
+def select_working_circle(d: Density, far: FarBallCertificate, axis_nodes: int = 8,
+                          circle_nodes: int = 32, quad_nodes: int = 32) -> np.ndarray:
     """Descend subspheres to a working circle whose mean margin reaches the
-    radial-average margin that ``far`` certifies at R = ``far.R``.
+    radial-average margin that ``far`` certifies at R = ``far.R`` with
+    slack eps = ``far.epsilon``.
 
     At each level each axis's candidate, up to sign (``_axes_up_to_sign``),
     is the subsphere orthogonal to it, and ``spectral.subsphere_means``
@@ -130,7 +131,7 @@ def select_working_circle(d: Density, far: FarBallCertificate, eps: float = EPS,
     n = d.dim
     if d.radial or n == 2:
         return np.eye(n)[:, :2]
-    g = deficit_weight(d)
+    g, eps = deficit_weight(d), far.epsilon
     target = far.margin - (far.P_g.error_estimate + (n - eps) * far.V_g.error_estimate)
     basis, rest = np.eye(n), np.empty((n, 0))   # the subspace and its complement
     for m in range(n, 2, -1):
@@ -159,28 +160,27 @@ def directional_margins(d: Density, R: float, eps: float, dirs: np.ndarray,
     return P, V, P - (n - eps) * V
 
 
-def select_direction(d: Density, R: float, eps: float = EPS,
+def select_direction(d: Density, far: FarBallCertificate,
                      node_count: int = CIRCLE_GRID,
                      quad_nodes: int = SPHERE_NODES) -> FarBallCertificate:
-    """Pick a direction whose ball satisfies the deficit bound at offset R.
+    """Lift ``far``, the radial average's certificate (``find_far_radius``),
+    to a direction at its offset R and slack eps: no ball is measured again.
 
-    The ball at R is certified once on the radial average: for a radial
-    weight it holds in every direction, and e1 is returned.  Otherwise the
-    working circle is the first whose mean margin reaches that certificate's
-    less its estimate, else the first tied with the best
-    (``select_working_circle``), and one ``SweepSpectrum`` on it gives V_g
-    (``balls``) and P_g (both ``hemispheres``) at ``node_count`` angles with
-    error estimates.  The first angle tied with the best margin wins
-    (``_first_tied``); it qualifies whenever the circle reached the target,
-    since on an even grid the angles' mean margin is the circle's (the
-    spectrum's mode 0).  It is refused when its margin plus its own error
-    estimate is below 0, and the failure names the circle's mean.
+    A radial weight's certificate holds in every direction: ``far`` is
+    returned with theta = e1.  Otherwise the working circle is the first
+    whose mean margin reaches ``far``'s less its estimate, else the first
+    tied with the best (``select_working_circle``), and one ``SweepSpectrum``
+    on it gives V_g (``balls``) and P_g (both ``hemispheres``) at
+    ``node_count`` angles with error estimates.  The first angle tied with
+    the best margin wins (``_first_tied``); it qualifies whenever the circle
+    reached the target, since on an even grid the angles' mean margin is
+    the circle's (the spectrum's mode 0).  It is refused when its margin
+    plus its own error estimate is below 0, and the failure names the mean.
     """
-    n = d.dim
-    far = _ball_certificate(deficit_profile(d), n, R, eps)
+    n, R, eps = d.dim, far.R, far.epsilon
     if d.radial:
         return replace(far, theta=tuple(1.0 if i == 0 else 0.0 for i in range(n)))
-    plane = select_working_circle(d, far, eps, quad_nodes=quad_nodes)
+    plane = select_working_circle(d, far, quad_nodes=quad_nodes)
     frame = frame_from_axis(plane[:, 0], plane[:, 1])
     spectrum = SweepSpectrum(deficit_weight(d), n, R, frame, node_count, quad_nodes)
     phis = spectrum.theta

@@ -1,7 +1,7 @@
 """The deficit on the working circle's swept region as Fourier series in the
-sweep angle: every ball, half-ball, hemisphere and wedge of the circle at
-once; and, on the same meridian rule, the mean ball measures over a
-subsphere of centres.
+sweep angle: every ball, half-ball, hemisphere, wedge and volume gap of the
+circle at once, summed by one evaluator (``_evaluate``); and, on the same
+meridian rule, the mean ball measures over a subsphere of centres.
 
 Cylindrical coordinates about the working plane (spanned by the first two
 columns of ``frame``) write a point as s (cos psi e_1 + sin psi e_2) + z,
@@ -138,7 +138,8 @@ class _Modes:
         """The terms X_k e^{ik phi} of the sum of ``pieces`` at each angle,
         one row each, from the angles' phase table e^{ik phi} and, for the
         pieces that move with delta, the table ``_shift(deltas)``; tables
-        with more modes are cut to this rule's.
+        with more modes are cut to this rule's: the static pieces' sum times
+        the phase, plus the moving ones' sum times the phase times the shift.
 
         ``lead``, ``trail``: the half-balls [phi, phi + gamma] and
         [phi - gamma, phi]; ``lead_sphere``, ``trail_sphere``: the
@@ -147,12 +148,14 @@ class _Modes:
         which a sweep by delta adds to the ball at phi.
         """
         count = self.k.size
-        X = sum(getattr(self, p) for p in pieces if p not in ("wedge", "extend"))
+        phase = phase[..., :count]
+        static = [getattr(self, p) for p in pieces if p not in ("wedge", "extend")]
         moving = [self.wedge if p == "wedge" else self.extend()
                   for p in pieces if p in ("wedge", "extend")]
-        if moving:
-            X = X + sum(moving) * shift[..., :count]
-        return X * phase[..., :count]
+        if not moving:
+            return sum(static) * phase
+        terms = sum(moving) * phase * shift[..., :count]
+        return terms + sum(static) * phase if static else terms
 
     def extend(self) -> np.ndarray:
         """Mode sums of the shift by gamma + delta minus the shift by gamma:
@@ -288,8 +291,8 @@ class SweepSpectrum:
     rule and from the rule with half the disk nodes, plus the rounding floor
     of its Fourier sum.
 
-    The spectrum keeps its mode sums alone: every method forms the phase
-    rows of the angles it is given, chunk by chunk (``_evaluate``).
+    The spectrum keeps its mode sums alone: every method, and the gaps
+    that ``gaps`` returns, sums the angles it is given in ``_evaluate``.
     """
 
     def __init__(self, g, n: int, R: float, frame: np.ndarray, grid: int = 1,
@@ -357,20 +360,10 @@ class SweepSpectrum:
     def gaps(self, ball):
         """(idx, deltas) -> V_f(E) - omega_N of the sets based at the grid
         angles theta[idx] with sweeps deltas: the excess minus the grid ball
-        ``ball[idx]`` (``balls(theta)``'s values) minus each angle's Fourier
-        terms shifted by its delta, one sum along its row, in chunks of
-        ``BLOCK_POINTS`` terms, each forming its own phase and shift rows."""
-        count = self.modes.k.size
-        extend = self.modes.extend()
-        step = max(1, BLOCK_POINTS // count)
-
+        ``ball[idx]`` (``balls(theta)``'s values) minus the ``extend`` piece
+        of the full rule at each angle (``_evaluate``)."""
         def gaps(idx, deltas) -> np.ndarray:
-            added = np.empty(deltas.shape)
-            for i in range(0, idx.size, step):
-                j = min(i + step, idx.size)
-                terms = extend * _powers(self.theta[idx[i:j]], count)
-                terms *= _shift(deltas[i:j], count)    # one table fewer alive
-                added[i:j] = np.add.reduce(terms.real, axis=1)
+            added = _evaluate((self.modes,), ("extend",), self.theta[idx], deltas)[0][0]
             return swept_excess(self.n, self.R, deltas)[1] - ball[idx] - added
         return gaps
 

@@ -2,7 +2,8 @@ import tracemalloc
 
 import pytest
 
-from isoplab import density_from_config
+import isoplab.farball
+from isoplab import deficit_profile, density_from_config
 
 
 @pytest.fixture
@@ -42,3 +43,14 @@ def _traced_peak(fn) -> int:
 @pytest.fixture
 def traced_peak():
     return _traced_peak
+
+
+def _far(d, R, eps=0.05):
+    """The far-ball certificate of the radial average at offset R, as
+    ``find_far_radius`` certifies it there."""
+    return isoplab.farball._ball_certificate(deficit_profile(d), d.dim, R, eps)
+
+
+@pytest.fixture
+def far_at():
+    return _far

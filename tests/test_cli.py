@@ -156,9 +156,17 @@ def test_far_ball_success(tmp_path):
     assert rec["theta"] == [1.0, 0.0]
 
 
-def test_far_ball_radial_measures_the_ball_once(tmp_path, monkeypatch):
-    # a radial weight's far-ball certificate holds in every direction: the
-    # command writes it with theta = e1 instead of measuring the ball again
+def _angular(dim):
+    return {"family": "angular_mod", "dim": dim, "a": 1.0,
+            "params": {"eta": 0.5, "k": 1, "c": 1.0}}
+
+
+@pytest.mark.parametrize("density", [EXP2, _angular(2), _angular(3)],
+                         ids=["radial_exp-N2", "angular_mod-N2", "angular_mod-N3"])
+def test_far_ball_measures_the_ball_once(tmp_path, monkeypatch, density):
+    # the ball at the offset is measured once, by the far-ball search: a
+    # radial weight's certificate is written with theta = e1, and any other
+    # weight's direction is lifted from that certificate
     calls = []
     original = isoplab.farball.ball_deficit_measures
 
@@ -166,12 +174,15 @@ def test_far_ball_radial_measures_the_ball_once(tmp_path, monkeypatch):
         calls.append(args[2])
         return original(*args, **kwargs)
     monkeypatch.setattr(isoplab.farball, "ball_deficit_measures", counted)
-    cfg = write_cfg(tmp_path, {"density": EXP2})
+    cfg = write_cfg(tmp_path, {"density": density})
     assert run(["--out", str(tmp_path / "o"), "far-ball", "--config", cfg,
                 "--eps", "0.05", "--rmin", "10.0", "--rmax", "200.0"]) == 0
     rec = json.loads((tmp_path / "o" / "far_ball.json").read_text())
     assert calls == [rec["R"]]
-    assert rec["theta"] == [1.0, 0.0]
+    if density is EXP2:
+        assert rec["theta"] == [1.0, 0.0]
+    else:
+        assert len(rec["theta"]) == density["dim"]
 
 
 def test_far_ball_far_offset_not_degenerate(tmp_path):

@@ -239,7 +239,7 @@ def test_lockstep_roots_equal_one_search_at_a_time():
         + [[k for k, s in steps.items() if r < s] for r in range(max(steps.values()))])
 
 
-def test_volume_match_takes_gap_at_zero_from_the_ball(monkeypatch, exp2):
+def test_volume_match_takes_gap_at_zero_from_the_ball(monkeypatch, exp2, far_at):
     # every caller's gap(0) is exactly -|B|_g: no gap is evaluated at 0, and
     # each match evaluates its gap once per iteration plus the bracket end.
     # volume_match runs one ``_roots`` row and the advance map one per
@@ -257,7 +257,7 @@ def test_volume_match_takes_gap_at_zero_from_the_ball(monkeypatch, exp2):
                                              (g0 < -tol).tolist()) if ran)
         return out
     monkeypatch.setattr(isoplab.competitor, "_roots", recorded)
-    cert = select_direction(exp2, 10.0, 0.05)
+    cert = select_direction(exp2, far_at(exp2, 10.0))
     cylinder_extension(cert, exp2, eps=0.05)
     sweep_advance_map(exp2, 10.0, np.eye(2), grid=1, eps=0.05)
     d = density_from_config({"family": "angular_mod", "dim": 2, "a": 1.0,
@@ -335,7 +335,7 @@ def test_cylinder_root_equation_reference_value():
 def test_rotation_extension_radial(exp2):
     g = deficit_profile(exp2)
     far = find_far_radius(g, 2, eps=0.05, R_min=8.0, R_max=30.0)
-    cert = select_direction(exp2, far.R, 0.05)
+    cert = select_direction(exp2, far)
     ext = rotation_extension(cert, exp2, eps=0.05)
     assert abs(ext.volume_gap) <= 1e-8 * unit_ball_volume(2)
     assert ext.perimeter_margin > 0.0
@@ -516,15 +516,12 @@ def test_build_competitor_resolves_a_mode_at_the_grid(k, psi_samples):
                 <= VOLUME_RTOL * sam.ball_deficit[i] + volume)
 
 
-def _far(d, R, eps=0.05):
-    """The far-ball certificate at offset R: the working circle's target."""
-    return isoplab.farball._ball_certificate(deficit_profile(d), d.dim, R, eps)
-
-
-def _swept_case(d, R, grid, nodes):
-    """The advance map on ``d``'s working circle, the selection on it, and
-    the Gauss pass that measured the winner."""
-    plane = select_working_circle(d, _far(d, R), 0.05, quad_nodes=nodes)
+def _swept_case(d, far, grid, nodes):
+    """The advance map on ``d``'s working circle about the far-ball
+    certificate ``far``, the selection on it, and the Gauss pass that
+    measured the winner."""
+    R = far.R
+    plane = select_working_circle(d, far, quad_nodes=nodes)
     sam = sweep_advance_map(d, R, plane, grid, 0.05, nodes)
     phi, ext = select_sweep_direction(d, R, plane, sam, 0.05, nodes)
     frame = frame_from_axis(plane[:, 0], plane[:, 1])
@@ -541,8 +538,8 @@ _SWEPT_CASES = [("radial_exp", 2, 10.0, 1, 64), ("radial_exp", 3, 10.0, 1, 64),
 
 
 @pytest.mark.parametrize("family, dim, R, grid, nodes", _SWEPT_CASES)
-def test_sweep_selection_bound_is_a_lower_bound_of_the_margin(family, dim, R,
-                                                              grid, nodes):
+def test_sweep_selection_bound_is_a_lower_bound_of_the_margin(far_at, family, dim,
+                                                              R, grid, nodes):
     # the selection's bound is the margin without the band's g-integral,
     # which is >= 0: at the chosen angle it is at most the Gauss pass's
     # margin plus the two estimates (the rim's, and the pass's node-halving
@@ -550,7 +547,7 @@ def test_sweep_selection_bound_is_a_lower_bound_of_the_margin(family, dim, R,
     # certifies the angle
     d = (_angular(dim) if family == "angular_mod" else
          density_from_config({"family": family, "dim": dim, "a": 1.0}))
-    sam, best, ext, quad = _swept_case(d, R, grid, nodes)
+    sam, best, ext, quad = _swept_case(d, far_at(d, R), grid, nodes)
     error = 0.0
     for make in quad.patches.surface.values():
         full, half = quad.pieces[make]
@@ -661,7 +658,7 @@ def test_build_competitor_reports_the_winning_angles_match():
 def test_rotation_extension_requires_radial(angular2):
     far = find_far_radius(deficit_profile(angular2), 2, eps=0.05,
                           R_min=8.0, R_max=30.0)
-    cert = select_direction(angular2, far.R, 0.05, node_count=90, quad_nodes=32)
+    cert = select_direction(angular2, far, node_count=90, quad_nodes=32)
     with pytest.raises(ValueError):
         rotation_extension(cert, angular2, eps=0.05)
 
@@ -669,7 +666,7 @@ def test_rotation_extension_requires_radial(angular2):
 def test_rotation_extension_euclidean_degenerates(const2):
     far = find_far_radius(deficit_profile(const2), 2, eps=0.05,
                           R_min=8.0, R_max=30.0)
-    cert = select_direction(const2, far.R, 0.05)
+    cert = select_direction(const2, far)
     ext = rotation_extension(cert, const2, eps=0.05)
     assert ext.match.delta_bar == 0.0
     assert ext.rho == pytest.approx(1.0, abs=1e-12)
@@ -679,7 +676,7 @@ def test_cylinder_extension_radial_increasing(exp2):
     # eps = 0.2 keeps the shrink loss within the slack at R >= 10
     g = deficit_profile(exp2)
     far = find_far_radius(g, 2, eps=0.2, R_min=10.0, R_max=30.0)
-    cert = select_direction(exp2, far.R, 0.2)
+    cert = select_direction(exp2, far)
     ext = cylinder_extension(cert, exp2, eps=0.2)
     assert abs(ext.volume_gap) <= 1e-8 * unit_ball_volume(2)
     assert ext.match.bound_ok
@@ -698,7 +695,7 @@ def test_cylinder_extension_refuses_nonmonotone():
     d = Density(dim=2, weight=wavy, limit_a=1.0, radial=True, label="wavy")
     g = deficit_profile(d)
     far = find_far_radius(g, 2, eps=0.2, R_min=10.0, R_max=40.0)
-    cert = select_direction(d, far.R, 0.2)
+    cert = select_direction(d, far)
     with pytest.raises(RuntimeError, match="ray-monotone"):
         cylinder_extension(cert, d, eps=0.2)
 
@@ -771,13 +768,13 @@ def test_cylinder_pieces_equal_the_patch_description(n, tilted):
         assert patches.volume_gap(g, integral) == expected[delta][0]
 
 
-def test_cylinder_match_builds_each_half_ball_rule_once(monkeypatch, exp3):
+def test_cylinder_match_builds_each_half_ball_rule_once(monkeypatch, exp3, far_at):
     # the far half-ball does not move with the height: it is built once per
     # cylinder extension and rule, not once per gap evaluation.  The sizing
     # builds it and the near half-ball of height zero on the rules it tries;
     # on the settled rule the match starts from those builds' integrals and
     # builds the near half-ball once at each height it tries
-    cert = select_direction(exp3, 10.0, 0.05)
+    cert = select_direction(exp3, far_at(exp3, 10.0))
     builds = []
     original = isoplab.measures.ball_cap_patch
 
@@ -802,7 +799,8 @@ def test_cylinder_match_builds_each_half_ball_rule_once(monkeypatch, exp3):
     assert len(tried) == len(set(tried)) == ext.match.iterations + 1
 
 
-def test_cylinder_checks_integrate_each_near_hemisphere_once(monkeypatch, exp3):
+def test_cylinder_checks_integrate_each_near_hemisphere_once(monkeypatch, exp3,
+                                                              far_at):
     # the margin at the match and the shifted-boundary check there share
     # that height's near hemisphere: it is built and integrated once, and
     # the gap, the margin and the check are the floats of the set's own
@@ -816,7 +814,7 @@ def test_cylinder_checks_integrate_each_near_hemisphere_once(monkeypatch, exp3):
             return _original(*args, **kwargs)
         monkeypatch.setattr(isoplab.measures, name, recorded)
     n, R = 3, 10.0
-    ext = cylinder_extension(select_direction(exp3, R, 0.05), exp3, eps=0.05)
+    ext = cylinder_extension(select_direction(exp3, far_at(exp3, R)), exp3, eps=0.05)
     delta, rule = ext.E.delta, ext.checks["pass_rule"]
     k = (R - delta) / R
     assert delta > 0.0
@@ -1050,7 +1048,7 @@ def test_sized_certificates_cover_the_oracle(family, n, R_min):
 
 
 def test_cylinder_pieces_free_their_rules_without_the_cycle_collector(
-        monkeypatch, exp3):
+        monkeypatch, exp3, far_at):
     # the families and the factor rules their pieces were integrated on go
     # when the extension returns, by reference counting alone, so a run of
     # extensions holds no rule past its own
@@ -1067,7 +1065,7 @@ def test_cylinder_pieces_free_their_rules_without_the_cycle_collector(
         return out
     monkeypatch.setattr(CylinderFamily, "__init__", recorded_init)
     monkeypatch.setattr(isoplab.measures.GaussBlocks, "__call__", recorded_call)
-    cert = select_direction(exp3, 10.0, 0.05)
+    cert = select_direction(exp3, far_at(exp3, 10.0))
     gc.disable()
     try:
         ext = cylinder_extension(cert, exp3, eps=0.05)
@@ -1247,22 +1245,22 @@ def test_select_sweep_direction_radial_any_angle(exp2):
     assert ext.rho < 1.0
 
 
-def test_select_working_circle_radial_equatorial(exp3):
-    plane = select_working_circle(exp3, _far(exp3, 10.0), 0.05)
+def test_select_working_circle_radial_equatorial(exp3, far_at):
+    plane = select_working_circle(exp3, far_at(exp3, 10.0))
     assert np.allclose(plane, np.eye(3)[:, :2])
 
 
-def test_select_working_circle_radial_n4():
+def test_select_working_circle_radial_n4(far_at):
     d = density_from_config({"family": "radial_exp", "dim": 4, "a": 1.0})
-    plane = select_working_circle(d, _far(d, 10.0), 0.05)
+    plane = select_working_circle(d, far_at(d, 10.0))
     assert np.allclose(plane, np.eye(4)[:, :2])
 
 
-def test_select_working_circle_angular_n3():
+def test_select_working_circle_angular_n3(far_at):
     d = density_from_config({"family": "angular_mod", "dim": 3, "a": 1.0,
                              "params": {"eta": 0.5, "k": 1, "c": 0.5}})
     R, eps = 12.0, 0.05
-    plane = select_working_circle(d, _far(d, R, eps), eps, axis_nodes=6,
+    plane = select_working_circle(d, far_at(d, R, eps), axis_nodes=6,
                                   circle_nodes=24, quad_nodes=24)
     assert plane.shape == (3, 2)
     assert np.allclose(plane.T @ plane, np.eye(2), atol=1e-12)
@@ -1305,13 +1303,13 @@ def _target(far, eps):
                          + (far.dim - eps) * far.V_g.error_estimate)
 
 
-def test_select_working_circle_matches_exhaustive_scan(monkeypatch):
+def test_select_working_circle_matches_exhaustive_scan(monkeypatch, far_at):
     d = density_from_config({"family": "angular_mod", "dim": 3, "a": 1.0,
                              "params": {"eta": 0.5, "k": 1, "c": 1.0}})
     R, eps, n = 10.0, 0.05, 3
     calls = _count_ball_measures(monkeypatch)
-    far = _far(d, R, eps)
-    plane = select_working_circle(d, far, eps, axis_nodes=6, circle_nodes=16,
+    far = far_at(d, R, eps)
+    plane = select_working_circle(d, far, axis_nodes=6, circle_nodes=16,
                                   quad_nodes=16)
     assert calls == []          # no translated balls
     g = deficit_weight(d)
@@ -1336,19 +1334,19 @@ def test_select_working_circle_matches_exhaustive_scan(monkeypatch):
     assert np.array_equal(plane, frames[first][:, :2])
 
 
-def test_select_working_circle_ties_pick_the_first_candidate():
+def test_select_working_circle_ties_pick_the_first_candidate(far_at):
     # eta cos(theta) averages to zero over every great circle, so every
     # candidate ties and grid order decides
     d = density_from_config({"family": "angular_mod", "dim": 3, "a": 1.0,
                              "params": {"eta": 0.5, "k": 1, "c": 1.0}})
-    plane = select_working_circle(d, _far(d, 10.0), 0.05, axis_nodes=5,
+    plane = select_working_circle(d, far_at(d, 10.0), axis_nodes=5,
                                   circle_nodes=16, quad_nodes=16)
     assert np.array_equal(plane, _first_level_frames(3, 5)[0][:, :2])
     # eta cos(2 theta) is largest on circles through the poles +-e1, whose
     # axes lie on the grid's equator (odd axis_nodes): the plane contains e1
     d = density_from_config({"family": "angular_mod", "dim": 3, "a": 1.0,
                              "params": {"eta": 0.5, "k": 2, "c": 1.0}})
-    plane = select_working_circle(d, _far(d, 10.0), 0.05, axis_nodes=5,
+    plane = select_working_circle(d, far_at(d, 10.0), axis_nodes=5,
                                   circle_nodes=16, quad_nodes=16)
     assert np.linalg.norm(plane[0]) == pytest.approx(1.0, abs=1e-12)
 
@@ -1370,7 +1368,7 @@ def _count_frames(monkeypatch):
     (4, {"axis_nodes": 4, "circle_nodes": 8, "quad_nodes": 8}, [8, 8]),
 ])
 def test_select_working_circle_stops_at_the_first_qualifying_block(
-        monkeypatch, n, options, scored):
+        monkeypatch, far_at, n, options, scored):
     # with k = 1 every candidate reaches the far ball's margin, so each
     # level scores its first block of 8 only, and builds only its frames
     d = density_from_config({"family": "angular_mod", "dim": n, "a": 1.0,
@@ -1380,14 +1378,14 @@ def test_select_working_circle_stops_at_the_first_qualifying_block(
     original = isoplab.farball.frame_from_axis
     monkeypatch.setattr(isoplab.farball, "frame_from_axis",
                         lambda *a: frames.append(a) or original(*a))
-    select_working_circle(d, _far(d, 10.0), 0.05, **options)
+    select_working_circle(d, far_at(d, 10.0), **options)
     assert calls == scored
     assert len(frames) == sum(scored)
 
 
 @pytest.mark.parametrize("k, axis_nodes, scored", [
     (1, 5, [8, 16, 1]), (2, 5, [8, 16, 1]), (2, 8, [8, 16, 32, 8])])
-def test_select_working_circle_falls_back_to_the_first_tied(monkeypatch, k,
+def test_select_working_circle_falls_back_to_the_first_tied(monkeypatch, far_at, k,
                                                             axis_nodes, scored):
     # a target above every candidate's mean plus its estimate: the whole
     # level (25 or 64 axes up to sign) is scored in blocks of 8, 16, 32, ...,
@@ -1395,10 +1393,10 @@ def test_select_working_circle_falls_back_to_the_first_tied(monkeypatch, k,
     d = density_from_config({"family": "angular_mod", "dim": 3, "a": 1.0,
                              "params": {"eta": 0.5, "k": k, "c": 1.0}})
     R, eps, n = 10.0, 0.05, 3
-    far = _far(d, R, eps)
+    far = far_at(d, R, eps)
     calls = _count_frames(monkeypatch)
     plane = select_working_circle(d, dataclasses.replace(far, margin=math.inf),
-                                  eps, axis_nodes=axis_nodes, quad_nodes=16)
+                                  axis_nodes=axis_nodes, quad_nodes=16)
     assert calls == scored
     frames = [np.column_stack([F[:, 1:], F[:, :1]]) for F in
               map(frame_from_axis, isoplab.farball._axes_up_to_sign(n, axis_nodes))]
@@ -1407,14 +1405,14 @@ def test_select_working_circle_falls_back_to_the_first_tied(monkeypatch, k,
                                         error[:, 0] + (n - eps) * error[:, 1])
     assert np.array_equal(plane, frames[first][:, :2])
     # here the first candidate tied with the best also reaches the target
-    assert np.array_equal(select_working_circle(d, far, eps, axis_nodes=axis_nodes,
+    assert np.array_equal(select_working_circle(d, far, axis_nodes=axis_nodes,
                                                 quad_nodes=16), plane)
 
 
-def test_select_working_circle_angular_n4():
+def test_select_working_circle_angular_n4(far_at):
     d = density_from_config({"family": "angular_mod", "dim": 4, "a": 1.0,
                              "params": {"eta": 0.5, "k": 1, "c": 1.0}})
-    plane = select_working_circle(d, _far(d, 10.0), 0.05, axis_nodes=4,
+    plane = select_working_circle(d, far_at(d, 10.0), axis_nodes=4,
                                   circle_nodes=8, quad_nodes=8)
     assert plane.shape == (4, 2)
     assert np.allclose(plane.T @ plane, np.eye(2), atol=1e-12)
@@ -1607,12 +1605,12 @@ def test_extension_refuses_rho_above_its_estimate():
 
 
 @pytest.mark.parametrize("route", ["rotation", "sweep", "cylinder"])
-def test_every_route_forms_p_f_and_v_f_in_its_extension(exp3, route):
+def test_every_route_forms_p_f_and_v_f_in_its_extension(exp3, far_at, route):
     # P_f = N omega_N - margin and V_f = omega_N + gap on every route, each
     # estimated by the route's estimate of the margin or the gap plus 2 ULP
     # of its terms, over the route's evaluation count
     R, plane, g = 10.0, np.eye(3)[:, :2], deficit_weight(exp3)
-    cert = select_direction(exp3, R, 0.05)
+    cert = select_direction(exp3, far_at(exp3, R))
     if route == "sweep":
         sam = sweep_advance_map(exp3, R, plane, 1, 0.05)
         ext = select_sweep_direction(exp3, R, plane, sam, 0.05)[1]
@@ -1639,13 +1637,13 @@ def test_every_route_forms_p_f_and_v_f_in_its_extension(exp3, route):
         omega + gap, "quadrature", e_v + 2.0 * ULP * (omega + abs(gap)), points)
 
 
-def test_both_routes_give_one_verdict_at_the_a_priori_bound(exp3):
+def test_both_routes_give_one_verdict_at_the_a_priori_bound(exp3, far_at):
     # eps is set so that the closed form's delta sits at the a-priori bound
     # (1 + 2 eps) |B|_g / (omega_{N-1} (R - 1)): the closed form and the
     # sweep's matcher, given a gap whose root is that delta, both accept it,
     # also 1e-10 above the bound, within the 1e-9 slack, and both refuse it
     # 1e-6 above
-    cert = select_direction(exp3, 10.0, 0.05)
+    cert = select_direction(exp3, far_at(exp3, 10.0))
     R, V = cert.R, cert.V_g.value
     delta = rotation_extension(cert, exp3, eps=0.05).match.delta_bar
     denom = unit_ball_volume(2) * (R - 1.0)
@@ -1707,7 +1705,7 @@ def test_variant_agreement_radial_nondecreasing(exp2):
     # coincide
     g = deficit_profile(exp2)
     far = find_far_radius(g, 2, eps=0.2, R_min=10.0, R_max=30.0)
-    cert = select_direction(exp2, far.R, 0.2)
+    cert = select_direction(exp2, far)
     rot = rotation_extension(cert, exp2, eps=0.2)
     cyl = cylinder_extension(cert, exp2, eps=0.2)
     for ext in (rot, cyl):
@@ -2053,8 +2051,8 @@ def test_angle_scans_use_only_the_spectrum(monkeypatch):
 _BUILD_ANGULAR3 = """
 import numpy as np
 from isoplab import (PlainBall, build_competitor, check_admissibility,
-                     cylinder_extension, density_from_config, direct_kernel,
-                     select_direction, tail_mass)
+                     cylinder_extension, deficit_profile, density_from_config,
+                     direct_kernel, find_far_radius, select_direction, tail_mass)
 d = density_from_config({"family": "angular_mod", "dim": 3, "a": 1.0,
                          "params": {"eta": 0.5, "k": 1, "c": 1.0}})
 c = build_competitor(d, eps=0.05, R_min=10.0, R_max=200.0, nodes=16,
@@ -2062,13 +2060,14 @@ c = build_competitor(d, eps=0.05, R_min=10.0, R_max=200.0, nodes=16,
 for field in (c.E, c.perimeter_margin, c.volume_gap, c.match, c.advance,
               c.P_f, c.V_f, c.mc_check):
     print(repr(field))
-print(repr(select_direction(d, 10.0, 0.05, quad_nodes=16)))
+print(repr(select_direction(d, c.farball, quad_nodes=16)))
 print(repr(tail_mass(PlainBall(dim=3, offset=10.0), d, 9.5)))
 kernel = direct_kernel(lambda t: 1.0 - 3.0 * np.asarray(t) ** 2)
 print(repr(check_admissibility(kernel)))
 e = density_from_config({"family": "radial_exp", "dim": 3, "a": 1.0,
                          "params": {"c": 1.0}})
-print(repr(cylinder_extension(select_direction(e, 10.0, 0.05), e, 0.05)))
+far = find_far_radius(deficit_profile(e), 3, 0.05, 10.0, 200.0)
+print(repr(cylinder_extension(select_direction(e, far), e, 0.05)))
 """
 
 
@@ -2094,14 +2093,14 @@ def test_certificate_independent_of_blas_threads():
     ({"family": "radial_exp", "dim": 3, "a": 1.0, "params": {"c": 1.0}}, 1e-3),
     # a deficit of ~1/121 along the cylinder moves the ratio by ~1%
     ({"family": "radial_power", "dim": 2, "a": 1.0, "params": {"p": 2.0}}, 2e-2)])
-def test_cylinder_bound_counts_the_shrunk_half_ball(cfg, rel):
+def test_cylinder_bound_counts_the_shrunk_half_ball(far_at, cfg, rel):
     # the near half-ball shrunk by k = (R - delta)/R loses
     # omega_N (1 - k^N) / 2 ~ N omega_N delta / (2R), so the matched height
     # is |B|_g / (omega_{N-1} - N omega_N / (2R)) to first order in the
     # deficit, which the bound without the shrink term misses at R = 10
     d = density_from_config(cfg)
     n, R, eps = d.dim, 10.0, 0.05
-    cert = select_direction(d, R, eps)
+    cert = select_direction(d, far_at(d, R, eps))
     assert cert.R == R
     ext = cylinder_extension(cert, d, eps)
     assert ext.match.bound_ok

@@ -111,17 +111,18 @@ def test_find_far_radius_reports_failure():
         find_far_radius(g, 3, eps=0.05, R_min=6.5, R_max=7.3)
 
 
-def test_select_direction_radial_short_circuit(exp2):
-    cert = select_direction(exp2, 8.0, eps=0.05)
+def test_select_direction_radial_short_circuit(exp2, far_at):
+    cert = select_direction(exp2, far_at(exp2, 8.0))
     assert cert.theta == (1.0, 0.0)
     assert cert.margin >= 0.0
 
 
-def test_select_direction_angular_mod(angular2):
+def test_select_direction_angular_mod(angular2, far_at):
     # the deficit peaks along +e1; the maximizing direction sits there and
     # beats the radial-average margin
     R = 6.0
-    cert = select_direction(angular2, R, eps=0.05, node_count=360, quad_nodes=48)
+    cert = select_direction(angular2, far_at(angular2, R), node_count=360,
+                            quad_nodes=48)
     assert cert.margin >= -1e-12
     theta = np.array(cert.theta)
     assert theta[0] == pytest.approx(1.0, abs=1e-6)
@@ -131,12 +132,13 @@ def test_select_direction_angular_mod(angular2):
     assert cert.margin >= radial_margin - 1e-10
 
 
-def test_select_direction_error_estimate_node_halving(angular2):
+def test_select_direction_error_estimate_node_halving(angular2, far_at):
     # the winning direction's P_g and V_g, read from the sweep spectrum, agree
     # with the ball measured on a translated grid at its centre, within the
     # spectrum's estimate plus the reference's node-halving difference
     R, q = 6.0, 48
-    cert = select_direction(angular2, R, eps=0.05, node_count=360, quad_nodes=q)
+    cert = select_direction(angular2, far_at(angular2, R), node_count=360,
+                            quad_nodes=q)
     g = deficit_weight(angular2)
     center = R * np.array(cert.theta)
     P, V = weighted_ball_measures(g, 2, center, 1.0, q, max(16, q // 2))
@@ -147,8 +149,8 @@ def test_select_direction_error_estimate_node_halving(angular2):
     assert 0.0 < cert.V_g.error_estimate <= 1e-12 * V
 
 
-def test_select_direction_degenerate(const2):
-    cert = select_direction(const2, 8.0, eps=0.05)
+def test_select_direction_degenerate(const2, far_at):
+    cert = select_direction(const2, far_at(const2, 8.0))
     assert cert.degenerate
 
 
@@ -165,14 +167,8 @@ def test_direction_grid_mean_consistency(angular2):
     assert float(V @ w) == pytest.approx(Vr.value, abs=1e-8)
 
 
-
-def _far(d, R, eps):
-    """The far-ball certificate at offset R: the working circle's target."""
-    return isoplab.farball._ball_certificate(deficit_profile(d), d.dim, R, eps)
-
-
 @pytest.mark.parametrize("k", [1, 2])
-def test_select_direction_on_the_working_circle(monkeypatch, k):
+def test_select_direction_on_the_working_circle(monkeypatch, far_at, k):
     # the direction is an angle of the working circle, its margin is at
     # least the radial-average margin, and no ball is measured on a
     # translated grid
@@ -186,9 +182,9 @@ def test_select_direction_on_the_working_circle(monkeypatch, k):
         return original(*args, **kwargs)
     for module in (isoplab.measures, isoplab.farball):
         monkeypatch.setattr(module, "weighted_ball_measures", counted)
-    cert = select_direction(d, R, eps, node_count=90, quad_nodes=16)
+    cert = select_direction(d, far_at(d, R, eps), node_count=90, quad_nodes=16)
     assert calls == []
-    plane = select_working_circle(d, _far(d, R, eps), eps, quad_nodes=16)
+    plane = select_working_circle(d, far_at(d, R, eps), quad_nodes=16)
     theta = np.array(cert.theta)
     assert np.linalg.norm(theta) == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(theta - plane @ (plane.T @ theta)) <= 1e-12
@@ -223,14 +219,13 @@ def _one_table_axes(m, axis_nodes):
     return axes[~np.any(np.tril(antipode, -1), axis=1)]
 
 
-@pytest.mark.parametrize("m, axis_nodes", [(3, 8), (4, 8), (5, 4)])
-def test_axes_up_to_sign_blocks_equal_one_table(monkeypatch, m, axis_nodes):
-    # the blocked antipode table keeps the axes that one table keeps, for
-    # blocks of many rows, of one row, and of every row at once
-    axes = _one_table_axes(m, axis_nodes)
-    for block in (isoplab.farball.BLOCK_POINTS, 1, 2 ** 40):
-        monkeypatch.setattr(isoplab.farball, "BLOCK_POINTS", block)
-        assert np.array_equal(isoplab.farball._axes_up_to_sign(m, axis_nodes), axes)
+@pytest.mark.parametrize("m, axis_nodes", [(3, 8), (4, 8), (5, 4), (3, 5), (4, 5),
+                                           (5, 5), (3, 1), (3, 2)])
+def test_axes_up_to_sign_index_map_equals_one_table(m, axis_nodes):
+    # the antipodes named by the grid's indices keep the axes that one
+    # table of coordinate comparisons keeps, at odd and even polar counts
+    assert np.array_equal(isoplab.farball._axes_up_to_sign(m, axis_nodes),
+                          _one_table_axes(m, axis_nodes))
 
 
 _AXES_UNDER_A_LIMIT = """
@@ -263,31 +258,36 @@ def test_axes_up_to_sign_fit_where_one_table_does_not():
     assert run.stdout == "one table fails\n4096\n"
 
 
-def test_select_direction_builds_one_far_ball_certificate(monkeypatch):
-    # the offset's certificate is built once, and the descent aims at it
+def test_select_direction_lifts_the_certificate_it_is_given(monkeypatch, far_at):
+    # the ball at the offset was measured by the certificate's producer: the
+    # lift builds no deficit profile and no ball certificate, and the
+    # descent aims at the very certificate it is given
     d = density_from_config({"family": "angular_mod", "dim": 3, "a": 1.0,
                              "params": {"eta": 0.5, "k": 1, "c": 1.0}})
-    built, seen = [], []
-    certificate = isoplab.farball._ball_certificate
+    far, built, seen = far_at(d, 10.0), [], []
+    for module, name in ((isoplab.farball, "_ball_certificate"),
+                         (isoplab.farball, "deficit_profile"),
+                         (isoplab.density, "deficit_profile")):
+        monkeypatch.setattr(module, name, lambda *a, name=name: built.append(name),
+                            raising=False)
     descent = isoplab.farball.select_working_circle
-    monkeypatch.setattr(isoplab.farball, "_ball_certificate",
-                        lambda *a: built.append(certificate(*a)) or built[-1])
     monkeypatch.setattr(
         isoplab.farball, "select_working_circle",
-        lambda d, far, *a, **k: seen.append(far) or descent(d, far, *a, **k))
-    select_direction(d, 10.0, 0.05, node_count=16, quad_nodes=16)
-    assert len(built) == 1 and seen == built
-    assert built[0] == _far(d, 10.0, 0.05)
+        lambda d, target, *a, **k: seen.append(target) or descent(d, target, *a, **k))
+    cert = select_direction(d, far, node_count=16, quad_nodes=16)
+    assert built == []
+    assert len(seen) == 1 and seen[0] is far
+    assert (cert.R, cert.epsilon) == (far.R, far.epsilon)
 
 
-def test_select_direction_mean_margin_is_the_spectrum_zero_mode():
+def test_select_direction_mean_margin_is_the_spectrum_zero_mode(far_at):
     # on an even grid the mean of the angles' margins is the circle's mean
     # margin, the k = 0 Fourier mode of the sweep spectrum
     d = density_from_config({"family": "angular_mod", "dim": 3, "a": 1.0,
                              "params": {"eta": 0.5, "k": 2, "c": 1.0}})
     R, eps = 10.0, 0.05
-    cert = select_direction(d, R, eps, node_count=90, quad_nodes=16)
-    plane = select_working_circle(d, _far(d, R, eps), eps, quad_nodes=16)
+    cert = select_direction(d, far_at(d, R, eps), node_count=90, quad_nodes=16)
+    plane = select_working_circle(d, far_at(d, R, eps), quad_nodes=16)
     spectrum = SweepSpectrum(deficit_weight(d), 3, R,
                              frame_from_axis(plane[:, 0], plane[:, 1]), 90, 16)
     assert spectrum.psi_samples == PSI_START
@@ -299,15 +299,15 @@ def test_select_direction_mean_margin_is_the_spectrum_zero_mode():
     assert abs(mean - (P0 - (3 - eps) * V0)) <= 90 * np.finfo(float).eps * scale
 
 
-def test_select_direction_counts_the_spectrums_points():
+def test_select_direction_counts_the_spectrums_points(far_at):
     # P_g and V_g come from the spectrum's full rule, so they count its
     # points, as GaussPass counts a patch rule's: the meridian-disk nodes
     # (RADIAL_NODES radii times the (N-1)-sphere rule) times the psi samples
     d = density_from_config({"family": "angular_mod", "dim": 3, "a": 1.0,
                              "params": {"eta": 0.5, "k": 2, "c": 1.0}})
     R, eps = 10.0, 0.05
-    cert = select_direction(d, R, eps, node_count=90, quad_nodes=16)
-    plane = select_working_circle(d, _far(d, R, eps), eps, quad_nodes=16)
+    cert = select_direction(d, far_at(d, R, eps), node_count=90, quad_nodes=16)
+    plane = select_working_circle(d, far_at(d, R, eps), quad_nodes=16)
     spectrum = SweepSpectrum(deficit_weight(d), 3, R,
                              frame_from_axis(plane[:, 0], plane[:, 1]), 90, 16)
     points = RADIAL_NODES * len(sphere_grid(2, 16, 16)[0]) * PSI_START
@@ -315,7 +315,7 @@ def test_select_direction_counts_the_spectrums_points():
     assert cert.P_g.samples_or_nodes == cert.V_g.samples_or_nodes == points
 
 
-def test_select_direction_failure_names_the_circle_mean():
+def test_select_direction_failure_names_the_circle_mean(far_at):
     # a thin ring deficit about the circle of centres, declared non-radial:
     # every ball's perimeter meets about as much deficit as its volume, so
     # no angle qualifies, and the circle's mean margin (in N = 2 the
@@ -331,13 +331,13 @@ def test_select_direction_failure_names_the_circle_mean():
     radial = P.value - (2 - 0.05) * V.value
     assert radial < 0.0
     with pytest.raises(RuntimeError, match="circle's mean margin is") as err:
-        select_direction(d, R, 0.05, node_count=48, quad_nodes=32)
+        select_direction(d, far_at(d, R), node_count=48, quad_nodes=32)
     named = float(str(err.value).split("mean margin is ")[1].split()[0])
     assert named == pytest.approx(radial, rel=1e-5)
 
 
 @pytest.mark.parametrize("shortfall, refused", [(3e-13, True), (3e-14, False)])
-def test_select_direction_refuses_below_the_margins_own_estimate(shortfall,
+def test_select_direction_refuses_below_the_margins_own_estimate(far_at, shortfall,
                                                                  refused):
     # a wide ring deficit about the circle of centres, declared non-radial:
     # every angle has the same P_g / V_g (1.61), so eps sets the best margin
@@ -351,23 +351,24 @@ def test_select_direction_refuses_below_the_margins_own_estimate(shortfall,
         return 0.2 * np.exp(-(r - R) ** 2)
     d = Density(dim=2, weight=lambda x: 1.0 - deficit(x), limit_a=1.0,
                 radial=False, label="wide-ring", deficit=deficit)
-    fit = select_direction(d, R, 0.5, node_count=16, quad_nodes=16)
+    fit = select_direction(d, far_at(d, R, 0.5), node_count=16, quad_nodes=16)
     P, V = fit.P_g, fit.V_g
     eps = 2.0 - P.value * (1.0 + shortfall) / V.value
     spread = P.error_estimate + (2.0 - eps) * V.error_estimate
     assert 1e-14 * P.value < spread < 1e-13 * P.value
     if refused:
         with pytest.raises(RuntimeError, match="circle's mean margin is"):
-            select_direction(d, R, eps, node_count=16, quad_nodes=16)
+            select_direction(d, far_at(d, R, eps), node_count=16, quad_nodes=16)
     else:
-        cert = select_direction(d, R, eps, node_count=16, quad_nodes=16)
+        cert = select_direction(d, far_at(d, R, eps), node_count=16, quad_nodes=16)
         own = cert.P_g.error_estimate + (2.0 - eps) * cert.V_g.error_estimate
         assert -own <= cert.margin < 0.0
 
-def test_margin_against_monte_carlo(angular2):
+def test_margin_against_monte_carlo(angular2, far_at):
     # certificate margin re-measured with seeded deficit sampling
     R, eps = 6.0, 0.05
-    cert = select_direction(angular2, R, eps, node_count=180, quad_nodes=48)
+    cert = select_direction(angular2, far_at(angular2, R, eps), node_count=180,
+                            quad_nodes=48)
     rng = np.random.default_rng(17)
     theta = np.array(cert.theta)
     m = 400_000

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import isoplab.sliding
 from isoplab import (RadialDeficit, averaging_identity_residual,
                      check_admissibility, correlation, direct_kernel,
-                     excess_kernel, layer_integral, sliding_sign_search)
+                     excess_kernel, find_far_radius, layer_integral,
+                     sliding_sign_search)
+from isoplab.defaults import SCAN_STEP
 
 E = math.e
 
@@ -151,6 +154,31 @@ def test_search_bump_against_fine_scan_oracle():
     grid = np.arange(4.5, 10.0 + 0.125, 0.25)
     first = next(R for R in grid if closed_form(R) >= 0.0)
     assert out.R == pytest.approx(first)
+
+
+def test_search_bisects_to_the_crossing_that_the_far_ball_then_skips(monkeypatch):
+    # from R_min = 5.6 the bump's correlation is negative at 5.6 and 5.85 and
+    # positive at 6.1: 40 bisections sharpen the crossing to R = 6, where
+    # the closed form pi (b^3 - b), b = 6 - R, is 0.  The exact-kernel
+    # margin is negative there, so find_far_radius re-scans from the
+    # bisected R plus SCAN_STEP and certifies that offset, off the scan grid
+    k, g = excess_kernel(3), bump_deficit()
+    calls, original = [], isoplab.sliding.correlation
+
+    def counted(*args):
+        calls.append(args[2])
+        return original(*args)
+    monkeypatch.setattr(isoplab.sliding, "correlation", counted)
+    out = sliding_sign_search(k, g, 5.6, 10.0)
+    b = 6.0 - out.R
+    assert out.found and abs(out.R - 6.0) <= 1e-9
+    assert out.correlation >= 0.0
+    assert out.correlation == pytest.approx(math.pi * (b ** 3 - b), abs=1e-10)
+    assert [R for R, _ in out.scan] == pytest.approx([5.6, 5.85, 6.1], abs=1e-15)
+    assert len(calls) == 3 + 40
+    cert = find_far_radius(g, 3, 0.05, 5.6, 10.0)
+    assert cert.R == out.R + SCAN_STEP
+    assert cert.margin >= 0.0
 
 
 def test_search_rejects_bad_range():

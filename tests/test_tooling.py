@@ -38,7 +38,8 @@ def test_traced_cylinder_counts_its_gap_evaluations():
     # traced cylinder route must run and count one match and its gap
     # evaluations
     d = isoplab.density_from_config({"family": "radial_exp", "dim": 2, "a": 1.0})
-    cert = isoplab.select_direction(d, 10.0, 0.05)
+    cert = isoplab.select_direction(d, isoplab.find_far_radius(
+        isoplab.deficit_profile(d), d.dim, 0.05, 10.0, 200.0))
     tracer = _tracing().Tracer()
     tracer.install()
     try:
@@ -83,7 +84,8 @@ def test_traced_patch_points_count_what_is_integrated(monkeypatch):
     # binds, so ``measures.patch_points`` counts the points that
     # ``patch_integrals`` sums, block by block
     d = isoplab.density_from_config({"family": "radial_exp", "dim": 3, "a": 1.0})
-    cert = isoplab.select_direction(d, 10.0, 0.05)
+    cert = isoplab.select_direction(d, isoplab.find_far_radius(
+        isoplab.deficit_profile(d), d.dim, 0.05, 10.0, 200.0))
     summed, block_sums = [], isoplab.measures._block_sums
 
     def counted(block, fn):
