@@ -36,8 +36,6 @@ def _json_default(o):
         return o.item()
     if isinstance(o, np.ndarray):
         return o.tolist()
-    if isinstance(o, tuple):
-        return list(o)
     raise TypeError(f"not serializable: {type(o)!r}")
 
 

@@ -71,9 +71,9 @@ class SweepAdvanceMap:
 
     ``mapped`` is theta + advance(theta); measured difference quotients of the
     map must stay within [1 - eps, 1/(1 - eps)] for large enough offsets.
-    Far out the advances (~1e-23 at offset 50) round away in theta + advance
-    and every quotient reads exactly 1; ``quotient_deviation`` keeps the
-    quotient minus 1 in deficit space.  Recorded for the direction
+    Far out the advances (~1e-23 at offset 50) round away in theta + advance,
+    so ``quotient_deviation`` forms the quotients minus 1 in deficit space
+    and ``quotients`` adds 1 to it.  Recorded for the direction
     selection at each angle: ``ball_deficit``, |B^theta|_g of the base ball,
     and ``rim_deficit``, H_g(trailing hemisphere at theta) + H_g(leading
     hemisphere at theta + advance), with its error estimate ``rim_error``;
@@ -97,19 +97,13 @@ class SweepAdvanceMap:
     advance_error: tuple[float, ...] = field(repr=False)
     matches: tuple[VolumeMatch, ...] = field(repr=False)
 
-    def _steps(self) -> np.ndarray:
-        th = np.asarray(self.theta)
-        return np.diff(np.append(th, th[0] + 2.0 * math.pi))
-
     def quotients(self) -> np.ndarray:
-        ta = np.asarray(self.mapped)
-        dtau = np.diff(np.append(ta, ta[0] + 2.0 * math.pi))
-        return dtau / self._steps()
+        return 1.0 + self.quotient_deviation()
 
     def quotient_deviation(self) -> np.ndarray:
-        """quotients() - 1 without the rounding: diff(advance) / eta."""
-        adv = np.asarray(self.advance)
-        return np.diff(np.append(adv, adv[0])) / self._steps()
+        """diff(advance) / diff(theta), cyclically: the quotients minus 1."""
+        return (np.diff(np.append(self.advance, self.advance[0]))
+                / np.diff(np.append(self.theta, self.theta[0] + 2.0 * math.pi)))
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,8 @@ def find_far_radius(g: RadialDeficit, n: int, eps: float = EPS,
     The flat-limit scan certifies P_g >= N V_g for the radial average; the
     exact-kernel margin at the found offset uses slack eps.  If the exact
     margin is negative (possible very close to R_min when the flat-limit
-    slack is thin) the scan continues from the next grid point.
+    slack is thin) the scan continues from the next grid point, so the
+    certified offset is always a point of the recorded scan.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")

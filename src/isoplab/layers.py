@@ -277,7 +277,8 @@ def layer_integral(fn, weight=None, breakpoints=()):
     and fn may return several rows (kernels), integrated on the same rules
     and all refined while any row's rules differ.  Returns (value, |full -
     half| + ULP * nodes * sum |terms|, evaluations): floats for one row,
-    lists of floats for several, and the count of nodes of every rule.
+    lists of floats for several, and the count of nodes of every rule.  A
+    row whose rules are not finite raises, naming the breakpoint nearest +-1.
     """
     cuts = sorted({math.asin(b) for b in breakpoints if -1.0 < b < 1.0})
     edges = np.array([-math.pi / 2, *cuts, math.pi / 2])
@@ -293,6 +294,13 @@ def layer_integral(fn, weight=None, breakpoints=()):
         count += full.shape[-1] + half.shape[-1]
         value, scale = np.add.reduce(full, axis=-1), np.add.reduce(np.abs(full), axis=-1)
         diff = np.abs(value - np.add.reduce(half, axis=-1))
+        bad = np.flatnonzero(~np.isfinite(diff))
+        if bad.size:
+            near = max((b for b in breakpoints if -1.0 < b < 1.0), key=abs, default=None)
+            raise RuntimeError(
+                f"layer integral not finite in row(s) {bad.tolist()}; the breakpoint "
+                f"nearest +-1 is t = {near!r} (a panel within ~1e-13 of +-1 puts a "
+                "node t = sin(u) on +-1, where the N = 2 area kernel is infinite)")
         if np.all(diff <= VOLUME_RTOL * scale) or rounds == REFINE_ROUNDS:
             return (value.tolist(), (diff + ULP * full.shape[-1] * scale).tolist(),
                     count)

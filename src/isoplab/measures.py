@@ -466,17 +466,11 @@ def set_patches(E: CompetitorSet, nodes: int = SPHERE_NODES,
     """The patches of E in its own frame (``set_frame``)."""
     F, n, R = set_frame(E), E.dim, E.offset
     if isinstance(E, CylinderExtended):
-        return cylinder_patches(n, R, E.delta, F, nodes, radial_nodes)
+        return CylinderFamily(n, R, F, nodes, radial_nodes)(E.delta)
     if isinstance(E, RotationSwept):
         return swept_patches(n, R, E.delta, F, 0.0, nodes, radial_nodes)
     sphere, ball = _caps(n, 1.0, R * F[:, 0], F[:, 0], _WHOLE, nodes, radial_nodes)
     return SetPatches({"sphere": sphere}, {"ball": ball}, (), 0.0)
-
-
-def cylinder_patches(n: int, R: float, delta: float, frame: np.ndarray,
-                     nodes: int, radial_nodes: int) -> SetPatches:
-    """The cylinder-extended set of height delta along ``frame[:, 0]``."""
-    return CylinderFamily(n, R, frame, nodes, radial_nodes)(delta)
 
 
 class CylinderFamily:

@@ -17,8 +17,8 @@ interval and stay strictly positive inside.  Two kinds are supported:
   times its deficit volume.
 
 The search is a certified grid scan: every evaluated (R, corr) pair is
-recorded, the first qualifying translate is returned, and a sign change
-between grid neighbors is refined by bisection.
+recorded and the first grid point with corr >= 0 is returned; no crossing
+is sought, since the argument needs only some large qualifying translate.
 """
 
 from __future__ import annotations
@@ -170,10 +170,10 @@ def sliding_sign_search(k: SlidingKernel, g: RadialDeficit, R_min: float,
     """Scan translates R in [R_min, R_max], ``SCAN_STEP`` apart, for a
     nonnegative correlation.
 
-    Returns the first grid point with corr >= 0; when the previous grid value
-    was negative the crossing is sharpened by 40 bisections and the refined
-    translate is returned instead.  A profile that vanishes identically on
-    (R_min - 1, R_max + 1) short-circuits to the degenerate outcome.  If no
+    Returns the first grid point with corr >= 0, the last of the scan,
+    strict when corr exceeds that point's own layer-rule error estimate; no
+    crossing between grid points is sought.  A profile vanishing identically
+    on (R_min - 1, R_max + 1) short-circuits to the degenerate outcome.  If no
     grid point qualifies the full scan is returned with found = False, which
     flags an inadmissible kernel, a non-vanishing deficit, or R_max too small.
     """
@@ -186,24 +186,11 @@ def sliding_sign_search(k: SlidingKernel, g: RadialDeficit, R_min: float,
                                  True, False)
     grid = np.arange(R_min, R_max + 0.5 * SCAN_STEP, SCAN_STEP)
     scan: list[tuple[float, float]] = []
-    prev: tuple[float, float] | None = None
     for R in grid:
         c, err = correlation(k, g, float(R))
         scan.append((float(R), c))
         if c >= 0.0:
-            R_found, c_found, err_found = float(R), c, err
-            if prev is not None and prev[1] < 0.0:
-                lo, hi = prev[0], float(R)
-                for _ in range(40):
-                    mid = 0.5 * (lo + hi)
-                    cm, em = correlation(k, g, mid)
-                    if cm >= 0.0:
-                        hi, R_found, c_found, err_found = mid, mid, cm, em
-                    else:
-                        lo = mid
-            return SignSearchOutcome(True, R_found, c_found, tuple(scan),
-                                     False, c_found > err_found)
-        prev = (float(R), c)
+            return SignSearchOutcome(True, float(R), c, tuple(scan), False, c > err)
     return SignSearchOutcome(False, float("nan"), float("nan"), tuple(scan),
                              False, False)
 

@@ -32,10 +32,9 @@ from isoplab.defaults import (CIRCLE_GRID, PSI_START, RADIAL_NODES,
                               SPHERE_NODES, VOLUME_RTOL)
 from isoplab.density import deficit_weight
 from isoplab.measures import (CylinderFamily, GaussPass, ball_cap_patch,
-                              cylinder_patches, integrate_patches,
-                              set_patches, sized_pass, sphere_cap_patch,
-                              swept_band_patch, swept_patches,
-                              swept_wedge_patch)
+                              integrate_patches, set_patches, sized_pass,
+                              sphere_cap_patch, swept_band_patch,
+                              swept_patches, swept_wedge_patch)
 from isoplab.quadrature import frame_from_axis, sphere_grid, unit_sphere_area
 from isoplab.spectral import ULP, SweepSpectrum, subsphere_means
 
@@ -293,7 +292,7 @@ def test_volume_match_cylinder_scalar_root_oracle():
     g = deficit_weight(d)
 
     def gap(delta):
-        return cylinder_patches(2, R, delta, np.eye(2), 96, 96).volume_gap(g)
+        return CylinderFamily(2, R, np.eye(2), 96, 96)(delta).volume_gap(g)
     # |B|_g: at height zero the gap is minus the two half-balls' g-volumes
     G = -gap(0.0)
     assert G > 1e-4
@@ -742,7 +741,7 @@ def test_cylinder_pieces_equal_the_patch_description(n, tilted):
     deltas = [0.0, 1e-22, 1e-4, 0.3]
     expected = {}
     for delta in deltas:
-        patches = cylinder_patches(n, R, delta, frame, nodes, radial_nodes)
+        patches = CylinderFamily(n, R, frame, nodes, radial_nodes)(delta)
         expected[delta] = (patches.volume_gap(g), patches.perimeter_margin(g))
     families = {}
 
@@ -821,10 +820,10 @@ def test_cylinder_checks_integrate_each_near_hemisphere_once(monkeypatch, exp3,
     assert radii["sphere_cap_patch"].count(k) == 1
     assert radii["ball_cap_patch"].count(k) == 1
     g, frame = deficit_weight(exp3), frame_from_axis(np.eye(n)[0])
-    patches = cylinder_patches(n, R, delta, frame, *rule)
+    patches = CylinderFamily(n, R, frame, *rule)(delta)
     assert ext.volume_gap == patches.volume_gap(g)
     assert ext.perimeter_margin == patches.perimeter_margin(g)
-    near = [integrate_patches(g, [cylinder_patches(n, R, x, frame, *rule)
+    near = [integrate_patches(g, [CylinderFamily(n, R, frame, *rule)(x)
                                   .surface["near"]]) for x in (0.0, delta)]
     s1 = -math.expm1((n - 1) * math.log1p(-delta / R))
     assert (ext.checks["shifted_boundary_decrease"]
@@ -1027,7 +1026,7 @@ def test_sized_certificates_cover_the_oracle(family, n, R_min):
     ext = cylinder_extension(cert.farball, d, eps=0.05)
     rule = ext.checks["pass_rule"]
     # the cylinder's rule is sized on its base ball at the far ball's |B|_g
-    quad = sized_pass(partial(cylinder_patches, n, R, 0.0, np.eye(n)), g,
+    quad = sized_pass(lambda *rule: CylinderFamily(n, R, np.eye(n), *rule)(0.0), g,
                       SPHERE_NODES, RADIAL_NODES, cert.farball.V_g.value)
     assert list(quad.rule) == rule
     ball_p, ball, band, wedge, cylinder_margin = _oracle(family, n, R, ext.E.delta)
@@ -2105,7 +2104,7 @@ def test_cylinder_bound_counts_the_shrunk_half_ball(far_at, cfg, rel):
     ext = cylinder_extension(cert, d, eps)
     assert ext.match.bound_ok
     # |B|_g as the match takes it: the base ball on the settled rule
-    ball_g = -cylinder_patches(n, R, 0.0, np.eye(n), *ext.checks["pass_rule"]
-                               ).volume_gap(deficit_weight(d))
+    ball_g = -CylinderFamily(n, R, np.eye(n), *ext.checks["pass_rule"]
+                             )(0.0).volume_gap(deficit_weight(d))
     slope = unit_ball_volume(n - 1) - n * unit_ball_volume(n) / (2.0 * R)
     assert ball_g / ext.match.delta_bar == pytest.approx(slope, rel=rel)

@@ -15,7 +15,7 @@ from isoplab import (Density, RadialDeficit, ball_deficit_measures,
                      deficit_profile, density_from_config, directional_margins,
                      find_far_radius, select_direction, select_working_circle,
                      unit_ball_volume, weighted_ball_measures)
-from isoplab.defaults import PSI_START, RADIAL_NODES
+from isoplab.defaults import PSI_START, RADIAL_NODES, SCAN_STEP
 from isoplab.density import deficit_weight
 from isoplab.layers import exact_kernels
 from isoplab.quadrature import frame_from_axis, sphere_grid
@@ -98,6 +98,33 @@ def test_find_far_radius_rescans_past_a_negative_margin(monkeypatch, exp3):
     assert offsets[0] == 10.0
     assert cert.R > 10.0
     assert cert.margin >= 0.0
+
+
+def _indicator(n, lo, hi):
+    def bump(r):
+        r = np.asarray(r, dtype=float)
+        return ((r >= lo) & (r <= hi)).astype(float)
+    return RadialDeficit(dim=n, profile=bump, support_hint=hi, breakpoints=(lo, hi))
+
+
+@pytest.mark.parametrize("n, support, R_min, restarts", [
+    (3, (5.0, 6.0), 5.6, 0), (3, (5.0, 6.0), 5.505, 1),
+    (4, (5.0, 6.0), 5.51, 1), (4, (7.0, 9.0), 8.502, 1)],
+    ids=["N3-5to6-5.6", "N3-5to6-5.505", "N4-5to6-5.51", "N4-7to9-8.502"])
+def test_far_radius_certifies_a_point_of_its_scan(n, support, R_min, restarts):
+    # the certified offset lies on R_min's grid and is the first recorded
+    # scan point with a nonnegative correlation and a nonnegative exact
+    # margin; where the exact kernels disagree the scan moves on one step
+    g, eps = _indicator(n, *support), 0.05
+    cert = find_far_radius(g, n, eps, R_min, 12.0)
+    steps = (cert.R - R_min) / SCAN_STEP
+    assert abs(steps - round(steps)) * SCAN_STEP <= 1e-12
+    qualifying = [R for R, c in cert.scan if c >= 0.0]
+    margins = [isoplab.farball._ball_certificate(g, n, R, eps).margin
+               for R in qualifying[:restarts + 1]]
+    assert all(m < 0.0 for m in margins[:restarts]) and margins[-1] >= 0.0
+    assert cert.R == qualifying[restarts] == cert.scan[-1][0]
+    assert cert.margin == margins[-1]
 
 
 def test_find_far_radius_reports_failure():
@@ -245,8 +272,8 @@ print(len(_axes_up_to_sign(5, 8)))
 
 
 def test_axes_up_to_sign_fit_where_one_table_does_not():
-    # (5, 8) has 8,192 axes: one float table per coordinate is 512 MB, the
-    # row blocks hold at most one row of 8,192 entries
+    # (5, 8) has 8,192 axes: one float table per coordinate is 512 MB, while
+    # the index map holds one antipode index per axis
     src = str(Path(isoplab.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from isoplab import (asymptotic_kernels, ball_deficit_measures, cap_area,
-                     cap_geometry, exact_kernels, kernel_deviation,
-                     layer_integral, sin_power_integral, unit_ball_volume,
-                     unit_sphere_area)
+                     cap_geometry, correlation, exact_kernels, excess_kernel,
+                     find_far_radius, kernel_deviation, layer_integral,
+                     sin_power_integral, unit_ball_volume, unit_sphere_area)
 from isoplab.density import RadialDeficit
 from isoplab.layers import ULP, moment_integrals, running_integral
 
@@ -327,3 +327,21 @@ def test_running_integral_closed_forms_at_unsorted_limits():
     assert np.allclose(root, ref, rtol=0.0, atol=1e-14)
     assert float(running_integral(lambda t: t * t, 1.0)) == pytest.approx(2.0 / 3.0,
                                                                           abs=1e-15)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_layer_integrals_are_refused():
+    # N = 2, a breakpoint within 3e-13 of t = 1: a node t = sin(u) of that
+    # narrow panel rounds onto 1, where the area kernel is infinite
+    g = RadialDeficit(dim=2, profile=lambda r: ((np.asarray(r) >= 5.0)
+                                                & (np.asarray(r) <= 6.0)).astype(float),
+                      support_hint=6.0, breakpoints=(5.0, 6.0))
+    message = r"not finite in row\(s\) \[0\]; the breakpoint nearest \+-1 is t = 0\.99999"
+    with pytest.raises(RuntimeError, match=message):
+        correlation(excess_kernel(2), g, 5.0000000000003)
+    with pytest.raises(RuntimeError, match=message):
+        ball_deficit_measures(g, 2, 5.0000000000003)
+    with pytest.raises(RuntimeError, match=message):
+        find_far_radius(g, 2, 0.05, 4.0000000000003, 9.0)
+    with pytest.raises(RuntimeError, match=r"row\(s\) \[1\]; .* t = None"):
+        layer_integral(lambda t: np.stack([t, np.full_like(t, np.nan)]))
