@@ -449,8 +449,7 @@ def rotation_extension(cert: FarBallCertificate, d: Density,
     n, R, P, V = d.dim, cert.R, cert.P_g, cert.V_g
     theta = np.array(cert.theta) if cert.theta is not None else np.eye(n)[0]
     g = deficit_profile(d)
-    (band, e_band, n_band), (wedge, e_wedge, n_wedge) = moment_integrals(
-        g.profile, n, R, g.breakpoints)
+    (band, e_band, n_band), (wedge, e_wedge, n_wedge) = moment_integrals(g, n, R)
     omega1 = unit_ball_volume(n - 1)
     length = R * omega1                 # the wedge's volume per unit angle
     slope = length - wedge              # of the gap in delta

@@ -7,7 +7,9 @@ EPS                 0.01       slack epsilon in far-ball and competitor searches
 LAYER_NODES         24         Gauss nodes per panel of the 1-D layer integrals
 MC_SAMPLES          1_000_000  Monte-Carlo sample budget per measure
 SPHERE_NODES        64         Gauss nodes per angle on sphere grids; ceiling
-                               of the certified sets' sized rules
+                               of the certified sets' sized rules; the
+                               deficit profile's sphere rule starts at
+                               SPHERE_NODES / GRID_REFINE
 RADIAL_NODES        64         Gauss nodes along radial directions; ceiling
                                of the certified sets' sized rules
 SCAN_STEP           0.25       sliding-search grid step in the offset R
@@ -21,7 +23,9 @@ DEGENERACY_TOL      0.0        deficits sampled exactly zero count as vanished
 BALL_CHUNK_POINTS   65_536     largest weight call; the unit of the Monte
                                Carlo draws and the spectrum's mode sums,
                                whose results depend on it, and of the
-                               Gauss-pass blocks, whose results do not
+                               Gauss-pass blocks, whose results do not;
+                               the largest deficit-profile sphere rule
+                               past SPHERE_NODES
 BLOCK_POINTS        8_192      points per weight call wherever the values do
                                not depend on the block: spherical means, the
                                descent's sums, angle scans, the tail test
@@ -42,6 +46,20 @@ their Gauss rule is sized by their own deficit budget
 (``measures.sized_pass``).  The rules 16, 32, ... below the ceiling are
 tried in turn, and the first whose deficit estimates over the boundary and
 the interior are both within VOLUME_RTOL x |B|_g is kept, else the ceiling.
+
+The deficit profile of a non-radial weight (``density.deficit_profile``)
+and ``radial_average`` are means on one sized sphere rule,
+``sphere_grid(N, p, p)``.  Each call starts at p = SPHERE_NODES /
+GRID_REFINE nodes per angle and accepts the rule when its half rule (p / 2
+nodes per angle) and the rule of p + 1 nodes per angle, no sub-rule of it,
+both agree with it at every radius to VOLUME_RTOL times the mean plus the
+rounding floor.  Otherwise p is multiplied by GRID_REFINE, at most
+REFINE_ROUNDS times, and past SPHERE_NODES only while the rule has at most
+BALL_CHUNK_POINTS points: 16, 64 and 256 nodes per angle at N = 2 and 3,
+16 and 64 at N >= 4.  A disagreement at the ceiling raises.  The checks'
+differences plus the floor are the profile's error, which the layer
+integrals carry into the far ball's P_g and V_g, its margin and the sign
+search's correlations.
 
 Every scan over the angles of a working circle (balls, half-balls,
 hemispheres, wedges, volume gaps, and the far-ball direction's margins)

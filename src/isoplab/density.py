@@ -14,11 +14,14 @@ semicontinuity) are documented assumptions, not checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .defaults import BLOCK_POINTS, SPHERE_NODES
+from .defaults import (BALL_CHUNK_POINTS, BLOCK_POINTS, GRID_REFINE, REFINE_ROUNDS,
+                       SPHERE_NODES, VOLUME_RTOL)
+from .layers import ULP
 from .quadrature import (norms, pairwise_leaves, pairwise_total, sphere_grid,
                          unit_ball_volume)
 
@@ -88,8 +91,12 @@ class RadialDeficit:
 
     ``support_hint`` marks a radius beyond which the profile vanishes
     identically (when known); ``breakpoints`` lists radii where the profile
-    is not smooth, so quadratures can split there; ``sphere_points`` is the
-    number of weight evaluations per radius (1 for a radial weight).
+    is not smooth, so quadratures can split there.  ``sphere_points`` is the
+    number of deficit evaluations per radius of a profile call that settles
+    on its first sphere rule, the rule and its two checks
+    (``deficit_profile``).  It is 1 for a profile known pointwise, such as a
+    radial weight's; a profile with more is a sphere rule's mean, and
+    profile(r, estimate=True) returns its (means, error estimates).
     """
 
     dim: int
@@ -115,65 +122,143 @@ def eval_weight(d: Density, x) -> np.ndarray | float:
     return v if v.ndim else float(v)
 
 
-def _spherical_mean(fn, n: int, r, grid):
-    """Mean of ``fn`` over the sphere of radius r (scalar or array r), on a
-    (directions, weights) ``grid``, or on the first axis if ``grid`` is None.
-    ``fn`` sees blocks of radii of at most ``BLOCK_POINTS`` points, or one
-    radius on each of the ``pairwise_leaves`` of a larger grid: a radius's
-    mean is the float of one ``np.add.reduce`` over its grid."""
-    r = np.asarray(r, dtype=float)
-    rr = np.atleast_1d(r)
-    if grid is None:
-        pts = np.zeros((rr.size, n))
-        pts[:, 0] = rr
-        out = np.asarray(fn(pts), dtype=float)
-    else:
-        dirs, w = grid
-        leaves = pairwise_leaves(0, len(w), BLOCK_POINTS)
+def _spherical_mean(fn, n: int, r: np.ndarray, grids):
+    """Means of fn and of |fn| over the spheres of radii r (a 1-D array) on
+    each (directions, weights) grid of ``grids``, shape (grids, 2, radii).
+
+    The grids share the calls of ``fn``: each call takes a block of radii
+    times a run of consecutive leaves of the grids' pairwise summation
+    trees (``pairwise_leaves``), at most ``BLOCK_POINTS`` points, or one
+    radius on one leaf of a larger grid.  A radius's mean on a grid is the
+    float of one ``np.add.reduce`` over the grid."""
+    runs, size = [[]], 0
+    for g, (_, w) in enumerate(grids):
+        for a, b in pairwise_leaves(0, len(w), BLOCK_POINTS):
+            if runs[-1] and size + b - a > BLOCK_POINTS:
+                runs.append([])
+                size = 0
+            runs[-1].append((g, a, b))
+            size += b - a
+    sums = []
+    for run in runs:
+        dirs, w = (np.concatenate([grids[g][k][a:b] for g, a, b in run]) for k in (0, 1))
         step = max(1, BLOCK_POINTS // len(w))
-        out = np.empty(rr.size)
-        for i in range(0, rr.size, step):
-            block = rr[i:i + step, None, None]
-            sums = (np.add.reduce(np.asarray(fn((block * dirs[a:b]).reshape(-1, n)),
-                                             dtype=float).reshape(len(block), -1)
-                                  * w[a:b], axis=1) for a, b in leaves)
-            out[i:i + step] = pairwise_total(len(w), BLOCK_POINTS, sums)
-        out /= w.sum()
-    return float(out[0]) if r.ndim == 0 else out
+        out = np.empty((len(run), 2, r.size))
+        for i in range(0, r.size, step):
+            block = r[i:i + step, None, None]
+            terms = np.asarray(fn((block * dirs).reshape(-1, n)),
+                               dtype=float).reshape(len(block), -1) * w
+            terms, offset = np.stack([terms, np.abs(terms)]), 0
+            for j, (g, a, b) in enumerate(run):
+                out[j, :, i:i + step] = np.add.reduce(terms[..., offset:offset + b - a],
+                                                      axis=2)
+                offset += b - a
+        sums.extend(out)
+    leaf_sums = iter(sums)
+    return np.stack([pairwise_total(len(w), BLOCK_POINTS, leaf_sums) / w.sum()
+                     for _, w in grids])
 
 
-def radial_average(d: Density, r, node_count: int = SPHERE_NODES):
+def _sized_mean(fn, n: int, r, grids: dict):
+    """(means, error estimates) of fn over the spheres of radii r (scalar or
+    array) on the sized sphere rule: floats for a scalar r.
+
+    The rule ``sphere_grid(n, p, p)`` starts at p = SPHERE_NODES /
+    GRID_REFINE nodes per angle and is accepted when two checks agree with
+    it at every radius to ``VOLUME_RTOL`` times the mean plus the rounding
+    floor (ULP times (n - 1) p times the mean of |fn|): its half rule, p / 2
+    nodes per angle, and the rule of p + 1 nodes per angle, which is no
+    sub-rule of it and so sees the modes it folds onto 0.  Otherwise p is
+    multiplied by ``GRID_REFINE``, at most ``REFINE_ROUNDS`` times, and past
+    SPHERE_NODES only while the rule has at most ``BALL_CHUNK_POINTS``
+    points; a disagreement at the ceiling raises an error that names the
+    check, the radius and the rule.  The estimate is both checks'
+    differences plus the floor.  The three rules share the calls of fn
+    (``_spherical_mean``).  ``grids`` holds the rules built so far, by node
+    count; a rule is built when its rung is first reached.
+    """
+    rr = np.atleast_1d(np.asarray(r, dtype=float))
+    p = SPHERE_NODES // GRID_REFINE
+    ceiling = max(q for q in (p * GRID_REFINE ** i for i in range(REFINE_ROUNDS + 1))
+                  if q <= SPHERE_NODES or q ** (n - 1) <= BALL_CHUNK_POINTS)
+
+    def grid(nodes):
+        if nodes not in grids:
+            grids[nodes] = sphere_grid(n, nodes, nodes)
+        return grids[nodes]
+
+    while True:
+        (means, size), (half, _), (other, _) = _spherical_mean(
+            fn, n, rr, [grid(p), grid(p // 2), grid(p + 1)])
+        floor = ULP * (n - 1) * p * size
+        checks = np.stack([half, other])
+        gaps = np.abs(checks - means)
+        excess = gaps - (VOLUME_RTOL * np.abs(means) + floor)
+        if np.all(excess <= 0.0):
+            break
+        if p == ceiling:
+            which, worst = np.unravel_index(int(np.argmax(excess)), excess.shape)
+            raise RuntimeError(
+                f"sphere rule of {p} nodes per angle does not resolve the mean: at "
+                f"r = {rr[worst]:.6g} its mean {means[worst]:.6e} and the "
+                f"{(p // 2, p + 1)[which]}-node {('half', 'coprime')[which]} "
+                f"rule's {checks[which, worst]:.6e} differ by more than "
+                f"VOLUME_RTOL, and {p} nodes per angle is the ceiling of "
+                f"sphere_grid({n}, p, p)")
+        p *= GRID_REFINE
+    errors = np.add.reduce(gaps) + floor
+    if np.ndim(r) == 0:
+        return float(means[0]), float(errors[0])
+    return means, errors
+
+
+def _on_axis(fn, n: int, r):
+    """fn at the points r e1 (scalar or array r): a radial function's mean
+    over the sphere of radius r, a float for a scalar r."""
+    rr = np.atleast_1d(np.asarray(r, dtype=float))
+    pts = np.zeros((rr.size, n))
+    pts[:, 0] = rr
+    out = np.asarray(fn(pts), dtype=float)
+    return float(out[0]) if np.ndim(r) == 0 else out
+
+
+def radial_average(d: Density, r):
     """Mean of the weight over the sphere of radius r (scalar or array r).
 
     Radial densities short-circuit to a single on-axis evaluation.  Otherwise
-    the mean is taken over a product Gauss grid with ``node_count`` nodes per
-    angle, which integrates the shipped trigonometric modulations exactly.
+    the mean is taken on the deficit profile's sized sphere rule
+    (``_sized_mean``), which refuses a weight it does not resolve.
     """
-    if node_count < 16:
-        raise ValueError("node_count must be at least 16")
     if np.any(np.asarray(r, dtype=float) < 0):
         raise ValueError("radius must be nonnegative")
-    grid = None if d.radial else sphere_grid(d.dim, node_count, node_count)
-    return _spherical_mean(lambda x: eval_weight(d, x), d.dim, r, grid)
+    fn = partial(eval_weight, d)
+    return _on_axis(fn, d.dim, r) if d.radial else _sized_mean(fn, d.dim, r, {})[0]
 
 
-def deficit_profile(d: Density, node_count: int = SPHERE_NODES) -> RadialDeficit:
+def deficit_profile(d: Density) -> RadialDeficit:
     """Deficit of the radial average below the limit: r -> a - mean f.
 
     Evaluated as the spherical mean of the pointwise deficit, which is the
     same number but stays accurate when the deficit is far below the weight's
-    rounding floor.  A non-radial profile builds its sphere grid once, here,
-    and reuses it on every call, in blocks of ``BLOCK_POINTS`` points
-    whatever the number of radii (``_spherical_mean``).
+    rounding floor.  A radial profile is the deficit on the first axis.  A
+    non-radial one is the mean on the sized sphere rule (``_sized_mean``),
+    from SPHERE_NODES / GRID_REFINE nodes per angle, checked at every call
+    and refused where its ceiling does not resolve the mean; profile(r,
+    estimate=True) returns (means, error estimates).  The rules are built
+    once per profile, when a call first reaches them.
     """
-    g = deficit_weight(d)
-    grid = None if d.radial else sphere_grid(d.dim, node_count, node_count)
+    g, n = deficit_weight(d), d.dim
+    if d.radial:
+        return RadialDeficit(dim=n, profile=partial(_on_axis, g, n))
+    grids: dict = {}
 
-    def profile(r):
-        return _spherical_mean(g, d.dim, r, grid)
+    def profile(r, estimate=False):
+        means, errors = _sized_mean(g, n, r, grids)
+        return (means, errors) if estimate else means
 
-    return RadialDeficit(dim=d.dim, profile=profile,
-                         sphere_points=1 if grid is None else len(grid[1]))
+    p = SPHERE_NODES // GRID_REFINE
+    return RadialDeficit(dim=n, profile=profile,
+                         sphere_points=sum(q ** (n - 1) for q in (p, p // 2, p + 1)))
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,9 @@ dimensions reduce to exact closed forms.  ``layer_integral`` integrates a
 kernel, or a stack of them, on Gauss rules in u = asin(t), with a
 node-halving error estimate, and ``running_integral`` integrates from -1 to
 many limits on the same rule.  ``profile_integrals`` integrates kernels
-against a radial profile at offset R on that rule, for the ball's deficit
-measures, the sliding correlation and the sweep moments (``moment_integrals``).
+against a radial profile at offset R on that rule, with the profile's own
+error when it is a sphere rule's mean, for the ball's deficit measures, the
+sliding correlation and the sweep moments (``moment_integrals``).
 """
 
 from __future__ import annotations
@@ -184,10 +185,11 @@ def exact_kernels(n: int, R: float) -> LayerKernelPair:
     return LayerKernelPair(n, "exact", float(R), area_kernel, volume_kernel)
 
 
-def moment_integrals(profile, n: int, R: float, breakpoints=()):
-    """The sweep moments (Band_g, W_g) of the offset ball for the radial
-    deficit ``profile`` (a function of |x|), each as ``layer_integral``'s
-    (value, estimate, evaluations), rows of one ``profile_integrals`` call.
+def moment_integrals(g, n: int, R: float):
+    """The sweep moments (Band_g, W_g) of the offset ball for a radial
+    weight's deficit profile ``g`` (a ``RadialDeficit``), each as
+    ``layer_integral``'s (value, estimate, evaluations), rows of one
+    ``profile_integrals`` call.
 
     A rotation about a 2-plane through the origin and the centre direction
     c turns the ball's meridian section, the unit (n-1)-disk about R c, and
@@ -210,23 +212,28 @@ def moment_integrals(profile, n: int, R: float, breakpoints=()):
 
     if n == 2:
         ends = np.array([R + 1.0, R - 1.0])
-        terms = np.asarray(profile(ends), dtype=float) * ends
+        terms = np.asarray(g.profile(ends), dtype=float) * ends
         return ((float(np.add.reduce(terms)),
                  2.0 * ULP * float(np.add.reduce(np.abs(terms))), 2),
-                profile_integrals(wedge, profile, R, breakpoints))
+                profile_integrals(wedge, g, R))
     area = exact_kernels(n - 1, R).area_kernel
     values, estimates, count = profile_integrals(
         lambda t: np.stack([(R + t - (1.0 - t * t) / (2.0 * R)) * area(t), wedge(t)]),
-        profile, R, breakpoints)
+        g, R)
     return tuple((v, e, count) for v, e in zip(values, estimates))
 
 
-def profile_integrals(fn, profile, R: float, breakpoints=()):
-    """``layer_integral`` of fn(t) profile(R + t), the rows of fn against
-    the radial ``profile`` (a function of |x|) on the layer of the ball at
-    offset R, its panels cut at the profile's breakpoints b, t = b - R."""
-    return layer_integral(fn, lambda t: profile(R + t),
-                          tuple(b - R for b in breakpoints))
+def profile_integrals(fn, g, R: float):
+    """``layer_integral`` of fn(t) g.profile(R + t), the rows of fn against
+    the radial profile of ``g`` (a ``RadialDeficit``) on the layer of the
+    ball at offset R, its panels cut at the profile's breakpoints b, t = b -
+    R.  A sphere rule's profile (``g.sphere_points`` > 1) is called as
+    profile(r, estimate=True), and its error estimate joins the integrals'
+    (``layer_integral``'s ``weight_errors``)."""
+    cuts = tuple(b - R for b in g.breakpoints)
+    if g.sphere_points > 1:
+        return layer_integral(fn, lambda t: g.profile(R + t, estimate=True), cuts, True)
+    return layer_integral(fn, lambda t: g.profile(R + t), cuts)
 
 
 @dataclass(frozen=True)
@@ -265,7 +272,7 @@ def kernel_deviation(n: int, R: float,
                            float(dev_v))
 
 
-def layer_integral(fn, weight=None, breakpoints=()):
+def layer_integral(fn, weight=None, breakpoints=(), weight_errors=False):
     """Integral of fn(t) * weight(t) over (-1, 1) on Gauss rules in u,
     t = sin(u), which makes endpoint factors (1 - t^2)^{+-1/2} smooth.
 
@@ -275,10 +282,14 @@ def layer_integral(fn, weight=None, breakpoints=()):
     sum |terms|, each panel is cut into ``GRID_REFINE``, at most
     ``REFINE_ROUNDS`` times.  fn and weight see a rule's nodes in one call,
     and fn may return several rows (kernels), integrated on the same rules
-    and all refined while any row's rules differ.  Returns (value, |full -
-    half| + ULP * nodes * sum |terms|, evaluations): floats for one row,
-    lists of floats for several, and the count of nodes of every rule.  A
-    row whose rules are not finite raises, naming the breakpoint nearest +-1.
+    and all refined while any row's rules differ.  With ``weight_errors``,
+    weight(t) returns (values, error estimates e(t)) of a weight known only
+    to within e, such as a sphere rule's mean (``deficit_profile``), and the
+    estimate gains the integral of |fn| e on the full rule.  Returns (value,
+    |full - half| + ULP * nodes * sum |terms| (+ that integral),
+    evaluations): floats for one row, lists of floats for several, and the
+    count of nodes of every rule.  A row whose rules are not finite raises,
+    naming the breakpoint nearest +-1.
     """
     cuts = sorted({math.asin(b) for b in breakpoints if -1.0 < b < 1.0})
     edges = np.array([-math.pi / 2, *cuts, math.pi / 2])
@@ -289,7 +300,14 @@ def layer_integral(fn, weight=None, breakpoints=()):
             u, w = (a.ravel() for a in gauss_nodes(edges[:-1, None], edges[1:, None],
                                                    nodes))
             t = np.sin(u)
-            rules.append(w * np.cos(u) * fn(t) * (1.0 if weight is None else weight(t)))
+            kernel = w * np.cos(u) * fn(t)
+            if not weight_errors:
+                rules.append(kernel * (1.0 if weight is None else weight(t)))
+                continue
+            values, errors = weight(t)
+            rules.append(kernel * values)
+            if nodes == LAYER_NODES:
+                spread = np.add.reduce(np.abs(kernel) * errors, axis=-1)
         full, half = rules
         count += full.shape[-1] + half.shape[-1]
         value, scale = np.add.reduce(full, axis=-1), np.add.reduce(np.abs(full), axis=-1)
@@ -302,8 +320,10 @@ def layer_integral(fn, weight=None, breakpoints=()):
                 f"nearest +-1 is t = {near!r} (a panel within ~1e-13 of +-1 puts a "
                 "node t = sin(u) on +-1, where the N = 2 area kernel is infinite)")
         if np.all(diff <= VOLUME_RTOL * scale) or rounds == REFINE_ROUNDS:
-            return (value.tolist(), (diff + ULP * full.shape[-1] * scale).tolist(),
-                    count)
+            estimate = diff + ULP * full.shape[-1] * scale
+            if weight_errors:
+                estimate += spread
+            return value.tolist(), estimate.tolist(), count
         width = np.diff(edges)[:, None] * (np.arange(GRID_REFINE) / GRID_REFINE)
         edges = np.append((edges[:-1, None] + width).ravel(), edges[-1])
 

@@ -769,6 +769,7 @@ def ball_deficit_measures(g: RadialDeficit, n: int, R: float,
 
     P = integral area_kernel(t) g(R + t) dt and likewise for the volume, the
     two rows of one ``profile_integrals`` call: one profile call per rule.
+    A sphere rule's profile carries its error into both estimates.
     """
     if not R > 1:
         raise ValueError("offset must exceed 1")
@@ -780,7 +781,7 @@ def ball_deficit_measures(g: RadialDeficit, n: int, R: float,
         raise ValueError("exact kernels built for a different offset")
     values, estimates, count = profile_integrals(
         lambda t: np.stack([kernels.area_kernel(t), kernels.volume_kernel(t)]),
-        g.profile, R, g.breakpoints)
+        g, R)
     return tuple(MeasureResult(v, "quadrature", e, count)
                  for v, e in zip(values, estimates))
 

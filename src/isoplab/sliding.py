@@ -138,8 +138,9 @@ def check_admissibility(k: SlidingKernel,
 
 def correlation(k: SlidingKernel, g: RadialDeficit, R: float) -> tuple[float, float]:
     """corr(R) = integral of kernel(t) g(R + t) over (-1, 1), and its error
-    estimate, by ``layers.profile_integrals``."""
-    return profile_integrals(k.values, g.profile, R, g.breakpoints)[:2]
+    estimate, by ``layers.profile_integrals``: a sphere rule's profile
+    carries its error into it."""
+    return profile_integrals(k.values, g, R)[:2]
 
 
 @dataclass(frozen=True)
@@ -155,8 +156,9 @@ class SignSearchOutcome:
 def _tail_is_zero(g: RadialDeficit, lo: float, hi: float) -> bool:
     """Whether the profile is within ``DEGENERACY_TOL`` of zero at 512 radii of
     [lo, hi], or [lo, hi] lies beyond its support.  The radii go to the
-    profile in chunks of at most ``BLOCK_POINTS`` weight evaluations, and
-    the first chunk with a nonzero value answers."""
+    profile in chunks of at most ``BLOCK_POINTS`` deficit evaluations on a
+    profile that settles on its first sphere rule (``g.sphere_points`` per
+    radius), and the first chunk with a nonzero value answers."""
     if g.support_hint is not None and lo >= g.support_hint:
         return True
     r = np.linspace(max(lo, 0.0), hi, 512)
@@ -224,6 +226,6 @@ def averaging_identity_residual(k: SlidingKernel, g: RadialDeficit,
     A = (k.primitive if k.kind == "derivative" and k.primitive is not None
          else partial(running_integral, k.values))
     total = layer_integral(k.values)[0]
-    rhs = (profile_integrals(A, g.profile, R1, g.breakpoints)[0] + profile_integrals(
-        lambda t: total - A(t), g.profile, R2, g.breakpoints)[0])
+    rhs = (profile_integrals(A, g, R1)[0]
+           + profile_integrals(lambda t: total - A(t), g, R2)[0])
     return lhs, rhs, abs(lhs - rhs)

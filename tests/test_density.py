@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from isoplab import (ConfigError, Density, SampleSpec, deficit_profile,
 import isoplab.density
 from isoplab.defaults import BLOCK_POINTS
 from isoplab.density import deficit_weight
+from isoplab.quadrature import sphere_grid
 
 
 def test_eval_weight_constant(const2):
@@ -53,9 +55,69 @@ def test_radial_average_constant_any_radius(const2):
         assert radial_average(const2, r) == pytest.approx(1.0, abs=1e-15)
 
 
-def test_radial_average_node_floor(exp2):
-    with pytest.raises(ValueError):
-        radial_average(exp2, 1.0, node_count=8)
+@pytest.mark.parametrize("n, k, ceiling", [(2, 128, 256), (4, 32, 64)])
+def test_sphere_rule_refuses_at_its_ceiling(n, k, ceiling):
+    # cos(k theta) folds onto mode 0 on the ceiling rule's half rule (N=2:
+    # 128 on the 128-node circle), or is not resolved by it (N=4, whose
+    # ceiling stays at 64 nodes per angle: 256^3 points exceed
+    # BALL_CHUNK_POINTS); the weight's mean and the deficit's are refused
+    # alike, naming the check, the radius and the rule
+    d = _angular(n, k)
+    for mean in (partial(radial_average, d), deficit_profile(d).profile):
+        with pytest.raises(RuntimeError) as err:
+            mean(10.0)
+        message = str(err.value)
+        assert f"sphere rule of {ceiling} nodes per angle" in message
+        assert "at r = 10 " in message
+        assert f"the {ceiling // 2}-node half rule's" in message
+        assert f"{ceiling} nodes per angle is the ceiling of sphere_grid({n}" in message
+
+
+def _sphere_mean_of_t_k(n, k):
+    """The mean of T_k(cos theta) over S^{n-1}, n = 2 or 3: on S^2,
+    ((-1)^k + 1) / (2 (1 - k^2)), which is 0 for odd k."""
+    if n == 2:
+        return 1.0 if k == 0 else 0.0
+    return 0.0 if k % 2 else 1.0 / (1 - k * k)
+
+
+@pytest.mark.parametrize("n, k, refused", [
+    (2, 1, False), (2, 64, False), (2, 1056, False), (3, 1, False), (3, 64, False),
+    (3, 150, True), (3, 200, True)])
+def test_profile_lies_within_its_estimate_or_refuses(n, k, refused):
+    # angular_mod's exact profile is e^{-r} (1 + eta m_k), m_k the sphere
+    # mean of T_k(cos theta).  A fixed 64-node rule read N=2 k=64 50% high
+    # (mode 64 folds onto mode 0 on 64 points), N=3 k=150 1.5% high and
+    # k=200 7.9% low, with no estimate.  The sized rule either resolves the
+    # mode, and the error lies within its estimate, or refuses at its
+    # ceiling, naming its rule: N=3 k >= 150 is not resolved by 128 polar
+    # nodes, the half rule of the 256-node ceiling
+    g = deficit_profile(_angular(n, k))
+    r = np.array([10.0, 10.5])
+    if refused:
+        with pytest.raises(RuntimeError, match="sphere rule of 256 nodes per angle"):
+            g.profile(r, estimate=True)
+        return
+    means, errors = g.profile(r, estimate=True)
+    exact = np.exp(-r) * (1.0 + 0.5 * _sphere_mean_of_t_k(n, k))
+    assert np.all(np.abs(means - exact) <= errors)
+    assert np.all(errors <= 1e-12 * exact)
+    assert np.array_equal(g.profile(r), means)
+
+
+def test_first_sphere_rule_is_blind_to_modes_at_multiples_of_16_17():
+    # the first rule's blind band at N=2: a mode k = 0 mod 16 * 17 folds onto
+    # mode 0 on the 16-node circle, on its 8-node half rule and on the
+    # 17-node check alike, so the three agree on the aliased mean and the
+    # first rule is accepted 50% high with a rounding-level estimate (the
+    # psi rule's band is the same, k = 0 mod M (M + 1)).  k = 16 * 18 folds
+    # onto mode 0 on the first rule and its half rule too, but not on the
+    # 17-node check, so the rule is refined until it resolves the mode
+    exact = math.exp(-10.0)
+    means, errors = deficit_profile(_angular(2, 16 * 17)).profile(10.0, estimate=True)
+    assert means == pytest.approx(1.5 * exact, rel=1e-14) and errors < 1e-12 * exact
+    means, errors = deficit_profile(_angular(2, 16 * 18)).profile(10.0, estimate=True)
+    assert abs(means - exact) <= errors < 1e-12 * exact
 
 
 def test_deficit_profile_exp(exp2):
@@ -218,32 +280,41 @@ def test_deficit_matches_weight_where_resolvable(r, c):
     assert float(np.asarray(g(x))[0]) == pytest.approx(direct, abs=1e-12)
 
 
-def _angular(n):
+def _angular(n, k=1):
     return density_from_config({"family": "angular_mod", "dim": n, "a": 1.0,
-                                "params": {"eta": 0.5, "k": 1, "c": 1.0}})
+                                "params": {"eta": 0.5, "k": k, "c": 1.0}})
 
 
 @pytest.mark.parametrize("n, node_count, counts", [
     (2, 64, (1, 7, 65)), (3, 64, (1, 7, 65)), (4, 16, (1, 7, 65)), (4, 32, (1, 7))])
 def test_blocked_profile_equals_one_block(monkeypatch, n, node_count, counts):
-    # the radii go to the deficit in blocks of at most BLOCK_POINTS points,
-    # and a sphere grid larger than a block (N=4 at 32 nodes: 32,768
-    # directions) one radius at a time in the leaves of its pairwise tree:
-    # each radius's mean is the float of one sum over its whole grid
+    # a rung of the sized profile, sphere_grid(n, p, p) with its p / 2 and
+    # p + 1 checks (p = node_count), takes the radii in blocks of at most
+    # BLOCK_POINTS points, the three rules sharing the calls, and a rule
+    # larger than a block (N=4 at 32 nodes: 32,768 directions) one radius
+    # at a time in the leaves of its pairwise tree: each radius's mean, and
+    # its mean of |g|, is the float of one sum over its whole grid, as when
+    # the rule is averaged alone
     d, sizes = _angular(n), []
 
     def counted(x):
         sizes.append(len(x))
         return d.deficit(x)
-    radii = [3.5] + [np.linspace(0.5, 30.0, m) for m in counts]
-    profile = deficit_profile(dataclasses.replace(d, deficit=counted), node_count)
-    blocked = [profile.profile(r) for r in radii]
+    grids = [sphere_grid(n, q, q) for q in (node_count, node_count // 2, node_count + 1)]
+    radii = [np.array([3.5])] + [np.linspace(0.5, 30.0, m) for m in counts]
+    mean = isoplab.density._spherical_mean
+    blocked = [mean(counted, n, r, grids) for r in radii]
+    alone = [np.stack([mean(d.deficit, n, r, [grid])[0] for grid in grids])
+             for r in radii]
+    profile = deficit_profile(d).profile
+    first = profile(3.5)
     monkeypatch.setattr(isoplab.density, "BLOCK_POINTS", 2 ** 40)
-    whole = [deficit_profile(d, node_count).profile(r) for r in radii]
-    assert isinstance(blocked[0], float) and blocked[0] == whole[0]
-    for got, expected in zip(blocked[1:], whole[1:], strict=True):
-        assert got.shape == expected.shape and np.array_equal(got, expected)
+    whole = [mean(d.deficit, n, r, grids) for r in radii]
+    for r, got, single, expected in zip(radii, blocked, alone, whole, strict=True):
+        assert got.shape == expected.shape == (3, 2, r.size)
+        assert np.array_equal(got, expected) and np.array_equal(got, single)
     assert max(sizes) <= BLOCK_POINTS
+    assert isinstance(first, float) and first == profile(3.5)
 
 
 def test_profile_memory_does_not_grow_with_its_radii(traced_peak):

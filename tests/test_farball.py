@@ -428,3 +428,22 @@ def test_eps_validation(exp3):
     g = deficit_profile(exp3)
     with pytest.raises(ValueError):
         find_far_radius(g, 3, eps=1.5, R_min=5.0, R_max=10.0)
+
+
+def test_far_ball_of_an_aliasing_weight_lies_within_its_estimate():
+    # angular_mod N=2 with k = 64: a fixed 64-node profile read mode 64 as
+    # mode 0, and certified P_g = 5.296e-4 and a margin of 6.37e-5 with a
+    # P_g estimate of 1.1e-13 relative; the exact profile is e^{-r}, which a
+    # 256-node rule matches to 7e-16, and gives 3.530e-4 and 4.25e-5.  The
+    # sized profile settles on the 256-node rule, and P_g, V_g and the
+    # margin lie within their estimates of the exact profile's values
+    d = density_from_config({"family": "angular_mod", "dim": 2, "a": 1.0,
+                             "params": {"eta": 0.5, "k": 64, "c": 1.0}})
+    far = find_far_radius(deficit_profile(d), 2, 0.05, 10.0, 200.0)
+    exact = RadialDeficit(dim=2, profile=lambda r: np.exp(-np.asarray(r, dtype=float)))
+    P, V = ball_deficit_measures(exact, 2, far.R)
+    assert far.P_g.value == pytest.approx(3.530e-4, rel=1e-3)
+    for got, ref in ((far.P_g, P), (far.V_g, V)):
+        assert abs(got.value - ref.value) <= got.error_estimate
+    assert abs(far.margin - (P.value - 1.95 * V.value)) <= (
+        far.P_g.error_estimate + 1.95 * far.V_g.error_estimate)

@@ -295,7 +295,7 @@ def test_moment_integrals_of_weight_one(n, R):
     # (N-1) R omega_{N-1} on its boundary sphere, each within its estimate
     # on the layer rule (N = 2: Band is the two end points, (R+1) + (R-1))
     (band, band_error, band_n), (wedge, wedge_error, wedge_n) = moment_integrals(
-        np.ones_like, n, R)
+        RadialDeficit(dim=n, profile=np.ones_like), n, R)
     length = R * unit_ball_volume(n - 1)
     assert abs(wedge - length) <= wedge_error
     assert abs(band - (n - 1) * length) <= band_error
@@ -312,7 +312,7 @@ def test_moment_integrals_share_the_profile():
         def profile(r):
             calls.append(np.size(r))
             return np.exp(-np.asarray(r, dtype=float))
-        moment_integrals(profile, n, 10.0)
+        moment_integrals(RadialDeficit(dim=n, profile=profile), n, 10.0)
         assert calls == extra + [LAYER_NODES, LAYER_NODES // 2]
 
 
@@ -345,3 +345,27 @@ def test_non_finite_layer_integrals_are_refused():
         find_far_radius(g, 2, 0.05, 4.0000000000003, 9.0)
     with pytest.raises(RuntimeError, match=r"row\(s\) \[1\]; .* t = None"):
         layer_integral(lambda t: np.stack([t, np.full_like(t, np.nan)]))
+
+
+def test_a_sphere_rules_error_joins_the_estimates():
+    # a profile averaged on a sphere rule (sphere_points > 1) is called with
+    # estimate=True, and the integral of |kernel| e(r) joins the layer rule's
+    # estimate: with e = 1e-3 g and nonnegative kernels, P_g's and V_g's
+    # estimates gain 1e-3 times their values, and the correlation's gains
+    # 1e-3 times the integral of |kernel| g on its 24-node rule, within 1%
+    # of the refined integral (|kernel| has a kink); the values do not move
+    def sized(r, estimate=False):
+        g = np.exp(-np.asarray(r, dtype=float))
+        return (g, 1e-3 * g) if estimate else g
+    exact = RadialDeficit(dim=3, profile=lambda r: np.exp(-np.asarray(r, dtype=float)))
+    rule = RadialDeficit(dim=3, profile=sized, sphere_points=2)
+    for got, ref in zip(ball_deficit_measures(rule, 3, 10.0),
+                        ball_deficit_measures(exact, 3, 10.0), strict=True):
+        assert got.value == ref.value
+        assert got.error_estimate == pytest.approx(ref.error_estimate + 1e-3 * ref.value,
+                                                   rel=1e-12)
+    kernel = excess_kernel(3)
+    (c, e), (c_ref, e_ref) = (correlation(kernel, g, 10.0) for g in (rule, exact))
+    spread = layer_integral(lambda t: np.abs(kernel.values(t)),
+                            lambda t: 1e-3 * np.exp(-(10.0 + t)))[0]
+    assert c == c_ref and e - e_ref == pytest.approx(spread, rel=1e-2)
