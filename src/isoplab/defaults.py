@@ -51,9 +51,9 @@ The deficit profile of a non-radial weight (``density.deficit_profile``)
 and ``radial_average`` are means on one sized sphere rule,
 ``sphere_grid(N, p, p)``.  Each call starts at p = SPHERE_NODES /
 GRID_REFINE nodes per angle and accepts the rule when its half rule (p / 2
-nodes per angle) and the rule of p + 1 nodes per angle, no sub-rule of it,
-both agree with it at every radius to VOLUME_RTOL times the mean plus the
-rounding floor.  Otherwise p is multiplied by GRID_REFINE, at most
+nodes per angle) and the rules of p + 1 and p - 1 nodes per angle, no
+sub-rules of it, all agree with it at every radius to VOLUME_RTOL times
+the mean plus the rounding floor.  Otherwise p is multiplied by GRID_REFINE, at most
 REFINE_ROUNDS times, and past SPHERE_NODES only while the rule has at most
 BALL_CHUNK_POINTS points: 16, 64 and 256 nodes per angle at N = 2 and 3,
 16 and 64 at N >= 4.  A disagreement at the ceiling raises.  The checks'

@@ -93,7 +93,7 @@ class RadialDeficit:
     identically (when known); ``breakpoints`` lists radii where the profile
     is not smooth, so quadratures can split there.  ``sphere_points`` is the
     number of deficit evaluations per radius of a profile call that settles
-    on its first sphere rule, the rule and its two checks
+    on its first sphere rule, the rule and its three checks
     (``deficit_profile``).  It is 1 for a profile known pointwise, such as a
     radial weight's; a profile with more is a sphere rule's mean, and
     profile(r, estimate=True) returns its (means, error estimates).
@@ -104,6 +104,14 @@ class RadialDeficit:
     support_hint: float | None = None
     breakpoints: tuple[float, ...] = ()
     sphere_points: int = 1
+
+    def estimate(self, r):
+        """(values, error estimates) of the profile at r: a sphere rule's
+        means with its rule's error, or a pointwise profile's values with
+        error 0."""
+        if self.sphere_points > 1:
+            return self.profile(r, estimate=True)
+        return self.profile(r), 0.0
 
 
 def eval_weight(d: Density, x) -> np.ndarray | float:
@@ -164,18 +172,20 @@ def _sized_mean(fn, n: int, r, grids: dict):
     array) on the sized sphere rule: floats for a scalar r.
 
     The rule ``sphere_grid(n, p, p)`` starts at p = SPHERE_NODES /
-    GRID_REFINE nodes per angle and is accepted when two checks agree with
+    GRID_REFINE nodes per angle and is accepted when three checks agree with
     it at every radius to ``VOLUME_RTOL`` times the mean plus the rounding
     floor (ULP times (n - 1) p times the mean of |fn|): its half rule, p / 2
-    nodes per angle, and the rule of p + 1 nodes per angle, which is no
-    sub-rule of it and so sees the modes it folds onto 0.  Otherwise p is
-    multiplied by ``GRID_REFINE``, at most ``REFINE_ROUNDS`` times, and past
-    SPHERE_NODES only while the rule has at most ``BALL_CHUNK_POINTS``
-    points; a disagreement at the ceiling raises an error that names the
-    check, the radius and the rule.  The estimate is both checks'
-    differences plus the floor.  The three rules share the calls of fn
-    (``_spherical_mean``).  ``grids`` holds the rules built so far, by node
-    count; a rule is built when its rung is first reached.
+    nodes per angle, and the rules of p + 1 and p - 1 nodes per angle, no
+    sub-rules of it, which see the modes it folds onto 0.  The first rule
+    is still blind, at N = 2, to a mode k = 0 mod 15 * 16 * 17, which all
+    four rules fold onto 0.  Otherwise p is multiplied by ``GRID_REFINE``,
+    at most ``REFINE_ROUNDS`` times, and past SPHERE_NODES only while the
+    rule has at most ``BALL_CHUNK_POINTS`` points; a disagreement at the
+    ceiling raises an error that names the check, the radius and the rule.
+    The estimate is the checks' differences plus the floor.  The four rules
+    share the calls of fn (``_spherical_mean``).  ``grids`` holds the rules
+    built so far, by node count; a rule is built when its rung is first
+    reached.
     """
     rr = np.atleast_1d(np.asarray(r, dtype=float))
     p = SPHERE_NODES // GRID_REFINE
@@ -188,10 +198,10 @@ def _sized_mean(fn, n: int, r, grids: dict):
         return grids[nodes]
 
     while True:
-        (means, size), (half, _), (other, _) = _spherical_mean(
-            fn, n, rr, [grid(p), grid(p // 2), grid(p + 1)])
+        nodes = (p // 2, p + 1, p - 1)
+        rules = _spherical_mean(fn, n, rr, [grid(q) for q in (p, *nodes)])
+        (means, size), checks = rules[0], rules[1:, 0]
         floor = ULP * (n - 1) * p * size
-        checks = np.stack([half, other])
         gaps = np.abs(checks - means)
         excess = gaps - (VOLUME_RTOL * np.abs(means) + floor)
         if np.all(excess <= 0.0):
@@ -201,7 +211,7 @@ def _sized_mean(fn, n: int, r, grids: dict):
             raise RuntimeError(
                 f"sphere rule of {p} nodes per angle does not resolve the mean: at "
                 f"r = {rr[worst]:.6g} its mean {means[worst]:.6e} and the "
-                f"{(p // 2, p + 1)[which]}-node {('half', 'coprime')[which]} "
+                f"{nodes[which]}-node {('half', 'coprime', 'coprime')[which]} "
                 f"rule's {checks[which, worst]:.6e} differ by more than "
                 f"VOLUME_RTOL, and {p} nodes per angle is the ceiling of "
                 f"sphere_grid({n}, p, p)")
@@ -257,8 +267,9 @@ def deficit_profile(d: Density) -> RadialDeficit:
         return (means, errors) if estimate else means
 
     p = SPHERE_NODES // GRID_REFINE
+    rung = (p, p // 2, p + 1, p - 1)
     return RadialDeficit(dim=n, profile=profile,
-                         sphere_points=sum(q ** (n - 1) for q in (p, p // 2, p + 1)))
+                         sphere_points=sum(q ** (n - 1) for q in rung))
 
 
 @dataclass(frozen=True)

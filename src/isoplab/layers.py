@@ -227,13 +227,10 @@ def profile_integrals(fn, g, R: float):
     """``layer_integral`` of fn(t) g.profile(R + t), the rows of fn against
     the radial profile of ``g`` (a ``RadialDeficit``) on the layer of the
     ball at offset R, its panels cut at the profile's breakpoints b, t = b -
-    R.  A sphere rule's profile (``g.sphere_points`` > 1) is called as
-    profile(r, estimate=True), and its error estimate joins the integrals'
-    (``layer_integral``'s ``weight_errors``)."""
-    cuts = tuple(b - R for b in g.breakpoints)
-    if g.sphere_points > 1:
-        return layer_integral(fn, lambda t: g.profile(R + t, estimate=True), cuts, True)
-    return layer_integral(fn, lambda t: g.profile(R + t), cuts)
+    R.  The profile's error estimate (``g.estimate``), nonzero for a
+    sphere rule's mean, joins the integrals'."""
+    return layer_integral(fn, lambda t: g.estimate(R + t),
+                          tuple(b - R for b in g.breakpoints))
 
 
 @dataclass(frozen=True)
@@ -272,7 +269,7 @@ def kernel_deviation(n: int, R: float,
                            float(dev_v))
 
 
-def layer_integral(fn, weight=None, breakpoints=(), weight_errors=False):
+def layer_integral(fn, weight=None, breakpoints=()):
     """Integral of fn(t) * weight(t) over (-1, 1) on Gauss rules in u,
     t = sin(u), which makes endpoint factors (1 - t^2)^{+-1/2} smooth.
 
@@ -282,14 +279,14 @@ def layer_integral(fn, weight=None, breakpoints=(), weight_errors=False):
     sum |terms|, each panel is cut into ``GRID_REFINE``, at most
     ``REFINE_ROUNDS`` times.  fn and weight see a rule's nodes in one call,
     and fn may return several rows (kernels), integrated on the same rules
-    and all refined while any row's rules differ.  With ``weight_errors``,
-    weight(t) returns (values, error estimates e(t)) of a weight known only
-    to within e, such as a sphere rule's mean (``deficit_profile``), and the
-    estimate gains the integral of |fn| e on the full rule.  Returns (value,
-    |full - half| + ULP * nodes * sum |terms| (+ that integral),
-    evaluations): floats for one row, lists of floats for several, and the
-    count of nodes of every rule.  A row whose rules are not finite raises,
-    naming the breakpoint nearest +-1.
+    and all refined while any row's rules differ.  weight(t) returns
+    (values, error estimates e(t)): a weight known to within e, such as a
+    sphere rule's mean (``deficit_profile``), or with e = 0 exactly; None is
+    the weight 1.  Returns (value, |full - half| + ULP * nodes * sum |terms|
+    + the integral of |fn| e on the full rule, evaluations): floats for one
+    row, lists of floats for several, and the count of nodes of every rule.
+    A row whose rules are not finite raises, naming the breakpoint nearest
+    +-1.
     """
     cuts = sorted({math.asin(b) for b in breakpoints if -1.0 < b < 1.0})
     edges = np.array([-math.pi / 2, *cuts, math.pi / 2])
@@ -301,10 +298,7 @@ def layer_integral(fn, weight=None, breakpoints=(), weight_errors=False):
                                                    nodes))
             t = np.sin(u)
             kernel = w * np.cos(u) * fn(t)
-            if not weight_errors:
-                rules.append(kernel * (1.0 if weight is None else weight(t)))
-                continue
-            values, errors = weight(t)
+            values, errors = (1.0, 0.0) if weight is None else weight(t)
             rules.append(kernel * values)
             if nodes == LAYER_NODES:
                 spread = np.add.reduce(np.abs(kernel) * errors, axis=-1)
@@ -320,9 +314,7 @@ def layer_integral(fn, weight=None, breakpoints=(), weight_errors=False):
                 f"nearest +-1 is t = {near!r} (a panel within ~1e-13 of +-1 puts a "
                 "node t = sin(u) on +-1, where the N = 2 area kernel is infinite)")
         if np.all(diff <= VOLUME_RTOL * scale) or rounds == REFINE_ROUNDS:
-            estimate = diff + ULP * full.shape[-1] * scale
-            if weight_errors:
-                estimate += spread
+            estimate = diff + ULP * full.shape[-1] * scale + spread
             return value.tolist(), estimate.tolist(), count
         width = np.diff(edges)[:, None] * (np.arange(GRID_REFINE) / GRID_REFINE)
         edges = np.append((edges[:-1, None] + width).ravel(), edges[-1])

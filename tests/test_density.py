@@ -105,19 +105,22 @@ def test_profile_lies_within_its_estimate_or_refuses(n, k, refused):
     assert np.array_equal(g.profile(r), means)
 
 
-def test_first_sphere_rule_is_blind_to_modes_at_multiples_of_16_17():
-    # the first rule's blind band at N=2: a mode k = 0 mod 16 * 17 folds onto
-    # mode 0 on the 16-node circle, on its 8-node half rule and on the
-    # 17-node check alike, so the three agree on the aliased mean and the
-    # first rule is accepted 50% high with a rounding-level estimate (the
-    # psi rule's band is the same, k = 0 mod M (M + 1)).  k = 16 * 18 folds
-    # onto mode 0 on the first rule and its half rule too, but not on the
-    # 17-node check, so the rule is refined until it resolves the mode
+def test_first_sphere_rule_is_blind_to_modes_at_multiples_of_15_16_17():
+    # a known defect, pinned so that a change to it shows (ROADMAP item 14):
+    # at N=2 a mode k = 0 mod 15 * 16 * 17 = 4080 folds onto mode 0 on the
+    # 16-node circle, its 8-node half rule and the 17- and 15-node checks
+    # alike, so the four agree on the aliased mean and the first rule is
+    # accepted 50% high with a rounding-level estimate.  Without the 15-node
+    # check the band was k = 0 mod 16 * 17, and k = 272 was accepted so;
+    # the 15-node check sees it, and the rule is refined until it resolves
+    # the mode, as is k = 16 * 18, which only the half rule misses
     exact = math.exp(-10.0)
-    means, errors = deficit_profile(_angular(2, 16 * 17)).profile(10.0, estimate=True)
-    assert means == pytest.approx(1.5 * exact, rel=1e-14) and errors < 1e-12 * exact
-    means, errors = deficit_profile(_angular(2, 16 * 18)).profile(10.0, estimate=True)
-    assert abs(means - exact) <= errors < 1e-12 * exact
+    g = deficit_profile(_angular(2, 15 * 16 * 17))
+    means, errors = g.profile(10.0, estimate=True)
+    assert means == pytest.approx(1.5 * exact, rel=1e-13) and errors < 1e-12 * exact
+    for k in (16 * 17, 16 * 18):
+        means, errors = deficit_profile(_angular(2, k)).profile(10.0, estimate=True)
+        assert abs(means - exact) <= errors < 1e-12 * exact
 
 
 def test_deficit_profile_exp(exp2):
@@ -288,9 +291,9 @@ def _angular(n, k=1):
 @pytest.mark.parametrize("n, node_count, counts", [
     (2, 64, (1, 7, 65)), (3, 64, (1, 7, 65)), (4, 16, (1, 7, 65)), (4, 32, (1, 7))])
 def test_blocked_profile_equals_one_block(monkeypatch, n, node_count, counts):
-    # a rung of the sized profile, sphere_grid(n, p, p) with its p / 2 and
-    # p + 1 checks (p = node_count), takes the radii in blocks of at most
-    # BLOCK_POINTS points, the three rules sharing the calls, and a rule
+    # a rung of the sized profile, sphere_grid(n, p, p) with its p / 2,
+    # p + 1 and p - 1 checks (p = node_count), takes the radii in blocks of
+    # at most BLOCK_POINTS points, the four rules sharing the calls, and a rule
     # larger than a block (N=4 at 32 nodes: 32,768 directions) one radius
     # at a time in the leaves of its pairwise tree: each radius's mean, and
     # its mean of |g|, is the float of one sum over its whole grid, as when
@@ -300,7 +303,8 @@ def test_blocked_profile_equals_one_block(monkeypatch, n, node_count, counts):
     def counted(x):
         sizes.append(len(x))
         return d.deficit(x)
-    grids = [sphere_grid(n, q, q) for q in (node_count, node_count // 2, node_count + 1)]
+    grids = [sphere_grid(n, q, q)
+             for q in (node_count, node_count // 2, node_count + 1, node_count - 1)]
     radii = [np.array([3.5])] + [np.linspace(0.5, 30.0, m) for m in counts]
     mean = isoplab.density._spherical_mean
     blocked = [mean(counted, n, r, grids) for r in radii]
@@ -311,7 +315,7 @@ def test_blocked_profile_equals_one_block(monkeypatch, n, node_count, counts):
     monkeypatch.setattr(isoplab.density, "BLOCK_POINTS", 2 ** 40)
     whole = [mean(d.deficit, n, r, grids) for r in radii]
     for r, got, single, expected in zip(radii, blocked, alone, whole, strict=True):
-        assert got.shape == expected.shape == (3, 2, r.size)
+        assert got.shape == expected.shape == (4, 2, r.size)
         assert np.array_equal(got, expected) and np.array_equal(got, single)
     assert max(sizes) <= BLOCK_POINTS
     assert isinstance(first, float) and first == profile(3.5)

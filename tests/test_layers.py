@@ -253,7 +253,7 @@ def test_layer_integral_stacks_rows_on_one_rule():
     def steep(t):
         return np.exp(-200.0 * (t - 0.3) ** 2)
 
-    weight, cuts = np.exp, (0.2,)
+    weight, cuts = (lambda t: (np.exp(t), 0.0)), (0.2,)
     rows = [layer_integral(fn, weight, cuts) for fn in (smooth, wave)]
     stacked = layer_integral(lambda t: np.stack([smooth(t), wave(t)]), weight, cuts)
     assert rows[0][2] == rows[1][2] == LAYER_NODES * 3
@@ -367,5 +367,5 @@ def test_a_sphere_rules_error_joins_the_estimates():
     kernel = excess_kernel(3)
     (c, e), (c_ref, e_ref) = (correlation(kernel, g, 10.0) for g in (rule, exact))
     spread = layer_integral(lambda t: np.abs(kernel.values(t)),
-                            lambda t: 1e-3 * np.exp(-(10.0 + t)))[0]
+                            lambda t: (1e-3 * np.exp(-(10.0 + t)), 0.0))[0]
     assert c == c_ref and e - e_ref == pytest.approx(spread, rel=1e-2)
