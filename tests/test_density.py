@@ -110,15 +110,15 @@ def test_first_sphere_rule_is_blind_to_modes_at_multiples_of_15_16_17():
     # at N=2 a mode k = 0 mod 15 * 16 * 17 = 4080 folds onto mode 0 on the
     # 16-node circle, its 8-node half rule and the 17- and 15-node checks
     # alike, so the four agree on the aliased mean and the first rule is
-    # accepted 50% high with a rounding-level estimate.  Without the 15-node
-    # check the band was k = 0 mod 16 * 17, and k = 272 was accepted so;
-    # the 15-node check sees it, and the rule is refined until it resolves
-    # the mode, as is k = 16 * 18, which only the half rule misses
+    # accepted 50% high with a rounding-level estimate.  k = 16 * 15 is
+    # folded onto 0 by every rule but the 17-node check, and k = 16 * 17 by
+    # every rule but the 15-node check: each is refined until the rule
+    # resolves it
     exact = math.exp(-10.0)
     g = deficit_profile(_angular(2, 15 * 16 * 17))
     means, errors = g.profile(10.0, estimate=True)
     assert means == pytest.approx(1.5 * exact, rel=1e-13) and errors < 1e-12 * exact
-    for k in (16 * 17, 16 * 18):
+    for k in (16 * 15, 16 * 17):
         means, errors = deficit_profile(_angular(2, k)).profile(10.0, estimate=True)
         assert abs(means - exact) <= errors < 1e-12 * exact
 
