@@ -170,6 +170,9 @@ def cmd_measure(args) -> int:
     P, V = set_measures(E, d, method=method,
                         budget=args.samples or None,
                         seed=args.seed if method == "monte_carlo" else None)
+    drawn = {} if method == "quadrature" else {
+        "samples": args.samples, "shifts": defaults.MC_SHIFTS,
+        "points": P.samples_or_nodes + V.samples_or_nodes}
     out = _outdir(args)
     write_json(out / "measure.json", {
         "seed": args.seed,
@@ -178,6 +181,7 @@ def cmd_measure(args) -> int:
         "density": d.label,
         "perimeter": _measure_record(P),
         "volume": _measure_record(V),
+        **drawn,
     })
     return 0
 

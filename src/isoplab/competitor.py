@@ -33,8 +33,8 @@ from functools import cache, partial
 
 import numpy as np
 
-from .defaults import (CIRCLE_GRID, DEGENERACY_TOL, EPS, RADIAL_NODES,
-                       SPHERE_NODES, VOLUME_RTOL)
+from .defaults import (CIRCLE_GRID, DEGENERACY_TOL, EPS, MC_SHIFTS,
+                       RADIAL_NODES, SPHERE_NODES, VOLUME_RTOL)
 from .density import (Density, deficit_profile, deficit_weight, eval_weight,
                       rescale)
 from .farball import (FarBallCertificate, find_far_radius,
@@ -308,6 +308,8 @@ class ExtensionResult:
     P_f: MeasureResult
     V_f: MeasureResult
     checks: dict
+    margin_error: float = 0.0      # the margin's and the gap's estimates
+    gap_error: float = 0.0
 
 
 def _extension(E, match: VolumeMatch, margin: float, e_p: float, e_v: float,
@@ -334,7 +336,7 @@ def _extension(E, match: VolumeMatch, margin: float, e_p: float, e_v: float,
                            f"its estimate {estimate:.3e}; the offset or eps is "
                            "misconfigured for this weight")
     return ExtensionResult(E, match, margin, gap, 1.0 + excess, P_f, V_f, dict(
-        checks, rho_minus_one=excess, rho_minus_one_estimate=estimate))
+        checks, rho_minus_one=excess, rho_minus_one_estimate=estimate), e_p, e_v)
 
 
 def cylinder_extension(cert: FarBallCertificate, d: Density,
@@ -597,19 +599,28 @@ def select_sweep_direction(
 
 def monte_carlo_check(E: PlainBall | CylinderExtended | RotationSwept,
                       d: Density, P_f: MeasureResult, V_f: MeasureResult,
-                      samples: int, seed: int, margin: float, gap: float) -> dict:
+                      samples: int, seed: int, margin: float, gap: float,
+                      margin_error: float = 0.0, gap_error: float = 0.0) -> dict:
     """Re-measure E by Monte Carlo and compare with the quadrature values.
 
-    One draw from E's patches (``mc_integrals``) measures both the weight,
-    for P_f and V_f, and the deficit g, for the perimeter margin P_g minus
-    the perimeter excess and the volume gap, volume excess minus V_g, of a
-    density with limit 1, against the certified ``margin`` and ``gap``.
-    f and g are integrated independently, so against the closed
-    forms P_f = N omega_N - margin and V_f = omega_N + gap this also checks
-    f + g = 1.  A value is consistent when the two differ by at most four
-    Monte-Carlo standard errors plus, for P_f and V_f, their estimate,
-    whose rounding floor covers a weight that rounds to 1 on the whole set
-    far out, and for the margin and the gap a 1e-15 relative floor.
+    One randomized lattice rule on E's patches (``mc_integrals``, at most
+    ``samples`` points for the boundary and as many for the interior)
+    measures both the weight, for P_f and V_f, and the deficit g, for the
+    perimeter margin P_g minus the perimeter excess and the volume gap,
+    volume excess minus V_g, of a density with limit 1, against the
+    certified ``margin`` and ``gap``.  f and g are integrated
+    independently, so against the closed forms P_f = N omega_N - margin
+    and V_f = omega_N + gap this also checks f + g = 1.  A value is
+    consistent when the two differ by at most four Monte-Carlo standard
+    errors plus the certified value's estimate: for P_f and V_f their
+    error estimate, whose rounding floor covers a weight that rounds to 1
+    on the whole set far out, and for the margin and the gap
+    ``margin_error`` and ``gap_error`` plus the rounding floor of the Monte
+    Carlo value's own sum, ULP x ceil(log2 terms) x sum |terms|
+    (``_rounding_floor``).  Each standard
+    error comes from ``MC_SHIFTS`` = 16 shifts, so under Student's t with
+    15 degrees of freedom the four-sigma gate's two-sided level is about
+    1.2e-3.
     """
     patches, g = set_patches(E), deficit_weight(d)
     fns = [partial(eval_weight, d), g]
@@ -622,16 +633,25 @@ def monte_carlo_check(E: PlainBall | CylinderExtended | RotationSwept,
         <= 4.0 * V_mc.error_estimate + V_f.error_estimate,
         "perimeter_consistent": abs(P_mc.value - P_f.value)
         <= 4.0 * P_mc.error_estimate + P_f.error_estimate,
-        "margin_consistent": abs(margin_mc - margin)
-        <= 4.0 * Pg.error_estimate + 1e-15 * abs(margin),
-        "gap_consistent": abs(gap_mc - gap)
-        <= 4.0 * Vg.error_estimate + 1e-15 * abs(gap),
+        "margin_consistent": abs(margin_mc - margin) <= 4.0 * Pg.error_estimate
+        + margin_error + _rounding_floor(Pg, patches.perimeter_excess),
+        "gap_consistent": abs(gap_mc - gap) <= 4.0 * Vg.error_estimate
+        + gap_error + _rounding_floor(Vg, (patches.volume_excess,)),
         "P_mc": P_mc.value, "P_mc_stderr": P_mc.error_estimate,
         "V_mc": V_mc.value, "V_mc_stderr": V_mc.error_estimate,
         "margin_mc": margin_mc, "margin_stderr": Pg.error_estimate,
         "gap_mc": gap_mc, "gap_stderr": Vg.error_estimate,
         "seed": seed, "samples": samples,
+        "points": P_mc.samples_or_nodes + V_mc.samples_or_nodes, "shifts": MC_SHIFTS,
     }
+
+
+def _rounding_floor(mc: MeasureResult, closed) -> float:
+    """ULP x ceil(log2 terms) x sum |terms| for the Monte-Carlo value ``mc``
+    combined with the closed-form terms ``closed``: the rounding floor of
+    that sum (Higham, SIAM J. Sci. Comput. 14, 1993)."""
+    terms = mc.samples_or_nodes + len(closed)
+    return ULP * math.ceil(math.log2(terms)) * (mc.abs_sum + sum(map(abs, closed)))
 
 
 def build_competitor(d: Density, eps: float = EPS, R_min: float = 50.0,
@@ -669,7 +689,8 @@ def build_competitor(d: Density, eps: float = EPS, R_min: float = 50.0,
         advance_map = sweep_advance_map(dd, far.R, plane, circle_grid, eps, nodes)
         _, ext = select_sweep_direction(dd, far.R, plane, advance_map, eps, nodes)
     mc_check = monte_carlo_check(ext.E, dd, ext.P_f, ext.V_f, mc_samples, mc_seed,
-                                 ext.perimeter_margin, ext.volume_gap)
+                                 ext.perimeter_margin, ext.volume_gap,
+                                 ext.margin_error, ext.gap_error)
     deficit_scale = float(np.max(np.asarray(
         g.profile(np.linspace(far.R - 1.0, far.R + 1.0, 65)))))
     bounds = {"match_bound_ok": ext.match.bound_ok,

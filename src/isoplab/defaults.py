@@ -5,7 +5,9 @@ name                value      used by
 ==================  =========  ==================================================
 EPS                 0.01       slack epsilon in far-ball and competitor searches
 LAYER_NODES         24         Gauss nodes per panel of the 1-D layer integrals
-MC_SAMPLES          1_000_000  Monte-Carlo sample budget per measure
+MC_SAMPLES          1_000_000  Monte-Carlo budget per measure: a ceiling on
+                               the lattice points drawn
+MC_SHIFTS           16         random shifts of each Monte-Carlo lattice rule
 SPHERE_NODES        64         Gauss nodes per angle on sphere grids; ceiling
                                of the certified sets' sized rules; the
                                deficit profile's sphere rule starts at
@@ -20,12 +22,12 @@ VOLUME_RTOL         1e-8       volume matching tolerance, relative to |B|_g
 ENDPOINT_MARGIN     1e-6       kernel grids stay inside |t| <= 1 - margin
 REPORT_CLIP         1e-9       clip for tabulated exact kernels near t = +-1
 DEGENERACY_TOL      0.0        deficits sampled exactly zero count as vanished
-BALL_CHUNK_POINTS   65_536     largest weight call; the unit of the Monte
-                               Carlo draws and the spectrum's mode sums,
-                               whose results depend on it, and of the
-                               Gauss-pass blocks, whose results do not;
-                               the largest deficit-profile sphere rule
-                               past SPHERE_NODES
+BALL_CHUNK_POINTS   65_536     largest weight call; the unit of the
+                               spectrum's mode sums, whose results depend
+                               on it, and of the Gauss-pass and Monte
+                               Carlo blocks, whose results do not; the
+                               largest deficit-profile sphere rule past
+                               SPHERE_NODES
 BLOCK_POINTS        8_192      points per weight call wherever the values do
                                not depend on the block: spherical means, the
                                descent's sums, angle scans, the tail test
@@ -82,16 +84,25 @@ Each value there is a sum along one row (a radius, an angle, a frame), held
 whole by a block or cut at the leaves of numpy's pairwise summation tree
 (``quadrature.pairwise_leaves``), whose sums add back up to the float of
 one sum over the row.  BALL_CHUNK_POINTS is the largest call and the unit
-of three callers.  The results of two depend on it: the Monte Carlo draws
-(their sample stream) and the spectrum's mode sums (their floats).  The
-third, the blocks of every Gauss pass (``set_measures``, the sized passes,
-the cylinder's heights), are leaves of numpy's pairwise summation tree of
-the whole rule, so no Gauss-pass result depends on it.
+of three callers.  The results of one depend on it: the spectrum's mode
+sums (their floats).  The other two, the blocks of every Gauss pass
+(``set_measures``, the sized passes, the cylinder's heights) and of every
+shift of a Monte Carlo lattice rule (``measures.mc_integrals``), are
+leaves of numpy's pairwise summation tree of the whole rule or shift, so
+no Gauss-pass or Monte Carlo result depends on it.
+
+Monte Carlo is a randomized rank-1 lattice rule (``measures.Sample``): per
+patch, MC_SHIFTS random shifts of one lattice, tent-transformed, of the
+largest tabled prime size whose points fit the patch's share of
+MC_SAMPLES (or of a caller's budget), so the points drawn never exceed it.
+A value is the mean of the shifts' estimates and its standard error their
+standard deviation over sqrt(MC_SHIFTS).
 """
 
 EPS = 0.01
 LAYER_NODES = 24
 MC_SAMPLES = 1_000_000
+MC_SHIFTS = 16
 SPHERE_NODES = 64
 RADIAL_NODES = 64
 SCAN_STEP = 0.25

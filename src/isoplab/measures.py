@@ -16,10 +16,12 @@ cylinder walls, flat annuli, swept bands and wedges) in global coordinates,
 together with its Euclidean perimeter and volume excess over the unit ball in
 closed form.  A patch is a map from a product of factors (intervals, radial
 segments of density rho^p, spheres or hemispheres) into R^N, drawn either as
-the tensor product of the factors' Gauss rules (``gauss``) or as i.i.d.
-points, each factor sampled from its own measure (``Sample``).
+the tensor product of the factors' Gauss rules (``gauss``) or as a
+randomized rank-1 lattice rule, each factor mapping its coordinates of the
+unit cube to its own measure (``Sample``).
 ``set_measures`` integrates the weight f over that description by quadrature
-(``GaussPass``) or Monte Carlo.  A patch's Gauss rule is integrated in
+(``GaussPass``) or Monte Carlo (``mc_integrals``), both in blocks whose
+floats do not depend on the block size.  A patch's Gauss rule is integrated in
 blocks of at most ``BALL_CHUNK_POINTS`` points, the leaves of numpy's own
 pairwise summation tree of the flattened rule, each built on the slab of
 the first factor's nodes that covers it; the blocks' sums are added back up
@@ -35,7 +37,7 @@ any level-set discretization, and interfaces interior to a union cancel.
 
 Volumes and perimeters are returned as ``MeasureResult`` records carrying the
 method tag, an error estimate (node-halving difference for quadrature, one
-standard error for Monte-Carlo) and the sample or node count.
+standard error for Monte-Carlo) and the count of points evaluated.
 """
 
 from __future__ import annotations
@@ -48,10 +50,11 @@ from typing import Callable
 import numpy as np
 
 from .defaults import (BALL_CHUNK_POINTS, BLOCK_POINTS, DEGENERACY_TOL,
-                       MC_SAMPLES, RADIAL_NODES, SPHERE_NODES, VOLUME_RTOL)
+                       MC_SAMPLES, MC_SHIFTS, RADIAL_NODES, SPHERE_NODES,
+                       VOLUME_RTOL)
 from .density import Density, RadialDeficit, eval_weight
 from .layers import ULP, LayerKernelPair, exact_kernels, profile_integrals
-from .quadrature import (ball_grid, frame_from_axis, gauss_nodes, norms,
+from .quadrature import (TWO_PI, ball_grid, frame_from_axis, gauss_nodes,
                          pairwise_leaves, pairwise_total, sphere_band_grid,
                          unit_ball_volume, unit_sphere_area)
 
@@ -72,6 +75,7 @@ class MeasureResult:
     error_estimate: float
     samples_or_nodes: int
     seed: int | None = None
+    abs_sum: float | None = None   # Monte Carlo: sum of the value's |terms|
 
 
 @dataclass(frozen=True)
@@ -142,7 +146,7 @@ def set_frame(E: CompetitorSet) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # closed-form patches: each a map from a product of factors (intervals,
 # radial segments of density rho^p, spheres or hemispheres) into R^N, drawn
-# as a Gauss rule or as i.i.d. samples; the cylinder and swept builders work
+# as a Gauss rule or as a lattice rule; the cylinder and swept builders work
 # in local coordinates, column 0 of the frame being e1
 # ---------------------------------------------------------------------------
 
@@ -152,43 +156,114 @@ _UPPER, _LOWER, _WHOLE = (0.0, HALF_PI), (HALF_PI, math.pi), (0.0, math.pi)
 @dataclass(frozen=True)
 class _Factor:
     """One factor of a patch: its Gauss rule () -> (nodes, weights), its
-    measure, and draw(rng, m) -> m i.i.d. nodes from that measure."""
+    measure, and its unit-cube map.  cube(u) maps ``dims`` rows u of cube
+    coordinates, one column per point, to (nodes, Jacobian or None); the
+    nodes are distributed as the factor's measure when u is uniform, up to
+    the Jacobian, whose mean is 1.  A factor of dims 0 is a finite set:
+    cube(None) gives all its nodes, of equal weight."""
 
     rule: Callable
-    draw: Callable
+    cube: Callable
     measure: float
+    dims: int = 1
 
 
 def _segment(a, b, p, nodes) -> _Factor:
-    """The segment [a, b] with density rho^p (an interval for p = 0), drawn
-    by its inverse CDF."""
+    """The segment [a, b] with density rho^p (an interval for p = 0), mapped
+    from the unit interval by its inverse CDF."""
     lo, hi = a ** (p + 1), b ** (p + 1)
 
     def rule():
         rho, wr = gauss_nodes(a, b, nodes)
         return rho, wr * rho ** p
-    return _Factor(rule, lambda rng, m: (lo + rng.uniform(size=m) * (hi - lo))
-                   ** (1.0 / (p + 1)), (hi - lo) / (p + 1))
+
+    def cube(u):
+        x = u[0]
+        x *= hi - lo
+        x += lo
+        return (x if p == 0 else np.power(x, 1.0 / (p + 1), out=x)), None
+    return _Factor(rule, cube, (hi - lo) / (p + 1))
+
+
+_SIDES = {_WHOLE: 0.0, _UPPER: 1.0, _LOWER: -1.0}
 
 
 def _sphere(n, lo, hi, polar_nodes, azimuth_nodes) -> _Factor:
-    """The band of S^{n-1} at polar angle [lo, hi] from e1.  Draws cover the
-    whole sphere (normalised Gaussians) and the hemispheres {x1 >= 0} and
-    {x1 <= 0} (Gaussians reflected into them)."""
-    side = {_WHOLE: 0.0, _UPPER: 1.0, _LOWER: -1.0}.get((lo, hi))
+    """The band of S^{n-1} at polar angle [lo, hi] from e1.  The cube map
+    (``_sphere_map``) covers the whole sphere and the hemispheres {x1 >= 0}
+    and {x1 <= 0}; S^0 is its two points, or the one of a hemisphere."""
+    side = _SIDES.get((lo, hi))
+    measure = unit_sphere_area(n) / (2.0 if side else 1.0)
 
-    def draw(rng, m):
+    def cube(u):
         if side is None:
-            raise ValueError("draws cover whole spheres and hemispheres only")
-        u = rng.standard_normal((m, n))
-        r = norms(u)
-        for j in range(n):
-            u[:, j] /= r
-        if side:
-            u[:, 0] = side * np.abs(u[:, 0])
-        return u
+            raise ValueError("the lattice covers whole spheres and hemispheres only")
+        return _sphere_map(n, lo, hi, side, measure, u)
     return _Factor(partial(sphere_band_grid, n, lo, hi, polar_nodes, azimuth_nodes),
-                   draw, unit_sphere_area(n) / (2.0 if side else 1.0))
+                   cube, measure, n - 1)
+
+
+def _arc(side, t):
+    """The angle from e1 of the unit circle, uniform over the whole circle
+    (side 0) or the half {side x1 >= 0}, at t in [0, 1]; in place."""
+    t *= math.pi if side else TWO_PI
+    if side:
+        t -= side * HALF_PI
+    return t
+
+
+def _sphere_map(n, lo, hi, side, measure, u):
+    """Rows u of the unit cube onto S^{n-1}, or onto its hemisphere {side x1
+    >= 0}, as (points, Jacobian or None).  The maps preserve measure:
+    S^1 by a uniform angle, S^2 by Archimedes (a uniform height x1 and a
+    uniform azimuth), S^3 by Hopf coordinates (sin^2 eta uniform, the
+    hemisphere's x1 = cos xi1 sin eta over xi1 in [-pi/2, pi/2]).  Above
+    S^3 the polar angle from e1 is uniform over [lo, hi] and its Jacobian,
+    relative to its mean, is the point's; the rest is the map of S^{n-2}.
+    The rows of u are overwritten."""
+    if n == 1:
+        return np.array([[1.0], [-1.0]] if not side else [[side]]), None
+    x = np.empty((u.shape[1], n))
+    if n == 2:
+        phi = _arc(side, u[0])
+        np.cos(phi, out=x[:, 0])
+        np.sin(phi, out=x[:, 1])
+        return x, None
+    if n == 3:
+        h, psi = u[0], u[1]
+        if side:
+            h *= side
+        else:
+            h *= 2.0
+            h -= 1.0
+        x[:, 0] = h
+        np.multiply(h, h, out=h)
+        np.subtract(1.0, h, out=h)
+        np.sqrt(h, out=h)
+        psi *= TWO_PI
+        np.multiply(np.cos(psi), h, out=x[:, 1])
+        np.multiply(np.sin(psi, out=psi), h, out=x[:, 2])
+        return x, None
+    if n == 4:
+        s2, xi1, xi2 = u[0], _arc(side, u[1]), u[2]
+        xi2 *= TWO_PI
+        c = np.sqrt(1.0 - s2)
+        np.sqrt(s2, out=s2)
+        np.multiply(np.cos(xi1), s2, out=x[:, 0])
+        np.multiply(np.sin(xi1), s2, out=x[:, 1])
+        np.multiply(np.cos(xi2), c, out=x[:, 2])
+        np.multiply(np.sin(xi2), c, out=x[:, 3])
+        return x, None
+    theta = u[0]
+    theta *= hi - lo
+    theta += lo
+    rest, jac = _sphere_map(n - 1, *_WHOLE, 0.0, unit_sphere_area(n - 1), u[1:])
+    np.cos(theta, out=x[:, 0])
+    s = np.sin(theta, out=theta)
+    np.multiply(rest, s[:, None], out=x[:, 1:])
+    s **= n - 2
+    s *= (hi - lo) * unit_sphere_area(n - 1) / measure
+    return x, (s if jac is None else s * jac)
 
 
 def gauss(place, scale, *factors):
@@ -230,6 +305,8 @@ class GaussBlocks:
     built on one slab, the whole rule.
     """
 
+    segments = 1
+
     def __init__(self):
         self.index, self.leaves, self.rules, self._slab = 0, None, None, None
         self.leaf = BALL_CHUNK_POINTS
@@ -263,22 +340,140 @@ class GaussBlocks:
         return pts[first:first + stop - start], w[first:first + stop - start]
 
 
-class Sample:
-    """A draw of m i.i.d. points of a patch, as (points, weights).
+# Generating vectors z of rank-1 lattice rules, one per prime point count n,
+# in dimensions 1 to 10: the component-by-component choice (Nuyens and Cools,
+# Math. Comp. 75, 2006) for the P_2 criterion with product weights 1/j^2,
+# the smallest z of each tie.  ``tests/test_measures.py`` re-derives them.
+_LATTICE_DIMS = 10
+_LATTICE = {
+    31: (1, 12, 7, 5, 14, 9, 14, 9, 5, 14),
+    61: (1, 17, 24, 29, 5, 7, 13, 10, 22, 7),
+    127: (1, 29, 54, 22, 13, 46, 61, 48, 38, 8),
+    251: (1, 70, 96, 53, 120, 79, 46, 19, 31, 104),
+    509: (1, 151, 232, 87, 122, 67, 99, 182, 225, 108),
+    1021: (1, 374, 428, 453, 240, 251, 311, 183, 149, 42),
+    2039: (1, 462, 753, 595, 889, 968, 700, 615, 337, 837),
+    4093: (1, 1210, 1542, 1785, 424, 1717, 801, 79, 450, 194),
+    8191: (1, 2431, 3799, 1729, 969, 2283, 848, 660, 2227, 1148),
+    16381: (1, 3711, 6101, 1682, 4942, 1997, 5605, 2974, 4750, 2300),
+    32749: (1, 9726, 14974, 8575, 12714, 13507, 5514, 14320, 3389, 6287),
+    65521: (1, 18098, 30819, 10694, 19851, 18800, 26620, 22953, 4455, 16807),
+}
 
-    Each factor draws m nodes from its own measure and ``place`` combines
-    them row by row; a point's weight is the patch's closed-form measure
-    (kept in ``measure``) times its Jacobian, so the mean of weight times
-    integrand estimates the integral.  Drawing no rows gives the measure.
+
+class Sample:
+    """A randomized rank-1 lattice rule of a patch, drawn in blocks, as
+    (points, weights).
+
+    The rule is ``MC_SHIFTS`` random shifts Delta_q of one lattice of n points
+    in the unit cube of the factors' coordinates: point k of shift q is
+    tent(frac(k z / n + Delta_q)), with the tent ("baker's") transform
+    tent(x) = 1 - |2x - 1| (Hickernell 2002) and z from ``_LATTICE``;
+    since k z / n mod 1 and Delta_q lie in [0, 1) it is computed as
+    1 - |1 - |2 (k z mod n) / n + 2 Delta_q - 2||.  The shifts are drawn
+    from ``rng`` at the first draw.  n is the largest tabled size whose
+    n Q r points fit ``budget``, with Q = ``MC_SHIFTS`` and r the points of
+    the factors that are finite sets (S^0), which every lattice point takes
+    in turn: each shift has n r points.  Each factor maps its coordinates to
+    its own measure (``_Factor.cube``) and ``place`` combines them; a
+    point's weight is the patch's closed-form measure (kept in
+    ``measure``) times its Jacobian, so the mean of weight times integrand
+    over a shift's points estimates the integral.
+
+    A shift's points are cut at the ``pairwise_leaves`` of its n r terms at
+    ``BALL_CHUNK_POINTS``, and a block is one leaf of as many consecutive
+    shifts as fit ``BALL_CHUNK_POINTS`` (at least one), leaf by leaf as
+    ``index`` advances from 0; ``segments`` is the current block's number
+    of shifts, whose points follow one another.  A budget of 0 draws no
+    points and only sets ``measure``.
     """
 
-    def __init__(self, rng: np.random.Generator, m: int):
-        self.rng, self.m, self.measure = rng, m, math.nan
+    def __init__(self, rng: np.random.Generator, budget: int):
+        self.rng, self.budget = rng, budget
+        self.index, self.blocks, self.measure = 0, None, math.nan
+
+    def advance(self) -> bool:
+        """Move to the next block; False when the rule has no more."""
+        self.index += 1
+        return self.index < len(self.blocks)
+
+    def total(self, sums) -> np.ndarray:
+        """Each shift's sums, along the last axis, from the blocks' sums in
+        order (the shifts of a block along their last axis), added back up
+        numpy's pairwise tree of the shift's terms."""
+        sums, per = iter(sums), -(-MC_SHIFTS // self.group)
+        leaves = (np.concatenate([next(sums) for _ in range(per)], axis=-1)
+                  for _ in self.leaves)
+        return pairwise_total(self.size, self.leaf, leaves)
+
+    def _start(self, factors):
+        """Fix the lattice, the blocks and the shifts, at the first draw."""
+        self.dims = sum(f.dims for f in factors)
+        self.rule_points = math.prod(len(f.cube(None)[0]) for f in factors
+                                     if not f.dims)
+        self.n, self.z = 0, ()
+        if self.budget:
+            if self.dims > _LATTICE_DIMS:
+                raise ValueError(f"no lattice generating vector in {self.dims} dimensions")
+            fits = [n for n in _LATTICE
+                    if n * MC_SHIFTS * self.rule_points <= self.budget]
+            if not fits:
+                raise ValueError(f"a budget of {self.budget} points is below the "
+                                 f"smallest lattice rule's")
+            self.n = max(fits)
+            self.z = _LATTICE[self.n][:self.dims]
+            self.delta = self.rng.random((MC_SHIFTS, self.dims))
+        self.size, self.leaf = self.n * self.rule_points, BALL_CHUNK_POINTS
+        self.leaves = pairwise_leaves(0, self.size, self.leaf)
+        widest = max(1, max(stop - start for start, stop in self.leaves))
+        self.group = min(MC_SHIFTS, max(1, self.leaf // widest))
+        self.blocks = [(leaf, q) for leaf in self.leaves
+                       for q in range(0, MC_SHIFTS, self.group)]
+        self._base = None
+
+    def _cube(self, lo, hi, shifts):
+        """Lattice points lo, ..., hi - 1 of each of ``shifts`` in turn, one
+        row per cube coordinate, built in one buffer; the points 2 (k z mod
+        n) / n of the unshifted lattice are kept for the next block."""
+        if self._base is None or self._base[0] != lo:
+            k = np.arange(lo, hi)
+            base = np.empty((self.dims, hi - lo))
+            for row, z in zip(base, self.z):
+                np.divide(k * z % self.n, 0.5 * self.n, out=row)
+            self._base = lo, base
+        base, m = self._base[1], hi - lo
+        u = np.empty((self.dims, len(shifts) * m))
+        for i, shift in enumerate(shifts):
+            np.add(base, (2.0 * shift - 2.0)[:, None], out=u[:, i * m:(i + 1) * m])
+        np.abs(u, out=u)
+        np.subtract(1.0, u, out=u)
+        np.abs(u, out=u)
+        return np.subtract(1.0, u, out=u)
 
     def __call__(self, place, scale, *factors):
         self.measure = scale * math.prod(f.measure for f in factors)
-        pts, jac = place(*(f.draw(self.rng, self.m) for f in factors))
-        return pts, self.measure * (np.ones(self.m) if jac is None else jac)
+        if self.blocks is None:
+            self._start(factors)
+        (start, stop), q = self.blocks[self.index]
+        shifts = self.delta[q:q + self.group] if self.n else np.zeros((1, self.dims))
+        # the leaves start at multiples of 8, so each holds whole lattice points
+        self.segments, r = len(shifts), self.rule_points
+        lo, hi = start // r, stop // r
+        u, c, nodes, jacs = self._cube(lo, hi, shifts), 0, [], []
+        for f in factors:
+            if f.dims:
+                x, jac = f.cube(u[c:c + f.dims])
+                nodes.append(np.reshape(x, (u.shape[1], 1) + x.shape[1:]))
+                c += f.dims
+                if jac is not None:
+                    jacs.append(jac[:, None])
+            else:
+                nodes.append(f.cube(None)[0][None])
+        pts, jac = place(*nodes)
+        w = np.full((u.shape[1], r), self.measure)
+        for j in jacs + ([] if jac is None else [jac]):
+            w *= j
+        return pts, w.ravel()
 
 
 def _axial(x1, y) -> np.ndarray:
@@ -585,19 +780,32 @@ def patch_integrals(make, fn) -> PatchIntegrals:
     rule.
     """
     blocks = GaussBlocks()
-    sums = [_block_sums(make(draw=blocks), fn)]
-    while blocks.advance():
-        sums.append(_block_sums(make(draw=blocks), fn))
-    value, abs_sum = blocks.total([total for total, _ in sums])
-    return PatchIntegrals(float(value), float(abs_sum), sum(size for _, size in sums))
+    value, abs_sum = _drawn_sums(make, [fn], blocks)[0, :, 0]
+    return PatchIntegrals(float(value), float(abs_sum), blocks.size)
 
 
-def _block_sums(block, fn):
-    """The sums of fn w and of |fn w| over one block (points, weights), and
-    its point count; the block is freed on return."""
+def _drawn_sums(make, fns, draw):
+    """The sums of fn w and of |fn w| over every block of the patch ``make``
+    builds with ``draw`` (a ``GaussBlocks`` or a ``Sample``), added up by
+    ``draw.total``: an array of shape (len(fns), 2, segments).  Each block
+    is freed once summed."""
+    sums = [_block_sums(make(draw=draw), fns, draw.segments)]
+    while draw.advance():
+        sums.append(_block_sums(make(draw=draw), fns, draw.segments))
+    return draw.total(sums)
+
+
+def _block_sums(block, fns, segments):
+    """The sums of fn w and of |fn w| over one block (points, weights) of
+    ``segments`` equal runs of points, each run summed by ``np.add.reduce``
+    along its own row: shape (len(fns), 2, segments)."""
     pts, w = block
-    terms = np.asarray(fn(pts), dtype=float) * w
-    return np.array([np.add.reduce(terms), np.add.reduce(np.abs(terms))]), w.size
+    out = np.empty((len(fns), 2, segments))
+    for row, fn in zip(out, fns):
+        terms = (np.asarray(fn(pts), dtype=float) * w).reshape(segments, -1)
+        np.add.reduce(terms, axis=1, out=row[0])
+        np.add.reduce(np.abs(terms, out=terms), axis=1, out=row[1])
+    return out
 
 
 class GaussPass:
@@ -690,8 +898,9 @@ def set_measures(E: CompetitorSet, d: Density, method: str = "quadrature",
 
     Both methods integrate the weight over the patches of ``set_patches``.
     Quadrature is one ``GaussPass`` at (nodes, max(8, nodes)), whose two
-    rules' difference is the error estimate; Monte-Carlo draws ``budget``
-    i.i.d. points from them (``mc_perimeter``, ``mc_volume``).
+    rules' difference is the error estimate; Monte Carlo is a randomized
+    lattice rule of at most ``budget`` points on the boundary and as many
+    on the interior (``mc_perimeter``, ``mc_volume``).
     """
     fn = partial(eval_weight, d) if isinstance(d, Density) else d
     if method == "quadrature":
@@ -710,16 +919,21 @@ def set_measures(E: CompetitorSet, d: Density, method: str = "quadrature",
 
 def mc_integrals(makers: dict, fns, samples: int,
                  seed: int) -> list[MeasureResult]:
-    """Monte-Carlo integrals of each of ``fns`` over the patches of
-    ``makers`` (builders taking a ``draw``), all from one draw.
+    """Randomized-lattice integrals of each of ``fns`` over the patches of
+    ``makers`` (builders taking a ``draw``), all on one set of points.
 
-    The budget is split by closed-form patch measure, at least 1,000 points
-    a patch; each patch draws its points (``Sample``) in chunks of at most
-    ``BALL_CHUNK_POINTS``, and every fn is evaluated on each chunk.  A
-    patch's estimate is the mean of fn times the point weights, and its
-    variance is accumulated about the patch's first such value, so a
-    constant integrand has a standard error of exactly 0; patch estimates
-    and variances add.
+    The budget ``samples`` is split by closed-form patch measure, at least
+    1,000 points a patch, and each patch draws the lattice rule of its
+    share (``Sample``), whose points never exceed it; every fn is
+    evaluated on each block.  A shift's sum over a patch is the float of
+    one ``np.add.reduce`` over its points, whatever ``BALL_CHUNK_POINTS``;
+    its mean over the points is the shift's estimate.  A patch's value is
+    the mean of its ``MC_SHIFTS`` shift estimates and its standard error
+    their standard deviation over sqrt(MC_SHIFTS), so a constant integrand
+    on a patch without a varying Jacobian has a standard error of exactly
+    0; the patches' values and variances add.
+    ``abs_sum`` is the same mean of |fn w|, the sum of the value's |terms|,
+    and ``samples_or_nodes`` the points drawn.
     """
     rng = np.random.default_rng(seed)
     probes = [Sample(rng, 0) for _ in makers]
@@ -727,24 +941,17 @@ def mc_integrals(makers: dict, fns, samples: int,
         make(draw=probe)
     mu = np.array([probe.measure for probe in probes])
     alloc = np.maximum((samples * mu / mu.sum()).astype(int), 1000)
-    value, var = np.zeros(len(fns)), np.zeros(len(fns))
+    value, abs_sum, var = (np.zeros(len(fns)) for _ in range(3))
+    points = 0
     for make, m in zip(makers.values(), alloc):
-        total, s1, s2 = (np.zeros(len(fns)) for _ in range(3))
-        shift = None
-        for i in range(0, m, BALL_CHUNK_POINTS):
-            pts, w = make(draw=Sample(rng, min(BALL_CHUNK_POINTS, m - i)))
-            ys = [np.asarray(fn(pts), dtype=float) * w for fn in fns]
-            shift = [y[0] for y in ys] if shift is None else shift
-            for j, (y, y0) in enumerate(zip(ys, shift)):
-                dy = y - y0
-                total[j] += y.sum()
-                s1[j] += dy.sum()
-                dy *= dy
-                s2[j] += dy.sum()
-        value += total / m
-        var += np.maximum(s2 / m - (s1 / m) ** 2, 0.0) / m
-    return [MeasureResult(float(v), "monte_carlo", math.sqrt(s), int(alloc.sum()), seed)
-            for v, s in zip(value, var)]
+        lattice = Sample(rng, int(m))
+        sums = _drawn_sums(make, fns, lattice) / lattice.size
+        value += sums[:, 0].mean(axis=1)
+        abs_sum += sums[:, 1].mean(axis=1)
+        var += sums[:, 0].var(axis=1, ddof=1) / MC_SHIFTS
+        points += lattice.size * MC_SHIFTS
+    return [MeasureResult(float(v), "monte_carlo", math.sqrt(s), points, seed, float(a))
+            for v, s, a in zip(value, var, abs_sum)]
 
 
 def mc_volume(E: CompetitorSet, fn, samples: int, seed: int) -> MeasureResult:

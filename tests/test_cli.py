@@ -107,8 +107,16 @@ def test_measure_monte_carlo(tmp_path):
     rec = json.loads((tmp_path / "o" / "measure.json").read_text())
     assert rec["volume"]["method"] == "monte_carlo"
     assert rec["volume"]["seed"] == 3
+    # the weight is constant, so the lattice is exact up to the rounding
+    # floor of its sum, ULP x ceil(log2 points) x sum |terms|
+    points = rec["volume"]["samples_or_nodes"]
+    floor = 2.0 ** -52 * math.ceil(math.log2(points)) * rec["volume"]["value"]
     assert abs(rec["volume"]["value"] - (math.pi + 0.2)) <= \
-        4 * rec["volume"]["error_estimate"]
+        4 * rec["volume"]["error_estimate"] + floor
+    # the points drawn, within the budget of each measure
+    assert rec["samples"] == 50_000 and rec["shifts"] == 16
+    assert rec["points"] == (rec["perimeter"]["samples_or_nodes"] + points)
+    assert 0 < points <= 50_000
 
 
 def test_measure_requires_set(tmp_path, capsys):

@@ -1538,6 +1538,43 @@ def test_monte_carlo_check_resolves_far_margin(cfg):
     assert 0.0 < check["margin_stderr"] < abs(cert.perimeter_margin) / 10.0
 
 
+_ANGULAR_PARAMS = {"eta": 0.5, "k": 1, "c": 1.0}
+
+
+# the config list (eps 0.05, R_max 200, 1e5 samples, mc_seed 2024) and the
+# margin and gap standard errors the i.i.d. sampler reported there, rounded
+# down: (family, N, params, R_min, options, margin stderr, gap stderr)
+_IID_STDERRS = [
+    ("angular_mod", 2, _ANGULAR_PARAMS, 10.0, {}, 1.1e-6, 3.7e-7),
+    ("angular_mod", 2, _ANGULAR_PARAMS, 50.0, {}, 4.7e-24, 1.6e-24),
+    ("angular_mod", 3, _ANGULAR_PARAMS, 10.0, {"nodes": 16, "circle_grid": 16},
+     1.2e-6, 3.0e-7),
+    ("radial_exp", 2, {"c": 1.0}, 10.0, {}, 7.3e-7, 2.5e-7),
+    ("radial_exp", 3, {"c": 1.0}, 10.0, {}, 1.1e-6, 2.9e-7),
+    ("radial_exp", 3, {"c": 1.0}, 50.0, {}, 5.0e-24, 1.2e-24),
+    ("radial_power", 2, {"p": 2.0}, 10.0, {}, 2.1e-5, 7.5e-6),
+    ("radial_power", 3, {"p": 2.0}, 10.0, {}, 3.4e-5, 8.9e-6),
+]
+
+
+@pytest.mark.parametrize("family, n, params, R_min, options, margin_iid, gap_iid",
+                         _IID_STDERRS)
+def test_lattice_standard_errors_fall_a_hundredfold(family, n, params, R_min,
+                                                    options, margin_iid, gap_iid):
+    # the lattice rule's margin and gap standard errors are at least 100
+    # times below the i.i.d. sampler's on the same budget, every flag holds,
+    # and no more points are drawn than the budget of each measure
+    d = density_from_config({"family": family, "dim": n, "a": 1.0, "params": params})
+    cert = build_competitor(d, eps=0.05, R_min=R_min, R_max=200.0,
+                            mc_samples=100_000, mc_seed=2024, **options)
+    check = cert.mc_check
+    assert 0.0 < check["margin_stderr"] <= margin_iid / 100.0
+    assert 0.0 < check["gap_stderr"] <= gap_iid / 100.0
+    assert all(v for v in check.values() if isinstance(v, bool))
+    assert check["shifts"] == 16 and check["samples"] == 100_000
+    assert 0 < check["points"] <= 2 * 100_000
+
+
 def test_build_competitor_radial_resolvable(exp2):
     cert = build_competitor(exp2, eps=0.05, R_min=8.0, R_max=40.0,
                             mc_samples=50_000)

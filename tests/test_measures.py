@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,12 +10,13 @@ from hypothesis import strategies as st
 from isoplab import (CylinderExtended, PlainBall, RotationSwept,
                      ball_deficit_measures, deficit_profile,
                      density_from_config, mean_density, profile_upper_bound,
-                     set_measures, unit_ball_volume, weighted_ball_measures)
+                     set_measures, unit_ball_volume, unit_sphere_area,
+                     weighted_ball_measures)
 import isoplab.measures
 from isoplab.density import FAMILIES, deficit_weight
 from isoplab.defaults import BALL_CHUNK_POINTS, BLOCK_POINTS, VOLUME_RTOL
 from isoplab.measures import (_LOWER, _UPPER, _WHOLE, CylinderFamily,
-                              GaussPass, Sample, _sphere, ball_cap_patch,
+                              GaussPass, Sample, ball_cap_patch,
                               gauss, integrate_patches, mc_integrals,
                               set_patches, sized_pass, sphere_cap_patch,
                               swept_patches)
@@ -286,8 +288,8 @@ def test_cylinder_near_caps_are_the_caps_built_in_place(n):
                  lambda draw: ball_cap_patch(n, k, c, e1, *lower, radial_nodes,
                                              nodes, nodes, draw=draw))):
             for got, want in ((make(), build(gauss)),
-                              (make(draw=Sample(np.random.default_rng(4), 50)),
-                               build(Sample(np.random.default_rng(4), 50)))):
+                              (make(draw=Sample(np.random.default_rng(4), 1000)),
+                               build(Sample(np.random.default_rng(4), 1000)))):
                 assert np.array_equal(got[0], want[0])
                 assert np.array_equal(got[1], want[1])
 
@@ -361,16 +363,81 @@ def test_batched_ball_scan_matches_single_centres(n, radius):
 @pytest.mark.parametrize("n", range(2, 8))
 @pytest.mark.parametrize("side", [(_WHOLE, 0.0), (_UPPER, 1.0), (_LOWER, -1.0)])
 def test_sphere_draws_equal_normalised_gaussians(n, side):
-    # the draws sum the squared coordinates in order, which for n < 8 is
-    # numpy's norm bit for bit: the same Monte Carlo nodes as normalising
-    # by np.linalg.norm
+    # the lattice's sphere points have the law of normalised Gaussians
+    # reflected into the hemisphere, the uniform measure on the band: every
+    # point is a unit vector on its side, and the lattice integrates 1, x1
+    # and x_j^2 to |band|, sign omega_{n-1} (the hemisphere's flux of e1)
+    # and |band| / n within five standard errors (a level of about 1.6e-4
+    # each under Student's t with 15 degrees of freedom); up to S^3, where
+    # the map preserves measure, it integrates 1 with a standard error of 0
     (lo, hi), sign = side
-    u = _sphere(n, lo, hi, 4, 4).draw(np.random.default_rng(n), 1000)
-    ref = np.random.default_rng(n).standard_normal((1000, n))
-    ref /= np.linalg.norm(ref, axis=1, keepdims=True)
-    if sign:
-        ref[:, 0] = sign * np.abs(ref[:, 0])
-    assert np.array_equal(u, ref)
+    make = partial(sphere_cap_patch, n, 1.0, np.zeros(n), np.eye(n)[0], lo, hi)
+    pts = make(draw=Sample(np.random.default_rng(n), 20_000))[0]
+    assert np.all(np.abs(np.linalg.norm(pts, axis=1) - 1.0) <= 1e-15)
+    assert np.all(sign * pts[:, 0] >= 0.0)
+    area = unit_sphere_area(n) / (2.0 if sign else 1.0)
+    fns = [lambda x: np.ones(len(x)), lambda x: x[:, 0], lambda x: x[:, 0] ** 2,
+           lambda x: x[:, -1] ** 2]
+    exact = [area, sign * unit_ball_volume(n - 1), area / n, area / n]
+    ests = mc_integrals({"cap": make}, fns, 100_000, n)
+    for est, want in zip(ests, exact):
+        assert abs(est.value - want) <= 5.0 * est.error_estimate + 1e-14 * area
+        assert est.error_estimate <= 1e-3 * area
+    assert n > 4 or ests[0].error_estimate == 0.0
+
+
+def _cbc(n, dims):
+    """The component-by-component generating vector of n points (n prime)
+    for the P_2 criterion with product weights 1/j^2, the smallest z of each
+    tie, by the fast construction of Nuyens and Cools: over the powers g^i
+    of a primitive root the criterion is a circular correlation, one FFT."""
+    m, factors = n - 1, []
+    for q in range(2, n):
+        if m % q == 0:
+            factors.append(q)
+            while m % q == 0:
+                m //= q
+    root = next(g for g in range(2, n)
+                if all(pow(g, (n - 1) // q, n) != 1 for q in factors))
+    powers = np.array([pow(root, i, n) for i in range(n - 1)])
+
+    def omega(x):
+        return 2.0 * math.pi ** 2 * (x * x - x + 1.0 / 6.0)
+    spectrum = np.fft.rfft(omega(powers / n))
+    product, k, z = np.ones(n), np.arange(n), []
+    for j in range(1, dims + 1):
+        # criterion[i] = sum_b omega(g^(i + b) / n) product[g^b]
+        criterion = np.fft.irfft(spectrum * np.conj(np.fft.rfft(product[powers])),
+                                 n - 1)
+        ties = criterion <= criterion.min() + 1e-10 * np.abs(criterion).max()
+        z.append(int(powers[ties].min()))
+        product *= 1.0 + omega(k * z[-1] % n / n) / j ** 2
+    return tuple(z)
+
+
+def test_lattice_table_is_the_component_by_component_choice():
+    # every tabled generating vector is re-derived by the fast CBC search
+    table = isoplab.measures._LATTICE
+    assert all(len(z) == isoplab.measures._LATTICE_DIMS for z in table.values())
+    assert {n: _cbc(n, isoplab.measures._LATTICE_DIMS) for n in table} == table
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_monte_carlo_floats_do_not_depend_on_the_chunk(monkeypatch, n):
+    # each shift's sum is one np.add.reduce over its points, whatever the
+    # blocks: several leaves per shift and one shift per block (chunk 1000)
+    # or all shifts in one block (2^40) give the floats of the default
+    # blocks, N = 2 with the two points of S^0 included
+    d = _family("angular_mod", n)
+    fns = [partial(isoplab.eval_weight, d), deficit_weight(d)]
+
+    def draws():
+        return [mc_integrals(getattr(set_patches(E), kind), fns, 100_000, 5)
+                for E in _sets(n)[1:] for kind in ("surface", "volume")]
+    default = draws()
+    for chunk in (1000, 2 ** 40):
+        monkeypatch.setattr(isoplab.measures, "BALL_CHUNK_POINTS", chunk)
+        assert draws() == default
 
 
 def _recorded_swept(n, R, delta, calls):

@@ -88,9 +88,9 @@ def test_traced_patch_points_count_what_is_integrated(monkeypatch):
         isoplab.deficit_profile(d), d.dim, 0.05, 10.0, 200.0))
     summed, block_sums = [], isoplab.measures._block_sums
 
-    def counted(block, fn):
+    def counted(block, *fns_and_segments):
         summed.append(len(block[1]))
-        return block_sums(block, fn)
+        return block_sums(block, *fns_and_segments)
     monkeypatch.setattr(isoplab.measures, "_block_sums", counted)
     tracer = _tracing().Tracer()
     tracer.install()
