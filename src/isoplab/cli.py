@@ -56,8 +56,8 @@ def write_csv(path: Path, header: list[str], rows) -> None:
     with path.open("w") as f:
         f.write(",".join(header) + "\n")
         while block := list(islice(rows, _CSV_BLOCK_ROWS)):
-            f.write("".join(",".join(repr(float(x)) for x in row) + "\n"
-                            for row in block))
+            f.write("\n".join([",".join(map(repr, map(float, row)))
+                                for row in block]) + "\n")
 
 
 def _measure_record(m) -> dict:

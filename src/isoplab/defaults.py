@@ -24,12 +24,11 @@ REPORT_CLIP         1e-9       clip for tabulated exact kernels near t = +-1
 DEGENERACY_TOL      0.0        deficits sampled exactly zero count as vanished
 BALL_CHUNK_POINTS   65_536     largest weight call; the unit of the
                                spectrum's mode sums, whose results depend
-                               on it, and of the Gauss-pass and Monte
-                               Carlo blocks, whose results do not; the
-                               largest deficit-profile sphere rule past
-                               SPHERE_NODES
+                               on it; the largest deficit-profile sphere
+                               rule past SPHERE_NODES
 BLOCK_POINTS        8_192      points per weight call wherever the values do
-                               not depend on the block: spherical means, the
+                               not depend on the block: Gauss-pass and
+                               Monte Carlo blocks, spherical means, the
                                descent's sums, angle scans, the tail test
 PSI_START           32         first psi grid of a sweep spectrum (or fewer)
 CIRCLE_START        8          first circle rule of the working-circle descent
@@ -77,19 +76,18 @@ candidates in shared weight calls, on a circle rule sized the same way from
 CIRCLE_START samples (``spectral.subsphere_means``).
 
 The weight is handed its points in bounded calls.  BLOCK_POINTS is the
-size of every call whose floats do not depend on the block: the spherical
-means (the deficit profile, ``weighted_ball_measures``), the descent's
-subsphere sums, the spectrum's angle scans and the far-radius tail test.
-Each value there is a sum along one row (a radius, an angle, a frame), held
-whole by a block or cut at the leaves of numpy's pairwise summation tree
+size of every call whose floats do not depend on the block: the blocks of
+every Gauss pass (``set_measures``, the sized passes, the cylinder's
+heights) and of every shift of a Monte Carlo lattice rule
+(``measures.mc_integrals``), the spherical means (the deficit profile,
+``weighted_ball_measures``), the descent's subsphere sums, the spectrum's
+angle scans and the far-radius tail test.  Each value there is a sum along
+one row (a patch's rule, a shift, a radius, an angle, a frame), held whole
+by a block or cut at the leaves of numpy's pairwise summation tree
 (``quadrature.pairwise_leaves``), whose sums add back up to the float of
-one sum over the row.  BALL_CHUNK_POINTS is the largest call and the unit
-of three callers.  The results of one depend on it: the spectrum's mode
-sums (their floats).  The other two, the blocks of every Gauss pass
-(``set_measures``, the sized passes, the cylinder's heights) and of every
-shift of a Monte Carlo lattice rule (``measures.mc_integrals``), are
-leaves of numpy's pairwise summation tree of the whole rule or shift, so
-no Gauss-pass or Monte Carlo result depends on it.
+one sum over the row.  BALL_CHUNK_POINTS is the largest call.  It sets the
+spectrum's mode sums, whose floats depend on it, and the ceiling of the
+deficit profile's sphere rules.
 
 Monte Carlo is a randomized rank-1 lattice rule (``measures.Sample``): per
 patch, MC_SHIFTS random shifts of one lattice, tent-transformed, of the

@@ -22,11 +22,12 @@ unit cube to its own measure (``Sample``).
 ``set_measures`` integrates the weight f over that description by quadrature
 (``GaussPass``) or Monte Carlo (``mc_integrals``), both in blocks whose
 floats do not depend on the block size.  A patch's Gauss rule is integrated in
-blocks of at most ``BALL_CHUNK_POINTS`` points, the leaves of numpy's own
+blocks of at most ``BLOCK_POINTS`` points, the leaves of numpy's own
 pairwise summation tree of the flattened rule, each built on the slab of
 the first factor's nodes that covers it; the blocks' sums are added back up
-that tree (``patch_integrals``, ``GaussBlocks``).  Every integral is then
-the float of one ``np.add.reduce`` over the whole rule, while no weight call
+that tree (``patch_integrals``, ``GaussBlocks``).  A lattice rule's shifts
+are cut at the same leaves (``Sample``).  Every integral is then the float
+of one ``np.add.reduce`` over the whole rule or shift, while no weight call
 sees more than a block and the memory follows the block and its slab, not
 the rule.  The competitor construction integrates the deficit g = a - f
 alone, on a rule sized by the set's deficit budget (``sized_pass``), so its
@@ -49,9 +50,8 @@ from typing import Callable
 
 import numpy as np
 
-from .defaults import (BALL_CHUNK_POINTS, BLOCK_POINTS, DEGENERACY_TOL,
-                       MC_SAMPLES, MC_SHIFTS, RADIAL_NODES, SPHERE_NODES,
-                       VOLUME_RTOL)
+from .defaults import (BLOCK_POINTS, DEGENERACY_TOL, MC_SAMPLES, MC_SHIFTS,
+                       RADIAL_NODES, SPHERE_NODES, VOLUME_RTOL)
 from .density import Density, RadialDeficit, eval_weight
 from .layers import ULP, LayerKernelPair, exact_kernels, profile_integrals
 from .quadrature import (TWO_PI, ball_grid, frame_from_axis, gauss_nodes,
@@ -296,12 +296,12 @@ class GaussBlocks:
     """The Gauss rule of a patch (``gauss``), one block of rows per draw.
 
     The blocks are the ``pairwise_leaves`` of the rule's points at
-    ``BALL_CHUNK_POINTS``, drawn in order as ``index`` advances from 0.  The
+    ``BLOCK_POINTS``, drawn in order as ``index`` advances from 0.  The
     factors' rules are built on the first draw, which sets ``leaves``, and
     kept.  A block is built by ``_tensor`` on the slab of the first factor's
     nodes that covers it and sliced to its rows, so its floats are those
     rows of the whole rule; a slab that reaches past its block is kept for
-    the next.  A patch of at most ``BALL_CHUNK_POINTS`` points is one block,
+    the next.  A patch of at most ``BLOCK_POINTS`` points is one block,
     built on one slab, the whole rule.
     """
 
@@ -309,7 +309,7 @@ class GaussBlocks:
 
     def __init__(self):
         self.index, self.leaves, self.rules, self._slab = 0, None, None, None
-        self.leaf = BALL_CHUNK_POINTS
+        self.leaf = BLOCK_POINTS
 
     def advance(self) -> bool:
         """Move to the next block; False when the rule has no more."""
@@ -381,8 +381,8 @@ class Sample:
     over a shift's points estimates the integral.
 
     A shift's points are cut at the ``pairwise_leaves`` of its n r terms at
-    ``BALL_CHUNK_POINTS``, and a block is one leaf of as many consecutive
-    shifts as fit ``BALL_CHUNK_POINTS`` (at least one), leaf by leaf as
+    ``BLOCK_POINTS``, and a block is one leaf of as many consecutive
+    shifts as fit ``BLOCK_POINTS`` (at least one), leaf by leaf as
     ``index`` advances from 0; ``segments`` is the current block's number
     of shifts, whose points follow one another.  A budget of 0 draws no
     points and only sets ``measure``.
@@ -423,7 +423,7 @@ class Sample:
             self.n = max(fits)
             self.z = _LATTICE[self.n][:self.dims]
             self.delta = self.rng.random((MC_SHIFTS, self.dims))
-        self.size, self.leaf = self.n * self.rule_points, BALL_CHUNK_POINTS
+        self.size, self.leaf = self.n * self.rule_points, BLOCK_POINTS
         self.leaves = pairwise_leaves(0, self.size, self.leaf)
         widest = max(1, max(stop - start for start, stop in self.leaves))
         self.group = min(MC_SHIFTS, max(1, self.leaf // widest))
@@ -773,7 +773,7 @@ def patch_integrals(make, fn) -> PatchIntegrals:
     """Integrate ``fn`` over the patch ``make`` builds, block by block.
 
     The blocks are drawn by one ``GaussBlocks``, so no weight call sees more
-    than ``BALL_CHUNK_POINTS`` points and the factors' rules are built once.
+    than ``BLOCK_POINTS`` points and the factors' rules are built once.
     Each block's terms fn w and |fn w| are summed by ``np.add.reduce`` and
     the blocks' sums are added back up numpy's pairwise tree
     (``pairwise_total``): the floats of one ``np.add.reduce`` over the whole
@@ -787,8 +787,8 @@ def patch_integrals(make, fn) -> PatchIntegrals:
 def _drawn_sums(make, fns, draw):
     """The sums of fn w and of |fn w| over every block of the patch ``make``
     builds with ``draw`` (a ``GaussBlocks`` or a ``Sample``), added up by
-    ``draw.total``: an array of shape (len(fns), 2, segments).  Each block
-    is freed once summed."""
+    ``draw.total``: an array of shape (len(fns), 2, segments).  Each block,
+    at most ``BLOCK_POINTS`` points, is freed once summed."""
     sums = [_block_sums(make(draw=draw), fns, draw.segments)]
     while draw.advance():
         sums.append(_block_sums(make(draw=draw), fns, draw.segments))
@@ -816,7 +816,7 @@ class GaussPass:
     half) ``PatchIntegrals`` of the piece ``make`` builds, and ``points``
     the full rule's point count.  Passes that share a ``built`` dict
     integrate a piece on a rule once.  Each piece is integrated in
-    pairwise-aligned blocks of at most ``BALL_CHUNK_POINTS`` points
+    pairwise-aligned blocks of at most ``BLOCK_POINTS`` points
     (``patch_integrals``), the same floats as one sum over its whole rule.
     The certified sets integrate the deficit alone, on the pass that
     ``sized_pass`` settles on."""
@@ -925,13 +925,14 @@ def mc_integrals(makers: dict, fns, samples: int,
     The budget ``samples`` is split by closed-form patch measure, at least
     1,000 points a patch, and each patch draws the lattice rule of its
     share (``Sample``), whose points never exceed it; every fn is
-    evaluated on each block.  A shift's sum over a patch is the float of
-    one ``np.add.reduce`` over its points, whatever ``BALL_CHUNK_POINTS``;
-    its mean over the points is the shift's estimate.  A patch's value is
-    the mean of its ``MC_SHIFTS`` shift estimates and its standard error
-    their standard deviation over sqrt(MC_SHIFTS), so a constant integrand
-    on a patch without a varying Jacobian has a standard error of exactly
-    0; the patches' values and variances add.
+    evaluated on each block of at most ``BLOCK_POINTS`` points.  A shift's
+    sum over a patch is the float of one ``np.add.reduce`` over its points,
+    whatever the block size; its mean over the points is the shift's
+    estimate.  A patch's value is the mean of its ``MC_SHIFTS`` shift
+    estimates and its standard error their standard deviation over
+    sqrt(MC_SHIFTS), so a constant integrand on a patch without a varying
+    Jacobian has a standard error of exactly 0; the patches' values and
+    variances add.
     ``abs_sum`` is the same mean of |fn w|, the sum of the value's |terms|,
     and ``samples_or_nodes`` the points drawn.
     """

@@ -186,9 +186,12 @@ def test_acceptance_07_measure_oracle_agreement():
                 Pm, Vm = set_measures(E, d, method="monte_carlo",
                                       budget=1_000_000, seed=MC_SEED)
                 for q, m in ((Pq, Pm), (Vq, Vm)):
+                    # the reported z counts the quadrature's own estimate,
+                    # so a rounding-level difference reads as small
                     diff = abs(m.value - q.value)
-                    if m.error_estimate > 0:
-                        worst_z = max(worst_z, diff / m.error_estimate)
+                    scale = m.error_estimate + q.error_estimate
+                    if scale > 0:
+                        worst_z = max(worst_z, diff / scale)
                     ok = ok and diff <= 3.0 * m.error_estimate + 1e-12
     dt = time.perf_counter() - t0
     ok = ok and dt < 60.0

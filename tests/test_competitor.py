@@ -583,15 +583,16 @@ def test_build_competitor_measures_the_set_in_one_gauss_pass(monkeypatch, exp3):
     # the radial closed form builds no Gauss patch.  On the Gauss-pass
     # route each piece of the swept set is built once on each rule the
     # sizing tries: 16 and its half rule 8, then 32, whose half rule is the
-    # 16 already built.  Monte-Carlo draws are not Gauss builds; at 32 nodes
-    # every piece is one Gauss block
+    # 16 already built.  Monte-Carlo draws are not Gauss builds, and a
+    # piece's later blocks are not new builds
     counts = dict.fromkeys(("sphere_cap_patch", "ball_cap_patch",
                             "swept_band_patch", "swept_wedge_patch"), 0)
     for name in counts:
         original = getattr(isoplab.measures, name)
 
         def recorded(*args, _name=name, _original=original, **kwargs):
-            if not isinstance(kwargs.get("draw"), isoplab.measures.Sample):
+            draw = kwargs.get("draw")     # a piece's first Gauss block
+            if isinstance(draw, isoplab.measures.GaussBlocks) and draw.index == 0:
                 counts[_name] += 1
             return _original(*args, **kwargs)
         monkeypatch.setattr(isoplab.measures, name, recorded)
@@ -831,13 +832,13 @@ def test_cylinder_checks_integrate_each_near_hemisphere_once(monkeypatch, exp3,
 
 
 def test_build_competitor_hands_the_weight_at_most_a_chunk(monkeypatch, exp3):
-    # every weight and deficit call, the Gauss passes' blocks, the Monte
-    # Carlo chunks, the mode sums and the scans, has at most
-    # BALL_CHUNK_POINTS points; the spherical means (the far ball's and the
-    # annulus probe's profile) and the descent's subsphere sums at most
-    # BLOCK_POINTS
+    # every weight and deficit call, the mode sums and the scans among them,
+    # has at most BALL_CHUNK_POINTS points; the Gauss passes' and the Monte
+    # Carlo blocks, the spherical means (the far ball's and the annulus
+    # probe's profile) and the descent's subsphere sums at most BLOCK_POINTS
     sizes, inside = [], []
-    inner = {"_spherical_mean": [], "_subsphere_sums": []}
+    inner = {"_spherical_mean": [], "_subsphere_sums": [],
+             "patch_integrals": [], "mc_integrals": []}
 
     def counted(fn):
         def wrapped(x):
@@ -859,6 +860,8 @@ def test_build_competitor_hands_the_weight_at_most_a_chunk(monkeypatch, exp3):
         monkeypatch.setattr(module, name, wrapped)
     entered(isoplab.density, "_spherical_mean")
     entered(isoplab.spectral, "_subsphere_sums")
+    entered(isoplab.measures, "patch_integrals")
+    entered(isoplab.competitor, "mc_integrals")
     for d, options in ((exp3, {}), (_angular(3), dict(nodes=16, circle_grid=16))):
         d = dataclasses.replace(d, weight=counted(d.weight),
                                 deficit=counted(d.deficit))
@@ -866,7 +869,7 @@ def test_build_competitor_hands_the_weight_at_most_a_chunk(monkeypatch, exp3):
                                 mc_samples=200_000, **options)
         if d.radial:
             cylinder_extension(cert.farball, d, eps=0.05)
-    assert max(sizes) <= isoplab.measures.BALL_CHUNK_POINTS
+    assert max(sizes) <= isoplab.defaults.BALL_CHUNK_POINTS
     assert all(inner.values())
     assert max(map(max, inner.values())) <= isoplab.defaults.BLOCK_POINTS
 

@@ -427,17 +427,21 @@ def test_monte_carlo_floats_do_not_depend_on_the_chunk(monkeypatch, n):
     # each shift's sum is one np.add.reduce over its points, whatever the
     # blocks: several leaves per shift and one shift per block (chunk 1000)
     # or all shifts in one block (2^40) give the floats of the default
-    # blocks, N = 2 with the two points of S^0 included
+    # blocks, N = 2 with the two points of S^0 included; the weight calls
+    # follow the chunk
     d = _family("angular_mod", n)
-    fns = [partial(isoplab.eval_weight, d), deficit_weight(d)]
 
-    def draws():
+    def draws(d):
+        fns = [partial(isoplab.eval_weight, d), deficit_weight(d)]
         return [mc_integrals(getattr(set_patches(E), kind), fns, 100_000, 5)
                 for E in _sets(n)[1:] for kind in ("surface", "volume")]
-    default = draws()
+    default = draws(d)
     for chunk in (1000, 2 ** 40):
-        monkeypatch.setattr(isoplab.measures, "BALL_CHUNK_POINTS", chunk)
-        assert draws() == default
+        monkeypatch.setattr(isoplab.measures, "BLOCK_POINTS", chunk)
+        sizes = []
+        assert draws(chunk_counted(d, sizes)) == default
+        assert (max(sizes) <= chunk if chunk < BLOCK_POINTS
+                else max(sizes) > BLOCK_POINTS)
 
 
 def _recorded_swept(n, R, delta, calls):
@@ -456,7 +460,8 @@ def _values(quad):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_sized_pass_settles_on_the_first_rule_within_budget(n, exp2, exp3):
+def test_sized_pass_settles_on_the_first_rule_within_budget(monkeypatch, n,
+                                                           exp2, exp3):
     # the rules 16, 32, ... are tried in turn; the first whose deficit
     # estimates are both within VOLUME_RTOL |B|_g is kept, each rule's half
     # rule is the one tried before it and is not integrated again, and the
@@ -465,12 +470,15 @@ def test_sized_pass_settles_on_the_first_rule_within_budget(n, exp2, exp3):
     g, R, delta = deficit_weight(d), 10.0, 1e-5
     ball = float(ball_deficit_measures(deficit_profile(d), n, R)[1].value)
     calls, built = [], []
-
-    def g_counted(x):
-        built.append(len(x))
-        return g(x)
-    quad = sized_pass(_recorded_swept(n, R, delta, calls), g_counted, 64, 64,
-                      ball)
+    for name in ("sphere_cap_patch", "ball_cap_patch", "swept_band_patch",
+                 "swept_wedge_patch"):
+        def first_block(*args, _original=getattr(isoplab.measures, name),
+                        **kwargs):
+            if kwargs["draw"].index == 0:     # a piece's build, not a block's
+                built.append(args)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(isoplab.measures, name, first_block)
+    quad = sized_pass(_recorded_swept(n, R, delta, calls), g, 64, 64, ball)
     rule = quad.rule
     assert rule == {2: (16, 16), 3: (32, 32)}[n]
     assert max(quad.estimates()) <= VOLUME_RTOL * ball
@@ -596,12 +604,12 @@ def test_pairwise_total_is_numpy_add_reduce():
 @pytest.mark.parametrize("family", FAMILIES)
 def test_set_measures_hands_the_weight_at_most_a_chunk(family):
     # a 64-node half-ball rule in N = 3 has 262,144 points; the pass hands
-    # the weight at most BALL_CHUNK_POINTS of them per call
+    # the weight at most BLOCK_POINTS of them per call
     sizes = []
     d = chunk_counted(_family(family, 3), sizes)
     for E in _sets(3):
         set_measures(E, d)
-    assert max(sizes) <= BALL_CHUNK_POINTS
+    assert max(sizes) <= BLOCK_POINTS
     assert sum(sizes) > 4 * 64 ** 3
 
 
@@ -612,7 +620,7 @@ def test_blocked_passes_equal_one_block(monkeypatch, n, nodes):
     # are the same floats
     densities = [_family(name, n) for name in FAMILIES]
     blocked = [set_measures(E, d, nodes=nodes) for d in densities for E in _sets(n)]
-    monkeypatch.setattr(isoplab.measures, "BALL_CHUNK_POINTS", 2 ** 40)
+    monkeypatch.setattr(isoplab.measures, "BLOCK_POINTS", 2 ** 40)
     sizes = []
     whole = [set_measures(E, chunk_counted(d, sizes), nodes=nodes)
              for d in densities for E in _sets(n)]
@@ -627,7 +635,7 @@ def test_blocks_of_any_size_equal_one_block(monkeypatch, chunk):
     # next block, give the floats of the whole rule
     d = _family("angular_mod", 3)
     whole = [set_measures(E, d, nodes=16) for E in _sets(3)]
-    monkeypatch.setattr(isoplab.measures, "BALL_CHUNK_POINTS", chunk)
+    monkeypatch.setattr(isoplab.measures, "BLOCK_POINTS", chunk)
     sizes = []
     assert [set_measures(E, chunk_counted(d, sizes), nodes=16)
             for E in _sets(3)] == whole
