@@ -51,13 +51,16 @@ _CSV_BLOCK_ROWS = 4096
 
 def write_csv(path: Path, header: list[str], rows) -> None:
     """The header and the rows, one line each, every value as the repr of
-    its float; rows are written in blocks of ``_CSV_BLOCK_ROWS``."""
+    its float.  Each row has one value per header column.  Rows are
+    written in blocks of ``_CSV_BLOCK_ROWS``, each block formatted by one
+    ``%`` of its values over its lines' repeated ``%r`` format."""
+    line = ",".join(["%r"] * len(header)) + "\n"
     rows = iter(rows)
     with path.open("w") as f:
         f.write(",".join(header) + "\n")
         while block := list(islice(rows, _CSV_BLOCK_ROWS)):
-            f.write("\n".join([",".join(map(repr, map(float, row)))
-                                for row in block]) + "\n")
+            f.write(line * len(block)
+                    % tuple([float(x) for row in block for x in row]))
 
 
 def _measure_record(m) -> dict:

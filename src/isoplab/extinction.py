@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -27,19 +26,26 @@ from .measures import (CompetitorSet, PlainBall, mc_integrals, mc_volume,
 from .quadrature import frame_from_axis, gauss_nodes, norms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TailMassCurve:
-    """Sampled tail-mass curve; nonincreasing and nonnegative."""
+    """Sampled tail-mass curve; nonincreasing and nonnegative.
 
-    times: tuple[float, ...]
-    masses: tuple[float, ...]
+    ``times`` and ``masses`` are read-only float64 arrays.  An array passed
+    in is viewed, not copied; a tuple or list is converted.
+    """
+
+    times: np.ndarray
+    masses: np.ndarray
     source: str                    # "analytic" | "measured-from-set"
 
     def __post_init__(self):
-        m = np.asarray(self.masses)
-        if np.any(m < -1e-12):
+        for name in ("times", "masses"):
+            a = np.asarray(getattr(self, name), dtype=float).view()
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        if np.any(self.masses < -1e-12):
             raise ValueError("tail masses must be nonnegative")
-        if np.any(np.diff(np.asarray(self.times)) <= 0):
+        if np.any(self.times[1:] <= self.times[:-1]):
             raise ValueError("times must be strictly increasing")
 
 
@@ -91,19 +97,27 @@ def _outside(d: Density, t: float):
 
 def tail_mass_curve(E: CompetitorSet, d: Density, times,
                     seed: int = 11) -> TailMassCurve:
-    """``tail_mass`` at each of ``times``.  For sets other than ``PlainBall``
-    the times strictly inside (0, R + 1) share one Monte-Carlo draw: one
-    ``mc_integrals`` over the volume patches of ``set_patches`` with one
-    thresholded weight per time, each the same float as its own
+    """``tail_mass`` at each of ``times``, float for float.
+
+    A ``PlainBall`` is sliced once per distinct lower limit: every t in
+    (0, R - 1] slices from R - 1, so those times share one slicing.  For
+    other sets the times strictly inside (0, R + 1) share one Monte-Carlo
+    draw: one ``mc_integrals`` over the volume patches of ``set_patches``
+    with one thresholded weight per time, each the same float as its own
     ``tail_mass`` call at the seed."""
     times = tuple(float(t) for t in times)
-    inside = ([] if isinstance(E, PlainBall) else
-              [t for t in times if 0.0 < t < E.offset + 1.0])
+    R = E.offset
+    if isinstance(E, PlainBall):
+        lows = [max(t, R - 1.0) if 0.0 < t < R + 1.0 else t for t in times]
+        sliced = {lo: tail_mass(E, d, lo) for lo in dict.fromkeys(lows)}
+        return TailMassCurve(times, [sliced[lo] for lo in lows],
+                             "measured-from-set")
+    inside = [t for t in times if 0.0 < t < R + 1.0]
     drawn = dict(zip(inside, mc_integrals(set_patches(E).volume,
                                           [_outside(d, t) for t in inside],
                                           TAIL_SAMPLES, seed))) if inside else {}
-    masses = tuple(drawn[t].value if t in drawn else
-                   tail_mass(E, d, t, seed=seed) for t in times)
+    masses = [drawn[t].value if t in drawn else tail_mass(E, d, t, seed=seed)
+              for t in times]
     return TailMassCurve(times, masses, "measured-from-set")
 
 
@@ -130,14 +144,8 @@ class ExtinctionCertificate:
         return abs(self.extinction_observed - self.extinction_closed_form)
 
 
-# elements converted to Python floats at a time
+# masses raised to the power N per block of Python floats
 _BLOCK = 4096
-
-
-def _floats(a: np.ndarray):
-    """The elements of ``a`` as Python floats, converted block by block."""
-    for i in range(0, len(a), _BLOCK):
-        yield from a[i:i + _BLOCK].tolist()
 
 
 def simulate_comparison_ode(C2: float, n: int, m0: float,
@@ -146,7 +154,9 @@ def simulate_comparison_ode(C2: float, n: int, m0: float,
 
     u decreases at the constant rate 1 / (N C2^{(N-1)/N}); the crossing of
     zero inside a step is resolved exactly, so the observed extinction time
-    matches the closed form to rounding.
+    matches the closed form to rounding.  The curve's times and masses are
+    built in place in one float64 buffer each: the masses overwrite the u
+    values they are raised from.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -158,16 +168,27 @@ def simulate_comparison_ode(C2: float, n: int, m0: float,
     # the first value whose next step would not stay positive
     count = int(u0 / du) + 2
     while True:
-        u = np.subtract.accumulate(np.append(u0, np.full(count, du)))
+        u = np.full(count + 1, du)
+        u[0] = u0
+        np.subtract.accumulate(u, out=u)
         ends = np.flatnonzero(u[1:] <= 0.0)
         if ends.size:
             break
         count *= 2
     j = int(ends[0])
-    t = np.add.accumulate(np.append(0.0, np.full(j, step)))
-    end = float(t[-1]) + float(u[j]) / rate
-    times = tuple(chain(_floats(t), (end,)))
-    masses = tuple(chain((m0,), (x ** n for x in _floats(u[1:j + 1])), (0.0,)))
+    times = np.full(j + 2, step)
+    times[0] = 0.0
+    np.add.accumulate(times[:j + 1], out=times[:j + 1])
+    end = float(times[j]) + float(u[j]) / rate
+    times[j + 1] = end
+    # Python's x ** n (libm pow) per element: np.power rounds some of the
+    # masses differently
+    masses = u[:j + 2]
+    masses[0], masses[j + 1] = m0, 0.0
+    inner = masses[1:j + 1]
+    for i in range(0, j, _BLOCK):
+        block = inner[i:i + _BLOCK]
+        block[:] = [x ** n for x in block.tolist()]
     curve = TailMassCurve(times, masses, "analytic")
     return ExtinctionCertificate(curve, end, closed)
 

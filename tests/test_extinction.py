@@ -67,7 +67,8 @@ def _stepped_ode(C2, n, m0, step):
 def test_simulation_equals_the_stepped_flow(C2, n, m0, step):
     # the accumulated steps are the same floats as the loop's, one by one
     curve = simulate_comparison_ode(C2, n, m0, step).curve
-    assert (curve.times, curve.masses) == _stepped_ode(C2, n, m0, step)
+    assert ((tuple(curve.times.tolist()), tuple(curve.masses.tolist()))
+            == _stepped_ode(C2, n, m0, step))
 
 
 def test_simulation_quadratic_profile():
@@ -106,6 +107,22 @@ def test_comparison_flags_violations():
     m = tuple(1.0 - 0.1 * np.asarray(t))          # too slow a decay
     rep = comparison_check(TailMassCurve(t, m, "analytic"), 1.0, 2)
     assert not rep.passed
+
+
+def test_curve_fields_are_read_only_float_arrays():
+    # the integrator's curve and a given one hold read-only float64 arrays:
+    # a caller's array is viewed, not copied (and stays writeable), and a
+    # tuple is converted
+    t = np.array([0.0, 1.0])
+    given = TailMassCurve(t, (2, 1), "analytic")
+    for curve in (simulate_comparison_ode(1.0, 2, 1.0).curve, given):
+        for a in (curve.times, curve.masses):
+            assert isinstance(a, np.ndarray) and a.dtype == np.float64
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.5
+    assert np.shares_memory(given.times, t) and t.flags.writeable
+    assert given.masses.tolist() == [2.0, 1.0]
 
 
 def test_curve_validation():
@@ -200,3 +217,24 @@ def test_tail_mass_curve_draws_once_for_a_swept_set(exp3, monkeypatch):
     assert list(curve.masses) == single
     assert draws == [3]
     assert single[0] > single[1] > single[2] > 0.0 == single[3] == single[4]
+
+
+def test_tail_mass_curve_slices_each_lower_limit_once(exp3, monkeypatch):
+    # on a plain ball every t in (0, R - 1] slices from R - 1: 8.5 and 9.0
+    # share a slicing, and t >= R + 1 takes tail_mass's closed branch
+    import isoplab.extinction as extinction
+    E = PlainBall(dim=3, offset=10.0)
+    times = np.linspace(8.5, 11.5, 7)
+    single = [tail_mass(E, exp3, float(t)) for t in times]
+    slicings = []
+    original = extinction.gauss_nodes
+
+    def counted(a, b, n):
+        slicings.append(a)
+        return original(a, b, n)
+    monkeypatch.setattr(extinction, "gauss_nodes", counted)
+    curve = tail_mass_curve(E, exp3, times)
+    assert list(curve.masses) == single
+    assert len(slicings) == 4
+    assert single[0] == single[1] > single[2] > single[3] > single[4] > 0.0
+    assert single[5] == single[6] == 0.0
