@@ -44,7 +44,7 @@ from .measures import (CylinderExtended, CylinderFamily, GaussPass,
                        MeasureResult, PlainBall, RotationSwept, circle_point,
                        integrate_patches, mc_integrals, set_patches,
                        shrink_terms, sized_pass, swept_excess, swept_patches)
-from .quadrature import frame_from_axis, sphere_grid, unit_ball_volume
+from .quadrature import band_coords, frame_from_axis, unit_ball_volume
 from .spectral import ULP, SweepSpectrum
 
 _TINY = float(np.finfo(float).tiny)    # the least normal float
@@ -282,9 +282,9 @@ def ray_monotone_on_samples(d: Density, r_lo: float, r_hi: float) -> bool:
     between neighbouring radii by no more than the rounding floor of the two
     samples, a few ulps of their magnitude, or of the limit a when the
     deficit is formed as a - f."""
-    dirs, _ = sphere_grid(d.dim, 8, 48)
+    dirs, _ = band_coords(d.dim, 0.0, math.pi, 8, 48)
     g = deficit_weight(d)
-    vals = np.stack([np.atleast_1d(np.asarray(g(r * dirs), dtype=float))
+    vals = np.stack([np.atleast_1d(np.asarray(g((r * dirs).T), dtype=float))
                      for r in np.linspace(r_lo, r_hi, 12)])
     size = np.abs(vals) + (0.0 if d.deficit is not None else abs(d.limit_a))
     return bool(np.all(np.diff(vals, axis=0) <= 4.0 * ULP * (size[:-1] + size[1:])))

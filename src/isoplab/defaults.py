@@ -29,7 +29,8 @@ BALL_CHUNK_POINTS   65_536     largest weight call; the unit of the
 BLOCK_POINTS        8_192      points per weight call wherever the values do
                                not depend on the block: Gauss-pass and
                                Monte Carlo blocks, spherical means, the
-                               descent's sums, angle scans, the tail test
+                               descent's sums, angle scans, the tail test,
+                               runs of tail-mass caps
 PSI_START           32         first psi grid of a sweep spectrum (or fewer)
 CIRCLE_START        8          first circle rule of the working-circle descent
 ==================  =========  ==================================================

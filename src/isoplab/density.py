@@ -13,6 +13,7 @@ semicontinuity) are documented assumptions, not checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
@@ -22,8 +23,8 @@ import numpy as np
 from .defaults import (BALL_CHUNK_POINTS, BLOCK_POINTS, GRID_REFINE, REFINE_ROUNDS,
                        SPHERE_NODES, VOLUME_RTOL)
 from .layers import ULP
-from .quadrature import (norms, pairwise_leaves, pairwise_total, sphere_grid,
-                         unit_ball_volume)
+from .quadrature import (band_coords, norms, pairwise_leaves, pairwise_total,
+                         sphere_grid, unit_ball_volume)
 
 
 class ConfigError(ValueError):
@@ -48,6 +49,11 @@ class Density:
     """A weight on R^N converging to ``limit_a`` at infinity from below.
 
     ``weight`` must accept arrays of shape (..., dim) and return shape (...).
+    isoplab hands it (M, dim) arrays whose coordinate columns x[..., i] are
+    contiguous, the transpose of coordinates built first, so a weight must
+    not assume C order.  The registered families sum |x|^2 in coordinate
+    order (``norms``), whatever the layout; a weight that reduces over the
+    coordinates with BLAS or ``einsum`` may round differently.
     ``envelope_radius`` is the radius beyond which weight <= limit_a holds.
 
     ``deficit`` optionally evaluates a - weight in closed form.  Far from the
@@ -137,8 +143,9 @@ def _spherical_mean(fn, n: int, r: np.ndarray, grids):
     The grids share the calls of ``fn``: each call takes a block of radii
     times a run of consecutive leaves of the grids' pairwise summation
     trees (``pairwise_leaves``), at most ``BLOCK_POINTS`` points, or one
-    radius on one leaf of a larger grid.  A radius's mean on a grid is the
-    float of one ``np.add.reduce`` over the grid."""
+    radius on one leaf of a larger grid, built coordinates first.  A
+    radius's mean on a grid is the float of one ``np.add.reduce`` over the
+    grid."""
     runs, size = [[]], 0
     for g, (_, w) in enumerate(grids):
         for a, b in pairwise_leaves(0, len(w), BLOCK_POINTS):
@@ -153,8 +160,10 @@ def _spherical_mean(fn, n: int, r: np.ndarray, grids):
         step = max(1, BLOCK_POINTS // len(w))
         out = np.empty((len(run), 2, r.size))
         for i in range(0, r.size, step):
-            block = r[i:i + step, None, None]
-            terms = np.asarray(fn((block * dirs).reshape(-1, n)),
+            block = r[i:i + step, None]
+            pts = np.multiply(dirs.T[:, None], block,
+                              out=np.empty((n, len(block), len(w))))
+            terms = np.asarray(fn(pts.reshape(n, -1).T),
                                dtype=float).reshape(len(block), -1) * w
             terms, offset = np.stack([terms, np.abs(terms)]), 0
             for j, (g, a, b) in enumerate(run):
@@ -226,9 +235,9 @@ def _on_axis(fn, n: int, r):
     """fn at the points r e1 (scalar or array r): a radial function's mean
     over the sphere of radius r, a float for a scalar r."""
     rr = np.atleast_1d(np.asarray(r, dtype=float))
-    pts = np.zeros((rr.size, n))
-    pts[:, 0] = rr
-    out = np.asarray(fn(pts), dtype=float)
+    pts = np.zeros((n, rr.size))
+    pts[0] = rr
+    out = np.asarray(fn(pts.T), dtype=float)
     return float(out[0]) if np.ndim(r) == 0 else out
 
 
@@ -308,13 +317,14 @@ def validate_convergence(d: Density, spec: SampleSpec | None = None) -> Converge
     and is listed with its sample location.
     """
     spec = spec or default_sample_spec(d)
-    dirs, _ = sphere_grid(d.dim, max(8, spec.n_directions // 8), spec.n_directions)
+    dirs, _ = band_coords(d.dim, 0.0, math.pi, max(8, spec.n_directions // 8),
+                          spec.n_directions)
     violations = []
     count = 0
     for r in spec.radii:
         if r < d.envelope_radius:
             continue
-        vals = np.atleast_1d(eval_weight(d, r * dirs))
+        vals = np.atleast_1d(eval_weight(d, (r * dirs).T))
         count += vals.size
         bad = np.nonzero(vals > d.limit_a + spec.tol)[0]
         for i in bad[:16]:
@@ -322,7 +332,7 @@ def validate_convergence(d: Density, spec: SampleSpec | None = None) -> Converge
     # measure decay as the spherical mean of |a - f|, in deficit space when
     # available so tiny tails are reported at full precision
     g = deficit_weight(d)
-    probe = spec.decay_radius * dirs
+    probe = (spec.decay_radius * dirs).T
     decay = float(np.mean(np.abs(np.asarray(g(probe), dtype=float))))
     passed = not violations and decay <= spec.decay_bound
     return ConvergenceReport(passed, tuple(violations), spec.decay_radius,

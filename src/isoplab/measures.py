@@ -29,7 +29,10 @@ that tree (``patch_integrals``, ``GaussBlocks``).  A lattice rule's shifts
 are cut at the same leaves (``Sample``).  Every integral is then the float
 of one ``np.add.reduce`` over the whole rule or shift, while no weight call
 sees more than a block and the memory follows the block and its slab, not
-the rule.  The competitor construction integrates the deficit g = a - f
+the rule.  Points are built coordinates first: every place map fills an
+(N, M) array, turned to its frame by one product ``frame @ coords``, and
+the weight gets its (M, N) transpose, whose coordinate columns are
+contiguous.  The competitor construction integrates the deficit g = a - f
 alone, on a rule sized by the set's deficit budget (``sized_pass``), so its
 volume gap and perimeter margin never form a difference of order-one
 floats, and its P_f and V_f are their closed forms.
@@ -54,8 +57,8 @@ from .defaults import (BLOCK_POINTS, DEGENERACY_TOL, MC_SAMPLES, MC_SHIFTS,
                        RADIAL_NODES, SPHERE_NODES, VOLUME_RTOL)
 from .density import Density, RadialDeficit, eval_weight
 from .layers import ULP, LayerKernelPair, exact_kernels, profile_integrals
-from .quadrature import (TWO_PI, ball_grid, frame_from_axis, gauss_nodes,
-                         pairwise_leaves, pairwise_total, sphere_band_grid,
+from .quadrature import (TWO_PI, ball_grid, band_coords, frame_from_axis,
+                         gauss_nodes, pairwise_leaves, pairwise_total,
                          unit_ball_volume, unit_sphere_area)
 
 HALF_PI = math.pi / 2
@@ -160,7 +163,9 @@ class _Factor:
     coordinates, one column per point, to (nodes, Jacobian or None); the
     nodes are distributed as the factor's measure when u is uniform, up to
     the Jacobian, whose mean is 1.  A factor of dims 0 is a finite set:
-    cube(None) gives all its nodes, of equal weight."""
+    cube(None) gives all its nodes, of equal weight.  Nodes are points along
+    the last axis: a segment's a 1-D array, a sphere's coordinates first,
+    one row per coordinate."""
 
     rule: Callable
     cube: Callable
@@ -189,9 +194,10 @@ _SIDES = {_WHOLE: 0.0, _UPPER: 1.0, _LOWER: -1.0}
 
 
 def _sphere(n, lo, hi, polar_nodes, azimuth_nodes) -> _Factor:
-    """The band of S^{n-1} at polar angle [lo, hi] from e1.  The cube map
-    (``_sphere_map``) covers the whole sphere and the hemispheres {x1 >= 0}
-    and {x1 <= 0}; S^0 is its two points, or the one of a hemisphere."""
+    """The band of S^{n-1} at polar angle [lo, hi] from e1, its Gauss rule
+    ``band_coords``.  The cube map (``_sphere_map``) covers the whole sphere
+    and the hemispheres {x1 >= 0} and {x1 <= 0}; S^0 is its two points, or
+    the one of a hemisphere."""
     side = _SIDES.get((lo, hi))
     measure = unit_sphere_area(n) / (2.0 if side else 1.0)
 
@@ -199,7 +205,7 @@ def _sphere(n, lo, hi, polar_nodes, azimuth_nodes) -> _Factor:
         if side is None:
             raise ValueError("the lattice covers whole spheres and hemispheres only")
         return _sphere_map(n, lo, hi, side, measure, u)
-    return _Factor(partial(sphere_band_grid, n, lo, hi, polar_nodes, azimuth_nodes),
+    return _Factor(partial(band_coords, n, lo, hi, polar_nodes, azimuth_nodes),
                    cube, measure, n - 1)
 
 
@@ -214,20 +220,21 @@ def _arc(side, t):
 
 def _sphere_map(n, lo, hi, side, measure, u):
     """Rows u of the unit cube onto S^{n-1}, or onto its hemisphere {side x1
-    >= 0}, as (points, Jacobian or None).  The maps preserve measure:
-    S^1 by a uniform angle, S^2 by Archimedes (a uniform height x1 and a
-    uniform azimuth), S^3 by Hopf coordinates (sin^2 eta uniform, the
-    hemisphere's x1 = cos xi1 sin eta over xi1 in [-pi/2, pi/2]).  Above
+    >= 0}, as (points coordinates first, Jacobian or None).  The maps
+    preserve measure: S^1 by a uniform angle, S^2 by Archimedes (a uniform
+    height x1 and a uniform azimuth), S^3 by Hopf coordinates (sin^2 eta
+    uniform, the hemisphere's x1 = cos xi1 sin eta over xi1 in [-pi/2,
+    pi/2]).  Above
     S^3 the polar angle from e1 is uniform over [lo, hi] and its Jacobian,
     relative to its mean, is the point's; the rest is the map of S^{n-2}.
     The rows of u are overwritten."""
     if n == 1:
-        return np.array([[1.0], [-1.0]] if not side else [[side]]), None
-    x = np.empty((u.shape[1], n))
+        return np.array([[1.0, -1.0]] if not side else [[side]]), None
+    x = np.empty((n, u.shape[1]))
     if n == 2:
         phi = _arc(side, u[0])
-        np.cos(phi, out=x[:, 0])
-        np.sin(phi, out=x[:, 1])
+        np.cos(phi, out=x[0])
+        np.sin(phi, out=x[1])
         return x, None
     if n == 3:
         h, psi = u[0], u[1]
@@ -236,31 +243,31 @@ def _sphere_map(n, lo, hi, side, measure, u):
         else:
             h *= 2.0
             h -= 1.0
-        x[:, 0] = h
+        x[0] = h
         np.multiply(h, h, out=h)
         np.subtract(1.0, h, out=h)
         np.sqrt(h, out=h)
         psi *= TWO_PI
-        np.multiply(np.cos(psi), h, out=x[:, 1])
-        np.multiply(np.sin(psi, out=psi), h, out=x[:, 2])
+        np.multiply(np.cos(psi), h, out=x[1])
+        np.multiply(np.sin(psi, out=psi), h, out=x[2])
         return x, None
     if n == 4:
         s2, xi1, xi2 = u[0], _arc(side, u[1]), u[2]
         xi2 *= TWO_PI
         c = np.sqrt(1.0 - s2)
         np.sqrt(s2, out=s2)
-        np.multiply(np.cos(xi1), s2, out=x[:, 0])
-        np.multiply(np.sin(xi1), s2, out=x[:, 1])
-        np.multiply(np.cos(xi2), c, out=x[:, 2])
-        np.multiply(np.sin(xi2), c, out=x[:, 3])
+        np.multiply(np.cos(xi1), s2, out=x[0])
+        np.multiply(np.sin(xi1), s2, out=x[1])
+        np.multiply(np.cos(xi2), c, out=x[2])
+        np.multiply(np.sin(xi2), c, out=x[3])
         return x, None
     theta = u[0]
     theta *= hi - lo
     theta += lo
     rest, jac = _sphere_map(n - 1, *_WHOLE, 0.0, unit_sphere_area(n - 1), u[1:])
-    np.cos(theta, out=x[:, 0])
+    np.cos(theta, out=x[0])
     s = np.sin(theta, out=theta)
-    np.multiply(rest, s[:, None], out=x[:, 1:])
+    np.multiply(rest, s, out=x[1:])
     s **= n - 2
     s *= (hi - lo) * unit_sphere_area(n - 1) / measure
     return x, (s if jac is None else s * jac)
@@ -268,28 +275,32 @@ def _sphere_map(n, lo, hi, side, measure, u):
 
 def gauss(place, scale, *factors):
     """The Gauss rule of a patch, as (points, weights): the tensor product
-    of the factors' rules (``_tensor``)."""
+    of the factors' rules (``_tensor``).  The points are an (M, N) array
+    with contiguous columns, the transpose of the (N, M) coordinates that
+    ``place`` builds."""
     return _tensor(place, scale, [f.rule() for f in factors])
 
 
 def _tensor(place, scale, rules):
     """The tensor product of the factor rules ``rules``, as (points, weights).
 
-    The rules are broadcast into their product, factor i along axis i, for
-    ``place`` to map to (points, Jacobian or None); the weights are
-    multiplied from the last factor back, then by the Jacobian and the
-    constant ``scale``.  Every point and weight is computed from its own
-    nodes alone, so a slab of the first factor's nodes gives the same floats
-    as the corresponding rows of the whole product.
+    The rules are broadcast into their product, factor i's points along
+    axis i after a sphere's leading coordinate axis, for ``place`` to map
+    to (coordinates of shape (N, M), Jacobian or None); the points are
+    returned as their (M, N) transpose.  The weights are multiplied from the
+    last factor back, then by the Jacobian and the constant ``scale``.
+    Every point and weight is computed from its own nodes alone, so a slab
+    of the first factor's nodes gives the same floats as the corresponding
+    points of the whole product.
     """
     axes = [(1,) * i + (len(w),) + (1,) * (len(rules) - 1 - i)
             for i, (_, w) in enumerate(rules)]
-    pts, jac = place(*(np.reshape(x, ax + np.shape(x)[1:])
+    pts, jac = place(*(np.reshape(x, np.shape(x)[:-1] + ax)
                        for (x, _), ax in zip(rules, axes)))
     w = np.reshape(rules[-1][1], axes[-1])
     for (_, wi), ax in zip(rules[-2::-1], axes[-2::-1]):
         w = np.reshape(wi, ax) * w
-    return pts, (w if jac is None else w * jac).ravel() * scale
+    return pts.T, (w if jac is None else w * jac).ravel() * scale
 
 
 class GaussBlocks:
@@ -302,7 +313,9 @@ class GaussBlocks:
     nodes that covers it and sliced to its rows, so its floats are those
     rows of the whole rule; a slab that reaches past its block is kept for
     the next.  A patch of at most ``BLOCK_POINTS`` points is one block,
-    built on one slab, the whole rule.
+    built on one slab, the whole rule.  A block's points are rows of the
+    slab's (M, N) transpose of its coordinates, so each coordinate column
+    is contiguous.
     """
 
     segments = 1
@@ -333,7 +346,7 @@ class GaussBlocks:
             self._slab = None       # freed before the next slab is built
             lo, hi = slab
             self._slab = slab, _tensor(place, scale,
-                                       [(x[lo:hi], w[lo:hi]), *self.rules[1:]])
+                                       [(x[..., lo:hi], w[lo:hi]), *self.rules[1:]])
         (_, (pts, w)), first = self._slab, start - slab[0] * rows
         if slab[1] * rows == stop:      # no later block reads this slab
             self._slab = None
@@ -375,10 +388,11 @@ class Sample:
     n Q r points fit ``budget``, with Q = ``MC_SHIFTS`` and r the points of
     the factors that are finite sets (S^0), which every lattice point takes
     in turn: each shift has n r points.  Each factor maps its coordinates to
-    its own measure (``_Factor.cube``) and ``place`` combines them; a
-    point's weight is the patch's closed-form measure (kept in
-    ``measure``) times its Jacobian, so the mean of weight times integrand
-    over a shift's points estimates the integral.
+    its own measure (``_Factor.cube``) and ``place`` combines them into
+    coordinates of shape (N, M), handed out as their (M, N) transpose, as
+    by ``_tensor``; a point's weight is the patch's closed-form measure
+    (kept in ``measure``) times its Jacobian, so the mean of weight times
+    integrand over a shift's points estimates the integral.
 
     A shift's points are cut at the ``pairwise_leaves`` of its n r terms at
     ``BLOCK_POINTS``, and a block is one leaf of as many consecutive
@@ -409,7 +423,7 @@ class Sample:
     def _start(self, factors):
         """Fix the lattice, the blocks and the shifts, at the first draw."""
         self.dims = sum(f.dims for f in factors)
-        self.rule_points = math.prod(len(f.cube(None)[0]) for f in factors
+        self.rule_points = math.prod(f.cube(None)[0].shape[-1] for f in factors
                                      if not f.dims)
         self.n, self.z = 0, ()
         if self.budget:
@@ -463,50 +477,63 @@ class Sample:
         for f in factors:
             if f.dims:
                 x, jac = f.cube(u[c:c + f.dims])
-                nodes.append(np.reshape(x, (u.shape[1], 1) + x.shape[1:]))
+                nodes.append(x[..., None])
                 c += f.dims
                 if jac is not None:
                     jacs.append(jac[:, None])
             else:
-                nodes.append(f.cube(None)[0][None])
+                nodes.append(f.cube(None)[0][..., None, :])
         pts, jac = place(*nodes)
         w = np.full((u.shape[1], r), self.measure)
         for j in jacs + ([] if jac is None else [jac]):
             w *= j
-        return pts, w.ravel()
+        return pts.T, w.ravel()
 
 
 def _axial(x1, y) -> np.ndarray:
-    """Points (x1, y), x1 along e1 and y across it, broadcast to one shape,
-    one point per row."""
-    pts = np.empty(np.broadcast_shapes(np.shape(x1), y.shape[:-1]) + (1 + y.shape[-1],))
-    pts[..., 0] = x1
-    pts[..., 1:] = y
-    return pts.reshape(-1, pts.shape[-1])
-
-
-def _scaled(pts, radius, center):
-    """pts * radius + center, in place, one coordinate column at a time (a
-    column add costs about a third of the broadcast add of a row)."""
-    pts *= radius
-    for j, c in enumerate(np.asarray(center, dtype=float)):
-        pts[:, j] += c
-    return pts
+    """Points (x1, y), x1 along e1 and y across it (coordinates first),
+    broadcast to one shape, as coordinates of shape (N, M)."""
+    pts = np.empty((1 + len(y),) + np.broadcast_shapes(np.shape(x1), y.shape[1:]))
+    pts[0] = x1
+    pts[1:] = y
+    return pts.reshape(len(pts), -1)
 
 
 def _cap_place(n, radius, center, axis):
-    """u about e1 -> center + radius * u turned to ``axis``: a vector, or the
-    frame ``frame_from_axis`` forms of it, which a caller that places many
-    caps about one axis forms once."""
+    """u about e1 (coordinates first) -> center + radius * u turned to
+    ``axis``, as coordinates of shape (N, M): one product of the frame with
+    u.  ``axis`` is a vector, or the frame ``frame_from_axis`` forms of it,
+    which a caller that places many caps about one axis forms once.
+    ``radius`` is a float, or one radius per run of equally many points."""
     A = axis if np.ndim(axis) == 2 else frame_from_axis(np.asarray(axis, dtype=float))
-    return lambda u: (_scaled(u.reshape(-1, n) @ A.T, radius, center), None)
+    c = np.asarray(center, dtype=float)[:, None]
+
+    def place(u):
+        x = A @ u.reshape(n, -1)
+        runs = x.reshape(n, np.size(radius), -1)     # a view: x is C-contiguous
+        runs *= np.reshape(radius, (-1, 1))
+        x += c
+        return x, None
+    return place
 
 
 def sphere_cap_patch(n, radius, center, axis, lo, hi, polar_nodes=SPHERE_NODES,
                      azimuth_nodes=SPHERE_NODES, draw=gauss):
-    """Patch on {center + radius*u : angle(u, axis) in [lo, hi]}."""
-    return draw(_cap_place(n, radius, center, axis), radius ** (n - 1),
-                _sphere(n, lo, hi, polar_nodes, azimuth_nodes))
+    """Patch on {center + radius*u : angle(u, axis) in [lo, hi]}.
+
+    ``radius`` and ``hi`` may be 1-D arrays of equal length instead, a run
+    of caps built as one Gauss patch (``draw`` is not used): each cap's
+    points follow the last cap's, in ``sphere_band_grid``'s order, and its
+    weights are its rule's times the Python float radius ** (n - 1), so
+    every float is the one its cap gives alone.
+    """
+    place = _cap_place(n, radius, center, axis)
+    if np.ndim(radius) == 0:
+        return draw(place, radius ** (n - 1),
+                    _sphere(n, lo, hi, polar_nodes, azimuth_nodes))
+    u, w = band_coords(n, lo, hi, polar_nodes, azimuth_nodes)
+    scale = np.array([r ** (n - 1) for r in radius.tolist()])
+    return place(u)[0].T, (w.reshape(len(scale), -1) * scale[:, None]).ravel()
 
 
 def ball_cap_patch(n, radius, center, axis, lo, hi, radial_nodes=RADIAL_NODES,
@@ -514,7 +541,7 @@ def ball_cap_patch(n, radius, center, axis, lo, hi, radial_nodes=RADIAL_NODES,
                    draw=gauss):
     """Solid patch of the ball restricted to the polar band about ``axis``."""
     place = _cap_place(n, radius, center, axis)
-    return draw(lambda rho, u: place(rho[..., None] * u), radius ** n,
+    return draw(lambda rho, u: place(rho * u), radius ** n,
                 _segment(0.0, 1.0, n - 1, radial_nodes),
                 _sphere(n, lo, hi, polar_nodes, azimuth_nodes))
 
@@ -528,21 +555,22 @@ def cylinder_wall_patch(n, R, delta, nodes=SPHERE_NODES, draw=gauss):
 
 def annulus_patch(n, x1, r_in, r_out, nodes=SPHERE_NODES, draw=gauss):
     """Flat ring {x1} x {r_in <= |x_perp| <= r_out} in local coords."""
-    return draw(lambda rho, v: (_axial(x1, rho[..., None] * v), None),
+    return draw(lambda rho, v: (_axial(x1, rho * v), None),
                 1.0, _segment(r_in, r_out, n - 2, max(8, nodes // 4)),
                 _sphere(n - 1, *_WHOLE, nodes, nodes))
 
 
 def _swept_place(n, R):
     """(phi, rho*v) -> the meridian-section point rho*v turned by phi, in
-    local coordinates, and the Jacobian R + rho v_1 of the sweep."""
+    local coordinates of shape (N, M), and the Jacobian R + rho v_1 of the
+    sweep."""
     def place(phi, rv):
-        w = R + rv[..., 0]
-        pts = np.empty(np.broadcast_shapes(np.shape(phi), w.shape) + (n,))
-        np.multiply(np.cos(phi), w, out=pts[..., 0])
-        np.multiply(np.sin(phi), w, out=pts[..., 1])
-        pts[..., 2:] = rv[..., 1:]
-        return pts.reshape(-1, n), w
+        w = R + rv[0]
+        pts = np.empty((n,) + np.broadcast_shapes(np.shape(phi), w.shape))
+        np.multiply(np.cos(phi), w, out=pts[0])
+        np.multiply(np.sin(phi), w, out=pts[1])
+        pts[2:] = rv[1:]
+        return pts.reshape(n, -1), w
     return place
 
 
@@ -557,7 +585,7 @@ def swept_wedge_patch(n, R, phi_lo, phi_hi, radial_nodes=RADIAL_NODES,
                       nodes=SPHERE_NODES, draw=gauss):
     """Solid wedge: meridian disk swept over [phi_lo, phi_hi]."""
     place = _swept_place(n, R)
-    return draw(lambda phi, rho, v: place(phi, rho[..., None] * v), 1.0,
+    return draw(lambda phi, rho, v: place(phi, rho * v), 1.0,
                 _segment(phi_lo, phi_hi, 0, max(8, nodes // 4)),
                 _segment(0.0, 1.0, n - 2, radial_nodes),
                 _sphere(n - 1, *_WHOLE, nodes, nodes))
@@ -565,7 +593,7 @@ def swept_wedge_patch(n, R, phi_lo, phi_hi, radial_nodes=RADIAL_NODES,
 
 def _cyl_interior(n, R, delta, radial_nodes, nodes, draw=gauss):
     """Solid cylinder {x1 in [R - delta, R], |x_perp| <= 1} in local coords."""
-    return draw(lambda x1, rho, v: (_axial(x1, rho[..., None] * v), None),
+    return draw(lambda x1, rho, v: (_axial(x1, rho * v), None),
                 1.0, _segment(R - delta, R, 0, max(8, nodes // 4)),
                 _segment(0.0, 1.0, n - 2, radial_nodes),
                 _sphere(n - 1, *_WHOLE, nodes, nodes))
@@ -651,9 +679,10 @@ def _caps(n, radius, center, axis, band, nodes, radial_nodes):
 
 
 def _placed(frame, build, *args, draw=gauss):
-    """The local-coordinate patch ``build(*args)`` mapped by ``frame``."""
+    """The local-coordinate patch ``build(*args)`` mapped by ``frame``: one
+    product of the frame with the patch's coordinates."""
     pts, w = build(*args, draw=draw)
-    return pts @ frame.T, w
+    return (frame @ pts.T).T, w
 
 
 def set_patches(E: CompetitorSet, nodes: int = SPHERE_NODES,
@@ -1020,18 +1049,18 @@ def weighted_ball_measures(fn, n: int, center, radius: float = 1.0,
                            radial_nodes: int = RADIAL_NODES):
     """(perimeter, volume) of an arbitrary ball under an arbitrary weight.
 
-    Plain floats: the reference sphere and ball grids moved to ``center``,
-    each reduced by numpy's pairwise sum, so a value is the same float at
-    any BLAS thread count; ``fn`` sees each in its ``pairwise_leaves`` of at
-    most ``BLOCK_POINTS`` points.
+    Plain floats: the reference sphere and ball grids, coordinates first,
+    moved to ``center``, each reduced by numpy's pairwise sum, so a value is
+    the same float at any BLAS thread count; ``fn`` sees each in its
+    ``pairwise_leaves`` of at most ``BLOCK_POINTS`` points.
     """
-    c = np.asarray(center, dtype=float)
-    grids = ((sphere_band_grid(n, 0.0, math.pi, nodes, nodes), n - 1),
+    c = np.asarray(center, dtype=float)[:, None]
+    grids = ((band_coords(n, 0.0, math.pi, nodes, nodes), n - 1),
              (ball_grid(n, radial_nodes, nodes, nodes), n))
     out = []
     for (pts, w), p in grids:
         w = w * radius ** p
-        sums = (np.add.reduce(np.asarray(fn(c + radius * pts[a:b]), dtype=float)
+        sums = (np.add.reduce(np.asarray(fn((c + radius * pts[:, a:b]).T), dtype=float)
                               * w[a:b])
                 for a, b in pairwise_leaves(0, len(w), BLOCK_POINTS))
         out.append(float(pairwise_total(len(w), BLOCK_POINTS, sums)))

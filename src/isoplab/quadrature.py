@@ -105,44 +105,62 @@ def sphere_band_grid(n: int, polar_lo: float, polar_hi: float,
     The polar angle is measured from the first coordinate axis.  With
     lo = 0, hi = pi this is the whole sphere; [0, pi/2] is the hemisphere
     {x1 >= 0}.  For n = 1 only the whole of S^0, {+1, -1}, is a band.
+    Returns (points, weights), points of shape (M, n) in C order: the rule
+    of ``band_coords``, transposed.
+    """
+    pts, w = band_coords(n, polar_lo, polar_hi, polar_nodes, azimuth_nodes)
+    return pts.T.copy(), w
+
+
+def band_coords(n: int, polar_lo: float, polar_hi, polar_nodes: int,
+                azimuth_nodes: int):
+    """``sphere_band_grid``'s rule coordinates first: (points of shape
+    (n, M), weights).
+
+    ``polar_hi`` may be a 1-D array, a run of bands from one ``polar_lo``:
+    each band's points and weights follow the last band's, in the order of
+    its own grid, and are the same floats.  At n = 2 a band of a run is
+    always its two arcs, one after the other; only a single band [0, pi]
+    is the whole circle's uniform rule.
     """
     if n == 1:
         if (polar_lo, polar_hi) != (0.0, math.pi):
             raise ValueError("a band of S^0 must be all of it")
-        return np.array([[1.0], [-1.0]]), np.ones(2)
-    if n == 2:
-        if polar_lo == 0.0 and polar_hi == math.pi:
-            # full circle: uniform periodic rule, exact for trig polynomials
-            ang = TWO_PI * np.arange(azimuth_nodes) / azimuth_nodes
-            pts = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-            return pts, np.full(azimuth_nodes, TWO_PI / azimuth_nodes)
-        # band = two symmetric arcs; Gauss in the angle
-        theta, wt = gauss_nodes(polar_lo, polar_hi, polar_nodes)
-        c, s = np.cos(theta), np.sin(theta)
-        pts = np.concatenate([np.stack([c, s], axis=1),
-                              np.stack([c, -s], axis=1)])
-        return pts, np.concatenate([wt, wt])
-    theta, wt = gauss_nodes(polar_lo, polar_hi, polar_nodes)
-    sub_pts, sub_w = sphere_grid(n - 1, polar_nodes, azimuth_nodes)
+        return np.array([[1.0, -1.0]]), np.ones(2)
+    if n == 2 and np.ndim(polar_hi) == 0 and (polar_lo, polar_hi) == (0.0, math.pi):
+        # full circle: uniform periodic rule, exact for trig polynomials
+        ang = TWO_PI * np.arange(azimuth_nodes) / azimuth_nodes
+        return (np.stack([np.cos(ang), np.sin(ang)]),
+                np.full(azimuth_nodes, TWO_PI / azimuth_nodes))
+    # Gauss in the polar angle, one row of nodes per band
+    theta, wt = gauss_nodes(polar_lo, np.reshape(polar_hi, (-1, 1)), polar_nodes)
     c, s = np.cos(theta), np.sin(theta)
-    m = len(sub_pts)
-    pts = np.empty((polar_nodes * m, n))
-    pts[:, 0] = np.repeat(c, m)
-    pts[:, 1:] = (s[:, None, None] * sub_pts[None, :, :]).reshape(-1, n - 1)
-    w = ((wt * s ** (n - 2))[:, None] * sub_w[None, :]).ravel()
-    return pts, w
+    if n == 2:
+        # a band is two symmetric arcs
+        pts = np.empty((2, len(c), 2, polar_nodes))
+        pts[0] = c[:, None]
+        pts[1, :, 0] = s
+        np.negative(s, out=pts[1, :, 1])
+        return pts.reshape(2, -1), np.stack([wt, wt], axis=1).ravel()
+    sub_pts, sub_w = band_coords(n - 1, 0.0, math.pi, polar_nodes, azimuth_nodes)
+    pts = np.empty((n, len(c), polar_nodes, len(sub_w)))
+    pts[0] = c[..., None]
+    np.multiply(s[..., None], sub_pts[:, None, None], out=pts[1:])
+    w = ((wt * s ** (n - 2))[..., None] * sub_w).ravel()
+    return pts.reshape(n, -1), w
 
 
 def ball_grid(n: int, radial_nodes: int = 64, polar_nodes: int = 64,
               azimuth_nodes: int = 64):
     """Grid on the unit ball of R^n.
 
-    Returns (points, weights); weights include the r^{n-1} volume factor and
-    sum to the ball volume.
+    Returns (points, weights), coordinates first: points of shape (n, M).
+    The weights include the r^{n-1} volume factor and sum to the ball
+    volume.
     """
     rho, wr = gauss_nodes(0.0, 1.0, radial_nodes)
-    spts, sw = sphere_grid(n, polar_nodes, azimuth_nodes)
-    pts = (rho[:, None, None] * spts[None, :, :]).reshape(-1, n)
+    spts, sw = band_coords(n, 0.0, math.pi, polar_nodes, azimuth_nodes)
+    pts = (rho[:, None] * spts[:, None, :]).reshape(n, -1)
     w = ((wr * rho ** (n - 1))[:, None] * sw[None, :]).ravel()
     return pts, w
 

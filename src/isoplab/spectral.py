@@ -184,9 +184,21 @@ def _disk(n: int, R: float, nodes: int, radial_nodes: int, k: int = 2):
 
 
 def _ring(frame, M: int) -> np.ndarray:
-    """The M points 2 pi i / M of the unit circle in the working plane."""
+    """The M points 2 pi i / M of the unit circle in the working plane,
+    coordinates first: shape (N, M)."""
     psi = 2.0 * math.pi * np.arange(M) / M
-    return np.cos(psi)[:, None] * frame[:, 0] + np.sin(psi)[:, None] * frame[:, 1]
+    return frame[:, :1] * np.cos(psi) + frame[:, 1:2] * np.sin(psi)
+
+
+def _ring_points(ring, s, offset) -> np.ndarray:
+    """The points s_i ring + offset_i of disk nodes i on the ring
+    (coordinates first), node by node with the ring's samples innermost,
+    as the (M, N) view of their (N, M) coordinates."""
+    n = len(ring)
+    pts = np.multiply(ring[:, None], s[:, None],
+                      out=np.empty((n, len(s), ring.shape[1])))
+    pts += offset.T[..., None]
+    return pts.reshape(n, -1).T
 
 
 def _mode_sums(g, frame, disk, M: int, every_other: bool) -> list[_Modes]:
@@ -197,14 +209,14 @@ def _mode_sums(g, frame, disk, M: int, every_other: bool) -> list[_Modes]:
     ``trail``, and its other sums stay zero.
 
     The weight sees at most ``BALL_CHUNK_POINTS`` points per call and grid
-    (one disk node if M is larger); each chunk's coefficients are reduced
-    into the per-mode sums, so memory stays that of one chunk.  Each chunk's
-    kernel tables are formed once, with the M-sample rule's M/2 + 1 modes,
-    which are also the (M+1)-sample rule's, and cut for the M/2-sample rule:
-    a cumulative product's prefix is the same float.
+    (one disk node if M is larger), built coordinates first; each chunk's
+    coefficients are reduced into the per-mode sums, so memory stays that
+    of one chunk.  Each chunk's kernel tables are formed once, with the
+    M-sample rule's M/2 + 1 modes, which are also the (M+1)-sample rule's,
+    and cut for the M/2-sample rule: a cumulative product's prefix is the
+    same float.
     """
     sz, w, w_sphere, gamma = disk
-    n = frame.shape[0]
     # each node's offset z from the working plane
     offset = np.add.reduce(sz[:, 1:, None] * frame[:, 2:].T[None], axis=1)
     rings = [_ring(frame, M)] + ([_ring(frame, M + 1)] if every_other else [])
@@ -217,9 +229,8 @@ def _mode_sums(g, frame, disk, M: int, every_other: bool) -> list[_Modes]:
     step = max(1, BALL_CHUNK_POINTS // M)
     for i in range(0, len(w), step):
         j = min(i + step, len(w))
-        vals = [np.asarray(g((sz[i:j, 0, None, None] * ring[None]
-                              + offset[i:j, None, :]).reshape(-1, n)),
-                           dtype=float).reshape(j - i, len(ring))
+        vals = [np.asarray(g(_ring_points(ring, sz[i:j, 0], offset[i:j])),
+                           dtype=float).reshape(j - i, -1)
                 for ring in rings]
         lead = _shift(gamma[i:j], M // 2 + 1)
         turn = 1.0 + 1j * np.arange(M // 2 + 1) * lead           # e^{ik gamma}

@@ -14,7 +14,7 @@ from isoplab import (ConfigError, Density, SampleSpec, deficit_profile,
 import isoplab.density
 from isoplab.defaults import BLOCK_POINTS
 from isoplab.density import deficit_weight
-from isoplab.quadrature import sphere_grid
+from isoplab.quadrature import norms, sphere_grid
 
 
 def test_eval_weight_constant(const2):
@@ -257,6 +257,13 @@ def test_angular_mod_deficit_matches_angle_formula(n, k):
     ref = np.exp(-c * r) * (1.0 + eta * np.cos(k * theta))
     got = np.asarray(deficit_weight(d)(x))
     assert np.allclose(got, ref, rtol=1e3 * np.finfo(float).eps, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_norms_do_not_depend_on_point_layout(n):
+    # norms sums the squares in coordinate order, whatever the layout
+    x = 5.0 * np.random.default_rng(n).standard_normal((20_000, n))
+    assert np.array_equal(norms(np.ascontiguousarray(x)), norms(np.asfortranarray(x)))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])

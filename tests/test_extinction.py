@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,8 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoplab import (PlainBall, RotationSwept, TailMassCurve,
-                     comparison_check, extinction_time, set_measures,
-                     simulate_comparison_ode, tail_mass, tail_mass_curve)
+                     comparison_check, density_from_config, extinction_time,
+                     set_measures, simulate_comparison_ode, tail_mass,
+                     tail_mass_curve)
+from isoplab.defaults import BLOCK_POINTS
+from isoplab.density import eval_weight
+from isoplab.layers import cap_geometry
+from isoplab.measures import set_frame, sphere_cap_patch
+from isoplab.quadrature import frame_from_axis, gauss_nodes
 
 
 def lens_complement_area(R):
@@ -238,3 +245,64 @@ def test_tail_mass_curve_slices_each_lower_limit_once(exp3, monkeypatch):
     assert len(slicings) == 4
     assert single[0] == single[1] > single[2] > single[3] > single[4] > 0.0
     assert single[5] == single[6] == 0.0
+
+
+def _sliced_tail_mass(E, d, t, nodes):
+    """The plain ball's tail mass slice by slice, the reference for
+    ``tail_mass``: one ``sphere_cap_patch`` per slice, one ``np.add.reduce``
+    over it, and a Python running sum."""
+    n, R = E.dim, E.offset
+    frame = frame_from_axis(set_frame(E)[:, 0])
+    lo = max(t, R - 1.0)
+    u_nodes, u_w = gauss_nodes(math.asin(lo - R), math.pi / 2, 160)
+    total = 0.0
+    for u, wu in zip(u_nodes, u_w):
+        s = R + math.sin(u)
+        if not abs(s - R) < 1.0:
+            continue
+        gamma = float(cap_geometry(s, R))
+        pts, w = sphere_cap_patch(n, s, np.zeros(n), frame, 0.0, gamma, nodes, nodes)
+        total += wu * math.cos(u) * float(np.add.reduce(
+            np.asarray(eval_weight(d, pts), dtype=float) * w))
+    return total
+
+
+def _family(name, n):
+    params = {"c": 1.0} if name == "radial_exp" else {"eta": 0.5, "k": 1, "c": 1.0}
+    return density_from_config({"family": name, "dim": n, "a": 1.0, "params": params})
+
+
+# nodes per angle: caps of 128 (N = 2), 256 (N = 3) and 512 points (N = 4),
+# so a run holds 64, 32 and 16 whole caps
+_TAIL_NODES = {2: 64, 3: 16, 4: 8}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("family", ["radial_exp", "angular_mod"])
+def test_tail_mass_equals_the_sliced_sum(n, family):
+    # the runs of whole caps give each slice's float, and the slices add up
+    # in order: equal to the slice-by-slice sum on and off axis, from the
+    # lower tangency (t <= R - 1) and from inside the ball
+    d, nodes = _family(family, n), _TAIL_NODES[n]
+    for R in (1.5, 7.0, 10.0):
+        for direction in (None, tuple(np.ones(n) / math.sqrt(n))):
+            E = PlainBall(dim=n, offset=R, direction=direction)
+            for t in (R - 1.0, R + 0.4):
+                expected = _sliced_tail_mass(E, d, t, nodes)
+                assert tail_mass(E, d, t, nodes=nodes) == expected
+
+
+def test_tail_mass_cuts_a_cap_larger_than_a_block():
+    # at N = 4 a cap of 24 nodes per angle has 13,824 points: the weight
+    # sees it one pairwise leaf at a time, and the leaves' sums add up to
+    # the float of one sum over the cap
+    d, sizes = _family("angular_mod", 4), []
+
+    def weight(x):
+        sizes.append(len(x))
+        return d.weight(x)
+    recorded = dataclasses.replace(d, weight=weight)
+    E = PlainBall(dim=4, offset=7.0, direction=(0.5, 0.5, 0.5, 0.5))
+    value = tail_mass(E, recorded, 6.5, nodes=24)
+    assert len(sizes) == 2 * 160 and max(sizes) <= BLOCK_POINTS
+    assert value == _sliced_tail_mass(E, d, 6.5, 24)

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoplab import (CylinderExtended, PlainBall, RotationSwept,
-                     ball_deficit_measures, deficit_profile,
+                     ball_deficit_measures, build_competitor, deficit_profile,
                      density_from_config, mean_density, profile_upper_bound,
-                     set_measures, unit_ball_volume, unit_sphere_area,
-                     weighted_ball_measures)
+                     set_measures, tail_mass, unit_ball_volume,
+                     unit_sphere_area, weighted_ball_measures)
 import isoplab.measures
 from isoplab.density import FAMILIES, deficit_weight
 from isoplab.defaults import BALL_CHUNK_POINTS, BLOCK_POINTS, VOLUME_RTOL
@@ -611,6 +611,35 @@ def test_set_measures_hands_the_weight_at_most_a_chunk(family):
         set_measures(E, d)
     assert max(sizes) <= BLOCK_POINTS
     assert sum(sizes) > 4 * 64 ** 3
+
+
+def layout_recorded(d, calls):
+    """``d`` whose weight and deficit record the shape of every call and
+    whether each of its coordinate columns x[..., i] is contiguous."""
+    def recorded(fn):
+        def wrapped(x):
+            calls.append((np.shape(x), all(x[..., i].flags.c_contiguous
+                                           for i in range(x.shape[-1]))))
+            return fn(x)
+        return wrapped
+    return dataclasses.replace(d, weight=recorded(d.weight),
+                               deficit=recorded(d.deficit))
+
+
+def test_weights_see_contiguous_coordinate_columns():
+    # every point array handed to a weight is the (M, N) view of coordinates
+    # built first, so a weight reads each coordinate without a stride
+    calls = []
+    d = layout_recorded(_family("angular_mod", 3), calls)
+    for E in _sets(3):
+        set_measures(E, d, nodes=16)
+        set_measures(E, d, "monte_carlo", budget=20_000, seed=3)
+    deficit_profile(d).profile(np.linspace(0.5, 12.0, 5))
+    tail_mass(PlainBall(dim=3, offset=10.0), d, 9.5, nodes=16)
+    build_competitor(d, eps=0.05, R_min=10.0, R_max=200.0, mc_samples=100_000,
+                     mc_seed=7, nodes=16, circle_grid=16)
+    assert sum(math.prod(shape[:-1]) > 1 for shape, _ in calls) > 100
+    assert [shape for shape, contiguous in calls if not contiguous] == []
 
 
 @pytest.mark.parametrize("n, nodes", [(2, 64), (3, 64), (4, 32)])
